@@ -112,3 +112,22 @@ func TestOptionsConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestKernelCloseThroughFacade(t *testing.T) {
+	k := remotedb.NewKernel(1)
+	unwound := false
+	k.Go("background", func(p *remotedb.Proc) {
+		defer func() { unwound = true }()
+		for {
+			p.Sleep(time.Second)
+		}
+	})
+	k.Run(10 * time.Second)
+	if unwound {
+		t.Fatal("background proc exited before Close")
+	}
+	k.Close()
+	if !unwound {
+		t.Fatal("Close returned with the background proc still parked")
+	}
+}

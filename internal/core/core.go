@@ -146,6 +146,7 @@ type FS struct {
 	files    map[string]*File
 	hbActive bool
 	health   *healthTracker // nil unless Hedging or HealthChecks
+	frames   [][]byte       // free list of integrity frames (see integrity.go)
 
 	// Fault-tolerance counters (virtual-time observability).
 	Restripes    int64 // stripes (all replicas) successfully re-leased

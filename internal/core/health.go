@@ -61,11 +61,11 @@ import (
 // factors but only recovers via probes back inside the recover factor,
 // so it cannot flap on the boundary.
 const (
-	healthMinSamples    = 8    // samples before latency comparisons mean anything
-	brownoutLatFactor   = 3.0  // donor median >= 3x fleet median -> browned-out
-	quarantineLatFactor = 8.0  // donor median >= 8x fleet median -> quarantined
-	recoverLatFactor    = 1.5  // probe sample <= 1.5x the recovery baseline counts toward recovery
-	brownoutErrRate     = 0.3  // error EWMA thresholds, absolute
+	healthMinSamples    = 8   // samples before latency comparisons mean anything
+	brownoutLatFactor   = 3.0 // donor median >= 3x fleet median -> browned-out
+	quarantineLatFactor = 8.0 // donor median >= 8x fleet median -> quarantined
+	recoverLatFactor    = 1.5 // probe sample <= 1.5x the recovery baseline counts toward recovery
+	brownoutErrRate     = 0.3 // error EWMA thresholds, absolute
 	quarantineErrRate   = 0.7
 	recoverErrRate      = 0.1
 )
@@ -401,9 +401,10 @@ func (f *File) errSlowRead(g int64) error {
 
 // raceChild is one in-flight replica read inside a race.
 type raceChild struct {
-	r        int // replica index
-	buf      []byte
+	r        int    // replica index
+	buf      []byte // pooled frame; returned by whichever of race and child finishes last
 	done     bool
+	orphaned bool // the race returned while this read was still in flight
 	err      error
 	verified bool
 }
@@ -422,18 +423,20 @@ type raceResult struct {
 // verified frame wins and is copied into frame; the loser is abandoned
 // mid-flight (bytes discarded, wire cost sunk). Every child reports its
 // true latency and outcome to the health tracker when it completes,
-// even if the race already returned.
+// even if the race already returned — in which case it also returns its
+// own frame buffer to the pool, so the buffer is never re-issued while
+// the transfer can still land in it.
 func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame []byte, primary, hedge int, deadline time.Duration) raceResult {
 	k := p.Kernel()
 	cond := sim.NewCond(k)
 	bs := f.fs.BlockSize
 	res := raceResult{winner: -1}
 	launch := func(r int) {
-		c := &raceChild{r: r, buf: make([]byte, len(frame))}
+		c := &raceChild{r: r, buf: f.fs.getFrame()}
 		res.children = append(res.children, c)
 		mr := f.leases[s][r].MR
 		donor := mr.Owner.Name
-		k.Go(fmt.Sprintf("read-race:%s:%d.%d", f.name, g, r), func(cp *sim.Proc) {
+		k.Go("read-race", func(cp *sim.Proc) {
 			start := cp.Now()
 			err := f.fs.Transport.Read(cp, f.fs.Client, mr, frameOff, c.buf)
 			lat := cp.Now() - start
@@ -444,9 +447,23 @@ func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame []byte, pr
 			c.err = err
 			c.verified = verified
 			c.done = true
+			if c.orphaned {
+				f.fs.putFrame(c.buf)
+			}
 			cond.Broadcast()
 		})
 	}
+	// On every return path: finished children's buffers go back now, the
+	// rest when their reads complete.
+	defer func() {
+		for _, c := range res.children {
+			if c.done {
+				f.fs.putFrame(c.buf)
+			} else {
+				c.orphaned = true
+			}
+		}
+	}()
 	launch(primary)
 	hedgeArmed := hedge >= 0 && f.fs.hedgeAllowed()
 	hedgeFired := false

@@ -17,6 +17,17 @@
 // frame is caught by the generation stamp even though its checksum
 // matches.
 //
+// Frame buffers are recycled through one free list per FS (getFrame /
+// putFrame), so a block read or write allocates nothing once the list is
+// warm. Ownership: whoever finishes with a frame last returns it. Every
+// transport call on the I/O paths is synchronous, so the proc that took
+// a frame normally puts it back before returning; the one exception is a
+// raced read's child (health.go), which may still be in flight when its
+// race returns and then hands its buffer back itself on completion — a
+// late completion can never land in a frame that was re-issued. Recycled
+// frames are not zeroed: a path that does not overwrite the whole data
+// area clears it.
+//
 // With FS.Replication = K > 1, Create leases K MRs per stripe on
 // distinct donors (broker anti-affinity), writes fan out to every
 // healthy replica, and reads verify-then-fail-over: a corrupt or revoked
@@ -101,6 +112,21 @@ func verifyFrame(frame []byte, bs int, wantGen uint64) error {
 
 func (f *File) frameSize() int { return f.fs.BlockSize + trailerSize }
 
+// getFrame takes a frame buffer off the FS free list (contents
+// undefined), allocating only when the list is empty. A plain slice
+// stack: the simulation runs one proc at a time.
+func (fs *FS) getFrame() []byte {
+	if last := len(fs.frames) - 1; last >= 0 {
+		fr := fs.frames[last]
+		fs.frames = fs.frames[:last]
+		return fr
+	}
+	return make([]byte, fs.BlockSize+trailerSize)
+}
+
+// putFrame returns a frame nothing references any more.
+func (fs *FS) putFrame(fr []byte) { fs.frames = append(fs.frames, fr) }
+
 // framesPerStripe returns how many framed blocks one stripe holds.
 func (f *File) framesPerStripe() int64 { return f.stripeCap / int64(f.fs.BlockSize) }
 
@@ -178,12 +204,13 @@ func (f *File) readBlockInto(p *sim.Proc, g, within int64, dst []byte) error {
 		}
 		return nil
 	}
-	frame := make([]byte, f.frameSize())
-	if err := f.fetchBlock(p, g, frame); err != nil {
-		return err
+	frame := f.fs.getFrame()
+	err := f.fetchBlock(p, g, frame)
+	if err == nil {
+		copy(dst, frame[within:within+int64(len(dst))])
 	}
-	copy(dst, frame[within:within+int64(len(dst))])
-	return nil
+	f.fs.putFrame(frame)
+	return err
 }
 
 // fetchBlock reads and verifies block g's frame from the first replica
@@ -326,11 +353,15 @@ func (f *File) poisonBlock(p *sim.Proc, g int64) {
 // blocks) and fans it out to every healthy replica.
 func (f *File) writeBlock(p *sim.Proc, g, within int64, src []byte) error {
 	bs := f.fs.BlockSize
-	frame := make([]byte, f.frameSize())
-	partial := within != 0 || len(src) != bs
-	if partial && f.gens[g] != 0 && !f.poisoned[g] {
-		if err := f.fetchBlock(p, g, frame); err != nil {
-			return err
+	frame := f.fs.getFrame()
+	defer f.fs.putFrame(frame)
+	if partial := within != 0 || len(src) != bs; partial {
+		if f.gens[g] != 0 && !f.poisoned[g] {
+			if err := f.fetchBlock(p, g, frame); err != nil {
+				return err
+			}
+		} else {
+			clear(frame[:bs]) // nothing to merge with: zeros around src
 		}
 	}
 	copy(frame[within:within+int64(len(src))], src)
@@ -536,7 +567,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 				// Latent corruption or staleness on replica r: find a
 				// good copy elsewhere and rewrite this one, or poison.
 				f.fs.Corruptions.Add(1, int64(bs))
-				good := make([]byte, fsz)
+				good := f.fs.getFrame()
 				if ferr := f.fetchBlockSkip(p, g+i, good, r); ferr == nil {
 					f.repairBlockOn(p, g+i, r, good)
 				} else if !errors.Is(ferr, vfs.ErrCorrupt) {
@@ -544,6 +575,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 					// the only copy and it is bad.
 					f.poisonBlock(p, g+i)
 				}
+				f.fs.putFrame(good)
 			}
 			g += run
 		}

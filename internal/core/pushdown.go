@@ -159,7 +159,8 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 // evaluator client-side, charging the database server the CPU the donor
 // would have spent.
 func (f *File) pushFallbackBlock(p *sim.Proc, g int64, q *rmem.PushQuery) ([]byte, error) {
-	frame := make([]byte, f.frameSize())
+	frame := f.fs.getFrame()
+	defer f.fs.putFrame(frame) // EvalPush copies what it keeps
 	if err := f.fetchBlock(p, g, frame); err != nil {
 		return nil, err
 	}

@@ -134,12 +134,37 @@ type blockSeg struct {
 	data   []byte
 }
 
-// splitBlocks decomposes vecs into per-block segments, returning the
-// blocks in deterministic first-touch order.
-func (f *File) splitBlocks(vecs []vfs.Vec) ([]int64, map[int64][]blockSeg) {
+// blockSegs is one logical block and the segments of a vector that
+// touch it. Nearly every block is touched once, so the first segment is
+// stored inline and only further ones cost an allocation.
+type blockSegs struct {
+	g     int64
+	first blockSeg
+	more  []blockSeg
+}
+
+// n returns the number of segments; seg returns the i-th in touch order.
+func (b *blockSegs) n() int { return 1 + len(b.more) }
+
+func (b *blockSegs) seg(i int) blockSeg {
+	if i == 0 {
+		return b.first
+	}
+	return b.more[i-1]
+}
+
+// splitBlocks decomposes vecs into per-block segments, the blocks in
+// deterministic first-touch order. A block above every block seen so far
+// is new without a search (sequential and sorted vectors, the common
+// shapes); anything else scans the list for an earlier touch.
+func (f *File) splitBlocks(vecs []vfs.Vec) []blockSegs {
 	bs := int64(f.fs.BlockSize)
-	segs := make(map[int64][]blockSeg)
-	var blocks []int64
+	most := 0 // an unaligned element touches one block more than it spans
+	for _, v := range vecs {
+		most += int((int64(len(v.Buf))+bs-1)/bs) + 1
+	}
+	blocks := make([]blockSegs, 0, most)
+	maxG := int64(-1)
 	for _, v := range vecs {
 		b := v.Buf
 		off := v.Off
@@ -150,15 +175,28 @@ func (f *File) splitBlocks(vecs []vfs.Vec) ([]int64, map[int64][]blockSeg) {
 			if n > int64(len(b)) {
 				n = int64(len(b))
 			}
-			if _, seen := segs[g]; !seen {
-				blocks = append(blocks, g)
+			sg := blockSeg{within: within, data: b[:n]}
+			seen := -1
+			if g > maxG {
+				maxG = g
+			} else {
+				for i := range blocks {
+					if blocks[i].g == g {
+						seen = i
+						break
+					}
+				}
 			}
-			segs[g] = append(segs[g], blockSeg{within: within, data: b[:n]})
+			if seen < 0 {
+				blocks = append(blocks, blockSegs{g: g, first: sg})
+			} else {
+				blocks[seen].more = append(blocks[seen].more, sg)
+			}
 			b = b[n:]
 			off += n
 		}
 	}
-	return blocks, segs
+	return blocks
 }
 
 // pickReplica returns the first replica of stripe s that is up with a
@@ -195,25 +233,31 @@ func (f *File) pickReplica(p *sim.Proc, s int) (int, bool, error) {
 // and poisoning — so detection and repair semantics are identical to the
 // scalar path.
 func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
-	blocks, segs := f.splitBlocks(vecs)
+	blocks := f.splitBlocks(vecs)
 	type fetch struct {
-		g          int64
+		blk        *blockSegs
 		replica    int
 		failedOver bool
 		frame      []byte
 	}
-	var fetches []fetch
-	var iov []rmem.IOVec
-	fsz := f.frameSize()
-	for _, g := range blocks {
+	fetches := make([]fetch, 0, len(blocks))
+	iov := make([]rmem.IOVec, 0, len(blocks))
+	// Every frame is back on the free list on return: ReadV and the
+	// scalar refetch are synchronous, so nothing outlives this call.
+	defer func() {
+		for i := range fetches {
+			f.fs.putFrame(fetches[i].frame)
+		}
+	}()
+	for i := range blocks {
+		blk := &blocks[i]
+		g := blk.g
 		if f.poisoned[g] {
 			return f.corruptErr(g)
 		}
 		if f.gens[g] == 0 {
-			for _, sg := range segs[g] {
-				for i := range sg.data {
-					sg.data[i] = 0
-				}
+			for i := 0; i < blk.n(); i++ {
+				clear(blk.seg(i).data)
 			}
 			continue
 		}
@@ -228,8 +272,8 @@ func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
 			}
 			return f.stripeErr(s)
 		}
-		frame := make([]byte, fsz)
-		fetches = append(fetches, fetch{g: g, replica: r, failedOver: failedOver, frame: frame})
+		frame := f.fs.getFrame()
+		fetches = append(fetches, fetch{blk: blk, replica: r, failedOver: failedOver, frame: frame})
 		iov = append(iov, rmem.IOVec{MR: f.leases[s][r].MR, Off: frameOff, Buf: frame})
 	}
 	var errs []error
@@ -238,6 +282,7 @@ func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
 	}
 	for i := range fetches {
 		ft := &fetches[i]
+		g := ft.blk.g
 		var elemErr error
 		if errs != nil {
 			elemErr = errs[i]
@@ -245,14 +290,14 @@ func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
 		verified := false
 		switch {
 		case elemErr == nil:
-			if verifyFrame(ft.frame, f.fs.BlockSize, f.gens[ft.g]) == nil {
+			if verifyFrame(ft.frame, f.fs.BlockSize, f.gens[g]) == nil {
 				verified = true
 				if ft.failedOver {
 					f.fs.Failovers.Add(1, int64(f.fs.BlockSize))
 				}
 			}
 		case errors.Is(elemErr, rmem.ErrRevoked):
-			s, _ := f.blockHome(ft.g)
+			s, _ := f.blockHome(g)
 			f.replicaLost(s, ft.replica)
 			if f.unavailable {
 				return vfs.ErrUnavailable
@@ -264,11 +309,12 @@ func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
 			// The batched copy did not verify: the scalar fetch re-reads
 			// every replica, counting the corruption, repairing the bad
 			// copy or poisoning the block exactly as a scalar read would.
-			if err := f.fetchBlock(p, ft.g, ft.frame); err != nil {
+			if err := f.fetchBlock(p, g, ft.frame); err != nil {
 				return err
 			}
 		}
-		for _, sg := range segs[ft.g] {
+		for j := 0; j < ft.blk.n(); j++ {
+			sg := ft.blk.seg(j)
 			copy(sg.data, ft.frame[sg.within:sg.within+int64(len(sg.data))])
 		}
 	}
@@ -276,13 +322,13 @@ func (f *File) framedReadV(p *sim.Proc, vecs []vfs.Vec) error {
 	return nil
 }
 
-// fullCover reports whether the segments tile the whole block [0, bs)
-// exactly once, with no gap and no overlap.
-func fullCover(segs []blockSeg, bs int64) bool {
-	if len(segs) == 1 {
-		return segs[0].within == 0 && int64(len(segs[0].data)) == bs
+// fullCover reports whether the block's segments tile [0, bs) exactly
+// once, with no gap and no overlap.
+func (b *blockSegs) fullCover(bs int64) bool {
+	if len(b.more) == 0 {
+		return b.first.within == 0 && int64(len(b.first.data)) == bs
 	}
-	sorted := append([]blockSeg(nil), segs...)
+	sorted := append([]blockSeg{b.first}, b.more...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].within < sorted[j].within })
 	at := int64(0)
 	for _, sg := range sorted {
@@ -302,32 +348,44 @@ func fullCover(segs []blockSeg, bs int64) bool {
 // error and its generation is not bumped.
 func (f *File) framedWriteV(p *sim.Proc, vecs []vfs.Vec) error {
 	bs := int64(f.fs.BlockSize)
-	blocks, segs := f.splitBlocks(vecs)
+	blocks := f.splitBlocks(vecs)
 	type blockWrite struct {
 		g      int64
 		newGen uint64
 		wrote  int
+		frame  []byte
 	}
-	var bws []*blockWrite
+	bws := make([]blockWrite, 0, len(blocks))
 	var iov []rmem.IOVec
-	var iovBW []*blockWrite
+	var iovBW []int // index into bws of each iov element
 	var iovRep []int
-	for _, g := range blocks {
-		sg := segs[g]
-		if !fullCover(sg, bs) {
-			for _, seg := range sg {
+	// WriteV is synchronous: once this call returns no transfer still
+	// reads a frame.
+	defer func() {
+		for i := range bws {
+			f.fs.putFrame(bws[i].frame)
+		}
+	}()
+	for i := range blocks {
+		blk := &blocks[i]
+		g := blk.g
+		if !blk.fullCover(bs) {
+			for j := 0; j < blk.n(); j++ {
+				seg := blk.seg(j)
 				if err := f.writeBlock(p, g, seg.within, seg.data); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		frame := make([]byte, f.frameSize())
-		for _, seg := range sg {
+		frame := f.fs.getFrame()
+		for j := 0; j < blk.n(); j++ {
+			seg := blk.seg(j)
 			copy(frame[seg.within:seg.within+int64(len(seg.data))], seg.data)
 		}
-		bw := &blockWrite{g: g, newGen: f.gens[g] + 1}
-		sealFrame(frame, int(bs), bw.newGen)
+		bws = append(bws, blockWrite{g: g, newGen: f.gens[g] + 1, frame: frame})
+		bw := len(bws) - 1
+		sealFrame(frame, int(bs), bws[bw].newGen)
 		s, frameOff := f.blockHome(g)
 		issued := 0
 		for r := range f.leases[s] {
@@ -353,7 +411,6 @@ func (f *File) framedWriteV(p *sim.Proc, vecs []vfs.Vec) error {
 			}
 			return f.stripeErr(s)
 		}
-		bws = append(bws, bw)
 	}
 	if len(iov) > 0 {
 		errs := f.fs.Client.WriteV(p, f.fs.Transport, iov)
@@ -363,11 +420,11 @@ func (f *File) framedWriteV(p *sim.Proc, vecs []vfs.Vec) error {
 				err = errs[i]
 			}
 			if err == nil {
-				iovBW[i].wrote++
+				bws[iovBW[i]].wrote++
 				continue
 			}
 			if errors.Is(err, rmem.ErrRevoked) {
-				s, _ := f.blockHome(iovBW[i].g)
+				s, _ := f.blockHome(bws[iovBW[i]].g)
 				f.replicaLost(s, iovRep[i])
 				if f.unavailable {
 					return vfs.ErrUnavailable
@@ -377,7 +434,8 @@ func (f *File) framedWriteV(p *sim.Proc, vecs []vfs.Vec) error {
 			return err
 		}
 	}
-	for _, bw := range bws {
+	for i := range bws {
+		bw := &bws[i]
 		if bw.wrote == 0 {
 			s, _ := f.blockHome(bw.g)
 			if f.unavailable {

@@ -419,10 +419,13 @@ func (bed *Bed) Close(p *sim.Proc) {
 }
 
 // RunInSim is the standard experiment wrapper: it creates a kernel,
-// runs fn as the root process, and drives the simulation to completion
-// (bounded by limit to catch runaway experiments).
+// runs fn as the root process, drives the simulation to completion
+// (bounded by limit to catch runaway experiments), and closes the kernel
+// so background procs still parked at the end (heartbeats, scrubbers,
+// writers) unwind and release the bed they reference.
 func RunInSim(seed int64, limit time.Duration, fn func(p *sim.Proc) error) error {
 	k := sim.New(seed)
+	defer k.Close()
 	var err error
 	k.Go("experiment", func(p *sim.Proc) {
 		err = fn(p)

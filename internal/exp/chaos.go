@@ -36,11 +36,11 @@ import (
 
 // ChaosParams sizes the chaos harness.
 type ChaosParams struct {
-	Shards   int // broker shards
-	Donors   int // memory servers donating MRs
-	Holders  int // database servers (participants = Holders + Donors)
-	MRBytes  int
-	DonorMRs int
+	Shards    int // broker shards
+	Donors    int // memory servers donating MRs
+	Holders   int // database servers (participants = Holders + Donors)
+	MRBytes   int
+	DonorMRs  int
 	FileBytes int64
 
 	Replication    int           // replicas per stripe (hedging needs >= 2)
@@ -120,7 +120,7 @@ func QuickChaosParams() ChaosParams {
 
 // ChaosArm is one measured window of one scenario.
 type ChaosArm struct {
-	P50, P99 time.Duration
+	P50, P99    time.Duration
 	BytesPerSec float64
 	Reads       int64
 }
@@ -139,23 +139,23 @@ type ChaosResult struct {
 	Tolerant  int64
 
 	// Reclamation storm with the full tail-tolerance stack.
-	Healthy     ChaosArm
-	Storm       ChaosArm
-	Recovered   ChaosArm
-	LiveBefore  int
-	Shed        int
-	StormSlow   int64 // reads abandoned on a blown budget during the storm run
-	StormMisses int64 // rmem transfers abandoned at/before issue
-	StormHedged int64
+	Healthy         ChaosArm
+	Storm           ChaosArm
+	Recovered       ChaosArm
+	LiveBefore      int
+	Shed            int
+	StormSlow       int64 // reads abandoned on a blown budget during the storm run
+	StormMisses     int64 // rmem transfers abandoned at/before issue
+	StormHedged     int64
 	StormMigrations int64 // replicas proactively moved off quarantined donors
-	Fallbacks   int64   // reads served from local base data across all scenarios
+	Fallbacks       int64 // reads served from local base data across all scenarios
 
 	// Flapping donor: breaker arcs.
-	FlapBrownouts  int64
+	FlapBrownouts   int64
 	FlapQuarantines int64
-	FlapProbes     int64
-	FlapRecoveries int64
-	HealthReports  int64 // slow-donor reports piggybacked on heartbeats
+	FlapProbes      int64
+	FlapRecoveries  int64
+	HealthReports   int64 // slow-donor reports piggybacked on heartbeats
 
 	Errors int64 // engine-visible errors across every scenario (must be 0)
 }

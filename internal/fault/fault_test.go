@@ -186,7 +186,6 @@ func TestRetryWithinNonRetryablePassesThrough(t *testing.T) {
 	k.Run(0)
 }
 
-
 func TestBackoffCap(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Multiplier: 2}
 	for attempt := 1; attempt <= 10; attempt++ {

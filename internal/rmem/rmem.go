@@ -270,6 +270,8 @@ type Client struct {
 	slotsPerSch  int // sub-batch element bound for vectored transfers
 	stagingBytes int // sub-batch byte bound (one scheduler's staging MR)
 
+	spare [][]byte // free list of ReadWithin's private buffers
+
 	Reads, Writes       int64
 	BytesRead, BytesWrt int64
 
@@ -589,6 +591,17 @@ func checkBudget(p *sim.Proc, c *Client) error {
 	return nil
 }
 
+// spareBuf takes an n-byte buffer off the client's free list (contents
+// undefined), allocating when the top one is too small.
+func (c *Client) spareBuf(n int) []byte {
+	if last := len(c.spare) - 1; last >= 0 && cap(c.spare[last]) >= n {
+		b := c.spare[last]
+		c.spare = c.spare[:last]
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
 // ReadWithin performs t.Read bounded by an absolute virtual-time
 // deadline (0 = unbounded, plain Read). The transfer runs in a detached
 // process reading into a private buffer; the caller waits for whichever
@@ -597,7 +610,9 @@ func checkBudget(p *sim.Proc, c *Client) error {
 // abandoning an in-flight RDMA refunds neither the staging slot nor the
 // wire time — but its bytes land in the private buffer and are
 // discarded, so a late completion can never clobber caller memory the
-// caller has since reused.
+// caller has since reused. The private buffer is recycled through the
+// client by whoever finishes last: the caller when the transfer completed
+// in time, the orphaned transfer itself otherwise.
 func ReadWithin(p *sim.Proc, t Transport, c *Client, mr *MR, off int, dst []byte, deadline time.Duration) error {
 	if deadline <= 0 {
 		return t.Read(p, c, mr, off, dst)
@@ -608,17 +623,19 @@ func ReadWithin(p *sim.Proc, t Transport, c *Client, mr *MR, off int, dst []byte
 	}
 	k := p.Kernel()
 	var (
-		done bool
-		rerr error
+		done, timedOut, abandoned bool
+		rerr                      error
 	)
-	buf := make([]byte, len(dst))
+	buf := c.spareBuf(len(dst))
 	cond := sim.NewCond(k)
 	k.Go("rmem-deadline-read", func(cp *sim.Proc) {
 		rerr = t.Read(cp, c, mr, off, buf)
 		done = true
+		if abandoned {
+			c.spare = append(c.spare, buf) // the caller left; nobody else holds buf
+		}
 		cond.Broadcast()
 	})
-	timedOut := false
 	k.After(deadline-p.Now(), func() {
 		timedOut = true
 		cond.Broadcast()
@@ -630,8 +647,10 @@ func ReadWithin(p *sim.Proc, t Transport, c *Client, mr *MR, off int, dst []byte
 		if rerr == nil {
 			copy(dst, buf)
 		}
+		c.spare = append(c.spare, buf)
 		return rerr
 	}
+	abandoned = true
 	c.DeadlineMisses++
 	return fmt.Errorf("rmem: read of %s missed deadline: %w", mr.ID, ErrSlow)
 }

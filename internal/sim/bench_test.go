@@ -1,0 +1,72 @@
+package sim
+
+import (
+	"testing"
+	"time"
+)
+
+// BenchmarkSleep is the self-wake path: one proc, every wake-up is its own.
+func BenchmarkSleep(b *testing.B) {
+	b.ReportAllocs()
+	k := New(1)
+	defer k.Close()
+	k.Go("sleeper", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.Run(0)
+}
+
+// BenchmarkPingPong bounces a token between two procs over two Chans: one
+// direct handoff per hop, two hops per op.
+func BenchmarkPingPong(b *testing.B) {
+	b.ReportAllocs()
+	k := New(1)
+	defer k.Close()
+	ping, pong := NewChan[int](k), NewChan[int](k)
+	k.Go("ponger", func(p *Proc) {
+		for {
+			v, ok := ping.Recv(p)
+			if !ok {
+				return
+			}
+			pong.Send(v)
+		}
+	})
+	k.Go("pinger", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Send(i)
+			pong.Recv(p)
+		}
+		ping.Close()
+	})
+	k.Run(0)
+}
+
+// BenchmarkHandoff80Procs is the closed-loop client shape of the range
+// scan workloads: 80 procs sleeping staggered intervals, so nearly every
+// wake-up belongs to another proc and the heap holds 80 events. One op is
+// one Sleep.
+func BenchmarkHandoff80Procs(b *testing.B) {
+	b.ReportAllocs()
+	const procs = 80
+	k := New(1)
+	defer k.Close()
+	b.ResetTimer()
+	for c := 0; c < procs; c++ {
+		n := b.N / procs
+		if c < b.N%procs {
+			n++
+		}
+		d := time.Duration(100+c) * time.Microsecond
+		k.Go("client", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	k.Run(0)
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -230,4 +232,100 @@ func TestTryAcquire(t *testing.T) {
 		r.Release(1)
 	})
 	k.Run(0)
+}
+
+func TestRunResumesPastLimit(t *testing.T) {
+	// The event that crosses the limit must stay queued, not be dropped.
+	k := New(1)
+	defer k.Close()
+	var woke time.Duration
+	k.Go("sleeper", func(p *Proc) {
+		p.Sleep(15 * time.Millisecond)
+		woke = p.Now()
+	})
+	k.Run(10 * time.Millisecond)
+	if !k.Halted() || woke != 0 || k.Now() != 10*time.Millisecond {
+		t.Fatalf("first Run: halted=%v woke=%v now=%v", k.Halted(), woke, k.Now())
+	}
+	k.Run(20 * time.Millisecond)
+	if woke != 15*time.Millisecond {
+		t.Fatalf("sleeper woke at %v on the second Run, want 15ms", woke)
+	}
+	if k.Halted() {
+		t.Fatal("second Run drained the queue but reports halted")
+	}
+}
+
+// waitGoroutines polls until the goroutine count drops to want: a
+// process's goroutine has told Close it unwound a few instructions
+// before the runtime retires it.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 1000 && runtime.NumGoroutine() > want; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines alive, want %d", got, want)
+	}
+}
+
+func TestCloseUnwindsEveryProc(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(1)
+	res := NewResource(k, "r", 1)
+	cond := NewCond(k)
+	var unwound []string
+	k.Go("ticker", func(p *Proc) {
+		defer func() { unwound = append(unwound, "ticker") }()
+		for {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	k.Go("holder", func(p *Proc) {
+		res.Acquire(p, 1)
+		defer res.Release(1) // wakes "queued" on a closed kernel: must be harmless
+		defer func() { unwound = append(unwound, "holder") }()
+		cond.Wait(p)
+	})
+	k.Go("queued", func(p *Proc) {
+		defer func() { unwound = append(unwound, "queued") }()
+		res.Acquire(p, 1)
+		t.Error("queued acquired the resource after Close")
+	})
+	k.Go("blocking-defer", func(p *Proc) {
+		defer func() { unwound = append(unwound, "blocking-defer") }()
+		defer p.Sleep(time.Second) // exits here; the defer above still runs
+		defer k.Go("spawned-in-defer", func(*Proc) { t.Error("proc started on a closed kernel") })
+		cond.Wait(p)
+	})
+	k.GoAt(time.Hour, "never-started", func(p *Proc) { t.Error("never-started ran") })
+	k.Run(10 * time.Millisecond)
+	k.Close()
+	k.Close() // idempotent
+	want := []string{"ticker", "holder", "queued", "blocking-defer"}
+	if fmt.Sprint(unwound) != fmt.Sprint(want) {
+		t.Fatalf("unwound %v, want %v (spawn order, one at a time)", unwound, want)
+	}
+	k.Run(0) // a closed kernel runs nothing
+	waitGoroutines(t, base)
+}
+
+func TestSleepDoesNotAllocate(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	var self, handoff float64
+	k.Go("alone", func(p *Proc) {
+		self = testing.AllocsPerRun(1000, func() { p.Sleep(time.Microsecond) })
+		// With a second proc interleaved every Sleep is a handoff.
+		k.Go("other", func(o *Proc) {
+			for i := 0; i < 3000; i++ {
+				o.Sleep(time.Microsecond)
+			}
+		})
+		handoff = testing.AllocsPerRun(1000, func() { p.Sleep(time.Microsecond) })
+	})
+	k.Run(0)
+	if self != 0 || handoff != 0 {
+		t.Fatalf("Sleep allocates: %v allocs self-wake, %v allocs handoff, want 0", self, handoff)
+	}
 }

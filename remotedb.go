@@ -56,7 +56,9 @@ type (
 	Proc = sim.Proc
 )
 
-// NewKernel creates a simulation kernel with the given RNG seed.
+// NewKernel creates a simulation kernel with the given RNG seed. Call
+// its Close after the last Run: procs still parked then (heartbeats,
+// background writers) unwind instead of pinning everything they built.
 func NewKernel(seed int64) *Kernel { return sim.New(seed) }
 
 // Cluster building blocks.
@@ -260,7 +262,8 @@ func DefaultBedConfig(d Design) BedConfig { return exp.DefaultBedConfig(d) }
 
 // RunInSim creates a kernel, runs fn as the root simulation process and
 // drives the clock until fn (and everything it spawned) finishes or the
-// limit is hit.
+// limit is hit, then closes the kernel so procs still parked unwind. A
+// kernel made with NewKernel is closed by its owner (Kernel.Close).
 func RunInSim(seed int64, limit time.Duration, fn func(p *Proc) error) error {
 	return exp.RunInSim(seed, limit, fn)
 }
