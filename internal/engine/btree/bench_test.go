@@ -17,7 +17,7 @@ import (
 // to fn inside a simulation process.
 func benchTree(b *testing.B, n int, fn func(p *sim.Proc, tr *Tree)) {
 	b.Helper()
-	k := sim.New(1)
+	k := newKernel(b, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)
@@ -95,4 +95,45 @@ func BenchmarkBulkLoad100K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchTree(b, 100000, func(p *sim.Proc, tr *Tree) {})
 	}
+}
+
+// BenchmarkScanRange100 is the paper's RangeScan inner loop: 100
+// clustered rows from resident pages.
+func BenchmarkScanRange100(b *testing.B) {
+	benchTree(b, 100000, func(p *sim.Proc, tr *Tree) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := int64((i * 100) % 99000)
+			pairs, err := tr.ScanRange(p, row.EncodeKey(nil, start), row.EncodeKey(nil, start+100), 0)
+			if err != nil || len(pairs) != 100 {
+				b.Errorf("scan at %d: %d pairs, %v", start, len(pairs), err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkIteratorNext walks the whole tree through one iterator; an op
+// is one entry.
+func BenchmarkIteratorNext(b *testing.B) {
+	benchTree(b, 100000, func(p *sim.Proc, tr *Tree) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; {
+			it, err := tr.Scan(p, nil)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for ; n < b.N; n++ {
+				if _, ok, err := it.Next(p); err != nil {
+					b.Error(err)
+					return
+				} else if !ok {
+					break
+				}
+			}
+		}
+	})
 }

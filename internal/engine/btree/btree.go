@@ -16,7 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
@@ -41,6 +41,7 @@ type Tree struct {
 	root   uint64
 	height int
 	smo    *sim.Resource // serializes structure modifications
+	iters  []*Iterator   // ScanRange's idle iterators
 
 	Entries int64 // live entry count (maintained by Insert/Delete)
 }
@@ -337,7 +338,7 @@ func (t *Tree) splitLeaf(p *sim.Proc, hintPage uint64, key []byte) error {
 		h.Release()
 		return nil // nothing to split; caller retries insert
 	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.k, b.k) })
 	mid := len(entries) / 2
 	sep := entries[mid].k
 	oldHigh := append([]byte(nil), highKey(pg)...)
@@ -462,7 +463,7 @@ func (t *Tree) splitInner(p *sim.Proc, h *buffer.Handle, level int) error {
 		k, c := decodeInner(r)
 		entries = append(entries, entry{append([]byte(nil), k...), c})
 	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.k, b.k) })
 	mid := len(entries) / 2
 	sep := entries[mid].k
 	oldHigh := append([]byte(nil), highKey(pg)...)

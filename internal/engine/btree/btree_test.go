@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,7 +43,7 @@ func key(i int) []byte { return row.EncodeKey(nil, int64(i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d", i)) }
 
 func TestInsertSearch(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -74,7 +74,7 @@ func TestInsertSearch(t *testing.T) {
 }
 
 func TestDuplicateRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 64)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -95,7 +95,7 @@ func TestDuplicateRejected(t *testing.T) {
 }
 
 func TestUpdateInPlaceAndGrow(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -125,7 +125,7 @@ func TestUpdateInPlaceAndGrow(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -157,7 +157,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestDeleteThenReinsertReusesSpace(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -182,7 +182,7 @@ func TestDeleteThenReinsertReusesSpace(t *testing.T) {
 }
 
 func TestScanOrdered(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 512)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -236,7 +236,7 @@ func decodeI(t *testing.T, k []byte) int64 {
 }
 
 func TestScanRangeBounds(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -264,7 +264,7 @@ func TestScanRangeBounds(t *testing.T) {
 }
 
 func TestBulkLoadMatchesInserts(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 2048)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -301,7 +301,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 }
 
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 64)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -314,7 +314,7 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 }
 
 func TestConcurrentInsertersDisjointKeys(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 1024)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -344,9 +344,7 @@ func TestConcurrentInsertersDisjointKeys(t *testing.T) {
 		if len(all) != workers*each {
 			t.Errorf("entries = %d, want %d", len(all), workers*each)
 		}
-		sorted := sort.SliceIsSorted(all, func(i, j int) bool {
-			return bytes.Compare(all[i].Key, all[j].Key) < 0
-		})
+		sorted := slices.IsSortedFunc(all, func(a, b Pair) int { return bytes.Compare(a.Key, b.Key) })
 		if !sorted {
 			t.Error("scan not sorted after concurrent inserts")
 		}
@@ -355,7 +353,7 @@ func TestConcurrentInsertersDisjointKeys(t *testing.T) {
 }
 
 func TestConcurrentReadersDuringSplits(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 1024)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -395,7 +393,7 @@ func TestConcurrentReadersDuringSplits(t *testing.T) {
 }
 
 func TestLargeEntryRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 64)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -407,7 +405,7 @@ func TestLargeEntryRejected(t *testing.T) {
 }
 
 func TestStringKeys(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 256)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)

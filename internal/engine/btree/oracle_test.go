@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +17,7 @@ import (
 // requires them to agree at every step — the strongest structural check
 // in the suite.
 func TestRandomOpsAgainstMapOracle(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 1024)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)
@@ -68,7 +68,7 @@ func TestRandomOpsAgainstMapOracle(t *testing.T) {
 						want = append(want, ok)
 					}
 				}
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				slices.Sort(want)
 				if len(pairs) != len(want) {
 					t.Fatalf("step %d scan [%d,%d): %d pairs, want %d", step, lo, hi, len(pairs), len(want))
 				}
@@ -92,7 +92,7 @@ func TestRandomOpsAgainstMapOracle(t *testing.T) {
 // TestOracleWithVariableSizedValues stresses in-place updates, growth
 // re-insertion, and compaction with values from 1 byte to 3 KiB.
 func TestOracleWithVariableSizedValues(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	mk := rig(k, 2048)
 	k.Go("t", func(p *sim.Proc) {
 		tr := mk(p)

@@ -2,7 +2,7 @@ package btree
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
@@ -14,37 +14,66 @@ type Pair struct {
 	Key, Val []byte
 }
 
-// Iterator walks leaf pages in key order. It buffers one page of sorted
-// entries at a time; concurrent splits are tolerated (entries may be
-// revisited across page boundaries only if they were moved right, which
-// the monotone key filter suppresses).
+// Iterator walks leaf pages in key order. It copies each leaf once into
+// an image it owns — the frame is unpinned as soon as the copy is made —
+// and hands out Pairs that alias that image: a Pair returned by Next is
+// valid only until the next call to Next, and a caller that keeps one
+// must copy it. Concurrent splits are tolerated (entries may be revisited
+// across page boundaries only if they were moved right, which the
+// monotone key filter suppresses).
 type Iterator struct {
-	t       *Tree
-	buf     []Pair
-	idx     int
-	nextPg  uint64
-	lastKey []byte
-	done    bool
-	leaves  int    // leaf pages visited so far
-	raNext  uint64 // next page at which to issue a readahead window
+	t      *Tree
+	pg     *page.Page // the iterator's own copy of the current leaf
+	ents   []Pair     // its live entries >= the lower bound, in key order, aliasing pg
+	idx    int
+	nextPg uint64
+	done   bool
+	leaves int    // leaf pages visited so far
+	raNext uint64 // next page at which to issue a readahead window
+
+	// last is the last key returned, for duplicate suppression. It aliases
+	// the image until the next leaf overwrites it; lastBuf keeps it then.
+	last    []byte
+	hasLast bool
+	lastBuf []byte
+
+	acc []Pair // ScanRange's result under construction
+}
+
+func newIterator(t *Tree) *Iterator {
+	return &Iterator{t: t, pg: page.Wrap(make([]byte, page.Size))}
 }
 
 // Scan returns an iterator positioned at the first key >= from (nil = min).
 func (t *Tree) Scan(p *sim.Proc, from []byte) (*Iterator, error) {
-	h, err := t.descendToLeaf(p, from)
-	if err != nil {
+	it := newIterator(t)
+	if err := it.seek(p, from); err != nil {
 		return nil, err
 	}
-	it := &Iterator{t: t}
-	it.loadPage(h, from)
 	return it, nil
 }
 
-// loadPage sorts the leaf's live entries >= lower into the buffer.
+// seek positions a fresh or recycled iterator at the first key >= from.
+func (it *Iterator) seek(p *sim.Proc, from []byte) error {
+	h, err := it.t.descendToLeaf(p, from)
+	if err != nil {
+		return err
+	}
+	it.done, it.leaves, it.raNext = false, 0, 0
+	it.last, it.hasLast = nil, false
+	it.loadPage(h, from)
+	return nil
+}
+
+// loadPage copies the pinned leaf into the iterator's image, releases the
+// frame, and indexes the image's live entries >= lower in key order.
 func (it *Iterator) loadPage(h *buffer.Handle, lower []byte) {
-	pg := h.Page()
-	it.buf = it.buf[:0]
+	copy(it.pg.Bytes(), h.Page().Bytes())
+	h.Release()
+	pg := it.pg
+	it.ents = it.ents[:0]
 	it.idx = 0
+	sorted := true
 	for i := 1; i < pg.NumSlots(); i++ {
 		rec, err := pg.Get(i)
 		if err != nil {
@@ -54,27 +83,31 @@ func (it *Iterator) loadPage(h *buffer.Handle, lower []byte) {
 		if lower != nil && bytes.Compare(k, lower) < 0 {
 			continue
 		}
-		it.buf = append(it.buf, Pair{
-			Key: append([]byte(nil), k...),
-			Val: append([]byte(nil), v...),
-		})
+		if n := len(it.ents); n > 0 && bytes.Compare(it.ents[n-1].Key, k) > 0 {
+			sorted = false
+		}
+		it.ents = append(it.ents, Pair{Key: k, Val: v})
 	}
-	sort.Slice(it.buf, func(i, j int) bool { return bytes.Compare(it.buf[i].Key, it.buf[j].Key) < 0 })
+	// Bulk-loaded and append-only leaves are already in key order.
+	if !sorted {
+		slices.SortFunc(it.ents, func(a, b Pair) int { return bytes.Compare(a.Key, b.Key) })
+	}
 	it.nextPg = pg.Next()
-	h.Release()
 }
 
-// Next returns the next entry in key order; ok=false at the end.
+// Next returns the next entry in key order; ok=false at the end. The
+// returned Pair aliases the iterator's page image and is valid only
+// until the next call to Next.
 func (it *Iterator) Next(p *sim.Proc) (Pair, bool, error) {
 	for {
-		if it.idx < len(it.buf) {
-			pair := it.buf[it.idx]
+		if it.idx < len(it.ents) {
+			pair := it.ents[it.idx]
 			it.idx++
 			// Suppress duplicates from a page revisit after a split.
-			if it.lastKey != nil && bytes.Compare(pair.Key, it.lastKey) <= 0 {
+			if it.hasLast && bytes.Compare(pair.Key, it.last) <= 0 {
 				continue
 			}
-			it.lastKey = pair.Key
+			it.last, it.hasLast = pair.Key, true
 			return pair, true, nil
 		}
 		if it.done || it.nextPg == 0 {
@@ -109,33 +142,95 @@ func (it *Iterator) Next(p *sim.Proc) (Pair, bool, error) {
 		if err != nil {
 			return Pair{}, false, err
 		}
+		// The next leaf overwrites the image the last key lives in.
+		it.lastBuf = append(it.lastBuf[:0], it.last...)
+		it.last = it.lastBuf
 		it.loadPage(h, nil)
 	}
 }
 
 // ScanRange collects up to limit entries with from <= key < to
-// (nil bounds are open; limit <= 0 means unlimited).
+// (nil bounds are open; limit <= 0 means unlimited). The returned pairs
+// are the caller's: their bytes live in one exactly-sized arena per leaf
+// visited, not in the tree's pages or the iterator.
 func (t *Tree) ScanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, error) {
-	it, err := t.Scan(p, from)
-	if err != nil {
+	// One iterator per scan in flight: the free list never outgrows the
+	// number of procs that were inside ScanRange at once.
+	var it *Iterator
+	if n := len(t.iters); n > 0 {
+		it, t.iters = t.iters[n-1], t.iters[:n-1]
+	} else {
+		it = newIterator(t)
+	}
+	out, err := it.scanRange(p, from, to, limit)
+	t.iters = append(t.iters, it)
+	return out, err
+}
+
+func (it *Iterator) scanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, error) {
+	if err := it.seek(p, from); err != nil {
 		return nil, err
 	}
-	var out []Pair
+	acc, owned := it.acc[:0], 0 // acc[owned:] still alias the iterator's image
+	var err error
 	for {
-		pair, ok, err := it.Next(p)
-		if err != nil {
-			return out, err
+		if it.idx == len(it.ents) {
+			// Next is about to leave this leaf and overwrite the image.
+			// (It never does so with entries left: those after a returned
+			// one sort above it, so none of them is a suppressed duplicate.)
+			ownPairs(acc[owned:])
+			owned = len(acc)
 		}
-		if !ok {
-			return out, nil
+		pair, ok, e := it.Next(p)
+		if e != nil {
+			err = e
+			break
 		}
-		if to != nil && bytes.Compare(pair.Key, to) >= 0 {
-			return out, nil
+		if !ok || (to != nil && bytes.Compare(pair.Key, to) >= 0) {
+			break
 		}
-		out = append(out, pair)
-		if limit > 0 && len(out) >= limit {
-			return out, nil
+		acc = append(acc, pair)
+		if limit > 0 && len(acc) >= limit {
+			break
 		}
+	}
+	ownPairs(acc[owned:])
+	var out []Pair
+	if len(acc) > 0 {
+		out = make([]Pair, len(acc))
+		copy(out, acc)
+	}
+	// The recycled iterator must not pin the caller's arenas, nor keep the
+	// scratch of a whole-table scan for the life of the tree.
+	clear(acc)
+	if it.acc = acc; cap(acc) > maxKeptPairs {
+		it.acc = nil
+	}
+	return out, err
+}
+
+// maxKeptPairs bounds the result scratch a recycled iterator keeps.
+const maxKeptPairs = 4096
+
+// ownPairs moves the bytes of pairs into one arena sized exactly for them.
+func ownPairs(pairs []Pair) {
+	size := 0
+	for _, pr := range pairs {
+		size += len(pr.Key) + len(pr.Val)
+	}
+	if size == 0 {
+		return
+	}
+	arena := make([]byte, size)
+	for i, pr := range pairs {
+		// Capacity-limited, so an append by the caller cannot reach a neighbour.
+		k := arena[:len(pr.Key):len(pr.Key)]
+		copy(k, pr.Key)
+		arena = arena[len(pr.Key):]
+		v := arena[:len(pr.Val):len(pr.Val)]
+		copy(v, pr.Val)
+		arena = arena[len(pr.Val):]
+		pairs[i] = Pair{Key: k, Val: v}
 	}
 }
 
@@ -165,7 +260,7 @@ func (t *Tree) SplitPoints(p *sim.Proc, n int) ([][]byte, error) {
 		seps = append(seps, append([]byte(nil), k...))
 	}
 	h.Release()
-	sort.Slice(seps, func(i, j int) bool { return bytes.Compare(seps[i], seps[j]) < 0 })
+	slices.SortFunc(seps, bytes.Compare)
 	if len(seps) <= n-1 {
 		return seps, nil
 	}

@@ -7,7 +7,8 @@
 package buffer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"remotedb/internal/engine/page"
 	"remotedb/internal/sim"
@@ -40,7 +41,7 @@ func (bp *Pool) writerFlushBatch(p *sim.Proc) {
 				continue
 			}
 			f.pins++
-			page.Wrap(f.buf).Seal()
+			f.pg.Seal()
 			cands = append(cands, cand{
 				idx: next,
 				v0:  f.ver,
@@ -52,7 +53,7 @@ func (bp *Pool) writerFlushBatch(p *sim.Proc) {
 		}
 		// Elevator order: a device file merges contiguous runs only when
 		// they are adjacent in the vector.
-		sort.Slice(cands, func(i, j int) bool { return cands[i].vec.Off < cands[j].vec.Off })
+		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.vec.Off, b.vec.Off) })
 		vecs := make([]vfs.Vec, len(cands))
 		for i, c := range cands {
 			vecs[i] = c.vec
@@ -92,13 +93,15 @@ func (bp *Pool) extFlushLoop(p *sim.Proc) {
 			bp.extCond.Wait(p)
 		}
 		batch := bp.extQueue
-		bp.extQueue = nil
+		bp.extQueue = bp.extSpare[:0]
 		// Free the queue slots as soon as the batch is swapped out:
 		// evictions arriving while the vectored write below sleeps must
 		// be able to enqueue, or every flush window would silently drop
 		// pages from the extension.
 		bp.extPutSlots.Release(len(batch))
 		bp.flushExtBatch(p, batch)
+		clear(batch)
+		bp.extSpare = batch
 	}
 }
 
@@ -112,13 +115,16 @@ func (bp *Pool) extFlushLoop(p *sim.Proc) {
 // surviving owner installs.
 func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 	// Whatever happens below, these queue entries are no longer pending:
-	// retire each page's read-through image unless a newer eviction
-	// re-stamped it (that image rides a later batch).
+	// drop each page's read-through entry unless a newer eviction
+	// replaced it (that entry holds the newer image, which rides a later
+	// batch), and only then give this batch's images back — so the free
+	// list never holds an image extPending still reads through.
 	defer func() {
 		for _, pu := range batch {
-			if bp.ext != nil && bp.ext.putVer[pu.pageNo] == pu.ver {
+			if cur, ok := bp.extPending[pu.pageNo]; ok && &cur.img[0] == &pu.img[0] {
 				delete(bp.extPending, pu.pageNo)
 			}
+			bp.retireImage(pu.img)
 		}
 	}()
 	if !bp.ExtensionHealthy() {
@@ -243,7 +249,8 @@ func (bp *Pool) ReadAheadWindow(p *sim.Proc, start uint64, maxPages int) int {
 	if lim := len(bp.frames) / 4; want > lim {
 		want = lim
 	}
-	var nos []uint64
+	var window [16]uint64 // a default-sized window stays on the stack
+	nos := window[:0]
 	for no := start; no < start+uint64(want) && no < bp.nextPageNo; no++ {
 		nos = append(nos, no)
 	}

@@ -1,0 +1,85 @@
+package buffer
+
+import (
+	"testing"
+	"time"
+
+	"remotedb/internal/engine/page"
+	"remotedb/internal/sim"
+	"remotedb/internal/vfs"
+)
+
+// benchPool hands fn a 64-frame pool over 512 pages, with an extension
+// that holds them all, on files that take no virtual time: what is left
+// is the pool's own bookkeeping.
+func benchPool(b *testing.B, fn func(p *sim.Proc, bp *Pool, pages []uint64)) {
+	b.Helper()
+	k := newKernel(b, 1)
+	s, data := nullRig(k)
+	k.Go("bench", func(p *sim.Proc) {
+		bp := newPool(p, s, data, 64, false)
+		bp.AttachExtension(vfs.NewMemFile("ext"), 1024)
+		pages := make([]uint64, 512)
+		for i := range pages {
+			h, no, err := bp.Allocate(p, page.TypeHeap)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			pages[i] = no
+			h.Release()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		fn(p, bp, pages)
+	})
+	k.Run(time.Hour)
+}
+
+func BenchmarkGetHit(b *testing.B) {
+	benchPool(b, func(p *sim.Proc, bp *Pool, pages []uint64) {
+		hot := pages[len(pages)-1]
+		for i := 0; i < b.N; i++ {
+			h, err := bp.Get(p, hot)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			h.Release()
+		}
+	})
+}
+
+// BenchmarkGetExtHit faults clean pages in from the extension (or from an
+// image still queued for it); each fault evicts a clean page into it.
+func BenchmarkGetExtHit(b *testing.B) {
+	benchPool(b, func(p *sim.Proc, bp *Pool, pages []uint64) {
+		for i := 0; i < b.N; i++ {
+			h, err := bp.Get(p, pages[i%len(pages)])
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			h.Release()
+		}
+		if bp.Stats.DiskReads > 0 {
+			b.Errorf("%d faults fell to the data file", bp.Stats.DiskReads)
+		}
+	})
+}
+
+// BenchmarkEvictToExtension dirties every page it faults in, so each
+// fault evicts a dirty page: write-back, image, queue, vectored put.
+func BenchmarkEvictToExtension(b *testing.B) {
+	benchPool(b, func(p *sim.Proc, bp *Pool, pages []uint64) {
+		for i := 0; i < b.N; i++ {
+			h, err := bp.Get(p, pages[i%len(pages)])
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			h.MarkDirty(0)
+			h.Release()
+		}
+	})
+}

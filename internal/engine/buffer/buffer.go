@@ -80,6 +80,7 @@ var ErrNoFrames = errors.New("buffer: all frames pinned")
 
 type frame struct {
 	buf    []byte
+	pg     *page.Page // buf's typed view, made once: Handle.Page allocates nothing
 	pageNo uint64
 	valid  bool
 	dirty  bool
@@ -143,9 +144,18 @@ type Pool struct {
 	// not-yet-flushed image per page, served straight from RAM so a
 	// re-fault never falls to disk just because the put is still queued.
 	extQueue   []extPut
+	extSpare   []extPut // the retired batch's backing array, the next queue
 	extPending map[uint64]extPut
 	extCond    *sim.Cond
 	extFlusher bool // flusher process started
+
+	// imgFree holds the eviction images no put is using: evict takes one
+	// for the page it queues and the put's completion (the flusher
+	// retiring the batch, or the scalar put returning) gives it back.
+	// Capped at the put-slot count, the most a queue can hold.
+	imgFree [][]byte
+
+	handles []*Handle // released handles, reissued by Get and Allocate
 
 	// GDSF state: a lazy min-heap of (frame, seq, priority) entries, the
 	// inflation value L, the free list of invalid frames, and the global
@@ -210,6 +220,7 @@ func New(p *sim.Proc, server *cluster.Server, data vfs.File, cfg Config) (*Pool,
 	}
 	for i := range bp.frames {
 		bp.frames[i].buf = make([]byte, page.Size)
+		bp.frames[i].pg = page.Wrap(bp.frames[i].buf)
 	}
 	if bp.cfg.Policy == PolicyGDSF {
 		// All frames start free; installs push them onto the heap.
@@ -245,15 +256,28 @@ func (bp *Pool) Server() *cluster.Server { return bp.server }
 // Frames returns the frame count.
 func (bp *Pool) Frames() int { return bp.cfg.Frames }
 
-// Handle is a pinned page.
+// Handle is a pinned page. It belongs to the caller from Get or Allocate
+// until Release, and to the pool afterwards: the pool reissues released
+// handles, so a handle must not be touched once released.
 type Handle struct {
 	bp    *Pool
 	idx   int
 	freed bool
 }
 
+// pin returns a handle on frame idx, whose pin the caller has counted.
+func (bp *Pool) pin(idx int) *Handle {
+	if n := len(bp.handles); n > 0 {
+		h := bp.handles[n-1]
+		bp.handles = bp.handles[:n-1]
+		h.idx, h.freed = idx, false
+		return h
+	}
+	return &Handle{bp: bp, idx: idx}
+}
+
 // Page views the pinned frame.
-func (h *Handle) Page() *page.Page { return page.Wrap(h.bp.frames[h.idx].buf) }
+func (h *Handle) Page() *page.Page { return h.bp.frames[h.idx].pg }
 
 // PageNo returns the pinned page's number.
 func (h *Handle) PageNo() uint64 { return h.bp.frames[h.idx].pageNo }
@@ -282,6 +306,7 @@ func (h *Handle) Release() {
 	if f.pins == 0 {
 		h.bp.avail.Signal()
 	}
+	h.bp.handles = append(h.bp.handles, h)
 }
 
 // Allocate creates a brand-new page of type t, pinned and dirty.
@@ -301,9 +326,8 @@ func (bp *Pool) Allocate(p *sim.Proc, t page.Type) (*Handle, uint64, error) {
 	f.prefetched = false
 	bp.table[no] = idx
 	bp.noteInstall(idx)
-	pg := page.Wrap(f.buf)
-	pg.Init(no, t)
-	return &Handle{bp: bp, idx: idx}, no, nil
+	f.pg.Init(no, t)
+	return bp.pin(idx), no, nil
 }
 
 // PageCount returns the number of allocated pages.
@@ -323,7 +347,7 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 			}
 			bp.noteHit(idx)
 			bp.Stats.Hits++
-			return &Handle{bp: bp, idx: idx}, nil
+			return bp.pin(idx), nil
 		}
 		wg, inflight := bp.faulting[pageNo]
 		if !inflight {
@@ -389,7 +413,7 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 	f.ref = true
 	bp.table[pageNo] = idx
 	bp.noteInstall(idx)
-	return &Handle{bp: bp, idx: idx}, nil
+	return bp.pin(idx), nil
 }
 
 // victim finds a free frame under the configured eviction policy; it
@@ -446,8 +470,7 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	f.pins++ // guard: concurrent sweeps and the writer skip pinned frames
 	if f.dirty {
 		v0 := f.ver
-		pg := page.Wrap(f.buf)
-		pg.Seal()
+		f.pg.Seal()
 		if err := bp.data.WriteAt(p, f.buf, int64(f.pageNo)*page.Size); err != nil {
 			f.pins--
 			return false, fmt.Errorf("buffer: writeback: %w", err)
@@ -489,7 +512,7 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 			gotSlot = true
 		}
 		if gotSlot {
-			img := make([]byte, page.Size)
+			img := bp.takeImage()
 			copy(img, f.buf)
 			pageNo := f.pageNo
 			if bp.cfg.BatchedIO {
@@ -500,6 +523,7 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 			} else {
 				bp.k.Go("ext-put", func(ep *sim.Proc) {
 					defer bp.extPutSlots.Release(1)
+					defer bp.retireImage(img)
 					if !bp.ExtensionHealthy() {
 						return
 					}
@@ -526,6 +550,25 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	f.valid = false
 	bp.evictEpoch++
 	return true, nil
+}
+
+// takeImage returns a page-sized buffer for an eviction image.
+func (bp *Pool) takeImage() []byte {
+	if n := len(bp.imgFree); n > 0 {
+		img := bp.imgFree[n-1]
+		bp.imgFree = bp.imgFree[:n-1]
+		return img
+	}
+	return make([]byte, page.Size)
+}
+
+// retireImage takes back an eviction image whose put is over. The caller
+// must have removed it from extPending first: a retired image is
+// overwritten by the next eviction.
+func (bp *Pool) retireImage(img []byte) {
+	if len(bp.imgFree) < bp.extPutSlots.Capacity() {
+		bp.imgFree = append(bp.imgFree, img)
+	}
 }
 
 // extFailed decides the extension's fate after an access error. A
@@ -576,8 +619,7 @@ func (bp *Pool) writerLoop(p *sim.Proc) {
 			}
 			f.pins++
 			v0 := f.ver
-			pg := page.Wrap(f.buf)
-			pg.Seal()
+			f.pg.Seal()
 			err := bp.data.WriteAt(p, f.buf, int64(f.pageNo)*page.Size)
 			f.pins--
 			if f.pins == 0 {
@@ -603,8 +645,7 @@ func (bp *Pool) FlushAll(p *sim.Proc) error {
 		if !f.valid || !f.dirty {
 			continue
 		}
-		pg := page.Wrap(f.buf)
-		pg.Seal()
+		f.pg.Seal()
 		if err := bp.data.WriteAt(p, f.buf, int64(f.pageNo)*page.Size); err != nil {
 			return err
 		}

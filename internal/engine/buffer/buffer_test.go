@@ -33,7 +33,7 @@ func newPool(p *sim.Proc, s *cluster.Server, data vfs.File, frames int, writer b
 }
 
 func TestAllocateAndGet(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, false)
@@ -64,7 +64,7 @@ func TestAllocateAndGet(t *testing.T) {
 }
 
 func TestEvictionWritesBackDirty(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)
@@ -102,7 +102,7 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 }
 
 func TestExtensionServesEvictedPages(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)
@@ -138,7 +138,7 @@ func TestExtensionServesEvictedPages(t *testing.T) {
 }
 
 func TestExtensionFailureFallsBack(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)
@@ -184,7 +184,7 @@ func (f *failingFile) Size() int64             { return 0 }
 func (f *failingFile) Close(p *sim.Proc) error { return nil }
 
 func TestAllFramesPinned(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 2, false)
@@ -210,7 +210,7 @@ func TestAllFramesPinned(t *testing.T) {
 }
 
 func TestConcurrentFaultsSinglePage(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 8, false)
@@ -256,7 +256,7 @@ func TestConcurrentFaultsSinglePage(t *testing.T) {
 }
 
 func TestLazyWriterCleansDirtyPages(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, true)
@@ -275,7 +275,7 @@ func TestLazyWriterCleansDirtyPages(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, false)
@@ -303,7 +303,7 @@ func TestFlushAll(t *testing.T) {
 }
 
 func TestPrimeInstall(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 8, false)
@@ -333,7 +333,7 @@ func TestPrimeInstall(t *testing.T) {
 }
 
 func TestResidentPages(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 8, false)
@@ -349,7 +349,7 @@ func TestResidentPages(t *testing.T) {
 }
 
 func TestPoolCommitsMemory(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 20 // 1 MiB: fits 128 pages max
 	s := cluster.NewServer(k, "tiny", cfg)
@@ -366,7 +366,7 @@ func TestPoolCommitsMemory(t *testing.T) {
 }
 
 func TestDoubleReleasePanics(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)

@@ -60,7 +60,7 @@ func skewedRun(t *testing.T, p *sim.Proc, bp *Pool, pages []uint64, rounds, hot,
 
 func TestGDSFBeatsClockOnSkewedWorkload(t *testing.T) {
 	run := func(pol Policy) (hits, misses int64) {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		s, data := rig(k)
 		k.Go("t", func(p *sim.Proc) {
 			cfg := DefaultConfig(8)
@@ -91,7 +91,7 @@ func TestGDSFBeatsClockOnSkewedWorkload(t *testing.T) {
 }
 
 func TestClockPolicyStillCorrect(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig(4)
@@ -120,7 +120,7 @@ func TestClockPolicyStillCorrect(t *testing.T) {
 }
 
 func TestEvictCountsWriteBackBytes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)
@@ -146,7 +146,7 @@ func TestEvictCountsWriteBackBytes(t *testing.T) {
 }
 
 func TestBatchedWriterCountsBytes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, true) // writer on, BatchedIO default
@@ -172,7 +172,7 @@ func TestBatchedWriterCountsBytes(t *testing.T) {
 }
 
 func TestBatchedExtPutsCountBytes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 4, false)
@@ -190,7 +190,7 @@ func TestBatchedExtPutsCountBytes(t *testing.T) {
 }
 
 func TestReadAheadInstallsWindow(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, false)
@@ -238,7 +238,7 @@ func TestReadAheadInstallsWindow(t *testing.T) {
 }
 
 func TestReadAheadSkipsUnallocatedAndResident(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, false)
@@ -256,7 +256,7 @@ func TestReadAheadSkipsUnallocatedAndResident(t *testing.T) {
 }
 
 func TestReadAheadDisabledWithoutBatchedIO(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig(16)

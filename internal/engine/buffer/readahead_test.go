@@ -8,7 +8,7 @@ import (
 )
 
 func TestReadAheadHitWasteAccounting(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		bp := newPool(p, s, data, 16, false)
@@ -72,7 +72,7 @@ func TestReadAheadHitWasteAccounting(t *testing.T) {
 }
 
 func TestAdaptiveReadaheadRampsAndShrinks(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig(64)

@@ -204,7 +204,7 @@ func (c *Catalog) CreateIndex(p *sim.Proc, idxName, tableName string, cols ...st
 		if err != nil {
 			return nil, err
 		}
-		pairs = append(pairs, btree.Pair{Key: idx.keyFor(tuple, pair.Key), Val: pair.Key})
+		pairs = append(pairs, btree.Pair{Key: idx.keyFor(tuple, pair.Key), Val: append([]byte(nil), pair.Key...)})
 	}
 	if len(pairs) > 0 {
 		// Entries arrive in PK order; sort by index key for bulk load.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -146,6 +147,27 @@ func TestIndexBackfill(t *testing.T) {
 		}
 		if idx.Tree.Entries != 500 {
 			t.Errorf("backfilled entries = %d", idx.Tree.Entries)
+		}
+		// The table spans several leaves and the backfill keeps every
+		// primary key the iterator handed it: each must still be the key
+		// of a row of the nation it is indexed under.
+		if tbl.Clustered.Height() < 2 {
+			t.Fatalf("table fits one leaf; the backfill crosses no leaf boundary")
+		}
+		for n := 0; n < 25; n++ {
+			pks, err := idx.SeekRange(p, row.EncodeKey(nil, int64(n)), row.EncodeKey(nil, int64(n+1)), 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(pks) != 20 {
+				t.Errorf("nation %d: %d index entries, want 20", n, len(pks))
+			}
+			for i, pk := range pks {
+				if want := row.EncodeKey(nil, int64(n+25*i)); !bytes.Equal(pk, want) {
+					t.Errorf("nation %d entry %d: primary key %x, want %x", n, i, pk, want)
+				}
+			}
 		}
 	})
 }

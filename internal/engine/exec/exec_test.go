@@ -24,7 +24,7 @@ type rigT struct {
 
 func withRig(t *testing.T, fn func(p *sim.Proc, r *rigT)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)
@@ -377,7 +377,7 @@ func TestAggregateSchemaNames(t *testing.T) {
 }
 
 func TestCPUChargedToServer(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 
 	"remotedb/internal/engine/catalog"
@@ -41,6 +42,7 @@ type HashJoin struct {
 	buildSchema *row.Schema
 	probeOrds   []int
 	buildOrds   []int
+	key, key2   []byte // appendKey scratch
 }
 
 // Schema returns build columns followed by probe columns.
@@ -67,16 +69,24 @@ func (j *HashJoin) Schema() *row.Schema {
 	return j.schema
 }
 
-func keyOf(t row.Tuple, ords []int) string {
-	vals := make([]interface{}, len(ords))
-	for i, o := range ords {
-		vals[i] = t[o]
+// appendKey appends the equality key of t's ords columns to dst.
+func appendKey(dst []byte, t row.Tuple, ords []int) []byte {
+	for _, o := range ords {
+		dst = row.EncodeKey(dst, t[o])
 	}
-	return string(row.EncodeKey(nil, vals...))
+	return dst
 }
 
 // Open materializes the build side (and spills both sides if needed).
 func (j *HashJoin) Open(c *Ctx) error {
+	err := j.open(c)
+	if err != nil {
+		j.releaseSpill() // nobody closes an operator that failed to open
+	}
+	return err
+}
+
+func (j *HashJoin) open(c *Ctx) error {
 	if j.Partitions <= 0 {
 		j.Partitions = 8
 	}
@@ -105,10 +115,11 @@ func (j *HashJoin) Open(c *Ctx) error {
 		if err != nil {
 			return err
 		}
+		j.key = appendKey(j.key[:0], t, j.buildOrds)
 		if j.rtab != nil {
-			return j.rtab.Put(c.P, partOf(keyOf(t, j.buildOrds), j.rtab.Buckets()), img)
+			return j.rtab.Put(c.P, partOf(j.key, j.rtab.Buckets()), img)
 		}
-		return j.buildFiles[partOf(keyOf(t, j.buildOrds), j.Partitions)].Append(c.P, img)
+		return j.buildFiles[partOf(j.key, j.Partitions)].Append(c.P, img)
 	}
 	// Phase 1: read the build side, hashing into memory until the grant
 	// is exhausted; on cut-over, dump the hash table to partitions and
@@ -127,7 +138,8 @@ func (j *HashJoin) Open(c *Ctx) error {
 		if !j.spilled {
 			used += int64(row.EncodedSize(j.buildSchema, t)) + 48
 			if c.Grant <= 0 || used <= c.Grant {
-				k := keyOf(t, j.buildOrds)
+				j.key = appendKey(j.key[:0], t, j.buildOrds)
+				k := string(j.key)
 				j.ht[k] = append(j.ht[k], t)
 				continue
 			}
@@ -198,7 +210,8 @@ func (j *HashJoin) Open(c *Ctx) error {
 			return err
 		}
 		c.chargeCPU(c.CPU.PerHash)
-		if err := j.probeFiles[partOf(keyOf(t, j.probeOrds), j.Partitions)].Append(c.P, img); err != nil {
+		j.key = appendKey(j.key[:0], t, j.probeOrds)
+		if err := j.probeFiles[partOf(j.key, j.Partitions)].Append(c.P, img); err != nil {
 			return err
 		}
 	}
@@ -214,7 +227,7 @@ func (j *HashJoin) Open(c *Ctx) error {
 	return nil
 }
 
-func partOf(key string, n int) int {
+func partOf(key []byte, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -243,7 +256,8 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				return nil, false, nil
 			}
 			c.chargeCPU(c.CPU.PerHash)
-			for _, b := range j.ht[keyOf(t, j.probeOrds)] {
+			j.key = appendKey(j.key[:0], t, j.probeOrds)
+			for _, b := range j.ht[string(j.key)] {
 				j.outBuf = append(j.outBuf, concat(b, t))
 			}
 			continue
@@ -259,15 +273,16 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 			if !ok {
 				return nil, false, nil
 			}
-			key := keyOf(t, j.probeOrds)
+			j.key = appendKey(j.key[:0], t, j.probeOrds)
 			c.chargeCPU(c.CPU.PerHash)
-			err = j.rtab.Probe(c.P, partOf(key, j.rtab.Buckets()), func(img []byte) error {
+			err = j.rtab.Probe(c.P, partOf(j.key, j.rtab.Buckets()), func(img []byte) error {
 				bt, err := row.Decode(j.buildSchema, img)
 				if err != nil {
 					return err
 				}
 				c.chargeCPU(c.CPU.PerRow)
-				if keyOf(bt, j.buildOrds) == key {
+				j.key2 = appendKey(j.key2[:0], bt, j.buildOrds)
+				if bytes.Equal(j.key2, j.key) {
 					j.outBuf = append(j.outBuf, concat(bt, t))
 				}
 				return nil
@@ -290,7 +305,8 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 					return nil, false, err
 				}
 				c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
-				for _, b := range j.ht[keyOf(t, j.probeOrds)] {
+				j.key = appendKey(j.key[:0], t, j.probeOrds)
+				for _, b := range j.ht[string(j.key)] {
 					j.outBuf = append(j.outBuf, concat(b, t))
 				}
 				continue
@@ -317,7 +333,8 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				return nil, false, err
 			}
 			c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
-			k := keyOf(t, j.buildOrds)
+			j.key = appendKey(j.key[:0], t, j.buildOrds)
+			k := string(j.key)
 			j.ht[k] = append(j.ht[k], t)
 		}
 		j.partReader = j.probeFiles[j.curPart].NewReader()
@@ -335,6 +352,16 @@ func concat(a, b row.Tuple) row.Tuple {
 func (j *HashJoin) Close(c *Ctx) error {
 	j.ht = nil
 	j.outBuf = nil
+	remote := j.rtab != nil
+	j.releaseSpill()
+	if remote || !j.spilled {
+		return j.Probe.Close(c)
+	}
+	return nil
+}
+
+// releaseSpill gives the join's TempDB space back.
+func (j *HashJoin) releaseSpill() {
 	for _, f := range j.buildFiles {
 		f.Release()
 	}
@@ -345,12 +372,7 @@ func (j *HashJoin) Close(c *Ctx) error {
 	if j.rtab != nil {
 		j.rtab.Release()
 		j.rtab = nil
-		return j.Probe.Close(c)
 	}
-	if !j.spilled {
-		return j.Probe.Close(c)
-	}
-	return nil
 }
 
 // Spilled reports whether the join went through TempDB.

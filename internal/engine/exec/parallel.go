@@ -43,6 +43,7 @@ type xchgPart struct {
 	op    Op
 	child *Ctx
 	queue []xchgBatch
+	spare []xchgBatch // batches the consumer has drained, for produce to refill
 	done  bool
 	err   error
 	space *sim.Cond // producer waits here when the queue is full
@@ -128,7 +129,11 @@ func (x *Exchange) produce(st *xchgPart) {
 		}
 		st.queue = append(st.queue, batch)
 		x.ready.Broadcast()
-		batch = make(xchgBatch, 0, x.BatchRows)
+		if n := len(st.spare); n > 0 {
+			batch, st.spare = st.spare[n-1], st.spare[:n-1]
+		} else {
+			batch = make(xchgBatch, 0, x.BatchRows)
+		}
 		return true
 	}
 	for !x.closed {
@@ -172,8 +177,12 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 		}
 		st := x.parts[x.cur]
 		if len(st.queue) > 0 {
+			if cap(x.batch) > 0 {
+				clear(x.batch) // its rows are the consumer's now
+				st.spare = append(st.spare, x.batch[:0])
+			}
 			x.batch = st.queue[0]
-			st.queue = st.queue[1:]
+			st.queue = st.queue[:copy(st.queue, st.queue[1:])]
 			x.pos = 0
 			st.space.Signal()
 			continue

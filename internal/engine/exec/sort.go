@@ -57,6 +57,14 @@ func (s *Sort) Spilled() bool { return s.spilled }
 
 // Open consumes the whole input, spilling sorted runs as the grant fills.
 func (s *Sort) Open(c *Ctx) error {
+	err := s.open(c)
+	if err != nil {
+		s.releaseRuns() // nobody closes an operator that failed to open
+	}
+	return err
+}
+
+func (s *Sort) open(c *Ctx) error {
 	s.schema = s.In.Schema()
 	// Reset run state so a sort instantiated once can be re-opened.
 	s.rows, s.keys, s.pos = nil, nil, 0
@@ -261,11 +269,16 @@ func (s *Sort) Close(c *Ctx) error {
 	s.rows = nil
 	s.keys = nil
 	s.merge = nil
+	s.releaseRuns()
+	return nil
+}
+
+// releaseRuns gives the sort's TempDB space back.
+func (s *Sort) releaseRuns() {
 	for _, run := range s.runs {
 		run.Release()
 	}
 	s.runs = nil
-	return nil
 }
 
 // TopN keeps the N smallest rows under the sort specs using a bounded

@@ -24,14 +24,54 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// lineitem is the shape the executor decodes most: TPC-H lineitem, 16
+// columns of which 7 are strings.
+func lineitem() (*Schema, []byte) {
+	s := NewSchema(
+		Column{Name: "orderkey", Type: Int64}, Column{Name: "partkey", Type: Int64},
+		Column{Name: "suppkey", Type: Int64}, Column{Name: "linenumber", Type: Int64},
+		Column{Name: "quantity", Type: Float64}, Column{Name: "extendedprice", Type: Float64},
+		Column{Name: "discount", Type: Float64}, Column{Name: "tax", Type: Float64},
+		Column{Name: "returnflag", Type: String}, Column{Name: "linestatus", Type: String},
+		Column{Name: "shipdate", Type: String}, Column{Name: "commitdate", Type: String},
+		Column{Name: "receiptdate", Type: String}, Column{Name: "shipinstruct", Type: String},
+		Column{Name: "shipmode", Type: String}, Column{Name: "acctbal", Type: Float64},
+	)
+	enc, err := Encode(nil, s, Tuple{int64(1), int64(155190), int64(7706), int64(1),
+		17.0, 21168.23, 0.04, 0.02, "N", "O", "1996-03-13", "1996-02-12", "1996-03-22",
+		"DELIVER IN PERSON", "TRUCK", 711.56})
+	if err != nil {
+		panic(err)
+	}
+	return s, enc
+}
+
+var sink interface{}
+
 func BenchmarkDecode(b *testing.B) {
-	s := benchSchema()
-	enc, _ := Encode(nil, s, Tuple{int64(42), 3.25, "some string value", int64(7)})
+	s, enc := lineitem()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(s, enc); err != nil {
+		t, err := Decode(s, enc)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sink = t
+	}
+}
+
+// BenchmarkDecodeColumn reads the last column, past every other one.
+func BenchmarkDecodeColumn(b *testing.B) {
+	s, enc := lineitem()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := DecodeColumn(s, enc, s.Len()-1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = v
 	}
 }
 

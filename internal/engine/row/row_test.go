@@ -35,6 +35,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(b) != EncodedSize(s, in) {
 		t.Fatalf("EncodedSize = %d, actual %d", EncodedSize(s, in), len(b))
 	}
+	// The tuple shares nothing with the image: scans and spill readers
+	// decode out of buffers they overwrite next.
+	for i := range b {
+		b[i] = 0xEE
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("tuple changed with its image: %v", out)
+	}
 }
 
 func TestEncodeTypeMismatch(t *testing.T) {

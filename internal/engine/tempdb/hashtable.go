@@ -110,10 +110,9 @@ func (h *HashTable) flushBucket(p *sim.Proc, b int) error {
 	block := make([]byte, h.bucketBytes)
 	copy(block, h.wbuf[b])
 	off := h.allocBlock()
-	if err := h.t.file.WriteAt(p, block, off); err != nil {
+	if err := h.t.write(p, h.name, block, off); err != nil {
 		return err
 	}
-	h.t.BytesSpilled += int64(h.bucketBytes)
 	h.chains[b] = append(h.chains[b], off)
 	h.Blocks++
 	h.wbuf[b] = h.wbuf[b][:0]
@@ -168,7 +167,7 @@ func (h *HashTable) Probe(p *sim.Proc, bucket int, fn func(rec []byte) error) er
 // Release returns the table's extents to the TempDB free list. The
 // table must not be probed afterwards.
 func (h *HashTable) Release() {
-	h.t.free = append(h.t.free, h.extents...)
+	h.t.freeExtents(h.extents)
 	h.extents = nil
 	h.chains = nil
 	h.wbuf = nil

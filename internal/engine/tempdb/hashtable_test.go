@@ -11,7 +11,7 @@ import (
 )
 
 func TestHashTableExactRecall(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		ht := td.NewHashTable("ht", 8, 256)
@@ -65,7 +65,7 @@ func TestHashTableRecycledExtentsStayClean(t *testing.T) {
 	// A released table returns its extents to the free list; a new table
 	// reusing them must not see the old records (blocks are written
 	// zero-padded in full).
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		old := td.NewHashTable("old", 4, 512)
@@ -104,7 +104,7 @@ func TestHashTableRecycledExtentsStayClean(t *testing.T) {
 }
 
 func TestHashTableOversizeRecordRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		ht := td.NewHashTable("ht", 2, 64)
@@ -119,7 +119,7 @@ func TestHashTableOversizeRecordRejected(t *testing.T) {
 }
 
 func TestHashTableLifecyclePanics(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		ht := td.NewHashTable("ht", 2, 64)

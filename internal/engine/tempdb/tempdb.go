@@ -9,7 +9,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
+	"remotedb/internal/fault"
 	"remotedb/internal/sim"
 	"remotedb/internal/vfs"
 )
@@ -27,10 +29,33 @@ type TempDB struct {
 	file    vfs.File
 	nextExt int64
 	free    []int64
+	fixed   int64 // size of a file that refused to grow; 0 until a write falls off its end
+
+	// bufs holds the block buffers no stream is using. A SpillFile takes
+	// one to write through and gives it back at Flush; a Reader takes one
+	// to read through and gives it back at end of stream. The list keeps
+	// at most maxIdleBytes, so idle buffers cost a fixed amount of memory
+	// however many streams a query opens at once.
+	bufs      [][]byte
+	idleBytes int
 
 	BytesSpilled int64
 	BytesRead    int64
 }
+
+// maxIdleBytes bounds the capacity TempDB.bufs may hold. Two blocks, not
+// more: on the benchmark's tpch_streams (five streams, sixteen partition
+// files a join) peak RSS stays below the unpooled build's at two blocks,
+// equals it at four and is 26 MB above it at eight, and eight would save
+// only another 6 % of the bytes allocated.
+const maxIdleBytes = 2 * BlockSize
+
+// ErrFull is returned by the spilling write that does not fit the TempDB
+// file: the file has a fixed size (a remote-memory file) and every extent
+// inside it is in use. It wraps fault.ErrUnavailable, the class of "no
+// more remote memory", so the query fails classified and a later, smaller
+// spill succeeds.
+var ErrFull = fmt.Errorf("tempdb: spill does not fit the TempDB file (%w)", fault.ErrUnavailable)
 
 // New creates a TempDB over file.
 func New(file vfs.File) *TempDB { return &TempDB{file: file} }
@@ -54,6 +79,53 @@ func (t *TempDB) allocExtent() int64 {
 // HighWater returns the highest byte offset ever allocated.
 func (t *TempDB) HighWater() int64 { return t.nextExt }
 
+// freeExtents takes a finished stream's extents back. An extent that
+// reaches past the end of a file that does not grow is no extent: handing
+// it out again would fail the next spill too.
+func (t *TempDB) freeExtents(exts []int64) {
+	for _, off := range exts {
+		if t.fixed == 0 || off+extentSize <= t.fixed {
+			t.free = append(t.free, off)
+		}
+	}
+}
+
+// takeBuf returns an empty buffer, a recycled one when there is one.
+func (t *TempDB) takeBuf() []byte {
+	n := len(t.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := t.bufs[n-1]
+	t.bufs = t.bufs[:n-1]
+	t.idleBytes -= cap(b)
+	return b[:0]
+}
+
+// giveBuf takes back a buffer nothing references any more.
+func (t *TempDB) giveBuf(b []byte) {
+	if cap(b) == 0 || t.idleBytes+cap(b) > maxIdleBytes {
+		return
+	}
+	t.bufs = append(t.bufs, b)
+	t.idleBytes += cap(b)
+}
+
+// write is the spilling write. A write the file refuses that reaches past
+// the file's size is a full TempDB: a file that grows would have taken it.
+func (t *TempDB) write(p *sim.Proc, name string, b []byte, off int64) error {
+	err := t.file.WriteAt(p, b, off)
+	if err == nil {
+		t.BytesSpilled += int64(len(b))
+		return nil
+	}
+	if end, size := off+int64(len(b)), t.file.Size(); end > size {
+		t.fixed = size
+		return fmt.Errorf("%w: %s needs byte %d of %d: %w", ErrFull, name, end, size, err)
+	}
+	return err
+}
+
 // SpillFile is one append-only spill stream holding length-prefixed
 // records, written in BlockSize chunks across chained extents.
 type SpillFile struct {
@@ -73,17 +145,23 @@ func (t *TempDB) NewFile(name string) *SpillFile {
 
 // Append adds one record (length-prefixed internally).
 func (s *SpillFile) Append(p *sim.Proc, rec []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec)))
-	s.wbuf = append(s.wbuf, hdr[:]...)
+	if s.wbuf == nil {
+		s.wbuf = s.t.takeBuf()
+	}
+	s.wbuf = binary.LittleEndian.AppendUint32(s.wbuf, uint32(len(rec)))
 	s.wbuf = append(s.wbuf, rec...)
 	s.Records++
-	for len(s.wbuf) >= BlockSize {
-		if err := s.flushBlock(p, s.wbuf[:BlockSize]); err != nil {
+	if len(s.wbuf) < BlockSize {
+		return nil
+	}
+	n := len(s.wbuf) / BlockSize * BlockSize
+	for off := 0; off < n; off += BlockSize {
+		if err := s.flushBlock(p, s.wbuf[off:off+BlockSize]); err != nil {
 			return err
 		}
-		s.wbuf = s.wbuf[BlockSize:]
 	}
+	// Move the tail down: re-slicing would give the capacity away.
+	s.wbuf = s.wbuf[:copy(s.wbuf, s.wbuf[n:])]
 	return nil
 }
 
@@ -93,11 +171,19 @@ func (s *SpillFile) Flush(p *sim.Proc) error {
 		return nil
 	}
 	err := s.flushBlock(p, s.wbuf)
-	s.wbuf = nil
+	s.dropBuf()
 	return err
 }
 
-// flushBlock maps the next logical range onto extents and writes it.
+// dropBuf hands the write buffer back to the TempDB.
+func (s *SpillFile) dropBuf() {
+	s.t.giveBuf(s.wbuf)
+	s.wbuf = nil
+}
+
+// flushBlock maps the next logical range onto extents and writes it. A
+// stream whose write fails gives its extents back: it cannot be read, and
+// the next query needs the space.
 func (s *SpillFile) flushBlock(p *sim.Proc, b []byte) error {
 	off := s.size
 	for len(b) > 0 {
@@ -110,10 +196,10 @@ func (s *SpillFile) flushBlock(p *sim.Proc, b []byte) error {
 		if n > int64(len(b)) {
 			n = int64(len(b))
 		}
-		if err := s.t.file.WriteAt(p, b[:n], s.extents[extIdx]+within); err != nil {
+		if err := s.t.write(p, s.name, b[:n], s.extents[extIdx]+within); err != nil {
+			s.Release()
 			return err
 		}
-		s.t.BytesSpilled += n
 		off += n
 		b = b[n:]
 	}
@@ -127,14 +213,16 @@ func (s *SpillFile) Size() int64 { return s.size }
 // Release returns the stream's extents to the TempDB free list. The
 // stream must not be read afterwards.
 func (s *SpillFile) Release() {
-	s.t.free = append(s.t.free, s.extents...)
+	s.t.freeExtents(s.extents)
 	s.extents = nil
 	s.size = 0
-	s.wbuf = nil
+	s.dropBuf()
 }
 
 // Reader iterates the spill stream's records sequentially, reading
-// BlockSize chunks.
+// BlockSize chunks into a buffer it borrows from the TempDB until the end
+// of the stream. A record returned by Next aliases that buffer and is
+// valid only until the next call to Next.
 type Reader struct {
 	s    *SpillFile
 	off  int64
@@ -164,7 +252,14 @@ func (r *Reader) fill(p *sim.Proc, n int) error {
 		if r.off+take > r.s.size {
 			take = r.s.size - r.off
 		}
-		chunk := make([]byte, take)
+		// Move the unread tail down and read the chunk in behind it.
+		if r.buf == nil {
+			r.buf = r.s.t.takeBuf()
+		}
+		tail := copy(r.buf, r.buf[r.bpos:])
+		r.bpos = 0
+		r.buf = slices.Grow(r.buf[:tail], int(take))
+		chunk := r.buf[tail : tail+int(take)]
 		// Map logical offset onto extents (reads may straddle them).
 		read := int64(0)
 		for read < take {
@@ -181,15 +276,17 @@ func (r *Reader) fill(p *sim.Proc, n int) error {
 		}
 		r.s.t.BytesRead += take
 		r.off += take
-		r.buf = append(r.buf[r.bpos:], chunk...)
-		r.bpos = 0
+		r.buf = r.buf[:tail+int(take)]
 	}
 	return nil
 }
 
 // Next returns the next record, or ok=false at end of stream.
 func (r *Reader) Next(p *sim.Proc) ([]byte, bool, error) {
-	if int64(len(r.buf)-r.bpos) == 0 && r.off >= r.s.size {
+	if len(r.buf)-r.bpos == 0 && r.off >= r.s.size {
+		// End of stream: nothing returned earlier is valid any more.
+		r.s.t.giveBuf(r.buf)
+		r.buf, r.bpos = nil, 0
 		return nil, false, nil
 	}
 	if err := r.fill(p, 4); err != nil {

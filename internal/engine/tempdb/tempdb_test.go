@@ -2,17 +2,21 @@ package tempdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"remotedb/internal/cluster"
+	"remotedb/internal/fault"
 	"remotedb/internal/sim"
+	"remotedb/internal/testkit"
 	"remotedb/internal/vfs"
 )
 
 func TestSpillRoundTrip(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		f := td.NewFile("run1")
@@ -52,7 +56,7 @@ func TestSpillRoundTrip(t *testing.T) {
 }
 
 func TestMultipleStreamsInterleaved(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		a := td.NewFile("a")
@@ -96,7 +100,7 @@ func TestLargeSequentialIO(t *testing.T) {
 	// Spills on the HDD array must be written in big blocks: with 512K
 	// blocks the sequential path dominates and throughput approaches the
 	// raid rate.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.Spindles = 20
 	s := cluster.NewServer(k, "db", cfg)
@@ -125,7 +129,7 @@ func TestLargeSequentialIO(t *testing.T) {
 }
 
 func TestReaderBeforeFlushPanics(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		f := td.NewFile("x")
@@ -141,7 +145,7 @@ func TestReaderBeforeFlushPanics(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		f := td.NewFile("empty")
@@ -155,7 +159,7 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestBytesAccounting(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		td := New(vfs.NewMemFile("tempdb"))
 		f := td.NewFile("acct")
@@ -168,6 +172,133 @@ func TestBytesAccounting(t *testing.T) {
 		r.Next(p)
 		if td.BytesRead != 1004 {
 			t.Errorf("read = %d, want 1004", td.BytesRead)
+		}
+	})
+	k.Run(time.Minute)
+}
+
+// fill appends n records of size bytes, each stamped with its index.
+func fill(p *sim.Proc, f *SpillFile, n, size int) error {
+	rec := make([]byte, size)
+	for i := 0; i < n; i++ {
+		for j := range rec {
+			rec[j] = byte(i + j)
+		}
+		if err := f.Append(p, rec); err != nil {
+			return err
+		}
+	}
+	return f.Flush(p)
+}
+
+// drain reads the stream back and checks every record fill wrote.
+func drain(t *testing.T, p *sim.Proc, f *SpillFile, n, size int) {
+	t.Helper()
+	r := f.NewReader()
+	for i := 0; ; i++ {
+		rec, ok, err := r.Next(p)
+		if err != nil {
+			t.Fatalf("%s record %d: %v", f.name, i, err)
+		}
+		if !ok {
+			if i != n {
+				t.Errorf("%s ended after %d records, want %d", f.name, i, n)
+			}
+			return
+		}
+		if len(rec) != size {
+			t.Fatalf("%s record %d: %d bytes, want %d", f.name, i, len(rec), size)
+		}
+		for j, c := range rec {
+			if c != byte(i+j) {
+				t.Fatalf("%s record %d: byte %d is %#x", f.name, i, j, c)
+			}
+		}
+	}
+}
+
+// Records of a size that divides neither a block nor an extent straddle
+// both kinds of boundary, in two streams whose extents interleave, and
+// every record comes back. A stream written and read after that runs
+// through the buffers its predecessor gave back and allocates none.
+func TestSpillBuffersRecycledAcrossBoundaries(t *testing.T) {
+	k := newKernel(t, 1)
+	k.Go("t", func(p *sim.Proc) {
+		mem := vfs.NewMemFile("tempdb")
+		mem.WriteAt(p, make([]byte, 6*extentSize), 0) // the file's own memory, all of it, up front
+		td := New(mem)
+		const size, n = 1777, 5000 // 8.9 MB a stream: three extents, eighteen blocks
+		a, b := td.NewFile("a"), td.NewFile("b")
+		rec := make([]byte, size)
+		for i := 0; i < n; i++ {
+			for j := range rec {
+				rec[j] = byte(i + j)
+			}
+			if err := a.Append(p, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Append(p, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, p, a, n, size)
+		drain(t, p, b, n, size)
+		a.Release()
+		b.Release()
+		high := td.HighWater()
+
+		one := func(name string) {
+			f := td.NewFile(name)
+			if err := fill(p, f, n, size); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, p, f, n, size)
+			f.Release()
+		}
+		one("first")
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		one("second")
+		runtime.ReadMemStats(&m1)
+		// fill's record buffer is the one allocation of note.
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= BlockSize/4 {
+			t.Errorf("second stream allocated %d bytes: spill buffers are not recycled", got)
+		}
+		if td.HighWater() != high {
+			t.Errorf("later streams grew the TempDB from %d to %d bytes", high, td.HighWater())
+		}
+		if td.idleBytes > maxIdleBytes {
+			t.Errorf("%d idle buffer bytes, bound %d", td.idleBytes, maxIdleBytes)
+		}
+	})
+	k.Run(time.Minute)
+}
+
+// A stream that outgrows a file of fixed size fails with ErrFull and
+// gives back what it held — but not the extent past the end of the file,
+// which would fail the next stream too.
+func TestSpillPastFixedFileIsErrFull(t *testing.T) {
+	k := newKernel(t, 1)
+	k.Go("t", func(p *sim.Proc) {
+		td := New(&testkit.FixedFile{MemFile: vfs.NewMemFile("tempdb"), Limit: 2 * extentSize})
+		big := td.NewFile("big")
+		err := fill(p, big, 9<<10, 1<<10) // 9 MB into 8
+		if !errors.Is(err, ErrFull) || !errors.Is(err, fault.ErrUnavailable) {
+			t.Fatalf("oversized stream: %v, want ErrFull wrapping fault.ErrUnavailable", err)
+		}
+		for i := 0; i < 3; i++ {
+			small := td.NewFile("small")
+			if err := fill(p, small, 5<<10, 1<<10); err != nil { // 5 MB: both extents
+				t.Fatalf("stream that fits, run %d: %v", i, err)
+			}
+			drain(t, p, small, 5<<10, 1<<10)
+			small.Release()
 		}
 	})
 	k.Run(time.Minute)
