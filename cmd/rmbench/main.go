@@ -7,47 +7,7 @@
 //
 //	rmbench <experiment> [-seed N] [-quick]
 //
-// Experiments:
-//
-//	tables     Table 4 workload summary (scaled) and Table 5 designs
-//	fig3 fig4  I/O micro-benchmark throughput and latency
-//	fig5       one DB server, 1..8 memory servers
-//	fig6       1..8 DB servers, one memory server
-//	fig7 fig8  RangeScan with 20% updates (throughput / latency)
-//	fig9 fig10 RangeScan read-only
-//	fig11      RangeScan drill-down (I/O, CPU, latency)
-//	fig12      BPExt size sweep (single and multiple memory servers)
-//	fig13      impact of remote access on the memory server
-//	fig14      Hash+Sort latency per design
-//	fig15a     semantic cache: MV placement
-//	fig15b     semantic cache: seek vs scan crossover
-//	fig16      buffer-pool priming
-//	fig18      TPC-H throughput + fig19 latency histogram
-//	fig20      TPC-DS throughput + fig21 latency histogram
-//	fig22      TPC-C throughput + fig23 latency
-//	fig24      local memory sweep
-//	fig25      multiple DB servers RangeScan
-//	fig26      semantic cache recovery
-//	fig27      parallel data loading
-//	ablation   Table 1 design-choice ablations
-//	faults     throughput through a revocation storm + recovery
-//	scrub      silent-corruption storm + K=2 revocation storm
-//	plancache  repeated parameterized query: plan cache on vs off
-//	parscan    parallel scan over remote memory: DOP sweep
-//	iobatch    vectored I/O: batched vs per-page transfers, burst
-//	           priming, eviction storm with batched I/O off vs on
-//	evict      eviction policy A/B: clock sweep vs cost-aware GDSF
-//	pushdown   donor-side operator pushdown vs fetch-all across
-//	           selectivities, the optimizer's placement choice, and a
-//	           pushed scan through a corruption + revocation storm
-//	cluster    cluster-scale broker: 200+ DB servers and donors on a
-//	           sharded broker with batched heartbeats, through a
-//	           diurnal reclamation wave
-//	chaos      tail-tolerance chaos harness on the cluster bed:
-//	           slow-donor injection (hedging A/B), a reclamation
-//	           storm under deadline budgets + health scoring, and a
-//	           flapping donor through the breaker's recovery arc
-//	all        everything above
+// 'rmbench list' prints the experiments ('all' runs every one).
 //
 // With -json each experiment also writes BENCH_<experiment>.json:
 // experiment name, seed, wall-clock, and a flat metric map (throughput,
@@ -59,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"remotedb/internal/cluster"
@@ -74,7 +35,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rmbench <experiment> [flags]\nrun 'go doc ./cmd/rmbench' for the experiment list\n")
+		fmt.Fprintf(os.Stderr, "usage: rmbench <experiment> [flags]\nrun 'rmbench list' for the experiments\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -91,21 +52,60 @@ func main() {
 	fmt.Printf("\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 }
 
-// run executes one experiment (or "all"), recording metrics and writing
-// BENCH_<name>.json when -json is set.
+// experiments is the one table of what rmbench can run: dispatch, "all"
+// (in this order, under each entry's first name) and "list" read it.
+var experiments = []struct {
+	names []string
+	about string
+	run   func() error
+}{
+	{[]string{"tables"}, "Table 4 workload summary (scaled) and Table 5 designs", tables},
+	{[]string{"fig3", "fig4"}, "I/O micro-benchmark throughput and latency", fig34},
+	{[]string{"fig5"}, "one DB server, 1..8 memory servers", fig5},
+	{[]string{"fig6"}, "1..8 DB servers, one memory server", fig6},
+	{[]string{"fig7", "fig8"}, "RangeScan with 20% updates (throughput / latency)", func() error { return rangeScan(0.20) }},
+	{[]string{"fig9", "fig10"}, "RangeScan read-only", func() error { return rangeScan(0) }},
+	{[]string{"fig11"}, "RangeScan drill-down (I/O, CPU, latency)", fig11},
+	{[]string{"fig12"}, "BPExt size sweep (single and multiple memory servers)", fig12},
+	{[]string{"fig13"}, "impact of remote access on the memory server", fig13},
+	{[]string{"fig14"}, "Hash+Sort latency per design", fig14},
+	{[]string{"fig15a"}, "semantic cache: MV placement", fig15a},
+	{[]string{"fig15b"}, "semantic cache: seek vs scan crossover", fig15b},
+	{[]string{"fig16"}, "buffer-pool priming", fig16},
+	{[]string{"fig18", "fig19"}, "TPC-H throughput + latency histogram", tpch},
+	{[]string{"fig20", "fig21"}, "TPC-DS throughput + latency histogram", tpcds},
+	{[]string{"fig22", "fig23"}, "TPC-C throughput + latency", tpcc},
+	{[]string{"fig24"}, "local memory sweep", fig24},
+	{[]string{"fig25"}, "multiple DB servers RangeScan", fig25},
+	{[]string{"fig26"}, "semantic cache recovery", fig26},
+	{[]string{"fig27"}, "parallel data loading", fig27},
+	{[]string{"ablation"}, "Table 1 design-choice ablations", ablation},
+	{[]string{"faults"}, "throughput through a revocation storm + recovery", faults},
+	{[]string{"scrub"}, "silent-corruption storm + K=2 revocation storm", scrub},
+	{[]string{"plancache"}, "repeated parameterized query: plan cache on vs off", plancache},
+	{[]string{"parscan"}, "parallel scan over remote memory: DOP sweep", parscan},
+	{[]string{"iobatch"}, "vectored I/O: batched vs per-page transfers, burst priming, eviction storm with batched I/O off vs on", iobatch},
+	{[]string{"evict"}, "eviction policy A/B: clock sweep vs cost-aware GDSF", evict},
+	{[]string{"pushdown"}, "donor-side operator pushdown vs fetch-all across selectivities, the optimizer's placement choice, and a pushed scan through a corruption + revocation storm", pushdown},
+	{[]string{"cluster"}, "cluster-scale broker: 200+ DB servers and donors on a sharded broker with batched heartbeats, through a diurnal reclamation wave", clusterBench},
+	{[]string{"chaos"}, "tail-tolerance chaos harness on the cluster bed: slow-donor injection (hedging A/B), a reclamation storm under deadline budgets + health scoring, and a flapping donor through the breaker's recovery arc", chaosBench},
+}
+
+// run executes one experiment (or "all", or "list"), recording metrics
+// and writing BENCH_<name>.json when -json is set.
 func run(name string) error {
-	if name == "all" {
-		for _, n := range []string{
-			"tables", "fig3", "fig5", "fig6", "fig7", "fig9", "fig11",
-			"fig12", "fig13", "fig14", "fig15a", "fig15b", "fig16",
-			"fig18", "fig20", "fig22", "fig24", "fig25", "fig26",
-			"fig27", "ablation", "faults", "scrub", "plancache", "parscan",
-			"iobatch", "evict", "pushdown", "cluster", "chaos",
-		} {
-			fmt.Printf("\n===== %s =====\n", n)
-			if err := run(n); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+	switch name {
+	case "all":
+		for _, e := range experiments {
+			fmt.Printf("\n===== %s =====\n", e.names[0])
+			if err := run(e.names[0]); err != nil {
+				return fmt.Errorf("%s: %w", e.names[0], err)
 			}
+		}
+		return nil
+	case "list":
+		for _, e := range experiments {
+			fmt.Printf("  %-12s %s\n", strings.Join(e.names, " "), e.about)
 		}
 		return nil
 	}
@@ -121,67 +121,12 @@ func run(name string) error {
 }
 
 func dispatch(name string) error {
-	switch name {
-	case "tables":
-		return tables()
-	case "fig3", "fig4":
-		return fig34()
-	case "fig5":
-		return fig5()
-	case "fig6":
-		return fig6()
-	case "fig7", "fig8":
-		return rangeScan(0.20)
-	case "fig9", "fig10":
-		return rangeScan(0)
-	case "fig11":
-		return fig11()
-	case "fig12":
-		return fig12()
-	case "fig13":
-		return fig13()
-	case "fig14":
-		return fig14()
-	case "fig15a":
-		return fig15a()
-	case "fig15b":
-		return fig15b()
-	case "fig16":
-		return fig16()
-	case "fig18", "fig19":
-		return tpch()
-	case "fig20", "fig21":
-		return tpcds()
-	case "fig22", "fig23":
-		return tpcc()
-	case "fig24":
-		return fig24()
-	case "fig25":
-		return fig25()
-	case "fig26":
-		return fig26()
-	case "fig27":
-		return fig27()
-	case "ablation":
-		return ablation()
-	case "faults":
-		return faults()
-	case "scrub":
-		return scrub()
-	case "plancache":
-		return plancache()
-	case "parscan":
-		return parscan()
-	case "iobatch":
-		return iobatch()
-	case "evict":
-		return evict()
-	case "pushdown":
-		return pushdown()
-	case "cluster":
-		return clusterBench()
-	case "chaos":
-		return chaosBench()
+	for _, e := range experiments {
+		for _, n := range e.names {
+			if n == name {
+				return e.run()
+			}
+		}
 	}
 	return fmt.Errorf("unknown experiment %q", name)
 }

@@ -343,9 +343,7 @@ func (b *Broker) notifyRevoke(l *Lease) {
 }
 
 // Request grants spec.N leases of whole MRs per spec. All MRs in one
-// grant have the pool's fixed size. This is the unified entry point that
-// replaced the positional Request/RequestAvoiding pair; RequestLeases
-// and RequestAvoiding remain as deprecated wrappers.
+// grant have the pool's fixed size.
 func (b *Broker) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 	spec = spec.normalized()
 	if spec.N <= 0 {
@@ -455,23 +453,6 @@ func (b *Broker) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 	}
 	b.refreshGauges()
 	return out, nil
-}
-
-// RequestLeases grants n leases of whole MRs, placed per policy.
-//
-// Deprecated: this is the pre-RequestSpec positional signature (it was
-// named Request before the unified Request(p, RequestSpec) took that
-// name). Use Request.
-func (b *Broker) RequestLeases(p *sim.Proc, holder string, n int, place Placement) ([]*Lease, error) {
-	return b.Request(p, RequestSpec{Holder: holder, N: n, Place: place})
-}
-
-// RequestAvoiding grants like RequestLeases but never places an MR on a
-// donor server named in avoid (replica anti-affinity).
-//
-// Deprecated: use Request with RequestSpec.Avoid.
-func (b *Broker) RequestAvoiding(p *sim.Proc, holder string, n int, place Placement, avoid map[string]bool) ([]*Lease, error) {
-	return b.Request(p, RequestSpec{Holder: holder, N: n, Place: place, Avoid: avoid})
 }
 
 func (b *Broker) leasePath(id LeaseID) string {

@@ -272,13 +272,13 @@ func TestFairShareCap(t *testing.T) {
 	k.Run(0)
 }
 
-// Anti-affinity: RequestAvoiding must never place a lease on an avoided
+// Anti-affinity: a request with an Avoid set must never place a lease on an avoided
 // donor, and under donor scarcity it must refuse rather than violate
 // the constraint — free MRs on an avoided server do not count.
 func TestRequestAvoidingSkipsDonors(t *testing.T) {
 	harness(t, 3, 2, func(p *sim.Proc, b *Broker, servers []*cluster.Server, _ []*Proxy) {
 		avoid := map[string]bool{servers[0].Name: true}
-		leases, err := b.RequestAvoiding(p, "db1", 4, PlaceSpread, avoid)
+		leases, err := b.Request(p, RequestSpec{Holder: "db1", N: 4, Place: PlaceSpread, Avoid: avoid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,14 +296,14 @@ func TestRequestAvoidingSkipsDonors(t *testing.T) {
 func TestRequestAvoidingScarcityRefuses(t *testing.T) {
 	harness(t, 2, 2, func(p *sim.Proc, b *Broker, servers []*cluster.Server, _ []*Proxy) {
 		// Exhaust the allowed donor.
-		if _, err := b.RequestAvoiding(p, "db1", 2, PlacePack,
-			map[string]bool{servers[0].Name: true}); err != nil {
+		if _, err := b.Request(p, RequestSpec{Holder: "db1", N: 2, Place: PlacePack,
+			Avoid: map[string]bool{servers[0].Name: true}}); err != nil {
 			t.Fatal(err)
 		}
 		// Only the avoided donor has free MRs left: the request must
 		// refuse, not fall back onto it.
-		_, err := b.RequestAvoiding(p, "db1", 1, PlacePack,
-			map[string]bool{servers[0].Name: true})
+		_, err := b.Request(p, RequestSpec{Holder: "db1", N: 1, Place: PlacePack,
+			Avoid: map[string]bool{servers[0].Name: true}})
 		if err != ErrNoMemory {
 			t.Fatalf("err = %v, want ErrNoMemory", err)
 		}
@@ -311,7 +311,7 @@ func TestRequestAvoidingScarcityRefuses(t *testing.T) {
 			t.Fatalf("free=%d, want 2 (no lease leaked)", b.FreeMRs())
 		}
 		// Dropping the constraint makes the same request succeed.
-		leases, err := b.RequestAvoiding(p, "db1", 1, PlacePack, nil)
+		leases, err := b.Request(p, RequestSpec{Holder: "db1", N: 1, Place: PlacePack})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestRequestAvoidingScarcityRefuses(t *testing.T) {
 func TestRequestAvoidingAllDonorsRefuses(t *testing.T) {
 	harness(t, 2, 4, func(p *sim.Proc, b *Broker, servers []*cluster.Server, _ []*Proxy) {
 		avoid := map[string]bool{servers[0].Name: true, servers[1].Name: true}
-		if _, err := b.RequestAvoiding(p, "db1", 1, PlaceSpread, avoid); err != ErrNoMemory {
+		if _, err := b.Request(p, RequestSpec{Holder: "db1", N: 1, Place: PlaceSpread, Avoid: avoid}); err != ErrNoMemory {
 			t.Fatalf("err = %v, want ErrNoMemory with every donor avoided", err)
 		}
 	})

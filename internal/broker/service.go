@@ -13,9 +13,8 @@ import (
 )
 
 // RequestSpec describes one lease request. It is the unit both the
-// sharded router and the admission controller consume: everything the
-// old positional Request/RequestAvoiding signatures carried, plus the
-// tenant identity admission decisions are made on.
+// sharded router and the admission controller consume: who, how many,
+// where, and the tenant identity admission decisions are made on.
 type RequestSpec struct {
 	// Holder is the database server the leases are for; renewal routing
 	// and batched heartbeats key on it.

@@ -60,93 +60,22 @@ const ConnectCost = 100 * time.Microsecond
 // so f is readable and writable again when it is invoked.
 type Salvage func(p *sim.Proc, f *File, off, n int64) error
 
-// FS creates and opens remote-memory files for one database server.
+// FS creates and opens remote-memory files for one database server. Its
+// knobs are the Config it was built from, normalized by NewFS
+// (Replication >= 1 and, above 1, Integrity on; BlockSize defaulted).
 type FS struct {
+	Config
 	Broker    broker.LeaseService
-	Client    *rmem.Client
+	Client    *rmem.Client // shadows Config.Client, the settings it was built with
 	Transport rmem.Transport
-	Placement broker.Placement
 
-	// Tenant is the workload leases are charged to for broker admission
-	// (quotas, max-min fairness); empty defaults to the holder name.
-	Tenant string
-
-	// AutoRenew keeps leases alive with one batched heartbeat process
-	// per FS: every still-healthy lease of every open file renews in a
-	// single broker round trip (LeaseService.RenewAll), so renewal load
-	// scales with holders, not leases.
-	AutoRenew bool
-
-	// HeartbeatEvery is the batched-renewal cadence (0 = half the lease
-	// TTL).
-	HeartbeatEvery time.Duration
-
-	// Recover enables re-lease/restripe recovery: when a stripe's lease
-	// is revoked or expires, the FS leases a replacement MR and invokes
-	// the file's Salvage callback instead of declaring the whole file
-	// unavailable. Surviving stripes stay readable meanwhile.
-	Recover bool
-
-	// Integrity frames every logical block with a CRC-32C checksum and a
-	// generation stamp, verified on every read (see integrity.go).
-	Integrity bool
-
-	// BlockSize is the integrity/scrub granularity in bytes (default
-	// 4096). Only meaningful with Integrity on.
-	BlockSize int
-
-	// Replication stripes each file over K replicas on distinct donors;
-	// values above 1 force Integrity (reads must verify to fail over).
-	Replication int
-
-	// ScrubEvery starts a per-file background scrubber sweeping one
-	// stripe per tick at this cadence (0 disables). Requires Integrity.
-	ScrubEvery time.Duration
-
-	// Retry is the backoff policy for transient broker/metastore
-	// failures during renewal and re-leasing.
-	Retry fault.RetryPolicy
-
-	// DeadlineBudget bounds each read's time in the remote tier (0 =
-	// unbounded): a read still in flight past the budget is abandoned
-	// with an error wrapping fault.ErrSlow and the caller falls back
-	// exactly as for a transient failure. A per-process deadline
-	// (sim.Proc.SetDeadline, set from the query executor's per-query
-	// budget) takes precedence over this per-op default.
-	DeadlineBudget time.Duration
-
-	// Hedging races a replica read against the primary when the primary
-	// exceeds an adaptive threshold (the donor's learned p95 latency),
-	// taking the first verified frame. Requires Replication > 1 to have
-	// any effect. Hedge volume is capped at HedgeRateCap of reads.
-	Hedging bool
-
-	// HedgeRateCap is the maximum fraction of reads allowed to hedge
-	// (0 = default 0.1), so hedges cannot melt the NIC when the whole
-	// fleet slows down at once.
-	HedgeRateCap float64
-
-	// HedgeAfter fixes the hedge threshold (0 = adaptive per-donor p95).
-	HedgeAfter time.Duration
-
-	// HealthChecks scores every donor's latency/error history, drives
-	// the three-state breaker (healthy -> browned-out -> quarantined),
-	// deprioritizes browned-out donors for new leases (soft-avoid hints
-	// piggybacked on heartbeats), proactively migrates replicas off
-	// quarantined donors, and probes unhealthy donors with trickle
-	// reads for recovery. See health.go.
-	HealthChecks bool
-
-	// DefaultSalvage, when non-nil, is installed on every created file
-	// (a per-file SetSalvage overrides it).
-	DefaultSalvage Salvage
-
-	k        *sim.Kernel
-	holder   string
-	files    map[string]*File
-	hbActive bool
-	health   *healthTracker // nil unless Hedging or HealthChecks
-	frames   [][]byte       // free list of integrity frames (see integrity.go)
+	k         *sim.Kernel
+	holder    string
+	files     map[string]*File
+	hbActive  bool
+	health    *healthTracker // nil unless Hedging or HealthChecks
+	frames    [][]byte       // free list of integrity frames (see integrity.go)
+	scratches []*scratch     // free list of request scratch (see io.go)
 
 	// Fault-tolerance counters (virtual-time observability).
 	Restripes    int64 // stripes (all replicas) successfully re-leased
@@ -187,42 +116,80 @@ type Config struct {
 	Protocol  nic.Protocol
 	Placement broker.Placement
 	Client    rmem.ClientConfig
+
+	// Tenant is the workload leases are charged to for broker admission
+	// (quotas, max-min fairness); empty defaults to the holder name.
+	Tenant string
+
+	// AutoRenew keeps leases alive with one batched heartbeat process
+	// per FS: every still-healthy lease of every open file renews in a
+	// single broker round trip (LeaseService.RenewAll), so renewal load
+	// scales with holders, not leases.
 	AutoRenew bool
 
-	// Tenant tags lease requests for broker admission (see FS.Tenant).
-	Tenant string
-	// HeartbeatEvery is the batched-renewal cadence (see
-	// FS.HeartbeatEvery).
+	// HeartbeatEvery is the batched-renewal cadence (0 = half the lease
+	// TTL).
 	HeartbeatEvery time.Duration
 
-	// Recover enables re-lease/restripe recovery (see FS.Recover).
+	// Recover enables re-lease/restripe recovery: when a stripe's lease
+	// is revoked or expires, the FS leases a replacement MR and invokes
+	// the file's Salvage callback instead of declaring the whole file
+	// unavailable. Surviving stripes stay readable meanwhile.
 	Recover bool
-	// Integrity enables checksummed block frames (see FS.Integrity).
+
+	// Integrity frames every logical block with a CRC-32C checksum and a
+	// generation stamp, verified on every read (see integrity.go).
 	Integrity bool
-	// BlockSize is the integrity granularity (see FS.BlockSize).
+
+	// BlockSize is the integrity/scrub granularity in bytes (default
+	// 4096). Only meaningful with Integrity on.
 	BlockSize int
-	// Replication is the per-stripe replica count (see FS.Replication).
+
+	// Replication stripes each file over K <= 64 replicas on distinct
+	// donors; values above 1 force Integrity (reads must verify to fail
+	// over).
 	Replication int
-	// ScrubEvery is the background scrubber cadence (see FS.ScrubEvery).
+
+	// ScrubEvery starts a per-file background scrubber sweeping one
+	// stripe per tick at this cadence (0 disables). Requires Integrity.
 	ScrubEvery time.Duration
-	// Retry is the transient-failure backoff policy (see FS.Retry).
+
+	// Retry is the backoff policy for transient broker/metastore
+	// failures during renewal and re-leasing.
 	Retry fault.RetryPolicy
-	// Salvage is the FS-wide default salvage callback (see
-	// FS.DefaultSalvage).
+
+	// Salvage, when non-nil, is installed on every created file (a
+	// per-file SetSalvage overrides it).
 	Salvage Salvage
 
-	// DeadlineBudget bounds each read's remote-tier time (see
-	// FS.DeadlineBudget).
+	// DeadlineBudget bounds each read's time in the remote tier (0 =
+	// unbounded): a read still in flight past the budget is abandoned
+	// with an error wrapping fault.ErrSlow and the caller falls back
+	// exactly as for a transient failure. A per-process deadline
+	// (sim.Proc.SetDeadline, set from the query executor's per-query
+	// budget) takes precedence over this per-op default.
 	DeadlineBudget time.Duration
-	// Hedging enables hedged replica reads (see FS.Hedging).
+
+	// Hedging races a replica read against the primary when the primary
+	// exceeds an adaptive threshold (the donor's learned p95 latency),
+	// taking the first verified frame. Requires Replication > 1 to have
+	// any effect. Hedge volume is capped at HedgeRateCap of reads.
 	Hedging bool
-	// HedgeRateCap caps the hedged fraction of reads (see
-	// FS.HedgeRateCap).
+
+	// HedgeRateCap is the maximum fraction of reads allowed to hedge
+	// (0 = default 0.1), so hedges cannot melt the NIC when the whole
+	// fleet slows down at once.
 	HedgeRateCap float64
-	// HedgeAfter fixes the hedge threshold (see FS.HedgeAfter).
+
+	// HedgeAfter fixes the hedge threshold (0 = adaptive per-donor p95).
 	HedgeAfter time.Duration
-	// HealthChecks enables donor health scoring and the brownout /
-	// quarantine breaker (see FS.HealthChecks).
+
+	// HealthChecks scores every donor's latency/error history, drives
+	// the three-state breaker (healthy -> browned-out -> quarantined),
+	// deprioritizes browned-out donors for new leases (soft-avoid hints
+	// piggybacked on heartbeats), proactively migrates replicas off
+	// quarantined donors, and probes unhealthy donors with trickle
+	// reads for recovery. See health.go.
 	HealthChecks bool
 }
 
@@ -258,29 +225,17 @@ func NewFS(p *sim.Proc, b broker.LeaseService, client *rmem.Client, cfg Config) 
 	if cfg.Integrity && cfg.BlockSize <= 0 {
 		cfg.BlockSize = DefaultBlockSize
 	}
+	if cfg.Replication > 64 {
+		panic("core: Replication above 64 replicas per stripe")
+	}
 	fs := &FS{
-		Broker:         b,
-		Client:         client,
-		Transport:      rmem.NewTransport(cfg.Protocol),
-		Placement:      cfg.Placement,
-		Tenant:         cfg.Tenant,
-		AutoRenew:      cfg.AutoRenew,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		Recover:        cfg.Recover,
-		Integrity:      cfg.Integrity,
-		BlockSize:      cfg.BlockSize,
-		Replication:    cfg.Replication,
-		ScrubEvery:     cfg.ScrubEvery,
-		Retry:          cfg.Retry,
-		DeadlineBudget: cfg.DeadlineBudget,
-		Hedging:        cfg.Hedging,
-		HedgeRateCap:   cfg.HedgeRateCap,
-		HedgeAfter:     cfg.HedgeAfter,
-		HealthChecks:   cfg.HealthChecks,
-		DefaultSalvage: cfg.Salvage,
-		k:              p.Kernel(),
-		holder:         client.Server.Name,
-		files:          make(map[string]*File),
+		Config:    cfg,
+		Broker:    b,
+		Client:    client,
+		Transport: rmem.NewTransport(cfg.Protocol),
+		k:         p.Kernel(),
+		holder:    client.Server.Name,
+		files:     make(map[string]*File),
 	}
 	if fs.Hedging || fs.HealthChecks {
 		fs.health = newHealthTracker(fs)
@@ -424,9 +379,6 @@ func (fs *FS) Create(p *sim.Proc, name string, size int64) (*File, error) {
 		}
 	}
 	k := fs.Replication
-	if k < 1 {
-		k = 1
-	}
 	need := int((size + stripeCap - 1) / stripeCap)
 	releaseAll := func(stripes [][]*broker.Lease) {
 		for _, reps := range stripes {
@@ -468,7 +420,7 @@ func (fs *FS) Create(p *sim.Proc, name string, size int64) (*File, error) {
 		leases:    leases,
 		down:      makeGrid(need, k),
 		repairing: makeGrid(need, k),
-		salvage:   fs.DefaultSalvage,
+		salvage:   fs.Salvage,
 		connected: make(map[string]bool),
 	}
 	if fs.Integrity {
@@ -889,95 +841,6 @@ func (f *File) stripeErr(idx int) error {
 	return fmt.Errorf("core: stripe %d of %q lost, repair in progress: %w", idx, f.name, vfs.ErrUnavailable)
 }
 
-// access splits the range [off, off+len(b)) across MRs and issues one
-// transfer per fragment — the legacy unframed path (FS.Integrity off,
-// single replica). A fragment on a lost stripe fails with a
-// degraded-mode error (wrapping vfs.ErrUnavailable) and triggers repair;
-// fragments on healthy stripes are unaffected.
-func (f *File) access(p *sim.Proc, b []byte, off int64, write bool) error {
-	if err := f.check(off, len(b)); err != nil {
-		return err
-	}
-	for len(b) > 0 {
-		idx := off / f.mrSize
-		within := off % f.mrSize
-		n := f.mrSize - within
-		if n > int64(len(b)) {
-			n = int64(len(b))
-		}
-		if f.down[idx][0] {
-			return f.stripeErr(int(idx))
-		}
-		l := f.leases[idx][0]
-		if !l.Valid(p.Now()) {
-			f.replicaLost(int(idx), 0)
-			if f.unavailable {
-				return vfs.ErrUnavailable
-			}
-			return f.stripeErr(int(idx))
-		}
-		var err error
-		if write {
-			err = f.fs.Transport.Write(p, f.fs.Client, l.MR, int(within), b[:n])
-		} else if dl := f.fs.opDeadline(p); dl > 0 {
-			err = rmem.ReadWithin(p, f.fs.Transport, f.fs.Client, l.MR, int(within), b[:n], dl)
-			if errors.Is(err, fault.ErrSlow) {
-				f.fs.SlowReads++
-			}
-		} else {
-			err = f.fs.Transport.Read(p, f.fs.Client, l.MR, int(within), b[:n])
-		}
-		if err != nil {
-			if errors.Is(err, rmem.ErrRevoked) {
-				f.replicaLost(int(idx), 0)
-				if f.unavailable {
-					return vfs.ErrUnavailable
-				}
-				return f.stripeErr(int(idx))
-			}
-			return err
-		}
-		b = b[n:]
-		off += n
-	}
-	if write {
-		f.Writes++
-	} else {
-		f.Reads++
-	}
-	return nil
-}
-
-// ReadAt reads len(b) bytes at off via RDMA, verifying integrity frames
-// when the FS has them enabled.
-func (f *File) ReadAt(p *sim.Proc, b []byte, off int64) error {
-	var err error
-	if f.fs.Integrity {
-		err = f.framedAccess(p, b, off, false)
-	} else {
-		err = f.access(p, b, off, false)
-	}
-	if err == nil {
-		f.BytesRead += int64(len(b))
-	}
-	return err
-}
-
-// WriteAt writes b at off via RDMA, sealing integrity frames and
-// fanning out to every replica when the FS has them enabled.
-func (f *File) WriteAt(p *sim.Proc, b []byte, off int64) error {
-	var err error
-	if f.fs.Integrity {
-		err = f.framedAccess(p, b, off, true)
-	} else {
-		err = f.access(p, b, off, true)
-	}
-	if err == nil {
-		f.Written += int64(len(b))
-	}
-	return err
-}
-
 // Close tears down connections; leases are kept (reopen is possible)
 // until Delete.
 func (f *File) Close(p *sim.Proc) error {
@@ -986,5 +849,3 @@ func (f *File) Close(p *sim.Proc) error {
 	f.renewStop = true
 	return nil
 }
-
-var _ vfs.File = (*File)(nil)

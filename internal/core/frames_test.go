@@ -13,7 +13,8 @@ import (
 // A framed, replication-2, hedged 8 K ReadAt is two block reads, each
 // through a frame of its own plus one per raced replica read. With the
 // free list warm none of them is allocated: the whole call stays far
-// below one frame's worth of bytes.
+// below one frame's worth of bytes — within the 976 B the two races'
+// procs, conds and timers cost before the routes were merged.
 func TestFramedReadAllocatesNoFrame(t *testing.T) {
 	k := sim.New(1)
 	defer k.Close()
@@ -49,8 +50,8 @@ func TestFramedReadAllocatesNoFrame(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs
-		if perOp >= uint64(f.frameSize()) {
-			t.Errorf("ReadAt 8K allocates %d B/op: a %d-byte frame is still being allocated", perOp, f.frameSize())
+		if perOp > 976 {
+			t.Errorf("hedged ReadAt 8K allocates %d B/op, want at most 976 (a frame is %d bytes)", perOp, f.frameSize())
 		}
 		e.fs.CloseAll(p)
 	})
@@ -202,9 +203,10 @@ func TestPartialWriteIntoFreshBlockReadsZerosAround(t *testing.T) {
 // take the no-search path, a lower or repeated block the scan.
 func TestSplitBlocksFirstTouchOrder(t *testing.T) {
 	const bs = DefaultBlockSize
-	f := &File{fs: &FS{BlockSize: bs}}
+	f := &File{fs: &FS{Config: Config{BlockSize: bs}}}
 	buf := make([]byte, 4*bs)
-	blocks := f.splitBlocks([]vfs.Vec{
+	var sc scratch
+	f.splitBlocks(&sc, []vfs.Vec{
 		{Off: 3 * bs, Buf: buf[:bs]},           // block 3
 		{Off: 1*bs + 100, Buf: buf[:50]},       // block 1: below the maximum
 		{Off: 5 * bs, Buf: buf[:2*bs]},         // blocks 5, 6
@@ -212,6 +214,7 @@ func TestSplitBlocksFirstTouchOrder(t *testing.T) {
 		{Off: bs / 2, Buf: buf[:bs]},           // blocks 0 and 1
 		{Off: 6*bs + bs/2, Buf: buf[:bs/2+10]}, // block 6 again (partial), then 7
 	})
+	blocks := sc.blocks
 	type want struct {
 		g       int64
 		withins []int64

@@ -36,16 +36,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"remotedb/internal/fault"
 	"remotedb/internal/metrics"
-	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
-	"remotedb/internal/vfs"
 )
 
 // Breaker thresholds. A donor's *median* latency is compared against
@@ -330,8 +327,8 @@ func (fs *FS) opDeadline(p *sim.Proc) time.Duration {
 	return 0
 }
 
-// tailTolerant reports whether the tail-tolerant read path should
-// handle this process's framed reads.
+// tailTolerant reports whether fetchBlock races this process's replica
+// reads (hedge, deadline, health scoring) instead of reading inline.
 func (fs *FS) tailTolerant(p *sim.Proc) bool {
 	return fs.Hedging || fs.HealthChecks || fs.DeadlineBudget > 0 || p.Deadline() > 0
 }
@@ -524,93 +521,6 @@ func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame []byte, pr
 	}
 }
 
-// fetchBlockTolerant is fetchBlockSkip with deadline budgets, hedging,
-// and health-aware replica ordering. It preserves the serial path's
-// contract: on nil return, frame holds a verified copy; corrupt copies
-// it passed are repaired from the winner; a block with no verifiable
-// copy anywhere is poisoned.
-func (f *File) fetchBlockTolerant(p *sim.Proc, g int64, frame []byte, skip int) error {
-	f.fs.TolerantReads++
-	s, frameOff := f.blockHome(g)
-	bs := f.fs.BlockSize
-	now := p.Now()
-	failedOver := false
-	var cands []int
-	for r := range f.leases[s] {
-		if r == skip {
-			continue
-		}
-		if f.down[s][r] {
-			failedOver = true
-			continue
-		}
-		if !f.leases[s][r].Valid(now) {
-			f.replicaLost(s, r)
-			if f.unavailable {
-				return vfs.ErrUnavailable
-			}
-			failedOver = true
-			continue
-		}
-		cands = append(cands, r)
-	}
-	f.orderByHealth(s, cands, now)
-	deadline := f.fs.opDeadline(p)
-	var bad []int
-	i := 0
-	for i < len(cands) {
-		primary := cands[i]
-		hedge := -1
-		if f.fs.Hedging && i+1 < len(cands) {
-			hedge = cands[i+1]
-		}
-		res := f.raceFrame(p, g, s, frameOff, frame, primary, hedge, deadline)
-		anyFailed := failedOver
-		for _, c := range res.children {
-			if !c.done || c.r == res.winner {
-				continue
-			}
-			anyFailed = true
-			if errors.Is(c.err, rmem.ErrRevoked) {
-				f.replicaLost(s, c.r)
-				if f.unavailable {
-					return vfs.ErrUnavailable
-				}
-			} else if c.err == nil && !c.verified {
-				f.fs.Corruptions.Add(1, int64(bs))
-				bad = append(bad, c.r)
-			}
-		}
-		if res.winner >= 0 {
-			if anyFailed {
-				f.fs.Failovers.Add(1, int64(bs))
-			}
-			for _, rb := range bad {
-				f.repairBlockOn(p, g, rb, frame)
-			}
-			return nil
-		}
-		if res.slow {
-			f.fs.SlowReads++
-			return f.errSlowRead(g)
-		}
-		failedOver = true
-		i += len(res.children)
-	}
-	if len(bad) > 0 {
-		if f.underRepair(s) {
-			// See fetchBlockSkip: repair churn, not data loss.
-			return f.stripeErr(s)
-		}
-		f.poisonBlock(p, g)
-		return f.corruptErr(g)
-	}
-	if f.unavailable {
-		return vfs.ErrUnavailable
-	}
-	return f.stripeErr(s)
-}
-
 // orderByHealth sorts candidate replicas healthiest-first (stable, so
 // replica order breaks ties deterministically). An unhealthy donor due
 // a half-open probe is promoted to the front instead: the trickle read
@@ -621,25 +531,31 @@ func (f *File) orderByHealth(s int, cands []int, now time.Duration) {
 	if h == nil || !f.fs.HealthChecks || len(cands) < 2 {
 		return
 	}
-	rank := make(map[int]int, len(cands))
-	for _, r := range cands {
-		name := f.leases[s][r].MR.Owner.Name
-		d := h.donors[name]
+	var rankBuf [4]int
+	rank := append(rankBuf[:0], cands...)
+	for i, r := range cands {
+		d := h.donors[f.leases[s][r].MR.Owner.Name]
 		switch {
 		case d == nil || d.state == donorHealthy:
-			rank[r] = 1
+			rank[i] = 1
 		case now >= d.nextProbe:
 			// Promote for one probe and push the next one out now, so a
 			// candidate that ends up not being read still waits a full
 			// interval before being promoted again.
-			rank[r] = 0
+			rank[i] = 0
 			d.nextProbe = now + h.probeEvery()
 			f.fs.HealthProbes++
 		case d.state == donorBrowned:
-			rank[r] = 2
+			rank[i] = 2
 		default:
-			rank[r] = 3
+			rank[i] = 3
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return rank[cands[a]] < rank[cands[b]] })
+	// Insertion sort: a handful of candidates, and nothing escapes.
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && rank[j] < rank[j-1]; j-- {
+			rank[j], rank[j-1] = rank[j-1], rank[j]
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
 }

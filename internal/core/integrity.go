@@ -54,7 +54,6 @@ import (
 	"hash/crc32"
 
 	"remotedb/internal/broker"
-	"remotedb/internal/hw/nic"
 	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
 	"remotedb/internal/vfs"
@@ -153,162 +152,14 @@ func (f *File) corruptErr(g int64) error {
 	return fmt.Errorf("core: block %d of %q failed integrity verification: %w", g, f.name, vfs.ErrCorrupt)
 }
 
-// framedAccess is the integrity-mode I/O path: block-at-a-time, sealed
-// on write, verified with replica failover on read.
-func (f *File) framedAccess(p *sim.Proc, b []byte, off int64, write bool) error {
-	if err := f.check(off, len(b)); err != nil {
-		return err
-	}
-	bs := int64(f.fs.BlockSize)
-	for len(b) > 0 {
-		g := off / bs
-		within := off % bs
-		n := bs - within
-		if n > int64(len(b)) {
-			n = int64(len(b))
-		}
-		var err error
-		if write {
-			err = f.writeBlock(p, g, within, b[:n])
-		} else {
-			err = f.readBlockInto(p, g, within, b[:n])
-		}
-		if err != nil {
-			return err
-		}
-		b = b[n:]
-		off += n
-	}
-	if write {
-		f.Writes++
-	} else {
-		f.Reads++
-	}
-	return nil
-}
-
-// readBlockInto serves dst from block g's logical bytes
-// [within, within+len(dst)).
-func (f *File) readBlockInto(p *sim.Proc, g, within int64, dst []byte) error {
-	if f.poisoned[g] {
-		return f.corruptErr(g)
-	}
-	if f.gens[g] == 0 {
-		// Never written (or zeroed by a restripe): serve zeros locally.
-		// The memset is charged as client CPU — a zero-cost success here
-		// would let a read loop over a zeroed range spin without ever
-		// yielding to the simulation clock.
-		f.fs.Client.Server.Work(p, nic.MemcpyCost(len(dst)))
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	frame := f.fs.getFrame()
-	err := f.fetchBlock(p, g, frame)
-	if err == nil {
-		copy(dst, frame[within:within+int64(len(dst))])
-	}
-	f.fs.putFrame(frame)
-	return err
-}
-
-// fetchBlock reads and verifies block g's frame from the first replica
-// that yields a verified copy, failing over on corruption or revocation
-// and repairing corrupt copies it passed on the way. On return with nil
-// error, frame holds a verified frame.
-func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte) error {
-	if f.fs.tailTolerant(p) {
-		return f.fetchBlockTolerant(p, g, frame, -1)
-	}
-	return f.fetchBlockSkip(p, g, frame, -1)
-}
-
-// fetchBlockSkip is fetchBlock excluding replica skip (the scrubber uses
-// it to find a good copy for a replica it already knows is bad).
-func (f *File) fetchBlockSkip(p *sim.Proc, g int64, frame []byte, skip int) error {
-	s, frameOff := f.blockHome(g)
-	bs := f.fs.BlockSize
-	var bad []int
-	failedOver := false
-	for r := range f.leases[s] {
-		if r == skip {
-			continue
-		}
-		if f.down[s][r] {
-			// Marked lost already (revoke-watch or an earlier access):
-			// serving past it is a failover all the same.
-			failedOver = true
-			continue
-		}
-		l := f.leases[s][r]
-		if !l.Valid(p.Now()) {
-			f.replicaLost(s, r)
-			if f.unavailable {
-				return vfs.ErrUnavailable
-			}
-			failedOver = true
-			continue
-		}
-		err := f.fs.Transport.Read(p, f.fs.Client, l.MR, frameOff, frame)
-		if err != nil {
-			if errors.Is(err, rmem.ErrRevoked) {
-				f.replicaLost(s, r)
-				if f.unavailable {
-					return vfs.ErrUnavailable
-				}
-				failedOver = true
-				continue
-			}
-			return err
-		}
-		if verr := verifyFrame(frame, bs, f.gens[g]); verr != nil {
-			f.fs.Corruptions.Add(1, int64(bs))
-			bad = append(bad, r)
-			failedOver = true
-			continue
-		}
-		if failedOver {
-			f.fs.Failovers.Add(1, int64(bs))
-		}
-		for _, rb := range bad {
-			f.repairBlockOn(p, g, rb, frame)
-		}
-		return nil
-	}
-	if len(bad) > 0 {
-		if f.underRepair(s) {
-			// An unverifiable frame while the stripe is actively being
-			// rebuilt is the rebuild's churn (half-swapped replicas,
-			// salvage writes racing this read), not data loss. Degrade to
-			// the retryable repair-in-progress error instead of poisoning
-			// a block the repair is about to make whole.
-			return f.stripeErr(s)
-		}
-		// Every live replica's copy failed verification: the block's
-		// data is gone. Fail loudly and let salvage repopulate.
-		f.poisonBlock(p, g)
-		return f.corruptErr(g)
-	}
-	if f.unavailable {
-		return vfs.ErrUnavailable
-	}
-	return f.stripeErr(s)
-}
-
 // repairBlockOn rewrites block g's frame on replica r from a verified
 // good copy (in-place corruption repair).
 func (f *File) repairBlockOn(p *sim.Proc, g int64, r int, goodFrame []byte) {
 	s, frameOff := f.blockHome(g)
-	if f.down[s][r] {
-		return // replica is being rebuilt wholesale
+	if live, _, _ := f.liveReplicas(p, s, -1); !live.has(r) {
+		return // lost since it was read; it is being rebuilt wholesale
 	}
-	l := f.leases[s][r]
-	if !l.Valid(p.Now()) {
-		f.replicaLost(s, r)
-		return
-	}
-	err := f.fs.Transport.Write(p, f.fs.Client, l.MR, frameOff, goodFrame)
+	err := f.fs.Transport.Write(p, f.fs.Client, f.leases[s][r].MR, frameOff, goodFrame)
 	if errors.Is(err, rmem.ErrRevoked) {
 		f.replicaLost(s, r)
 		return
@@ -347,65 +198,6 @@ func (f *File) poisonBlock(p *sim.Proc, g int64) {
 			f.fs.Salvages++
 		}
 	})
-}
-
-// writeBlock seals block g's frame (read-merge-write for partial
-// blocks) and fans it out to every healthy replica.
-func (f *File) writeBlock(p *sim.Proc, g, within int64, src []byte) error {
-	bs := f.fs.BlockSize
-	frame := f.fs.getFrame()
-	defer f.fs.putFrame(frame)
-	if partial := within != 0 || len(src) != bs; partial {
-		if f.gens[g] != 0 && !f.poisoned[g] {
-			if err := f.fetchBlock(p, g, frame); err != nil {
-				return err
-			}
-		} else {
-			clear(frame[:bs]) // nothing to merge with: zeros around src
-		}
-	}
-	copy(frame[within:within+int64(len(src))], src)
-	newGen := f.gens[g] + 1
-	sealFrame(frame, bs, newGen)
-	s, frameOff := f.blockHome(g)
-	wrote := 0
-	for r := range f.leases[s] {
-		if f.down[s][r] {
-			continue
-		}
-		l := f.leases[s][r]
-		if !l.Valid(p.Now()) {
-			f.replicaLost(s, r)
-			if f.unavailable {
-				return vfs.ErrUnavailable
-			}
-			continue
-		}
-		err := f.fs.Transport.Write(p, f.fs.Client, l.MR, frameOff, frame)
-		if err != nil {
-			if errors.Is(err, rmem.ErrRevoked) {
-				f.replicaLost(s, r)
-				if f.unavailable {
-					return vfs.ErrUnavailable
-				}
-				continue
-			}
-			return err
-		}
-		wrote++
-	}
-	if wrote == 0 {
-		if f.unavailable {
-			return vfs.ErrUnavailable
-		}
-		return f.stripeErr(s)
-	}
-	f.gens[g] = newGen
-	// A write heals poison: the block holds fresh data now (for a
-	// partial write the unwritten remainder is zeros — the loss was
-	// already announced via error and salvage).
-	delete(f.poisoned, g)
-	return nil
 }
 
 // repairReplica rebuilds one lost replica of stripe s: lease a
@@ -477,7 +269,7 @@ func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 		buf := scratch[:run*fsz]
 		for i := int64(0); i < run; i++ {
 			fr := buf[i*fsz : (i+1)*fsz]
-			if err := f.fetchBlock(p, g+i, fr); err != nil {
+			if err := f.fetchBlock(p, g+i, fr, -1); err != nil {
 				if errors.Is(err, vfs.ErrCorrupt) {
 					// Just poisoned: leave the slot zeroed — reads are
 					// gated by the poison flag, never by this copy.
@@ -568,7 +360,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 				// good copy elsewhere and rewrite this one, or poison.
 				f.fs.Corruptions.Add(1, int64(bs))
 				good := f.fs.getFrame()
-				if ferr := f.fetchBlockSkip(p, g+i, good, r); ferr == nil {
+				if ferr := f.fetchBlock(p, g+i, good, r); ferr == nil {
 					f.repairBlockOn(p, g+i, r, good)
 				} else if !errors.Is(ferr, vfs.ErrCorrupt) {
 					// No other replica could serve the block: this was

@@ -230,12 +230,12 @@ func TestRevocationWithReplicaHasNoDegradedWindow(t *testing.T) {
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		salvages := 0
-		e.fs.DefaultSalvage = func(sp *sim.Proc, sf *File, off, n int64) error {
+		e.fs.Salvage = func(sp *sim.Proc, sf *File, off, n int64) error {
 			salvages++
 			return nil
 		}
 		f, _ := e.fs.Create(p, "f", 1<<20)
-		f.SetSalvage(e.fs.DefaultSalvage)
+		f.SetSalvage(e.fs.Salvage)
 		f.OpenConn(p)
 		data := pattern(256<<10, 5)
 		f.WriteAt(p, data, 0)
@@ -566,12 +566,12 @@ func TestAllReplicasLostFallsBackToSalvage(t *testing.T) {
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 16, integrityCfg(2))
 		salvaged := false
-		e.fs.DefaultSalvage = func(sp *sim.Proc, sf *File, off, n int64) error {
+		e.fs.Salvage = func(sp *sim.Proc, sf *File, off, n int64) error {
 			salvaged = true
 			return nil
 		}
 		f, _ := e.fs.Create(p, "f", 1<<20)
-		f.SetSalvage(e.fs.DefaultSalvage)
+		f.SetSalvage(e.fs.Salvage)
 		f.OpenConn(p)
 		f.WriteAt(p, pattern(64<<10, 2), 0)
 		// Kill both replicas of stripe 0 back to back: only then does

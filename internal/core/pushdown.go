@@ -27,7 +27,6 @@ import (
 	"remotedb/internal/fault"
 	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
-	"remotedb/internal/vfs"
 )
 
 // ErrNoPush reports that this file cannot serve pushed reads (no
@@ -82,26 +81,16 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 			continue // never written: zero records, no wire traffic
 		}
 		s, frameOff := f.blockHome(g)
-		r := -1
-		for cand := range f.leases[s] {
-			if f.down[s][cand] {
-				continue
-			}
-			if !f.leases[s][cand].Valid(p.Now()) {
-				f.replicaLost(s, cand)
-				if f.unavailable {
-					return nil, stats, vfs.ErrUnavailable
-				}
-				continue
-			}
-			r = cand
-			break
+		live, _, err := f.liveReplicas(p, s, -1)
+		if err != nil {
+			return nil, stats, err
 		}
-		if r < 0 {
-			if f.unavailable {
-				return nil, stats, vfs.ErrUnavailable
-			}
-			return nil, stats, f.stripeErr(s)
+		if live == 0 {
+			return nil, stats, f.lostErr(s)
+		}
+		r := 0
+		for !live.has(r) {
+			r++
 		}
 		gen := f.gens[g]
 		blockSize := f.fs.BlockSize
@@ -161,7 +150,7 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 func (f *File) pushFallbackBlock(p *sim.Proc, g int64, q *rmem.PushQuery) ([]byte, error) {
 	frame := f.fs.getFrame()
 	defer f.fs.putFrame(frame) // EvalPush copies what it keeps
-	if err := f.fetchBlock(p, g, frame); err != nil {
+	if err := f.fetchBlock(p, g, frame, -1); err != nil {
 		return nil, err
 	}
 	data := frame[:f.fs.BlockSize]

@@ -393,7 +393,7 @@ func (bed *Bed) wireSalvage() {
 	}
 	// Semantic-cache files are created later (at Build time), so they
 	// inherit the FS-wide default salvage installed here.
-	bed.FS.DefaultSalvage = func(p *sim.Proc, cf *core.File, off, n int64) error {
+	bed.FS.Salvage = func(p *sim.Proc, cf *core.File, off, n int64) error {
 		if bed.Eng == nil || bed.Eng.Cache == nil {
 			return nil
 		}

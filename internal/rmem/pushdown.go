@@ -286,38 +286,21 @@ func (c *Client) pushBatch(p *sim.Proc, elems []PushElem, batch []int, q *PushQu
 		stats.RowsScanned += int64(rows)
 		stats.RowsMatched += int64(matched)
 	}
-	total := 0
-	do := func() {
-		// One doorbell posts every descriptor; each donor then runs its
-		// share of the eval on its own CPU and the qualifying bytes come
-		// back as one message per donor.
-		prof := nic.ProfileFor(nic.ProtoRDMA)
-		p.Sleep(prof.ClientPost)
+	// One doorbell posts every descriptor; each donor then runs its share
+	// of the eval on its own CPU and the qualifying bytes come back as one
+	// message per donor. How many bytes qualify is not known when the
+	// doorbell rings, so the completion mode is chosen as for an empty
+	// transfer.
+	c.complete(p, 0, func() {
+		p.Sleep(nic.ProfileFor(nic.ProtoRDMA).ClientPost)
 		for _, g := range groups {
 			nic.Wire(p, c.Server.NIC, g.owner.NIC, g.reqBytes)
 			g.owner.Work(p, g.cpu)
 			p.Sleep(nic.MemcpyCost(g.outBytes))
 			nic.Wire(p, g.owner.NIC, c.Server.NIC, g.outBytes)
 			c.RoundTrips++
-			total += g.outBytes
 		}
-	}
-	switch c.Mode {
-	case AccessSync:
-		c.Server.Exec(p, do)
-	case AccessAdaptive:
-		est := time.Duration(float64(total)/c.Server.NIC.Config().PayloadBytesPerSec*1e9) +
-			c.Server.NIC.Config().BaseLatency
-		if est <= SyncSpinThreshold {
-			c.Server.Exec(p, do)
-		} else {
-			do()
-			c.Server.Reschedule(p)
-		}
-	default:
-		do()
-		c.Server.Reschedule(p)
-	}
+	})
 	// Post-flight: regions revoked while the batch was in flight fail
 	// only their own elements, and verify/eval failures surface now.
 	for _, i := range batch {

@@ -270,7 +270,7 @@ type Client struct {
 	slotsPerSch  int // sub-batch element bound for vectored transfers
 	stagingBytes int // sub-batch byte bound (one scheduler's staging MR)
 
-	spare [][]byte // free list of ReadWithin's private buffers
+	spare []*spareRead // free list of ReadVWithin's private state
 
 	Reads, Writes       int64
 	BytesRead, BytesWrt int64
@@ -415,6 +415,86 @@ type rdmaTransport struct{}
 
 func (t *rdmaTransport) Protocol() nic.Protocol { return nic.ProtoRDMA }
 
+// dest is one destination server's share of a plan: everything bound
+// for it travels as one wire message.
+type dest struct {
+	owner *cluster.Server
+	bytes int
+}
+
+// plan is one doorbell's worth of RDMA work: n staged elements, their
+// summed staging cost, and the per-destination wire messages in
+// first-appearance order (so the charged sequence is deterministic).
+type plan struct {
+	n     int
+	total int
+	prep  time.Duration
+	dests []dest
+}
+
+// prepCost is what making n caller bytes NIC-visible costs: a copy
+// through the preregistered staging buffer, or registering the caller's
+// buffer for this one transfer.
+func (c *Client) prepCost(n int) time.Duration {
+	if c.Reg == RegOnDemand {
+		return nic.RegisterCost(n)
+	}
+	return nic.MemcpyCost(n)
+}
+
+// issue is the one place an RDMA read or write is priced. It takes the
+// plan's staging slots (the caller releases them once the bytes have
+// landed), rings one doorbell, waits out each destination's service
+// delay — a donor under memory pressure (reclaiming, NIC-saturated)
+// services one-sided transfers late: the pages being reclaimed stall the
+// DMA even though no remote CPU is involved — stages every element, and
+// sends one wire message per destination.
+func (c *Client) issue(p *sim.Proc, pl *plan, write bool) {
+	c.acquireStaging(p, pl.n)
+	c.complete(p, pl.total, func() {
+		p.Sleep(nic.ProfileFor(nic.ProtoRDMA).ClientPost)
+		for _, d := range pl.dests {
+			if delay := d.owner.ServiceDelay(); delay > 0 {
+				p.Sleep(delay)
+			}
+		}
+		p.Sleep(pl.prep)
+		for _, d := range pl.dests {
+			if write {
+				nic.Wire(p, c.Server.NIC, d.owner.NIC, d.bytes)
+			} else {
+				nic.Wire(p, d.owner.NIC, c.Server.NIC, d.bytes)
+			}
+			c.RoundTrips++
+		}
+	})
+}
+
+// complete runs one posted transfer under the client's completion mode
+// (Section 4.1.3): spin on the completion queue holding the core, or
+// yield and pay a context switch when the completion is processed.
+func (c *Client) complete(p *sim.Proc, bytes int, do func()) {
+	spin := c.Mode == AccessSync
+	if c.Mode == AccessAdaptive {
+		// Predict the transfer time from size; spin for short transfers,
+		// yield for long ones. The prediction uses the wire rate only — a
+		// real implementation would sample completion times, but the
+		// decision boundary is the same.
+		cfg := c.Server.NIC.Config()
+		est := time.Duration(float64(bytes)/cfg.PayloadBytesPerSec*1e9) + cfg.BaseLatency
+		spin = est <= SyncSpinThreshold
+	}
+	if spin {
+		c.Server.Exec(p, do)
+		return
+	}
+	do()
+	c.Server.Reschedule(p)
+}
+
+// xfer is the scalar verb: a plan of one, built in this frame. Race
+// children run it on a fresh 2 KiB goroutine stack, so the chain
+// Read -> xfer -> issue -> closure stays shallow (see DESIGN §14).
 func (t *rdmaTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte, write bool) error {
 	if err := checkRange(mr, off, len(buf)); err != nil {
 		return err
@@ -422,59 +502,17 @@ func (t *rdmaTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte
 	if err := checkBudget(p, c); err != nil {
 		return err
 	}
-	prof := nic.ProfileFor(nic.ProtoRDMA)
-	c.acquireStaging(p, 1)
-	do := func() {
-		p.Sleep(prof.ClientPost)
-		// A donor under memory pressure (reclaiming, NIC-saturated)
-		// services one-sided reads late: the pages being reclaimed stall
-		// the DMA even though no remote CPU is involved.
-		if d := mr.Owner.ServiceDelay(); d > 0 {
-			p.Sleep(d)
-		}
-		if c.Reg == RegOnDemand {
-			// Register the caller's buffer for this one transfer.
-			p.Sleep(nic.RegisterCost(len(buf)))
-		} else {
-			// Copy through the preregistered staging buffer.
-			p.Sleep(nic.MemcpyCost(len(buf)))
-		}
-		if write {
-			nic.Wire(p, c.Server.NIC, mr.Owner.NIC, len(buf))
-		} else {
-			nic.Wire(p, mr.Owner.NIC, c.Server.NIC, len(buf))
-		}
-		c.RoundTrips++
-	}
-	switch c.Mode {
-	case AccessSync:
-		// Spin: the issuing thread burns its core for the duration.
-		c.Server.Exec(p, do)
-	case AccessAdaptive:
-		// Predict the transfer time from size and current queue depth;
-		// spin for short transfers, yield for long ones. The prediction
-		// uses the wire rate only — a real implementation would sample
-		// completion times, but the decision boundary is the same.
-		est := time.Duration(float64(len(buf))/c.Server.NIC.Config().PayloadBytesPerSec*1e9) +
-			c.Server.NIC.Config().BaseLatency
-		if est <= SyncSpinThreshold {
-			c.Server.Exec(p, do)
-		} else {
-			do()
-			c.Server.Reschedule(p)
-		}
-	default:
-		do()
-		c.Server.Reschedule(p)
-	}
-	// The MR may have been revoked while we were in flight.
+	one := [1]dest{{owner: mr.Owner, bytes: len(buf)}}
+	pl := plan{n: 1, total: len(buf), prep: c.prepCost(len(buf)), dests: one[:]}
+	c.issue(p, &pl, write)
+	var err error
 	if mr.revoked {
-		c.staging.Release(1)
-		return ErrRevoked
+		err = ErrRevoked // revoked while we were in flight
+	} else {
+		c.moveBytes(p, mr, off, buf, write)
 	}
-	c.moveBytes(p, mr, off, buf, write)
 	c.staging.Release(1)
-	return nil
+	return err
 }
 
 // moveBytes performs the actual byte movement between the caller's
@@ -582,75 +620,11 @@ const SyncSpinThreshold = 50 * time.Microsecond
 // checkBudget enforces the process's deadline budget at op issue: an
 // exhausted budget abandons the op before it consumes a staging slot or
 // wire time. Ops never started cost nothing, unlike ops abandoned
-// mid-flight (ReadWithin), whose wire cost is sunk.
+// mid-flight (ReadVWithin), whose wire cost is sunk.
 func checkBudget(p *sim.Proc, c *Client) error {
 	if dl := p.Deadline(); dl > 0 && p.Now() >= dl {
 		c.DeadlineMisses++
 		return fmt.Errorf("rmem: budget exhausted before issue: %w", ErrSlow)
 	}
 	return nil
-}
-
-// spareBuf takes an n-byte buffer off the client's free list (contents
-// undefined), allocating when the top one is too small.
-func (c *Client) spareBuf(n int) []byte {
-	if last := len(c.spare) - 1; last >= 0 && cap(c.spare[last]) >= n {
-		b := c.spare[last]
-		c.spare = c.spare[:last]
-		return b[:n]
-	}
-	return make([]byte, n)
-}
-
-// ReadWithin performs t.Read bounded by an absolute virtual-time
-// deadline (0 = unbounded, plain Read). The transfer runs in a detached
-// process reading into a private buffer; the caller waits for whichever
-// comes first, completion or the deadline timer. On timeout the caller
-// gets ErrSlow immediately and the orphaned transfer keeps running —
-// abandoning an in-flight RDMA refunds neither the staging slot nor the
-// wire time — but its bytes land in the private buffer and are
-// discarded, so a late completion can never clobber caller memory the
-// caller has since reused. The private buffer is recycled through the
-// client by whoever finishes last: the caller when the transfer completed
-// in time, the orphaned transfer itself otherwise.
-func ReadWithin(p *sim.Proc, t Transport, c *Client, mr *MR, off int, dst []byte, deadline time.Duration) error {
-	if deadline <= 0 {
-		return t.Read(p, c, mr, off, dst)
-	}
-	if p.Now() >= deadline {
-		c.DeadlineMisses++
-		return fmt.Errorf("rmem: budget exhausted before read: %w", ErrSlow)
-	}
-	k := p.Kernel()
-	var (
-		done, timedOut, abandoned bool
-		rerr                      error
-	)
-	buf := c.spareBuf(len(dst))
-	cond := sim.NewCond(k)
-	k.Go("rmem-deadline-read", func(cp *sim.Proc) {
-		rerr = t.Read(cp, c, mr, off, buf)
-		done = true
-		if abandoned {
-			c.spare = append(c.spare, buf) // the caller left; nobody else holds buf
-		}
-		cond.Broadcast()
-	})
-	k.After(deadline-p.Now(), func() {
-		timedOut = true
-		cond.Broadcast()
-	})
-	for !done && !timedOut {
-		cond.Wait(p)
-	}
-	if done {
-		if rerr == nil {
-			copy(dst, buf)
-		}
-		c.spare = append(c.spare, buf)
-		return rerr
-	}
-	abandoned = true
-	c.DeadlineMisses++
-	return fmt.Errorf("rmem: read of %s missed deadline: %w", mr.ID, ErrSlow)
 }

@@ -10,10 +10,9 @@
 package rmem
 
 import (
+	"fmt"
 	"time"
 
-	"remotedb/internal/cluster"
-	"remotedb/internal/hw/nic"
 	"remotedb/internal/sim"
 )
 
@@ -45,139 +44,189 @@ func (c *Client) vectored(p *sim.Proc, t Transport, vecs []IOVec, write bool) []
 	if len(vecs) == 0 {
 		return nil
 	}
-	errs := make([]error, len(vecs))
-	failed := false
-	pending := make([]int, 0, len(vecs))
+	if err := checkBudget(p, c); err != nil {
+		return allFailed(len(vecs), err)
+	}
+	// errs is allocated by the first failure: the all-good vector, which
+	// is nearly every vector, allocates nothing.
+	var errs []error
 	for i := range vecs {
 		if err := checkRange(vecs[i].MR, vecs[i].Off, len(vecs[i].Buf)); err != nil {
-			errs[i] = err
-			failed = true
+			errs = setErr(errs, len(vecs), i, err)
+		}
+	}
+	_, rdma := t.(*rdmaTransport)
+	for lo := 0; lo < len(vecs); {
+		if errs != nil && errs[lo] != nil {
+			lo++
 			continue
 		}
-		pending = append(pending, i)
-	}
-	if rt, ok := t.(*rdmaTransport); ok {
-		rt.xferV(p, c, vecs, pending, errs, write, &failed)
-	} else {
-		// No doorbell on the SMB paths: one request per element.
-		for _, i := range pending {
+		if !rdma {
+			// No doorbell on the SMB paths: one request per element.
 			var err error
 			if write {
-				err = t.Write(p, c, vecs[i].MR, vecs[i].Off, vecs[i].Buf)
+				err = t.Write(p, c, vecs[lo].MR, vecs[lo].Off, vecs[lo].Buf)
 			} else {
-				err = t.Read(p, c, vecs[i].MR, vecs[i].Off, vecs[i].Buf)
+				err = t.Read(p, c, vecs[lo].MR, vecs[lo].Off, vecs[lo].Buf)
 			}
 			if err != nil {
-				errs[i] = err
-				failed = true
+				errs = setErr(errs, len(vecs), lo, err)
+			}
+			lo++
+			continue
+		}
+		var dests [8]dest // a sub-batch rarely spans more donors; append spills
+		pl, hi := c.planBatch(dests[:0], vecs, errs, lo)
+		c.issue(p, &pl, write)
+		// Regions may have been revoked while the batch was in flight; only
+		// the affected elements fail.
+		for i := lo; i < hi; i++ {
+			switch {
+			case errs != nil && errs[i] != nil:
+			case vecs[i].MR.revoked:
+				errs = setErr(errs, len(vecs), i, ErrRevoked)
+			default:
+				c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, write)
 			}
 		}
-	}
-	if !failed {
-		return nil
+		c.staging.Release(pl.n)
+		lo = hi
 	}
 	return errs
 }
 
-// xferV splits pending into sub-batches that fit one scheduler's
-// staging capacity and issues each as a single doorbell-batched post.
-func (t *rdmaTransport) xferV(p *sim.Proc, c *Client, vecs []IOVec, pending []int, errs []error, write bool, failed *bool) {
-	for len(pending) > 0 {
-		batch := pending
-		if len(batch) > c.slotsPerSch {
-			batch = batch[:c.slotsPerSch]
-		}
-		if c.Reg == RegStaging {
-			// One scheduler stages the whole sub-batch, so cap it at the
-			// scheduler's staging-MR size — always admitting at least one
-			// element, mirroring the scalar path's tolerance of oversized
-			// transfers.
-			n, bytes := 0, 0
-			for _, i := range batch {
-				if n > 0 && bytes+len(vecs[i].Buf) > c.stagingBytes {
-					break
-				}
-				bytes += len(vecs[i].Buf)
-				n++
-			}
-			batch = batch[:n]
-		}
-		pending = pending[len(batch):]
-		t.xferBatch(p, c, vecs, batch, errs, write, failed)
+func setErr(errs []error, n, i int, err error) []error {
+	if errs == nil {
+		errs = make([]error, n)
 	}
+	errs[i] = err
+	return errs
 }
 
-func (t *rdmaTransport) xferBatch(p *sim.Proc, c *Client, vecs []IOVec, batch []int, errs []error, write bool, failed *bool) {
-	prof := nic.ProfileFor(nic.ProtoRDMA)
-	c.acquireStaging(p, len(batch))
-	// Group elements by destination server, preserving first-appearance
-	// order so the charged sequence is deterministic.
-	type group struct {
-		owner *cluster.Server
-		bytes int
+func allFailed(n int, err error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
 	}
-	var groups []group
-	var prep time.Duration
-	total := 0
-	for _, i := range batch {
-		n := len(vecs[i].Buf)
-		total += n
-		if c.Reg == RegOnDemand {
-			prep += nic.RegisterCost(n)
-		} else {
-			prep += nic.MemcpyCost(n)
-		}
-		owner := vecs[i].MR.Owner
-		found := false
-		for g := range groups {
-			if groups[g].owner == owner {
-				groups[g].bytes += n
-				found = true
-				break
-			}
-		}
-		if !found {
-			groups = append(groups, group{owner: owner, bytes: n})
-		}
-	}
-	do := func() {
-		// One doorbell rings the whole sub-batch.
-		p.Sleep(prof.ClientPost)
-		p.Sleep(prep)
-		for _, g := range groups {
-			if write {
-				nic.Wire(p, c.Server.NIC, g.owner.NIC, g.bytes)
-			} else {
-				nic.Wire(p, g.owner.NIC, c.Server.NIC, g.bytes)
-			}
-			c.RoundTrips++
-		}
-	}
-	switch c.Mode {
-	case AccessSync:
-		c.Server.Exec(p, do)
-	case AccessAdaptive:
-		est := time.Duration(float64(total)/c.Server.NIC.Config().PayloadBytesPerSec*1e9) +
-			c.Server.NIC.Config().BaseLatency
-		if est <= SyncSpinThreshold {
-			c.Server.Exec(p, do)
-		} else {
-			do()
-			c.Server.Reschedule(p)
-		}
-	default:
-		do()
-		c.Server.Reschedule(p)
-	}
-	// Regions may have been revoked while the batch was in flight; only
-	// the affected elements fail.
-	for _, i := range batch {
-		if vecs[i].MR.revoked {
-			errs[i] = ErrRevoked
-			*failed = true
+	return errs
+}
+
+// planBatch plans the sub-batch starting at vecs[lo] — the elements not
+// already failed, up to what one scheduler can stage (its slot count
+// and, when copying through staging, its staging-MR bytes; always at
+// least one element, mirroring the scalar verb's tolerance of oversized
+// transfers) — and returns it with the index the next one starts at.
+// dests is the caller's (stack) room for the destination list.
+func (c *Client) planBatch(dests []dest, vecs []IOVec, errs []error, lo int) (pl plan, hi int) {
+	pl.dests = dests
+	for hi = lo; hi < len(vecs) && pl.n < c.slotsPerSch; hi++ {
+		if errs != nil && errs[hi] != nil {
 			continue
 		}
-		c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, write)
+		n := len(vecs[hi].Buf)
+		if c.Reg == RegStaging && pl.n > 0 && pl.total+n > c.stagingBytes {
+			break
+		}
+		pl.n++
+		pl.total += n
+		pl.prep += c.prepCost(n)
+		owner := vecs[hi].MR.Owner
+		g := 0
+		for g < len(pl.dests) && pl.dests[g].owner != owner {
+			g++
+		}
+		if g == len(pl.dests) {
+			pl.dests = append(pl.dests, dest{owner: owner})
+		}
+		pl.dests[g].bytes += n
 	}
-	c.staging.Release(len(batch))
+	return pl, hi
+}
+
+// spareRead is what one ReadVWithin shares with its detached transfer:
+// the private landing buffer, the private vector over it, and the
+// outcome. Whoever finishes last — the caller when the transfer
+// completed in time, the orphaned transfer itself otherwise — returns it
+// to the client's free list.
+type spareRead struct {
+	buf             []byte
+	iov             []IOVec
+	errs            []error
+	done, abandoned bool
+}
+
+// spareFor takes a spareRead off the client's free list, sized for a
+// private copy of vecs (contents undefined).
+func (c *Client) spareFor(vecs []IOVec) *spareRead {
+	sp := &spareRead{}
+	if last := len(c.spare) - 1; last >= 0 {
+		sp = c.spare[last]
+		c.spare = c.spare[:last]
+	}
+	total := 0
+	for i := range vecs {
+		total += len(vecs[i].Buf)
+	}
+	if cap(sp.buf) < total {
+		sp.buf = make([]byte, total)
+	}
+	sp.iov = sp.iov[:0]
+	at := 0
+	for _, v := range vecs {
+		sp.iov = append(sp.iov, IOVec{MR: v.MR, Off: v.Off, Buf: sp.buf[at : at+len(v.Buf)]})
+		at += len(v.Buf)
+	}
+	sp.errs, sp.done, sp.abandoned = nil, false, false
+	return sp
+}
+
+// ReadVWithin is ReadV bounded by an absolute virtual-time deadline (0 =
+// unbounded, plain ReadV). The vector runs in a detached process reading
+// into one private buffer; the caller waits for whichever comes first,
+// completion or the deadline timer. On timeout every element fails with
+// ErrSlow at once and the orphaned transfer keeps running — abandoning
+// an in-flight RDMA refunds neither the staging slots nor the wire time
+// — but its bytes land in the private buffer and are discarded, so a
+// late completion can never clobber memory the caller has since reused
+// (vecs itself included: the transfer works from a private copy).
+func (c *Client) ReadVWithin(p *sim.Proc, t Transport, vecs []IOVec, deadline time.Duration) []error {
+	if deadline <= 0 || len(vecs) == 0 {
+		return c.ReadV(p, t, vecs)
+	}
+	if p.Now() >= deadline {
+		c.DeadlineMisses++
+		return allFailed(len(vecs), fmt.Errorf("rmem: budget exhausted before read: %w", ErrSlow))
+	}
+	k := p.Kernel()
+	sp := c.spareFor(vecs)
+	cond := sim.NewCond(k)
+	timedOut := false
+	k.Go("rmem-deadline-read", func(cp *sim.Proc) {
+		sp.errs = c.ReadV(cp, t, sp.iov)
+		sp.done = true
+		if sp.abandoned {
+			c.spare = append(c.spare, sp) // the caller left; nobody else holds sp
+		}
+		cond.Broadcast()
+	})
+	k.After(deadline-p.Now(), func() {
+		timedOut = true
+		cond.Broadcast()
+	})
+	for !sp.done && !timedOut {
+		cond.Wait(p)
+	}
+	if !sp.done {
+		sp.abandoned = true
+		c.DeadlineMisses++
+		return allFailed(len(vecs), fmt.Errorf("rmem: read of %s missed deadline: %w", vecs[0].MR.ID, ErrSlow))
+	}
+	errs := sp.errs
+	for i := range vecs {
+		if errs == nil || errs[i] == nil {
+			copy(vecs[i].Buf, sp.iov[i].Buf)
+		}
+	}
+	c.spare = append(c.spare, sp)
+	return errs
 }

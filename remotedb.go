@@ -91,8 +91,6 @@ type (
 	// BrokerCluster shards the lease space across broker replicas and
 	// routes requests by rendezvous hashing; StartBroker returns one.
 	BrokerCluster = broker.Cluster
-	// BrokerConfig parameterizes the broker.
-	BrokerConfig = broker.Config
 	// Lease is exclusive access to one memory region.
 	Lease = broker.Lease
 	// Proxy is the memory-donor process on a server.
@@ -105,17 +103,6 @@ type (
 func NewMetaStore(k *Kernel, rpcCost time.Duration) *MetaStore {
 	return metastore.New(k, rpcCost)
 }
-
-// NewBroker creates a memory broker backed by store.
-//
-// Deprecated: use StartBroker with functional options (WithLeaseTTL);
-// this bare-Config constructor is kept for compatibility.
-func NewBroker(p *Proc, store *MetaStore, cfg BrokerConfig) *Broker {
-	return broker.New(p, store, cfg)
-}
-
-// DefaultBrokerConfig uses a 10-second lease TTL.
-func DefaultBrokerConfig() BrokerConfig { return broker.DefaultConfig() }
 
 // Remote memory and transports.
 type (
@@ -149,23 +136,9 @@ type (
 	RemoteFS = core.FS
 	// RemoteFile is a file striped over leased remote memory regions.
 	RemoteFile = core.File
-	// RemoteFSConfig parameterizes the FS.
-	RemoteFSConfig = core.Config
 	// File is the storage interface every engine component consumes.
 	File = vfs.File
 )
-
-// NewRemoteFS creates the remote file system client.
-//
-// Deprecated: use MountRemoteFS with functional options (WithProtocol,
-// WithRetryPolicy, WithSalvage, ...); this bare-Config constructor is
-// kept for compatibility.
-func NewRemoteFS(p *Proc, b LeaseService, client *RemoteClient, cfg RemoteFSConfig) *RemoteFS {
-	return core.NewFS(p, b, client, cfg)
-}
-
-// DefaultRemoteFSConfig is the paper's Custom design.
-func DefaultRemoteFSConfig() RemoteFSConfig { return core.DefaultConfig() }
 
 // NewMemFile creates a local-RAM file (no simulated I/O cost).
 func NewMemFile(name string) File { return vfs.NewMemFile(name) }
@@ -179,18 +152,6 @@ type (
 	// EngineFiles places each storage component (Table 5 wiring).
 	EngineFiles = engine.Files
 )
-
-// NewEngine assembles an engine on server with the given placement.
-//
-// Deprecated: use StartEngine with functional options (WithBufferFrames,
-// WithBPExtSlots, WithGrant, WithSemCache); this bare-Config constructor
-// is kept for compatibility.
-func NewEngine(p *Proc, server *Server, files EngineFiles, cfg EngineConfig) (*Engine, error) {
-	return engine.New(p, server, files, cfg)
-}
-
-// DefaultEngineConfig sizes the buffer pool to frames 8-KiB pages.
-func DefaultEngineConfig(frames int) EngineConfig { return engine.DefaultConfig(frames) }
 
 // The query layer: build queries with the fluent plan.Builder
 // (remotedb.Scan(...).Where(...).GroupBy(...)), then run them through
@@ -235,8 +196,6 @@ type (
 	Design = exp.Design
 	// Bed is an assembled design: cluster + broker + engine.
 	Bed = exp.Bed
-	// BedConfig sizes a bed.
-	BedConfig = exp.BedConfig
 )
 
 // The six designs of Table 5.
@@ -248,17 +207,6 @@ const (
 	DesignCustom      = exp.DesignCustom
 	DesignLocalMemory = exp.DesignLocalMemory
 )
-
-// NewBed assembles a test bed for a design inside simulation process p.
-//
-// Deprecated: use NewTestBed with functional options (WithStripeSize,
-// WithLeaseTTL, WithRecovery, ...); this bare-Config constructor is kept
-// for compatibility (DefaultBedConfig remains the way to reach every
-// knob at once).
-func NewBed(p *Proc, cfg BedConfig) (*Bed, error) { return exp.NewBed(p, cfg) }
-
-// DefaultBedConfig mirrors the paper's defaults for a design.
-func DefaultBedConfig(d Design) BedConfig { return exp.DefaultBedConfig(d) }
 
 // RunInSim creates a kernel, runs fn as the root simulation process and
 // drives the clock until fn (and everything it spawned) finishes or the
