@@ -247,42 +247,58 @@ func (f *File) repairReplica(p *sim.Proc, s, r int) {
 // copyStripeTo copies every written, unpoisoned frame of stripe s onto
 // the replacement lease, reading through the verified path (so a
 // corrupt surviving copy is caught, not propagated) and writing in runs
-// to amortize transport overhead.
+// to amortize transport overhead. Writers skip a replica that is down,
+// so a block written after its copy would be stale on the replacement:
+// the generation each block had when copied is recorded, and passes over
+// the blocks whose generation has moved since repeat until one finds
+// nothing to copy. That last pass does no I/O, so the caller's swap
+// follows it with no yield in between. A writer dirtying blocks as fast
+// as the copy moves them would keep the rebuild from ever finishing, so
+// the passes are bounded; what is still stale after the last one is
+// caught by verification and repaired from the peer.
 func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 	lo, hi := f.stripeBlockRange(s)
+	bs := f.fs.BlockSize
 	fsz := int64(f.frameSize())
-	const maxRun = 32
+	const maxRun, maxPasses = 32, 8
 	scratch := make([]byte, maxRun*fsz)
-	g := lo
-	for g < hi {
-		if f.closed || f.deleted || f.unavailable {
-			return nil
-		}
-		if f.gens[g] == 0 || f.poisoned[g] {
-			g++
-			continue
-		}
-		run := int64(1)
-		for g+run < hi && run < maxRun && f.gens[g+run] != 0 && !f.poisoned[g+run] {
-			run++
-		}
-		buf := scratch[:run*fsz]
-		for i := int64(0); i < run; i++ {
-			fr := buf[i*fsz : (i+1)*fsz]
-			if err := f.fetchBlock(p, g+i, fr, -1); err != nil {
-				if errors.Is(err, vfs.ErrCorrupt) {
-					// Just poisoned: leave the slot zeroed — reads are
-					// gated by the poison flag, never by this copy.
-					continue
+	copied := make([]uint64, hi-lo) // generation of the copy on dst, 0 = none
+	stale := func(g int64) bool {
+		return g < hi && f.gens[g] != copied[g-lo] && !f.poisoned[g]
+	}
+	for pass, moved := 0, true; moved && pass < maxPasses; pass++ {
+		moved = false
+		for g := lo; g < hi; g++ {
+			if f.closed || f.deleted || f.unavailable {
+				return nil
+			}
+			if !stale(g) {
+				continue
+			}
+			moved = true
+			run := int64(1)
+			for run < maxRun && stale(g+run) {
+				run++
+			}
+			buf := scratch[:run*fsz]
+			for i := int64(0); i < run; i++ {
+				fr := buf[i*fsz : (i+1)*fsz]
+				if err := f.fetchBlock(p, g+i, fr, -1); err != nil {
+					if errors.Is(err, vfs.ErrCorrupt) {
+						// Just poisoned: whatever the slot holds is never
+						// read — reads are gated by the poison flag.
+						continue
+					}
+					return err
 				}
+				copied[g+i-lo] = binary.LittleEndian.Uint64(fr[bs+4:])
+			}
+			_, frameOff := f.blockHome(g)
+			if err := f.fs.Transport.Write(p, f.fs.Client, dst.MR, frameOff, buf); err != nil {
 				return err
 			}
+			g += run - 1
 		}
-		_, frameOff := f.blockHome(g)
-		if err := f.fs.Transport.Write(p, f.fs.Client, dst.MR, frameOff, buf); err != nil {
-			return err
-		}
-		g += run
 	}
 	return nil
 }
