@@ -100,7 +100,7 @@ type FS struct {
 	PushFallbacks int64
 
 	// Tail-tolerance counters (see health.go).
-	TolerantReads       int64 // block reads through the tail-tolerant path
+	TolerantReads       int64 // block fetches that raced their replica reads (fetchBlock)
 	HedgedReads         int64 // hedge reads actually fired
 	HedgeWins           int64 // hedges that beat the primary with a verified frame
 	SlowReads           int64 // reads abandoned over a blown deadline budget (ErrSlow)

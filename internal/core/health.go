@@ -532,23 +532,23 @@ func (f *File) orderByHealth(s int, cands []int, now time.Duration) {
 		return
 	}
 	var rankBuf [4]int
-	rank := append(rankBuf[:0], cands...)
-	for i, r := range cands {
+	rank := rankBuf[:0]
+	for _, r := range cands {
 		d := h.donors[f.leases[s][r].MR.Owner.Name]
 		switch {
 		case d == nil || d.state == donorHealthy:
-			rank[i] = 1
+			rank = append(rank, 1)
 		case now >= d.nextProbe:
 			// Promote for one probe and push the next one out now, so a
 			// candidate that ends up not being read still waits a full
 			// interval before being promoted again.
-			rank[i] = 0
+			rank = append(rank, 0)
 			d.nextProbe = now + h.probeEvery()
 			f.fs.HealthProbes++
 		case d.state == donorBrowned:
-			rank[i] = 2
+			rank = append(rank, 2)
 		default:
-			rank[i] = 3
+			rank = append(rank, 3)
 		}
 	}
 	// Insertion sort: a handful of candidates, and nothing escapes.

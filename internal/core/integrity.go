@@ -19,12 +19,11 @@
 //
 // Frame buffers are recycled through one free list per FS (getFrame /
 // putFrame), so a block read or write allocates nothing once the list is
-// warm. Ownership: whoever finishes with a frame last returns it. Every
-// transport call on the I/O paths is synchronous, so the proc that took
-// a frame normally puts it back before returning; the one exception is a
-// raced read's child (health.go), which may still be in flight when its
-// race returns and then hands its buffer back itself on completion — a
-// late completion can never land in a frame that was re-issued. Recycled
+// warm. Ownership: whoever finishes with a frame last returns it — a
+// request's frames go back with its scratch (io.go), and a raced read's
+// child (health.go), which may still be in flight when its race
+// returns, hands its buffer back itself on completion, so a late
+// completion can never land in a frame that was re-issued. Recycled
 // frames are not zeroed: a path that does not overwrite the whole data
 // area clears it.
 //
@@ -261,7 +260,7 @@ func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 	bs := f.fs.BlockSize
 	fsz := int64(f.frameSize())
 	const maxRun, maxPasses = 32, 8
-	scratch := make([]byte, maxRun*fsz)
+	runBuf := make([]byte, maxRun*fsz)
 	copied := make([]uint64, hi-lo) // generation of the copy on dst, 0 = none
 	stale := func(g int64) bool {
 		return g < hi && f.gens[g] != copied[g-lo] && !f.poisoned[g]
@@ -280,7 +279,7 @@ func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 			for run < maxRun && stale(g+run) {
 				run++
 			}
-			buf := scratch[:run*fsz]
+			buf := runBuf[:run*fsz]
 			for i := int64(0); i < run; i++ {
 				fr := buf[i*fsz : (i+1)*fsz]
 				if err := f.fetchBlock(p, g+i, fr, -1); err != nil {

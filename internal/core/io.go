@@ -25,6 +25,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 	"time"
 
 	"remotedb/internal/fault"
@@ -223,6 +224,9 @@ type replicaSet uint64
 func (rs replicaSet) has(r int) bool { return rs&(1<<uint(r)) != 0 }
 func (rs *replicaSet) add(r int)     { *rs |= 1 << uint(r) }
 
+// first returns the lowest replica in the set, which must not be empty.
+func (rs replicaSet) first() int { return bits.TrailingZeros64(uint64(rs)) }
+
 // liveReplicas is the route stage: the replicas of stripe s, other than
 // skip, that are up with a valid lease. A lease found expired is
 // reported lost on the way (starting its repair), and failedOver says a
@@ -349,10 +353,7 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 		if live == 0 {
 			return f.lostErr(s)
 		}
-		r := 0
-		for !live.has(r) {
-			r++
-		}
+		r := live.first()
 		blk.failedOver = failedOver
 		sc.iov = append(sc.iov, rmem.IOVec{MR: f.leases[s][r].MR, Off: frameOff, Buf: blk.frame})
 		sc.refs = append(sc.refs, elemRef{block: i, replica: r})
@@ -516,14 +517,12 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte, skip int) error {
 			r := cands[i]
 			i++
 			err := f.fs.Transport.Read(p, f.fs.Client, f.leases[s][r].MR, frameOff, frame)
-			switch {
-			case err == nil && verifyFrame(frame, bs, f.gens[g]) == nil:
+			if err != nil && !errors.Is(err, rmem.ErrRevoked) {
+				return err
+			}
+			if err == nil && verifyFrame(frame, bs, f.gens[g]) == nil {
 				winner = r
-			case err == nil || errors.Is(err, rmem.ErrRevoked):
-				if err := f.readFailed(s, r, err, &bad); err != nil {
-					return err
-				}
-			default:
+			} else if err := f.readFailed(s, r, err, &bad); err != nil {
 				return err
 			}
 		} else {

@@ -88,10 +88,7 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 		if live == 0 {
 			return nil, stats, f.lostErr(s)
 		}
-		r := 0
-		for !live.has(r) {
-			r++
-		}
+		r := live.first()
 		gen := f.gens[g]
 		blockSize := f.fs.BlockSize
 		elems = append(elems, rmem.PushElem{

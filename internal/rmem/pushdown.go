@@ -168,20 +168,13 @@ func (c *Client) ScanPush(p *sim.Proc, t Transport, elems []PushElem, q *PushQue
 	if len(elems) == 0 {
 		return outs, stats, nil
 	}
-	fail := func(err error) []error {
-		es := make([]error, len(elems))
-		for i := range es {
-			es[i] = err
-		}
-		return es
-	}
 	if c.crypt != nil {
 		// Donors hold only ciphertext; they cannot evaluate anything.
-		return outs, stats, fail(ErrPushUnavailable)
+		return outs, stats, allFailed(len(elems), ErrPushUnavailable)
 	}
 	if _, ok := t.(*rdmaTransport); !ok {
 		// The SMB file-server paths have no donor compute surface.
-		return outs, stats, fail(ErrPushUnavailable)
+		return outs, stats, allFailed(len(elems), ErrPushUnavailable)
 	}
 	errs = make([]error, len(elems))
 	failed := false
