@@ -391,8 +391,9 @@ func (idx *Index) SeekRange(p *sim.Proc, from, to []byte, limit int) ([][]byte, 
 	return out, nil
 }
 
-// LookupRow fetches the full row for a clustered-tree key.
-func (t *Table) LookupRow(p *sim.Proc, pkKey []byte) (row.Tuple, error) {
+// LookupRow fetches the row for a clustered-tree key, materialising the
+// columns at ords (ascending; nil = the full row).
+func (t *Table) LookupRow(p *sim.Proc, pkKey []byte, ords []int) (row.Tuple, error) {
 	img, err := t.Clustered.Search(p, pkKey)
 	if err == btree.ErrNotFound {
 		return nil, ErrNotFound
@@ -400,7 +401,7 @@ func (t *Table) LookupRow(p *sim.Proc, pkKey []byte) (row.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return row.Decode(t.Schema, img)
+	return row.DecodeCols(t.Schema, img, ords)
 }
 
 func sortPairs(pairs []btree.Pair) {

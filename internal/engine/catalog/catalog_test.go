@@ -110,7 +110,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 			t.Errorf("nation 3 has %d rows, want 2", len(pks))
 		}
 		for _, pk := range pks {
-			tuple, err := tbl.LookupRow(p, pk)
+			tuple, err := tbl.LookupRow(p, pk, nil)
 			if err != nil || tuple[3].(int64) != 3 {
 				t.Errorf("lookup %v %v", tuple, err)
 			}

@@ -26,23 +26,34 @@ type Agg struct {
 	As  string
 }
 
-// aggSchema builds the output schema: group columns followed by
-// aggregate columns. Shared by HashAgg and ParallelAgg.
-func aggSchema(in *row.Schema, groupBy []string, aggs []Agg) *row.Schema {
-	var cols []row.Column
-	for _, g := range groupBy {
-		cols = append(cols, in.Columns[in.MustOrdinal(g)])
-	}
+// AggNames returns an aggregate's output column names: the group
+// columns followed by one name per aggregate.
+func AggNames(groupBy []string, aggs []Agg) []string {
+	names := append([]string(nil), groupBy...)
 	for _, ag := range aggs {
 		name := ag.As
 		if name == "" {
-			name = fmt.Sprintf("agg%d", len(cols))
+			name = fmt.Sprintf("agg%d", len(names))
 		}
+		names = append(names, name)
+	}
+	return names
+}
+
+// aggSchema builds the output schema: group columns followed by
+// aggregate columns. Shared by HashAgg and ParallelAgg.
+func aggSchema(in *row.Schema, groupBy []string, aggs []Agg) *row.Schema {
+	names := AggNames(groupBy, aggs)
+	cols := make([]row.Column, len(names))
+	for i, g := range groupBy {
+		cols[i] = in.Columns[in.MustOrdinal(g)]
+	}
+	for i, ag := range aggs {
 		typ := row.Float64
 		if ag.Fn == AggCount {
 			typ = row.Int64
 		}
-		cols = append(cols, row.Column{Name: name, Type: typ})
+		cols[len(groupBy)+i] = row.Column{Name: names[len(groupBy)+i], Type: typ}
 	}
 	return row.NewSchema(cols...)
 }
@@ -67,6 +78,7 @@ type aggCore struct {
 	groups    map[string]*aggState
 	order     []string // deterministic output order (first appearance)
 	bytes     int64
+	key       []byte // group-key scratch
 }
 
 func newAggCore(in *row.Schema, groupBy []string, aggs []Agg) (*aggCore, error) {
@@ -99,13 +111,14 @@ func newAggCore(in *row.Schema, groupBy []string, aggs []Agg) (*aggCore, error) 
 // add folds one input row into the group table, charging hash CPU.
 func (a *aggCore) add(c *Ctx, t row.Tuple) {
 	c.chargeCPU(c.CPU.PerHash)
-	vals := make([]interface{}, len(a.groupOrds))
-	for i, o := range a.groupOrds {
-		vals[i] = t[o]
-	}
-	key := string(row.EncodeKey(nil, vals...))
-	st, ok := a.groups[key]
+	a.key = appendKey(a.key[:0], t, a.groupOrds)
+	st, ok := a.groups[string(a.key)] // no allocation on a hit
 	if !ok {
+		key := string(a.key)
+		vals := make([]interface{}, len(a.groupOrds))
+		for i, o := range a.groupOrds {
+			vals[i] = t[o]
+		}
 		st = &aggState{
 			groupVals: vals,
 			sums:      make([]float64, len(a.aggs)),

@@ -14,11 +14,9 @@ import (
 	"remotedb/internal/vfs"
 )
 
-// BenchmarkTableScanFilter streams a resident 50 000-row table through a
-// filter that keeps one row in ten: iterator, row decode, per-row CPU
-// accounting. An op is one full scan.
-func BenchmarkTableScanFilter(b *testing.B) {
-	const rows = 50000
+// benchRig runs fn on a proc with a catalog on a null device and a ctx
+// whose TempDB is a memory file.
+func benchRig(b *testing.B, fn func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx)) {
 	k := newKernel(b, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
@@ -31,7 +29,18 @@ func BenchmarkTableScanFilter(b *testing.B) {
 			b.Error(err)
 			return
 		}
-		tbl, err := catalog.New(bp).CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
+		fn(p, catalog.New(bp), &Ctx{P: p, Server: s, Temp: tempdb.New(vfs.NewMemFile("td")), Grant: 1 << 30, CPU: DefaultCPUProfile()})
+	})
+	k.Run(1000 * time.Hour)
+}
+
+// BenchmarkTableScanFilter streams a resident 50 000-row table through a
+// filter that keeps one row in ten: iterator, row decode, per-row CPU
+// accounting. An op is one full scan.
+func BenchmarkTableScanFilter(b *testing.B) {
+	const rows = 50000
+	benchRig(b, func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx) {
+		tbl, err := cat.CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
 		if err != nil {
 			b.Error(err)
 			return
@@ -44,7 +53,6 @@ func BenchmarkTableScanFilter(b *testing.B) {
 			b.Error(err)
 			return
 		}
-		ctx := &Ctx{P: p, Server: s, Temp: tempdb.New(vfs.NewMemFile("td")), Grant: 1 << 30, CPU: DefaultCPUProfile()}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -58,5 +66,53 @@ func BenchmarkTableScanFilter(b *testing.B) {
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})
-	k.Run(1000 * time.Hour)
+}
+
+// BenchmarkHashJoinSpill joins 5 000 orders to their 15 000 line items
+// under a grant the build side overflows at once, so every row of both
+// sides goes through the grace path: encoded, appended to one of 16
+// partition files, read back, decoded, joined. An op is one join.
+func BenchmarkHashJoinSpill(b *testing.B) {
+	const orders = 5000
+	benchRig(b, func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx) {
+		otbl, err := cat.CreateTable(p, "orders", ordersSchema(), "orderkey")
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		itbl, err := cat.CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		var orows, irows []row.Tuple
+		for i := 0; i < orders; i++ {
+			orows = append(orows, row.Tuple{int64(i), int64(i % 100), float64(i)})
+			for l := 0; l < 3; l++ {
+				irows = append(irows, row.Tuple{int64(i), int64(l), float64(i*10 + l)})
+			}
+		}
+		if err := otbl.BulkLoad(p, orows); err != nil {
+			b.Error(err)
+			return
+		}
+		if err := itbl.BulkLoad(p, irows); err != nil {
+			b.Error(err)
+			return
+		}
+		ctx.Grant = 4 << 10
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := &HashJoin{
+				Build: &TableScan{Table: otbl}, Probe: &TableScan{Table: itbl},
+				BuildCols: []string{"orderkey"}, ProbeCols: []string{"orderkey"}, Partitions: 16,
+			}
+			n, err := Run(ctx, j)
+			if err != nil || n != 3*orders || !j.Spilled() {
+				b.Errorf("join: %d rows, spilled %v, %v", n, j.Spilled(), err)
+				return
+			}
+		}
+	})
 }

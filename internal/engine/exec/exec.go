@@ -8,9 +8,11 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"remotedb/internal/cluster"
+	"remotedb/internal/engine/btree"
 	"remotedb/internal/engine/catalog"
 	"remotedb/internal/engine/row"
 	"remotedb/internal/engine/tempdb"
@@ -159,64 +161,85 @@ func Collect(c *Ctx, op Op) ([]row.Tuple, error) {
 
 // --- TableScan -----------------------------------------------------------
 
+// projected is the schema a leaf with column list cols produces: the
+// table's own when the list is nil, else the listed columns.
+func projected(tbl *row.Schema, cols []string) *row.Schema {
+	if cols == nil {
+		return tbl
+	}
+	return tbl.Project(cols...)
+}
+
+// colOrds resolves a leaf's column list to the ordinals it decodes (nil
+// for nil: every column). The list is in table-schema order, because
+// the decoder walks a tuple image once.
+func colOrds(tbl *row.Schema, cols []string) ([]int, error) {
+	if cols == nil {
+		return nil, nil
+	}
+	ords := make([]int, len(cols))
+	for i, name := range cols {
+		ords[i] = tbl.Ordinal(name)
+		if ords[i] < 0 || (i > 0 && ords[i] <= ords[i-1]) {
+			return nil, fmt.Errorf("exec: scan column %q is unknown or out of schema order", name)
+		}
+	}
+	return ords, nil
+}
+
 // TableScan reads every row of a table in primary-key order.
 type TableScan struct {
 	Table *catalog.Table
-	From  []byte // optional PK lower bound
-	To    []byte // optional PK upper bound (exclusive)
+	From  []byte   // optional PK lower bound
+	To    []byte   // optional PK upper bound (exclusive)
+	Cols  []string // columns to materialise, in schema order (nil = all)
 
-	it   *iterState
-	open bool
+	schema *row.Schema
+	ords   []int
+	it     *btree.Iterator
 }
 
-type iterState struct {
-	next func() (row.Tuple, bool, error)
+// Schema returns the schema of the materialised columns.
+func (s *TableScan) Schema() *row.Schema {
+	if s.schema == nil {
+		s.schema = projected(s.Table.Schema, s.Cols)
+	}
+	return s.schema
 }
-
-// Schema returns the table's schema.
-func (s *TableScan) Schema() *row.Schema { return s.Table.Schema }
 
 // Open positions the scan.
 func (s *TableScan) Open(c *Ctx) error {
-	it, err := s.Table.Clustered.Scan(c.P, s.From)
-	if err != nil {
+	var err error
+	if s.ords, err = colOrds(s.Table.Schema, s.Cols); err != nil {
 		return err
 	}
-	to := s.To
-	tbl := s.Table
-	s.it = &iterState{next: func() (row.Tuple, bool, error) {
-		pair, ok, err := it.Next(c.P)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if to != nil && string(pair.Key) >= string(to) {
-			return nil, false, nil
-		}
-		t, err := row.Decode(tbl.Schema, pair.Val)
-		if err != nil {
-			return nil, false, err
-		}
-		return t, true, nil
-	}}
-	s.open = true
-	return nil
+	s.it, err = s.Table.Clustered.Scan(c.P, s.From)
+	return err
 }
 
 // Next returns the next row.
 func (s *TableScan) Next(c *Ctx) (row.Tuple, bool, error) {
-	if !s.open {
+	if s.it == nil {
 		return nil, false, errors.New("exec: scan not open")
 	}
-	t, ok, err := s.it.next()
-	if ok {
-		c.chargeCPU(c.CPU.PerRow)
+	pair, ok, err := s.it.Next(c.P)
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return t, ok, err
+	if s.To != nil && string(pair.Key) >= string(s.To) {
+		return nil, false, nil
+	}
+	t, err := row.DecodeCols(s.Table.Schema, pair.Val, s.ords)
+	if err != nil {
+		return nil, false, err
+	}
+	c.chargeCPU(c.CPU.PerRow)
+	return t, true, nil
 }
 
 // Close releases the scan.
 func (s *TableScan) Close(c *Ctx) error {
-	s.open = false
+	s.it = nil
 	return nil
 }
 
@@ -230,16 +253,28 @@ type IndexScan struct {
 	From  []byte
 	To    []byte
 	Limit int
+	Cols  []string // base-row columns to materialise, in schema order (nil = all)
 
-	pks []([]byte)
-	pos int
+	schema *row.Schema
+	ords   []int
+	pks    []([]byte)
+	pos    int
 }
 
-// Schema returns the base table's schema.
-func (s *IndexScan) Schema() *row.Schema { return s.Index.Table.Schema }
+// Schema returns the schema of the materialised base-table columns.
+func (s *IndexScan) Schema() *row.Schema {
+	if s.schema == nil {
+		s.schema = projected(s.Index.Table.Schema, s.Cols)
+	}
+	return s.schema
+}
 
 // Open runs the index seek.
 func (s *IndexScan) Open(c *Ctx) error {
+	var err error
+	if s.ords, err = colOrds(s.Index.Table.Schema, s.Cols); err != nil {
+		return err
+	}
 	pks, err := s.Index.SeekRange(c.P, s.From, s.To, s.Limit)
 	if err != nil {
 		return err
@@ -256,7 +291,7 @@ func (s *IndexScan) Next(c *Ctx) (row.Tuple, bool, error) {
 	}
 	pk := s.pks[s.pos]
 	s.pos++
-	t, err := s.Index.Table.LookupRow(c.P, pk)
+	t, err := s.Index.Table.LookupRow(c.P, pk, s.ords)
 	if err != nil {
 		return nil, false, err
 	}

@@ -406,3 +406,65 @@ func TestCPUChargedToServer(t *testing.T) {
 		t.Fatalf("scan charged only %v of virtual time", elapsed)
 	}
 }
+
+// TestColumnLists: a leaf given a column list produces exactly those
+// columns, and a join given an output list emits exactly those under the
+// names it is told — the same values the full-width operators return.
+func TestColumnLists(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		orders, items := loadJoinTables(t, p, r, 50)
+		idx, err := r.c.CreateIndex(p, "ix_item_order", "lineitem", "orderkey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// same checks that narrow's column k is the full-width operator's
+		// column pick[k], row for row.
+		same := func(name string, narrow, full Op, pick []int) {
+			t.Helper()
+			got, err := Collect(r.ctx, narrow)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := Collect(r.ctx, full)
+			if err != nil || len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s: %d rows, full width %d, %v", name, len(got), len(want), err)
+			}
+			for i := range got {
+				if len(got[i]) != len(pick) {
+					t.Fatalf("%s: row of %d columns, want %d", name, len(got[i]), len(pick))
+				}
+				for k, o := range pick {
+					if got[i][k] != want[i][o] {
+						t.Fatalf("%s row %d col %d = %v, want %v", name, i, k, got[i][k], want[i][o])
+					}
+				}
+			}
+		}
+		cols := []string{"orderkey", "price"}
+		same("table scan", &TableScan{Table: items, Cols: cols}, &TableScan{Table: items}, []int{0, 2})
+		same("parallel scan", &ParallelScan{Table: items, DOP: 4, Cols: cols}, &ParallelScan{Table: items, DOP: 4}, []int{0, 2})
+		same("index scan", &IndexScan{Index: idx, Cols: cols}, &IndexScan{Index: idx}, []int{0, 2})
+		inlj := func(inner []string) Op {
+			return &IndexNestedLoopJoin{Outer: &Project{In: &TableScan{Table: orders}, Cols: []string{"orderkey"}}, OuterCols: []string{"orderkey"}, Inner: idx, Fetch: true, InnerCols: inner}
+		}
+		same("index nested-loop join", inlj([]string{"price"}), inlj(nil), []int{0, 3})
+		join := func(out []JoinCol) *HashJoin {
+			return &HashJoin{Build: &TableScan{Table: orders}, Probe: &TableScan{Table: items},
+				BuildCols: []string{"orderkey"}, ProbeCols: []string{"orderkey"}, Out: out}
+		}
+		narrow := join([]JoinCol{{Col: "total", As: "total"}, {Probe: true, Col: "orderkey", As: "orderkey_1"}, {Probe: true, Col: "price", As: "price"}})
+		same("hash join", narrow, join(nil), []int{2, 3, 5})
+		if got, want := narrow.Schema().Names(), []string{"total", "orderkey_1", "price"}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Errorf("join output names %v, want %v", got, want)
+		}
+		if got := join(nil).Schema().Names(); got[3] != "orderkey_1" {
+			t.Errorf("full-width join names its probe key %q, want orderkey_1", got[3])
+		}
+		// A list out of schema order, or naming no column, is refused at Open.
+		for _, bad := range [][]string{{"price", "orderkey"}, {"nosuch"}} {
+			if _, err := Run(r.ctx, &TableScan{Table: items, Cols: bad}); err == nil {
+				t.Errorf("scan of columns %v opened", bad)
+			}
+		}
+	})
+}

@@ -25,6 +25,11 @@ type HashJoin struct {
 	// spills, and build memory stays at one block per bucket.
 	RemoteProbe bool
 
+	// Out lists the columns the join emits, build side first, each under
+	// its output name. Nil emits every column of both sides under
+	// JoinNames' names.
+	Out []JoinCol
+
 	schema  *row.Schema
 	outBuf  []row.Tuple
 	outPos  int
@@ -42,30 +47,66 @@ type HashJoin struct {
 	buildSchema *row.Schema
 	probeOrds   []int
 	buildOrds   []int
+	outBuild    []int  // build-side ordinals emitted
+	outProbe    []int  // probe-side ordinals emitted
 	key, key2   []byte // appendKey scratch
+	img         []byte // spill-image scratch: Append and Put copy it
 }
 
-// Schema returns build columns followed by probe columns.
-func (j *HashJoin) Schema() *row.Schema {
-	if j.schema == nil {
-		var cols []row.Column
-		cols = append(cols, j.Build.Schema().Columns...)
-		cols = append(cols, j.Probe.Schema().Columns...)
-		// Disambiguate duplicate names across sides (chained joins can
-		// carry already-suffixed names, so probe until free).
-		seen := make(map[string]bool)
-		out := make([]row.Column, len(cols))
-		for i, c := range cols {
-			name := c.Name
-			for n := 1; seen[name]; n++ {
-				name = fmt.Sprintf("%s_%d", c.Name, n)
-			}
-			seen[name] = true
-			c.Name = name
-			out[i] = c
+// JoinCol is one output column of a join: column Col of the build side
+// (or, with Probe set, of the probe side), emitted under the name As.
+type JoinCol struct {
+	Probe bool
+	Col   string
+	As    string
+}
+
+// JoinNames returns the output names of a join that emits every column
+// of both sides: duplicates are disambiguated with a _N suffix (chained
+// joins can carry already-suffixed names, so probe until free).
+func JoinNames(build, probe []string) []string {
+	seen := make(map[string]bool, len(build)+len(probe))
+	out := make([]string, 0, len(build)+len(probe))
+	for _, base := range append(append([]string(nil), build...), probe...) {
+		name := base
+		for n := 1; seen[name]; n++ {
+			name = fmt.Sprintf("%s_%d", base, n)
 		}
-		j.schema = row.NewSchema(out...)
+		seen[name] = true
+		out = append(out, name)
 	}
+	return out
+}
+
+// Schema returns the emitted columns, build side then probe side, and
+// resolves them to the ordinals emit copies.
+func (j *HashJoin) Schema() *row.Schema {
+	if j.schema != nil {
+		return j.schema
+	}
+	build, probe := j.Build.Schema(), j.Probe.Schema()
+	out := j.Out
+	if out == nil {
+		for i, as := range JoinNames(build.Names(), probe.Names()) {
+			if i < build.Len() {
+				out = append(out, JoinCol{Col: build.Columns[i].Name, As: as})
+			} else {
+				out = append(out, JoinCol{Probe: true, Col: probe.Columns[i-build.Len()].Name, As: as})
+			}
+		}
+	}
+	j.outBuild, j.outProbe = nil, nil
+	var cols []row.Column
+	for _, oc := range out {
+		side, ords := build, &j.outBuild
+		if oc.Probe {
+			side, ords = probe, &j.outProbe
+		}
+		o := side.MustOrdinal(oc.Col)
+		*ords = append(*ords, o)
+		cols = append(cols, row.Column{Name: oc.As, Type: side.Columns[o].Type})
+	}
+	j.schema = row.NewSchema(cols...)
 	return j.schema
 }
 
@@ -106,33 +147,93 @@ func (j *HashJoin) open(c *Ctx) error {
 	for _, col := range j.ProbeCols {
 		j.probeOrds = append(j.probeOrds, j.probeSchema.MustOrdinal(col))
 	}
+	j.Schema() // resolves outBuild/outProbe
 
+	// An input that opened is closed on every way out of here: nobody
+	// closes an operator that failed to open, and a parallel input left
+	// open keeps its producers parked. On failure the spill space goes
+	// back first — shutting a parallel input down takes an I/O's time,
+	// and a query waiting for TempDB space should not wait for that too.
 	if err := j.Build.Open(c); err != nil {
 		return err
 	}
-	writeBuild := func(t row.Tuple) error {
-		img, err := row.Encode(nil, j.buildSchema, t)
-		if err != nil {
+	err := j.readBuild(c)
+	if err != nil {
+		j.releaseSpill()
+	}
+	if cerr := j.Build.Close(c); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+
+	if !j.spilled {
+		j.probing = true
+		return j.Probe.Open(c)
+	}
+	if j.rtab != nil {
+		// Remote probing: the probe side streams straight through and
+		// never touches TempDB.
+		if err := j.rtab.Flush(c.P); err != nil {
 			return err
 		}
-		j.key = appendKey(j.key[:0], t, j.buildOrds)
-		if j.rtab != nil {
-			return j.rtab.Put(c.P, partOf(j.key, j.rtab.Buckets()), img)
-		}
-		return j.buildFiles[partOf(j.key, j.Partitions)].Append(c.P, img)
+		j.probing = true
+		return j.Probe.Open(c)
 	}
-	// Phase 1: read the build side, hashing into memory until the grant
-	// is exhausted; on cut-over, dump the hash table to partitions and
-	// route the rest of the input straight to them (grace hash join).
+	for _, f := range j.buildFiles {
+		if err := f.Flush(c.P); err != nil {
+			return err
+		}
+	}
+
+	if err := j.Probe.Open(c); err != nil {
+		return err
+	}
+	err = j.partitionProbe(c)
+	if err != nil {
+		j.releaseSpill()
+	}
+	if cerr := j.Probe.Close(c); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	for _, f := range j.probeFiles {
+		if err := f.Flush(c.P); err != nil {
+			return err
+		}
+	}
+	j.curPart = -1
+	return nil
+}
+
+// spillBuild routes one build row to its partition file (or, with
+// RemoteProbe, its remote bucket).
+func (j *HashJoin) spillBuild(c *Ctx, t row.Tuple) error {
+	img, err := row.Encode(j.img[:0], j.buildSchema, t)
+	if err != nil {
+		return err
+	}
+	j.img = img
+	j.key = appendKey(j.key[:0], t, j.buildOrds)
+	if j.rtab != nil {
+		return j.rtab.Put(c.P, partOf(j.key, j.rtab.Buckets()), img)
+	}
+	return j.buildFiles[partOf(j.key, j.Partitions)].Append(c.P, img)
+}
+
+// readBuild is phase 1: read the build side, hashing into memory until
+// the grant is exhausted; on cut-over, dump the hash table to partitions
+// and route the rest of the input straight to them (grace hash join).
+func (j *HashJoin) readBuild(c *Ctx) error {
 	j.ht = make(map[string][]row.Tuple)
 	var used int64
 	for {
 		t, ok, err := j.Build.Next(c)
-		if err != nil {
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			break
 		}
 		c.chargeCPU(c.CPU.PerHash)
 		if !j.spilled {
@@ -159,72 +260,37 @@ func (j *HashJoin) open(c *Ctx) error {
 			}
 			for _, rows := range j.ht {
 				for _, bt := range rows {
-					if err := writeBuild(bt); err != nil {
+					if err := j.spillBuild(c, bt); err != nil {
 						return err
 					}
 				}
 			}
 			j.ht = nil
 		}
-		if err := writeBuild(t); err != nil {
+		if err := j.spillBuild(c, t); err != nil {
 			return err
 		}
 	}
-	if err := j.Build.Close(c); err != nil {
-		return err
-	}
+}
 
-	if !j.spilled {
-		j.probing = true
-		return j.Probe.Open(c)
-	}
-	if j.rtab != nil {
-		// Remote probing: the probe side streams straight through and
-		// never touches TempDB.
-		if err := j.rtab.Flush(c.P); err != nil {
-			return err
-		}
-		j.probing = true
-		return j.Probe.Open(c)
-	}
-	for _, f := range j.buildFiles {
-		if err := f.Flush(c.P); err != nil {
-			return err
-		}
-	}
-
-	// Partition the probe side.
-	if err := j.Probe.Open(c); err != nil {
-		return err
-	}
+// partitionProbe routes the probe side to its partition files.
+func (j *HashJoin) partitionProbe(c *Ctx) error {
 	for {
 		t, ok, err := j.Probe.Next(c)
+		if err != nil || !ok {
+			return err
+		}
+		img, err := row.Encode(j.img[:0], j.probeSchema, t)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		img, err := row.Encode(nil, j.probeSchema, t)
-		if err != nil {
-			return err
-		}
+		j.img = img
 		c.chargeCPU(c.CPU.PerHash)
 		j.key = appendKey(j.key[:0], t, j.probeOrds)
 		if err := j.probeFiles[partOf(j.key, j.Partitions)].Append(c.P, img); err != nil {
 			return err
 		}
 	}
-	if err := j.Probe.Close(c); err != nil {
-		return err
-	}
-	for _, f := range j.probeFiles {
-		if err := f.Flush(c.P); err != nil {
-			return err
-		}
-	}
-	j.curPart = -1
-	return nil
 }
 
 func partOf(key []byte, n int) int {
@@ -258,7 +324,7 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 			c.chargeCPU(c.CPU.PerHash)
 			j.key = appendKey(j.key[:0], t, j.probeOrds)
 			for _, b := range j.ht[string(j.key)] {
-				j.outBuf = append(j.outBuf, concat(b, t))
+				j.outBuf = append(j.outBuf, j.emit(b, t))
 			}
 			continue
 		}
@@ -283,7 +349,7 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				c.chargeCPU(c.CPU.PerRow)
 				j.key2 = appendKey(j.key2[:0], bt, j.buildOrds)
 				if bytes.Equal(j.key2, j.key) {
-					j.outBuf = append(j.outBuf, concat(bt, t))
+					j.outBuf = append(j.outBuf, j.emit(bt, t))
 				}
 				return nil
 			})
@@ -307,7 +373,7 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
 				j.key = appendKey(j.key[:0], t, j.probeOrds)
 				for _, b := range j.ht[string(j.key)] {
-					j.outBuf = append(j.outBuf, concat(b, t))
+					j.outBuf = append(j.outBuf, j.emit(b, t))
 				}
 				continue
 			}
@@ -341,10 +407,15 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 	}
 }
 
-func concat(a, b row.Tuple) row.Tuple {
-	out := make(row.Tuple, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
+// emit builds one output row from a matching build/probe pair.
+func (j *HashJoin) emit(b, p row.Tuple) row.Tuple {
+	out := make(row.Tuple, 0, len(j.outBuild)+len(j.outProbe))
+	for _, o := range j.outBuild {
+		out = append(out, b[o])
+	}
+	for _, o := range j.outProbe {
+		out = append(out, p[o])
+	}
 	return out
 }
 
@@ -385,14 +456,16 @@ type IndexNestedLoopJoin struct {
 	OuterCols []string       // equality columns on the outer side
 	Inner     *catalog.Index // index on the inner table over the same columns
 	Fetch     bool           // look up full inner rows (vs index-only PK)
+	InnerCols []string       // inner-row columns to fetch, in schema order (nil = all)
 
 	schema    *row.Schema
 	outerOrds []int
+	innerOrds []int
 	buf       []row.Tuple
 	pos       int
 }
 
-// Schema returns outer columns followed by the inner table's columns.
+// Schema returns outer columns followed by the fetched inner columns.
 func (j *IndexNestedLoopJoin) Schema() *row.Schema {
 	if j.schema == nil {
 		var cols []row.Column
@@ -401,7 +474,7 @@ func (j *IndexNestedLoopJoin) Schema() *row.Schema {
 		for _, c := range cols {
 			seen[c.Name] = true
 		}
-		for _, c := range j.Inner.Table.Schema.Columns {
+		for _, c := range projected(j.Inner.Table.Schema, j.InnerCols).Columns {
 			if seen[c.Name] {
 				c.Name = c.Name + "_inner"
 			}
@@ -417,6 +490,10 @@ func (j *IndexNestedLoopJoin) Open(c *Ctx) error {
 	j.outerOrds = nil
 	for _, col := range j.OuterCols {
 		j.outerOrds = append(j.outerOrds, j.Outer.Schema().MustOrdinal(col))
+	}
+	var err error
+	if j.innerOrds, err = colOrds(j.Inner.Table.Schema, j.InnerCols); err != nil {
+		return err
 	}
 	return j.Outer.Open(c)
 }
@@ -447,13 +524,20 @@ func (j *IndexNestedLoopJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 		}
 		for _, pk := range pks {
 			c.chargeCPU(c.CPU.PerRow)
-			inner, err := j.Inner.Table.LookupRow(c.P, pk)
+			inner, err := j.Inner.Table.LookupRow(c.P, pk, j.innerOrds)
 			if err != nil {
 				return nil, false, err
 			}
 			j.buf = append(j.buf, concat(outer, inner))
 		}
 	}
+}
+
+func concat(a, b row.Tuple) row.Tuple {
+	out := make(row.Tuple, 0, len(a)+len(b))
+	out = append(out, a...)
+	out = append(out, b...)
+	return out
 }
 
 // Close closes the outer side.

@@ -234,12 +234,19 @@ type ParallelScan struct {
 	From  []byte
 	To    []byte
 	DOP   int
+	Cols  []string // columns to materialise, in schema order (nil = all)
 
-	inner Op
+	schema *row.Schema
+	inner  Op
 }
 
-// Schema returns the table's schema.
-func (s *ParallelScan) Schema() *row.Schema { return s.Table.Schema }
+// Schema returns the schema of the materialised columns.
+func (s *ParallelScan) Schema() *row.Schema {
+	if s.schema == nil {
+		s.schema = projected(s.Table.Schema, s.Cols)
+	}
+	return s.schema
+}
 
 // Open partitions the key range and spawns the scan workers.
 func (s *ParallelScan) Open(c *Ctx) error {
@@ -255,13 +262,13 @@ func (s *ParallelScan) Open(c *Ctx) error {
 		if len(ranges) > 1 {
 			parts := make([]Op, len(ranges))
 			for i, r := range ranges {
-				parts[i] = &TableScan{Table: s.Table, From: r[0], To: r[1]}
+				parts[i] = &TableScan{Table: s.Table, From: r[0], To: r[1], Cols: s.Cols}
 			}
 			s.inner = &Exchange{Parts: parts}
 			return s.inner.Open(c)
 		}
 	}
-	s.inner = &TableScan{Table: s.Table, From: s.From, To: s.To}
+	s.inner = &TableScan{Table: s.Table, From: s.From, To: s.To, Cols: s.Cols}
 	return s.inner.Open(c)
 }
 

@@ -47,6 +47,7 @@ type Sort struct {
 	merge   *mergeState
 	schema  *row.Schema
 	spilled bool
+	rec     []byte // spill-record scratch
 }
 
 // Schema passes through.
@@ -69,30 +70,19 @@ func (s *Sort) open(c *Ctx) error {
 	// Reset run state so a sort instantiated once can be re-opened.
 	s.rows, s.keys, s.pos = nil, nil, 0
 	s.runs, s.merge, s.spilled = nil, nil, false
+	// The input, once open, is closed on every way out, after the runs
+	// of a failed sort are given back (see HashJoin.open).
 	if err := s.In.Open(c); err != nil {
 		return err
 	}
-	var used int64
-	for {
-		t, ok, err := s.In.Next(c)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		c.chargeCPU(c.CPU.PerSort)
-		s.rows = append(s.rows, t)
-		s.keys = append(s.keys, sortKey(s.schema, s.Specs, t))
-		used += int64(row.EncodedSize(s.schema, t)) + 64
-		if c.Grant > 0 && used > c.Grant {
-			if err := s.spillRun(c); err != nil {
-				return err
-			}
-			used = 0
-		}
+	err := s.readInput(c)
+	if err != nil {
+		s.releaseRuns()
 	}
-	if err := s.In.Close(c); err != nil {
+	if cerr := s.In.Close(c); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	if len(s.runs) == 0 {
@@ -106,6 +96,28 @@ func (s *Sort) open(c *Ctx) error {
 		}
 	}
 	return s.openMerge(c)
+}
+
+// readInput consumes the whole input, spilling a sorted run each time
+// the grant fills.
+func (s *Sort) readInput(c *Ctx) error {
+	var used int64
+	for {
+		t, ok, err := s.In.Next(c)
+		if err != nil || !ok {
+			return err
+		}
+		c.chargeCPU(c.CPU.PerSort)
+		s.rows = append(s.rows, t)
+		s.keys = append(s.keys, sortKey(s.schema, s.Specs, t))
+		used += int64(row.EncodedSize(s.schema, t)) + 64
+		if c.Grant > 0 && used > c.Grant {
+			if err := s.spillRun(c); err != nil {
+				return err
+			}
+			used = 0
+		}
+	}
 }
 
 func (s *Sort) sortInMemory(c *Ctx) {
@@ -139,15 +151,15 @@ func (s *Sort) spillRun(c *Ctx) error {
 	c.chargeCPU(time.Duration(len(idx)) * c.CPU.PerSort)
 	run := c.Temp.NewFile(fmt.Sprintf("sort-run-%d", len(s.runs)))
 	for _, j := range idx {
-		img, err := row.Encode(nil, s.schema, s.rows[j])
+		// Prefix the sort key so the merge need not recompute it. One
+		// record buffer serves the whole sort: Append copies it.
+		s.rec = append(append(s.rec[:0], 0, 0, 0, 0), s.keys[j]...)
+		putU32(s.rec, uint32(len(s.keys[j])))
+		rec, err := row.Encode(s.rec, s.schema, s.rows[j])
 		if err != nil {
 			return err
 		}
-		// Prefix the sort key so the merge need not recompute it.
-		rec := make([]byte, 4+len(s.keys[j])+len(img))
-		putU32(rec, uint32(len(s.keys[j])))
-		copy(rec[4:], s.keys[j])
-		copy(rec[4+len(s.keys[j]):], img)
+		s.rec = rec
 		if err := run.Append(c.P, rec); err != nil {
 			return err
 		}
@@ -301,44 +313,58 @@ func (t *TopN) Schema() *row.Schema { return t.In.Schema() }
 func (t *TopN) Open(c *Ctx) error {
 	// Estimate whether N rows fit the grant using a 256-byte row guess;
 	// the executor does not track per-table averages.
-	if c.Grant > 0 && int64(t.N)*256 > c.Grant {
-		// Degraded path: a full external sort. Like SQL Server's Top N
-		// Sort for large N, the whole input is sorted (all runs written
-		// and merged) and the limit applies to the output.
-		s := &Sort{In: t.In, Specs: t.Specs}
-		if err := s.Open(c); err != nil {
-			return err
-		}
-		kept := make([]row.Tuple, 0, t.N)
-		for {
-			tuple, ok, err := s.Next(c)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if len(kept) < t.N {
-				kept = append(kept, tuple)
-			}
-		}
-		if err := s.Close(c); err != nil {
-			return err
-		}
-		t.inner = &Values{Rows: kept, Sch: t.In.Schema()}
-		return t.inner.Open(c)
+	degraded := c.Grant > 0 && int64(t.N)*256 > c.Grant
+	in := t.In
+	if degraded {
+		// A full external sort. Like SQL Server's Top N Sort for large
+		// N, the whole input is sorted (all runs written and merged) and
+		// the limit applies to the output.
+		in = &Sort{In: t.In, Specs: t.Specs}
 	}
 	t.inner = nil
-	// Bounded-heap path.
-	s := t.In.Schema()
-	if err := t.In.Open(c); err != nil {
+	// The input, once open, is closed on every way out (see HashJoin.open).
+	if err := in.Open(c); err != nil {
 		return err
 	}
+	var rows []row.Tuple
+	var err error
+	if degraded {
+		rows, err = t.sortedTop(c, in)
+	} else {
+		rows, err = t.heapTop(c)
+	}
+	if cerr := in.Close(c); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	t.inner = &Values{Rows: rows, Sch: t.In.Schema()}
+	return t.inner.Open(c)
+}
+
+// sortedTop drains a full sort of the input, keeping its first N rows.
+func (t *TopN) sortedTop(c *Ctx, s Op) ([]row.Tuple, error) {
+	kept := make([]row.Tuple, 0, t.N)
+	for {
+		tuple, ok, err := s.Next(c)
+		if err != nil || !ok {
+			return kept, err
+		}
+		if len(kept) < t.N {
+			kept = append(kept, tuple)
+		}
+	}
+}
+
+// heapTop keeps the N smallest rows of the input in a bounded heap.
+func (t *TopN) heapTop(c *Ctx) ([]row.Tuple, error) {
+	s := t.In.Schema()
 	var top topHeap
 	for {
 		tuple, ok, err := t.In.Next(c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -352,19 +378,11 @@ func (t *TopN) Open(c *Ctx) error {
 			heap.Fix(&top, 0)
 		}
 	}
-	if err := t.In.Close(c); err != nil {
-		return err
+	rows := make([]row.Tuple, top.Len())
+	for i := len(rows) - 1; i >= 0; i-- {
+		rows[i] = heap.Pop(&top).(topEntry).t
 	}
-	entries := make([]topEntry, top.Len())
-	for i := len(entries) - 1; i >= 0; i-- {
-		entries[i] = heap.Pop(&top).(topEntry)
-	}
-	rows := make([]row.Tuple, len(entries))
-	for i, e := range entries {
-		rows[i] = e.t
-	}
-	t.inner = &Values{Rows: rows, Sch: s}
-	return t.inner.Open(c)
+	return rows, nil
 }
 
 type topEntry struct {

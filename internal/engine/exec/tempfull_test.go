@@ -2,7 +2,9 @@ package exec
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"remotedb/internal/engine/tempdb"
 	"remotedb/internal/fault"
@@ -43,6 +45,51 @@ func TestSpillPastTempDBIsClassifiedAndRecoverable(t *testing.T) {
 		}
 		if n, err := join(1); err != nil || n != 1500 {
 			t.Errorf("join after the failed sort: n=%d err=%v", n, err)
+		}
+	})
+}
+
+// An operator whose Open fails after it opened an input closes that
+// input: nobody closes an operator that failed to open, and a parallel
+// scan left open keeps its producer procs parked on their full queues
+// until the kernel goes. The join fails while partitioning the probe
+// side, the sort while reading its input; either way the goroutine count
+// is back where it started with the kernel still running.
+func TestFailedOpenClosesItsInputs(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		orders, items := loadJoinTables(t, p, r, 10000)
+		r.ctx.Temp = tempdb.New(&testkit.FixedFile{MemFile: vfs.NewMemFile("td"), Limit: 4 << 20}) // one extent
+		r.ctx.Grant = 4 << 10
+		ops := map[string]func() Op{
+			// The build side's one partition file takes the extent; the
+			// probe file's first full block, 18 000 rows in, finds none.
+			"join": func() Op {
+				return &HashJoin{
+					Build:      &TableScan{Table: orders},
+					Probe:      &ParallelScan{Table: items, DOP: 4},
+					BuildCols:  []string{"orderkey"},
+					ProbeCols:  []string{"orderkey"},
+					Partitions: 1,
+				}
+			},
+			// The second run finds no extent.
+			"sort": func() Op {
+				return &Sort{In: &ParallelScan{Table: items, DOP: 4}, Specs: []SortSpec{{Col: "price"}}}
+			},
+		}
+		for _, name := range []string{"join", "sort"} {
+			before := runtime.NumGoroutine()
+			if _, err := Run(r.ctx, ops[name]()); !errors.Is(err, tempdb.ErrFull) {
+				t.Errorf("%s: %v, want tempdb.ErrFull", name, err)
+			}
+			// A finished proc's goroutine retires a few instructions
+			// after it reports.
+			for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("%s: %d goroutines after the failed open, %d before: producers left parked", name, n, before)
+			}
 		}
 	})
 }

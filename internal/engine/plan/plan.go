@@ -38,13 +38,18 @@ const (
 	KindValues
 )
 
-// Pred is a named filter predicate. The name is the predicate's
-// identity in the plan signature — the closure itself is opaque — so
-// builders must give semantically different predicates different names.
-// Predicates built with WhereCmp additionally carry a structured Cmp
-// leaf the optimizer can reason about (and push to donors).
+// Pred is a named filter predicate. The name (with the columns it
+// declares) is the predicate's identity in the plan signature — the
+// closure itself is opaque — so builders must give semantically
+// different predicates different names. Fn is handed a tuple of exactly
+// Cols, in that order, whatever else its input carries: what a
+// predicate reads is what it declares, which is how the planner knows
+// which columns a filter keeps alive. Predicates built with WhereCmp
+// additionally carry a structured Cmp leaf the optimizer can reason
+// about (and push to donors).
 type Pred struct {
 	Name string
+	Cols []string
 	Fn   func(row.Tuple) bool
 	Cmp  *Cmp
 }
@@ -153,10 +158,12 @@ func Values(sch *row.Schema, rows []row.Tuple) *Builder {
 	return &Builder{n: &Node{Kind: KindValues, Sch: sch, Rows: rows}}
 }
 
-// Where filters rows by a named predicate. The name identifies the
-// predicate in the plan signature.
-func (b *Builder) Where(name string, fn func(row.Tuple) bool) *Builder {
-	return &Builder{n: &Node{Kind: KindFilter, Preds: []Pred{{Name: name, Fn: fn}}, Children: []*Node{b.n}}}
+// Where filters rows by a named predicate over the listed columns: fn
+// sees a tuple of exactly cols, in that order. The name identifies the
+// predicate in the plan signature. A column the input does not have is
+// an error at Lower.
+func (b *Builder) Where(name string, cols []string, fn func(row.Tuple) bool) *Builder {
+	return &Builder{n: &Node{Kind: KindFilter, Preds: []Pred{{Name: name, Cols: cols, Fn: fn}}, Children: []*Node{b.n}}}
 }
 
 // WhereCmp filters by the structured comparison col <op> val, with sel
@@ -167,13 +174,14 @@ func (b *Builder) Where(name string, fn func(row.Tuple) bool) *Builder {
 // must be a scan-rooted pipeline (the column is resolved eagerly).
 func (b *Builder) WhereCmp(col string, op CmpOp, val interface{}, sel float64) *Builder {
 	sch := outSchema(b.n)
-	ord := sch.MustOrdinal(col)
-	if v, isInt := val.(int); isInt && sch.Columns[ord].Type == row.Int64 {
+	typ := sch.Columns[sch.MustOrdinal(col)].Type
+	if v, isInt := val.(int); isInt && typ == row.Int64 {
 		val = int64(v)
 	}
 	p := Pred{
 		Name: fmt.Sprintf("%s%s?sel=%g", col, op, sel),
-		Fn:   cmpFn(ord, sch.Columns[ord].Type, op, val),
+		Cols: []string{col},
+		Fn:   cmpFn(typ, op, val),
 		Cmp:  &Cmp{Col: col, Op: op, Val: val, Sel: sel},
 	}
 	return &Builder{n: &Node{Kind: KindFilter, Preds: []Pred{p}, Children: []*Node{b.n}}}
@@ -198,13 +206,14 @@ func outSchema(n *Node) *row.Schema {
 	panic("plan: WhereCmp needs a scan-rooted input")
 }
 
-// cmpFn compiles one structured comparison into a tuple predicate.
-func cmpFn(ord int, typ row.Type, op CmpOp, val interface{}) func(row.Tuple) bool {
+// cmpFn compiles one structured comparison into a predicate over the
+// one-column tuple it declares.
+func cmpFn(typ row.Type, op CmpOp, val interface{}) func(row.Tuple) bool {
 	cmp := func(t row.Tuple) int {
 		switch typ {
 		case row.Int64:
 			want := val.(int64)
-			v := t[ord].(int64)
+			v := t[0].(int64)
 			switch {
 			case v < want:
 				return -1
@@ -214,7 +223,7 @@ func cmpFn(ord int, typ row.Type, op CmpOp, val interface{}) func(row.Tuple) boo
 			return 0
 		case row.Float64:
 			want := val.(float64)
-			v := t[ord].(float64)
+			v := t[0].(float64)
 			switch {
 			case v < want:
 				return -1
@@ -223,9 +232,9 @@ func cmpFn(ord int, typ row.Type, op CmpOp, val interface{}) func(row.Tuple) boo
 			}
 			return 0
 		case row.String:
-			return strings.Compare(t[ord].(string), val.(string))
+			return strings.Compare(t[0].(string), val.(string))
 		default:
-			return bytes.Compare(t[ord].([]byte), val.([]byte))
+			return bytes.Compare(t[0].([]byte), val.([]byte))
 		}
 	}
 	switch op {

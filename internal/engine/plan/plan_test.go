@@ -75,11 +75,11 @@ func loadOrders(t *testing.T, p *sim.Proc, r *rigT, n int) *catalog.Table {
 func TestSignatureNormalization(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders := loadOrders(t, p, r, 100)
-		big := func(tp row.Tuple) bool { return tp[2].(float64) > 50 }
-		cust := func(tp row.Tuple) bool { return tp[1].(int64) == 3 }
+		big := func(tp row.Tuple) bool { return tp[0].(float64) > 50 }
+		cust := func(tp row.Tuple) bool { return tp[0].(int64) == 3 }
 
-		a := Scan(orders).Where("big", big).Where("cust3", cust).Select("orderkey")
-		b := Scan(orders).Where("cust3", cust).Where("big", big).Select("orderkey")
+		a := Scan(orders).Where("big", []string{"total"}, big).Where("cust3", []string{"custkey"}, cust).Select("orderkey")
+		b := Scan(orders).Where("cust3", []string{"custkey"}, cust).Where("big", []string{"total"}, big).Select("orderkey")
 		sa := Signature(normalize(a.Node()), 4)
 		sb := Signature(normalize(b.Node()), 4)
 		if sa != sb {
@@ -87,14 +87,14 @@ func TestSignatureNormalization(t *testing.T) {
 		}
 
 		// Range bounds are parameters, not structure.
-		c := ScanRange(orders, row.EncodeKey(nil, int64(10)), row.EncodeKey(nil, int64(20))).Where("big", big)
-		d := ScanRange(orders, row.EncodeKey(nil, int64(40)), row.EncodeKey(nil, int64(90))).Where("big", big)
+		c := ScanRange(orders, row.EncodeKey(nil, int64(10)), row.EncodeKey(nil, int64(20))).Where("big", []string{"total"}, big)
+		d := ScanRange(orders, row.EncodeKey(nil, int64(40)), row.EncodeKey(nil, int64(90))).Where("big", []string{"total"}, big)
 		if Signature(normalize(c.Node()), 4) != Signature(normalize(d.Node()), 4) {
 			t.Error("range bounds leaked into signature")
 		}
 
 		// A different predicate name is a different plan.
-		e := Scan(orders).Where("other", big)
+		e := Scan(orders).Where("other", []string{"total"}, big)
 		if Signature(normalize(a.Node()), 4) == Signature(normalize(e.Node()), 4) {
 			t.Error("predicate names not part of signature")
 		}
@@ -160,7 +160,7 @@ func TestStreamMatchesHandBuiltTree(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders := loadOrders(t, p, r, 2000)
 		pred := func(tp row.Tuple) bool { return tp[1].(int64) < 50 }
-		b := Scan(orders).Where("cust<50", pred).
+		b := Scan(orders).Where("cust<50", []string{"custkey"}, func(tp row.Tuple) bool { return pred(row.Tuple{nil, tp[0]}) }).
 			GroupBy([]string{"custkey"},
 				exec.Agg{Fn: exec.AggSum, Col: "total", As: "sum_total"},
 				exec.Agg{Fn: exec.AggCount, As: "n"},
@@ -240,7 +240,7 @@ func TestJoinStrategyChoice(t *testing.T) {
 
 		// Tiny outer vs indexed inner with disjoint names: INLJ territory.
 		one := func(tp row.Tuple) bool { return tp[0].(int64) == 7 }
-		b := Scan(orders).Where("pk=7", one).Limit(1).Select("custkey").
+		b := Scan(orders).Where("pk=7", []string{"orderkey"}, one).Limit(1).Select("custkey").
 			JoinOn(Scan(cust), []string{"custkey"}, []string{"ckey"})
 		op, err := r.pl.Lower(r.ctx, b)
 		if err != nil {
@@ -262,7 +262,7 @@ func TestJoinStrategyChoice(t *testing.T) {
 		}
 
 		// Shared column names must force the hash join (schema naming).
-		b3 := Scan(orders).Where("pk=7", one).
+		b3 := Scan(orders).Where("pk=7", []string{"orderkey"}, one).
 			Join(Scan(orders), "orderkey")
 		op3, err := r.pl.Lower(r.ctx, b3)
 		if err != nil {
@@ -278,7 +278,7 @@ func TestAggLowersToParallelAgg(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders := loadOrders(t, p, r, 5000)
 		b := Scan(orders).
-			Where("big", func(tp row.Tuple) bool { return tp[2].(float64) > 100 }).
+			Where("big", []string{"total"}, func(tp row.Tuple) bool { return tp[0].(float64) > 100 }).
 			GroupBy([]string{"custkey"}, exec.Agg{Fn: exec.AggSum, Col: "total", As: "s"})
 		op, err := r.pl.Lower(r.ctx, b)
 		if err != nil {

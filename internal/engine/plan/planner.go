@@ -17,15 +17,32 @@ import (
 const pageRows = 50
 
 // decisions holds everything optimization chose for one normalized
-// plan shape, positionally: joins[i] is the strategy of the i-th join
-// node in preorder, scanDOPs[i] the DOP of the i-th scan. The cache
-// stores decisions — never operator instances (operators carry run
-// state) and never plan-node closures (a cached closure would pin
-// whatever out-of-band state the first query captured).
+// plan shape, positionally: joins[i] belongs to the i-th join node in
+// preorder, leaves[i] to the i-th table or index scan. Column sets are
+// kept by name, resolved and ordered, so a cache hit does no set
+// arithmetic. The cache stores decisions — never operator instances
+// (operators carry run state) and never plan-node closures (a cached
+// closure would pin whatever out-of-band state the first query
+// captured).
 type decisions struct {
-	joins      []opt.JoinPlan
-	scanDOPs   []int
-	placements []opt.Placement // one per scan, preorder (PlaceLocal = ordinary lowering)
+	joins  []joinPlan
+	leaves []leafPlan
+}
+
+// joinPlan is one join's strategy and the columns it emits (nil = every
+// column of both inputs).
+type joinPlan struct {
+	strat opt.JoinPlan
+	out   []exec.JoinCol
+}
+
+// leafPlan is one scan's DOP, placement (PlaceLocal = ordinary
+// lowering) and the columns it materialises, in table-schema order
+// (nil = all of them).
+type leafPlan struct {
+	dop       int
+	placement opt.Placement
+	cols      []string
 }
 
 // Planner normalizes logical plans, caches optimization decisions
@@ -172,8 +189,7 @@ func sig(n *Node, sb *strings.Builder) {
 	case KindFilter:
 		sb.WriteString("(filter")
 		for _, p := range n.Preds {
-			sb.WriteByte(' ')
-			sb.WriteString(p.Name)
+			sb.WriteString(" " + p.Name + "[" + strings.Join(p.Cols, ",") + "]")
 		}
 		sb.WriteByte(' ')
 		sig(n.Children[0], sb)
@@ -228,11 +244,11 @@ func specsSig(specs []exec.SortSpec) string {
 // --- optimization ---------------------------------------------------------
 
 // optimize walks the tree in preorder choosing a strategy per join, a
-// DOP and a placement per scan, and charges the planner's optimization
-// CPU.
+// DOP and a placement per scan, and the columns each of them carries,
+// and charges the planner's optimization CPU.
 func (pl *Planner) optimize(c *exec.Ctx, n *Node) *decisions {
 	d := &decisions{}
-	nodes := pl.optNode(c, n, d, nil)
+	nodes := pl.optNode(c, n, d, nil, nil)
 	c.ChargeCPU(time.Duration(nodes) * pl.PlanCPUPerNode)
 	return d
 }
@@ -240,23 +256,26 @@ func (pl *Planner) optimize(c *exec.Ctx, n *Node) *decisions {
 // optNode records decisions in preorder. preds carries the predicates
 // of the filter directly above a node (normalize collapses filter
 // chains, so one hop sees them all) — the context a scan's placement
-// decision is made in.
-func (pl *Planner) optNode(c *exec.Ctx, n *Node, d *decisions, preds []Pred) int {
+// decision is made in — and need the columns the node's parent consumes
+// (nil = all: the root's result is never narrowed).
+func (pl *Planner) optNode(c *exec.Ctx, n *Node, d *decisions, preds []Pred, need colSet) int {
 	nodes := 1
+	kids, out := childNeeds(n, need)
 	switch n.Kind {
 	case KindJoin:
-		d.joins = append(d.joins, pl.chooseJoin(c, n))
+		d.joins = append(d.joins, joinPlan{strat: pl.chooseJoin(c, n), out: out})
 	case KindScan:
 		dop := pl.chooseDOP(c, n)
-		d.scanDOPs = append(d.scanDOPs, dop)
-		d.placements = append(d.placements, pl.choosePlacement(n, preds, dop))
+		d.leaves = append(d.leaves, leafPlan{dop: dop, placement: pl.choosePlacement(n, preds, dop), cols: leafCols(n.Table.Schema, need)})
+	case KindIndexRange:
+		d.leaves = append(d.leaves, leafPlan{dop: 1, placement: opt.PlaceLocal, cols: leafCols(n.Index.Table.Schema, need)})
 	}
 	var down []Pred
 	if n.Kind == KindFilter {
 		down = n.Preds
 	}
-	for _, ch := range n.Children {
-		nodes += pl.optNode(c, ch, d, down)
+	for i, ch := range n.Children {
+		nodes += pl.optNode(c, ch, d, down, kids[i])
 	}
 	return nodes
 }
@@ -448,60 +467,15 @@ func inljIndex(n *Node, cols []string) *catalog.Index {
 }
 
 // sharesNames reports whether the two subtrees' output schemas overlap
-// in column names. Without buffer-pool access the walk is structural:
-// it is conservative for projections below joins.
+// in column names.
 func sharesNames(l, r *Node) bool {
-	ln := outNames(l)
-	rn := outNames(r)
-	for name := range rn {
-		if _, dup := ln[name]; dup {
+	ln := setOf(outCols(l)...)
+	for _, name := range outCols(r) {
+		if ln[name] {
 			return true
 		}
 	}
 	return false
-}
-
-func outNames(n *Node) map[string]struct{} {
-	switch n.Kind {
-	case KindScan:
-		return schemaNames(colNames(n.Table.Schema))
-	case KindIndexRange:
-		return schemaNames(colNames(n.Index.Table.Schema))
-	case KindValues:
-		return schemaNames(colNames(n.Sch))
-	case KindProject:
-		return schemaNames(n.Cols)
-	case KindAgg:
-		names := append([]string(nil), n.GroupBy...)
-		for _, a := range n.Aggs {
-			names = append(names, a.As)
-		}
-		return schemaNames(names)
-	case KindJoin:
-		out := outNames(n.Children[0])
-		for name := range outNames(n.Children[1]) {
-			out[name] = struct{}{}
-		}
-		return out
-	default:
-		return outNames(n.Children[0])
-	}
-}
-
-func schemaNames(names []string) map[string]struct{} {
-	out := make(map[string]struct{}, len(names))
-	for _, name := range names {
-		out[name] = struct{}{}
-	}
-	return out
-}
-
-func colNames(s *row.Schema) []string {
-	names := make([]string, len(s.Columns))
-	for i, col := range s.Columns {
-		names[i] = col.Name
-	}
-	return names
 }
 
 // estRows is the planner's cardinality guess, deliberately simple:
@@ -557,102 +531,91 @@ type instantiator struct {
 	pl      *Planner
 	d       *decisions
 	joinIdx int
-	scanIdx int
+	leafIdx int
 }
 
-func (in *instantiator) nextJoin() opt.JoinPlan {
-	if in.joinIdx < len(in.d.joins) {
-		j := in.d.joins[in.joinIdx]
-		in.joinIdx++
-		return j
-	}
-	return opt.PlanHashJoin
+func (in *instantiator) nextJoin() joinPlan {
+	j := in.d.joins[in.joinIdx]
+	in.joinIdx++
+	return j
 }
 
-// nextScanDOP consumes the next scan's DOP and placement together —
-// every scan gets exactly one of each, so the positional streams stay
-// aligned even for consumers that ignore the placement.
-func (in *instantiator) nextScanDOP() (int, opt.Placement) {
-	dop, placement := 1, opt.PlaceLocal
-	if in.scanIdx < len(in.d.scanDOPs) {
-		dop = in.d.scanDOPs[in.scanIdx]
+func (in *instantiator) nextLeaf() leafPlan {
+	l := in.d.leaves[in.leafIdx]
+	in.leafIdx++
+	return l
+}
+
+// scanOp is the ordinary (possibly parallel) B-tree scan of a leaf.
+func scanOp(scan *Node, leaf leafPlan) exec.Op {
+	if leaf.dop > 1 {
+		return &exec.ParallelScan{Table: scan.Table, From: scan.From, To: scan.To, DOP: leaf.dop, Cols: leaf.cols}
 	}
-	if in.scanIdx < len(in.d.placements) {
-		placement = in.d.placements[in.scanIdx]
-	}
-	in.scanIdx++
-	return dop, placement
+	return &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols}
 }
 
 func (in *instantiator) lower(c *exec.Ctx, n *Node) (exec.Op, error) {
 	switch n.Kind {
 	case KindScan:
-		dop, _ := in.nextScanDOP()
-		if dop > 1 {
-			return &exec.ParallelScan{Table: n.Table, From: n.From, To: n.To, DOP: dop}, nil
-		}
-		return &exec.TableScan{Table: n.Table, From: n.From, To: n.To}, nil
+		return scanOp(n, in.nextLeaf()), nil
 	case KindIndexRange:
-		return &exec.IndexScan{Index: n.Index, From: n.From, To: n.To, Limit: int(n.N)}, nil
+		return &exec.IndexScan{Index: n.Index, From: n.From, To: n.To, Limit: int(n.N), Cols: in.nextLeaf().cols}, nil
+	case KindValues:
+		return &exec.Values{Rows: n.Rows, Sch: n.Sch}, nil
+	case KindJoin:
+		return in.lowerJoin(c, n)
+	case KindAgg:
+		return in.lowerAgg(c, n)
 	case KindFilter:
 		if ch := n.Children[0]; ch.Kind == KindScan {
 			return in.lowerFilteredScan(n, ch)
 		}
-		ch, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.Filter{In: ch, Pred: combinePreds(n.Preds)}, nil
+	}
+	if len(n.Children) != 1 {
+		return nil, fmt.Errorf("plan: unknown node kind %d", n.Kind)
+	}
+	ch, err := in.lower(c, n.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	return stageOp(n, ch)
+}
+
+// stageOp lowers a one-input node over its already-lowered input.
+func stageOp(n *Node, in exec.Op) (exec.Op, error) {
+	switch n.Kind {
+	case KindFilter:
+		return filterOp(n.Preds, in)
 	case KindProject:
-		ch, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.Project{In: ch, Cols: n.Cols}, nil
+		return &exec.Project{In: in, Cols: n.Cols}, nil
 	case KindLimit:
-		ch, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.Limit{In: ch, N: n.N}, nil
+		return &exec.Limit{In: in, N: n.N}, nil
 	case KindSort:
-		ch, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.Sort{In: ch, Specs: n.Specs}, nil
+		return &exec.Sort{In: in, Specs: n.Specs}, nil
 	case KindTop:
-		ch, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.TopN{In: ch, Specs: n.Specs, N: int(n.N)}, nil
-	case KindValues:
-		return &exec.Values{Rows: n.Rows, Sch: n.Sch}, nil
-	case KindJoin:
-		strat := in.nextJoin()
-		left, err := in.lower(c, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		if strat == opt.PlanINLJ {
-			ix := inljIndex(n.Children[1], n.RightCols)
-			if ix != nil {
-				// The right scan's DOP and placement decisions still have
-				// to be consumed to keep later scans aligned.
-				in.nextScanDOP()
-				return &exec.IndexNestedLoopJoin{Outer: left, OuterCols: n.LeftCols, Inner: ix, Fetch: true}, nil
-			}
-		}
-		right, err := in.lower(c, n.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		return &exec.HashJoin{Build: left, Probe: right, BuildCols: n.LeftCols, ProbeCols: n.RightCols, RemoteProbe: in.pl.Pushdown}, nil
-	case KindAgg:
-		return in.lowerAgg(c, n)
+		return &exec.TopN{In: in, Specs: n.Specs, N: int(n.N)}, nil
 	}
 	return nil, fmt.Errorf("plan: unknown node kind %d", n.Kind)
+}
+
+func (in *instantiator) lowerJoin(c *exec.Ctx, n *Node) (exec.Op, error) {
+	jp := in.nextJoin()
+	left, err := in.lower(c, n.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	if jp.strat == opt.PlanINLJ {
+		if ix := inljIndex(n.Children[1], n.RightCols); ix != nil {
+			// The inner side is not lowered, but its leaf decision is
+			// consumed (later scans stay aligned) and names what to fetch.
+			return &exec.IndexNestedLoopJoin{Outer: left, OuterCols: n.LeftCols, Inner: ix, Fetch: true, InnerCols: in.nextLeaf().cols}, nil
+		}
+	}
+	right, err := in.lower(c, n.Children[1])
+	if err != nil {
+		return nil, err
+	}
+	return &exec.HashJoin{Build: left, Probe: right, BuildCols: n.LeftCols, ProbeCols: n.RightCols, Out: jp.out, RemoteProbe: in.pl.Pushdown}, nil
 }
 
 // lowerFilteredScan lowers filter-over-scan honoring the cached
@@ -661,39 +624,40 @@ func (in *instantiator) lower(c *exec.Ctx, n *Node) (exec.Op, error) {
 // leaves into a PushScan — donor-evaluated or fetch-all per the
 // decision — leaving opaque predicates behind as a residual Filter.
 func (in *instantiator) lowerFilteredScan(f, scan *Node) (exec.Op, error) {
-	dop, placement := in.nextScanDOP()
-	if placement == opt.PlaceLocal || scan.Table.Push == nil {
-		var op exec.Op
-		if dop > 1 {
-			op = &exec.ParallelScan{Table: scan.Table, From: scan.From, To: scan.To, DOP: dop}
-		} else {
-			op = &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To}
-		}
-		return &exec.Filter{In: op, Pred: combinePreds(f.Preds)}, nil
+	leaf := in.nextLeaf()
+	if leaf.placement == opt.PlaceLocal || scan.Table.Push == nil {
+		return filterOp(f.Preds, scanOp(scan, leaf))
 	}
-	return pushScanOp(f, scan, dop, placement), nil
+	return pushScanOp(f, scan, leaf)
 }
 
 // pushScanOp builds the PushScan (plus residual Filter) for a
 // filter-over-scan pair under a remote placement.
-func pushScanOp(f, scan *Node, dop int, placement opt.Placement) exec.Op {
-	leaves, _ := pushablePreds(scan.Table.Schema, f.Preds)
+func pushScanOp(f, scan *Node, leaf leafPlan) (exec.Op, error) {
+	sch := scan.Table.Schema
+	leaves, _ := pushablePreds(sch, f.Preds)
+	// An empty projection stays nil: a zero-length record is the push
+	// log's padding marker, so a row of no columns cannot be returned.
+	var proj []int
+	for _, col := range leaf.cols {
+		proj = append(proj, sch.MustOrdinal(col))
+	}
 	var op exec.Op = &exec.PushScan{
 		Table:    scan.Table,
-		Query:    &rmem.PushQuery{Cols: pushCols(scan.Table.Schema), Preds: leaves},
-		FetchAll: placement == opt.PlaceFetchAll,
-		DOP:      dop,
+		Query:    &rmem.PushQuery{Cols: pushCols(sch), Preds: leaves, Proj: proj},
+		FetchAll: leaf.placement == opt.PlaceFetchAll,
+		DOP:      leaf.dop,
 	}
 	var residual []Pred
 	for _, pr := range f.Preds {
-		if _, ok := pushLeaf(scan.Table.Schema, pr.Cmp); !ok {
+		if _, ok := pushLeaf(sch, pr.Cmp); !ok {
 			residual = append(residual, pr)
 		}
 	}
 	if len(residual) > 0 {
-		op = &exec.Filter{In: op, Pred: combinePreds(residual)}
+		return filterOp(residual, op)
 	}
-	return op
+	return op, nil
 }
 
 // lowerAgg emits a ParallelAgg when the aggregate sits on a
@@ -704,44 +668,54 @@ func pushScanOp(f, scan *Node, dop int, placement opt.Placement) exec.Op {
 // (which parallelizes internally by segment partition).
 func (in *instantiator) lowerAgg(c *exec.Ctx, n *Node) (exec.Op, error) {
 	chain, scan := pipelineToScan(n.Children[0])
-	if scan != nil {
-		dop, placement := in.nextScanDOP()
-		if placement != opt.PlaceLocal && scan.Table.Push != nil &&
-			len(chain) > 0 && chain[len(chain)-1].Kind == KindFilter {
-			op := pushScanOp(chain[len(chain)-1], scan, dop, placement)
-			for j := len(chain) - 2; j >= 0; j-- {
-				op = rebuildStage(chain[j], op)
-			}
-			return &exec.HashAgg{In: op, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
+	if scan == nil {
+		ch, err := in.lower(c, n.Children[0])
+		if err != nil {
+			return nil, err
 		}
-		if dop > 1 {
-			ranges, err := exec.PartitionRanges(c.P, scan.Table, scan.From, scan.To, dop)
-			if err != nil {
-				return nil, err
-			}
-			if len(ranges) > 1 {
-				parts := make([]exec.Op, len(ranges))
-				for i, rg := range ranges {
-					var op exec.Op = &exec.TableScan{Table: scan.Table, From: rg[0], To: rg[1]}
-					for j := len(chain) - 1; j >= 0; j-- {
-						op = rebuildStage(chain[j], op)
-					}
-					parts[i] = op
-				}
-				return &exec.ParallelAgg{Parts: parts, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
-			}
+		return &exec.HashAgg{In: ch, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
+	}
+	leaf := in.nextLeaf()
+	// pipeline stacks the chain's stages, bottom-up, over a lowered scan.
+	pipeline := func(op exec.Op, chain []*Node) (exec.Op, error) {
+		var err error
+		for j := len(chain) - 1; j >= 0 && err == nil; j-- {
+			op, err = stageOp(chain[j], op)
 		}
-		var op exec.Op = &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To}
-		for j := len(chain) - 1; j >= 0; j-- {
-			op = rebuildStage(chain[j], op)
+		return op, err
+	}
+	if leaf.placement != opt.PlaceLocal && scan.Table.Push != nil &&
+		len(chain) > 0 && chain[len(chain)-1].Kind == KindFilter {
+		op, err := pushScanOp(chain[len(chain)-1], scan, leaf)
+		if err == nil {
+			op, err = pipeline(op, chain[:len(chain)-1])
+		}
+		if err != nil {
+			return nil, err
 		}
 		return &exec.HashAgg{In: op, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
 	}
-	ch, err := in.lower(c, n.Children[0])
+	if leaf.dop > 1 {
+		ranges, err := exec.PartitionRanges(c.P, scan.Table, scan.From, scan.To, leaf.dop)
+		if err != nil {
+			return nil, err
+		}
+		if len(ranges) > 1 {
+			parts := make([]exec.Op, len(ranges))
+			for i, rg := range ranges {
+				parts[i], err = pipeline(&exec.TableScan{Table: scan.Table, From: rg[0], To: rg[1], Cols: leaf.cols}, chain)
+				if err != nil {
+					return nil, err
+				}
+			}
+			return &exec.ParallelAgg{Parts: parts, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
+		}
+	}
+	op, err := pipeline(&exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols}, chain)
 	if err != nil {
 		return nil, err
 	}
-	return &exec.HashAgg{In: ch, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
+	return &exec.HashAgg{In: op, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
 }
 
 // pipelineToScan returns the Filter/Project chain (top-down) above a
@@ -761,27 +735,37 @@ func pipelineToScan(n *Node) ([]*Node, *Node) {
 	}
 }
 
-func rebuildStage(n *Node, in exec.Op) exec.Op {
-	if n.Kind == KindFilter {
-		return &exec.Filter{In: in, Pred: combinePreds(n.Preds)}
+// filterOp binds the predicates to the schema their input actually
+// produces: per row it gathers each predicate's declared columns into
+// that predicate's argument tuple, so fn sees exactly what it declared
+// wherever pruning left those columns. A declared column the input
+// lacks is an error here, naming it.
+func filterOp(preds []Pred, in exec.Op) (exec.Op, error) {
+	type bound struct {
+		fn   func(row.Tuple) bool
+		ords []int
+		args row.Tuple
 	}
-	return &exec.Project{In: in, Cols: n.Cols}
-}
-
-func combinePreds(preds []Pred) func(t row.Tuple) bool {
-	if len(preds) == 1 {
-		return preds[0].Fn
-	}
-	fns := make([]func(row.Tuple) bool, len(preds))
+	sch := in.Schema()
+	bs := make([]bound, len(preds))
 	for i, p := range preds {
-		fns[i] = p.Fn
+		bs[i] = bound{fn: p.Fn, ords: make([]int, len(p.Cols)), args: make(row.Tuple, len(p.Cols))}
+		for k, col := range p.Cols {
+			if bs[i].ords[k] = sch.Ordinal(col); bs[i].ords[k] < 0 {
+				return nil, fmt.Errorf("plan: predicate %q reads column %q, which its input does not have", p.Name, col)
+			}
+		}
 	}
-	return func(t row.Tuple) bool {
-		for _, fn := range fns {
-			if !fn(t) {
+	return &exec.Filter{In: in, Pred: func(t row.Tuple) bool {
+		for i := range bs {
+			b := &bs[i]
+			for k, o := range b.ords {
+				b.args[k] = t[o]
+			}
+			if !b.fn(b.args) {
 				return false
 			}
 		}
 		return true
-	}
+	}}, nil
 }

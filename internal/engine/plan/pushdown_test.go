@@ -146,7 +146,7 @@ func TestPushdownResidualPredicate(t *testing.T) {
 		// donors, the opaque part stays as a residual Filter on top.
 		b := Scan(orders).
 			WhereCmp("custkey", CmpLT, 10, 0.01).
-			Where("odd", func(tp row.Tuple) bool { return tp[0].(int64)%2 == 1 })
+			Where("odd", []string{"orderkey"}, func(tp row.Tuple) bool { return tp[0].(int64)%2 == 1 })
 		op, err := r.pl.Lower(r.ctx, b)
 		if err != nil {
 			t.Fatal(err)

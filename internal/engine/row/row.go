@@ -80,6 +80,15 @@ func (s *Schema) MustOrdinal(name string) int {
 // Len returns the column count.
 func (s *Schema) Len() int { return len(s.Columns) }
 
+// Names returns the column names in order.
+func (s *Schema) Names() []string {
+	names := make([]string, len(s.Columns))
+	for i, c := range s.Columns {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // Project returns a schema of the named columns.
 func (s *Schema) Project(names ...string) *Schema {
 	cols := make([]Column, len(names))
@@ -150,101 +159,91 @@ func typeErr(c Column, v interface{}) error {
 }
 
 // Decode parses one tuple image.
-func Decode(s *Schema, b []byte) (Tuple, error) {
-	t := make(Tuple, s.Len())
-	for i, c := range s.Columns {
-		switch c.Type {
-		case Int64:
-			if len(b) < 8 {
-				return nil, ErrCorrupt
-			}
-			t[i] = int64(binary.BigEndian.Uint64(b))
-			b = b[8:]
-		case Float64:
-			if len(b) < 8 {
-				return nil, ErrCorrupt
-			}
-			t[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
-			b = b[8:]
-		case String:
-			if len(b) < 2 {
-				return nil, ErrCorrupt
-			}
-			n := int(binary.BigEndian.Uint16(b))
-			b = b[2:]
-			if len(b) < n {
-				return nil, ErrCorrupt
-			}
-			t[i] = string(b[:n])
-			b = b[n:]
-		case Bytes:
-			if len(b) < 2 {
-				return nil, ErrCorrupt
-			}
-			n := int(binary.BigEndian.Uint16(b))
-			b = b[2:]
-			if len(b) < n {
-				return nil, ErrCorrupt
-			}
-			t[i] = append([]byte(nil), b[:n]...)
-			b = b[n:]
-		}
+func Decode(s *Schema, b []byte) (Tuple, error) { return DecodeCols(s, b, nil) }
+
+// DecodeCols parses one tuple image, materialising only the columns at
+// the listed ordinals (ascending; nil = every column) and stepping over
+// the rest by length. The tuple is parallel to ords. The whole image is
+// still validated: what Decode rejects, DecodeCols rejects.
+func DecodeCols(s *Schema, b []byte, ords []int) (Tuple, error) {
+	n := len(ords)
+	if ords == nil {
+		n = s.Len()
 	}
-	if len(b) != 0 {
-		return nil, ErrCorrupt
+	t := make(Tuple, n)
+	if err := decodeInto(t, s, b, ords, false); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // DecodeColumn extracts a single column from a tuple image without
 // materializing the rest — the hot path for scans that aggregate one
-// column (the engine's RangeScan does exactly this).
+// column (the engine's RangeScan does exactly this). It returns at the
+// column: the image past it is not looked at.
 func DecodeColumn(s *Schema, b []byte, ord int) (interface{}, error) {
-	for i, c := range s.Columns {
-		switch c.Type {
-		case Int64:
-			if len(b) < 8 {
-				return nil, ErrCorrupt
-			}
-			if i == ord {
-				return int64(binary.BigEndian.Uint64(b)), nil
-			}
-			b = b[8:]
-		case Float64:
-			if len(b) < 8 {
-				return nil, ErrCorrupt
-			}
-			if i == ord {
-				return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
-			}
-			b = b[8:]
-		case String:
-			if len(b) < 2 {
-				return nil, ErrCorrupt
-			}
-			n := int(binary.BigEndian.Uint16(b))
-			if len(b) < 2+n {
-				return nil, ErrCorrupt
-			}
-			if i == ord {
-				return string(b[2 : 2+n]), nil
-			}
-			b = b[2+n:]
-		case Bytes:
-			if len(b) < 2 {
-				return nil, ErrCorrupt
-			}
-			n := int(binary.BigEndian.Uint16(b))
-			if len(b) < 2+n {
-				return nil, ErrCorrupt
-			}
-			if i == ord {
-				return append([]byte(nil), b[2:2+n]...), nil
-			}
-			b = b[2+n:]
-		}
+	var v [1]interface{}
+	err := decodeInto(v[:], s, b, []int{ord}, true)
+	return v[0], err
+}
+
+// decodeInto is the one decode loop: it walks the image column by
+// column, checking every length, and stores column ords[k] in dst[k]
+// (nil ords = all columns). With early set it returns once the last
+// listed column is stored; otherwise the image must end exactly at the
+// last column.
+func decodeInto(dst Tuple, s *Schema, b []byte, ords []int, early bool) error {
+	// next is the ordinal of the next column to store: one comparison a
+	// column on the skip path.
+	all := ords == nil
+	k, next := 0, -1
+	if all {
+		next = 0
+	} else if len(ords) > 0 {
+		next = ords[0]
 	}
-	return nil, ErrCorrupt
+	off := 0
+	for i := range s.Columns {
+		typ := s.Columns[i].Type
+		end := off + 8
+		if typ >= String { // String and Bytes: a 2-byte length, then the bytes
+			if len(b) < off+2 {
+				return ErrCorrupt
+			}
+			end = off + 2 + (int(b[off])<<8 | int(b[off+1]))
+		}
+		if len(b) < end {
+			return ErrCorrupt
+		}
+		if i == next {
+			switch typ {
+			case Int64:
+				dst[k] = int64(binary.BigEndian.Uint64(b[off:]))
+			case Float64:
+				dst[k] = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
+			case String:
+				dst[k] = string(b[off+2 : end])
+			case Bytes:
+				dst[k] = append([]byte(nil), b[off+2:end]...)
+			}
+			k++
+			switch {
+			case all:
+				next = k
+			case k < len(ords):
+				next = ords[k]
+			case early:
+				return nil
+			default:
+				next = -1
+			}
+		}
+		off = end
+	}
+	if off != len(b) || k != len(dst) {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 // EncodedSize returns the byte length of the tuple's image.

@@ -228,3 +228,67 @@ func TestDecodeColumnMatchesDecode(t *testing.T) {
 		t.Fatal("truncated image accepted")
 	}
 }
+
+// TestDecodeColsProperty: for random tuples and every subset of the
+// columns, the set decoder returns Decode's values at those ordinals,
+// and it rejects every truncation and every overlong image that Decode
+// rejects — skipped columns are still walked.
+func TestDecodeColsProperty(t *testing.T) {
+	s := testSchema()
+	f := func(id int64, bal float64, name string, blob []byte) bool {
+		if len(name) > 1000 || len(blob) > 1000 {
+			return true
+		}
+		if blob == nil {
+			blob = []byte{}
+		}
+		b, err := Encode(nil, s, Tuple{id, bal, name, blob})
+		if err != nil {
+			return false
+		}
+		full, err := Decode(s, b)
+		if err != nil {
+			return false
+		}
+		for mask := 0; mask < 1<<s.Len(); mask++ {
+			ords := []int{}
+			var want Tuple
+			for o := 0; o < s.Len(); o++ {
+				if mask&(1<<o) != 0 {
+					ords = append(ords, o)
+					want = append(want, full[o])
+				}
+			}
+			got, err := DecodeCols(s, b, ords)
+			if err != nil || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Logf("subset %v: got %v (%v), want %v", ords, got, err, want)
+				return false
+			}
+			for cut := 0; cut < len(b); cut++ {
+				if _, derr := Decode(s, b[:cut]); derr == nil {
+					continue // a shorter image that is itself valid
+				}
+				if _, err := DecodeCols(s, b[:cut], ords); err == nil {
+					t.Logf("subset %v accepted the image cut to %d of %d bytes", ords, cut, len(b))
+					return false
+				}
+			}
+			if _, err := DecodeCols(s, append(b[:len(b):len(b)], 0), ords); err == nil {
+				t.Logf("subset %v accepted a trailing byte", ords)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	// A list that is not ascending ordinals of the schema is refused,
+	// not half-filled.
+	b, _ := Encode(nil, s, Tuple{int64(1), 2.0, "x", []byte{3}})
+	for _, ords := range [][]int{{1, 0}, {0, 0}, {4}, {-1}} {
+		if _, err := DecodeCols(s, b, ords); err == nil {
+			t.Errorf("ordinals %v accepted", ords)
+		}
+	}
+}

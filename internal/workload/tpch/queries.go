@@ -8,29 +8,27 @@ import (
 	"remotedb/internal/engine/row"
 )
 
-// Query is one of the 22 TPC-H queries, executable against a DB. Run
-// may execute several plan stages (the subquery pipelines). Every query
-// is expressed through the plan.Builder API and runs via the DB's
-// planner, so repeated executions hit the plan cache and results stream
-// row by row.
+// Query is one of the 22 TPC-H queries. Final runs the query's
+// preliminary stages (the subquery pipelines, streamed into lookup
+// state) and returns the plan of the last one, whose rows are the
+// query's result. Every stage is expressed through the plan.Builder API
+// and runs via the DB's planner, so repeated executions hit the plan
+// cache and results stream row by row.
 type Query struct {
-	ID   int
-	Name string
-	Run  func(c *exec.Ctx, db *DB) error
+	ID    int
+	Name  string
+	Final func(c *exec.Ctx, db *DB) (*plan.Builder, error)
 }
 
-// run plans and drains a query, discarding the rows (the benchmark
-// measures execution, not consumption).
-func run(c *exec.Ctx, db *DB, b *plan.Builder) error {
-	_, err := db.planner().Run(c, b)
+// Run executes the query, discarding the rows (the benchmarks measure
+// execution, not consumption).
+func (q Query) Run(c *exec.Ctx, db *DB) error {
+	b, err := q.Final(c, db)
+	if err != nil {
+		return err
+	}
+	_, err = db.planner().Run(c, b)
 	return err
-}
-
-// pred builds a single-column predicate with the schema lookup done
-// once at plan build.
-func pred(s *row.Schema, col string, f func(v interface{}) bool) func(row.Tuple) bool {
-	o := s.MustOrdinal(col)
-	return func(t row.Tuple) bool { return f(t[o]) }
 }
 
 // Queries returns the 22-query set.
@@ -71,10 +69,9 @@ func QueryByID(id int) Query {
 	panic("tpch: no such query")
 }
 
-func q1(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Lineitem).
-		Where("shipdate<=19980902", pred(li, "shipdate", func(v interface{}) bool { return v.(int64) <= 19980902 })).
+func q1(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Lineitem).
+		Where("shipdate<=19980902", []string{"shipdate"}, func(t row.Tuple) bool { return t[0].(int64) <= 19980902 }).
 		GroupBy([]string{"returnflag", "linestatus"},
 			exec.Agg{Fn: exec.AggSum, Col: "quantity", As: "sum_qty"},
 			exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "sum_base"},
@@ -83,132 +80,123 @@ func q1(c *exec.Ctx, db *DB) error {
 			exec.Agg{Fn: exec.AggAvg, Col: "discount", As: "avg_disc"},
 			exec.Agg{Fn: exec.AggCount, As: "count_order"},
 		).
-		OrderBy(exec.SortSpec{Col: "returnflag"}, exec.SortSpec{Col: "linestatus"}))
+		OrderBy(exec.SortSpec{Col: "returnflag"}, exec.SortSpec{Col: "linestatus"}), nil
 }
 
-func q2(c *exec.Ctx, db *DB) error {
-	pt := db.Part.Schema
+func q2(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	j1 := plan.Scan(db.Part).
-		Where("size=15", pred(pt, "size", func(v interface{}) bool { return v.(int64) == 15 })).
+		Where("size=15", []string{"size"}, func(t row.Tuple) bool { return t[0].(int64) == 15 }).
 		Join(plan.Scan(db.PartSupp), "partkey")
-	return run(c, db, plan.Scan(db.Supplier).
+	return plan.Scan(db.Supplier).
 		Join(j1, "suppkey").
 		GroupBy([]string{"partkey"}, exec.Agg{Fn: exec.AggMin, Col: "supplycost", As: "min_cost"}).
-		Top(100, exec.SortSpec{Col: "min_cost"}))
+		Top(100, exec.SortSpec{Col: "min_cost"}), nil
 }
 
-func q3(c *exec.Ctx, db *DB) error {
-	cu, or, li := db.Customer.Schema, db.Orders.Schema, db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Customer).
-		Where("mktsegment=BUILDING", pred(cu, "mktsegment", func(v interface{}) bool { return v.(string) == "BUILDING" })).
+func q3(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Customer).
+		Where("mktsegment=BUILDING", []string{"mktsegment"}, func(t row.Tuple) bool { return t[0].(string) == "BUILDING" }).
 		Join(plan.Scan(db.Orders).
-			Where("orderdate<19950315", pred(or, "orderdate", func(v interface{}) bool { return v.(int64) < 19950315 })),
+			Where("orderdate<19950315", []string{"orderdate"}, func(t row.Tuple) bool { return t[0].(int64) < 19950315 }),
 			"custkey").
 		Join(plan.Scan(db.Lineitem).
-			Where("shipdate>19950315", pred(li, "shipdate", func(v interface{}) bool { return v.(int64) > 19950315 })),
+			Where("shipdate>19950315", []string{"shipdate"}, func(t row.Tuple) bool { return t[0].(int64) > 19950315 }),
 			"orderkey").
 		GroupBy([]string{"orderkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}).
-		Top(10, exec.SortSpec{Col: "revenue", Desc: true}))
+		Top(10, exec.SortSpec{Col: "revenue", Desc: true}), nil
 }
 
-func q4(c *exec.Ctx, db *DB) error {
-	or, li := db.Orders.Schema, db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Orders).
-		Where("orderdate in 1993Q3", pred(or, "orderdate", func(v interface{}) bool {
-			d := v.(int64)
+func q4(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Orders).
+		Where("orderdate in 1993Q3", []string{"orderdate"}, func(t row.Tuple) bool {
+			d := t[0].(int64)
 			return d >= 19930701 && d < 19931001
-		})).
+		}).
 		Join(plan.Scan(db.Lineitem).
-			Where("receiptdate%7!=0", pred(li, "receiptdate", func(v interface{}) bool { return v.(int64)%7 != 0 })),
+			Where("receiptdate%7!=0", []string{"receiptdate"}, func(t row.Tuple) bool { return t[0].(int64)%7 != 0 }),
 			"orderkey").
 		GroupBy([]string{"orderpriority"}, exec.Agg{Fn: exec.AggCount, As: "order_count"}).
-		OrderBy(exec.SortSpec{Col: "orderpriority"}))
+		OrderBy(exec.SortSpec{Col: "orderpriority"}), nil
 }
 
-func q5(c *exec.Ctx, db *DB) error {
-	or := db.Orders.Schema
+func q5(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	j2 := plan.Scan(db.Customer).
 		Join(plan.Scan(db.Orders).
-			Where("orderdate in 1994", pred(or, "orderdate", func(v interface{}) bool {
-				d := v.(int64)
+			Where("orderdate in 1994", []string{"orderdate"}, func(t row.Tuple) bool {
+				d := t[0].(int64)
 				return d >= 19940101 && d < 19950101
-			})),
+			}),
 			"custkey").
 		Join(plan.Scan(db.Lineitem), "orderkey")
-	return run(c, db, plan.Scan(db.Nation).
+	return plan.Scan(db.Nation).
 		Join(j2, "nationkey").
 		GroupBy([]string{"name"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}).
-		OrderBy(exec.SortSpec{Col: "revenue", Desc: true}))
+		OrderBy(exec.SortSpec{Col: "revenue", Desc: true}), nil
 }
 
-func q6(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Lineitem).
-		Where("shipdate in 1994", pred(li, "shipdate", func(v interface{}) bool {
-			d := v.(int64)
+func q6(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Lineitem).
+		Where("shipdate in 1994", []string{"shipdate"}, func(t row.Tuple) bool {
+			d := t[0].(int64)
 			return d >= 19940101 && d < 19950101
-		})).
-		Where("discount in [.05,.07]", pred(li, "discount", func(v interface{}) bool {
-			d := v.(float64)
+		}).
+		Where("discount in [.05,.07]", []string{"discount"}, func(t row.Tuple) bool {
+			d := t[0].(float64)
 			return d >= 0.05 && d <= 0.07
-		})).
-		Where("quantity<24", pred(li, "quantity", func(v interface{}) bool { return v.(float64) < 24 })).
-		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}))
+		}).
+		Where("quantity<24", []string{"quantity"}, func(t row.Tuple) bool { return t[0].(float64) < 24 }).
+		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}), nil
 }
 
-func q7(c *exec.Ctx, db *DB) error {
-	su, cu := db.Supplier.Schema, db.Customer.Schema
+func q7(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	j2 := plan.Scan(db.Supplier).
-		Where("nation in {6,7}", pred(su, "nationkey", func(v interface{}) bool { k := v.(int64); return k == 6 || k == 7 })).
+		Where("nation in {6,7}", []string{"nationkey"}, func(t row.Tuple) bool { k := t[0].(int64); return k == 6 || k == 7 }).
 		Join(plan.Scan(db.Lineitem), "suppkey").
 		Join(plan.Scan(db.Orders), "orderkey")
-	return run(c, db, plan.Scan(db.Customer).
-		Where("nation in {6,7}", pred(cu, "nationkey", func(v interface{}) bool { k := v.(int64); return k == 6 || k == 7 })).
+	return plan.Scan(db.Customer).
+		Where("nation in {6,7}", []string{"nationkey"}, func(t row.Tuple) bool { k := t[0].(int64); return k == 6 || k == 7 }).
 		Join(j2, "custkey").
 		GroupBy([]string{"nationkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}).
-		OrderBy(exec.SortSpec{Col: "nationkey"}))
+		OrderBy(exec.SortSpec{Col: "nationkey"}), nil
 }
 
-func q8(c *exec.Ctx, db *DB) error {
-	pt := db.Part.Schema
-	return run(c, db, plan.Scan(db.Part).
-		Where("type=ECONOMY ANODIZED STEEL", pred(pt, "type", func(v interface{}) bool { return v.(string) == "ECONOMY ANODIZED STEEL" })).
+func q8(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Part).
+		Where("type=ECONOMY ANODIZED STEEL", []string{"type"}, func(t row.Tuple) bool { return t[0].(string) == "ECONOMY ANODIZED STEEL" }).
 		Join(plan.Scan(db.Lineitem), "partkey").
 		Join(plan.Scan(db.Orders), "orderkey").
 		GroupBy([]string{"orderdate"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "volume"}).
-		Top(50, exec.SortSpec{Col: "volume", Desc: true}))
+		Top(50, exec.SortSpec{Col: "volume", Desc: true}), nil
 }
 
-func q9(c *exec.Ctx, db *DB) error {
-	pt := db.Part.Schema
+func q9(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	j1 := plan.Scan(db.Part).
-		Where("name has 7", pred(pt, "name", func(v interface{}) bool { return strings.Contains(v.(string), "7") })).
+		Where("name has 7", []string{"name"}, func(t row.Tuple) bool { return strings.Contains(t[0].(string), "7") }).
 		Join(plan.Scan(db.Lineitem), "partkey")
-	return run(c, db, plan.Scan(db.Supplier).
+	return plan.Scan(db.Supplier).
 		Join(j1, "suppkey").
 		GroupBy([]string{"nationkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "profit"}).
-		OrderBy(exec.SortSpec{Col: "profit", Desc: true}))
+		OrderBy(exec.SortSpec{Col: "profit", Desc: true}), nil
 }
 
-func q10(c *exec.Ctx, db *DB) error {
-	or, li := db.Orders.Schema, db.Lineitem.Schema
+func q10(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	// Join up to customers, then a large group-by that the grant cannot
 	// hold: Q10 is one of the paper's two spilling queries.
 	j1 := plan.Scan(db.Orders).
-		Where("orderdate in 1993Q4", pred(or, "orderdate", func(v interface{}) bool {
-			d := v.(int64)
+		Where("orderdate in 1993Q4", []string{"orderdate"}, func(t row.Tuple) bool {
+			d := t[0].(int64)
 			return d >= 19931001 && d < 19940101
-		})).
+		}).
 		Join(plan.Scan(db.Lineitem).
-			Where("returnflag=R", pred(li, "returnflag", func(v interface{}) bool { return v.(string) == "R" })),
+			Where("returnflag=R", []string{"returnflag"}, func(t row.Tuple) bool { return t[0].(string) == "R" }),
 			"orderkey")
-	return run(c, db, plan.Scan(db.Customer).
+	return plan.Scan(db.Customer).
 		Join(j1, "custkey").
 		GroupBy([]string{"custkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}).
-		Top(20, exec.SortSpec{Col: "revenue", Desc: true}))
+		Top(20, exec.SortSpec{Col: "revenue", Desc: true}), nil
 }
 
-func q11(c *exec.Ctx, db *DB) error {
+func q11(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	// Stage 1: total value, streamed (a single scalar row).
 	join := func() *plan.Builder {
 		return plan.Scan(db.Supplier).Join(plan.Scan(db.PartSupp), "suppkey")
@@ -216,79 +204,76 @@ func q11(c *exec.Ctx, db *DB) error {
 	rows, err := db.planner().Stream(c, join().
 		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "supplycost", As: "total"}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	threshold := 0.0
 	if t, ok, err := rows.Next(); err != nil {
-		return err
+		return nil, err
 	} else if ok {
 		threshold = t[0].(float64) * 0.0001
 	}
 	if err := rows.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	// Stage 2: groups above the threshold.
-	return run(c, db, join().
+	return join().
 		GroupBy([]string{"partkey"}, exec.Agg{Fn: exec.AggSum, Col: "supplycost", As: "value"}).
-		Where("value>threshold", func(t row.Tuple) bool { return t[1].(float64) > threshold }).
-		OrderBy(exec.SortSpec{Col: "value", Desc: true}))
+		Where("value>threshold", []string{"value"}, func(t row.Tuple) bool { return t[0].(float64) > threshold }).
+		OrderBy(exec.SortSpec{Col: "value", Desc: true}), nil
 }
 
-func q12(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Lineitem).
-		Where("shipmode in {MAIL,SHIP}", pred(li, "shipmode", func(v interface{}) bool {
-			m := v.(string)
+func q12(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Lineitem).
+		Where("shipmode in {MAIL,SHIP}", []string{"shipmode"}, func(t row.Tuple) bool {
+			m := t[0].(string)
 			return m == "MAIL" || m == "SHIP"
-		})).
-		Where("receiptdate in 1994", pred(li, "receiptdate", func(v interface{}) bool {
-			d := v.(int64)
+		}).
+		Where("receiptdate in 1994", []string{"receiptdate"}, func(t row.Tuple) bool {
+			d := t[0].(int64)
 			return d >= 19940101 && d < 19950101
-		})).
+		}).
 		Join(plan.Scan(db.Orders), "orderkey").
 		GroupBy([]string{"shipmode"}, exec.Agg{Fn: exec.AggCount, As: "line_count"}).
-		OrderBy(exec.SortSpec{Col: "shipmode"}))
+		OrderBy(exec.SortSpec{Col: "shipmode"}), nil
 }
 
-func q13(c *exec.Ctx, db *DB) error {
-	return run(c, db, plan.Scan(db.Orders).
+func q13(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Orders).
 		GroupBy([]string{"custkey"}, exec.Agg{Fn: exec.AggCount, As: "c_count"}).
 		GroupBy([]string{"c_count"}, exec.Agg{Fn: exec.AggCount, As: "custdist"}).
-		OrderBy(exec.SortSpec{Col: "custdist", Desc: true}))
+		OrderBy(exec.SortSpec{Col: "custdist", Desc: true}), nil
 }
 
-func q14(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Part).
+func q14(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Part).
 		Join(plan.Scan(db.Lineitem).
-			Where("shipdate in 1995-09", pred(li, "shipdate", func(v interface{}) bool {
-				d := v.(int64)
+			Where("shipdate in 1995-09", []string{"shipdate"}, func(t row.Tuple) bool {
+				d := t[0].(int64)
 				return d >= 19950901 && d < 19951001
-			})),
+			}),
 			"partkey").
-		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}))
+		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}), nil
 }
 
-func q15(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
+func q15(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	perSupp := func() *plan.Builder {
 		return plan.Scan(db.Lineitem).
-			Where("shipdate in 1996Q1", pred(li, "shipdate", func(v interface{}) bool {
-				d := v.(int64)
+			Where("shipdate in 1996Q1", []string{"shipdate"}, func(t row.Tuple) bool {
+				d := t[0].(int64)
 				return d >= 19960101 && d < 19960401
-			})).
+			}).
 			GroupBy([]string{"suppkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "total_revenue"})
 	}
 	// Stage 1: find the best revenue, streaming over the groups.
 	rows, err := db.planner().Stream(c, perSupp())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	best := 0.0
 	for {
 		t, ok, err := rows.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -298,36 +283,35 @@ func q15(c *exec.Ctx, db *DB) error {
 		}
 	}
 	if err := rows.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	// Stage 2: re-run, keeping the top supplier(s). Same shape as stage
 	// 1 up to the final filter, so it replans from the cache.
-	return run(c, db, perSupp().
-		Where("revenue=best", func(t row.Tuple) bool { return t[1].(float64) >= best }))
+	return perSupp().
+		Where("revenue=best", []string{"total_revenue"}, func(t row.Tuple) bool { return t[0].(float64) >= best }), nil
 }
 
-func q16(c *exec.Ctx, db *DB) error {
-	pt := db.Part.Schema
-	return run(c, db, plan.Scan(db.Part).
-		Where("brand!=45", pred(pt, "brand", func(v interface{}) bool { return v.(string) != "Brand#45" })).
+func q16(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Part).
+		Where("brand!=45", []string{"brand"}, func(t row.Tuple) bool { return t[0].(string) != "Brand#45" }).
 		Join(plan.Scan(db.PartSupp), "partkey").
 		GroupBy([]string{"brand", "type", "size"}, exec.Agg{Fn: exec.AggCount, As: "supplier_cnt"}).
-		OrderBy(exec.SortSpec{Col: "supplier_cnt", Desc: true}))
+		OrderBy(exec.SortSpec{Col: "supplier_cnt", Desc: true}), nil
 }
 
-func q17(c *exec.Ctx, db *DB) error {
+func q17(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	// Stage 1: average quantity per part, streamed into a lookup map
 	// (the correlated subquery's memo).
 	rows, err := db.planner().Stream(c, plan.Scan(db.Lineitem).
 		GroupBy([]string{"partkey"}, exec.Agg{Fn: exec.AggAvg, Col: "quantity", As: "avg_qty"}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	avg := make(map[int64]float64)
 	for {
 		t, ok, err := rows.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -335,118 +319,105 @@ func q17(c *exec.Ctx, db *DB) error {
 		avg[t[0].(int64)] = t[1].(float64)
 	}
 	if err := rows.Close(); err != nil {
-		return err
+		return nil, err
 	}
-	pt := db.Part.Schema
-	li := db.Lineitem.Schema
-	qo := li.MustOrdinal("quantity")
-	po := li.MustOrdinal("partkey")
-	return run(c, db, plan.Scan(db.Part).
-		Where("brand=23", pred(pt, "brand", func(v interface{}) bool { return v.(string) == "Brand#23" })).
-		Where("container=MED BOX", pred(pt, "container", func(v interface{}) bool { return v.(string) == "MED BOX" })).
+	return plan.Scan(db.Part).
+		Where("brand=23", []string{"brand"}, func(t row.Tuple) bool { return t[0].(string) == "Brand#23" }).
+		Where("container=MED BOX", []string{"container"}, func(t row.Tuple) bool { return t[0].(string) == "MED BOX" }).
 		Join(plan.Scan(db.Lineitem).
-			Where("qty<0.2*avg", func(t row.Tuple) bool {
-				return t[qo].(float64) < 0.2*avg[t[po].(int64)]
+			Where("qty<0.2*avg", []string{"quantity", "partkey"}, func(t row.Tuple) bool {
+				return t[0].(float64) < 0.2*avg[t[1].(int64)]
 			}),
 			"partkey").
-		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "avg_yearly"}))
+		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "avg_yearly"}), nil
 }
 
-func q18(c *exec.Ctx, db *DB) error {
+func q18(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	// Large-volume customers: a full group-by over lineitem (spills —
 	// the paper's other spilling query), filtered, joined up, and
 	// re-joined with lineitem for the detail rows: the memory-hungry
 	// tail of the plan.
-	return run(c, db, plan.Scan(db.Lineitem).
+	return plan.Scan(db.Lineitem).
 		GroupBy([]string{"orderkey"}, exec.Agg{Fn: exec.AggSum, Col: "quantity", As: "sum_qty"}).
-		Where("sum_qty>70", func(t row.Tuple) bool { return t[1].(float64) > 70 }).
+		Where("sum_qty>70", []string{"sum_qty"}, func(t row.Tuple) bool { return t[0].(float64) > 70 }).
 		Join(plan.Scan(db.Orders), "orderkey").
 		Join(plan.Scan(db.Lineitem), "orderkey").
-		Top(100, exec.SortSpec{Col: "totalprice", Desc: true}))
+		Top(100, exec.SortSpec{Col: "totalprice", Desc: true}), nil
 }
 
-func q19(c *exec.Ctx, db *DB) error {
-	pt := db.Part.Schema
-	li := db.Lineitem.Schema
-	return run(c, db, plan.Scan(db.Part).
-		Where("container in set", pred(pt, "container", func(v interface{}) bool {
-			s := v.(string)
+func q19(c *exec.Ctx, db *DB) (*plan.Builder, error) {
+	return plan.Scan(db.Part).
+		Where("container in set", []string{"container"}, func(t row.Tuple) bool {
+			s := t[0].(string)
 			return s == "SM CASE" || s == "MED BOX" || s == "LG JAR"
-		})).
+		}).
 		Join(plan.Scan(db.Lineitem).
-			Where("quantity in [1,30]", pred(li, "quantity", func(v interface{}) bool {
-				q := v.(float64)
+			Where("quantity in [1,30]", []string{"quantity"}, func(t row.Tuple) bool {
+				q := t[0].(float64)
 				return q >= 1 && q <= 30
-			})),
+			}),
 			"partkey").
-		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}))
+		GroupBy(nil, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}), nil
 }
 
-func q20(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
+func q20(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	halfQty := plan.Scan(db.Lineitem).
-		Where("shipdate in 1994", pred(li, "shipdate", func(v interface{}) bool {
-			d := v.(int64)
+		Where("shipdate in 1994", []string{"shipdate"}, func(t row.Tuple) bool {
+			d := t[0].(int64)
 			return d >= 19940101 && d < 19950101
-		})).
+		}).
 		GroupBy([]string{"partkey", "suppkey"}, exec.Agg{Fn: exec.AggSum, Col: "quantity", As: "half_qty"})
 	// The join output carries both sides' suppkey; the probe side's copy
 	// is disambiguated as suppkey_1 (HashJoin naming).
 	joined := halfQty.Join(plan.Scan(db.PartSupp), "partkey", "suppkey")
-	// availqty and half_qty positions in the join output: build side is
-	// [partkey suppkey half_qty], probe side follows.
-	psAvail := 3 + db.PartSupp.Schema.MustOrdinal("availqty")
-	return run(c, db, joined.
-		Where("avail>half/2", func(t row.Tuple) bool {
-			return float64(t[psAvail].(int64)) > 0.5*t[2].(float64)
+	return joined.
+		Where("avail>half/2", []string{"availqty", "half_qty"}, func(t row.Tuple) bool {
+			return float64(t[0].(int64)) > 0.5*t[1].(float64)
 		}).
-		GroupBy([]string{"suppkey_1"}, exec.Agg{Fn: exec.AggCount, As: "parts"}))
+		GroupBy([]string{"suppkey_1"}, exec.Agg{Fn: exec.AggCount, As: "parts"}), nil
 }
 
-func q21(c *exec.Ctx, db *DB) error {
-	li := db.Lineitem.Schema
-	or := db.Orders.Schema
+func q21(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	j1 := plan.Scan(db.Orders).
-		Where("orderstatus=F", pred(or, "orderstatus", func(v interface{}) bool { return v.(string) == "F" })).
+		Where("orderstatus=F", []string{"orderstatus"}, func(t row.Tuple) bool { return t[0].(string) == "F" }).
 		Join(plan.Scan(db.Lineitem).
-			Where("receiptdate%5=0", pred(li, "receiptdate", func(v interface{}) bool { return v.(int64)%5 == 0 })),
+			Where("receiptdate%5=0", []string{"receiptdate"}, func(t row.Tuple) bool { return t[0].(int64)%5 == 0 }),
 			"orderkey")
-	return run(c, db, plan.Scan(db.Supplier).
+	return plan.Scan(db.Supplier).
 		Join(j1, "suppkey").
 		GroupBy([]string{"name"}, exec.Agg{Fn: exec.AggCount, As: "numwait"}).
-		Top(100, exec.SortSpec{Col: "numwait", Desc: true}))
+		Top(100, exec.SortSpec{Col: "numwait", Desc: true}), nil
 }
 
-func q22(c *exec.Ctx, db *DB) error {
-	cu := db.Customer.Schema
+func q22(c *exec.Ctx, db *DB) (*plan.Builder, error) {
 	// Stage 1: average positive account balance (scalar, streamed).
 	rows, err := db.planner().Stream(c, plan.Scan(db.Customer).
-		Where("acctbal>0", pred(cu, "acctbal", func(v interface{}) bool { return v.(float64) > 0 })).
+		Where("acctbal>0", []string{"acctbal"}, func(t row.Tuple) bool { return t[0].(float64) > 0 }).
 		GroupBy(nil, exec.Agg{Fn: exec.AggAvg, Col: "acctbal", As: "avg_bal"}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	avgBal := 0.0
 	if t, ok, err := rows.Next(); err != nil {
-		return err
+		return nil, err
 	} else if ok {
 		avgBal = t[0].(float64)
 	}
 	if err := rows.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	// Stage 2: which customers have orders (anti join via order counts),
 	// streamed into the membership set.
 	counts, err := db.planner().Stream(c, plan.Scan(db.Orders).
 		GroupBy([]string{"custkey"}, exec.Agg{Fn: exec.AggCount, As: "n"}))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	has := make(map[int64]bool)
 	for {
 		t, ok, err := counts.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -454,17 +425,15 @@ func q22(c *exec.Ctx, db *DB) error {
 		has[t[0].(int64)] = true
 	}
 	if err := counts.Close(); err != nil {
-		return err
+		return nil, err
 	}
-	ck := cu.MustOrdinal("custkey")
-	ab := cu.MustOrdinal("acctbal")
-	return run(c, db, plan.Scan(db.Customer).
-		Where("bal>avg and no orders", func(t row.Tuple) bool {
-			return t[ab].(float64) > avgBal && !has[t[ck].(int64)]
+	return plan.Scan(db.Customer).
+		Where("bal>avg and no orders", []string{"acctbal", "custkey"}, func(t row.Tuple) bool {
+			return t[0].(float64) > avgBal && !has[t[1].(int64)]
 		}).
 		GroupBy([]string{"nationkey"},
 			exec.Agg{Fn: exec.AggCount, As: "numcust"},
 			exec.Agg{Fn: exec.AggSum, Col: "acctbal", As: "totacctbal"},
 		).
-		OrderBy(exec.SortSpec{Col: "nationkey"}))
+		OrderBy(exec.SortSpec{Col: "nationkey"}), nil
 }

@@ -11,6 +11,7 @@ import (
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/exec"
 	"remotedb/internal/engine/plan"
+	"remotedb/internal/engine/row"
 	"remotedb/internal/hw/disk"
 	"remotedb/internal/sim"
 	"remotedb/internal/vfs"
@@ -20,6 +21,7 @@ import (
 func rig(t *testing.T, sf float64, fn func(p *sim.Proc, eng *engine.Engine, db *DB)) {
 	t.Helper()
 	k := sim.New(1)
+	t.Cleanup(k.Close) // the engine's background procs end with the test
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)
@@ -148,10 +150,9 @@ func TestSpillingEquivalentAcrossDOP(t *testing.T) {
 // different order, so the last ulp may differ).
 func TestRowLevelEquivalenceAcrossDOP(t *testing.T) {
 	rig(t, 0.01, func(p *sim.Proc, eng *engine.Engine, db *DB) {
-		li := db.Lineitem.Schema
 		build := func() *plan.Builder {
 			return plan.Scan(db.Lineitem).
-				Where("shipdate<=19980902", pred(li, "shipdate", func(v interface{}) bool { return v.(int64) <= 19980902 })).
+				Where("shipdate<=19980902", []string{"shipdate"}, func(t row.Tuple) bool { return t[0].(int64) <= 19980902 }).
 				GroupBy([]string{"returnflag", "linestatus"},
 					exec.Agg{Fn: exec.AggSum, Col: "quantity", As: "sum_qty"},
 					exec.Agg{Fn: exec.AggAvg, Col: "extendedprice", As: "avg_price"},
@@ -214,7 +215,7 @@ func TestPlanCacheReusedAcrossQueryRuns(t *testing.T) {
 		hits0, misses0 := pl.Hits, pl.Misses
 		for i := 0; i < 3; i++ {
 			ctx := eng.NewCtx(p)
-			if err := q1(ctx, db); err != nil {
+			if err := QueryByID(1).Run(ctx, db); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -232,11 +233,11 @@ func TestQueryDeterminism(t *testing.T) {
 	// two executions.
 	rig(t, 0.01, func(p *sim.Proc, eng *engine.Engine, db *DB) {
 		c1 := eng.NewCtx(p)
-		if err := q3(c1, db); err != nil {
+		if err := QueryByID(3).Run(c1, db); err != nil {
 			t.Fatal(err)
 		}
 		c2 := eng.NewCtx(p)
-		if err := q3(c2, db); err != nil {
+		if err := QueryByID(3).Run(c2, db); err != nil {
 			t.Fatal(err)
 		}
 		if c1.RowsOut != c2.RowsOut {

@@ -154,9 +154,13 @@ type (
 )
 
 // The query layer: build queries with the fluent plan.Builder
-// (remotedb.Scan(...).Where(...).GroupBy(...)), then run them through
-// the engine's Planner, which normalizes the plan, reuses cached
+// (remotedb.Scan(t).Where(name, cols, fn).GroupBy(...)), then run them
+// through the engine's Planner, which normalizes the plan, reuses cached
 // optimization decisions (plan cache), and streams results row by row.
+// A Where predicate names the columns it reads and is handed a tuple of
+// exactly those: from that the planner works out which columns each
+// scan decodes and each join and spill carries, while the query's own
+// result keeps every column.
 type (
 	// QueryBuilder composes a logical query plan.
 	QueryBuilder = plan.Builder
