@@ -340,6 +340,7 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 			f.ver++
 			f.ref = true
 			f.prefetched = true
+			f.extCopy = true
 			copy(f.buf, pu.img)
 			bp.table[no] = idx
 			bp.noteInstall(idx)
@@ -385,9 +386,7 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 		stale := false
 		if pe.slot >= 0 {
 			err = extErr
-			// The vectored read slept; a concurrent eviction put may have
-			// reclaimed the slot for another page, clobbering the image.
-			stale = bp.ext.disabled || bp.ext.slotPage[pe.slot] != pe.no
+			stale = bp.ext.stale(pe.slot, pe.no)
 		}
 		if _, raced := bp.table[pe.no]; err != nil || raced || stale {
 			f.valid = false
@@ -397,6 +396,7 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 			f.pins = 0
 			f.ref = true
 			f.prefetched = true
+			f.extCopy = pe.slot >= 0
 			bp.table[pe.no] = pe.idx
 			bp.noteInstall(pe.idx)
 			installed++

@@ -94,6 +94,11 @@ type frame struct {
 	// tally drives the adaptive window.
 	prefetched bool
 
+	// extCopy marks an image that arrived from the extension (a slot, or a
+	// put still queued) and is unchanged since: the extension's copy, while
+	// it keeps one, is byte-identical. Cleared wherever the two can diverge.
+	extCopy bool
+
 	// GDSF bookkeeping. The hit path is two field writes (saturating
 	// freq bump, re-anchor baseL at the current inflation value);
 	// priority is recomputed lazily when the heap pops the frame.
@@ -286,6 +291,7 @@ func (h *Handle) PageNo() uint64 { return h.bp.frames[h.idx].pageNo }
 func (h *Handle) MarkDirty(lsn uint64) {
 	f := &h.bp.frames[h.idx]
 	f.dirty = true
+	f.extCopy = false
 	f.ver++
 	if lsn > 0 {
 		h.Page().SetLSN(lsn)
@@ -324,6 +330,7 @@ func (bp *Pool) Allocate(p *sim.Proc, t page.Type) (*Handle, uint64, error) {
 	f.pins = 1
 	f.ref = true
 	f.prefetched = false
+	f.extCopy = false
 	bp.table[no] = idx
 	bp.noteInstall(idx)
 	f.pg.Init(no, t)
@@ -411,6 +418,7 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 		bp.Stats.DiskReads++
 	}
 	f.ref = true
+	f.extCopy = fromExt
 	bp.table[pageNo] = idx
 	bp.noteInstall(idx)
 	return bp.pin(idx), nil
@@ -462,9 +470,10 @@ func (bp *Pool) victimClock(p *sim.Proc) (int, error) {
 }
 
 // evict writes back a dirty victim, stashes the (now clean) image in the
-// extension, and frees the frame. It reports ok=false when a concurrent
-// pin or modification raced with the I/O, in which case the frame is
-// left cached and the caller must pick another victim.
+// extension unless the extension holds that very image already, and frees
+// the frame. It reports ok=false when a concurrent pin or modification
+// raced with the I/O, in which case the frame is left cached and the
+// caller must pick another victim.
 func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	f := &bp.frames[idx]
 	f.pins++ // guard: concurrent sweeps and the writer skip pinned frames
@@ -486,10 +495,11 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	} else {
 		bp.Stats.EvictClean++
 	}
-	if bp.ExtensionHealthy() {
+	if bp.ext != nil && !(f.extCopy && bp.extHolds(f.pageNo)) {
 		// Any existing extension copy predates this eviction's image:
 		// drop the mapping now so a dropped or late async put can never
-		// leave a stale page serving reads.
+		// leave a stale page serving reads — on a disabled tier too, whose
+		// surviving mappings Revive puts back in service.
 		bp.ext.invalidate(f.pageNo)
 		bp.ext.putVer[f.pageNo]++
 		ver := bp.ext.putVer[f.pageNo]
@@ -499,8 +509,8 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 		// cached — insertion is best-effort. With BatchedIO the image
 		// joins the flusher's queue and ships in a vectored group write;
 		// otherwise a per-page goroutine writes it.
-		gotSlot := bp.extPutSlots.TryAcquire(1)
-		if !gotSlot && bp.cfg.BatchedIO && !bp.extDegraded() {
+		gotSlot := !bp.ext.disabled && bp.extPutSlots.TryAcquire(1)
+		if !gotSlot && !bp.ext.disabled && bp.cfg.BatchedIO && !bp.extDegraded() {
 			// Queue full: wait for the flusher to swap it out rather than
 			// dropping the page — a dropped page costs a spindle seek on
 			// its next fault, far worse than a short write-throttle stall.
@@ -535,6 +545,9 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 					}
 				})
 			}
+		} else {
+			// No put follows: a queued older image must not be read through.
+			delete(bp.extPending, f.pageNo)
 		}
 	}
 	f.pins--
@@ -550,6 +563,15 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	f.valid = false
 	bp.evictEpoch++
 	return true, nil
+}
+
+// extHolds reports whether the extension still has a copy of pageNo, in a
+// slot or queued for one. extCopy alone is no proof: slot reclaim, salvage,
+// a failed or dropped batch all forget the copy without visiting the frame.
+func (bp *Pool) extHolds(pageNo uint64) bool {
+	_, mapped := bp.ext.table[pageNo]
+	_, queued := bp.extPending[pageNo]
+	return mapped || queued
 }
 
 // takeImage returns a page-sized buffer for an eviction image.
@@ -690,6 +712,7 @@ func (bp *Pool) PrimeInstall(p *sim.Proc, pageNo uint64, img []byte) error {
 	f.pins = 0
 	f.ref = true
 	f.prefetched = false
+	f.extCopy = false
 	bp.table[pageNo] = idx
 	bp.noteInstall(idx)
 	return nil
@@ -735,8 +758,19 @@ func (e *Extension) tryGet(p *sim.Proc, pageNo uint64, dst []byte) (bool, error)
 	if err := e.file.ReadAt(p, dst, int64(slot)*page.Size); err != nil {
 		return false, err
 	}
+	if e.stale(slot, pageNo) {
+		e.Misses++
+		return false, nil
+	}
 	e.Hits++
 	return true, nil
+}
+
+// stale reports whether a read of slot for pageNo that has just slept may
+// have fetched something else: a concurrent put's allocSlot can reclaim the
+// slot for another page, and salvage or a failure can drop it, meanwhile.
+func (e *Extension) stale(slot int, pageNo uint64) bool {
+	return e.disabled || e.slotPage[slot] != pageNo
 }
 
 func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) error {
@@ -752,6 +786,9 @@ func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) erro
 		delete(e.table, pageNo)
 		e.slotPage[slot] = 0
 		return err
+	}
+	if e.slotPage[slot] != pageNo {
+		return nil // a later put reclaimed the slot while the write slept: its bytes won
 	}
 	// Install (or refresh) the mapping only if still the latest image.
 	if e.putVer[pageNo] == ver {

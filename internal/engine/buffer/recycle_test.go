@@ -13,21 +13,30 @@ import (
 	"remotedb/internal/vfs"
 )
 
-// slowFile is an extension file whose writes take delay and, like a DMA
-// engine, read the caller's buffer when the transfer happens, not when it
-// is posted: an image reused while its put is in flight reaches the file
-// with the wrong bytes.
+// slowFile is an extension file whose writes take delay (and reads rdelay)
+// and which, like a DMA engine, moves the bytes when the transfer happens,
+// not when it is posted: an image reused while its put is in flight reaches
+// the file with the wrong bytes, and a read of a slot overwritten while it
+// sleeps returns the new bytes.
 type slowFile struct {
-	mem   *vfs.MemFile
-	delay time.Duration
+	mem     *vfs.MemFile
+	delay   time.Duration
+	rdelay  time.Duration
+	written int64 // bytes
 }
 
-func (f *slowFile) Name() string                                  { return "slow-ext" }
-func (f *slowFile) ReadAt(p *sim.Proc, b []byte, off int64) error { return f.mem.ReadAt(p, b, off) }
-func (f *slowFile) Size() int64                                   { return f.mem.Size() }
-func (f *slowFile) Close(p *sim.Proc) error                       { return f.mem.Close(p) }
+func (f *slowFile) Name() string            { return "slow-ext" }
+func (f *slowFile) Size() int64             { return f.mem.Size() }
+func (f *slowFile) Close(p *sim.Proc) error { return f.mem.Close(p) }
+func (f *slowFile) ReadAt(p *sim.Proc, b []byte, off int64) error {
+	if f.rdelay > 0 {
+		p.Sleep(f.rdelay)
+	}
+	return f.mem.ReadAt(p, b, off)
+}
 func (f *slowFile) WriteAt(p *sim.Proc, b []byte, off int64) error {
 	p.Sleep(f.delay)
+	f.written += int64(len(b))
 	return f.mem.WriteAt(p, b, off)
 }
 

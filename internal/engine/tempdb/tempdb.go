@@ -148,6 +148,16 @@ func (s *SpillFile) Append(p *sim.Proc, rec []byte) error {
 	if s.wbuf == nil {
 		s.wbuf = s.t.takeBuf()
 	}
+	if need := len(s.wbuf) + 4 + len(rec); need > cap(s.wbuf) {
+		// Double from 16 KiB up to the most a block's tail plus this record
+		// can need: append's 1.25× steps copy a buffer on its way to a block
+		// several times over, and most partition files never get there.
+		c := max(2*cap(s.wbuf), 16<<10)
+		for c < need {
+			c *= 2
+		}
+		s.wbuf = append(make([]byte, 0, min(c, BlockSize+4+len(rec))), s.wbuf...)
+	}
 	s.wbuf = binary.LittleEndian.AppendUint32(s.wbuf, uint32(len(rec)))
 	s.wbuf = append(s.wbuf, rec...)
 	s.Records++
