@@ -94,9 +94,8 @@ type frame struct {
 	// tally drives the adaptive window.
 	prefetched bool
 
-	// extCopy marks an image that arrived from the extension (a slot, or a
-	// put still queued) and is unchanged since: the extension's copy, while
-	// it keeps one, is byte-identical. Cleared wherever the two can diverge.
+	// extCopy: the image came from the extension (a slot or a queued put)
+	// and is unchanged since, so the copy there, while kept, is identical.
 	extCopy bool
 
 	// GDSF bookkeeping. The hit path is two field writes (saturating
@@ -268,6 +267,7 @@ type Handle struct {
 	bp    *Pool
 	idx   int
 	freed bool
+	ext   bool // the Get that returned it fetched the page from the extension
 }
 
 // pin returns a handle on frame idx, whose pin the caller has counted.
@@ -275,7 +275,7 @@ func (bp *Pool) pin(idx int) *Handle {
 	if n := len(bp.handles); n > 0 {
 		h := bp.handles[n-1]
 		bp.handles = bp.handles[:n-1]
-		h.idx, h.freed = idx, false
+		h.idx, h.freed, h.ext = idx, false, false
 		return h
 	}
 	return &Handle{bp: bp, idx: idx}
@@ -283,6 +283,10 @@ func (bp *Pool) pin(idx int) *Handle {
 
 // Page views the pinned frame.
 func (h *Handle) Page() *page.Page { return h.bp.frames[h.idx].pg }
+
+// FromExtension reports whether the Get that returned h fetched the page
+// from the extension itself: not a hit, not a wait on another's fault.
+func (h *Handle) FromExtension() bool { return h.ext }
 
 // PageNo returns the pinned page's number.
 func (h *Handle) PageNo() uint64 { return h.bp.frames[h.idx].pageNo }
@@ -421,7 +425,9 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 	f.extCopy = fromExt
 	bp.table[pageNo] = idx
 	bp.noteInstall(idx)
-	return bp.pin(idx), nil
+	h := bp.pin(idx)
+	h.ext = fromExt
+	return h, nil
 }
 
 // victim finds a free frame under the configured eviction policy; it
@@ -496,11 +502,11 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 		bp.Stats.EvictClean++
 	}
 	if bp.ext != nil && !(f.extCopy && bp.extHolds(f.pageNo)) {
-		// Any existing extension copy predates this eviction's image:
-		// drop the mapping now so a dropped or late async put can never
-		// leave a stale page serving reads — on a disabled tier too, whose
-		// surviving mappings Revive puts back in service.
+		// Any extension copy, mapped or queued, predates this eviction's image:
+		// drop it now so a dropped or late async put can never leave a stale
+		// page serving reads, nor Revive a disabled tier's mapping of one.
 		bp.ext.invalidate(f.pageNo)
+		delete(bp.extPending, f.pageNo)
 		bp.ext.putVer[f.pageNo]++
 		ver := bp.ext.putVer[f.pageNo]
 		// Stash the clean image in the extension asynchronously (SQL
@@ -509,8 +515,9 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 		// cached — insertion is best-effort. With BatchedIO the image
 		// joins the flusher's queue and ships in a vectored group write;
 		// otherwise a per-page goroutine writes it.
-		gotSlot := !bp.ext.disabled && bp.extPutSlots.TryAcquire(1)
-		if !gotSlot && !bp.ext.disabled && bp.cfg.BatchedIO && !bp.extDegraded() {
+		canPut := !bp.ext.disabled
+		gotSlot := canPut && bp.extPutSlots.TryAcquire(1)
+		if !gotSlot && canPut && bp.cfg.BatchedIO && !bp.extDegraded() {
 			// Queue full: wait for the flusher to swap it out rather than
 			// dropping the page — a dropped page costs a spindle seek on
 			// its next fault, far worse than a short write-throttle stall.
@@ -537,17 +544,14 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 					if !bp.ExtensionHealthy() {
 						return
 					}
-					if err := bp.ext.put(ep, pageNo, img, ver); err != nil {
+					if installed, err := bp.ext.put(ep, pageNo, img, ver); err != nil {
 						bp.extFailed(err)
-					} else {
+					} else if installed {
 						bp.Stats.ExtWrites++
 						bp.Stats.ExtWriteBytes += page.Size
 					}
 				})
 			}
-		} else {
-			// No put follows: a queued older image must not be read through.
-			delete(bp.extPending, f.pageNo)
 		}
 	}
 	f.pins--
@@ -565,9 +569,8 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	return true, nil
 }
 
-// extHolds reports whether the extension still has a copy of pageNo, in a
-// slot or queued for one. extCopy alone is no proof: slot reclaim, salvage,
-// a failed or dropped batch all forget the copy without visiting the frame.
+// extHolds reports whether the extension still has pageNo, mapped or queued:
+// slot reclaim, salvage, a failed or dropped batch forget it behind extCopy.
 func (bp *Pool) extHolds(pageNo uint64) bool {
 	_, mapped := bp.ext.table[pageNo]
 	_, queued := bp.extPending[pageNo]
@@ -766,16 +769,16 @@ func (e *Extension) tryGet(p *sim.Proc, pageNo uint64, dst []byte) (bool, error)
 	return true, nil
 }
 
-// stale reports whether a read of slot for pageNo that has just slept may
-// have fetched something else: a concurrent put's allocSlot can reclaim the
-// slot for another page, and salvage or a failure can drop it, meanwhile.
+// stale reports whether a read of slot for pageNo that just slept may have
+// fetched something else: a put reclaimed the slot, or salvage dropped it.
 func (e *Extension) stale(slot int, pageNo uint64) bool {
 	return e.disabled || e.slotPage[slot] != pageNo
 }
 
-func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) error {
+// put reports whether it installed the mapping, as the flusher counts them.
+func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) (bool, error) {
 	if e.putVer[pageNo] != ver {
-		return nil // superseded by a newer eviction's image
+		return false, nil // superseded by a newer eviction's image
 	}
 	slot, ok := e.table[pageNo]
 	if !ok {
@@ -785,19 +788,19 @@ func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) erro
 	if err := e.file.WriteAt(p, src, int64(slot)*page.Size); err != nil {
 		delete(e.table, pageNo)
 		e.slotPage[slot] = 0
-		return err
+		return false, err
 	}
 	if e.slotPage[slot] != pageNo {
-		return nil // a later put reclaimed the slot while the write slept: its bytes won
+		return false, nil // a later put reclaimed the slot while the write slept: its bytes won
 	}
 	// Install (or refresh) the mapping only if still the latest image.
-	if e.putVer[pageNo] == ver {
-		e.table[pageNo] = slot
-	} else {
+	if e.putVer[pageNo] != ver {
 		e.slotPage[slot] = 0
+		return false, nil
 	}
+	e.table[pageNo] = slot
 	e.Puts++
-	return nil
+	return true, nil
 }
 
 // invalidate drops the mapping for pageNo (the slot becomes free).

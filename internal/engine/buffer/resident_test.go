@@ -176,8 +176,13 @@ func TestDirtiedExtensionPageIsPutAgain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bp.Stats.ExtHits != extHits+1 || !bp.frames[h.idx].extCopy {
+		if bp.Stats.ExtHits != extHits+1 || !bp.frames[h.idx].extCopy || !h.FromExtension() {
 			t.Fatalf("page %d did not come from the extension", a)
+		}
+		if hit, _ := bp.Get(p, a); hit.FromExtension() {
+			t.Error("a hit claims to have fetched the page from the extension")
+		} else {
+			hit.Release()
 		}
 		stamp(h.Page(), a, 2)
 		h.MarkDirty(0)
@@ -260,6 +265,9 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 						}
 						no := h.PageNo()
 						check(t, h.Page(), no, version[no])
+						if h.FromExtension() && !bp.frames[h.idx].extCopy {
+							t.Errorf("page %d: fetched from the extension into a frame that does not say so", no)
+						}
 						if rng.Intn(3) == 0 {
 							version[no]++
 							stamp(h.Page(), no, version[no])
@@ -300,6 +308,10 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 		}
 		if bp.Stats.ExtHits == 0 || bp.Stats.EvictDirty == 0 || bp.Stats.ExtWrites == 0 {
 			t.Errorf("the run never exercised the extension: %+v", bp.Stats)
+		}
+		// Batched or not, a write is a put that installed its mapping.
+		if bp.Stats.ExtWrites != bp.ext.Puts {
+			t.Errorf("ExtWrites = %d, the extension installed %d mappings", bp.Stats.ExtWrites, bp.ext.Puts)
 		}
 	})
 	k.Run(time.Minute)

@@ -189,10 +189,11 @@ type Fig11Latency struct {
 
 // RunFig11Latency measures the BPExt fetch latency under full workload
 // load: a side process times buffer-pool Gets of pages that are not in
-// RAM when it asks. A sample counts when no data-file read happened while
-// it ran, so what it timed is a fetch from the extension (frame, latch
-// CPU, and the transfer, queueing behind the clients included), not the
-// query around it.
+// RAM when it asks, and keeps the ones that fetched the page from the
+// extension themselves (Handle.FromExtension: not a hit, not a wait on a
+// client's fault, not a data-file read). What it times is the fetch —
+// frame, latch CPU and the transfer, queueing behind the clients
+// included — not the query around it.
 func RunFig11Latency(seed int64, dur time.Duration) ([]Fig11Latency, error) {
 	var out []Fig11Latency
 	for _, d := range []Design{DesignHDDSSD, DesignSMBDirect, DesignCustom} {
@@ -226,15 +227,15 @@ func RunFig11Latency(seed int64, dur time.Duration) ([]Fig11Latency, error) {
 				if bp.InRAM(no) {
 					continue
 				}
-				diskReads, t0 := bp.Stats.DiskReads, p.Now()
+				t0 := p.Now()
 				h, err := bp.Get(p, no)
 				if err != nil {
 					return err
 				}
-				h.Release()
-				if bp.Stats.DiskReads == diskReads {
+				if h.FromExtension() {
 					hist.Observe(p.Now() - t0)
 				}
+				h.Release()
 			}
 			mean = hist.Mean()
 			done.Wait(p)
