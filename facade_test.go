@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"remotedb"
+	"remotedb/internal/broker"
 )
 
 func TestErrorTaxonomyThroughFacade(t *testing.T) {
@@ -71,6 +72,52 @@ func TestErrorTaxonomyThroughFacade(t *testing.T) {
 		if err := f.ReadAt(p, make([]byte, 4096), 0); !errors.Is(err, remotedb.ErrClosed) {
 			t.Errorf("read after close: %v not classified ErrClosed", err)
 		}
+	})
+	k.Run(time.Minute)
+}
+
+// The cluster-scale options reach the broker and the mount: two shards,
+// a tenant quota enforced once at the router, and the mount's leases
+// charged to its tenant, so its grant past the quota fails for good.
+func TestTenantQuotaThroughFacade(t *testing.T) {
+	k := remotedb.NewKernel(1)
+	defer k.Close()
+	k.Go("t", func(p *remotedb.Proc) {
+		cl := remotedb.NewCluster(k)
+		db := cl.AddServer("db1", remotedb.DefaultServerConfig())
+		store := remotedb.NewMetaStore(k, 10*time.Microsecond)
+		b := remotedb.StartBroker(p, store,
+			remotedb.WithBrokerShards(2),
+			remotedb.WithTenantQuota("oltp", 4<<20))
+		if b.ShardCount() != 2 {
+			t.Errorf("shards: got %d", b.ShardCount())
+		}
+		for _, name := range []string{"mem1", "mem2"} {
+			if _, err := b.AddProxy(p, cl.AddServer(name, remotedb.DefaultServerConfig()), 1<<20, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client := remotedb.NewRemoteClient(p, db, remotedb.DefaultRemoteClientConfig())
+		fs := remotedb.MountRemoteFS(p, b, client,
+			remotedb.WithTenant("oltp"),
+			remotedb.WithHeartbeatEvery(50*time.Millisecond))
+		if fs.HeartbeatEvery != 50*time.Millisecond {
+			t.Errorf("heartbeat: got %v", fs.HeartbeatEvery)
+		}
+		if _, err := fs.Create(p, "within", 3<<20); err != nil {
+			t.Fatal(err)
+		}
+		_, err := fs.Create(p, "past", 2<<20)
+		if !errors.Is(err, broker.ErrQuota) {
+			t.Errorf("create past the quota: %v, want ErrQuota", err)
+		}
+		if remotedb.Retryable(err) {
+			t.Error("quota denial must not be retryable")
+		}
+		if st := b.TenantStats()["oltp"]; st.HeldMRs != 3 || st.Denies != 1 {
+			t.Errorf("tenant stats: %+v, want 3 MRs held and 1 denial", st)
+		}
+		fs.CloseAll(p)
 	})
 	k.Run(time.Minute)
 }

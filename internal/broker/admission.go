@@ -28,18 +28,8 @@ type TenantStats struct {
 	HeldBytes int64 // bytes currently leased
 }
 
-func (t *TenantStats) merge(o TenantStats) {
-	t.Grants += o.Grants
-	t.Denies += o.Denies
-	t.Sheds += o.Sheds
-	t.HeldMRs += o.HeldMRs
-	t.HeldBytes += o.HeldBytes
-}
-
-// admitter is the quota + fairness policy shared by the standalone Broker
-// and the Cluster router (a Cluster enforces admission once at the router
-// so per-shard checks don't multiply every tenant's allowance by the
-// shard count).
+// admitter is the Cluster router's quota + fairness policy and its
+// per-tenant accounting.
 type admitter struct {
 	quotas     map[string]int64   // hard byte cap per tenant (absent = unlimited)
 	weights    map[string]float64 // max-min weight per tenant (absent = 1)
@@ -68,6 +58,17 @@ func (a *admitter) tenant(name string) *TenantStats {
 	return t
 }
 
+// charge moves n MRs of l's size onto l's tenant (n < 0 takes them
+// off). A nil admitter keeps no accounting.
+func (a *admitter) charge(l *Lease, n int64) {
+	if a == nil {
+		return
+	}
+	st := a.tenant(l.Tenant)
+	st.HeldMRs += n
+	st.HeldBytes += n * int64(l.MR.Size())
+}
+
 func (a *admitter) weight(name string) float64 {
 	if w, ok := a.weights[name]; ok && w > 0 {
 		return w
@@ -76,9 +77,7 @@ func (a *admitter) weight(name string) float64 {
 }
 
 // admit decides whether tenant may grow by n MRs of mrSize bytes given
-// total MRs in the pool. held maps every tenant to its current MR count
-// (the admitter's own stats when it also does the granting; aggregated
-// shard holdings for a Cluster router).
+// total MRs in the pool and every tenant's current holdings.
 //
 // Two gates, in order:
 //  1. Hard byte quota — always enforced when configured.
@@ -89,7 +88,7 @@ func (a *admitter) weight(name string) float64 {
 //     demand includes the new MRs); the request is denied if the
 //     requester's max-min share cannot cover it. Priority raises the
 //     requester's effective weight so urgent work wins ties.
-func (a *admitter) admit(tenant string, n, priority int, mrSize int64, total int, held map[string]int64) error {
+func (a *admitter) admit(tenant string, n, priority int, mrSize int64, total int) error {
 	st := a.tenant(tenant)
 	if q, ok := a.quotas[tenant]; ok && q > 0 {
 		if st.HeldBytes+int64(n)*mrSize > q {
@@ -99,21 +98,21 @@ func (a *admitter) admit(tenant string, n, priority int, mrSize int64, total int
 	}
 	if len(a.weights) > 0 && total > 0 {
 		var heldTotal int64
-		for _, h := range held {
-			heldTotal += h
+		for _, t := range a.tenants {
+			heldTotal += t.HeldMRs
 		}
 		headroom := a.scarceFrac * float64(total)
 		if float64(heldTotal+int64(n)) > float64(total)-headroom {
 			capacity := float64(total) - headroom
-			demands := make(map[string]float64, len(held)+1)
-			weights := make(map[string]float64, len(held)+1)
-			for name, h := range held {
-				if h > 0 || name == tenant {
-					demands[name] = float64(h)
+			demands := make(map[string]float64, len(a.tenants))
+			weights := make(map[string]float64, len(a.tenants))
+			for name, t := range a.tenants {
+				if t.HeldMRs > 0 {
+					demands[name] = float64(t.HeldMRs)
 					weights[name] = a.weight(name)
 				}
 			}
-			demands[tenant] = float64(held[tenant] + int64(n))
+			demands[tenant] = float64(st.HeldMRs + int64(n))
 			weights[tenant] = a.weight(tenant) * float64(1+priority)
 			alloc := maxMinAlloc(capacity, demands, weights)
 			if alloc[tenant]+1e-9 < demands[tenant] {

@@ -7,9 +7,11 @@
 // new broker that reloads the state. The broker is on the control path
 // only — data moves directly between the servers over RDMA.
 //
-// Consumers program against the LeaseService interface (service.go).
-// A single Broker is one implementation; Cluster (cluster.go) shards
-// the lease space across several broker replicas for cluster scale.
+// Cluster (cluster.go), built by NewCluster, is the lease service. It
+// admits every request once — the per-holder cap, tenant quotas and
+// fairness — and routes it over one or more Broker shards; a shard
+// places grants on its own donors and persists them under its own
+// metastore subtree. A one-shard Cluster is the paper's single broker.
 package broker
 
 import (
@@ -39,9 +41,9 @@ var (
 	ErrQuota        = errors.New("broker: holder exceeded its fair share")
 )
 
-// LeaseID identifies a lease. In a Cluster, IDs are strided by the shard
-// count (shard i mints ShardID, ShardID+stride, ...), so an ID is unique
-// cluster-wide and its shard is recoverable as id mod stride.
+// LeaseID identifies a lease. IDs are strided by the shard count (shard
+// i mints i, i+stride, ...), so an ID is unique cluster-wide and its
+// shard is recoverable as id mod stride.
 type LeaseID int64
 
 // Lease grants a database server exclusive access to one MR until expiry
@@ -84,29 +86,36 @@ const (
 type Proxy struct {
 	Server *cluster.Server
 	Pool   *rmem.Pool
-	broker *Broker
 	failed bool
 }
 
-// Broker tracks cluster memory availability and grants leases. It is one
-// shard's worth of LeaseService; on its own it serves the whole lease
-// space (ShardID 0 of 1).
+// revokeCause says why a shard tore a lease down.
+type revokeCause int
+
+const (
+	causeExpiry       revokeCause = iota // the holder stopped renewing
+	causePressure                        // the donor reclaimed its memory
+	causeProxyFailure                    // the donor crashed
+	causeTargeted                        // Cluster.Revoke or RevokeOldest
+)
+
+// Broker is one shard of a Cluster: it places grants on its donors,
+// persists them under its metastore subtree, renews and expires them,
+// and reports every involuntary teardown to the router. Only the Cluster
+// calls its verbs; Cluster.Shard exposes it for metrics drilling.
 type Broker struct {
-	k         *sim.Kernel
 	store     *metastore.Store
 	leaseTTL  time.Duration
 	namespace string
-	shardID   int
-	stride    int // total shard count; IDs advance by this
+	stride    int // shard count; IDs advance by this
 	proxies   []*Proxy
 	leases    map[LeaseID]*Lease
 	nextID    LeaseID
-	rrIdx     int     // persistent round-robin cursor for PlaceSpread
-	maxFrac   float64 // fair-share cap per holder (0 = unlimited)
-	admit     *admitter
-	watches   map[string][]RevokeWatch // holder -> watches; "" watches all
+	rrIdx     int // persistent round-robin cursor for PlaceSpread
 
-	stopExpire bool
+	// onRevoke is the router's hook, run for every teardown but the
+	// holder's own release.
+	onRevoke func(l *Lease, why revokeCause)
 
 	// health records which holders currently report each donor as slow
 	// (donor -> set of reporting holders). A donor with any reporter is
@@ -125,62 +134,17 @@ type Broker struct {
 	HeartbeatBatch metrics.Distribution
 }
 
-// Config parameterizes the broker.
-type Config struct {
-	LeaseTTL time.Duration
-
-	// MaxFractionPerHolder caps one database server's share of the
-	// cluster's brokered MRs (0 disables). This is the "fairness across
-	// multiple workloads" brokering policy the paper lists as future
-	// work in Section 7.
-	MaxFractionPerHolder float64
-
-	// Namespace is the metastore subtree this broker owns (default
-	// "/broker"). Cluster gives each shard its own subtree.
-	Namespace string
-
-	// ShardID/ShardCount stride lease IDs so shards mint disjoint IDs.
-	// Zero values mean a standalone broker (shard 0 of 1).
-	ShardID    int
-	ShardCount int
-
-	// Quotas caps each tenant's leased bytes (hard limit). Weights give
-	// tenants max-min shares enforced while donors are scarce — when a
-	// grant would eat into the last ScarceFrac of the pool (default
-	// 0.25). Leave Weights nil to disable fairness.
-	Quotas     map[string]int64
-	Weights    map[string]float64
-	ScarceFrac float64
-}
-
-// DefaultConfig uses a 10 s lease TTL and no fairness cap.
-func DefaultConfig() Config { return Config{LeaseTTL: 10 * time.Second} }
-
-// New creates a broker backed by store. p is the bootstrapping process.
-func New(p *sim.Proc, store *metastore.Store, cfg Config) *Broker {
-	ns := cfg.Namespace
-	if ns == "" {
-		ns = "/broker"
-	}
-	stride := cfg.ShardCount
-	if stride < 1 {
-		stride = 1
-	}
+// newBroker creates shard id of stride, owning the metastore subtree ns.
+// p is the bootstrapping process.
+func newBroker(p *sim.Proc, store *metastore.Store, ns string, ttl time.Duration, id, stride int) *Broker {
 	b := &Broker{
-		k:         p.Kernel(),
 		store:     store,
-		leaseTTL:  cfg.LeaseTTL,
+		leaseTTL:  ttl,
 		namespace: ns,
-		shardID:   cfg.ShardID,
 		stride:    stride,
-		nextID:    LeaseID(cfg.ShardID),
-		maxFrac:   cfg.MaxFractionPerHolder,
+		nextID:    LeaseID(id),
 		leases:    make(map[LeaseID]*Lease),
-		watches:   make(map[string][]RevokeWatch),
 		health:    make(map[string]map[string]bool),
-	}
-	if cfg.Quotas != nil || cfg.Weights != nil {
-		b.admit = newAdmitter(cfg.Quotas, cfg.Weights, cfg.ScarceFrac)
 	}
 	ensurePath(p, store, ns+"/leases")
 	return b
@@ -197,29 +161,6 @@ func ensurePath(p *sim.Proc, store *metastore.Store, path string) {
 			store.Create(p, cur, nil, 0)
 		}
 	}
-}
-
-// LeaseTTL returns the configured time-to-live.
-func (b *Broker) LeaseTTL() time.Duration { return b.leaseTTL }
-
-// ShardID returns which shard of the lease space this broker serves.
-func (b *Broker) ShardID() int { return b.shardID }
-
-// AddProxy starts a brokering proxy on server, pinning mrCount regions of
-// mrSize bytes each from the server's free memory, and wires up the
-// memory-pressure notification so local demand reclaims brokered memory.
-func (b *Broker) AddProxy(p *sim.Proc, server *cluster.Server, mrSize, mrCount int) (*Proxy, error) {
-	pool, err := rmem.NewPool(p, server, mrSize, mrCount)
-	if err != nil {
-		return nil, err
-	}
-	px := &Proxy{Server: server, Pool: pool, broker: b}
-	server.OnMemoryPressure(func(need int64) {
-		b.handlePressure(px, need)
-	})
-	b.proxies = append(b.proxies, px)
-	b.refreshGauges()
-	return px, nil
 }
 
 // handlePressure releases brokered memory on px's server: free MRs first,
@@ -242,7 +183,7 @@ func (b *Broker) handlePressure(px *Proxy, need int64) {
 			break
 		}
 		size := int64(l.MR.Size())
-		b.shed(l.ID)
+		b.revoke(l.ID, causePressure)
 		released += size
 	}
 }
@@ -273,45 +214,16 @@ func victimOrder(cands []*Lease) []*Lease {
 	return out
 }
 
-// shed revokes one lease charging the teardown to its tenant's shed
-// counter (reclamation, not expiry).
-func (b *Broker) shed(id LeaseID) {
-	if l, ok := b.leases[id]; ok && b.admit != nil {
-		b.admit.tenant(l.Tenant).Sheds++
-	}
-	b.revoke(id)
-}
-
-// ShedFair revokes up to n live leases tenant-fairly (round-robin over
-// tenants, oldest first within each) and returns how many it revoked.
-// This is the reclamation-storm primitive: a diurnal wave of donors
-// wanting their memory back trims every workload proportionally instead
-// of collapsing whichever tenant happens to hold the oldest leases.
-func (b *Broker) ShedFair(n int) int {
-	cands := make([]*Lease, 0, len(b.leases))
-	for _, l := range b.leases {
-		cands = append(cands, l)
-	}
-	victims := victimOrder(cands)
-	if n > len(victims) {
-		n = len(victims)
-	}
-	for _, l := range victims[:n] {
-		b.shed(l.ID)
-	}
-	return n
-}
-
-// revoke tears down a lease and reclaims its MR's memory.
-func (b *Broker) revoke(id LeaseID) {
+// revoke tears down a live lease, reclaims its MR's memory and reports
+// the teardown to the router. It reports whether the lease was live.
+func (b *Broker) revoke(id LeaseID, why revokeCause) bool {
 	l, ok := b.leases[id]
 	if !ok {
-		return
+		return false
 	}
 	l.revoked = true
 	b.Revocations++
 	delete(b.leases, id)
-	b.accountRelease(l)
 	// Reclaim: drop the MR entirely (memory goes back to the OS).
 	for _, px := range b.proxies {
 		if px.Server == l.MR.Owner {
@@ -321,71 +233,24 @@ func (b *Broker) revoke(id LeaseID) {
 		}
 	}
 	b.refreshGauges()
-	b.notifyRevoke(l)
+	b.onRevoke(l, why)
+	return true
 }
 
-// OnRevoke registers fn for involuntary teardowns of holder's leases
-// (expiry, pressure, proxy failure, targeted revocation). holder ""
-// watches every holder. Part of LeaseService.
-func (b *Broker) OnRevoke(holder string, fn RevokeWatch) {
-	b.watches[holder] = append(b.watches[holder], fn)
-}
-
-func (b *Broker) notifyRevoke(l *Lease) {
-	for _, fn := range b.watches[l.Holder] {
-		fn(l)
-	}
-	if l.Holder != "" {
-		for _, fn := range b.watches[""] {
-			fn(l)
-		}
-	}
-}
-
-// Request grants spec.N leases of whole MRs per spec. All MRs in one
-// grant have the pool's fixed size.
-func (b *Broker) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
-	spec = spec.normalized()
-	if spec.N <= 0 {
-		return nil, nil
-	}
-	avail := 0
-	total := 0
-	for _, px := range b.proxies {
-		if !px.failed {
-			total += px.Pool.TotalCount()
-			if !spec.Avoid[px.Server.Name] {
-				avail += px.Pool.FreeCount()
-			}
-		}
-	}
-	if avail < spec.N {
-		return nil, ErrNoMemory
-	}
-	if b.maxFrac > 0 {
-		held := 0
-		for _, l := range b.leases {
-			if l.Holder == spec.Holder {
-				held++
-			}
-		}
-		if float64(held+spec.N) > b.maxFrac*float64(total) {
-			return nil, ErrQuota
-		}
-	}
-	if b.admit != nil {
-		held := make(map[string]int64)
-		for _, l := range b.leases {
-			held[l.Tenant]++
-		}
-		if err := b.admit.admit(spec.Tenant, spec.N, spec.Priority, int64(b.MRSize()), total, held); err != nil {
-			return nil, err
-		}
-	}
+// request places spec.N grants on this shard's donors; the router has
+// admitted spec and checked that the shard's free MRs cover it. All MRs
+// have the pool's fixed size. On failure nothing stays granted.
+func (b *Broker) request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 	deprio := func(name string) bool {
 		return spec.SoftAvoid[name] || len(b.health[name]) > 0
 	}
 	var out []*Lease
+	fail := func(err error) ([]*Lease, error) {
+		for _, granted := range out {
+			b.release(p, granted)
+		}
+		return nil, err
+	}
 	for len(out) < spec.N {
 		var px *Proxy
 		// Two passes: the first skips soft-avoided (browned-out) donors,
@@ -421,13 +286,13 @@ func (b *Broker) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 			}
 		}
 		if px == nil {
-			// Races cannot happen (single-threaded sim), but keep the
-			// invariant honest.
-			return nil, ErrNoMemory
+			// The router's free count rules this out (single-threaded
+			// sim), but keep the invariant honest.
+			return fail(ErrNoMemory)
 		}
 		mr, err := px.Pool.Acquire()
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		b.nextID += LeaseID(b.stride)
 		l := &Lease{
@@ -441,14 +306,10 @@ func (b *Broker) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 			// The grant cannot be made durable (metastore partitioned):
 			// roll the MR back and surface the transient failure.
 			px.Pool.ReleaseMR(mr)
-			for _, granted := range out {
-				b.Release(p, granted)
-			}
-			return nil, fmt.Errorf("broker: persist grant: %w", err)
+			return fail(fmt.Errorf("broker: persist grant: %w", err))
 		}
 		b.leases[l.ID] = l
 		b.Grants++
-		b.accountGrant(l)
 		out = append(out, l)
 	}
 	b.refreshGauges()
@@ -479,10 +340,10 @@ func (b *Broker) persist(p *sim.Proc, l *Lease) error {
 	return b.store.Create(p, path, b.marshalMeta(l), 0)
 }
 
-// Renew extends a lease by the TTL. Expired or revoked leases cannot be
+// renew extends a lease by the TTL. Expired or revoked leases cannot be
 // renewed — the holder must request a fresh MR. A metastore failure
 // leaves the expiry unchanged and surfaces as a retryable error.
-func (b *Broker) Renew(p *sim.Proc, l *Lease) error {
+func (b *Broker) renew(p *sim.Proc, l *Lease) error {
 	cur, ok := b.leases[l.ID]
 	if !ok || cur != l {
 		return ErrLeaseUnknown
@@ -500,14 +361,14 @@ func (b *Broker) Renew(p *sim.Proc, l *Lease) error {
 	return nil
 }
 
-// RenewAll is the batched heartbeat (LeaseService): every still-live
-// lease in ls is renewed with ONE metastore round trip. Individually
-// dead leases (revoked, expired, unknown, or missing from the store)
-// come back in failed and do not poison the rest of the batch. A
-// transport failure (metastore partition) renews nothing and returns a
-// retryable error — the holder's whole cohort missed this heartbeat
-// together and will expire together if the outage outlives the TTL.
-func (b *Broker) RenewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*Lease, err error) {
+// renewAll is the batched heartbeat: every still-live lease in ls is
+// renewed with ONE metastore round trip. Individually dead leases
+// (revoked, expired, unknown, or missing from the store) come back in
+// failed and do not poison the rest of the batch. A transport failure
+// (metastore partition) renews nothing and returns a retryable error —
+// the holder's whole cohort missed this heartbeat together and will
+// expire together if the outage outlives the TTL.
+func (b *Broker) renewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*Lease, err error) {
 	now := p.Now()
 	var live []*Lease
 	for _, l := range ls {
@@ -549,8 +410,8 @@ func (b *Broker) RenewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*Le
 	return failed, nil
 }
 
-// Release voluntarily gives a lease back; its MR returns to the free pool.
-func (b *Broker) Release(p *sim.Proc, l *Lease) {
+// release voluntarily gives a lease back; its MR returns to the free pool.
+func (b *Broker) release(p *sim.Proc, l *Lease) {
 	cur, ok := b.leases[l.ID]
 	if !ok || cur != l {
 		return
@@ -558,7 +419,6 @@ func (b *Broker) Release(p *sim.Proc, l *Lease) {
 	delete(b.leases, l.ID)
 	b.store.Delete(p, b.leasePath(l.ID), -1)
 	l.revoked = true
-	b.accountRelease(l)
 	for _, px := range b.proxies {
 		if px.Server == l.MR.Owner {
 			px.Pool.ReleaseMR(l.MR)
@@ -568,101 +428,45 @@ func (b *Broker) Release(p *sim.Proc, l *Lease) {
 	b.refreshGauges()
 }
 
-// SweepExpired revokes every lease whose expiry has passed at virtual
-// time now and returns how many it revoked. Sweeps in sorted lease order
-// so the simulation stays deterministic (map iteration order is not).
-func (b *Broker) SweepExpired(now time.Duration) int {
+// sortedIDs returns the IDs of the leases match accepts in ascending
+// order, so teardown sweeps stay deterministic (map order is not).
+func (b *Broker) sortedIDs(match func(*Lease) bool) []LeaseID {
 	var ids []LeaseID
 	for id, l := range b.leases {
-		if now >= l.ExpiresAt {
+		if match(l) {
 			ids = append(ids, id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	return ids
+}
+
+// sweepExpired revokes every lease whose expiry has passed at virtual
+// time now.
+func (b *Broker) sweepExpired(now time.Duration) {
+	for _, id := range b.sortedIDs(func(l *Lease) bool { return now >= l.ExpiresAt }) {
 		b.Expirations++
-		b.revoke(id)
-	}
-	return len(ids)
-}
-
-// ExpireLoop runs as a background process, revoking leases whose holders
-// stopped renewing. Interval controls the sweep cadence. It exits when
-// StopExpireLoop is called (so experiment event queues can drain).
-func (b *Broker) ExpireLoop(p *sim.Proc, interval time.Duration) {
-	for !b.stopExpire {
-		p.Sleep(interval)
-		if b.stopExpire {
-			return
-		}
-		b.SweepExpired(p.Now())
+		b.revoke(id, causeExpiry)
 	}
 }
 
-// StopExpireLoop asks a running ExpireLoop to exit at its next tick.
-func (b *Broker) StopExpireLoop() { b.stopExpire = true }
-
-// FailProxy simulates a crash of a memory server: all its MRs (leased or
+// failProxy simulates a crash of a memory server: all its MRs (leased or
 // not) vanish. Holders observe rmem.ErrRevoked on next access.
-func (b *Broker) FailProxy(px *Proxy) {
+func (b *Broker) failProxy(px *Proxy) {
 	px.failed = true
 	px.Pool.RevokeAll()
-	var ids []LeaseID
-	for id, l := range b.leases {
-		if l.MR.Owner == px.Server {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		l := b.leases[id]
-		l.revoked = true
-		delete(b.leases, id)
-		b.Revocations++
-		b.accountRelease(l)
-		b.notifyRevoke(l)
+	for _, id := range b.sortedIDs(func(l *Lease) bool { return l.MR.Owner == px.Server }) {
+		b.revoke(id, causeProxyFailure)
 	}
 	b.refreshGauges()
 }
 
-// Revoke forcibly revokes one lease by ID (the targeted fault-injection
-// primitive), destroying its MR. It reports whether the lease existed.
-func (b *Broker) Revoke(id LeaseID) bool {
-	if _, ok := b.leases[id]; !ok {
-		return false
-	}
-	b.revoke(id)
-	return true
-}
-
-// RevokeOldest revokes the n oldest live leases (lowest IDs first) and
-// returns how many were actually revoked. This is the deterministic
-// revocation-storm primitive used by the fault-injection harness: unlike
-// memory-pressure reclamation it picks victims by ID, so a fixed seed
-// reproduces the identical storm. ShedFair is the tenant-fair variant.
-func (b *Broker) RevokeOldest(n int) int {
-	ids := make([]LeaseID, 0, len(b.leases))
-	for id := range b.leases {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	revoked := 0
-	for _, id := range ids {
-		if revoked >= n {
-			break
-		}
-		b.revoke(id)
-		revoked++
-	}
-	return revoked
-}
-
-// ReportDonorHealth replaces holder's set of reportedly slow donors
+// reportDonorHealth replaces holder's set of reportedly slow donors
 // (piggybacked on its batched heartbeat). Donors named by at least one
 // holder are deprioritized for everyone's new leases until their last
 // reporter withdraws. Unknown donor names are stored harmlessly: the
 // placement loop only consults the map for proxies it actually has.
-func (b *Broker) ReportDonorHealth(holder string, slow []string) {
+func (b *Broker) reportDonorHealth(holder string, slow []string) {
 	b.HealthReports++
 	for donor, reporters := range b.health {
 		if reporters[holder] {
@@ -694,12 +498,12 @@ func (b *Broker) DeprioritizedDonors() []string {
 // ActiveLeases returns the number of live leases.
 func (b *Broker) ActiveLeases() int { return len(b.leases) }
 
-// FreeMRs returns cluster-wide unleased MRs.
-func (b *Broker) FreeMRs() int { return b.FreeFor(nil) }
+// FreeMRs returns the shard's unleased MRs.
+func (b *Broker) FreeMRs() int { return b.freeFor(nil) }
 
-// FreeFor returns unleased MRs on live donors outside avoid — the count
-// the Cluster router uses to decide whether a shard can satisfy a spec.
-func (b *Broker) FreeFor(avoid map[string]bool) int {
+// freeFor returns unleased MRs on live donors outside avoid — the count
+// the router uses to decide whether the shard can satisfy a spec.
+func (b *Broker) freeFor(avoid map[string]bool) int {
 	total := 0
 	for _, px := range b.proxies {
 		if !px.failed && !avoid[px.Server.Name] {
@@ -709,8 +513,8 @@ func (b *Broker) FreeFor(avoid map[string]bool) int {
 	return total
 }
 
-// TotalMRs returns all MRs (leased or free) on live donors.
-func (b *Broker) TotalMRs() int {
+// totalMRs returns all MRs (leased or free) on live donors.
+func (b *Broker) totalMRs() int {
 	total := 0
 	for _, px := range b.proxies {
 		if !px.failed {
@@ -720,9 +524,9 @@ func (b *Broker) TotalMRs() int {
 	return total
 }
 
-// MRSize returns the MR granularity (bytes) of the first live pool, or 0
+// mrSize returns the MR granularity (bytes) of the first live pool, or 0
 // with no proxies.
-func (b *Broker) MRSize() int {
+func (b *Broker) mrSize() int {
 	for _, px := range b.proxies {
 		if !px.failed {
 			return px.Pool.MRSize()
@@ -731,71 +535,26 @@ func (b *Broker) MRSize() int {
 	return 0
 }
 
-// TenantStats returns a copy of the per-tenant accounting (nil when no
-// quotas/weights were configured and no tenants were tracked).
-func (b *Broker) TenantStats() map[string]TenantStats {
-	if b.admit == nil {
-		return nil
-	}
-	out := make(map[string]TenantStats, len(b.admit.tenants))
-	for name, st := range b.admit.tenants {
-		out[name] = *st
-	}
-	return out
-}
-
-func (b *Broker) accountGrant(l *Lease) {
-	if b.admit == nil {
-		return
-	}
-	b.admit.tenant(l.Tenant).Grants++
-	b.accountHeld(l)
-}
-
-func (b *Broker) accountHeld(l *Lease) {
-	if b.admit == nil {
-		return
-	}
-	st := b.admit.tenant(l.Tenant)
-	st.HeldMRs++
-	st.HeldBytes += int64(l.MR.Size())
-}
-
-func (b *Broker) accountRelease(l *Lease) {
-	if b.admit == nil {
-		return
-	}
-	st := b.admit.tenant(l.Tenant)
-	st.HeldMRs--
-	st.HeldBytes -= int64(l.MR.Size())
-}
-
 func (b *Broker) refreshGauges() {
 	b.GaugeActive.Set(int64(len(b.leases)))
 	b.GaugeFree.Set(int64(b.FreeMRs()))
 }
 
-// Recover builds a replacement broker from the metastore after the old
-// broker failed, re-adopting the given proxies and their outstanding
-// leases. Leases whose metadata refers to unknown proxies are dropped.
-// It returns the recovered lease objects keyed by the old IDs so holders
-// can be re-pointed. cfg.Namespace must match the failed broker's (a
-// Cluster passes each shard's own subtree).
-func Recover(p *sim.Proc, store *metastore.Store, cfg Config, proxies []*Proxy, live map[LeaseID]*Lease) (*Broker, error) {
-	b := New(p, store, cfg)
-	for _, px := range proxies {
-		px.broker = b
-		b.proxies = append(b.proxies, px)
-	}
-	names, err := store.Children(p, b.namespace+"/leases")
+// adopt rebuilds a replacement shard from the metastore after the old
+// broker failed: it takes over the old shard's proxies and every lease
+// whose record the metastore still holds and whose holder still holds it
+// (live, keyed by ID); the records of the rest are deleted.
+func (b *Broker) adopt(p *sim.Proc, proxies []*Proxy, live map[LeaseID]*Lease) error {
+	b.proxies = append(b.proxies, proxies...)
+	names, err := b.store.Children(p, b.namespace+"/leases")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, name := range names {
 		var id LeaseID
 		fmt.Sscanf(name, "%d", &id)
 		path := b.namespace + "/leases/" + name
-		data, _, err := store.Get(p, path)
+		data, _, err := b.store.Get(p, path)
 		if err != nil {
 			continue
 		}
@@ -805,7 +564,7 @@ func Recover(p *sim.Proc, store *metastore.Store, cfg Config, proxies []*Proxy, 
 		}
 		l, ok := live[id]
 		if !ok || l.MR.Owner.Name != meta.Server {
-			store.Delete(p, path, -1)
+			b.store.Delete(p, path, -1)
 			continue
 		}
 		l.ExpiresAt = time.Duration(meta.ExpiresNS)
@@ -813,11 +572,10 @@ func Recover(p *sim.Proc, store *metastore.Store, cfg Config, proxies []*Proxy, 
 			l.Tenant = meta.Tenant
 		}
 		b.leases[id] = l
-		b.accountHeld(l)
 		if id > b.nextID {
 			b.nextID = id
 		}
 	}
 	b.refreshGauges()
-	return b, nil
+	return nil
 }

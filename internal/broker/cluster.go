@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"remotedb/internal/cluster"
 	"remotedb/internal/fault"
 	"remotedb/internal/metrics"
+	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
 )
 
@@ -17,103 +19,175 @@ import (
 // service, so it wraps fault.ErrRetryable.
 var ErrShardDown = fmt.Errorf("broker: shard replica down (%w)", fault.ErrRetryable)
 
-// Cluster shards the lease space across N broker replicas and implements
-// LeaseService over them, removing the single-coordinator ceiling:
+// Config parameterizes the lease service.
+type Config struct {
+	LeaseTTL time.Duration
+
+	// MaxFractionPerHolder caps one database server's share of the
+	// cluster's brokered MRs (0 disables). This is the "fairness across
+	// multiple workloads" brokering policy the paper lists as future
+	// work in Section 7.
+	MaxFractionPerHolder float64
+
+	// Namespace roots the metastore subtrees of the shards (default
+	// "/broker"; shard i owns <Namespace>/shard<i>).
+	Namespace string
+
+	// Quotas caps each tenant's leased bytes (hard limit). Weights give
+	// tenants max-min shares enforced while donors are scarce — when a
+	// grant would eat into the last ScarceFrac of the pool (default
+	// 0.25). Leave Weights nil to disable fairness.
+	Quotas     map[string]int64
+	Weights    map[string]float64
+	ScarceFrac float64
+}
+
+// DefaultConfig uses a 10 s lease TTL and no fairness cap.
+func DefaultConfig() Config { return Config{LeaseTTL: 10 * time.Second} }
+
+// RequestSpec describes one lease request: who, how many, where, and the
+// tenant identity admission decisions are made on.
+type RequestSpec struct {
+	// Holder is the database server the leases are for; renewal routing
+	// and batched heartbeats key on it.
+	Holder string
+	// N is how many whole MRs to lease.
+	N int
+	// Place chooses how the MRs spread over donor servers.
+	Place Placement
+	// Avoid names donor servers the grant must not touch (replica
+	// anti-affinity). Under scarcity the constraint is never weakened:
+	// an unsatisfiable avoid set fails with ErrNoMemory.
+	Avoid map[string]bool
+	// SoftAvoid names donor servers to deprioritize, not exclude: a
+	// browned-out donor (slow, error-prone, about to reclaim) should not
+	// receive new leases while healthy donors have free MRs, but under
+	// scarcity a lease on a slow donor still beats no lease at all.
+	// Holders fill it from their own health scoring; the broker unions
+	// in reports piggybacked on other holders' heartbeats
+	// (ReportDonorHealth).
+	SoftAvoid map[string]bool
+	// Tenant is the workload the grant is charged to for quota and
+	// fairness purposes; empty defaults to Holder.
+	Tenant string
+	// Priority breaks admission ties when donors are scarce (higher
+	// wins); 0 is the common case.
+	Priority int
+}
+
+// normalized fills the defaulted fields.
+func (spec RequestSpec) normalized() RequestSpec {
+	if spec.Tenant == "" {
+		spec.Tenant = spec.Holder
+	}
+	return spec
+}
+
+// RevokeWatch observes one involuntary lease teardown (expiry, donor
+// pressure, proxy crash, targeted revocation — everything except the
+// holder's own Release). It runs synchronously inside the revoking
+// process, so implementations must only flip flags or spawn processes,
+// never sleep.
+type RevokeWatch func(l *Lease)
+
+// Cluster is the lease service. It shards the lease space across N
+// broker replicas, removing the single-coordinator ceiling:
 //
 //   - Holders and donors map to shards by rendezvous hashing, so adding
 //     or failing one replica only moves that replica's keys.
 //   - Each shard persists under its own metastore namespace
 //     (<ns>/shard<i>), and shards mint disjoint lease IDs by striding,
 //     so a lease's shard is recoverable as id mod stride.
-//   - Admission (tenant quotas, weighted max-min under scarcity) runs
-//     once at the router — per-shard enforcement would multiply every
-//     tenant's allowance by the shard count.
+//   - Admission (the per-holder cap, tenant quotas, weighted max-min
+//     under scarcity) and tenant accounting run once, here at the router
+//     — per-shard enforcement would multiply every tenant's allowance by
+//     the shard count.
 //   - A failed replica is handed off with RecoverShard, which rebuilds
 //     the shard's broker from its namespace and the holder-side lease
 //     handles the router kept.
 type Cluster struct {
-	k      *sim.Kernel
-	store  *metastore.Store
-	base   Config
-	shards []*shard
-	admit  *admitter
-	// watches is the router-level registry; each shard broker gets one
-	// forwarding watch that survives handoff (a recovered broker starts
-	// with an empty watch table, so the router re-installs forwarding).
+	store   *metastore.Store
+	cfg     Config
+	shards  []*shard
+	admit   *admitter // nil without quotas and weights
 	watches map[string][]RevokeWatch
-	maxFrac float64
 
 	stopExpire bool
 }
 
 // shard is one broker replica plus the router-side state needed to hand
-// it off: which proxies it owns and the live lease handles (Recover's
+// it off: which proxies it owns and the live lease handles (adopt's
 // inputs).
 type shard struct {
 	id      int
 	b       *Broker
-	cfg     Config
 	down    bool
 	proxies []*Proxy
 	handles map[LeaseID]*Lease
 }
 
-// NewCluster creates n broker replicas over store. cfg is the base
-// config: its Namespace (default "/broker") roots the per-shard subtrees;
-// Quotas/Weights/MaxFractionPerHolder are enforced at the router and
-// stripped from the shard configs.
+// NewCluster creates the lease service: n broker replicas over store
+// (n < 1 means one). cfg.Namespace (default "/broker") roots the
+// per-shard subtrees.
 func NewCluster(p *sim.Proc, store *metastore.Store, n int, cfg Config) *Cluster {
 	if n < 1 {
 		n = 1
 	}
-	ns := cfg.Namespace
-	if ns == "" {
-		ns = "/broker"
+	if cfg.Namespace == "" {
+		cfg.Namespace = "/broker"
 	}
 	c := &Cluster{
-		k:       p.Kernel(),
 		store:   store,
-		base:    cfg,
-		maxFrac: cfg.MaxFractionPerHolder,
+		cfg:     cfg,
+		shards:  make([]*shard, n),
 		watches: make(map[string][]RevokeWatch),
 	}
 	if cfg.Quotas != nil || cfg.Weights != nil {
 		c.admit = newAdmitter(cfg.Quotas, cfg.Weights, cfg.ScarceFrac)
 	}
-	for i := 0; i < n; i++ {
-		scfg := Config{
-			LeaseTTL:   cfg.LeaseTTL,
-			Namespace:  fmt.Sprintf("%s/shard%d", ns, i),
-			ShardID:    i,
-			ShardCount: n,
-		}
-		sh := &shard{id: i, cfg: scfg, handles: make(map[LeaseID]*Lease)}
-		sh.b = New(p, store, scfg)
-		c.shards = append(c.shards, sh)
-		c.installForwarder(sh)
+	for i := range c.shards {
+		sh := &shard{id: i, handles: make(map[LeaseID]*Lease)}
+		sh.b = c.openShard(p, sh)
+		c.shards[i] = sh
 	}
 	return c
 }
 
-// installForwarder hooks the shard broker's revoke stream into the
-// router: drop the holder-side handle, settle tenant accounting, then
-// fan out to the user's watches.
-func (c *Cluster) installForwarder(sh *shard) {
-	sh.b.OnRevoke("", func(l *Lease) {
-		_, had := sh.handles[l.ID]
-		delete(sh.handles, l.ID)
-		if had && c.admit != nil {
-			st := c.admit.tenant(l.Tenant)
-			st.HeldMRs--
-			st.HeldBytes -= int64(l.MR.Size())
-		}
-		for _, fn := range c.watches[l.Holder] {
-			fn(l)
-		}
+// openShard builds a fresh broker for sh under the shard's metastore
+// subtree, reporting its revocations to the router.
+func (c *Cluster) openShard(p *sim.Proc, sh *shard) *Broker {
+	ns := fmt.Sprintf("%s/shard%d", c.cfg.Namespace, sh.id)
+	b := newBroker(p, c.store, ns, c.cfg.LeaseTTL, sh.id, len(c.shards))
+	b.onRevoke = func(l *Lease, why revokeCause) { c.revoked(sh, l, why) }
+	return b
+}
+
+// revoked is every shard's revoke hook: drop the holder-side handle and
+// the tenant's charge — a reclamation also counts as the tenant's shed —
+// then fan out to the watches.
+func (c *Cluster) revoked(sh *shard, l *Lease, why revokeCause) {
+	if c.drop(sh, l) && why == causePressure && c.admit != nil {
+		c.admit.tenant(l.Tenant).Sheds++
+	}
+	for _, fn := range c.watches[l.Holder] {
+		fn(l)
+	}
+	if l.Holder != "" {
 		for _, fn := range c.watches[""] {
 			fn(l)
 		}
-	})
+	}
+}
+
+// drop forgets the router's handle on l and its tenant charge, reporting
+// whether the router still held it.
+func (c *Cluster) drop(sh *shard, l *Lease) bool {
+	if _, had := sh.handles[l.ID]; !had {
+		return false
+	}
+	delete(sh.handles, l.ID)
+	c.admit.charge(l, -1)
+	return true
 }
 
 // ShardCount returns the number of replicas.
@@ -129,44 +203,54 @@ func (c *Cluster) shardOf(id LeaseID) *shard {
 	return c.shards[int(id)%len(c.shards)]
 }
 
-// LeaseTTL returns the configured time-to-live (LeaseService).
-func (c *Cluster) LeaseTTL() time.Duration { return c.base.LeaseTTL }
+// LeaseTTL returns the configured time-to-live.
+func (c *Cluster) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
-// AddProxy registers a donor, assigning it to a shard by rendezvous
-// hashing on the server name (first live shard in preference order).
+// AddProxy starts a brokering proxy on server, pinning mrCount regions of
+// mrSize bytes each from the server's free memory, and assigns it to a
+// shard by rendezvous hashing on the server name (first live shard in
+// preference order). The server's memory-pressure notification reaches
+// whichever broker serves that shard at the time, so local demand
+// reclaims brokered memory across a handoff too.
 func (c *Cluster) AddProxy(p *sim.Proc, server *cluster.Server, mrSize, mrCount int) (*Proxy, error) {
 	for _, i := range rendezvousOrder(server.Name, len(c.shards)) {
 		sh := c.shards[i]
 		if sh.down {
 			continue
 		}
-		px, err := sh.b.AddProxy(p, server, mrSize, mrCount)
+		pool, err := rmem.NewPool(p, server, mrSize, mrCount)
 		if err != nil {
 			return nil, err
 		}
+		px := &Proxy{Server: server, Pool: pool}
+		server.OnMemoryPressure(func(need int64) { sh.b.handlePressure(px, need) })
 		sh.proxies = append(sh.proxies, px)
+		sh.b.proxies = append(sh.b.proxies, px)
+		sh.b.refreshGauges()
 		return px, nil
 	}
 	return nil, ErrShardDown
 }
 
-// FailProxy simulates a donor crash (routes to the owning shard).
+// FailProxy simulates a donor crash: all its MRs (leased or not) vanish,
+// and holders observe rmem.ErrRevoked on next access.
 func (c *Cluster) FailProxy(px *Proxy) {
 	for _, sh := range c.shards {
 		for _, own := range sh.proxies {
 			if own == px {
-				sh.b.FailProxy(px)
+				sh.b.failProxy(px)
 				return
 			}
 		}
 	}
 }
 
-// Request implements LeaseService. Admission runs once at the router;
-// placement starts at the holder's home shard (rendezvous) and spills to
-// the next shards in preference order when the home shard's donors are
-// exhausted. If the cluster as a whole cannot cover spec.N, everything
-// granted so far is rolled back and ErrNoMemory is returned.
+// Request grants spec.N leases of whole MRs. Admission runs once at the
+// router; placement starts at the holder's home shard (rendezvous) and
+// spills to the next shards in preference order when the home shard's
+// donors are exhausted. If the cluster as a whole cannot cover spec.N,
+// everything granted so far is rolled back and the first shard error is
+// returned — or ErrNoMemory when no shard failed.
 func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 	spec = spec.normalized()
 	if spec.N <= 0 {
@@ -178,13 +262,13 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 		if sh.down {
 			continue
 		}
-		total += sh.b.TotalMRs()
-		avail += sh.b.FreeFor(spec.Avoid)
+		total += sh.b.totalMRs()
+		avail += sh.b.freeFor(spec.Avoid)
 	}
 	if avail < spec.N {
 		return nil, ErrNoMemory
 	}
-	if c.maxFrac > 0 {
+	if c.cfg.MaxFractionPerHolder > 0 {
 		held := 0
 		for _, sh := range c.shards {
 			for _, l := range sh.handles {
@@ -193,20 +277,17 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 				}
 			}
 		}
-		if float64(held+spec.N) > c.maxFrac*float64(total) {
+		if float64(held+spec.N) > c.cfg.MaxFractionPerHolder*float64(total) {
 			return nil, ErrQuota
 		}
 	}
 	if c.admit != nil {
-		held := make(map[string]int64)
-		for name, st := range c.admit.tenants {
-			held[name] = st.HeldMRs
-		}
-		if err := c.admit.admit(spec.Tenant, spec.N, spec.Priority, int64(c.mrSize()), total, held); err != nil {
+		if err := c.admit.admit(spec.Tenant, spec.N, spec.Priority, int64(c.mrSize()), total); err != nil {
 			return nil, err
 		}
 	}
 	var out []*Lease
+	var shardErr error
 	for _, i := range rendezvousOrder(spec.Holder, len(c.shards)) {
 		if len(out) == spec.N {
 			break
@@ -216,7 +297,7 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 			continue
 		}
 		n := spec.N - len(out)
-		if free := sh.b.FreeFor(spec.Avoid); free < n {
+		if free := sh.b.freeFor(spec.Avoid); free < n {
 			n = free
 		}
 		if n <= 0 {
@@ -224,23 +305,25 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 		}
 		sub := spec
 		sub.N = n
-		ls, err := sh.b.Request(p, sub)
+		ls, err := sh.b.request(p, sub)
 		if err != nil {
+			if shardErr == nil {
+				shardErr = err
+			}
 			continue
 		}
 		for _, l := range ls {
 			sh.handles[l.ID] = l
-			if c.admit != nil {
-				st := c.admit.tenant(l.Tenant)
-				st.HeldMRs++
-				st.HeldBytes += int64(l.MR.Size())
-			}
+			c.admit.charge(l, 1)
 		}
 		out = append(out, ls...)
 	}
 	if len(out) < spec.N {
 		for _, l := range out {
 			c.Release(p, l)
+		}
+		if shardErr != nil {
+			return nil, fmt.Errorf("broker: cluster grant: %w", shardErr)
 		}
 		return nil, ErrNoMemory
 	}
@@ -252,29 +335,31 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 
 func (c *Cluster) mrSize() int {
 	for _, sh := range c.shards {
-		if sz := sh.b.MRSize(); sz > 0 {
+		if sz := sh.b.mrSize(); sz > 0 {
 			return sz
 		}
 	}
 	return 0
 }
 
-// Renew implements LeaseService, routing by the lease's shard.
+// Renew extends one lease by the TTL, routing by the lease's shard.
+// Expired or revoked leases cannot be renewed — the holder must request
+// a fresh MR.
 func (c *Cluster) Renew(p *sim.Proc, l *Lease) error {
 	sh := c.shardOf(l.ID)
 	if sh.down {
 		return ErrShardDown
 	}
-	return sh.b.Renew(p, l)
+	return sh.b.renew(p, l)
 }
 
-// RenewAll implements LeaseService: the holder's cohort is grouped by
+// RenewAll is the batched heartbeat: the holder's cohort is grouped by
 // shard and each group renews with one batched metastore round trip.
-// Individually dead leases land in failed; a shard-level transport
-// failure (replica down, metastore partition) leaves that whole group
-// un-renewed and surfaces as a retryable error after every other group
-// has been processed — re-renewing an already-renewed lease on the
-// holder's retry is harmless.
+// Individually dead leases (revoked, expired, unknown) land in failed; a
+// shard-level transport failure (replica down, metastore partition)
+// leaves that whole group un-renewed and surfaces as a retryable error
+// after every other group has been processed — re-renewing an
+// already-renewed lease on the holder's retry is harmless.
 func (c *Cluster) RenewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*Lease, err error) {
 	groups := make(map[int][]*Lease)
 	for _, l := range ls {
@@ -295,7 +380,7 @@ func (c *Cluster) RenewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*L
 			}
 			continue
 		}
-		f, gerr := sh.b.RenewAll(p, holder, groups[sid])
+		f, gerr := sh.b.renewAll(p, holder, groups[sid])
 		failed = append(failed, f...)
 		if gerr != nil && firstErr == nil {
 			firstErr = gerr
@@ -307,27 +392,22 @@ func (c *Cluster) RenewAll(p *sim.Proc, holder string, ls []*Lease) (failed []*L
 	return failed, nil
 }
 
-// Release implements LeaseService.
+// Release voluntarily returns a lease; its MR goes back to the pool.
 func (c *Cluster) Release(p *sim.Proc, l *Lease) {
 	sh := c.shardOf(l.ID)
-	_, had := sh.handles[l.ID]
-	delete(sh.handles, l.ID)
-	if had && c.admit != nil {
-		st := c.admit.tenant(l.Tenant)
-		st.HeldMRs--
-		st.HeldBytes -= int64(l.MR.Size())
-	}
+	c.drop(sh, l)
 	if sh.down {
 		// The replica can't process the release; the lease will expire
 		// once the shard recovers and sweeps. Dropping the handle is
 		// enough for the holder's side.
 		return
 	}
-	sh.b.Release(p, l)
+	sh.b.release(p, l)
 }
 
-// OnRevoke implements LeaseService. Watches are kept at the router and
-// forwarded per shard, so they survive shard handoff.
+// OnRevoke registers fn for involuntary teardowns of holder's leases
+// (holder "" watches every holder). Watches are kept at the router, so
+// they survive shard handoff.
 func (c *Cluster) OnRevoke(holder string, fn RevokeWatch) {
 	c.watches[holder] = append(c.watches[holder], fn)
 }
@@ -340,10 +420,10 @@ func (c *Cluster) OnRevoke(holder string, fn RevokeWatch) {
 func (c *Cluster) FailShard(i int) { c.shards[i].down = true }
 
 // RecoverShard hands replica i's lease space to a fresh broker rebuilt
-// from the shard's metastore namespace (the Recover election path), re-
-// adopting the shard's proxies and the still-live lease handles. Holder
-// lease pointers stay valid across the handoff; renewals resume on the
-// new replica.
+// from the shard's metastore namespace (the election path), re-adopting
+// the shard's proxies and the still-live lease handles. Holder lease
+// pointers stay valid across the handoff; renewals resume on the new
+// replica.
 func (c *Cluster) RecoverShard(p *sim.Proc, i int) error {
 	sh := c.shards[i]
 	live := make(map[LeaseID]*Lease, len(sh.handles))
@@ -353,8 +433,8 @@ func (c *Cluster) RecoverShard(p *sim.Proc, i int) error {
 			live[id] = l
 		}
 	}
-	nb, err := Recover(p, c.store, sh.cfg, sh.proxies, live)
-	if err != nil {
+	nb := c.openShard(p, sh)
+	if err := nb.adopt(p, sh.proxies, live); err != nil {
 		return err
 	}
 	// Carry the counters and metrics over so cluster aggregates stay
@@ -367,19 +447,17 @@ func (c *Cluster) RecoverShard(p *sim.Proc, i int) error {
 	nb.HeartbeatBatch = old.HeartbeatBatch
 	nb.refreshGauges()
 	sh.b = nb
-	sh.handles = make(map[LeaseID]*Lease, len(live))
-	for id, l := range live {
-		sh.handles[id] = l
-	}
-	c.installForwarder(sh)
+	sh.handles = live
 	sh.down = false
 	return nil
 }
 
 // ShedFair revokes up to n live leases tenant-fairly across all live
 // shards (round-robin over tenants, oldest lease first within each) and
-// returns how many it revoked — the cluster-wide reclamation-storm
-// primitive.
+// returns how many it revoked — the reclamation-storm primitive: a
+// diurnal wave of donors wanting their memory back trims every workload
+// proportionally instead of collapsing whichever tenant happens to hold
+// the oldest leases. Each victim counts as its tenant's shed.
 func (c *Cluster) ShedFair(n int) int {
 	var cands []*Lease
 	for _, sh := range c.shards {
@@ -395,25 +473,26 @@ func (c *Cluster) ShedFair(n int) int {
 		n = len(victims)
 	}
 	for _, l := range victims[:n] {
-		if c.admit != nil {
-			c.admit.tenant(l.Tenant).Sheds++
-		}
-		c.shardOf(l.ID).b.Revoke(l.ID)
+		c.shardOf(l.ID).b.revoke(l.ID, causePressure)
 	}
 	return n
 }
 
-// Revoke forcibly revokes one lease by ID on its shard.
+// Revoke forcibly revokes one lease by ID (the targeted fault-injection
+// primitive), destroying its MR. It reports whether the lease existed.
 func (c *Cluster) Revoke(id LeaseID) bool {
 	sh := c.shardOf(id)
 	if sh.down {
 		return false
 	}
-	return sh.b.Revoke(id)
+	return sh.b.revoke(id, causeTargeted)
 }
 
 // RevokeOldest revokes the n oldest live leases cluster-wide (lowest IDs
-// first) and returns how many were revoked.
+// first) and returns how many were revoked. This is the deterministic
+// revocation-storm primitive of the fault-injection harness: unlike
+// memory-pressure reclamation it picks victims by ID, so a fixed seed
+// reproduces the identical storm. ShedFair is the tenant-fair variant.
 func (c *Cluster) RevokeOldest(n int) int {
 	var ids []LeaseID
 	for _, sh := range c.shards {
@@ -430,14 +509,16 @@ func (c *Cluster) RevokeOldest(n int) int {
 		if revoked >= n {
 			break
 		}
-		if c.shardOf(id).b.Revoke(id) {
+		if c.shardOf(id).b.revoke(id, causeTargeted) {
 			revoked++
 		}
 	}
 	return revoked
 }
 
-// ExpireLoop sweeps every live shard at interval until StopExpireLoop.
+// ExpireLoop runs as a background process, revoking on every live shard
+// the leases whose holders stopped renewing, at interval. It exits when
+// StopExpireLoop is called (so experiment event queues can drain).
 func (c *Cluster) ExpireLoop(p *sim.Proc, interval time.Duration) {
 	for !c.stopExpire {
 		p.Sleep(interval)
@@ -447,7 +528,7 @@ func (c *Cluster) ExpireLoop(p *sim.Proc, interval time.Duration) {
 		now := p.Now()
 		for _, sh := range c.shards {
 			if !sh.down {
-				sh.b.SweepExpired(now)
+				sh.b.sweepExpired(now)
 			}
 		}
 	}
@@ -456,14 +537,17 @@ func (c *Cluster) ExpireLoop(p *sim.Proc, interval time.Duration) {
 // StopExpireLoop asks a running ExpireLoop to exit at its next tick.
 func (c *Cluster) StopExpireLoop() { c.stopExpire = true }
 
-// ReportDonorHealth fans a holder's slow-donor report out to every live
-// shard: proxies are distributed across shards, and each shard places
-// grants independently, so each needs the full picture. Shards without
-// a named proxy store the entry harmlessly.
+// ReportDonorHealth replaces holder's set of reportedly slow donors, as
+// piggybacked on its batched heartbeat: the broker unions the reports
+// across holders and deprioritizes those donors for every holder's new
+// leases, so one tenant's brownout observation protects the rest of the
+// fleet. The report fans out to every live shard: proxies are
+// distributed across shards, and each shard places grants independently,
+// so each needs the full picture.
 func (c *Cluster) ReportDonorHealth(holder string, slow []string) {
 	for _, sh := range c.shards {
 		if !sh.down {
-			sh.b.ReportDonorHealth(holder, slow)
+			sh.b.reportDonorHealth(holder, slow)
 		}
 	}
 }
@@ -538,23 +622,41 @@ func (c *Cluster) gauge(f func(*Broker) metrics.Gauge) metrics.Gauge {
 	return g
 }
 
-// TenantStats merges router-level admission accounting with any shard-
-// level stats (standalone shards keep none in a cluster).
+// TenantStats returns a copy of the per-tenant accounting (empty without
+// quotas or weights).
 func (c *Cluster) TenantStats() map[string]TenantStats {
 	out := make(map[string]TenantStats)
 	if c.admit != nil {
 		for name, st := range c.admit.tenants {
-			cur := out[name]
-			cur.merge(*st)
-			out[name] = cur
-		}
-	}
-	for _, sh := range c.shards {
-		for name, st := range sh.b.TenantStats() {
-			cur := out[name]
-			cur.merge(st)
-			out[name] = cur
+			out[name] = *st
 		}
 	}
 	return out
+}
+
+// rendezvousScore ranks shard i for key: FNV-1a over the key and the
+// shard index. Highest score wins (highest-random-weight hashing), so
+// removing one shard only moves that shard's keys.
+func rendezvousScore(key string, shard int) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	h.Write([]byte{byte(shard), byte(shard >> 8), byte(shard >> 16), byte(shard >> 24)})
+	return h.Sum64()
+}
+
+// rendezvousOrder returns all n shards ranked by preference for key.
+func rendezvousOrder(key string, n int) []int {
+	order := make([]int, n)
+	scores := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		order[i] = i
+		scores[i] = rendezvousScore(key, i)
+	}
+	// Insertion sort by descending score (n is small).
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && scores[order[j]] > scores[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order
 }

@@ -15,7 +15,7 @@ import (
 func clusterHarness(t *testing.T, shards, donors, mrs int, cfg Config,
 	fn func(p *sim.Proc, c *Cluster, store *metastore.Store)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		store := metastore.New(k, 10*time.Microsecond)
 		c := NewCluster(p, store, shards, cfg)
@@ -75,8 +75,8 @@ func TestClusterGrantRouting(t *testing.T) {
 		shardsUsed := make(map[int]bool)
 		for _, l := range leases {
 			sid := int(l.ID) % c.ShardCount()
-			if c.Shard(sid).ShardID() != sid {
-				t.Fatalf("lease %d routes to shard %d which claims id %d", l.ID, sid, c.Shard(sid).ShardID())
+			if c.Shard(sid).leases[l.ID] != l {
+				t.Fatalf("lease %d routes to shard %d, which does not hold it", l.ID, sid)
 			}
 			shardsUsed[sid] = true
 		}

@@ -21,8 +21,7 @@ func protectedCfg() Config {
 // and runs body with the timer reset.
 func benchFramed(b *testing.B, body func(p *sim.Proc, f *File, rng *rand.Rand)) {
 	b.ReportAllocs()
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(b, 1)
 	k.Go("bench", func(p *sim.Proc) {
 		e := newEnv(p, 4, 8, protectedCfg())
 		f, err := e.fs.Create(p, "f", 4<<20)

@@ -65,7 +65,7 @@ type Salvage func(p *sim.Proc, f *File, off, n int64) error
 // (Replication >= 1 and, above 1, Integrity on; BlockSize defaulted).
 type FS struct {
 	Config
-	Broker    broker.LeaseService
+	Broker    *broker.Cluster
 	Client    *rmem.Client // shadows Config.Client, the settings it was built with
 	Transport rmem.Transport
 
@@ -123,7 +123,7 @@ type Config struct {
 
 	// AutoRenew keeps leases alive with one batched heartbeat process
 	// per FS: every still-healthy lease of every open file renews in a
-	// single broker round trip (LeaseService.RenewAll), so renewal load
+	// single broker round trip (Cluster.RenewAll), so renewal load
 	// scales with holders, not leases.
 	AutoRenew bool
 
@@ -208,12 +208,11 @@ func DefaultConfig() Config {
 
 // NewFS creates a remote file system client on the database server that
 // owns client. The client's staging buffers are registered here. b is
-// any LeaseService — a standalone broker.Broker or a sharded
-// broker.Cluster. The FS subscribes to the service's revoke stream, so
-// repair of a revoked stripe starts the moment the broker tears the
-// lease down instead of waiting for the next access or renewal to
-// stumble over it.
-func NewFS(p *sim.Proc, b broker.LeaseService, client *rmem.Client, cfg Config) *FS {
+// the lease service, of one shard or many. The FS subscribes to the
+// service's revoke stream, so repair of a revoked stripe starts the
+// moment the broker tears the lease down instead of waiting for the next
+// access or renewal to stumble over it.
+func NewFS(p *sim.Proc, b *broker.Cluster, client *rmem.Client, cfg Config) *FS {
 	if cfg.Replication > 1 {
 		// Failover needs verification to tell a good replica from a bad
 		// one, so replication implies integrity frames.
@@ -528,7 +527,7 @@ func (f *File) active() bool {
 
 // heartbeatLoop is the FS-wide batched renewal process: each tick it
 // gathers every healthy lease of every active file into one cohort and
-// renews it with a single LeaseService.RenewAll call — one broker round
+// renews it with a single Cluster.RenewAll call — one broker round
 // trip per holder per tick, regardless of how many leases the holder
 // has. Leases the service reports individually dead go to the repair
 // path; a transport failure that outlives the retry budget means the
@@ -589,9 +588,7 @@ func (fs *FS) heartbeatLoop(p *sim.Proc) {
 			// Piggyback the current slow-donor set on the heartbeat that
 			// just went through (same RPC in a real system); the broker
 			// deprioritizes these donors for every holder's new leases.
-			if sink, ok := fs.Broker.(broker.HealthSink); ok {
-				sink.ReportDonorHealth(fs.holder, fs.health.slowDonors())
-			}
+			fs.Broker.ReportDonorHealth(fs.holder, fs.health.slowDonors())
 		}
 		if err != nil {
 			// The broker/metastore stayed unreachable past the retry

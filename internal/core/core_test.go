@@ -21,7 +21,7 @@ type env struct {
 	k       *sim.Kernel
 	db      *cluster.Server
 	mems    []*cluster.Server
-	b       *broker.Broker
+	b       *broker.Cluster
 	proxies []*broker.Proxy
 	fs      *FS
 }
@@ -33,7 +33,7 @@ func newEnv(p *sim.Proc, n, mrs int, cfg Config) *env {
 	scfg.MemoryBytes = 64 << 20
 	e.db = cluster.NewServer(k, "db1", scfg)
 	store := metastore.New(k, 10*time.Microsecond)
-	e.b = broker.New(p, store, broker.DefaultConfig())
+	e.b = broker.NewCluster(p, store, 1, broker.DefaultConfig())
 	for i := 0; i < n; i++ {
 		m := cluster.NewServer(k, fmt.Sprintf("m%d", i+1), scfg)
 		e.mems = append(e.mems, m)
@@ -49,7 +49,7 @@ func newEnv(p *sim.Proc, n, mrs int, cfg Config) *env {
 }
 
 func TestCreateOpenReadWriteDelete(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, DefaultConfig())
 		f, err := e.fs.Create(p, "bpext", 4<<20)
@@ -85,7 +85,7 @@ func TestCreateOpenReadWriteDelete(t *testing.T) {
 }
 
 func TestCrossMRAccess(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 4<<20)
@@ -113,7 +113,7 @@ func TestCrossMRAccess(t *testing.T) {
 }
 
 func TestSpreadAcrossServers(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 4, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 8<<20)
@@ -125,7 +125,7 @@ func TestSpreadAcrossServers(t *testing.T) {
 }
 
 func TestBoundsChecks(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 1, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -142,7 +142,7 @@ func TestBoundsChecks(t *testing.T) {
 }
 
 func TestIOWithoutOpenRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 1, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -154,7 +154,7 @@ func TestIOWithoutOpenRejected(t *testing.T) {
 }
 
 func TestDuplicateCreateAndMissingOpen(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 1, 8, DefaultConfig())
 		e.fs.Create(p, "f", 1<<20)
@@ -172,7 +172,7 @@ func TestDuplicateCreateAndMissingOpen(t *testing.T) {
 }
 
 func TestCreateFailsWithoutMemory(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 1, 2, DefaultConfig())
 		if _, err := e.fs.Create(p, "big", 10<<20); !errors.Is(err, ErrNoLeases) {
@@ -186,7 +186,7 @@ func TestCreateFailsWithoutMemory(t *testing.T) {
 }
 
 func TestRemoteServerFailureTurnsFileUnavailable(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 1, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 2<<20)
@@ -207,14 +207,14 @@ func TestRemoteServerFailureTurnsFileUnavailable(t *testing.T) {
 }
 
 func TestAutoRenewKeepsFileAlive(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		scfg := cluster.DefaultConfig()
 		scfg.MemoryBytes = 64 << 20
 		db := cluster.NewServer(k, "db1", scfg)
 		m := cluster.NewServer(k, "m1", scfg)
 		store := metastore.New(k, 10*time.Microsecond)
-		b := broker.New(p, store, broker.Config{LeaseTTL: 200 * time.Millisecond})
+		b := broker.NewCluster(p, store, 1, broker.Config{LeaseTTL: 200 * time.Millisecond})
 		b.AddProxy(p, m, 1<<20, 4)
 		k.Go("expire", func(ep *sim.Proc) { b.ExpireLoop(ep, 50*time.Millisecond) })
 		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
@@ -239,14 +239,14 @@ func TestAutoRenewKeepsFileAlive(t *testing.T) {
 // broker sees holder-sized batches, not per-lease round trips, and the
 // loop winds down once the last file is gone.
 func TestHeartbeatBatchesWholeCohort(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		scfg := cluster.DefaultConfig()
 		scfg.MemoryBytes = 64 << 20
 		db := cluster.NewServer(k, "db1", scfg)
 		m := cluster.NewServer(k, "m1", scfg)
 		store := metastore.New(k, 10*time.Microsecond)
-		b := broker.New(p, store, broker.Config{LeaseTTL: 200 * time.Millisecond})
+		b := broker.NewCluster(p, store, 1, broker.Config{LeaseTTL: 200 * time.Millisecond})
 		b.AddProxy(p, m, 1<<20, 8)
 		k.Go("expire", func(ep *sim.Proc) { b.ExpireLoop(ep, 50*time.Millisecond) })
 		defer b.StopExpireLoop()
@@ -276,7 +276,7 @@ func TestHeartbeatBatchesWholeCohort(t *testing.T) {
 		if fs.Heartbeats == 0 {
 			t.Error("no heartbeat rounds recorded")
 		}
-		hb := b.HeartbeatBatch
+		hb := b.HeartbeatBatch()
 		if hb.N != fs.Heartbeats {
 			t.Errorf("broker saw %d batches for %d heartbeat rounds", hb.N, fs.Heartbeats)
 		}
@@ -293,14 +293,14 @@ func TestHeartbeatBatchesWholeCohort(t *testing.T) {
 }
 
 func TestLeaseExpiryWithoutRenewal(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		scfg := cluster.DefaultConfig()
 		scfg.MemoryBytes = 64 << 20
 		db := cluster.NewServer(k, "db1", scfg)
 		m := cluster.NewServer(k, "m1", scfg)
 		store := metastore.New(k, 10*time.Microsecond)
-		b := broker.New(p, store, broker.Config{LeaseTTL: 100 * time.Millisecond})
+		b := broker.NewCluster(p, store, 1, broker.Config{LeaseTTL: 100 * time.Millisecond})
 		b.AddProxy(p, m, 1<<20, 4)
 		k.Go("expire", func(ep *sim.Proc) { b.ExpireLoop(ep, 20*time.Millisecond) })
 		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
@@ -319,7 +319,7 @@ func TestLeaseExpiryWithoutRenewal(t *testing.T) {
 }
 
 func TestConnectCostChargedPerServer(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	var elapsed time.Duration
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, DefaultConfig())

@@ -16,8 +16,7 @@ import (
 // below one frame's worth of bytes — within the 976 B the two races'
 // procs, conds and timers cost before the routes were merged.
 func TestFramedReadAllocatesNoFrame(t *testing.T) {
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 4, 8, protectedCfg())
 		f, err := e.fs.Create(p, "f", 1<<20)
@@ -68,8 +67,7 @@ func TestFramedReadAllocatesNoFrame(t *testing.T) {
 // so is every replica's stored frame (a read served by the hedge never
 // looks at the slow replica's copy).
 func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := protectedCfg()
 		cfg.HealthChecks = false // keep the slow donor primary: every read of it hedges
@@ -148,8 +146,7 @@ func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
 // Recycled frames are not pre-zeroed: a partial write into a
 // never-written block must still read back zeros around it.
 func TestPartialWriteIntoFreshBlockReadsZerosAround(t *testing.T) {
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, err := e.fs.Create(p, "f", 1<<20)

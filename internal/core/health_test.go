@@ -24,7 +24,7 @@ func donorOf(t *testing.T, e *env, f *File, r int) int {
 }
 
 func TestDeadlineBudgetSlowReadFallsBack(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.DeadlineBudget = 500 * time.Microsecond
@@ -71,7 +71,7 @@ func TestDeadlineBudgetSlowReadFallsBack(t *testing.T) {
 }
 
 func TestDeadlineBudgetFramedRead(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.Integrity = true
@@ -109,7 +109,7 @@ func TestDeadlineBudgetFramedRead(t *testing.T) {
 }
 
 func TestHedgedReadCutsTail(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.Replication = 2
@@ -149,7 +149,7 @@ func TestHedgedReadCutsTail(t *testing.T) {
 }
 
 func TestHedgeRateCap(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.Replication = 2
@@ -237,7 +237,7 @@ func healthEnv(t *testing.T, p *sim.Proc, cfg Config) (*env, *File, int, []byte)
 }
 
 func TestBrownoutAndRecovery(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e, f, slow, _ := healthEnv(t, p, DefaultConfig())
 		slowName := e.mems[slow].Name
@@ -293,7 +293,7 @@ func TestBrownoutAndRecovery(t *testing.T) {
 }
 
 func TestQuarantineMigratesReplicas(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e, f, slow, data := healthEnv(t, p, DefaultConfig())
 		slowName := e.mems[slow].Name
@@ -333,7 +333,7 @@ func TestQuarantineMigratesReplicas(t *testing.T) {
 }
 
 func TestBreakerEscalatesBrownedToQuarantined(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.HealthChecks = true
@@ -376,7 +376,7 @@ func TestBreakerEscalatesBrownedToQuarantined(t *testing.T) {
 }
 
 func TestTailTolerantPathOffByDefault(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.Replication = 2

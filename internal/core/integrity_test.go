@@ -27,7 +27,7 @@ func pattern(n int, seed byte) []byte {
 }
 
 func TestFramedRoundTripAndZeroFill(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, err := e.fs.Create(p, "f", 3<<20)
@@ -73,7 +73,7 @@ func TestFramedRoundTripAndZeroFill(t *testing.T) {
 }
 
 func TestReplicasPlacedOnDistinctDonors(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		f, err := e.fs.Create(p, "f", 2<<20)
@@ -92,7 +92,7 @@ func TestReplicasPlacedOnDistinctDonors(t *testing.T) {
 }
 
 func TestReplicationNeedsDistinctDonors(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		// One donor, two replicas wanted: anti-affinity must refuse
 		// rather than co-locate.
@@ -108,7 +108,7 @@ func TestReplicationNeedsDistinctDonors(t *testing.T) {
 }
 
 func TestBitFlipDetectedAndRepairedFromReplica(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(2))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -151,7 +151,7 @@ func TestBitFlipDetectedAndRepairedFromReplica(t *testing.T) {
 }
 
 func TestTornWriteWithoutReplicaFailsLoud(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -189,7 +189,7 @@ func TestTornWriteWithoutReplicaFailsLoud(t *testing.T) {
 }
 
 func TestStaleReplicaResurrectionCaughtByGeneration(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(2))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -226,7 +226,7 @@ func TestStaleReplicaResurrectionCaughtByGeneration(t *testing.T) {
 }
 
 func TestRevocationWithReplicaHasNoDegradedWindow(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		salvages := 0
@@ -286,7 +286,7 @@ func TestRevocationWithReplicaHasNoDegradedWindow(t *testing.T) {
 }
 
 func TestScrubberFindsAndRepairsLatentCorruption(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := integrityCfg(2)
 		cfg.ScrubEvery = 50 * time.Millisecond
@@ -324,7 +324,7 @@ func TestScrubberFindsAndRepairsLatentCorruption(t *testing.T) {
 }
 
 func TestVectoredSpansStripeBoundaries(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, _ := e.fs.Create(p, "f", 3<<20)
@@ -369,7 +369,7 @@ func TestVectoredSpansStripeBoundaries(t *testing.T) {
 }
 
 func TestVectoredUnframedSpansStripes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 4<<20)
@@ -409,7 +409,7 @@ func TestVectoredUnframedSpansStripes(t *testing.T) {
 }
 
 func TestVectoredDegradedStripeMidVector(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, DefaultConfig())
 		f, _ := e.fs.Create(p, "f", 2<<20)
@@ -439,7 +439,7 @@ func TestVectoredDegradedStripeMidVector(t *testing.T) {
 }
 
 func TestVectoredReplicaFailoverInsideBatch(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -482,7 +482,7 @@ func TestVectoredReplicaFailoverInsideBatch(t *testing.T) {
 }
 
 func TestVectoredVerifiesEveryElement(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(2))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -528,7 +528,7 @@ func TestVectoredVerifiesEveryElement(t *testing.T) {
 }
 
 func TestVectoredPartialBlocksTakeMergePath(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, _ := e.fs.Create(p, "f", 1<<20)
@@ -562,7 +562,7 @@ func TestVectoredPartialBlocksTakeMergePath(t *testing.T) {
 }
 
 func TestAllReplicasLostFallsBackToSalvage(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 16, integrityCfg(2))
 		salvaged := false

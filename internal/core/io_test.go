@@ -17,8 +17,7 @@ import (
 // not leave the heartbeat ticking forever.
 func inSim(t *testing.T, body func(p *sim.Proc)) {
 	t.Helper()
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	k.Go("t", body)
 	k.Run(time.Hour)
 }

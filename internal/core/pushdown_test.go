@@ -58,7 +58,7 @@ func collectInts(t *testing.T, log []byte) []int64 {
 }
 
 func TestPushReadFiltersAtDonor(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, err := e.fs.Create(p, "t", 2<<20)
@@ -99,7 +99,7 @@ func TestPushReadFiltersAtDonor(t *testing.T) {
 }
 
 func TestPushReadCorruptBlockFallsBackNoError(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		f, err := e.fs.Create(p, "t", 1<<20)
@@ -144,7 +144,7 @@ func TestPushReadCorruptBlockFallsBackNoError(t *testing.T) {
 }
 
 func TestPushReadRevokedReplicaFailsOverNoError(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
 		f, err := e.fs.Create(p, "t", 1<<20)
@@ -170,7 +170,7 @@ func TestPushReadRevokedReplicaFailsOverNoError(t *testing.T) {
 }
 
 func TestPushReadUnframedOrEncryptedUnavailable(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		// Unframed file: no per-element integrity, so no pushdown.
 		e := newEnv(p, 2, 8, DefaultConfig())
@@ -199,7 +199,7 @@ func TestPushReadUnframedOrEncryptedUnavailable(t *testing.T) {
 }
 
 func TestPushReadSkipsNeverWrittenBlocks(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newEnv(p, 2, 8, integrityCfg(1))
 		f, _ := e.fs.Create(p, "t", 1<<20)

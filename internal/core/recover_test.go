@@ -29,7 +29,7 @@ func newFaultEnv(p *sim.Proc, n, mrs int, bcfg broker.Config, cfg Config) *fault
 	scfg.MemoryBytes = 64 << 20
 	e.db = cluster.NewServer(k, "db1", scfg)
 	e.store = metastore.New(k, 10*time.Microsecond)
-	e.b = broker.New(p, e.store, bcfg)
+	e.b = broker.NewCluster(p, e.store, 1, bcfg)
 	for i := 0; i < n; i++ {
 		m := cluster.NewServer(k, fmt.Sprintf("m%d", i+1), scfg)
 		e.mems = append(e.mems, m)
@@ -48,7 +48,7 @@ func newFaultEnv(p *sim.Proc, n, mrs int, bcfg broker.Config, cfg Config) *fault
 // keep serving, the repair re-leases a replacement, and the salvage
 // callback repopulates the range.
 func TestStripeRepairAfterRevocation(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		e := newFaultEnv(p, 2, 4, broker.DefaultConfig(), DefaultConfig())
 		f, err := e.fs.Create(p, "f", 2<<20) // 2 stripes of 1 MiB
@@ -112,7 +112,7 @@ func TestStripeRepairAfterRevocation(t *testing.T) {
 // With recovery disabled the old contract holds: the first revocation
 // turns the whole file terminally unavailable.
 func TestRecoveryDisabledIsTerminal(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig()
 		cfg.Recover = false
@@ -143,7 +143,7 @@ func TestRecoveryDisabledIsTerminal(t *testing.T) {
 // A metastore partition shorter than the retry budget must be invisible:
 // the renew loop retries through it and the file never degrades.
 func TestRenewRetriesThroughPartition(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		bcfg := broker.Config{LeaseTTL: 200 * time.Millisecond}
 		e := newFaultEnv(p, 2, 4, bcfg, DefaultConfig())

@@ -37,7 +37,7 @@ func ablationDrive(seed int64, ccfg rmem.ClientConfig, threads int) (time.Durati
 		db := cluster.NewServer(k, "db1", serverConfig(20))
 		mem := cluster.NewServer(k, "mem1", serverConfig(20))
 		store := metastore.New(k, 10*time.Microsecond)
-		b := broker.New(p, store, broker.DefaultConfig())
+		b := broker.NewCluster(p, store, 1, broker.DefaultConfig())
 		if _, err := b.AddProxy(p, mem, 8<<20, 20); err != nil {
 			return err
 		}

@@ -35,7 +35,7 @@ func remoteFile(p *sim.Proc, proto nic.Protocol, servers int, size int64) (vfs.F
 	k := p.Kernel()
 	db := cluster.NewServer(k, "db1", serverConfig(20))
 	store := metastore.New(k, 10*time.Microsecond)
-	b := broker.New(p, store, broker.DefaultConfig())
+	b := broker.NewCluster(p, store, 1, broker.DefaultConfig())
 	var mems []*cluster.Server
 	mrBytes := 8 << 20
 	perServer := (size + int64(servers) - 1) / int64(servers)
@@ -193,7 +193,7 @@ func RunFig06MultiDBServers(seed int64) ([]MultiServerPoint, error) {
 		err := RunInSim(seed, time.Hour, func(p *sim.Proc) error {
 			k := p.Kernel()
 			store := metastore.New(k, 10*time.Microsecond)
-			b := broker.New(p, store, broker.DefaultConfig())
+			b := broker.NewCluster(p, store, 1, broker.DefaultConfig())
 			mem := cluster.NewServer(k, "mem1", serverConfig(20))
 			mrBytes := 8 << 20
 			if _, err := b.AddProxy(p, mem, mrBytes, int(perDB*int64(n))/mrBytes+n); err != nil {

@@ -140,7 +140,7 @@ func RunFig13RemoteImpact(seed int64, prm Fig13Params) ([]Fig13Result, error) {
 			// SA: a DB server whose BPExt lives on SB's memory.
 			if mode != "Default" {
 				store := metastore.New(k, 10*time.Microsecond)
-				b := broker.New(p, store, broker.DefaultConfig())
+				b := broker.NewCluster(p, store, 1, broker.DefaultConfig())
 				if _, err := b.AddProxy(p, sb, 8<<20, 20); err != nil {
 					return err
 				}
@@ -423,7 +423,7 @@ func RunFig25MultiDBRangeScan(seed int64, prm Fig25Params) ([]Fig25Point, error)
 		err := RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
 			k := p.Kernel()
 			store := metastore.New(k, 10*time.Microsecond)
-			b := broker.New(p, store, broker.DefaultConfig())
+			b := broker.NewCluster(p, store, 1, broker.DefaultConfig())
 			mem := cluster.NewServer(k, "mem1", serverConfig(20))
 			// 8 DBs x 30 MB each (the paper's smaller database).
 			if _, err := b.AddProxy(p, mem, 8<<20, 40); err != nil {

@@ -343,11 +343,10 @@ func WithHedgeRateCap(frac float64) Option { return func(s *settings) { s.hedgeC
 // earn its way back. Consumed by MountRemoteFS and NewTestBed.
 func WithHealthChecks(on bool) Option { return func(s *settings) { s.healthChecks = &on } }
 
-// StartBroker creates a cluster-scale memory broker backed by store,
-// configured by options (WithLeaseTTL, WithBrokerShards,
-// WithTenantQuota). With one shard (the default) it behaves exactly
-// like the classic single broker; more shards spread the lease space
-// over independent replicas.
+// StartBroker creates the memory broker backed by store, configured by
+// options (WithLeaseTTL, WithBrokerShards, WithTenantQuota). One shard
+// (the default) is the paper's single broker; more shards spread the
+// lease space over independent replicas.
 func StartBroker(p *Proc, store *MetaStore, opts ...Option) *BrokerCluster {
 	s := apply(opts)
 	cfg := broker.DefaultConfig()
@@ -367,10 +366,9 @@ func StartBroker(p *Proc, store *MetaStore, opts ...Option) *BrokerCluster {
 // WithPlacement, WithAutoRenew, WithRecovery, WithRetryPolicy,
 // WithSalvage, WithReplication, WithIntegrity, WithScrubEvery,
 // WithTenant, WithHeartbeatEvery, WithDeadlineBudget, WithHedging,
-// WithHedgeAfter, WithHedgeRateCap, WithHealthChecks). b is any
-// LeaseService — a
-// single-shard *Broker or the sharded *BrokerCluster from StartBroker.
-func MountRemoteFS(p *Proc, b LeaseService, client *RemoteClient, opts ...Option) *RemoteFS {
+// WithHedgeAfter, WithHedgeRateCap, WithHealthChecks). b is the broker
+// StartBroker returned, of one shard or many.
+func MountRemoteFS(p *Proc, b *BrokerCluster, client *RemoteClient, opts ...Option) *RemoteFS {
 	s := apply(opts)
 	cfg := core.DefaultConfig()
 	if s.replication > 0 {

@@ -79,17 +79,12 @@ func DefaultServerConfig() ServerConfig { return cluster.DefaultConfig() }
 
 // Memory brokering.
 type (
-	// LeaseService is the brokering seam: everything a lease consumer
-	// needs (request, renew, batched renew, release, revoke watches),
-	// satisfied by both Broker and BrokerCluster.
-	LeaseService = broker.LeaseService
 	// RequestSpec describes one lease request (holder, count,
 	// placement, avoid set, tenant, priority).
 	RequestSpec = broker.RequestSpec
-	// Broker grants leases on remote memory regions (one shard).
-	Broker = broker.Broker
-	// BrokerCluster shards the lease space across broker replicas and
-	// routes requests by rendezvous hashing; StartBroker returns one.
+	// BrokerCluster is the memory broker: it grants leases on remote
+	// memory regions, sharding the lease space across one or more broker
+	// replicas; StartBroker returns one.
 	BrokerCluster = broker.Cluster
 	// Lease is exclusive access to one memory region.
 	Lease = broker.Lease
