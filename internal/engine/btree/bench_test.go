@@ -114,6 +114,25 @@ func BenchmarkScanRange100(b *testing.B) {
 	})
 }
 
+// BenchmarkScanExtensionResident walks 64 leaves that only the extension
+// holds, each read costing 13 µs of virtual time; an op is one such scan.
+// Readahead windows are in flight ahead of the cursor, so allocs/op must
+// not grow with the number of windows a scan issues. sim-us/leaf is the
+// virtual time the scan spends per leaf.
+func BenchmarkScanExtensionResident(b *testing.B) {
+	k := newKernel(b, 1)
+	newExtTree(b, k, 13*time.Microsecond, func(p *sim.Proc, et *extTree) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		t0 := p.Now()
+		for i := 0; i < b.N; i++ {
+			et.walk(b, p, i, nil)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(p.Now()-t0)/float64(time.Microsecond)/float64(b.N*rangeLeaves), "sim-us/leaf")
+	})
+}
+
 // BenchmarkIteratorNext walks the whole tree through one iterator; an op
 // is one entry.
 func BenchmarkIteratorNext(b *testing.B) {

@@ -9,6 +9,7 @@ package buffer
 import (
 	"cmp"
 	"slices"
+	"time"
 
 	"remotedb/internal/engine/page"
 	"remotedb/internal/sim"
@@ -234,9 +235,9 @@ func (bp *Pool) adaptReadahead() {
 
 // ReadAheadWindow prefetches the readahead window starting at page
 // start, clamped to maxPages (when positive), allocated pages, and a
-// quarter of the pool, and returns the number of pages actually
-// installed. Callers that ramp their window (slow-start scans) pass the
-// ramped size as maxPages.
+// quarter of the pool, and returns what ReadAhead returns for it. Callers
+// that ramp their window (slow-start scans) pass the ramped size as
+// maxPages.
 func (bp *Pool) ReadAheadWindow(p *sim.Proc, start uint64, maxPages int) int {
 	bp.adaptReadahead()
 	want := bp.ReadaheadPages()
@@ -257,29 +258,23 @@ func (bp *Pool) ReadAheadWindow(p *sim.Proc, start uint64, maxPages int) int {
 	return bp.ReadAhead(p, nos)
 }
 
-// ReadAhead batch-faults the given pages with one vectored read per
-// source tier, installing each into a frame so subsequent Gets hit in
-// RAM. Pages already resident, already faulting, or not yet allocated
-// are skipped. With a healthy extension the prefetch reads the
-// ext-cached pages in one grouped remote transfer (one charged round
-// trip instead of one per page) and deliberately does NOT touch pages
-// absent from the extension: in steady state the warm set lives in the
-// extension, so an absent page is cold and a speculative fault would
-// pay a random spindle seek for a page the scan may never visit.
-// Without an extension the window is read from the data file in one
-// elevator-merged vectored read. Prefetched pages are registered as
-// in-flight faults so a concurrent Get piggybacks instead of issuing
-// its own read; they count in Stats.ReadAheadPages, never DiskReads or
-// ExtHits. Prefetching is best-effort: pool pressure stops it early.
+// ReadAhead prefetches the given pages without making the caller wait,
+// and returns how many it reserved. It reserves in no virtual time,
+// skipping pages resident, already faulting, not yet allocated, or — with
+// a healthy extension — absent from it: in steady state the warm set
+// lives in the extension, so an absent page is cold and a speculative
+// fault would pay a spindle seek for a page the scan may never visit. A
+// page in the put queue is installed at once from its RAM image; every
+// other page gets a pinned frame and an in-flight fault that a demand Get
+// piggybacks on. A pool-owned fetcher then reads the window under the
+// caller's deadline, in one vectored read of the extension (one charged
+// round trip, not one per page) or, without one, one elevator-merged read
+// of the data file. Prefetched pages count in Stats.ReadAheadPages, never
+// DiskReads or ExtHits. Prefetching is best-effort: pool pressure stops it
+// early.
 func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
-	type pending struct {
-		no   uint64
-		idx  int
-		slot int // extension slot, -1 = data file
-		wg   *sim.WaitGroup
-	}
-	var pend []pending
-	installed := 0
+	var fe *fetcher
+	n := 0
 	for _, no := range pageNos {
 		if no == 0 || no >= bp.nextPageNo {
 			continue
@@ -290,19 +285,16 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 		if _, inflight := bp.faulting[no]; inflight {
 			continue
 		}
-		slot := -1
-		queued := false
 		if bp.extDegraded() {
 			// A stripe of the extension file is down or under repair: a
-			// vectored read could stall in retry/backoff behind the one
-			// bad element while holding every pend frame pinned. Demand
+			// vectored read could stall in retry/backoff behind the one bad
+			// element while holding every reserved frame pinned. Demand
 			// faults handle degradation per page; prefetch sits it out.
 			break
 		}
+		slot, pu, queued := -1, extPut{}, false
 		if bp.ExtensionHealthy() {
-			if _, q := bp.extPending[no]; q {
-				queued = true // flusher queue: serve the RAM image below
-			} else {
+			if pu, queued = bp.extPending[no]; !queued {
 				s, cached := bp.ext.table[no]
 				if !cached {
 					continue // cold page: leave it to the demand path
@@ -310,103 +302,135 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 				slot = s
 			}
 		}
+		// Never sleeps, so nothing checked above can change under us.
 		idx, err := bp.victimPrefetch(p)
 		if err != nil {
 			break // pool under pressure: prefetch what we could
 		}
-		// victim may have slept in eviction I/O; a concurrent Get could
-		// have faulted this page in meanwhile.
-		if _, ok := bp.table[no]; ok {
-			bp.releaseFrame(idx)
-			continue
-		}
-		if _, inflight := bp.faulting[no]; inflight {
-			bp.releaseFrame(idx)
-			continue
-		}
-		if queued {
-			pu, ok := bp.extPending[no]
-			if !ok {
-				// Flushed while the victim search slept; the demand path
-				// will serve it from the extension.
-				bp.releaseFrame(idx)
-				continue
-			}
-			f := &bp.frames[idx]
-			f.pins = 0
-			f.valid = true
-			f.pageNo = no
-			f.dirty = false
-			f.ver++
-			f.ref = true
-			f.prefetched = true
-			f.extCopy = true
-			copy(f.buf, pu.img)
-			bp.table[no] = idx
-			bp.noteInstall(idx)
-			bp.Stats.ReadAheadPages++
-			installed++
-			continue
-		}
 		f := &bp.frames[idx]
-		f.pins = 1 // reserve across the batched read
 		f.valid = true
 		f.pageNo = no
 		f.dirty = false
 		f.ver++
-		wg := sim.NewWaitGroup(bp.k)
-		wg.Add(1)
-		bp.faulting[no] = wg
-		pend = append(pend, pending{no: no, idx: idx, slot: slot, wg: wg})
+		n++
+		if queued {
+			copy(f.buf, pu.img)
+			bp.installPrefetched(idx, true)
+			continue
+		}
+		f.pins = 1 // reserved until the fetcher installs or releases it
+		if fe == nil {
+			// A parked fetcher takes the window, or a new one does.
+			if last := len(bp.fetchers) - 1; last >= 0 {
+				fe, bp.fetchers = bp.fetchers[last], bp.fetchers[:last]
+			} else {
+				fe = &fetcher{}
+			}
+		}
+		bp.beginFault(no)
+		fe.win = append(fe.win, raPage{no: no, idx: idx, slot: slot})
 	}
-	if len(pend) == 0 {
-		return installed
-	}
-	var extVecs, diskVecs []vfs.Vec
-	for _, pe := range pend {
-		f := &bp.frames[pe.idx]
-		if pe.slot >= 0 {
-			extVecs = append(extVecs, vfs.Vec{Off: int64(pe.slot) * page.Size, Buf: f.buf})
+	if fe != nil {
+		fe.deadline = p.Deadline()
+		if fe.wake == nil {
+			fe.wake = sim.NewCond(bp.k)
+			bp.k.Go("readahead", func(q *sim.Proc) { bp.fetchLoop(q, fe) })
 		} else {
-			diskVecs = append(diskVecs, vfs.Vec{Off: int64(pe.no) * page.Size, Buf: f.buf})
+			fe.wake.Signal()
 		}
 	}
-	var extErr, diskErr error
-	if len(extVecs) > 0 {
-		if extErr = vfs.ReadVec(p, bp.ext.file, extVecs); extErr != nil {
-			bp.extFailed(extErr)
+	return n
+}
+
+// raPage is one page reserved for readahead: its frame and the extension
+// slot it is read from (-1 = the data file).
+type raPage struct {
+	no   uint64
+	idx  int
+	slot int
+}
+
+// fetcher is a pool-owned proc that reads reserved windows. Between
+// windows it parks on wake, idle, and the next window reuses it.
+type fetcher struct {
+	win      []raPage
+	vecs     []vfs.Vec
+	deadline time.Duration // the reserving proc's
+	wake     *sim.Cond     // nil until the fetcher's proc is started
+}
+
+// fetchLoop is a fetcher's proc: it reads its window, then parks.
+func (bp *Pool) fetchLoop(p *sim.Proc, fe *fetcher) {
+	for {
+		p.SetDeadline(fe.deadline)
+		bp.fetch(p, fe)
+		fe.win = fe.win[:0]
+		bp.fetchers = append(bp.fetchers, fe)
+		fe.wake.Wait(p)
+	}
+}
+
+// fetch reads a reserved window with one vectored read and installs each
+// page, or releases its frame if the read failed, the page was installed
+// meanwhile, or its extension slot changed hands while the read slept.
+// A window is all extension pages or all data-file pages: the extension's
+// health, which decides, cannot change while ReadAhead reserves.
+func (bp *Pool) fetch(p *sim.Proc, fe *fetcher) {
+	win := fe.win
+	ext := win[0].slot >= 0
+	file := bp.data
+	if ext {
+		file = bp.ext.file
+	}
+	fe.vecs = fe.vecs[:0]
+	for _, pe := range win {
+		off := int64(pe.no) * page.Size
+		if ext {
+			off = int64(pe.slot) * page.Size
 		}
+		fe.vecs = append(fe.vecs, vfs.Vec{Off: off, Buf: bp.frames[pe.idx].buf})
 	}
-	if len(diskVecs) > 0 {
-		diskErr = vfs.ReadVec(p, bp.data, diskVecs)
+	err := vfs.ReadVec(p, file, fe.vecs)
+	if err != nil && ext {
+		bp.extFailed(err)
 	}
-	for _, pe := range pend {
+	for _, pe := range win {
 		f := &bp.frames[pe.idx]
-		err := diskErr
-		stale := false
-		if pe.slot >= 0 {
-			err = extErr
-			stale = bp.ext.stale(pe.slot, pe.no)
-		}
-		if _, raced := bp.table[pe.no]; err != nil || raced || stale {
+		f.pins = 0
+		if _, raced := bp.table[pe.no]; err != nil || raced || ext && bp.ext.stale(pe.slot, pe.no) {
 			f.valid = false
-			f.pins = 0
 			bp.releaseFrame(pe.idx)
 		} else {
-			f.pins = 0
-			f.ref = true
-			f.prefetched = true
-			f.extCopy = pe.slot >= 0
-			bp.table[pe.no] = pe.idx
-			bp.noteInstall(pe.idx)
-			installed++
-			bp.Stats.ReadAheadPages++
+			bp.installPrefetched(pe.idx, ext)
 		}
-		delete(bp.faulting, pe.no)
-		pe.wg.Done()
+		bp.endFault(pe.no)
 		bp.avail.Signal()
 	}
-	return installed
+}
+
+// installPrefetched maps an unpinned reserved frame, its image in place,
+// as a prefetched page.
+func (bp *Pool) installPrefetched(idx int, extCopy bool) {
+	f := &bp.frames[idx]
+	f.ref = true
+	f.prefetched = true
+	f.lastEpoch = bp.evictEpoch
+	f.extCopy = extCopy
+	bp.table[f.pageNo] = idx
+	bp.noteInstall(idx)
+	bp.Stats.ReadAheadPages++
+}
+
+// InUse returns the number of pinned frames and of page faults in flight,
+// readahead windows included: both are zero once every handle is
+// released and every window has landed.
+func (bp *Pool) InUse() (pinned, faulting int) {
+	for i := range bp.frames {
+		if bp.frames[i].pins > 0 {
+			pinned++
+		}
+	}
+	return pinned, len(bp.faulting)
 }
 
 // victimPrefetch finds a frame for speculative readahead without ever
@@ -414,13 +438,22 @@ func (bp *Pool) ReadAhead(p *sim.Proc, pageNos []uint64) int {
 // clean, unpinned, low-priority victim, and gives up rather than sleep
 // on a pin release, write back a dirty page, or stall on extension-put
 // throttling — a speculative read must never steal capacity or block in
-// the way of the demand faults it is supposed to be helping. (The
-// blocking variants live in victimClock/victimGDSF.)
+// the way of the demand faults it is supposed to be helping. Nor does it
+// take an awaited frame. (The blocking variants live in
+// victimClock/victimGDSF.)
 func (bp *Pool) victimPrefetch(p *sim.Proc) (int, error) {
 	if bp.cfg.Policy == PolicyClock {
 		return bp.victimPrefetchClock(p)
 	}
 	return bp.victimPrefetchGDSF(p)
+}
+
+// awaited reports whether f holds a page prefetched so recently, fewer
+// evictions ago than the quarter pool one window may take, that its scan
+// may not have reached it yet. GDSF ranks it below the pages the scan has
+// read, so a window topped up ahead of the cursor would evict it first.
+func (bp *Pool) awaited(f *frame) bool {
+	return f.prefetched && bp.evictEpoch-f.lastEpoch < uint64(len(bp.frames)/4)
 }
 
 // extPutThrottled reports whether a clean eviction would block on the
@@ -453,14 +486,16 @@ func (bp *Pool) victimPrefetchGDSF(p *sim.Proc) (int, error) {
 	if bp.extPutThrottled() {
 		return 0, ErrNoFrames
 	}
-	// Entries passed over (pinned or dirty) go back on the heap when the
-	// search ends, not immediately — re-pushing the current minimum
-	// would just pop it again next iteration.
-	var skipped []gdsfEntry
+	// Entries passed over (pinned, dirty or awaited) go back on the heap
+	// when the search ends, not immediately — re-pushing the current
+	// minimum would just pop it again next iteration. The search never
+	// sleeps, so one scratch list serves every call.
+	skipped := bp.prefetchSkipped[:0]
 	defer func() {
 		for _, e := range skipped {
 			bp.heapPush(e)
 		}
+		bp.prefetchSkipped = skipped[:0]
 	}()
 	budget := 2 * len(bp.frames)
 	for pops := 0; pops < budget; pops++ {
@@ -477,7 +512,7 @@ func (bp *Pool) victimPrefetchGDSF(p *sim.Proc) (int, error) {
 			bp.heapPush(gdsfEntry{idx: e.idx, seq: e.seq, pri: cur})
 			continue
 		}
-		if f.pins > 0 || f.dirty {
+		if f.pins > 0 || f.dirty || bp.awaited(f) {
 			skipped = append(skipped, gdsfEntry{idx: e.idx, seq: e.seq, pri: cur})
 			continue
 		}
@@ -510,7 +545,7 @@ func (bp *Pool) victimPrefetchClock(p *sim.Proc) (int, error) {
 		if !f.valid {
 			return idx, nil
 		}
-		if f.pins > 0 || f.dirty {
+		if f.pins > 0 || f.dirty || bp.awaited(f) {
 			continue
 		}
 		if f.ref {

@@ -138,6 +138,7 @@ type Pool struct {
 	hand     int
 	avail    *sim.Cond                 // signalled when a pin is released
 	faulting map[uint64]*sim.WaitGroup // in-flight page faults
+	faultWGs []*sim.WaitGroup          // those of faults that are over, for reuse
 
 	ext         *Extension
 	extPutSlots *sim.Resource // bounds in-flight async extension writes
@@ -169,11 +170,14 @@ type Pool struct {
 	free       []int
 	evictEpoch uint64
 
+	prefetchSkipped []gdsfEntry // victimPrefetchGDSF's scratch
+
 	// Adaptive-readahead state: the current window and the hit/waste
 	// counter baselines of the last adjustment.
 	raWin       int
 	raBaseHit   int64
 	raBaseWaste int64
+	fetchers    []*fetcher // parked readahead fetchers
 
 	nextPageNo uint64
 	writerStop bool
@@ -367,13 +371,8 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 		// Another process is faulting this page in; piggyback on it.
 		wg.Wait(p)
 	}
-	wg := sim.NewWaitGroup(bp.k)
-	wg.Add(1)
-	bp.faulting[pageNo] = wg
-	defer func() {
-		delete(bp.faulting, pageNo)
-		wg.Done()
-	}()
+	bp.beginFault(pageNo)
+	defer bp.endFault(pageNo)
 
 	idx, err := bp.victim(p)
 	if err != nil {
@@ -428,6 +427,28 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 	h := bp.pin(idx)
 	h.ext = fromExt
 	return h, nil
+}
+
+// beginFault registers an in-flight fault of pageNo for Gets to piggyback
+// on, on a WaitGroup of a fault that is over.
+func (bp *Pool) beginFault(pageNo uint64) {
+	var wg *sim.WaitGroup
+	if n := len(bp.faultWGs); n > 0 {
+		wg, bp.faultWGs = bp.faultWGs[n-1], bp.faultWGs[:n-1]
+	} else {
+		wg = sim.NewWaitGroup(bp.k)
+	}
+	wg.Add(1)
+	bp.faulting[pageNo] = wg
+}
+
+// endFault ends the fault: its waiters retry, and its WaitGroup, which no
+// one can reach once it is out of faulting, is kept for the next fault.
+func (bp *Pool) endFault(pageNo uint64) {
+	wg := bp.faulting[pageNo]
+	delete(bp.faulting, pageNo)
+	wg.Done()
+	bp.faultWGs = append(bp.faultWGs, wg)
 }
 
 // victim finds a free frame under the configured eviction policy; it

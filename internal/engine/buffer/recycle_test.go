@@ -23,6 +23,7 @@ type slowFile struct {
 	delay   time.Duration
 	rdelay  time.Duration
 	written int64 // bytes
+	fetches int   // readahead fetchers' reads asleep now
 }
 
 func (f *slowFile) Name() string            { return "slow-ext" }
@@ -30,7 +31,14 @@ func (f *slowFile) Size() int64             { return f.mem.Size() }
 func (f *slowFile) Close(p *sim.Proc) error { return f.mem.Close(p) }
 func (f *slowFile) ReadAt(p *sim.Proc, b []byte, off int64) error {
 	if f.rdelay > 0 {
+		fetcher := p.Name() == "readahead"
+		if fetcher {
+			f.fetches++
+		}
 		p.Sleep(f.rdelay)
+		if fetcher {
+			f.fetches--
+		}
 	}
 	return f.mem.ReadAt(p, b, off)
 }

@@ -224,10 +224,11 @@ func TestDirtiedExtensionPageIsPutAgain(t *testing.T) {
 
 // The model test: procs Get, dirty, prefetch, and knock out parts of an
 // extension far smaller than the page set (so slots are reclaimed all the
-// time), while the tier is disabled and revived under them. Every Get must
-// return the page's latest image and checkResidency must hold after every
-// step. No proc yields between its check and its write, so the oracle is
-// exact whatever the interleaving.
+// time), while the tier is disabled and revived under them and under the
+// readahead fetches in flight. Every Get must return the page's latest
+// image and checkResidency must hold after every step. No proc yields
+// between its check and its write, so the oracle is exact whatever the
+// interleaving.
 func TestResidencyModel(t *testing.T) {
 	for _, kind := range poolKinds {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -250,13 +251,15 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 			version[no] = 1
 		}
 		wg := sim.NewWaitGroup(k)
+		underFetch := 0 // knock-outs of the tier while a fetcher's read sleeps
 		for c := int64(0); c < 3; c++ {
 			rng := rand.New(rand.NewSource(seed*100 + c))
 			wg.Add(1)
 			k.Go("model", func(q *sim.Proc) {
 				defer wg.Done()
-				for i := 0; i < 1500 && !t.Failed(); i++ {
-					switch r := rng.Intn(100); {
+				var step func(r int)
+				step = func(r int) {
+					switch {
 					case r < 60:
 						h, err := bp.Get(q, pages[rng.Intn(len(pages))])
 						if err != nil {
@@ -275,7 +278,17 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 						}
 						h.Release()
 					case r < 75:
-						bp.ReadAheadWindow(q, pages[rng.Intn(len(pages))], 1+rng.Intn(4))
+						// Aim at a page the extension holds, if the slot drawn has one.
+						start := pages[rng.Intn(len(pages))]
+						if no := bp.ext.slotPage[rng.Intn(slots)]; no != 0 {
+							start = no
+						}
+						bp.ReadAheadWindow(q, start, 1+rng.Intn(4))
+						q.Yield() // the fetcher starts its read
+						if ext.fetches > 0 {
+							underFetch++
+							step(75 + rng.Intn(13)) // knock the tier out under it
+						}
 					case r < 80: // a stripe of the extension file is lost
 						lo := rng.Intn(slots)
 						bp.ext.InvalidateRange(int64(lo)*page.Size, int64(1+rng.Intn(slots-lo))*page.Size)
@@ -290,6 +303,9 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 					default:
 						q.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
 					}
+				}
+				for i := 0; i < 1500 && !t.Failed(); i++ {
+					step(rng.Intn(100))
 					checkResidency(t, bp, mem, version)
 				}
 			})
@@ -305,6 +321,9 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 			}
 			check(t, h.Page(), no, version[no])
 			h.Release()
+		}
+		if batched && (bp.Stats.ReadAheadPages == 0 || underFetch == 0) {
+			t.Errorf("%d pages prefetched, %d knock-outs under a fetch in flight", bp.Stats.ReadAheadPages, underFetch)
 		}
 		if bp.Stats.ExtHits == 0 || bp.Stats.EvictDirty == 0 || bp.Stats.ExtWrites == 0 {
 			t.Errorf("the run never exercised the extension: %+v", bp.Stats)
@@ -418,60 +437,69 @@ func TestRepinDuringEvictionKeepsResidencyConsistent(t *testing.T) {
 	}
 }
 
-// A demand fault sleeps in its extension read; a put meanwhile reclaims
-// the slot for another page. The fault must treat what arrived as a miss
-// and go to the data file, as ReadAhead does, not install the other page.
+// A fault sleeps in its extension read; a put meanwhile reclaims the slot
+// for another page. The fault must treat what arrived as a miss and go to
+// the data file, not install the other page. The same holds for a
+// readahead window: its fetch must release the frame, and the Get that
+// piggybacked on it then faults the page from the data file.
 func TestExtFaultDetectsReclaimedSlot(t *testing.T) {
-	k := newKernel(t, 1)
-	k.Go("t", func(p *sim.Proc) {
-		ext := &slowFile{mem: vfs.NewMemFile("ext"), rdelay: time.Millisecond}
-		bp, pages := stampedPool(t, p, 2, 8, true, PolicyGDSF, ext, 2)
-		p.Sleep(time.Millisecond) // the puts land
-		var a uint64
-		var cold []uint64 // neither in RAM nor in the extension: each fault puts its victim
-		for _, no := range pages {
-			_, cached := bp.ext.table[no]
-			switch {
-			case bp.InRAM(no):
-			case cached:
-				a = no
-			default:
-				cold = append(cold, no)
-			}
-		}
-		if a == 0 || len(cold) < 3 {
-			t.Fatalf("setup: extension page %d, %d cold pages", a, len(cold))
-		}
-		st := bp.Stats
-		done := sim.NewWaitGroup(k)
-		done.Add(1)
-		k.Go("evictor", func(q *sim.Proc) {
-			defer done.Done()
-			q.Sleep(100 * time.Microsecond) // the fault of a is asleep in its read
-			for _, no := range cold[:3] {
-				h, err := bp.Get(q, no)
-				if err != nil {
-					t.Error(err)
-					return
+	for _, prefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) {
+			k := newKernel(t, 1)
+			k.Go("t", func(p *sim.Proc) {
+				ext := &slowFile{mem: vfs.NewMemFile("ext"), rdelay: time.Millisecond}
+				bp, pages := stampedPool(t, p, 2, 8, true, PolicyGDSF, ext, 2)
+				p.Sleep(time.Millisecond) // the puts land
+				var a uint64
+				var cold []uint64 // neither in RAM nor in the extension: each fault puts its victim
+				for _, no := range pages {
+					_, cached := bp.ext.table[no]
+					switch {
+					case bp.InRAM(no):
+					case cached:
+						a = no
+					default:
+						cold = append(cold, no)
+					}
 				}
+				if a == 0 || len(cold) < 3 {
+					t.Fatalf("setup: extension page %d, %d cold pages", a, len(cold))
+				}
+				st := bp.Stats
+				if prefetch && bp.ReadAhead(p, []uint64{a}) != 1 {
+					t.Fatalf("page %d was not reserved for readahead", a)
+				}
+				done := sim.NewWaitGroup(k)
+				done.Add(1)
+				k.Go("evictor", func(q *sim.Proc) {
+					defer done.Done()
+					q.Sleep(100 * time.Microsecond) // the fault of a is asleep in its read
+					for _, no := range cold[:3] {
+						h, err := bp.Get(q, no)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						h.Release()
+						q.Sleep(10 * time.Microsecond) // the flusher's turn
+					}
+				})
+				h, err := bp.Get(p, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, h.Page(), a, 1)
 				h.Release()
-				q.Sleep(10 * time.Microsecond) // the flusher's turn
-			}
+				done.Wait(p)
+				if _, cached := bp.ext.table[a]; cached {
+					t.Fatalf("page %d kept its slot: the race did not happen", a)
+				}
+				if bp.Stats.ExtHits != st.ExtHits || bp.Stats.ReadAheadPages != st.ReadAheadPages || bp.Stats.DiskReads != st.DiskReads+4 {
+					t.Errorf("ext hits +%d, prefetched +%d, disk reads +%d; want the stale read counted as a miss (+0, +0, +4)",
+						bp.Stats.ExtHits-st.ExtHits, bp.Stats.ReadAheadPages-st.ReadAheadPages, bp.Stats.DiskReads-st.DiskReads)
+				}
+			})
+			k.Run(time.Minute)
 		})
-		h, err := bp.Get(p, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.Page(), a, 1)
-		h.Release()
-		done.Wait(p)
-		if _, cached := bp.ext.table[a]; cached {
-			t.Fatalf("page %d kept its slot: the race did not happen", a)
-		}
-		if bp.Stats.ExtHits != st.ExtHits || bp.Stats.DiskReads != st.DiskReads+4 {
-			t.Errorf("ext hits +%d, disk reads +%d; want the stale read counted as a miss (+0, +4)",
-				bp.Stats.ExtHits-st.ExtHits, bp.Stats.DiskReads-st.DiskReads)
-		}
-	})
-	k.Run(time.Minute)
+	}
 }

@@ -17,8 +17,7 @@ const benchPages = 2048
 // fault sits on.
 func benchRead(b *testing.B, body func(p *sim.Proc, c *Client, tr Transport, mr *MR, rng *rand.Rand)) {
 	b.ReportAllocs()
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(b, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("bench", func(p *sim.Proc) {

@@ -13,7 +13,7 @@ import (
 var testKey = [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 
 func TestEncryptedRoundTrip(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("t", func(p *sim.Proc) {
@@ -49,7 +49,7 @@ func TestEncryptedRoundTrip(t *testing.T) {
 func TestEncryptedUnalignedOffsets(t *testing.T) {
 	// CTR keystream positioning must be correct for arbitrary offsets:
 	// write a big region, then read back sub-ranges at odd offsets.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("t", func(p *sim.Proc) {
@@ -84,7 +84,7 @@ func TestEncryptedUnalignedOffsets(t *testing.T) {
 }
 
 func TestEncryptionChargesCPU(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	var plainLat, encLat time.Duration

@@ -46,7 +46,7 @@ func allBytes(vecs []IOVec, want byte) bool {
 func TestReadVWithinInTime(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		for _, budget := range []time.Duration{0, time.Second} {
-			k := sim.New(1)
+			k := newKernel(t, 1)
 			m := testServer(k, "m1")
 			db := testServer(k, "db1")
 			k.Go("setup", func(p *sim.Proc) {
@@ -67,7 +67,6 @@ func TestReadVWithinInTime(t *testing.T) {
 				}
 			})
 			k.Run(0)
-			k.Close()
 		}
 	}
 }
@@ -78,7 +77,7 @@ func TestReadVWithinInTime(t *testing.T) {
 // buffer, leaving the caller's memory untouched.
 func TestReadVWithinMissReturnsErrSlow(t *testing.T) {
 	for _, n := range []int{1, 4} {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		m := testServer(k, "m1")
 		db := testServer(k, "db1")
 		k.Go("setup", func(p *sim.Proc) {
@@ -120,15 +119,13 @@ func TestReadVWithinMissReturnsErrSlow(t *testing.T) {
 			}
 		})
 		k.Run(0)
-		k.Close()
 	}
 }
 
 // A slow donor is slow for vectors too: its service delay is charged
 // once per destination per sub-batch.
 func TestVectoredPaysServiceDelayPerDestination(t *testing.T) {
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("setup", func(p *sim.Proc) {
@@ -153,8 +150,7 @@ func TestVectoredPaysServiceDelayPerDestination(t *testing.T) {
 // A proc whose deadline has passed gets ErrSlow for every element of a
 // vector before anything is staged or sent.
 func TestVectoredBudgetCheckAtIssue(t *testing.T) {
-	k := sim.New(1)
-	defer k.Close()
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("setup", func(p *sim.Proc) {
@@ -190,7 +186,7 @@ func TestVectoredBudgetCheckAtIssue(t *testing.T) {
 // start a transfer whose proc deadline has already passed.
 func TestTransportBudgetCheckAtIssue(t *testing.T) {
 	for _, proto := range []nic.Protocol{nic.ProtoRDMA, nic.ProtoSMB} {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		m := testServer(k, "m1")
 		db := testServer(k, "db1")
 		k.Go("setup", func(p *sim.Proc) {

@@ -89,7 +89,7 @@ func TestAppendPushRecordNeverCrossesChunk(t *testing.T) {
 }
 
 func TestScanPushReturnsOnlyMatchingBytes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -146,7 +146,7 @@ func TestScanPushReturnsOnlyMatchingBytes(t *testing.T) {
 }
 
 func TestScanPushDonorCPUPrice(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -186,7 +186,7 @@ func TestScanPushDonorCPUPrice(t *testing.T) {
 }
 
 func TestScanPushUnavailableWhenEncrypted(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -211,7 +211,7 @@ func TestScanPushUnavailableWhenEncrypted(t *testing.T) {
 }
 
 func TestScanPushRevokedAndCorruptFailOnlyTheirElements(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m1 := testServer(k, "m1")
 	m2 := testServer(k, "m2")
 	db := testServer(k, "db1")

@@ -18,7 +18,7 @@ func testServer(k *sim.Kernel, name string) *cluster.Server {
 }
 
 func TestPoolLifecycle(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	k.Go("setup", func(p *sim.Proc) {
 		pool, err := NewPool(p, m, 1<<20, 8)
@@ -49,7 +49,7 @@ func TestPoolLifecycle(t *testing.T) {
 }
 
 func TestPoolExhaustion(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	k.Go("setup", func(p *sim.Proc) {
 		pool, _ := NewPool(p, m, 1<<20, 1)
@@ -64,7 +64,7 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 func TestPoolShrinkUnderPressure(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	k.Go("setup", func(p *sim.Proc) {
 		pool, _ := NewPool(p, m, 1<<20, 4)
@@ -80,7 +80,7 @@ func TestPoolShrinkUnderPressure(t *testing.T) {
 }
 
 func TestRevokedMRRejectsAccess(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("setup", func(p *sim.Proc) {
@@ -99,7 +99,7 @@ func TestRevokedMRRejectsAccess(t *testing.T) {
 
 func TestTransportMovesRealBytes(t *testing.T) {
 	for _, proto := range []nic.Protocol{nic.ProtoRDMA, nic.ProtoSMBDirect, nic.ProtoSMB} {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		m := testServer(k, "m1")
 		db := testServer(k, "db1")
 		k.Go("xfer", func(p *sim.Proc) {
@@ -126,7 +126,7 @@ func TestTransportMovesRealBytes(t *testing.T) {
 }
 
 func TestOutOfRangeAccess(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -147,7 +147,7 @@ func TestOutOfRangeAccess(t *testing.T) {
 // drive runs the SQLIO pattern against remote memory over a protocol.
 func drive(t *testing.T, proto nic.Protocol, threads, ioSize int, dur time.Duration) (bps float64, lat time.Duration) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	hist := metrics.NewHistogram()
@@ -243,7 +243,7 @@ func TestProtocolOrdering(t *testing.T) {
 
 // The rejected design choices must cost what the paper says they cost.
 func TestOnDemandRegistrationOverhead(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	var stagingLat, onDemandLat time.Duration
@@ -276,7 +276,7 @@ func TestOnDemandRegistrationOverhead(t *testing.T) {
 func TestSyncAvoidsContextSwitch(t *testing.T) {
 	// Sync access on an idle machine should beat async by about the
 	// context-switch cost.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	var syncLat, asyncLat time.Duration
@@ -307,7 +307,7 @@ func TestSyncAvoidsContextSwitch(t *testing.T) {
 func TestAdaptiveModeSwitches(t *testing.T) {
 	// Adaptive completion must behave like sync for an 8K transfer
 	// (estimate under the spin threshold) and like async for a large one.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("t", func(p *sim.Proc) {

@@ -12,7 +12,7 @@ import (
 func TestReadVFewerRoundTripsThanScalar(t *testing.T) {
 	const pages = 16
 	const pageSz = 8192
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -59,7 +59,7 @@ func TestReadVFewerRoundTripsThanScalar(t *testing.T) {
 }
 
 func TestWriteVMovesRealBytes(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -91,7 +91,7 @@ func TestWriteVMovesRealBytes(t *testing.T) {
 }
 
 func TestVectoredOneRoundTripPerDestination(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m1 := testServer(k, "m1")
 	m2 := testServer(k, "m2")
 	db := testServer(k, "db1")
@@ -119,7 +119,7 @@ func TestVectoredOneRoundTripPerDestination(t *testing.T) {
 }
 
 func TestVectoredRevokedMidBatchFailsOnlyItsElements(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m1 := testServer(k, "m1")
 	m2 := testServer(k, "m2")
 	db := testServer(k, "db1")
@@ -151,7 +151,7 @@ func TestVectoredRevokedMidBatchFailsOnlyItsElements(t *testing.T) {
 }
 
 func TestVectoredSubBatchRespectsStagingGeometry(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	k.Go("x", func(p *sim.Proc) {
@@ -179,7 +179,7 @@ func TestVectoredSubBatchRespectsStagingGeometry(t *testing.T) {
 }
 
 func TestStagingContentionRecorded(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	m := testServer(k, "m1")
 	db := testServer(k, "db1")
 	var c *Client

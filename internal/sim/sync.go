@@ -24,7 +24,14 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	if len(c.waiters) == 1 {
+		// Keep the backing array: a proc that parks here again and again
+		// (a pool's idle worker) then appends without allocating.
+		c.waiters[0] = nil
+		c.waiters = c.waiters[:0]
+	} else {
+		c.waiters = c.waiters[1:]
+	}
 	c.k.wake(p)
 }
 
@@ -59,7 +66,8 @@ func (wg *WaitGroup) Add(delta int) {
 		for _, p := range wg.waiters {
 			wg.k.wake(p)
 		}
-		wg.waiters = nil
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0] // a reused WaitGroup parks waiters without allocating
 	}
 }
 
