@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -135,6 +136,63 @@ func TestIteratorPairValidUntilNext(t *testing.T) {
 		}
 		if bytes.Equal(kept.Val, wideVal(0, 100)) {
 			t.Error("a pair kept without copying survived 50 leaves: Next no longer aliases its image")
+		}
+	})
+	k.Run(time.Minute)
+}
+
+// VisitRange hands fn exactly the entries ScanRange returns, stops at
+// fn's first error, and copies nothing once the pages are resident.
+func TestVisitRangeMatchesScanRange(t *testing.T) {
+	k := newKernel(t, 1)
+	mk := rig(k, 256)
+	k.Go("t", func(p *sim.Proc) {
+		tr := mk(p)
+		loadTree(t, p, tr, 4000, 100)
+		for _, r := range [][2][]byte{{key(1000), key(1100)}, {nil, key(7)}, {key(3990), nil}, {key(5000), nil}} {
+			want, err := tr.ScanRange(p, r[0], r[1], 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n := 0
+			err = tr.VisitRange(p, r[0], r[1], func(pr Pair) error {
+				if n >= len(want) || !bytes.Equal(pr.Key, want[n].Key) || !bytes.Equal(pr.Val, want[n].Val) {
+					return fmt.Errorf("entry %d: %x", n, pr.Key)
+				}
+				n++
+				return nil
+			})
+			if err != nil || n != len(want) {
+				t.Errorf("[%x, %x): visited %d of %d, %v", r[0], r[1], n, len(want), err)
+			}
+		}
+
+		stop := errors.New("stop")
+		n := 0
+		err := tr.VisitRange(p, nil, nil, func(Pair) error {
+			if n++; n == 10 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || n != 10 {
+			t.Errorf("fn's error after %d entries: got %v", n, err)
+		}
+
+		rows := 0
+		count := func(Pair) error { rows++; return nil }
+		from, to := key(1000), key(1100)
+		visit := func() {
+			if err := tr.VisitRange(p, from, to, count); err != nil {
+				t.Error(err)
+			}
+		}
+		if got := testing.AllocsPerRun(20, visit); got > 0 {
+			t.Errorf("VisitRange of 100 resident rows: %.0f allocations", got)
+		}
+		if rows != 21*100 {
+			t.Errorf("visited %d rows over 21 runs", rows)
 		}
 	})
 	k.Run(time.Minute)

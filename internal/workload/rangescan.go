@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"remotedb/internal/engine"
+	"remotedb/internal/engine/btree"
 	"remotedb/internal/engine/catalog"
 	"remotedb/internal/engine/row"
 	"remotedb/internal/engine/txn"
@@ -109,6 +110,10 @@ func (w *RangeScan) QueryOnce(p *sim.Proc, start int64, update bool) error {
 	w.Eng.Server.Work(p, w.Cfg.QueryCPU)
 	from := row.EncodeKey(nil, start)
 	to := row.EncodeKey(nil, start+int64(w.Cfg.Range))
+	if !update {
+		return w.aggregate(p, from, to)
+	}
+	// The updates go through the tree, so the range is collected first.
 	pairs, err := w.Tbl.Clustered.ScanRange(p, from, to, 0)
 	if err != nil {
 		return err
@@ -117,38 +122,61 @@ func (w *RangeScan) QueryOnce(p *sim.Proc, start int64, update bool) error {
 	var lastLSN uint64
 	var rowCPU time.Duration
 	for _, pair := range pairs {
-		// Aggregate through the single-column fast path; updates take
-		// the full decode/encode route.
 		v, err := row.DecodeColumn(w.Tbl.Schema, pair.Val, w.acctbalOrd)
 		if err != nil {
 			return err
 		}
-		rowCPU += 300 * time.Nanosecond
+		rowCPU += rowScanCPU
 		sum += v.(float64)
-		if update {
-			t, err := row.Decode(w.Tbl.Schema, pair.Val)
-			if err != nil {
-				return err
-			}
-			t[w.acctbalOrd] = t[w.acctbalOrd].(float64) + 1
-			img, err := row.Encode(nil, w.Tbl.Schema, t)
-			if err != nil {
-				return err
-			}
-			lastLSN = w.Eng.Log.Append(txn.RecUpdate, img[:32])
-			if err := w.Tbl.Clustered.Update(p, pair.Key, img); err != nil {
-				return err
-			}
+		t, err := row.Decode(w.Tbl.Schema, pair.Val)
+		if err != nil {
+			return err
+		}
+		t[w.acctbalOrd] = t[w.acctbalOrd].(float64) + 1
+		img, err := row.Encode(nil, w.Tbl.Schema, t)
+		if err != nil {
+			return err
+		}
+		lastLSN = w.Eng.Log.Append(txn.RecUpdate, img[:32])
+		if err := w.Tbl.Clustered.Update(p, pair.Key, img); err != nil {
+			return err
 		}
 	}
 	if rowCPU > 0 {
 		w.Eng.Server.Work(p, rowCPU)
 	}
-	if update && lastLSN > 0 {
+	if lastLSN > 0 {
 		lastLSN = w.Eng.Log.Append(txn.RecCommit, nil)
 		if err := w.Eng.Log.Commit(p, lastLSN); err != nil {
 			return err
 		}
+	}
+	_ = sum
+	return nil
+}
+
+// rowScanCPU is the simulated CPU a query spends on each row it reads.
+const rowScanCPU = 300 * time.Nanosecond
+
+// aggregate is a read-only query: it sums acctbal over [from, to)
+// through the single-column fast path, straight off the leaf images.
+func (w *RangeScan) aggregate(p *sim.Proc, from, to []byte) error {
+	var sum float64
+	rows := 0
+	err := w.Tbl.Clustered.VisitRange(p, from, to, func(pair btree.Pair) error {
+		v, err := row.DecodeColumn(w.Tbl.Schema, pair.Val, w.acctbalOrd)
+		if err != nil {
+			return err
+		}
+		rows++
+		sum += v.(float64)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if rows > 0 {
+		w.Eng.Server.Work(p, time.Duration(rows)*rowScanCPU)
 	}
 	_ = sum
 	return nil
