@@ -6,11 +6,17 @@ package remotedb_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"remotedb"
 	"remotedb/internal/broker"
+	"remotedb/internal/core"
+	"remotedb/internal/engine/exec"
+	"remotedb/internal/engine/row"
+	"remotedb/internal/engine/semcache"
+	"remotedb/internal/vfs"
 )
 
 func TestErrorTaxonomyThroughFacade(t *testing.T) {
@@ -122,41 +128,237 @@ func TestTenantQuotaThroughFacade(t *testing.T) {
 	k.Run(time.Minute)
 }
 
+// optionCase is one With... option and what it must do to each layer it
+// configures. A nil check means the option does not configure that
+// layer; notBed marks a setting the design decides for NewTestBed.
+type optionCase struct {
+	name   string
+	opt    remotedb.Option
+	brk    func(p *remotedb.Proc, b *remotedb.BrokerCluster) error
+	fs     func(fs *remotedb.RemoteFS) error
+	eng    func(p *remotedb.Proc, e *remotedb.Engine) error
+	bed    func(bed *remotedb.Bed) error // the bed's own geometry
+	notBed bool
+}
+
+func want[T comparable](what string, got, want T) error {
+	if got != want {
+		return fmt.Errorf("%s: got %v, want %v", what, got, want)
+	}
+	return nil
+}
+
+// oneTable creates an empty one-column table in e's catalog.
+func oneTable(p *remotedb.Proc, e *remotedb.Engine) (*remotedb.Table, error) {
+	return e.Catalog.CreateTable(p, "t", row.NewSchema(row.Column{Name: "k", Type: row.Int64}), "k")
+}
+
+// bpextStripes is the stripe count of the bed's extension file.
+func bpextStripes(bed *remotedb.Bed) int {
+	f, ok := bed.FS.Lookup("bpext")
+	if !ok {
+		return 0
+	}
+	return f.Stripes()
+}
+
+func optionCases() []optionCase {
+	var salvaged bool
+	salvage := func(*remotedb.Proc, *core.File, int64, int64) error { salvaged = true; return nil }
+	var semFiles int
+	semFactory := func(p *remotedb.Proc, name string, size int64) (vfs.File, error) {
+		semFiles++
+		return vfs.NewMemFile(name), nil
+	}
+	rp := remotedb.DefaultRetryPolicy()
+	rp.MaxAttempts = 7
+	return []optionCase{
+		{name: "StripeSize", opt: remotedb.WithStripeSize(4 << 20),
+			bed: func(bed *remotedb.Bed) error { return want("bpext stripes", bpextStripes(bed), 4) }},
+		{name: "LeaseTTL", opt: remotedb.WithLeaseTTL(500 * time.Millisecond),
+			brk: func(_ *remotedb.Proc, b *remotedb.BrokerCluster) error {
+				return want("lease TTL", b.LeaseTTL(), 500*time.Millisecond)
+			}},
+		{name: "ExpirySweep", opt: remotedb.WithExpirySweep(100 * time.Millisecond),
+			bed: func(bed *remotedb.Bed) error { return want("expiry sweep", bed.Cfg.ExpireEvery, 100*time.Millisecond) }},
+		{name: "RetryPolicy", opt: remotedb.WithRetryPolicy(rp),
+			fs: func(fs *remotedb.RemoteFS) error { return want("retry attempts", fs.Retry.MaxAttempts, 7) }},
+		{name: "Salvage", opt: remotedb.WithSalvage(salvage), notBed: true,
+			fs: func(fs *remotedb.RemoteFS) error {
+				if fs.Salvage == nil {
+					return errors.New("no salvage installed")
+				}
+				return want("salvage ran", fs.Salvage(nil, nil, 0, 0) == nil && salvaged, true)
+			}},
+		{name: "BufferFrames", opt: remotedb.WithBufferFrames(1024),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("frames", e.BP.Frames(), 1024) }},
+		{name: "BPExtSlots", opt: remotedb.WithBPExtSlots(64), notBed: true,
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error {
+				return want("extension attached", e.BP.Extension() != nil, true)
+			}},
+		{name: "Grant", opt: remotedb.WithGrant(1 << 20),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("grant", e.Grant, int64(1<<20)) }},
+		{name: "Protocol", opt: remotedb.WithProtocol(remotedb.ProtoSMB), notBed: true,
+			fs: func(fs *remotedb.RemoteFS) error { return want("protocol", fs.Protocol, remotedb.ProtoSMB) }},
+		{name: "Placement", opt: remotedb.WithPlacement(remotedb.PlacePack),
+			fs: func(fs *remotedb.RemoteFS) error { return want("placement", fs.Placement, remotedb.PlacePack) }},
+		{name: "AutoRenew", opt: remotedb.WithAutoRenew(false),
+			fs: func(fs *remotedb.RemoteFS) error { return want("auto-renew", fs.AutoRenew, false) }},
+		{name: "Recovery", opt: remotedb.WithRecovery(false),
+			fs: func(fs *remotedb.RemoteFS) error { return want("recover", fs.Recover, false) }},
+		{name: "RemoteServers", opt: remotedb.WithRemoteServers(3),
+			bed: func(bed *remotedb.Bed) error { return want("donors", len(bed.Mems), 3) }},
+		{name: "Replication", opt: remotedb.WithReplication(2),
+			fs: func(fs *remotedb.RemoteFS) error { return want("replication", fs.Replication, 2) }},
+		{name: "Integrity", opt: remotedb.WithIntegrity(true),
+			fs: func(fs *remotedb.RemoteFS) error { return want("integrity", fs.Integrity, true) }},
+		{name: "ScrubEvery", opt: remotedb.WithScrubEvery(time.Second),
+			fs: func(fs *remotedb.RemoteFS) error { return want("scrub cadence", fs.ScrubEvery, time.Second) }},
+		{name: "BPExtBytes", opt: remotedb.WithBPExtBytes(8 << 20),
+			bed: func(bed *remotedb.Bed) error { return want("bpext stripes", bpextStripes(bed), 1) }},
+		{name: "SemCache", opt: remotedb.WithSemCache(semFactory), notBed: true,
+			eng: func(p *remotedb.Proc, e *remotedb.Engine) error {
+				tbl, err := oneTable(p, e)
+				if err != nil {
+					return err
+				}
+				if _, err := e.Cache.Build(e.NewCtx(p), "mv", "sig", &exec.TableScan{Table: tbl}, semcache.PolicySync); err != nil {
+					return err
+				}
+				return want("semantic-cache files", semFiles, 1)
+			}},
+		{name: "PlanCache", opt: remotedb.WithPlanCache(-1),
+			eng: func(p *remotedb.Proc, e *remotedb.Engine) error {
+				tbl, err := oneTable(p, e)
+				if err != nil {
+					return err
+				}
+				if _, err := e.Planner.Run(e.NewCtx(p), remotedb.Scan(tbl)); err != nil {
+					return err
+				}
+				return want("cached plans", e.Planner.CacheLen(), 0)
+			}},
+		{name: "DOP", opt: remotedb.WithDOP(2),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("DOP", e.DOP, 2) }},
+		{name: "Eviction", opt: remotedb.WithEviction(remotedb.EvictClock),
+			eng: func(p *remotedb.Proc, e *remotedb.Engine) error {
+				if _, err := oneTable(p, e); err != nil {
+					return err
+				}
+				_, heap := e.BP.DebugGDSF()
+				return want("GDSF heap entries", heap, 0)
+			}},
+		{name: "BatchedIO", opt: remotedb.WithBatchedIO(false),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 0) }},
+		{name: "Readahead", opt: remotedb.WithReadahead(1),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 1) }},
+		{name: "Pushdown", opt: remotedb.WithPushdown(true),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("pushdown", e.Planner.Pushdown, true) }},
+		{name: "DonorCPU", opt: remotedb.WithDonorCPU(2),
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error {
+				return want("donor price", e.Planner.DonorPrice, 2.0)
+			}},
+		{name: "BrokerShards", opt: remotedb.WithBrokerShards(2),
+			brk: func(_ *remotedb.Proc, b *remotedb.BrokerCluster) error { return want("shards", b.ShardCount(), 2) }},
+		{name: "HeartbeatEvery", opt: remotedb.WithHeartbeatEvery(50 * time.Millisecond),
+			fs: func(fs *remotedb.RemoteFS) error { return want("heartbeat", fs.HeartbeatEvery, 50*time.Millisecond) }},
+		{name: "Tenant", opt: remotedb.WithTenant("oltp"),
+			fs: func(fs *remotedb.RemoteFS) error { return want("tenant", fs.Tenant, "oltp") }},
+		{name: "TenantQuota", opt: remotedb.WithTenantQuota("oltp", 1),
+			brk: func(p *remotedb.Proc, b *remotedb.BrokerCluster) error {
+				_, err := b.Request(p, remotedb.RequestSpec{Holder: "db1", N: 1, Place: remotedb.PlaceSpread, Tenant: "oltp"})
+				return want("request past the quota denied", errors.Is(err, broker.ErrQuota), true)
+			}},
+		{name: "DeadlineBudget", opt: remotedb.WithDeadlineBudget(5 * time.Millisecond),
+			fs: func(fs *remotedb.RemoteFS) error { return want("FS budget", fs.DeadlineBudget, 5*time.Millisecond) },
+			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error {
+				return want("per-query budget", e.Budget, 5*time.Millisecond)
+			}},
+		{name: "Hedging", opt: remotedb.WithHedging(true),
+			fs: func(fs *remotedb.RemoteFS) error { return want("hedging", fs.Hedging, true) }},
+		{name: "HedgeAfter", opt: remotedb.WithHedgeAfter(3 * time.Millisecond),
+			fs: func(fs *remotedb.RemoteFS) error { return want("hedge trigger", fs.HedgeAfter, 3*time.Millisecond) }},
+		{name: "HedgeRateCap", opt: remotedb.WithHedgeRateCap(0.2),
+			fs: func(fs *remotedb.RemoteFS) error { return want("hedge cap", fs.HedgeRateCap, 0.2) }},
+		{name: "HealthChecks", opt: remotedb.WithHealthChecks(true),
+			fs: func(fs *remotedb.RemoteFS) error { return want("health checks", fs.HealthChecks, true) }},
+	}
+}
+
+// Every option reaches its layer through every constructor that builds
+// that layer: StartBroker the broker, MountRemoteFS the file system,
+// StartEngine the engine, and NewTestBed all three plus its geometry.
 func TestOptionsConstructors(t *testing.T) {
-	err := remotedb.RunInSim(1, time.Hour, func(p *remotedb.Proc) error {
-		bed, err := remotedb.NewTestBed(p, remotedb.DesignCustom,
-			remotedb.WithStripeSize(4<<20),
-			remotedb.WithLeaseTTL(500*time.Millisecond),
-			remotedb.WithExpirySweep(100*time.Millisecond),
-			remotedb.WithRetryPolicy(remotedb.DefaultRetryPolicy()),
-			remotedb.WithRemoteServers(2),
-			remotedb.WithRecovery(true))
-		if err != nil {
-			return err
-		}
-		defer bed.Close(p)
-		if bed.Cfg.MRBytes != 4<<20 {
-			t.Errorf("stripe size: got %d", bed.Cfg.MRBytes)
-		}
-		if bed.Cfg.LeaseTTL != 500*time.Millisecond {
-			t.Errorf("lease TTL: got %v", bed.Cfg.LeaseTTL)
-		}
-		if len(bed.Mems) != 2 {
-			t.Errorf("remote servers: got %d", len(bed.Mems))
-		}
-		// The bed works: remote BPExt file exists and is striped at the
-		// configured MR size.
-		f, ok := bed.FS.Lookup("bpext")
-		if !ok {
-			t.Fatal("bpext file missing")
-		}
-		if want := int(bed.Cfg.BPExtBytes / (4 << 20)); f.Stripes() != want {
-			t.Errorf("stripes: got %d want %d", f.Stripes(), want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range optionCases() {
+		t.Run(c.name, func(t *testing.T) {
+			err := remotedb.RunInSim(1, time.Hour, func(p *remotedb.Proc) error {
+				cl := remotedb.NewCluster(p.Kernel())
+				db := cl.AddServer("db1", remotedb.DefaultServerConfig())
+				if c.brk != nil {
+					b := remotedb.StartBroker(p, remotedb.NewMetaStore(p.Kernel(), 10*time.Microsecond), c.opt)
+					if _, err := b.AddProxy(p, cl.AddServer("mem1", remotedb.DefaultServerConfig()), 1<<20, 8); err != nil {
+						return err
+					}
+					if err := c.brk(p, b); err != nil {
+						t.Errorf("StartBroker: %v", err)
+					}
+				}
+				if c.fs != nil {
+					b := remotedb.StartBroker(p, remotedb.NewMetaStore(p.Kernel(), 10*time.Microsecond))
+					client := remotedb.NewRemoteClient(p, db, remotedb.DefaultRemoteClientConfig())
+					fs := remotedb.MountRemoteFS(p, b, client, c.opt)
+					if err := c.fs(fs); err != nil {
+						t.Errorf("MountRemoteFS: %v", err)
+					}
+					fs.CloseAll(p)
+				}
+				if c.eng != nil {
+					files := remotedb.EngineFiles{
+						Data:  remotedb.NewMemFile("data"),
+						Log:   remotedb.NewMemFile("log"),
+						Temp:  remotedb.NewMemFile("temp"),
+						BPExt: remotedb.NewMemFile("bpext"),
+					}
+					e, err := remotedb.StartEngine(p, db, files, c.opt)
+					if err != nil {
+						return err
+					}
+					if err := c.eng(p, e); err != nil {
+						t.Errorf("StartEngine: %v", err)
+					}
+					e.Shutdown()
+				}
+				if c.notBed {
+					return nil
+				}
+				bed, err := remotedb.NewTestBed(p, remotedb.DesignCustom, remotedb.WithBPExtBytes(16<<20), c.opt)
+				if err != nil {
+					return err
+				}
+				defer bed.Close(p)
+				report := func(err error) {
+					if err != nil {
+						t.Errorf("NewTestBed: %v", err)
+					}
+				}
+				if c.brk != nil {
+					report(c.brk(p, bed.Broker))
+				}
+				if c.fs != nil {
+					report(c.fs(bed.FS))
+				}
+				if c.eng != nil {
+					report(c.eng(p, bed.Eng))
+				}
+				if c.bed != nil {
+					report(c.bed(bed))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -196,9 +196,6 @@ func (c *Cluster) ShardCount() int { return len(c.shards) }
 // Shard returns replica i's broker (tests and metrics drilling).
 func (c *Cluster) Shard(i int) *Broker { return c.shards[i].b }
 
-// ShardDown reports whether replica i is currently failed.
-func (c *Cluster) ShardDown(i int) bool { return c.shards[i].down }
-
 func (c *Cluster) shardOf(id LeaseID) *shard {
 	return c.shards[int(id)%len(c.shards)]
 }
@@ -603,19 +600,12 @@ func (c *Cluster) HeartbeatBatch() metrics.Distribution {
 	return d
 }
 
-// ActiveGauge and FreeGauge aggregate the shard gauges (peaks are summed
-// per shard, a conservative upper bound on the cluster-wide peak).
+// ActiveGauge aggregates the shards' active-lease gauges (peaks are
+// summed per shard, a conservative upper bound on the cluster-wide peak).
 func (c *Cluster) ActiveGauge() metrics.Gauge {
-	return c.gauge(func(b *Broker) metrics.Gauge { return b.GaugeActive })
-}
-func (c *Cluster) FreeGauge() metrics.Gauge {
-	return c.gauge(func(b *Broker) metrics.Gauge { return b.GaugeFree })
-}
-
-func (c *Cluster) gauge(f func(*Broker) metrics.Gauge) metrics.Gauge {
 	var g metrics.Gauge
 	for _, sh := range c.shards {
-		sg := f(sh.b)
+		sg := sh.b.GaugeActive
 		g.Value += sg.Value
 		g.Peak += sg.Peak
 	}

@@ -97,9 +97,6 @@ func (s *Store) charge(p *sim.Proc) {
 // store is preserved — healing the partition restores service.
 func (s *Store) SetPartitioned(on bool) { s.partitioned = on }
 
-// Partitioned reports whether the store is currently unreachable.
-func (s *Store) Partitioned() bool { return s.partitioned }
-
 // reject implements the partition check shared by every operation.
 func (s *Store) reject() error {
 	if s.partitioned {

@@ -169,9 +169,6 @@ func (s *Server) ServiceDelay() time.Duration { return s.serviceDelay }
 // utilization sampling (Figure 11b, Figure 14c).
 func (s *Server) CPUBusyNanos() int64 { return s.cores.BusyNanos() }
 
-// CPUUtilization returns the time-averaged core utilization.
-func (s *Server) CPUUtilization() float64 { return s.cores.Utilization() }
-
 // Cores returns the core count.
 func (s *Server) Cores() int { return s.Cfg.Cores }
 
@@ -181,12 +178,6 @@ func (s *Server) Cores() int { return s.Cfg.Cores }
 // pinned+brokered as MRs, and free. The broker's proxy may only pin free
 // memory, and must give MRs back when local demand grows (the paper's
 // "memory pressure notification" path).
-
-// MemoryTotal returns the server's RAM size.
-func (s *Server) MemoryTotal() int64 { return s.Cfg.MemoryBytes }
-
-// MemoryCommitted returns bytes committed to local processes.
-func (s *Server) MemoryCommitted() int64 { return s.memCommitted }
 
 // MemoryBrokered returns bytes pinned as brokered MRs.
 func (s *Server) MemoryBrokered() int64 { return s.memBrokered }

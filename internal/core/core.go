@@ -66,7 +66,7 @@ type Salvage func(p *sim.Proc, f *File, off, n int64) error
 type FS struct {
 	Config
 	Broker    *broker.Cluster
-	Client    *rmem.Client // shadows Config.Client, the settings it was built with
+	Client    *rmem.Client
 	Transport rmem.Transport
 
 	k         *sim.Kernel
@@ -115,7 +115,6 @@ type FS struct {
 type Config struct {
 	Protocol  nic.Protocol
 	Placement broker.Placement
-	Client    rmem.ClientConfig
 
 	// Tenant is the workload leases are charged to for broker admission
 	// (quotas, max-min fairness); empty defaults to the holder name.
@@ -199,7 +198,6 @@ func DefaultConfig() Config {
 	return Config{
 		Protocol:  nic.ProtoRDMA,
 		Placement: broker.PlaceSpread,
-		Client:    rmem.DefaultClientConfig(),
 		AutoRenew: true,
 		Recover:   true,
 		Retry:     fault.DefaultRetryPolicy(),

@@ -27,6 +27,11 @@ type env struct {
 }
 
 func newEnv(p *sim.Proc, n, mrs int, cfg Config) *env {
+	return newEnvClient(p, n, mrs, cfg, rmem.DefaultClientConfig())
+}
+
+// newEnvClient is newEnv with the DB server's rmem client built from ccfg.
+func newEnvClient(p *sim.Proc, n, mrs int, cfg Config, ccfg rmem.ClientConfig) *env {
 	k := p.Kernel()
 	e := &env{k: k}
 	scfg := cluster.DefaultConfig()
@@ -43,7 +48,7 @@ func newEnv(p *sim.Proc, n, mrs int, cfg Config) *env {
 		}
 		e.proxies = append(e.proxies, px)
 	}
-	client := rmem.NewClient(p, e.db, cfg.Client)
+	client := rmem.NewClient(p, e.db, ccfg)
 	e.fs = NewFS(p, e.b, client, cfg)
 	return e
 }

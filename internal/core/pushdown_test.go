@@ -184,9 +184,9 @@ func TestPushReadUnframedOrEncryptedUnavailable(t *testing.T) {
 			t.Errorf("unframed PushRead err = %v, want ErrNoPush", err)
 		}
 		// Encrypted client: donors hold ciphertext, pushdown unavailable.
-		cfg := integrityCfg(1)
-		cfg.Client.Encrypt = true
-		e2 := newEnv(p, 2, 8, cfg)
+		ccfg := rmem.DefaultClientConfig()
+		ccfg.Encrypt = true
+		e2 := newEnvClient(p, 2, 8, integrityCfg(1), ccfg)
 		f2, _ := e2.fs.Create(p, "t", 1<<20)
 		f2.OpenConn(p)
 		loadPushLog(t, p, f2, 10)

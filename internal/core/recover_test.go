@@ -39,7 +39,7 @@ func newFaultEnv(p *sim.Proc, n, mrs int, bcfg broker.Config, cfg Config) *fault
 		}
 		e.proxies = append(e.proxies, px)
 	}
-	client := rmem.NewClient(p, e.db, cfg.Client)
+	client := rmem.NewClient(p, e.db, rmem.DefaultClientConfig())
 	e.fs = NewFS(p, e.b, client, cfg)
 	return e
 }

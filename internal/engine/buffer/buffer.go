@@ -767,12 +767,6 @@ func newExtension(file vfs.File, slots int) *Extension {
 	}
 }
 
-// Slots returns the extension capacity in pages.
-func (e *Extension) Slots() int { return e.slots }
-
-// Cached returns the number of pages currently in the extension.
-func (e *Extension) Cached() int { return len(e.table) }
-
 func (e *Extension) tryGet(p *sim.Proc, pageNo uint64, dst []byte) (bool, error) {
 	slot, ok := e.table[pageNo]
 	if !ok {

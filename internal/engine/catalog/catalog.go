@@ -37,9 +37,6 @@ func New(bp *buffer.Pool) *Catalog {
 	return &Catalog{bp: bp, tables: make(map[string]*Table)}
 }
 
-// Pool returns the catalog's buffer pool.
-func (c *Catalog) Pool() *buffer.Pool { return c.bp }
-
 // Table is a clustered table with optional secondary indexes and,
 // when pushdown is enabled, a remote pushable segment mirroring the
 // rows (see PushSegment).
@@ -153,15 +150,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 		return nil, ErrNoTable
 	}
 	return t, nil
-}
-
-// Tables lists all registered tables.
-func (c *Catalog) Tables() []*Table {
-	var out []*Table
-	for _, t := range c.tables {
-		out = append(out, t)
-	}
-	return out
 }
 
 // CreateIndex builds a secondary index over cols; existing rows are

@@ -37,12 +37,11 @@ type Files struct {
 
 // Config parameterizes the engine.
 type Config struct {
-	BufferFrames int   // local buffer pool size in 8 KiB pages
-	BPExtSlots   int   // extension capacity in pages (ignored if no BPExt file)
-	Grant        int64 // per-query memory grant (admission control)
-	Buffer       buffer.Config
-	CPU          exec.CPUProfile
-	SemCache     semcache.FileFactory // nil: semantic cache disabled
+	BPExtSlots int           // extension capacity in pages (ignored if no BPExt file)
+	Grant      int64         // per-query memory grant (admission control)
+	Buffer     buffer.Config // the pool: frame count, eviction, batched I/O, readahead
+	CPU        exec.CPUProfile
+	SemCache   semcache.FileFactory // nil: semantic cache disabled
 	// PlanCacheEntries bounds the planner's plan cache
 	// (0 = default 128, negative = caching disabled).
 	PlanCacheEntries int
@@ -50,15 +49,6 @@ type Config struct {
 	// planner (0 = default 4, following SQL Server's parallel-by-default
 	// analytic plans).
 	DOP int
-	// Eviction selects the buffer pool's eviction policy (GDSF by
-	// default; PolicyClock for A/B runs).
-	Eviction buffer.Policy
-	// NoBatchedIO disables the vectored buffer-pool paths (batched
-	// writeback, grouped extension puts, scan readahead).
-	NoBatchedIO bool
-	// Readahead overrides the scan readahead window in pages (0 keeps
-	// the buffer default).
-	Readahead int
 	// Pushdown lets the planner place pushable scans at the donors
 	// holding a table's remote segment (see BuildPushSegment) and lets
 	// spilled hash joins probe remote hash tables.
@@ -74,10 +64,9 @@ type Config struct {
 // DefaultConfig sizes the pool to frames pages with standard costs.
 func DefaultConfig(frames int) Config {
 	return Config{
-		BufferFrames: frames,
-		Grant:        int64(frames) * 8192 / 4, // quarter of the pool per query
-		Buffer:       buffer.DefaultConfig(frames),
-		CPU:          exec.DefaultCPUProfile(),
+		Grant:  int64(frames) * 8192 / 4, // quarter of the pool per query
+		Buffer: buffer.DefaultConfig(frames),
+		CPU:    exec.DefaultCPUProfile(),
 	}
 }
 
@@ -99,20 +88,7 @@ type Engine struct {
 
 // New builds an engine on server with the given storage placement.
 func New(p *sim.Proc, server *cluster.Server, files Files, cfg Config) (*Engine, error) {
-	bcfg := cfg.Buffer
-	if bcfg.Frames == 0 {
-		bcfg = buffer.DefaultConfig(cfg.BufferFrames)
-	}
-	bcfg.Frames = cfg.BufferFrames
-	bcfg.Policy = cfg.Eviction
-	if cfg.NoBatchedIO {
-		bcfg.BatchedIO = false
-		bcfg.Readahead = 0
-	}
-	if cfg.Readahead > 0 {
-		bcfg.Readahead = cfg.Readahead
-	}
-	bp, err := buffer.New(p, server, files.Data, bcfg)
+	bp, err := buffer.New(p, server, files.Data, cfg.Buffer)
 	if err != nil {
 		return nil, err
 	}

@@ -101,9 +101,6 @@ func (pg *Page) SetLSN(lsn uint64) { binary.LittleEndian.PutUint64(pg.b[offLSN:]
 // PageType returns the type tag.
 func (pg *Page) PageType() Type { return Type(pg.b[offType]) }
 
-// SetPageType updates the type tag.
-func (pg *Page) SetPageType(t Type) { pg.b[offType] = byte(t) }
-
 // Next returns the next-page link (leaf chains), 0 when none.
 func (pg *Page) Next() uint64 {
 	var v uint64

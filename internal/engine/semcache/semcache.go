@@ -186,15 +186,6 @@ func (c *Cache) Invalidate(sig string) {
 	}
 }
 
-// Entries returns all registered entries.
-func (c *Cache) Entries() []*Entry {
-	var out []*Entry
-	for _, e := range c.entries {
-		out = append(out, e)
-	}
-	return out
-}
-
 // ApplyUpdate maintains an entry for one changed base row: PolicySync
 // appends the new image to the structure and logs a REDO record;
 // PolicyInvalidate marks the entry stale.
@@ -301,18 +292,6 @@ func (c *Cache) EntryForFile(name string) *Entry {
 		}
 	}
 	return nil
-}
-
-// MarkLost flags the entry backed by the named file as stale, so plan-
-// time lookups miss (queries run against base data) while the structure
-// is rebuilt. It returns the entry, or nil if no entry uses that file.
-func (c *Cache) MarkLost(fileName string) *Entry {
-	e := c.EntryForFile(fileName)
-	if e != nil && !e.stale {
-		e.stale = true
-		c.Invalidations++
-	}
-	return e
 }
 
 // SalvageFile is the salvage callback body for a cache entry's backing

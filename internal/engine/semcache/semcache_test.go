@@ -43,7 +43,7 @@ func rig(k *sim.Kernel, p *sim.Proc) (*Cache, *exec.Ctx, *txn.LogManager) {
 }
 
 func TestBuildLookupScan(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		c, ctx, _ := rig(k, p)
 		e, err := c.Build(ctx, "mv1", "SELECT-SIG-1", values(100), PolicySync)
@@ -79,7 +79,7 @@ func TestBuildLookupScan(t *testing.T) {
 }
 
 func TestInvalidatePolicy(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		c, ctx, _ := rig(k, p)
 		e, _ := c.Build(ctx, "mv1", "sig", values(10), PolicyInvalidate)
@@ -100,7 +100,7 @@ func TestInvalidatePolicy(t *testing.T) {
 }
 
 func TestSyncPolicyAppends(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		c, ctx, lm := rig(k, p)
 		e, _ := c.Build(ctx, "mv1", "sig", values(10), PolicySync)
@@ -127,7 +127,7 @@ func TestSyncPolicyAppends(t *testing.T) {
 }
 
 func TestRecoveryReplaysTrailingUpdates(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		c, ctx, lm := rig(k, p)
 		e, _ := c.Build(ctx, "mv1", "sig", values(10), PolicySync)
@@ -166,7 +166,7 @@ func TestRecoveryReplaysTrailingUpdates(t *testing.T) {
 }
 
 func TestRecoveryIgnoresOtherEntries(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		c, ctx, lm := rig(k, p)
 		e1, _ := c.Build(ctx, "mv1", "sig1", values(5), PolicySync)
@@ -188,7 +188,7 @@ func TestRecoveryIgnoresOtherEntries(t *testing.T) {
 }
 
 func TestFailedBackingStoreInvalidates(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := cluster.DefaultConfig()
 		cfg.MemoryBytes = 1 << 30

@@ -60,9 +60,6 @@ var ErrFull = fmt.Errorf("tempdb: spill does not fit the TempDB file (%w)", faul
 // New creates a TempDB over file.
 func New(file vfs.File) *TempDB { return &TempDB{file: file} }
 
-// File returns the backing file.
-func (t *TempDB) File() vfs.File { return t.file }
-
 // allocExtent reserves a contiguous extent and returns its base offset,
 // preferring recycled extents.
 func (t *TempDB) allocExtent() int64 {
@@ -216,9 +213,6 @@ func (s *SpillFile) flushBlock(p *sim.Proc, b []byte) error {
 	s.size = off
 	return nil
 }
-
-// Size returns logical bytes flushed so far.
-func (s *SpillFile) Size() int64 { return s.size }
 
 // Release returns the stream's extents to the TempDB free list. The
 // stream must not be read afterwards.

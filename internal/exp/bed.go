@@ -13,9 +13,7 @@ import (
 	"remotedb/internal/cluster"
 	"remotedb/internal/core"
 	"remotedb/internal/engine"
-	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
-	"remotedb/internal/fault"
 	"remotedb/internal/hw/nic"
 	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
@@ -78,7 +76,9 @@ func (d Design) protocol() nic.Protocol {
 }
 
 // BedConfig sizes one test bed. All byte quantities are the paper's
-// scaled 1000x down (Table 4).
+// scaled 1000x down (Table 4). The bed's own geometry sits beside the
+// configs of the layers it builds; NewBed hands those to the layers
+// after filling in what the design and the geometry decide.
 type BedConfig struct {
 	Design        Design
 	Spindles      int   // HDD RAID width (paper default: 20)
@@ -87,85 +87,24 @@ type BedConfig struct {
 	TempBytes     int64 // TempDB capacity (remote designs lease this much)
 	RemoteServers int   // memory servers contributing MRs
 	MRBytes       int   // memory-region size
-	Seed          int64
-	OLTP          bool // analytics workloads disable the SSD BPExt (Section 5.3)
+	OLTP          bool  // analytics workloads disable the SSD BPExt (Section 5.3)
 
-	// GrantBytes overrides the default per-query memory grant.
-	GrantBytes int64
-
-	// LeaseTTL overrides the broker's lease TTL (0 keeps the default).
-	LeaseTTL time.Duration
 	// ExpireEvery starts the broker's expiry sweep at this cadence
-	// (0 leaves the sweep off, as before).
+	// (0 leaves the sweep off).
 	ExpireEvery time.Duration
-	// Retry overrides the FS backoff policy for transient broker and
-	// metastore failures (zero value keeps core's default).
-	Retry fault.RetryPolicy
-	// NoRecover disables re-lease/restripe recovery, restoring the
-	// original fail-to-disk behavior (the ablation baseline).
-	NoRecover bool
-
-	// Replication stripes every remote file over K replicas per stripe
-	// on distinct donors (0 or 1 keeps single-copy striping). K > 1
-	// implies Integrity.
-	Replication int
-	// Integrity enables checksummed block framing (CRC-32C + generation
-	// stamp) on every remote file.
-	Integrity bool
-	// ScrubEvery starts each remote file's background scrubber at this
-	// cadence (0 leaves scrubbing off). Requires Integrity.
-	ScrubEvery time.Duration
-
-	// Eviction selects the buffer pool's eviction policy (GDSF by
-	// default; buffer.PolicyClock for A/B runs).
-	Eviction buffer.Policy
-	// NoBatchedIO disables the buffer pool's vectored paths (batched
-	// writeback, grouped extension puts, scan readahead).
-	NoBatchedIO bool
-	// Readahead overrides the scan readahead window in pages (0 keeps
-	// the buffer default).
-	Readahead int
-
-	// Pushdown lets the planner place pushable scans at the donors and
-	// spilled hash joins probe remote hash tables.
-	Pushdown bool
-	// DonorPrice scales donor CPU in the placement cost model.
-	DonorPrice float64
-
 	// BrokerShards shards the broker's lease space across this many
 	// replicas (0 or 1 keeps a single shard).
 	BrokerShards int
-	// HeartbeatEvery sets the FS's batched lease-heartbeat cadence
-	// (0 = half the lease TTL).
-	HeartbeatEvery time.Duration
-	// TenantQuotas caps each tenant's leased bytes at the broker.
-	TenantQuotas map[string]int64
-	// Tenant tags the bed FS's lease requests for admission accounting.
-	Tenant string
 
-	// DeadlineBudget bounds every remote transfer: an op still in
-	// flight past the budget is abandoned with fault.ErrSlow and the
-	// access falls back to the local tier. Also stamped on each query
-	// as its per-query budget (0 = none).
-	DeadlineBudget time.Duration
-	// Hedging races a slow primary replica read against the next
-	// replica once it exceeds the adaptive p95 threshold. Needs
-	// Replication > 1 to have a replica to hedge to.
-	Hedging bool
-	// HedgeAfter fixes the hedge trigger (0 = adaptive per-donor p95).
-	HedgeAfter time.Duration
-	// HedgeRateCap bounds hedges as a fraction of tolerant reads
-	// (0 = core's default of 0.1).
-	HedgeRateCap float64
-	// HealthChecks scores donors (latency/error EWMAs), deprioritizes
-	// browned-out donors for reads and new leases, and proactively
-	// migrates replicas off quarantined donors.
-	HealthChecks bool
+	FS     core.Config   // remote designs' file system
+	Broker broker.Config // remote designs' lease service
+	Engine engine.Config // the database engine and its buffer pool
 }
 
 // DefaultBedConfig mirrors the paper's default hardware (Table 3) with
 // RangeScan sizing (Table 4): 32 MB local memory, 128 MB BPExt, 8 MB
-// TempDB.
+// TempDB. The layer configs are each package's defaults; the engine's
+// frame count and grant are left for NewBed to derive.
 func DefaultBedConfig(d Design) BedConfig {
 	return BedConfig{
 		Design:        d,
@@ -175,9 +114,24 @@ func DefaultBedConfig(d Design) BedConfig {
 		TempBytes:     8 << 20,
 		RemoteServers: 1,
 		MRBytes:       8 << 20,
-		Seed:          1,
 		OLTP:          true,
+		FS:            core.DefaultConfig(),
+		Broker:        broker.DefaultConfig(),
+		Engine:        engine.DefaultConfig(0),
 	}
+}
+
+// EngineConfig returns cfg.Engine for a pool of frames pages: the frame
+// count, the grant when none is set (a quarter of the pool), and the
+// per-query budget, which is the file system's DeadlineBudget.
+func (cfg BedConfig) EngineConfig(frames int) engine.Config {
+	ecfg := cfg.Engine
+	ecfg.Buffer.Frames = frames
+	if ecfg.Grant == 0 {
+		ecfg.Grant = engine.DefaultConfig(frames).Grant
+	}
+	ecfg.Budget = cfg.FS.DeadlineBudget
+	return ecfg
 }
 
 // Bed is one assembled test bed.
@@ -208,7 +162,16 @@ func serverConfig(spindles int) cluster.Config {
 	return cfg
 }
 
-// NewBed assembles a bed inside the running simulation process p.
+// NewBed assembles a bed inside the running simulation process p. It
+// passes cfg's layer configs through, overriding only what the design
+// or the geometry decides:
+//   - the file system's protocol and the rmem client's access mode;
+//   - the engine's frame count (LocalMemBytes, plus the remote memory's
+//     worth for the Local Memory design), its extension slots
+//     (BPExtBytes) and its semantic-cache file factory;
+//   - the grant when none is set, and the per-query budget (see
+//     EngineConfig);
+//   - with recovery on, the file system's default salvage (wireSalvage).
 func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 	k := p.Kernel()
 	bed := &Bed{K: k, Cfg: cfg}
@@ -227,21 +190,12 @@ func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 	if cfg.Design.Remote() {
 		store := metastore.New(k, 10*time.Microsecond)
 		bed.Store = store
-		bcfg := broker.DefaultConfig()
-		if cfg.LeaseTTL > 0 {
-			bcfg.LeaseTTL = cfg.LeaseTTL
-		}
-		bcfg.Quotas = cfg.TenantQuotas
-		shards := cfg.BrokerShards
-		if shards < 1 {
-			shards = 1
-		}
-		b := broker.NewCluster(p, store, shards, bcfg)
+		b := broker.NewCluster(p, store, cfg.BrokerShards, cfg.Broker)
 		bed.Broker = b
 		if cfg.ExpireEvery > 0 {
 			k.Go("broker-expire", func(ep *sim.Proc) { b.ExpireLoop(ep, cfg.ExpireEvery) })
 		}
-		repl := cfg.Replication
+		repl := cfg.FS.Replication
 		if repl < 1 {
 			repl = 1
 		}
@@ -250,7 +204,7 @@ func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 		// stripe is leased on repl distinct donors, so size the donor
 		// pool for the framed capacity times the replication factor.
 		stripeCap := int64(cfg.MRBytes)
-		if cfg.Integrity || repl > 1 {
+		if cfg.FS.Integrity || repl > 1 {
 			stripeCap = core.StripeCapacity(cfg.MRBytes, 0)
 		}
 		servers := cfg.RemoteServers
@@ -275,22 +229,8 @@ func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 			clientCfg.Mode = rmem.AccessAsync
 		}
 		client := rmem.NewClient(p, bed.DB, clientCfg)
-		fsCfg := core.DefaultConfig()
+		fsCfg := cfg.FS
 		fsCfg.Protocol = cfg.Design.protocol()
-		fsCfg.Recover = !cfg.NoRecover
-		fsCfg.Integrity = cfg.Integrity
-		fsCfg.Replication = cfg.Replication
-		fsCfg.ScrubEvery = cfg.ScrubEvery
-		fsCfg.HeartbeatEvery = cfg.HeartbeatEvery
-		fsCfg.Tenant = cfg.Tenant
-		fsCfg.DeadlineBudget = cfg.DeadlineBudget
-		fsCfg.Hedging = cfg.Hedging
-		fsCfg.HedgeAfter = cfg.HedgeAfter
-		fsCfg.HedgeRateCap = cfg.HedgeRateCap
-		fsCfg.HealthChecks = cfg.HealthChecks
-		if cfg.Retry.MaxAttempts > 0 {
-			fsCfg.Retry = cfg.Retry
-		}
 		bed.FS = core.NewFS(p, b, client, fsCfg)
 
 		if cfg.TempBytes > 0 {
@@ -327,16 +267,7 @@ func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 	bed.TempFile = tempFile
 	bed.BPExtFile = bpextFile
 
-	ecfg := engine.DefaultConfig(frames)
-	ecfg.Eviction = cfg.Eviction
-	ecfg.NoBatchedIO = cfg.NoBatchedIO
-	ecfg.Readahead = cfg.Readahead
-	ecfg.Pushdown = cfg.Pushdown
-	ecfg.DonorPrice = cfg.DonorPrice
-	ecfg.Budget = cfg.DeadlineBudget
-	if cfg.GrantBytes > 0 {
-		ecfg.Grant = cfg.GrantBytes
-	}
+	ecfg := cfg.EngineConfig(frames)
 	if bpextFile != nil {
 		ecfg.BPExtSlots = int(cfg.BPExtBytes / page.Size)
 	}
@@ -365,7 +296,7 @@ func NewBed(p *sim.Proc, cfg BedConfig) (*Bed, error) {
 		return nil, err
 	}
 	bed.Eng = eng
-	if cfg.Design.Remote() && !cfg.NoRecover {
+	if cfg.Design.Remote() && cfg.FS.Recover {
 		bed.wireSalvage()
 	}
 	return bed, nil

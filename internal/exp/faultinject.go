@@ -14,7 +14,6 @@ import (
 	"remotedb/internal/broker"
 	"remotedb/internal/cluster"
 	"remotedb/internal/core"
-	"remotedb/internal/fault"
 	"remotedb/internal/sim"
 	"remotedb/internal/workload"
 )
@@ -285,13 +284,11 @@ func RunFaultRecovery(seed int64, prm FaultRecoveryParams) (*FaultPhases, error)
 	out := &FaultPhases{Design: DesignCustom}
 	err := RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
 		cfg := DefaultBedConfig(DesignCustom)
-		cfg.Seed = seed
 		// Renew aggressively and retry long enough to ride out the
 		// injected partition.
-		cfg.LeaseTTL = 100 * time.Millisecond
+		cfg.Broker.LeaseTTL = 100 * time.Millisecond
 		cfg.ExpireEvery = 25 * time.Millisecond
-		cfg.Retry = fault.DefaultRetryPolicy()
-		cfg.Retry.MaxAttempts = 12
+		cfg.FS.Retry.MaxAttempts = 12
 		bed, err := NewBed(p, cfg)
 		if err != nil {
 			return err

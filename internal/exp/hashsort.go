@@ -55,7 +55,7 @@ func RunHashSort(seed int64, d Design, prm HashSortParams) (*Fig14Result, error)
 		cfg.BPExtBytes = 0 // analytics: BPExt disabled (Section 5.3)
 		cfg.TempBytes = prm.TempBytes
 		cfg.OLTP = false
-		cfg.GrantBytes = prm.Grant
+		cfg.Engine.Grant = prm.Grant
 		// Remote designs need several memory servers to hold 320 MB.
 		if d.Remote() {
 			cfg.RemoteServers = 2

@@ -102,7 +102,7 @@ func RunIOBatch(seed int64, prm IOBatchParams) (IOBatchResult, error) {
 // file, once with a per-page loop and once in Burst-length vectors.
 func ioBatchTransfers(p *sim.Proc, prm IOBatchParams, res *IOBatchResult) error {
 	cfg := DefaultBedConfig(DesignCustom)
-	cfg.Integrity = true
+	cfg.FS.Integrity = true
 	cfg.BPExtBytes = 0
 	cfg.TempBytes = 4 << 20
 	bed, err := NewBed(p, cfg)
@@ -234,7 +234,7 @@ func ioBatchStorm(p *sim.Proc, prm IOBatchParams, batched bool, res *IOBatchResu
 	cfg.LocalMemBytes = int64(prm.Frames) * page.Size
 	cfg.BPExtBytes = int64(prm.StormPages*2) * page.Size
 	cfg.TempBytes = 4 << 20
-	cfg.NoBatchedIO = !batched
+	cfg.Engine.Buffer.BatchedIO = batched
 	bed, err := NewBed(p, cfg)
 	if err != nil {
 		return err

@@ -93,15 +93,14 @@ func RunPushdown(seed int64, prm PushdownParams) (*PushdownResult, error) {
 	res := &PushdownResult{}
 	err := RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
 		cfg := DefaultBedConfig(DesignCustom)
-		cfg.Seed = seed
 		cfg.LocalMemBytes = 64 << 20
 		cfg.BPExtBytes = 0
 		cfg.TempBytes = 8 << 20
 		cfg.RemoteServers = 3
-		cfg.Integrity = true // pushed reads verify donor-side; framing defines the chunk
-		cfg.Replication = 2  // corrupt/revoked stripes repair from the replica
-		cfg.Pushdown = true
-		cfg.DonorPrice = prm.DonorPrice
+		cfg.FS.Integrity = true // pushed reads verify donor-side; framing defines the chunk
+		cfg.FS.Replication = 2  // corrupt/revoked stripes repair from the replica
+		cfg.Engine.Pushdown = true
+		cfg.Engine.DonorPrice = prm.DonorPrice
 		bed, err := NewBed(p, cfg)
 		if err != nil {
 			return err

@@ -248,8 +248,8 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 				// penalty, and GDSF holds the hotspot so tightly that the
 				// "cold" run barely looks cold — so these engines run the
 				// paper's configuration: scalar read path, clock sweep.
-				cfg.NoBatchedIO = true
-				cfg.Eviction = buffer.PolicyClock
+				cfg.Buffer.BatchedIO = false
+				cfg.Buffer.Policy = buffer.PolicyClock
 				eng, err := engine.New(p, s, engine.Files{
 					Data: vfs.NewDeviceFile("data", s.HDD),
 					Log:  vfs.NewDeviceFile("log", s.HDD),

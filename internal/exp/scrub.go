@@ -72,20 +72,19 @@ type ScrubResult struct {
 // scrubBedConfig is the shared geometry: Custom design, two-way
 // replication (which implies integrity framing), small 1 MiB stripes so
 // the BPExt spans 16+ stripes, and a background scrubber.
-func scrubBedConfig(seed int64, prm ScrubParams) BedConfig {
+func scrubBedConfig(prm ScrubParams) BedConfig {
 	cfg := DefaultBedConfig(DesignCustom)
-	cfg.Seed = seed
 	// A pool smaller than the table forces real BPExt traffic, so the
 	// storms land on frames the engine actually reads back.
 	cfg.LocalMemBytes = 8 << 20
 	cfg.MRBytes = 1 << 20
 	cfg.BPExtBytes = 16 << 20
 	cfg.TempBytes = 4 << 20
-	cfg.Replication = 2
-	cfg.ScrubEvery = prm.ScrubEvery
+	cfg.FS.Replication = 2
+	cfg.FS.ScrubEvery = prm.ScrubEvery
 	// Renew aggressively so replicas of cold (never-written) stripes
 	// also notice revocation within the measurement window.
-	cfg.LeaseTTL = 200 * time.Millisecond
+	cfg.Broker.LeaseTTL = 200 * time.Millisecond
 	return cfg
 }
 
@@ -106,7 +105,7 @@ func RunScrub(seed int64, prm ScrubParams) (*ScrubResult, error) {
 // while RangeScan (with updates) runs over it.
 func runCorruptionStorm(seed int64, prm ScrubParams, out *ScrubResult) error {
 	return RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
-		bed, err := NewBed(p, scrubBedConfig(seed, prm))
+		bed, err := NewBed(p, scrubBedConfig(prm))
 		if err != nil {
 			return err
 		}
@@ -190,7 +189,7 @@ func runCorruptionStorm(seed int64, prm ScrubParams, out *ScrubResult) error {
 // pool.
 func runRevocationStorm(seed int64, prm ScrubParams, out *ScrubResult) error {
 	return RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
-		cfg := scrubBedConfig(seed, prm)
+		cfg := scrubBedConfig(prm)
 		bed, err := NewBed(p, cfg)
 		if err != nil {
 			return err

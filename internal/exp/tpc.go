@@ -56,7 +56,7 @@ func newTPCHBed(p *sim.Proc, d Design, prm TPCHParams) (*Bed, *tpch.DB, error) {
 	cfg.LocalMemBytes = prm.LocalMemBytes
 	cfg.BPExtBytes = prm.BPExtBytes
 	cfg.TempBytes = prm.TempBytes
-	cfg.GrantBytes = prm.Grant
+	cfg.Engine.Grant = prm.Grant
 	cfg.OLTP = false // analytics: no SSD BPExt for HDD+SSD (Section 5.3)
 	if d.Remote() {
 		cfg.RemoteServers = 2
@@ -224,7 +224,7 @@ func RunTPCDS(seed int64, d Design, prm TPCDSParams) (*TPCHResult, error) {
 		cfg.LocalMemBytes = prm.LocalMemBytes
 		cfg.BPExtBytes = prm.BPExtBytes
 		cfg.TempBytes = prm.TempBytes
-		cfg.GrantBytes = prm.Grant
+		cfg.Engine.Grant = prm.Grant
 		cfg.OLTP = false
 		if d.Remote() {
 			cfg.RemoteServers = 2

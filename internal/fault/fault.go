@@ -101,9 +101,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// Enabled reports whether the policy allows at least one retry.
-func (rp RetryPolicy) Enabled() bool { return rp.MaxAttempts > 1 }
-
 // Backoff returns the sleep before retry number attempt (attempt 1 is
 // the first retry). rng may be nil for a deterministic, jitter-free
 // schedule.

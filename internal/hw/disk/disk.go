@@ -131,9 +131,6 @@ func (s *Spindle) Write(p *sim.Proc, off, size int64) {
 	s.access(p, off, size)
 }
 
-// Utilization returns the actuator's busy fraction.
-func (s *Spindle) Utilization() float64 { return s.actuator.Utilization() }
-
 // HDDArray is a RAID-0 stripe set over N spindles, mirroring the paper's
 // Dell PERC H710P setup. An I/O is split at stripe-unit boundaries and
 // the chunks are serviced in parallel on their spindles; the caller's
@@ -178,9 +175,6 @@ func NewHDDArray(k *sim.Kernel, name string, cfg HDDArrayConfig) *HDDArray {
 
 // Name returns the array's name.
 func (a *HDDArray) Name() string { return a.name }
-
-// Spindles returns the spindle count.
-func (a *HDDArray) Spindles() int { return len(a.spindles) }
 
 // chunk is one stripe-unit-aligned piece of an I/O.
 type chunk struct {

@@ -69,12 +69,6 @@ func (n *NIC) Name() string { return n.name }
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }
 
-// TxUtilization returns the send-side busy fraction.
-func (n *NIC) TxUtilization() float64 { return n.tx.Utilization() }
-
-// RxUtilization returns the receive-side busy fraction.
-func (n *NIC) RxUtilization() float64 { return n.rx.Utilization() }
-
 // Wire charges the time to move size payload bytes from src to dst over
 // the RDMA path: the transfer occupies src's send side and dst's receive
 // side (FIFO per NIC port) and adds the one-way base latency. The caller

@@ -204,14 +204,6 @@ func (c *Contention) Observe(inUse int) {
 	}
 }
 
-// MeanWait returns the average blocked time per waiting acquisition.
-func (c *Contention) MeanWait() time.Duration {
-	if c.Waits == 0 {
-		return 0
-	}
-	return c.WaitTime / time.Duration(c.Waits)
-}
-
 // Counter is a monotonically increasing count with a byte tally, used for
 // I/O and query throughput.
 type Counter struct {
@@ -256,9 +248,6 @@ func (g *Gauge) Set(v int64) {
 		g.Peak = v
 	}
 }
-
-// Add moves the level by delta.
-func (g *Gauge) Add(delta int64) { g.Set(g.Value + delta) }
 
 // Distribution summarizes a stream of sizes (heartbeat batch widths,
 // grant counts): count, sum, min, max. Cheaper than a Histogram and

@@ -106,9 +106,6 @@ func New(seed int64) *Kernel {
 // Now returns the current virtual time as a duration since simulation start.
 func (k *Kernel) Now() time.Duration { return time.Duration(k.now) }
 
-// NowNanos returns the current virtual time in nanoseconds.
-func (k *Kernel) NowNanos() int64 { return k.now }
-
 // Rand returns the kernel's deterministic random source. It must only be
 // used from within simulation processes (which run one at a time).
 func (k *Kernel) Rand() *rand.Rand { return k.rng }

@@ -132,6 +132,3 @@ func (r *Resource) Use(p *Proc, n int, d time.Duration) {
 	p.Sleep(d)
 	r.Release(n)
 }
-
-// QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }

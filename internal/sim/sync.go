@@ -43,9 +43,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = nil
 }
 
-// Waiting returns the number of parked processes.
-func (c *Cond) Waiting() int { return len(c.waiters) }
-
 // WaitGroup counts outstanding work in virtual time.
 type WaitGroup struct {
 	k       *Kernel
@@ -144,20 +141,6 @@ func (ch *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	}
 }
 
-// TryRecv returns an item if one is queued.
-func (ch *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(ch.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	v = ch.items[0]
-	ch.items = ch.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (ch *Chan[T]) Len() int { return len(ch.items) }
-
 // Regulator models a serially shared bandwidth channel (a NIC port, a
 // memory bus). A transfer of size s arriving at time t completes at
 // max(t, freeAt) + s/rate; freeAt advances to the completion time. This
@@ -169,7 +152,6 @@ type Regulator struct {
 	name        string
 	bytesPerSec float64
 	freeAt      int64
-	busyNanos   int64
 	bytesMoved  int64
 }
 
@@ -181,9 +163,6 @@ func NewRegulator(k *Kernel, name string, bytesPerSec float64) *Regulator {
 	return &Regulator{k: k, name: name, bytesPerSec: bytesPerSec}
 }
 
-// Rate returns the configured bandwidth in bytes/second.
-func (rg *Regulator) Rate() float64 { return rg.bytesPerSec }
-
 // Reserve books a transfer of size bytes and returns its completion time.
 // It does not block; callers SleepUntil the returned time.
 func (rg *Regulator) Reserve(size int) time.Duration {
@@ -193,7 +172,6 @@ func (rg *Regulator) Reserve(size int) time.Duration {
 	}
 	d := int64(float64(size) / rg.bytesPerSec * 1e9)
 	rg.freeAt = start + d
-	rg.busyNanos += d
 	rg.bytesMoved += int64(size)
 	return time.Duration(rg.freeAt)
 }
@@ -209,7 +187,6 @@ func (rg *Regulator) ReserveAfter(earliest time.Duration, size int) time.Duratio
 	}
 	d := int64(float64(size) / rg.bytesPerSec * 1e9)
 	rg.freeAt = start + d
-	rg.busyNanos += d
 	rg.bytesMoved += int64(size)
 	return time.Duration(rg.freeAt)
 }
@@ -221,15 +198,3 @@ func (rg *Regulator) Transfer(p *Proc, size int) {
 
 // BytesMoved returns the total bytes pushed through the regulator.
 func (rg *Regulator) BytesMoved() int64 { return rg.bytesMoved }
-
-// Utilization returns the busy fraction since simulation start.
-func (rg *Regulator) Utilization() float64 {
-	if rg.k.now == 0 {
-		return 0
-	}
-	busy := rg.busyNanos
-	if rg.freeAt > rg.k.now {
-		busy -= rg.freeAt - rg.k.now // booked but not yet elapsed
-	}
-	return float64(busy) / float64(rg.k.now)
-}

@@ -170,9 +170,6 @@ func NewDeviceFile(name string, dev disk.Device) *DeviceFile {
 // Name returns the file name.
 func (f *DeviceFile) Name() string { return f.name }
 
-// Device returns the backing device model.
-func (f *DeviceFile) Device() disk.Device { return f.dev }
-
 // ReadAt charges the device and copies bytes out.
 func (f *DeviceFile) ReadAt(p *sim.Proc, b []byte, off int64) error {
 	if f.closed {
