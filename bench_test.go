@@ -1,357 +1,40 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation. Each BenchmarkFigNN runs the corresponding experiment in
-// internal/exp and reports the paper's headline quantities as custom
-// benchmark metrics (simulated throughput, latency, improvement
-// factors). Absolute wall-clock ns/op is the cost of running the
-// simulation, not a result.
+// evaluation: BenchmarkExperiments runs each entry of exp.Experiments as
+// a sub-benchmark at full geometry and reports the entry's metrics
+// (simulated throughput, latency, improvement factors) as custom
+// benchmark metrics. Absolute wall-clock ns/op is the cost of running
+// the simulation, not a result.
 //
 // Run all of them with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Experiments -benchtime 1x
 //
-// or a single figure with e.g. -bench=BenchmarkFig14.
+// or a single entry with e.g. -bench 'Experiments/fig14$'.
 package remotedb_test
 
 import (
+	"io"
+	"strings"
 	"testing"
-	"time"
 
-	"remotedb/internal/cluster"
-	"remotedb/internal/engine/loader"
 	"remotedb/internal/exp"
-	"remotedb/internal/sim"
 )
 
 const benchSeed = 42
 
-func BenchmarkFig03_04_IOMicro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunIOMicro(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			if r.Config == "Custom" && r.Pattern == "8K Random" {
-				b.ReportMetric(r.BytesPerSec/1e9, "custom-rnd-GB/s")
-				b.ReportMetric(float64(r.Latency.Microseconds()), "custom-rnd-µs")
-			}
-			if r.Config == "HDD(20)" && r.Pattern == "512K Sequential" {
-				b.ReportMetric(r.BytesPerSec/1e9, "hdd20-seq-GB/s")
-			}
-		}
-	}
-}
-
-func BenchmarkFig05_MultiMemoryServers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig05MultiMemoryServers(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].RandomBPS/1e9, "8srv-rnd-GB/s")
-	}
-}
-
-func BenchmarkFig06_MultiDBServers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig06MultiDBServers(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].RandomBPS/1e9, "8db-agg-GB/s")
-		b.ReportMetric(float64(pts[len(pts)-1].RandomLat.Microseconds()), "8db-lat-µs")
-	}
-}
-
-// rangeScanBench runs the Figure 7-10 matrix at 20 spindles for the two
-// headline designs.
-func rangeScanBench(b *testing.B, updates float64) {
-	for i := 0; i < b.N; i++ {
-		prm := exp.DefaultRangeScanParams()
-		prm.UpdateFraction = updates
-		custom, err := exp.RunRangeScan(benchSeed, exp.DesignCustom, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, err := exp.RunRangeScan(benchSeed, exp.DesignHDDSSD, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(custom.Throughput, "custom-q/s")
-		b.ReportMetric(base.Throughput, "hddssd-q/s")
-		b.ReportMetric(custom.Throughput/base.Throughput, "speedup-x")
-	}
-}
-
-func BenchmarkFig07_08_RangeScanUpdates(b *testing.B)  { rangeScanBench(b, 0.20) }
-func BenchmarkFig09_10_RangeScanReadOnly(b *testing.B) { rangeScanBench(b, 0) }
-
-func BenchmarkFig11_RangeScanDrilldown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		dds, err := exp.RunFig11Drilldown(benchSeed, time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, dd := range dds {
-			if dd.Design == exp.DesignCustom {
-				b.ReportMetric(dd.CPU.Mean(), "custom-cpu-%")
-				b.ReportMetric(dd.IOBps.Mean()/1e6, "custom-io-MB/s")
-			}
-		}
-	}
-}
-
-func BenchmarkFig12_BPExtSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig12BPExtSize(benchSeed, false, exp.DefaultFig12Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].Throughput, "maxext-q/s")
-		b.ReportMetric(pts[0].Throughput, "minext-q/s")
-	}
-}
-
-func BenchmarkFig13_RemoteImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig13RemoteImpact(benchSeed, exp.DefaultFig13Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var def, tcp float64
-		for _, r := range res {
-			switch r.Mode {
-			case "Default":
-				def = r.Throughput
-			case "TCP":
-				tcp = r.Throughput
-			}
-		}
-		b.ReportMetric(100*(1-tcp/def), "tcp-overhead-%")
-	}
-}
-
-func BenchmarkFig14_HashSort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prm := exp.DefaultHashSortParams()
-		custom, err := exp.RunHashSort(benchSeed, exp.DesignCustom, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, err := exp.RunHashSort(benchSeed, exp.DesignHDDSSD, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(custom.Latency.Seconds(), "custom-s")
-		b.ReportMetric(base.Latency.Seconds(), "hddssd-s")
-		b.ReportMetric(base.Latency.Seconds()/custom.Latency.Seconds(), "speedup-x")
-	}
-}
-
-func BenchmarkFig15a_SemanticCacheMV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, remoteOverSSD, err := exp.RunFig15aSemanticCacheMV(benchSeed, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var worst float64 = 1e18
-		for _, r := range res {
-			if f := r.ImprovementRemote(); f < worst {
-				worst = f
-			}
-		}
-		b.ReportMetric(worst, "min-mv-speedup-x")
-		b.ReportMetric(remoteOverSSD, "remote-over-ssd-x")
-	}
-}
-
-func BenchmarkFig15b_SeekVsScan(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		remote, ssd, err := exp.RunFig15bSeekVsScan(benchSeed, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cross := func(pts []exp.Fig15bPoint) float64 {
-			last := 0.0
-			for _, pt := range pts {
-				if pt.INLJ < pt.HJ {
-					last = pt.Selectivity
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments {
+		b.Run(e.Names[0], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep := exp.NewReport(io.Discard)
+				if err := e.Run(benchSeed, false, rep); err != nil {
+					b.Fatal(err)
+				}
+				for name, v := range rep.Metrics {
+					// A unit may not contain whitespace.
+					b.ReportMetric(v, strings.Join(strings.Fields(name), "_"))
 				}
 			}
-			return last
-		}
-		b.ReportMetric(cross(remote), "crossover-remote")
-		b.ReportMetric(cross(ssd), "crossover-ssd")
-	}
-}
-
-func BenchmarkFig16_Priming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig16Priming(benchSeed, exp.DefaultFig16Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res[len(res)-1]
-		b.ReportMetric(float64(last.WarmupTime)/float64(last.PrimeTime), "warmup-over-prime-x")
-		b.ReportMetric(float64(last.ColdP95)/float64(last.PrimedP95), "tail-improvement-x")
-	}
-}
-
-func BenchmarkFig18_19_TPCH(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prm := exp.DefaultTPCHParams()
-		base, err := exp.RunTPCH(benchSeed, exp.DesignHDDSSD, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		custom, err := exp.RunTPCH(benchSeed, exp.DesignCustom, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := exp.Improvements(base.QueryLatencies, custom.QueryLatencies)
-		atLeast2x := 0
-		for _, f := range h.Factors {
-			if f >= 2 {
-				atLeast2x++
-			}
-		}
-		b.ReportMetric(custom.QueriesPerHour, "custom-q/h")
-		b.ReportMetric(base.QueriesPerHour, "hddssd-q/h")
-		b.ReportMetric(float64(atLeast2x), "queries>=2x")
-	}
-}
-
-func BenchmarkFig20_21_TPCDS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prm := exp.DefaultTPCDSParams()
-		base, err := exp.RunTPCDS(benchSeed, exp.DesignHDDSSD, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		custom, err := exp.RunTPCDS(benchSeed, exp.DesignCustom, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := exp.Improvements(base.QueryLatencies, custom.QueryLatencies)
-		atLeast10x := 0
-		for _, f := range h.Factors {
-			if f >= 10 {
-				atLeast10x++
-			}
-		}
-		b.ReportMetric(custom.QueriesPerHour, "custom-q/h")
-		b.ReportMetric(base.QueriesPerHour, "hddssd-q/h")
-		b.ReportMetric(float64(atLeast10x), "queries>=10x")
-	}
-}
-
-func BenchmarkFig22_23_TPCC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prm := exp.DefaultTPCCParams()
-		for _, rm := range []bool{false, true} {
-			base, err := exp.RunTPCC(benchSeed, exp.DesignHDDSSD, rm, prm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			custom, err := exp.RunTPCC(benchSeed, exp.DesignCustom, rm, prm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rm {
-				b.ReportMetric(custom.Throughput/base.Throughput, "readmostly-speedup-x")
-			} else {
-				b.ReportMetric(custom.Throughput/base.Throughput, "default-speedup-x")
-			}
-		}
-	}
-}
-
-func BenchmarkFig24_LocalMemorySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig24LocalMemorySweep(benchSeed, exp.DefaultFig24Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		thr := make(map[int64]map[exp.Design]float64)
-		for _, pt := range pts {
-			if thr[pt.LocalMemBytes] == nil {
-				thr[pt.LocalMemBytes] = make(map[exp.Design]float64)
-			}
-			thr[pt.LocalMemBytes][pt.Design] = pt.Throughput
-		}
-		small := thr[16<<20]
-		large := thr[128<<20]
-		b.ReportMetric(small[exp.DesignCustom]/small[exp.DesignHDDSSD], "16MB-speedup-x")
-		b.ReportMetric(large[exp.DesignCustom]/large[exp.DesignHDDSSD], "128MB-speedup-x")
-	}
-}
-
-func BenchmarkFig25_MultiDBRangeScan(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig25MultiDBRangeScan(benchSeed, exp.DefaultFig25Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].Throughput/pts[0].Throughput, "8db-scaling-x")
-	}
-}
-
-func BenchmarkFig26_CacheRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := exp.RunFig26CacheRecovery(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[len(pts)-1].RecoveryTime.Seconds(), "16MB-recovery-s")
-	}
-}
-
-func BenchmarkFig27_ParallelLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(n int) time.Duration {
-			var wall time.Duration
-			err := exp.RunInSim(benchSeed, time.Hour, func(p *sim.Proc) error {
-				cfg := cluster.DefaultConfig()
-				cfg.MemoryBytes = 1 << 30
-				var servers []*cluster.Server
-				for j := 0; j < n; j++ {
-					servers = append(servers, cluster.NewServer(p.Kernel(), "s"+string(rune('1'+j)), cfg))
-				}
-				var splits []loader.Split
-				for j := 0; j < 80; j++ {
-					splits = append(splits, loader.Split{Name: "split", Bytes: 2 << 20})
-				}
-				st := loader.LoadParallel(p, servers, splits, loader.DefaultCostModel())
-				wall = st.WallClock
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return wall
-		}
-		one := run(1)
-		eight := run(8)
-		b.ReportMetric(one.Seconds()/eight.Seconds(), "8srv-speedup-x")
-	}
-}
-
-func BenchmarkAblationSyncVsAsync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationSyncVsAsync(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Factor(), "async-penalty-x")
-	}
-}
-
-func BenchmarkAblationRegistration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationRegistration(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Factor(), "ondemand-penalty-x")
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	prm := exp.DefaultFig16Params()
+	prm := exp.Fig16Geometry(false)
 	prm.BPSizesMB = []int64{10, 20}
 	res, err := exp.RunFig16Priming(1, prm)
 	if err != nil {

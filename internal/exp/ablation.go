@@ -168,3 +168,21 @@ func RunAblationAdaptive(seed int64) (*AblationResult, error) {
 	}
 	return res, nil
 }
+
+// reportAblation prints the Table 1 ablations.
+func reportAblation(seed int64, _ bool, rep *Report) error {
+	rep.Println("Table 1 ablations (8K random reads over RDMA):")
+	for _, run := range []func(int64) (*AblationResult, error){
+		RunAblationSyncVsAsync, RunAblationRegistration, RunAblationEncryption, RunAblationAdaptive,
+	} {
+		a, err := run(seed)
+		if err != nil {
+			return err
+		}
+		rep.Printf("  %-28s chosen(%s)=%v  alt(%s)=%v  (%.2fx)\n",
+			a.Choice, a.Chosen, a.ChosenLat.Round(time.Microsecond),
+			a.Alternative, a.AltLat.Round(time.Microsecond), a.Factor())
+		rep.Metric(a.Alternative+"/factor", a.Factor())
+	}
+	return nil
+}

@@ -25,13 +25,9 @@ import (
 	"time"
 
 	"remotedb/internal/broker"
-	"remotedb/internal/broker/metastore"
-	"remotedb/internal/cluster"
 	"remotedb/internal/core"
 	"remotedb/internal/metrics"
-	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
-	"remotedb/internal/vfs"
 )
 
 // ChaosParams sizes the chaos harness.
@@ -72,11 +68,13 @@ type ChaosParams struct {
 	HedgeGain float64
 }
 
-// DefaultChaosParams: the cluster bed's geometry (160 holders + 48
-// donors = 208 participants on a 4-shard broker) with 2-way replicated
-// stripes so hedges and failover have somewhere to go.
-func DefaultChaosParams() ChaosParams {
-	return ChaosParams{
+// ChaosGeometry: the cluster bed's geometry (160 holders + 48 donors =
+// 208 participants on a 4-shard broker) with 2-way replicated stripes so
+// hedges and failover have somewhere to go. quick shrinks the bed and
+// the measurement windows; the committed BENCH_chaos.json baseline is
+// the quick run.
+func ChaosGeometry(quick bool) ChaosParams {
+	prm := ChaosParams{
 		Shards:         4,
 		Donors:         48,
 		Holders:        160,
@@ -101,20 +99,15 @@ func DefaultChaosParams() ChaosParams {
 		FlapBy:         2 * time.Millisecond,
 		HedgeGain:      2.0,
 	}
-}
-
-// QuickChaosParams shrinks the bed and the measurement windows for the
-// CI pass; rmbench -quick and the -short smoke test use it (the
-// committed BENCH_chaos.json baseline is the quick run).
-func QuickChaosParams() ChaosParams {
-	prm := DefaultChaosParams()
-	prm.Holders = 48
-	prm.Donors = 16
-	prm.SlowDonors = 1
-	prm.Measure = 60 * time.Millisecond
-	prm.HeartbeatEvery = 20 * time.Millisecond
-	prm.WarmReads = 150
-	prm.ReadsPerHolder = 300
+	if quick {
+		prm.Holders = 48
+		prm.Donors = 16
+		prm.SlowDonors = 1
+		prm.Measure = 60 * time.Millisecond
+		prm.HeartbeatEvery = 20 * time.Millisecond
+		prm.WarmReads = 150
+		prm.ReadsPerHolder = 300
+	}
 	return prm
 }
 
@@ -160,102 +153,28 @@ type ChaosResult struct {
 	Errors int64 // engine-visible errors across every scenario (must be 0)
 }
 
-// chaosHolderConfig mutates the per-holder FS config for one scenario.
-type chaosHolderConfig func(cfg *core.Config)
-
-// buildChaosBed assembles the sharded broker, donors, and holders. It
-// returns the donor servers so scenarios can inject service delay.
-func buildChaosBed(p *sim.Proc, prm ChaosParams, mut chaosHolderConfig) (*broker.Cluster, []*cluster.Server, []*clusterHolder, error) {
-	k := p.Kernel()
-	store := metastore.New(k, 10*time.Microsecond)
+// bed returns the chaos bed: the cluster bed's shape without tenant
+// quotas, with replicated, populated holder files. set adjusts the
+// holders' FS config for one scenario.
+//
+// Holder machines get a deeper core pool than the Table 3 default: an
+// abandoned hedge loser holds an initiator slot until the slow donor
+// finally answers, and under a 2ms injected delay tens of orphans can
+// be in flight at once. With only 40 cores those orphans exhaust the
+// client and every read — hedged or not — queues behind them for the
+// full injected delay, which is exactly the head-of-line blocking the
+// hedge exists to avoid.
+func (prm ChaosParams) bed(set func(cfg *core.Config)) clusterBed {
 	bcfg := broker.DefaultConfig()
 	bcfg.LeaseTTL = prm.LeaseTTL
-	c := broker.NewCluster(p, store, prm.Shards, bcfg)
-	if prm.ExpireEvery > 0 {
-		k.Go("chaos-broker-expire", func(ep *sim.Proc) { c.ExpireLoop(ep, prm.ExpireEvery) })
-	}
-	var donors []*cluster.Server
-	for i := 0; i < prm.Donors; i++ {
-		m := cluster.NewServer(k, fmt.Sprintf("mem%d", i+1), serverConfig(4))
-		if _, err := c.AddProxy(p, m, prm.MRBytes, prm.DonorMRs); err != nil {
-			return nil, nil, nil, err
-		}
-		donors = append(donors, m)
-	}
-	var hs []*clusterHolder
-	// Holder machines get a deeper core pool than the Table 3 default: an
-	// abandoned hedge loser holds an initiator slot until the slow donor
-	// finally answers, and under a 2ms injected delay tens of orphans can
-	// be in flight at once. With only 40 cores those orphans exhaust the
-	// client and every read — hedged or not — queues behind them for the
-	// full injected delay, which is exactly the head-of-line blocking the
-	// hedge exists to avoid.
-	holderCfg := serverConfig(4)
-	holderCfg.Cores = 256
-	for i := 0; i < prm.Holders; i++ {
-		db := cluster.NewServer(k, fmt.Sprintf("db%d", i+1), holderCfg)
-		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
-		fsCfg := core.DefaultConfig()
-		fsCfg.Tenant = clusterTenants[i%len(clusterTenants)]
-		fsCfg.HeartbeatEvery = prm.HeartbeatEvery
-		fsCfg.Replication = prm.Replication
-		fsCfg.HedgeRateCap = prm.HedgeRateCap
-		if mut != nil {
-			mut(&fsCfg)
-		}
-		fs := core.NewFS(p, c, client, fsCfg)
-		f, err := fs.Create(p, "work", prm.FileBytes)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("holder %d: %w", i, err)
-		}
-		if err := f.OpenConn(p); err != nil {
-			return nil, nil, nil, err
-		}
-		// Populate the file: replicated stripes are integrity-framed, and
-		// an unwritten framed block is served as zeros without touching
-		// remote memory — the chaos read loops must actually hit donors.
-		chunk := make([]byte, 64<<10)
-		for j := range chunk {
-			chunk[j] = byte(i + j)
-		}
-		for off := int64(0); off < prm.FileBytes; off += int64(len(chunk)) {
-			n := int64(len(chunk))
-			if off+n > prm.FileBytes {
-				n = prm.FileBytes - off
-			}
-			if err := f.WriteAt(p, chunk[:n], off); err != nil {
-				return nil, nil, nil, fmt.Errorf("holder %d init: %w", i, err)
-			}
-		}
-		local := vfs.NewDeviceFile("base", db.SSD)
-		// A storm can revoke every replica of a stripe; without salvage
-		// the restripe would leave the range zeroed. Repopulate it from
-		// base data on the local SSD — the same bytes the fallback path
-		// serves — so recovery does real I/O and the post-storm bed holds
-		// real data again.
-		f.SetSalvage(func(sp *sim.Proc, sf *core.File, off, n int64) error {
-			buf := make([]byte, 64<<10)
-			for o := off; o < off+n; o += int64(len(buf)) {
-				m := int64(len(buf))
-				if o+m > off+n {
-					m = off + n - o
-				}
-				if err := local.ReadAt(sp, buf[:m], o); err != nil {
-					return err
-				}
-				if err := sf.WriteAt(sp, buf[:m], o); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		hs = append(hs, &clusterHolder{
-			fs:    fs,
-			f:     f,
-			local: local,
-		})
-	}
-	return c, donors, hs, nil
+	fsCfg := core.DefaultConfig()
+	fsCfg.HeartbeatEvery = prm.HeartbeatEvery
+	fsCfg.Replication = prm.Replication
+	fsCfg.HedgeRateCap = prm.HedgeRateCap
+	set(&fsCfg)
+	return clusterBed{shards: prm.Shards, donors: prm.Donors, holders: prm.Holders,
+		mrBytes: prm.MRBytes, donorMRs: prm.DonorMRs, fileBytes: prm.FileBytes,
+		expireEvery: prm.ExpireEvery, broker: bcfg, fs: fsCfg, holderCores: 256, populate: true}
 }
 
 // arm summarizes one measured window.
@@ -268,46 +187,6 @@ func arm(h *metrics.Histogram, bytes int64, win time.Duration) ChaosArm {
 	}
 }
 
-// driveFixed has every holder perform exactly n random 8K reads — a
-// fixed workload, so the two arms of the hedging A/B measure the same
-// reads and the latency histogram is not biased toward fast holders
-// the way a fixed-time closed loop would be. Pass a nil histogram for
-// unmeasured warm-up rounds.
-func driveFixed(p *sim.Proc, hs []*clusterHolder, n int, hist *metrics.Histogram,
-	bytes, fallbacks, errs *int64) {
-	k := p.Kernel()
-	wg := sim.NewWaitGroup(k)
-	wg.Add(len(hs))
-	span := hs[0].f.Size()
-	for _, h := range hs {
-		h := h
-		k.Go("holder-fixed", func(tp *sim.Proc) {
-			defer wg.Done()
-			buf := make([]byte, 8192)
-			for i := 0; i < n; i++ {
-				off := tp.Rand().Int63n(span/8192) * 8192
-				t0 := tp.Now()
-				if err := h.f.ReadAt(tp, buf, off); err != nil {
-					if !reclaimable(err) {
-						*errs++
-						continue
-					}
-					if err := h.local.ReadAt(tp, buf, off); err != nil {
-						*errs++
-						continue
-					}
-					*fallbacks++
-				}
-				if hist != nil {
-					hist.Observe(tp.Now() - t0)
-					*bytes += int64(len(buf))
-				}
-			}
-		})
-	}
-	wg.Wait(p)
-}
-
 // runChaosSlowDonor runs the slow-donor scenario with hedging on or
 // off: an unmeasured warm-up round (hedge thresholds need per-donor
 // p95 samples), then prm.SlowDonors donors go slow and every holder
@@ -315,15 +194,15 @@ func driveFixed(p *sim.Proc, hs []*clusterHolder, n int, hist *metrics.Histogram
 func runChaosSlowDonor(seed int64, prm ChaosParams, hedging bool, res *ChaosResult) (ChaosArm, error) {
 	var out ChaosArm
 	err := RunInSim(seed, time.Hour, func(p *sim.Proc) error {
-		c, donors, hs, err := buildChaosBed(p, prm, func(cfg *core.Config) {
+		c, donors, hs, err := buildClusterBed(p, prm.bed(func(cfg *core.Config) {
 			cfg.Hedging = hedging
 			cfg.HealthChecks = false // isolate hedging in the A/B
-		})
+		}))
 		if err != nil {
 			return err
 		}
-		var fallbacks, errs int64
-		driveFixed(p, hs, prm.WarmReads, nil, nil, &fallbacks, &errs)
+		ld := newHolderLoad(1)
+		driveHolders(p, hs, prm.WarmReads, 0, func(time.Duration) int { return -1 }, ld)
 		// Scatter the slow donors across the fleet instead of slowing
 		// donors[0..n]: spread placement hands a stripe's replicas to
 		// *adjacent* donors in round-robin order, so co-slowing adjacent
@@ -341,13 +220,11 @@ func runChaosSlowDonor(seed int64, prm ChaosParams, hedging bool, res *ChaosResu
 		for i := 0; i < prm.SlowDonors && i < len(donors); i++ {
 			donors[(i*stride)%len(donors)].SetServiceDelay(prm.SlowBy)
 		}
-		hist := metrics.NewHistogram()
-		var bytes int64
 		start := p.Now()
-		driveFixed(p, hs, prm.ReadsPerHolder, hist, &bytes, &fallbacks, &errs)
-		out = arm(hist, bytes, p.Now()-start)
-		res.Fallbacks += fallbacks
-		res.Errors += errs
+		driveHolders(p, hs, prm.ReadsPerHolder, 0, oneWindow, ld)
+		out = arm(ld.hists[0], ld.bytes[0], p.Now()-start)
+		res.Fallbacks += ld.fallbacks
+		res.Errors += ld.errs
 		if hedging {
 			for _, h := range hs {
 				res.Hedged += h.fs.HedgedReads
@@ -355,10 +232,7 @@ func runChaosSlowDonor(seed int64, prm ChaosParams, hedging bool, res *ChaosResu
 				res.Tolerant += h.fs.TolerantReads
 			}
 		}
-		for _, h := range hs {
-			h.fs.CloseAll(p)
-		}
-		c.StopExpireLoop()
+		closeClusterBed(p, c, hs)
 		return nil
 	})
 	return out, err
@@ -369,57 +243,29 @@ func runChaosSlowDonor(seed int64, prm ChaosParams, hedging bool, res *ChaosResu
 // on while StormPulses×StormFrac of the live leases are shed.
 func runChaosStorm(seed int64, prm ChaosParams, res *ChaosResult) error {
 	return RunInSim(seed, time.Hour, func(p *sim.Proc) error {
-		c, _, hs, err := buildChaosBed(p, prm, func(cfg *core.Config) {
+		c, _, hs, err := buildClusterBed(p, prm.bed(func(cfg *core.Config) {
 			cfg.Hedging = true
 			cfg.HealthChecks = true
 			cfg.DeadlineBudget = prm.DeadlineBudget
-		})
+		}))
 		if err != nil {
 			return err
 		}
-		k := p.Kernel()
-		t0 := p.Now()
-		t1 := t0 + prm.Measure
-		t2 := t1 + prm.Measure
-		t3 := t2 + prm.Measure
-		hists := []*metrics.Histogram{metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()}
-		bytes := []int64{0, 0, 0}
-		var fallbacks, errs int64
-		k.Go("chaos-reclamation-wave", func(sp *sim.Proc) {
-			sp.Sleep(t1 - sp.Now())
-			res.LiveBefore = c.ActiveLeases()
-			per := int(float64(res.LiveBefore) * prm.StormFrac)
-			gap := prm.Measure / time.Duration(prm.StormPulses+1)
-			for i := 0; i < prm.StormPulses; i++ {
-				res.Shed += c.ShedFair(per)
-				sp.Sleep(gap)
-			}
-		})
-		driveHolders(p, hs, t3, func(now time.Duration) int {
-			switch {
-			case now < t1:
-				return 0
-			case now < t2:
-				return 1
-			default:
-				return 2
-			}
-		}, hists, bytes, &fallbacks, &errs)
-		res.Healthy = arm(hists[0], bytes[0], prm.Measure)
-		res.Storm = arm(hists[1], bytes[1], prm.Measure)
-		res.Recovered = arm(hists[2], bytes[2], prm.Measure)
-		res.Fallbacks += fallbacks
-		res.Errors += errs
+		end, window := reclamationWave(p, c, prm.Measure, prm.StormPulses, prm.StormFrac, &res.LiveBefore, &res.Shed)
+		ld := newHolderLoad(3)
+		driveHolders(p, hs, 0, end, window, ld)
+		res.Healthy = arm(ld.hists[0], ld.bytes[0], prm.Measure)
+		res.Storm = arm(ld.hists[1], ld.bytes[1], prm.Measure)
+		res.Recovered = arm(ld.hists[2], ld.bytes[2], prm.Measure)
+		res.Fallbacks += ld.fallbacks
+		res.Errors += ld.errs
 		for _, h := range hs {
 			res.StormSlow += h.fs.SlowReads
 			res.StormMisses += h.fs.Client.DeadlineMisses
 			res.StormHedged += h.fs.HedgedReads
 			res.StormMigrations += h.fs.ProactiveMigrations
 		}
-		for _, h := range hs {
-			h.fs.CloseAll(p)
-		}
-		c.StopExpireLoop()
+		closeClusterBed(p, c, hs)
 		return nil
 	})
 }
@@ -434,12 +280,12 @@ func runChaosStorm(seed int64, prm ChaosParams, res *ChaosResult) error {
 // (scenario 2 covers that arc).
 func runChaosFlap(seed int64, prm ChaosParams, res *ChaosResult) error {
 	return RunInSim(seed, time.Hour, func(p *sim.Proc) error {
-		c, donors, hs, err := buildChaosBed(p, prm, func(cfg *core.Config) {
+		c, donors, hs, err := buildClusterBed(p, prm.bed(func(cfg *core.Config) {
 			cfg.Hedging = true
 			cfg.HealthChecks = true
 			cfg.DeadlineBudget = prm.DeadlineBudget
 			cfg.Recover = false
-		})
+		}))
 		if err != nil {
 			return err
 		}
@@ -461,13 +307,10 @@ func runChaosFlap(seed int64, prm ChaosParams, res *ChaosResult) error {
 				sp.Sleep(prm.FlapPeriod / 2)
 			}
 		})
-		hist := metrics.NewHistogram()
-		bytes := []int64{0}
-		var fallbacks, errs int64
-		driveHolders(p, hs, end, func(time.Duration) int { return 0 },
-			[]*metrics.Histogram{hist}, bytes, &fallbacks, &errs)
-		res.Fallbacks += fallbacks
-		res.Errors += errs
+		ld := newHolderLoad(1)
+		driveHolders(p, hs, 0, end, oneWindow, ld)
+		res.Fallbacks += ld.fallbacks
+		res.Errors += ld.errs
 		for _, h := range hs {
 			res.FlapBrownouts += h.fs.Brownouts
 			res.FlapQuarantines += h.fs.Quarantines
@@ -475,10 +318,7 @@ func runChaosFlap(seed int64, prm ChaosParams, res *ChaosResult) error {
 			res.FlapRecoveries += h.fs.HealthRecoveries
 		}
 		res.HealthReports = c.HealthReports()
-		for _, h := range hs {
-			h.fs.CloseAll(p)
-		}
-		c.StopExpireLoop()
+		closeClusterBed(p, c, hs)
 		return nil
 	})
 }
@@ -552,4 +392,66 @@ func RunChaos(seed int64, prm ChaosParams) (*ChaosResult, error) {
 		return nil, fmt.Errorf("%d engine-visible errors across chaos scenarios", res.Errors)
 	}
 	return res, nil
+}
+
+// reportChaos prints all three scenarios.
+func reportChaos(seed int64, quick bool, rep *Report) error {
+	rep.Println("Tail-tolerance chaos harness: slow donors (hedging A/B),")
+	rep.Println("a reclamation storm under the full stack, and a flapping donor")
+	prm := ChaosGeometry(quick)
+	res, err := RunChaos(seed, prm)
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %d participants, %d-way replicated stripes, hedge cap %.0f%%\n",
+		res.Participants, prm.Replication, prm.HedgeRateCap*100)
+	rep.Printf("  slow donors (%d donors +%v):\n", prm.SlowDonors, prm.SlowBy)
+	rep.Printf("    hedging off: p50=%v p99=%v %.0f MB/s\n",
+		res.SlowOff.P50.Round(time.Microsecond), res.SlowOff.P99.Round(time.Microsecond), res.SlowOff.BytesPerSec/1e6)
+	rep.Printf("    hedging on:  p50=%v p99=%v %.0f MB/s\n",
+		res.SlowOn.P50.Round(time.Microsecond), res.SlowOn.P99.Round(time.Microsecond), res.SlowOn.BytesPerSec/1e6)
+	rep.Printf("    p99 cut %.1fx, hedge rate %.3f (%d hedges, %d wins, %d tolerant reads)\n",
+		res.HedgeCut, res.HedgeRate, res.Hedged, res.HedgeWins, res.Tolerant)
+	rep.Printf("  reclamation storm: %d/%d leases shed\n", res.Shed, res.LiveBefore)
+	rep.Printf("    healthy:   p99=%v %.0f MB/s\n", res.Healthy.P99.Round(time.Microsecond), res.Healthy.BytesPerSec/1e6)
+	rep.Printf("    storm:     p99=%v %.0f MB/s\n", res.Storm.P99.Round(time.Microsecond), res.Storm.BytesPerSec/1e6)
+	rep.Printf("    recovered: p99=%v %.0f MB/s\n", res.Recovered.P99.Round(time.Microsecond), res.Recovered.BytesPerSec/1e6)
+	rep.Printf("    slow-reads=%d deadline-misses=%d hedged=%d proactive-migrations=%d\n",
+		res.StormSlow, res.StormMisses, res.StormHedged, res.StormMigrations)
+	rep.Printf("  flapping donor: brownouts=%d quarantines=%d probes=%d recoveries=%d health-reports=%d\n",
+		res.FlapBrownouts, res.FlapQuarantines, res.FlapProbes, res.FlapRecoveries, res.HealthReports)
+	rep.Printf("  fallback reads=%d engine-visible errors=%d\n", res.Fallbacks, res.Errors)
+
+	rep.Metric("participants", float64(res.Participants))
+	rep.MetricDur("slow_off_p50_ms", res.SlowOff.P50)
+	rep.MetricDur("slow_off_p99_ms", res.SlowOff.P99)
+	rep.Metric("slow_off_mb_per_sec", res.SlowOff.BytesPerSec/1e6)
+	rep.MetricDur("slow_on_p50_ms", res.SlowOn.P50)
+	rep.MetricDur("slow_on_p99_ms", res.SlowOn.P99)
+	rep.Metric("slow_on_mb_per_sec", res.SlowOn.BytesPerSec/1e6)
+	rep.Metric("hedge_cut", res.HedgeCut)
+	rep.Metric("hedge_rate", res.HedgeRate)
+	rep.Metric("hedged_reads", float64(res.Hedged))
+	rep.Metric("hedge_wins", float64(res.HedgeWins))
+	rep.Metric("tolerant_reads", float64(res.Tolerant))
+	rep.Metric("live_before_storm", float64(res.LiveBefore))
+	rep.Metric("shed", float64(res.Shed))
+	rep.MetricDur("healthy_p99_ms", res.Healthy.P99)
+	rep.Metric("healthy_mb_per_sec", res.Healthy.BytesPerSec/1e6)
+	rep.MetricDur("storm_p99_ms", res.Storm.P99)
+	rep.Metric("storm_mb_per_sec", res.Storm.BytesPerSec/1e6)
+	rep.MetricDur("recovered_p99_ms", res.Recovered.P99)
+	rep.Metric("recovered_mb_per_sec", res.Recovered.BytesPerSec/1e6)
+	rep.Metric("storm_slow_reads", float64(res.StormSlow))
+	rep.Metric("storm_deadline_misses", float64(res.StormMisses))
+	rep.Metric("storm_hedged", float64(res.StormHedged))
+	rep.Metric("storm_migrations", float64(res.StormMigrations))
+	rep.Metric("flap_brownouts", float64(res.FlapBrownouts))
+	rep.Metric("flap_quarantines", float64(res.FlapQuarantines))
+	rep.Metric("flap_probes", float64(res.FlapProbes))
+	rep.Metric("flap_recoveries", float64(res.FlapRecoveries))
+	rep.Metric("health_reports", float64(res.HealthReports))
+	rep.Metric("fallbacks", float64(res.Fallbacks))
+	rep.Metric("errors", float64(res.Errors))
+	return nil
 }

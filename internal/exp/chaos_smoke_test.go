@@ -6,7 +6,7 @@ import (
 )
 
 func TestChaosSmoke(t *testing.T) {
-	prm := QuickChaosParams()
+	prm := ChaosGeometry(true)
 	if testing.Short() {
 		// Half the bed and the windows: every scenario still crosses its
 		// assertion thresholds (hedging needs only a handful of slow

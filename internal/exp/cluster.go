@@ -46,10 +46,11 @@ type ClusterParams struct {
 	Quota       int64   // per-tenant byte quota
 }
 
-// DefaultClusterParams: 160 holders + 48 donors (208 participants) on a
-// 4-shard broker, three tenants with 2:1:1 weights.
-func DefaultClusterParams() ClusterParams {
-	return ClusterParams{
+// ClusterGeometry: 160 holders + 48 donors (208 participants) on a
+// 4-shard broker, three tenants with 2:1:1 weights; quick shortens the
+// measurement windows.
+func ClusterGeometry(quick bool) ClusterParams {
+	prm := ClusterParams{
 		Shards:         4,
 		Donors:         48,
 		HolderSteps:    []int{40, 80, 160},
@@ -64,6 +65,10 @@ func DefaultClusterParams() ClusterParams {
 		StormFrac:      0.10,
 		Quota:          64 << 20,
 	}
+	if quick {
+		prm.Measure = 80 * time.Millisecond
+	}
+	return prm
 }
 
 // clusterTenants assigns holders round-robin to three tenants whose
@@ -123,11 +128,23 @@ type clusterHolder struct {
 	local vfs.File
 }
 
-// buildClusterBed assembles the sharded broker, donors, and holders
-// inside the running simulation.
-func buildClusterBed(p *sim.Proc, prm ClusterParams, holders int) (*broker.Cluster, []*clusterHolder, error) {
-	k := p.Kernel()
-	store := metastore.New(k, 10*time.Microsecond)
+// clusterBed is what a cluster-scale bed is built from: the cluster and
+// chaos experiments differ only in these inputs.
+type clusterBed struct {
+	shards, donors, holders int
+	mrBytes, donorMRs       int
+	fileBytes               int64
+	expireEvery             time.Duration
+	broker                  broker.Config // the lease service, tenant quotas and weights included
+	fs                      core.Config   // every holder's FS; Tenant is assigned round-robin
+	holderCores             int           // 0 keeps serverConfig's
+	// populate writes every holder's file and salvages a lost stripe
+	// from base data on the holder's local SSD.
+	populate bool
+}
+
+// bed returns the cluster experiment's bed at one holder count.
+func (prm ClusterParams) bed(holders int) clusterBed {
 	bcfg := broker.DefaultConfig()
 	bcfg.LeaseTTL = prm.LeaseTTL
 	bcfg.Quotas = map[string]int64{}
@@ -135,48 +152,131 @@ func buildClusterBed(p *sim.Proc, prm ClusterParams, holders int) (*broker.Clust
 	for _, t := range clusterTenants {
 		bcfg.Quotas[t] = prm.Quota
 	}
-	c := broker.NewCluster(p, store, prm.Shards, bcfg)
-	if prm.ExpireEvery > 0 {
-		k.Go("cluster-broker-expire", func(ep *sim.Proc) { c.ExpireLoop(ep, prm.ExpireEvery) })
-	}
-	for i := 0; i < prm.Donors; i++ {
-		m := cluster.NewServer(k, fmt.Sprintf("mem%d", i+1), serverConfig(4))
-		if _, err := c.AddProxy(p, m, prm.MRBytes, prm.DonorMRs); err != nil {
-			return nil, nil, err
-		}
-	}
-	var hs []*clusterHolder
-	for i := 0; i < holders; i++ {
-		db := cluster.NewServer(k, fmt.Sprintf("db%d", i+1), serverConfig(4))
-		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
-		fsCfg := core.DefaultConfig()
-		fsCfg.Tenant = clusterTenants[i%len(clusterTenants)]
-		fsCfg.HeartbeatEvery = prm.HeartbeatEvery
-		fs := core.NewFS(p, c, client, fsCfg)
-		f, err := fs.Create(p, "work", prm.FileBytes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("holder %d: %w", i, err)
-		}
-		if err := f.OpenConn(p); err != nil {
-			return nil, nil, err
-		}
-		hs = append(hs, &clusterHolder{
-			fs:    fs,
-			f:     f,
-			local: vfs.NewDeviceFile("base", db.SSD),
-		})
-	}
-	return c, hs, nil
+	fsCfg := core.DefaultConfig()
+	fsCfg.HeartbeatEvery = prm.HeartbeatEvery
+	return clusterBed{shards: prm.Shards, donors: prm.Donors, holders: holders,
+		mrBytes: prm.MRBytes, donorMRs: prm.DonorMRs, fileBytes: prm.FileBytes,
+		expireEvery: prm.ExpireEvery, broker: bcfg, fs: fsCfg}
 }
 
-// driveHolders runs one closed-loop 8K random reader per holder until
-// end. Reads that fail because a stripe is mid-reclamation fall back to
-// the holder's local SSD (counted, never an error); any other failure
-// is an engine-visible error. Latencies land in the histogram selected
-// by window(now).
-func driveHolders(p *sim.Proc, hs []*clusterHolder, end time.Duration,
-	window func(time.Duration) int, hists []*metrics.Histogram, bytes []int64,
-	fallbacks, errs *int64) []int64 {
+// buildClusterBed assembles the sharded broker, donors, and holders
+// inside the running simulation. It returns the donor servers so
+// scenarios can inject service delay.
+func buildClusterBed(p *sim.Proc, bed clusterBed) (*broker.Cluster, []*cluster.Server, []*clusterHolder, error) {
+	k := p.Kernel()
+	store := metastore.New(k, 10*time.Microsecond)
+	c := broker.NewCluster(p, store, bed.shards, bed.broker)
+	if bed.expireEvery > 0 {
+		k.Go("cluster-broker-expire", func(ep *sim.Proc) { c.ExpireLoop(ep, bed.expireEvery) })
+	}
+	var donors []*cluster.Server
+	for i := 0; i < bed.donors; i++ {
+		m := cluster.NewServer(k, fmt.Sprintf("mem%d", i+1), serverConfig(4))
+		if _, err := c.AddProxy(p, m, bed.mrBytes, bed.donorMRs); err != nil {
+			return nil, nil, nil, err
+		}
+		donors = append(donors, m)
+	}
+	holderCfg := serverConfig(4)
+	if bed.holderCores > 0 {
+		holderCfg.Cores = bed.holderCores
+	}
+	var hs []*clusterHolder
+	for i := 0; i < bed.holders; i++ {
+		db := cluster.NewServer(k, fmt.Sprintf("db%d", i+1), holderCfg)
+		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
+		fsCfg := bed.fs
+		fsCfg.Tenant = clusterTenants[i%len(clusterTenants)]
+		fs := core.NewFS(p, c, client, fsCfg)
+		f, err := fs.Create(p, "work", bed.fileBytes)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("holder %d: %w", i, err)
+		}
+		if err := f.OpenConn(p); err != nil {
+			return nil, nil, nil, err
+		}
+		h := &clusterHolder{fs: fs, f: f, local: vfs.NewDeviceFile("base", db.SSD)}
+		if bed.populate {
+			if err := h.populate(p, i, bed.fileBytes); err != nil {
+				return nil, nil, nil, fmt.Errorf("holder %d init: %w", i, err)
+			}
+		}
+		hs = append(hs, h)
+	}
+	return c, donors, hs, nil
+}
+
+// populate writes holder i's file: replicated stripes are
+// integrity-framed, and an unwritten framed block is served as zeros
+// without touching remote memory, so the read loops must write before
+// they can hit donors. A storm can revoke every replica of a stripe;
+// without salvage the restripe would leave the range zeroed, so the
+// salvage repopulates it from base data on the local SSD — the same
+// bytes the fallback path serves — and recovery does real I/O.
+func (h *clusterHolder) populate(p *sim.Proc, i int, size int64) error {
+	chunk := make([]byte, 64<<10)
+	for j := range chunk {
+		chunk[j] = byte(i + j)
+	}
+	for off := int64(0); off < size; off += int64(len(chunk)) {
+		if err := h.f.WriteAt(p, chunk[:min(int64(len(chunk)), size-off)], off); err != nil {
+			return err
+		}
+	}
+	h.f.SetSalvage(func(sp *sim.Proc, sf *core.File, off, n int64) error {
+		buf := make([]byte, 64<<10)
+		for o := off; o < off+n; o += int64(len(buf)) {
+			m := min(int64(len(buf)), off+n-o)
+			if err := h.local.ReadAt(sp, buf[:m], o); err != nil {
+				return err
+			}
+			if err := sf.WriteAt(sp, buf[:m], o); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return nil
+}
+
+// closeClusterBed stops every holder's FS and the broker's expiry loop.
+func closeClusterBed(p *sim.Proc, c *broker.Cluster, hs []*clusterHolder) {
+	for _, h := range hs {
+		h.fs.CloseAll(p)
+	}
+	c.StopExpireLoop()
+}
+
+// holderLoad is what driveHolders measures: per window a latency
+// histogram and the bytes read, and over every read the fallbacks to
+// the local SSD and the engine-visible errors.
+type holderLoad struct {
+	hists     []*metrics.Histogram
+	bytes     []int64
+	fallbacks int64
+	errs      int64
+}
+
+func newHolderLoad(windows int) *holderLoad {
+	ld := &holderLoad{bytes: make([]int64, windows)}
+	for i := 0; i < windows; i++ {
+		ld.hists = append(ld.hists, metrics.NewHistogram())
+	}
+	return ld
+}
+
+// oneWindow puts every read in window 0.
+func oneWindow(time.Duration) int { return 0 }
+
+// driveHolders runs one 8K random reader per holder, each until it has
+// done n reads or, with n = 0, until end. A fixed n makes two arms of an
+// A/B measure the same reads, where a fixed-time closed loop biases the
+// histogram toward fast holders. Reads that fail because a stripe is
+// mid-reclamation fall back to the holder's local SSD (counted, never
+// an error); any other failure is an engine-visible error. A read is
+// recorded in window(now) of ld, or nowhere when that is out of range.
+func driveHolders(p *sim.Proc, hs []*clusterHolder, n int, end time.Duration,
+	window func(time.Duration) int, ld *holderLoad) {
 	k := p.Kernel()
 	wg := sim.NewWaitGroup(k)
 	wg.Add(len(hs))
@@ -186,33 +286,31 @@ func driveHolders(p *sim.Proc, hs []*clusterHolder, end time.Duration,
 		k.Go("holder-drive", func(tp *sim.Proc) {
 			defer wg.Done()
 			buf := make([]byte, 8192)
-			for tp.Now() < end {
+			for i := 0; (n > 0 && i < n) || (n == 0 && tp.Now() < end); i++ {
 				off := tp.Rand().Int63n(span/8192) * 8192
 				t0 := tp.Now()
 				if err := h.f.ReadAt(tp, buf, off); err != nil {
 					if !reclaimable(err) {
-						*errs++
+						ld.errs++
 						continue
 					}
 					// The stripe is being reclaimed or restriped:
 					// serve the page from base data on the local SSD,
 					// like a buffer-pool extension miss.
 					if err := h.local.ReadAt(tp, buf, off); err != nil {
-						*errs++
+						ld.errs++
 						continue
 					}
-					*fallbacks++
+					ld.fallbacks++
 				}
-				w := window(tp.Now())
-				if w >= 0 && w < len(hists) {
-					hists[w].Observe(tp.Now() - t0)
-					bytes[w] += int64(len(buf))
+				if w := window(tp.Now()); w >= 0 && w < len(ld.hists) {
+					ld.hists[w].Observe(tp.Now() - t0)
+					ld.bytes[w] += int64(len(buf))
 				}
 			}
 		})
 	}
 	wg.Wait(p)
-	return bytes
 }
 
 // reclaimable reports whether a read error is part of the reclamation
@@ -224,35 +322,58 @@ func reclaimable(err error) bool {
 		errors.Is(err, fault.ErrUnavailable)
 }
 
+// reclamationWave starts the diurnal reclamation wave across three
+// back-to-back windows of length measure from now — healthy, storm,
+// recovered. At the storm's start it stores the live lease count in
+// *live; then pulses spread over the storm window each shed frac of
+// those leases, oldest-first round-robin over tenants, adding the count
+// to *shed. It returns the end of the last window and the window of an
+// instant.
+func reclamationWave(p *sim.Proc, c *broker.Cluster, measure time.Duration, pulses int, frac float64,
+	live, shed *int) (time.Duration, func(time.Duration) int) {
+	t1 := p.Now() + measure
+	t2 := t1 + measure
+	p.Kernel().Go("reclamation-wave", func(sp *sim.Proc) {
+		sp.Sleep(t1 - sp.Now())
+		*live = c.ActiveLeases()
+		per := int(float64(*live) * frac)
+		gap := measure / time.Duration(pulses+1)
+		for i := 0; i < pulses; i++ {
+			*shed += c.ShedFair(per)
+			sp.Sleep(gap)
+		}
+	})
+	return t2 + measure, func(now time.Duration) int {
+		switch {
+		case now < t1:
+			return 0
+		case now < t2:
+			return 1
+		}
+		return 2
+	}
+}
+
 // RunCluster runs the cluster-scale broker benchmark.
 func RunCluster(seed int64, prm ClusterParams) (*ClusterResult, error) {
 	res := &ClusterResult{Shards: prm.Shards, Donors: prm.Donors}
 
 	// Phase A: holder-count sweep, aggregate random-read throughput.
 	for _, n := range prm.HolderSteps {
-		n := n
 		pt := ScalePoint{Holders: n, Participants: n + prm.Donors}
 		err := RunInSim(seed, time.Hour, func(p *sim.Proc) error {
-			c, hs, err := buildClusterBed(p, prm, n)
+			c, _, hs, err := buildClusterBed(p, prm.bed(n))
 			if err != nil {
 				return err
 			}
-			hist := metrics.NewHistogram()
-			bytes := []int64{0}
-			var fallbacks, errs int64
-			start := p.Now()
-			driveHolders(p, hs, start+prm.Measure,
-				func(time.Duration) int { return 0 },
-				[]*metrics.Histogram{hist}, bytes, &fallbacks, &errs)
-			if errs > 0 {
-				return fmt.Errorf("%d engine-visible errors at %d holders", errs, n)
+			ld := newHolderLoad(1)
+			driveHolders(p, hs, 0, p.Now()+prm.Measure, oneWindow, ld)
+			if ld.errs > 0 {
+				return fmt.Errorf("%d engine-visible errors at %d holders", ld.errs, n)
 			}
-			pt.BytesPerSec = float64(bytes[0]) / prm.Measure.Seconds()
-			pt.MeanLat = hist.Mean()
-			for _, h := range hs {
-				h.fs.CloseAll(p)
-			}
-			c.StopExpireLoop()
+			pt.BytesPerSec = float64(ld.bytes[0]) / prm.Measure.Seconds()
+			pt.MeanLat = ld.hists[0].Mean()
+			closeClusterBed(p, c, hs)
 			return nil
 		})
 		if err != nil {
@@ -266,56 +387,24 @@ func RunCluster(seed int64, prm ClusterParams) (*ClusterResult, error) {
 	res.Holders = holders
 	res.Participants = holders + prm.Donors
 	err := RunInSim(seed, time.Hour, func(p *sim.Proc) error {
-		c, hs, err := buildClusterBed(p, prm, holders)
+		c, _, hs, err := buildClusterBed(p, prm.bed(holders))
 		if err != nil {
 			return err
 		}
-		k := p.Kernel()
-		// Three windows: healthy, storm, recovered.
-		t0 := p.Now()
-		t1 := t0 + prm.Measure
-		t2 := t1 + prm.Measure
-		t3 := t2 + prm.Measure
-		window := func(now time.Duration) int {
-			switch {
-			case now < t1:
-				return 0
-			case now < t2:
-				return 1
-			default:
-				return 2
-			}
-		}
-		hists := []*metrics.Histogram{metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()}
-		bytes := []int64{0, 0, 0}
-		var fallbacks, errs int64
+		end, window := reclamationWave(p, c, prm.Measure, prm.StormPulses, prm.StormFrac, &res.LiveBefore, &res.Shed)
+		ld := newHolderLoad(3)
+		driveHolders(p, hs, 0, end, window, ld)
 
-		// The wave: pulses spread over the storm window, each shedding
-		// StormFrac of the leases live at storm start, oldest-first
-		// round-robin over tenants.
-		k.Go("reclamation-wave", func(sp *sim.Proc) {
-			sp.Sleep(t1 - sp.Now())
-			res.LiveBefore = c.ActiveLeases()
-			per := int(float64(res.LiveBefore) * prm.StormFrac)
-			gap := prm.Measure / time.Duration(prm.StormPulses+1)
-			for i := 0; i < prm.StormPulses; i++ {
-				res.Shed += c.ShedFair(per)
-				sp.Sleep(gap)
-			}
-		})
-
-		driveHolders(p, hs, t3, window, hists, bytes, &fallbacks, &errs)
-
-		res.HealthyLat = hists[0].Mean()
-		res.StormLat = hists[1].Mean()
-		res.RecoveredLat = hists[2].Mean()
+		res.HealthyLat = ld.hists[0].Mean()
+		res.StormLat = ld.hists[1].Mean()
+		res.RecoveredLat = ld.hists[2].Mean()
 		if res.HealthyLat > 0 {
 			res.Inflation = float64(res.StormLat) / float64(res.HealthyLat)
 		}
-		res.HealthyBPS = float64(bytes[0]) / prm.Measure.Seconds()
-		res.StormBPS = float64(bytes[1]) / prm.Measure.Seconds()
-		res.Fallbacks = fallbacks
-		res.Errors = errs
+		res.HealthyBPS = float64(ld.bytes[0]) / prm.Measure.Seconds()
+		res.StormBPS = float64(ld.bytes[1]) / prm.Measure.Seconds()
+		res.Fallbacks = ld.fallbacks
+		res.Errors = ld.errs
 		if res.LiveBefore > 0 {
 			res.ShedFrac = float64(res.Shed) / float64(res.LiveBefore)
 		}
@@ -332,14 +421,70 @@ func RunCluster(seed int64, prm ClusterParams) (*ClusterResult, error) {
 		res.ActivePeak = c.ActiveGauge().Peak
 		res.FreeMRs = int64(c.FreeMRs())
 		res.Tenants = c.TenantStats()
-		for _, h := range hs {
-			h.fs.CloseAll(p)
-		}
-		c.StopExpireLoop()
+		closeClusterBed(p, c, hs)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// reportCluster prints both phases.
+func reportCluster(seed int64, quick bool, rep *Report) error {
+	rep.Println("Cluster-scale broker: sharded lease space, batched heartbeats,")
+	rep.Println("and a diurnal reclamation wave over 200+ participants")
+	prm := ClusterGeometry(quick)
+	res, err := RunCluster(seed, prm)
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %d broker shards, %d donors\n", res.Shards, res.Donors)
+	rep.Printf("  %8s %14s %14s %12s\n", "holders", "participants", "agg MB/s", "mean lat")
+	for _, pt := range res.Scale {
+		rep.Printf("  %8d %14d %14.0f %12v\n", pt.Holders, pt.Participants,
+			pt.BytesPerSec/1e6, pt.MeanLat.Round(time.Microsecond))
+		key := fmt.Sprintf("holders%d", pt.Holders)
+		rep.Metric(key+"/agg_mb_per_sec", pt.BytesPerSec/1e6)
+		rep.MetricDur(key+"/mean_lat_ms", pt.MeanLat)
+	}
+	rep.Printf("  storm: %d/%d live leases shed (%.0f%%) over %d pulses\n",
+		res.Shed, res.LiveBefore, res.ShedFrac*100, prm.StormPulses)
+	rep.Printf("  latency: healthy=%v storm=%v recovered=%v (%.2fx inflation)\n",
+		res.HealthyLat.Round(time.Microsecond), res.StormLat.Round(time.Microsecond),
+		res.RecoveredLat.Round(time.Microsecond), res.Inflation)
+	rep.Printf("  reads: fallbacks=%d engine-visible errors=%d\n", res.Fallbacks, res.Errors)
+	rep.Printf("  heartbeats: %d rounds, %d batches, mean batch %.1f leases\n",
+		res.Heartbeats, res.HBBatches, res.HBBatchMean)
+	rep.Printf("  broker: grants=%d renewals=%d expirations=%d revocations=%d active-peak=%d free=%d\n",
+		res.Grants, res.Renewals, res.Expirations, res.Revocations, res.ActivePeak, res.FreeMRs)
+	for _, t := range []string{"oltp", "olap", "batch"} {
+		st := res.Tenants[t]
+		rep.Printf("  tenant %-6s grants=%d denies=%d sheds=%d held=%d MRs (%d MB)\n",
+			t, st.Grants, st.Denies, st.Sheds, st.HeldMRs, st.HeldBytes>>20)
+		rep.Metric("tenant/"+t+"/grants", float64(st.Grants))
+		rep.Metric("tenant/"+t+"/denies", float64(st.Denies))
+		rep.Metric("tenant/"+t+"/sheds", float64(st.Sheds))
+	}
+	rep.Metric("participants", float64(res.Participants))
+	rep.Metric("live_before_storm", float64(res.LiveBefore))
+	rep.Metric("shed", float64(res.Shed))
+	rep.Metric("shed_frac", res.ShedFrac)
+	rep.MetricDur("healthy_lat_ms", res.HealthyLat)
+	rep.MetricDur("storm_lat_ms", res.StormLat)
+	rep.MetricDur("recovered_lat_ms", res.RecoveredLat)
+	rep.Metric("inflation", res.Inflation)
+	rep.Metric("healthy_mb_per_sec", res.HealthyBPS/1e6)
+	rep.Metric("storm_mb_per_sec", res.StormBPS/1e6)
+	rep.Metric("fallbacks", float64(res.Fallbacks))
+	rep.Metric("errors", float64(res.Errors))
+	rep.Metric("heartbeat_rounds", float64(res.Heartbeats))
+	rep.Metric("heartbeat_batches", float64(res.HBBatches))
+	rep.Metric("heartbeat_batch_mean", res.HBBatchMean)
+	rep.Metric("grants", float64(res.Grants))
+	rep.Metric("renewals", float64(res.Renewals))
+	rep.Metric("expirations", float64(res.Expirations))
+	rep.Metric("revocations", float64(res.Revocations))
+	rep.Metric("active_peak", float64(res.ActivePeak))
+	return nil
 }

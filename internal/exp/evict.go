@@ -29,16 +29,14 @@ type EvictParams struct {
 	DirtyPct int     // percent of accesses that dirty the page
 }
 
-// DefaultEvictParams runs 20k accesses at skew 1.2 over a data set 8x
-// the 256-frame pool, 10% of them writes.
-func DefaultEvictParams() EvictParams {
-	return EvictParams{
-		Frames:   256,
-		Pages:    2048,
-		Accesses: 20000,
-		Zipf:     1.2,
-		DirtyPct: 10,
+// EvictGeometry runs 20k accesses at skew 1.2 over a data set 8x the
+// 256-frame pool, 10% of them writes; quick halves the pool and the data
+// set and runs 5k accesses.
+func EvictGeometry(quick bool) EvictParams {
+	if quick {
+		return EvictParams{Frames: 128, Pages: 1024, Accesses: 5000, Zipf: 1.2, DirtyPct: 10}
 	}
+	return EvictParams{Frames: 256, Pages: 2048, Accesses: 20000, Zipf: 1.2, DirtyPct: 10}
 }
 
 // EvictPoint is one policy's run.
@@ -256,4 +254,41 @@ func (pt EvictPoint) String() string {
 	return fmt.Sprintf("%-6s hit=%.1f%%  faults=%d  dirty-evicts=%d  writeback=%dKiB  elapsed=%v",
 		pt.Policy, pt.HitRate*100, pt.DiskReads, pt.EvictDirty,
 		pt.WriteBackBytes>>10, pt.Elapsed.Round(time.Microsecond))
+}
+
+// reportEvict prints the policy A/B and the readahead comparison, and
+// fails unless the adaptive readahead window wastes less than the fixed
+// one and still hits.
+func reportEvict(seed int64, quick bool, rep *Report) error {
+	rep.Println("Eviction policy A/B: clock sweep vs cost-aware GDSF under a")
+	rep.Println("Zipf working set with 10% writes")
+	res, err := RunEvict(seed, EvictGeometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %s\n  %s\n", res.Clock, res.GDSF)
+	rep.Printf("  GDSF: %+.1f hit points, %.2fx stall speedup\n", res.HitDelta, res.Speedup)
+	rep.Printf("  readahead under short bursts:\n    %s\n    %s\n", res.FixedRA, res.AdaptiveRA)
+	rep.Printf("  adaptive window: %+.1f waste points\n", -res.WasteDrop)
+	rep.Metric("clock_hit_rate", res.Clock.HitRate)
+	rep.Metric("gdsf_hit_rate", res.GDSF.HitRate)
+	rep.Metric("clock_disk_reads", float64(res.Clock.DiskReads))
+	rep.Metric("gdsf_disk_reads", float64(res.GDSF.DiskReads))
+	rep.MetricDur("clock_elapsed_ms", res.Clock.Elapsed)
+	rep.MetricDur("gdsf_elapsed_ms", res.GDSF.Elapsed)
+	rep.Metric("clock_writeback_bytes", float64(res.Clock.WriteBackBytes))
+	rep.Metric("gdsf_writeback_bytes", float64(res.GDSF.WriteBackBytes))
+	rep.Metric("hit_delta_points", res.HitDelta)
+	rep.Metric("speedup", res.Speedup)
+	rep.Metric("fixed_ra_waste_ratio", res.FixedRA.WasteRatio)
+	rep.Metric("adaptive_ra_waste_ratio", res.AdaptiveRA.WasteRatio)
+	rep.Metric("ra_waste_drop_points", res.WasteDrop)
+	if res.AdaptiveRA.WasteRatio >= res.FixedRA.WasteRatio {
+		return fmt.Errorf("adaptive readahead wasted %.1f%% of prefetches vs %.1f%% fixed; the window did not shrink",
+			res.AdaptiveRA.WasteRatio*100, res.FixedRA.WasteRatio*100)
+	}
+	if res.AdaptiveRA.Hits == 0 {
+		return fmt.Errorf("adaptive readahead never produced a prefetch hit; the window collapsed")
+	}
+	return nil
 }

@@ -269,9 +269,14 @@ type FaultRecoveryParams struct {
 	Window  time.Duration // length of each of the three phases
 }
 
-// DefaultFaultRecoveryParams keeps the experiment fast: a small table
-// and short windows still exercise every recovery path.
-func DefaultFaultRecoveryParams() FaultRecoveryParams {
+// FaultRecoveryGeometry keeps the experiment fast: a small table and
+// short windows still exercise every recovery path. quick halves the
+// table and shortens the windows; the injected storm fires within the
+// first 70ms of phase 2 either way.
+func FaultRecoveryGeometry(quick bool) FaultRecoveryParams {
+	if quick {
+		return FaultRecoveryParams{Rows: 30000, Clients: 16, Window: 150 * time.Millisecond}
+	}
 	return FaultRecoveryParams{Rows: 60000, Clients: 16, Window: 250 * time.Millisecond}
 }
 
@@ -350,4 +355,31 @@ func RunFaultRecovery(seed int64, prm FaultRecoveryParams) (*FaultPhases, error)
 		return nil
 	})
 	return out, err
+}
+
+// reportFaults prints the fault-recovery experiment.
+func reportFaults(seed int64, quick bool, rep *Report) error {
+	rep.Println("Fault recovery (Custom design): RangeScan through a BPExt")
+	rep.Println("revocation storm inside a metastore partition; the FS re-leases")
+	rep.Println("and restripes while the engine keeps running off the data file.")
+	res, err := RunFaultRecovery(seed, FaultRecoveryGeometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Printf("  throughput q/s:  healthy=%.0f  during=%.0f  after=%.0f\n",
+		res.Healthy, res.During, res.After)
+	rep.Printf("  stripes: lost=%d re-leased=%d salvaged=%d\n",
+		res.Lost, res.Restripes, res.Salvages)
+	rep.Printf("  metastore timeouts while partitioned: %d\n", res.Timeouts)
+	rep.Printf("  engine-visible query errors: %d\n", res.Errors)
+	rep.Printf("  recovered=%v bpext-healthy=%v\n", res.Recovered, res.ExtHealthy)
+	rep.Metric("healthy_queries_per_sec", res.Healthy)
+	rep.Metric("during_queries_per_sec", res.During)
+	rep.Metric("after_queries_per_sec", res.After)
+	rep.Metric("lost_stripes", float64(res.Lost))
+	rep.Metric("restripes", float64(res.Restripes))
+	rep.Metric("salvages", float64(res.Salvages))
+	rep.Metric("metastore_timeouts", float64(res.Timeouts))
+	rep.Metric("errors", float64(res.Errors))
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 // faultRecoveryParams scales the three phase windows down under -short;
 // the injected storm fires within the first 70ms of phase 2 either way.
 func faultRecoveryParams() FaultRecoveryParams {
-	prm := DefaultFaultRecoveryParams()
+	prm := FaultRecoveryGeometry(false)
 	if testing.Short() {
 		prm.Window = 150 * time.Millisecond
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"time"
 
 	"remotedb/internal/metrics"
@@ -110,26 +111,23 @@ func RunHashSort(seed int64, d Design, prm HashSortParams) (*Fig14Result, error)
 	return res, err
 }
 
-// RunFig14HashSort reproduces Figure 14a: Hash+Sort latency per design
-// and spindle count.
-func RunFig14HashSort(seed int64, spindleCounts []int, designs []Design) ([]Fig14Result, error) {
-	if len(spindleCounts) == 0 {
-		spindleCounts = []int{4, 8, 20}
-	}
-	if len(designs) == 0 {
-		designs = []Design{DesignHDD, DesignHDDSSD, DesignSMB, DesignSMBDirect, DesignCustom}
-	}
-	var out []Fig14Result
-	for _, sp := range spindleCounts {
-		for _, d := range designs {
+// reportFig14 prints Figure 14a: Hash+Sort latency per design and
+// spindle count.
+func reportFig14(seed int64, quick bool, rep *Report) error {
+	rep.Println("Figure 14: Hash+Sort latency")
+	rep.Printf("  %-22s %10s %14s %10s %10s\n", "design", "spindles", "latency", "tempdb W", "tempdb R")
+	for _, sp := range spindlesFor(quick) {
+		for _, d := range designsFor(quick, []Design{DesignHDD, DesignHDDSSD, DesignSMB, DesignSMBDirect, DesignCustom}) {
 			prm := DefaultHashSortParams()
 			prm.Spindles = sp
 			r, err := RunHashSort(seed, d, prm)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = append(out, *r)
+			rep.Printf("  %-22s %10d %14v %9dM %9dM\n", r.Design, r.Spindles,
+				r.Latency.Round(time.Millisecond), r.TempDBWrote>>20, r.TempDBRead>>20)
+			rep.MetricDur(fmt.Sprintf("%s/%d/latency_ms", r.Design, r.Spindles), r.Latency)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -28,16 +28,14 @@ type IOBatchParams struct {
 	Frames     int // storm pool frames (kept far below StormPages)
 }
 
-// DefaultIOBatchParams moves 512 pages in 32-page vectors, primes a
-// 1024-page pool, and storms 768 dirty pages through 64 frames.
-func DefaultIOBatchParams() IOBatchParams {
-	return IOBatchParams{
-		Pages:      512,
-		Burst:      32,
-		PrimePages: 1024,
-		StormPages: 768,
-		Frames:     64,
+// IOBatchGeometry moves 512 pages in 32-page vectors, primes a
+// 1024-page pool, and storms 768 dirty pages through 64 frames; quick
+// quarters the pages and halves the storm pool.
+func IOBatchGeometry(quick bool) IOBatchParams {
+	if quick {
+		return IOBatchParams{Pages: 128, Burst: 32, PrimePages: 256, StormPages: 192, Frames: 32}
 	}
+	return IOBatchParams{Pages: 512, Burst: 32, PrimePages: 1024, StormPages: 768, Frames: 64}
 }
 
 // IOBatchResult reports all three phases.
@@ -294,4 +292,32 @@ func (r IOBatchResult) String() string {
 		r.StormScalar.Round(time.Microsecond), r.StormScalarRT,
 		r.StormBatched.Round(time.Microsecond), r.StormBatchedRT, r.StormSpeedup,
 		r.StagingWaits, r.StagingWaitMS, r.StagingHighWater)
+}
+
+// reportIOBatch prints all three phases.
+func reportIOBatch(seed int64, quick bool, rep *Report) error {
+	rep.Println("Vectored I/O: per-page vs doorbell-batched transfers, burst")
+	rep.Println("priming, and an eviction storm with batched I/O off vs on")
+	res, err := RunIOBatch(seed, IOBatchGeometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %s\n", res)
+	rep.Metric("scalar_round_trips", float64(res.ScalarRT))
+	rep.Metric("batched_round_trips", float64(res.BatchedRT))
+	rep.Metric("rt_reduction", res.RTReduction)
+	rep.Metric("read_speedup", res.ReadSpeedup)
+	rep.Metric("write_speedup", res.WriteSpeedup)
+	rep.MetricDur("prime_scalar_ms", res.PrimeScalar)
+	rep.MetricDur("prime_burst_ms", res.PrimeBurst)
+	rep.Metric("prime_speedup", res.PrimeSpeedup)
+	rep.MetricDur("storm_scalar_ms", res.StormScalar)
+	rep.MetricDur("storm_batched_ms", res.StormBatched)
+	rep.Metric("storm_scalar_round_trips", float64(res.StormScalarRT))
+	rep.Metric("storm_batched_round_trips", float64(res.StormBatchedRT))
+	rep.Metric("storm_speedup", res.StormSpeedup)
+	rep.Metric("staging_waits", float64(res.StagingWaits))
+	rep.Metric("staging_wait_ms", res.StagingWaitMS)
+	rep.Metric("staging_highwater", float64(res.StagingHighWater))
+	return nil
 }

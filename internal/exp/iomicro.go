@@ -255,3 +255,59 @@ func RunFig06MultiDBServers(seed int64) ([]MultiServerPoint, error) {
 	}
 	return out, nil
 }
+
+// reportFig34 prints Figures 3 and 4.
+func reportFig34(seed int64, _ bool, rep *Report) error {
+	res, err := RunIOMicro(seed)
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 3/4: I/O micro-benchmark (SQLIO)")
+	rep.Printf("  %-22s %-16s %12s %12s\n", "config", "pattern", "GB/s", "latency")
+	for _, r := range res.Rows {
+		rep.Printf("  %-22s %-16s %12.3f %12v\n", r.Config, r.Pattern, r.BytesPerSec/1e9, r.Latency.Round(time.Microsecond))
+		switch {
+		case r.Config == "Custom" && r.Pattern == "8K Random":
+			rep.Metric("custom_rnd_gb_per_sec", r.BytesPerSec/1e9)
+			rep.MetricDur("custom_rnd_lat_ms", r.Latency)
+		case r.Config == "HDD(20)" && r.Pattern == "512K Sequential":
+			rep.Metric("hdd20_seq_gb_per_sec", r.BytesPerSec/1e9)
+		}
+	}
+	return nil
+}
+
+// reportFig5 prints Figure 5.
+func reportFig5(seed int64, _ bool, rep *Report) error {
+	pts, err := RunFig05MultiMemoryServers(seed)
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 5: one DB server, memory spread over N servers")
+	rep.Printf("  %8s %14s %12s %14s %12s\n", "servers", "rnd GB/s", "rnd lat", "seq GB/s", "seq lat")
+	for _, pt := range pts {
+		rep.Printf("  %8d %14.3f %12v %14.3f %12v\n", pt.Servers,
+			pt.RandomBPS/1e9, pt.RandomLat.Round(time.Microsecond),
+			pt.SeqBPS/1e9, pt.SeqLat.Round(time.Microsecond))
+	}
+	last := pts[len(pts)-1]
+	rep.Metric(fmt.Sprintf("servers%d/rnd_gb_per_sec", last.Servers), last.RandomBPS/1e9)
+	return nil
+}
+
+// reportFig6 prints Figure 6.
+func reportFig6(seed int64, _ bool, rep *Report) error {
+	pts, err := RunFig06MultiDBServers(seed)
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 6: N DB servers on one memory server")
+	rep.Printf("  %8s %14s %12s\n", "servers", "agg GB/s", "latency")
+	for _, pt := range pts {
+		rep.Printf("  %8d %14.3f %12v\n", pt.Servers, pt.RandomBPS/1e9, pt.RandomLat.Round(time.Microsecond))
+	}
+	last := pts[len(pts)-1]
+	rep.Metric(fmt.Sprintf("servers%d/agg_gb_per_sec", last.Servers), last.RandomBPS/1e9)
+	rep.MetricDur(fmt.Sprintf("servers%d/lat_ms", last.Servers), last.RandomLat)
+	return nil
+}

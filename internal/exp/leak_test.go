@@ -11,7 +11,7 @@ import (
 // of staying parked and pinning the bed. Before Kernel.Close each quick
 // parallel-scan bed left one goroutine and ~288 MB of heap behind.
 func TestRunInSimReleasesBed(t *testing.T) {
-	prm := DefaultParScanParams()
+	prm := ParScanGeometry(false)
 	prm.SF = 0.02
 	prm.DOPs = []int{1, 2}
 	heapAfter := func() uint64 {

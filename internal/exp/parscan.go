@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"remotedb/internal/workload/tpch"
 	"time"
 
 	"remotedb/internal/engine/exec"
@@ -20,14 +22,13 @@ type ParScanParams struct {
 	DOPs          []int
 }
 
-// DefaultParScanParams sweeps DOP 1..16 over the lineitem table.
-func DefaultParScanParams() ParScanParams {
-	return ParScanParams{
-		SF:            0.05,
-		LocalMemBytes: 4 << 20,
-		BPExtBytes:    96 << 20,
-		DOPs:          []int{1, 2, 4, 8, 16},
+// ParScanGeometry sweeps DOP 1..16 over the lineitem table, or with
+// quick DOP 1, 4 and 8 over a smaller one.
+func ParScanGeometry(quick bool) ParScanParams {
+	if quick {
+		return ParScanParams{SF: 0.02, LocalMemBytes: 4 << 20, BPExtBytes: 96 << 20, DOPs: []int{1, 4, 8}}
 	}
+	return ParScanParams{SF: 0.05, LocalMemBytes: 4 << 20, BPExtBytes: 96 << 20, DOPs: []int{1, 2, 4, 8, 16}}
 }
 
 // ParScanPoint is one DOP of the sweep.
@@ -51,7 +52,7 @@ func RunParScan(seed int64, prm ParScanParams) ([]ParScanPoint, error) {
 			TempBytes:     16 << 20,
 			Grant:         8 << 20,
 			Streams:       1,
-		})
+		}, tpch.Load)
 		if err != nil {
 			return err
 		}
@@ -85,4 +86,21 @@ func RunParScan(seed int64, prm ParScanParams) ([]ParScanPoint, error) {
 		return nil
 	})
 	return out, err
+}
+
+// reportParScan prints the DOP sweep.
+func reportParScan(seed int64, quick bool, rep *Report) error {
+	rep.Println("Parallel scan: lineitem count over remote memory, DOP sweep")
+	pts, err := RunParScan(seed, ParScanGeometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %6s %14s %16s %10s\n", "DOP", "elapsed", "rows/s", "speedup")
+	for _, pt := range pts {
+		rep.Printf("  %6d %14v %16.0f %9.2fx\n", pt.DOP,
+			pt.Elapsed.Round(time.Microsecond), pt.RowsPerSec, pt.Speedup)
+		rep.Metric(fmt.Sprintf("dop%d/rows_per_sec", pt.DOP), pt.RowsPerSec)
+		rep.Metric(fmt.Sprintf("dop%d/speedup", pt.DOP), pt.Speedup)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"remotedb/internal/workload/tpch"
 	"time"
 
 	"remotedb/internal/engine/exec"
@@ -19,10 +20,13 @@ type PlanCacheParams struct {
 	Span int64 // PK rows touched per query
 }
 
-// DefaultPlanCacheParams uses a small database so that optimization
-// time is visible next to execution time, as it is for short OLTP-ish
-// reporting queries.
-func DefaultPlanCacheParams() PlanCacheParams {
+// PlanCacheGeometry uses a small database so that optimization time is
+// visible next to execution time, as it is for short OLTP-ish reporting
+// queries; quick runs a quarter of the repetitions.
+func PlanCacheGeometry(quick bool) PlanCacheParams {
+	if quick {
+		return PlanCacheParams{SF: 0.02, Reps: 50, Span: 200}
+	}
 	return PlanCacheParams{SF: 0.02, Reps: 200, Span: 200}
 }
 
@@ -51,7 +55,7 @@ func RunPlanCache(seed int64, prm PlanCacheParams) (*PlanCacheResult, error) {
 			TempBytes:     16 << 20,
 			Grant:         2 << 20,
 			Streams:       1,
-		})
+		}, tpch.Load)
 		if err != nil {
 			return err
 		}
@@ -103,4 +107,28 @@ func RunPlanCache(seed int64, prm PlanCacheParams) (*PlanCacheResult, error) {
 		return nil
 	})
 	return out, err
+}
+
+// reportPlanCache prints the plan-cache experiment.
+func reportPlanCache(seed int64, quick bool, rep *Report) error {
+	rep.Println("Plan cache: one query shape, shifting PK bounds, cache on vs off")
+	prm := PlanCacheGeometry(quick)
+	res, err := RunPlanCache(seed, prm)
+	if err != nil {
+		return err
+	}
+	rep.Printf("  %d reps: cached=%v uncached=%v (%.1fx)\n",
+		prm.Reps, res.CachedTime.Round(time.Microsecond),
+		res.UncachedTime.Round(time.Microsecond), res.Speedup)
+	rep.Printf("  cold query=%v warm query=%v  hits=%d misses=%d\n",
+		res.ColdLat.Round(time.Microsecond), res.WarmLat.Round(time.Microsecond),
+		res.Hits, res.Misses)
+	rep.MetricDur("cached_ms", res.CachedTime)
+	rep.MetricDur("uncached_ms", res.UncachedTime)
+	rep.MetricDur("cold_lat_ms", res.ColdLat)
+	rep.MetricDur("warm_lat_ms", res.WarmLat)
+	rep.Metric("speedup", res.Speedup)
+	rep.Metric("hits", float64(res.Hits))
+	rep.Metric("misses", float64(res.Misses))
+	return nil
 }

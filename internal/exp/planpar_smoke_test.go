@@ -3,7 +3,7 @@ package exp
 import "testing"
 
 func TestPlanCacheSmoke(t *testing.T) {
-	prm := DefaultPlanCacheParams()
+	prm := PlanCacheGeometry(false)
 	prm.Reps = 40
 	if testing.Short() {
 		prm.Reps = 15
@@ -26,7 +26,7 @@ func TestPlanCacheSmoke(t *testing.T) {
 }
 
 func TestParScanSmoke(t *testing.T) {
-	prm := DefaultParScanParams()
+	prm := ParScanGeometry(false)
 	prm.SF = 0.02
 	prm.DOPs = []int{1, 4}
 	if testing.Short() {

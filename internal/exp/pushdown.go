@@ -36,12 +36,14 @@ type PushdownParams struct {
 // pushdownPad is the payload carried by every row.
 const pushdownPad = 192
 
-// DefaultPushdownParams sweeps the issue's four regimes.
-func DefaultPushdownParams() PushdownParams {
-	return PushdownParams{
-		Rows:          120000,
-		Selectivities: []float64{0.001, 0.01, 0.1, 1.0},
+// PushdownGeometry sweeps four selectivity regimes; quick on a quarter
+// of the rows.
+func PushdownGeometry(quick bool) PushdownParams {
+	prm := PushdownParams{Rows: 120000, Selectivities: []float64{0.001, 0.01, 0.1, 1.0}}
+	if quick {
+		prm.Rows = 30000
 	}
+	return prm
 }
 
 // PushdownPoint is one selectivity of the sweep.
@@ -263,4 +265,82 @@ func RunPushdown(seed int64, prm PushdownParams) (*PushdownResult, error) {
 		return nil
 	})
 	return res, err
+}
+
+// reportPushdown prints the selectivity sweep and the storm, and fails
+// unless the placement model holds its acceptance bars, so CI fails
+// when it drifts:
+//
+//   - >=3x speedup over fetch-all at 1% selectivity,
+//   - fetch-all chosen and within 5% of the best arm at 100%,
+//   - zero engine-visible errors (and no missing rows) when pushed
+//     scans hit corrupted and revoked stripes.
+func reportPushdown(seed int64, quick bool, rep *Report) error {
+	rep.Println("Operator pushdown: donor-side eval vs fetch-all by selectivity,")
+	rep.Println("optimizer placement, and a pushed scan through a corruption +")
+	rep.Println("revocation storm")
+	res, err := RunPushdown(seed, PushdownGeometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Printf("  segment: %d rows, %d MB; model crossover at %.1f%% selectivity\n",
+		res.Rows, res.SegmentBytes>>20, res.Crossover*100)
+	rep.Printf("  %8s %10s %12s %12s %10s %12s %8s %8s\n",
+		"sel", "matched", "push", "fetch-all", "chosen", "chosen t", "speedup", "of-best")
+	var at1pct, at100pct *PushdownPoint
+	for i := range res.Points {
+		pt := &res.Points[i]
+		rep.Printf("  %7.1f%% %10d %12v %12v %10s %12v %7.2fx %7.2fx\n",
+			pt.Selectivity*100, pt.Matched,
+			pt.Push.Round(time.Microsecond), pt.Fetch.Round(time.Microsecond),
+			pt.Chosen, pt.ChosenTime.Round(time.Microsecond),
+			pt.Speedup, pt.WithinBest)
+		key := fmt.Sprintf("sel%g", pt.Selectivity)
+		rep.MetricDur(key+"/push_ms", pt.Push)
+		rep.MetricDur(key+"/fetch_ms", pt.Fetch)
+		rep.MetricDur(key+"/chosen_ms", pt.ChosenTime)
+		rep.Metric(key+"/speedup", pt.Speedup)
+		rep.Metric(key+"/within_best", pt.WithinBest)
+		switch pt.Selectivity {
+		case 0.01:
+			at1pct = pt
+		case 1.0:
+			at100pct = pt
+		}
+	}
+	rep.Printf("  storm: rows=%d errors=%d exec-fallbacks=%d block-fallbacks=%d corruptions=%d push-reads=%d\n",
+		res.FaultRows, res.FaultErrors, res.ExecFallbacks, res.BlockFallbacks,
+		res.Corruptions, res.PushReads)
+	rep.Metric("crossover_pct", res.Crossover*100)
+	rep.Metric("fault_rows", float64(res.FaultRows))
+	rep.Metric("fault_errors", float64(res.FaultErrors))
+	rep.Metric("exec_fallbacks", float64(res.ExecFallbacks))
+	rep.Metric("block_fallbacks", float64(res.BlockFallbacks))
+	rep.Metric("corruptions", float64(res.Corruptions))
+	rep.Metric("push_reads", float64(res.PushReads))
+
+	// Acceptance bars.
+	if at1pct == nil || at100pct == nil {
+		return fmt.Errorf("sweep missing the 1%% or 100%% selectivity point")
+	}
+	if at1pct.Speedup < 3 {
+		return fmt.Errorf("pushdown speedup at 1%% selectivity is %.2fx, want >= 3x", at1pct.Speedup)
+	}
+	if at100pct.Chosen != "FetchAll" {
+		return fmt.Errorf("optimizer chose %s at 100%% selectivity, want FetchAll", at100pct.Chosen)
+	}
+	if at100pct.WithinBest > 1.05 {
+		return fmt.Errorf("chosen placement at 100%% selectivity is %.2fx the best arm, want <= 1.05x", at100pct.WithinBest)
+	}
+	if res.FaultErrors != 0 {
+		return fmt.Errorf("%d engine-visible errors through the corruption/revocation storm, want 0", res.FaultErrors)
+	}
+	if res.FaultRows != at1pct.Matched {
+		return fmt.Errorf("storm scan returned %d rows, want the clean count %d", res.FaultRows, at1pct.Matched)
+	}
+	if res.Corruptions == 0 || res.BlockFallbacks == 0 {
+		return fmt.Errorf("storm detected %d corruptions with %d block fallbacks; the fault lane did not exercise the ladder",
+			res.Corruptions, res.BlockFallbacks)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"time"
 
 	"remotedb/internal/metrics"
@@ -82,38 +83,32 @@ func RunRangeScan(seed int64, d Design, prm RangeScanParams) (*RangeScanResult, 
 	return out, err
 }
 
-// RunFig0708RangeScanUpdates reproduces Figures 7 and 8: the 20%-update
-// RangeScan across designs and spindle counts.
-func RunFig0708RangeScanUpdates(seed int64, spindleCounts []int, designs []Design) ([]RangeScanResult, error) {
-	return rangeScanMatrix(seed, 0.20, spindleCounts, designs)
-}
-
-// RunFig0910RangeScanReadOnly reproduces Figures 9 and 10.
-func RunFig0910RangeScanReadOnly(seed int64, spindleCounts []int, designs []Design) ([]RangeScanResult, error) {
-	return rangeScanMatrix(seed, 0, spindleCounts, designs)
-}
-
-func rangeScanMatrix(seed int64, updates float64, spindleCounts []int, designs []Design) ([]RangeScanResult, error) {
-	if len(spindleCounts) == 0 {
-		spindleCounts = []int{4, 8, 20}
+// reportRangeScan prints Figures 7/8 (updates > 0) or 9/10: every
+// design at every spindle count.
+func reportRangeScan(seed int64, quick bool, updates float64, rep *Report) error {
+	if updates > 0 {
+		rep.Println("Figures 7/8: RangeScan, 20% updates")
+	} else {
+		rep.Println("Figures 9/10: RangeScan, read-only")
 	}
-	if len(designs) == 0 {
-		designs = AllDesigns
-	}
-	var out []RangeScanResult
-	for _, sp := range spindleCounts {
-		for _, d := range designs {
+	rep.Printf("  %-22s %10s %14s %12s %12s\n", "design", "spindles", "queries/s", "mean lat", "p95 lat")
+	for _, sp := range spindlesFor(quick) {
+		for _, d := range designsFor(quick, AllDesigns) {
 			prm := DefaultRangeScanParams()
-			prm.Spindles = sp
-			prm.UpdateFraction = updates
+			prm.Spindles, prm.UpdateFraction = sp, updates
 			r, err := RunRangeScan(seed, d, prm)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = append(out, *r)
+			rep.Printf("  %-22s %10d %14.0f %12v %12v\n", r.Design, r.Spindles,
+				r.Throughput, r.MeanLat.Round(time.Microsecond), r.P95Lat.Round(time.Microsecond))
+			key := fmt.Sprintf("%s/%d", r.Design, r.Spindles)
+			rep.Metric(key+"/queries_per_sec", r.Throughput)
+			rep.MetricDur(key+"/mean_lat_ms", r.MeanLat)
+			rep.MetricDur(key+"/p95_lat_ms", r.P95Lat)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // DrilldownResult carries the Figure 11 time series for one design.
@@ -248,4 +243,34 @@ func RunFig11Latency(seed int64, dur time.Duration) ([]Fig11Latency, error) {
 		out = append(out, Fig11Latency{Design: d, Mean: mean})
 	}
 	return out, nil
+}
+
+// reportFig11 prints Figure 11.
+func reportFig11(seed int64, quick bool, rep *Report) error {
+	dur := 2 * time.Second
+	if quick {
+		dur = 500 * time.Millisecond
+	}
+	dds, err := RunFig11Drilldown(seed, dur)
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 11: RangeScan drill-down (means over the run)")
+	rep.Printf("  %-22s %14s %10s\n", "design", "I/O MB/s", "CPU %")
+	for _, dd := range dds {
+		rep.Printf("  %-22s %14.0f %10.1f\n", dd.Design, dd.IOBps.Mean()/1e6, dd.CPU.Mean())
+		if dd.Design == DesignCustom {
+			rep.Metric("Custom/cpu_pct", dd.CPU.Mean())
+			rep.Metric("Custom/io_mb_per_sec", dd.IOBps.Mean()/1e6)
+		}
+	}
+	lats, err := RunFig11Latency(seed, time.Second)
+	if err != nil {
+		return err
+	}
+	rep.Println("  page-fetch latency under load (Figure 11c):")
+	for _, l := range lats {
+		rep.Printf("  %-22s %12v\n", l.Design, l.Mean.Round(time.Microsecond))
+	}
+	return nil
 }

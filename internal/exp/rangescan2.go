@@ -27,19 +27,21 @@ type Fig12Point struct {
 	MeanLat    time.Duration
 }
 
-// Fig12Params tunes the sweep geometry (scaled down by -short / -quick).
+// Fig12Params tunes the sweep geometry.
 type Fig12Params struct {
 	SizesMB []int64 // BPExt sizes swept
 	Rows    int
 	Measure time.Duration
 }
 
-func DefaultFig12Params() Fig12Params {
-	return Fig12Params{
-		SizesMB: []int64{32, 64, 96, 128, 144},
-		Rows:    500000,
-		Measure: 700 * time.Millisecond,
+// Fig12Geometry returns the sweep, or with quick its endpoints and one
+// midpoint on a smaller table: the growth and the single-vs-multi
+// comparison survive, the sweep doesn't.
+func Fig12Geometry(quick bool) Fig12Params {
+	if quick {
+		return Fig12Params{SizesMB: []int64{32, 96, 144}, Rows: 300000, Measure: 400 * time.Millisecond}
 	}
+	return Fig12Params{SizesMB: []int64{32, 64, 96, 128, 144}, Rows: 500000, Measure: 700 * time.Millisecond}
 }
 
 // RunFig12BPExtSize reproduces Figure 12: read-only RangeScan throughput
@@ -76,6 +78,31 @@ func RunFig12BPExtSize(seed int64, multi bool, fprm Fig12Params) ([]Fig12Point, 
 	return out, nil
 }
 
+// reportFig12 prints Figure 12.
+func reportFig12(seed int64, quick bool, rep *Report) error {
+	for _, multi := range []bool{false, true} {
+		pts, err := RunFig12BPExtSize(seed, multi, Fig12Geometry(quick))
+		if err != nil {
+			return err
+		}
+		label := "one memory server"
+		if multi {
+			label = "multiple memory servers"
+		}
+		rep.Printf("Figure 12 (%s):\n", label)
+		rep.Printf("  %10s %8s %14s %12s\n", "bpext MB", "servers", "queries/s", "mean lat")
+		for _, pt := range pts {
+			rep.Printf("  %10d %8d %14.0f %12v\n", pt.BPExtBytes>>20, pt.Servers, pt.Throughput, pt.MeanLat.Round(time.Microsecond))
+		}
+		if !multi {
+			for _, pt := range []Fig12Point{pts[0], pts[len(pts)-1]} {
+				rep.Metric(fmt.Sprintf("ext%dmb/queries_per_sec", pt.BPExtBytes>>20), pt.Throughput)
+			}
+		}
+	}
+	return nil
+}
+
 // Fig13Result is the remote-server impact experiment.
 type Fig13Result struct {
 	Mode       string // "Default", "RDMA", "TCP"
@@ -93,13 +120,14 @@ type Fig13Params struct {
 	Traffic   time.Duration // how long SA's remote I/O runs (0 = Warmup+Measure)
 }
 
-func DefaultFig13Params() Fig13Params {
-	return Fig13Params{
-		SBRows:    100000,
-		SBClients: 80,
-		Warmup:    500 * time.Millisecond,
-		Measure:   2 * time.Second,
+// Fig13Geometry returns SB's workload, or with quick fewer clients and
+// shorter windows: SB stays CPU-saturated (40 clients x 2ms query CPU),
+// so the dent ratios survive.
+func Fig13Geometry(quick bool) Fig13Params {
+	if quick {
+		return Fig13Params{SBRows: 100000, SBClients: 40, Warmup: 200 * time.Millisecond, Measure: 800 * time.Millisecond}
 	}
+	return Fig13Params{SBRows: 100000, SBClients: 80, Warmup: 500 * time.Millisecond, Measure: 2 * time.Second}
 }
 
 // RunFig13RemoteImpact reproduces Figure 13: server SB runs a CPU-bound
@@ -199,6 +227,24 @@ func RunFig13RemoteImpact(seed int64, prm Fig13Params) ([]Fig13Result, error) {
 	return out, nil
 }
 
+// reportFig13 prints Figure 13.
+func reportFig13(seed int64, quick bool, rep *Report) error {
+	res, err := RunFig13RemoteImpact(seed, Fig13Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 13: impact on the remote server's own workload")
+	rep.Printf("  %-10s %14s %12s %12s\n", "mode", "queries/s", "mean lat", "p99 lat")
+	thr := make(map[string]float64)
+	for _, r := range res {
+		rep.Printf("  %-10s %14.0f %12v %12v\n", r.Mode, r.Throughput,
+			r.MeanLat.Round(time.Millisecond), r.P99Lat.Round(time.Millisecond))
+		thr[r.Mode] = r.Throughput
+	}
+	rep.Metric("tcp_overhead_pct", 100*(1-thr["TCP"]/thr["Default"]))
+	return nil
+}
+
 // Fig16Result carries the priming experiment.
 type Fig16Result struct {
 	BPBytes       int64
@@ -218,7 +264,12 @@ type Fig16Params struct {
 	Clients   int
 }
 
-func DefaultFig16Params() Fig16Params {
+// Fig16Geometry returns the pool-size sweep, or with quick two pools
+// over a ~30 MB database (the 25% hotspot still overflows the pool).
+func Fig16Geometry(quick bool) Fig16Params {
+	if quick {
+		return Fig16Params{BPSizesMB: []int64{10, 20}, Rows: 125000, Clients: 20}
+	}
 	return Fig16Params{BPSizesMB: []int64{10, 15, 20, 25}, Rows: 250000, Clients: 20}
 }
 
@@ -229,9 +280,6 @@ func DefaultFig16Params() Fig16Params {
 // plateau (two consecutive windows within 5%), the operational notion
 // behind Figure 16a.
 func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
-	if len(prm.BPSizesMB) == 0 {
-		prm.BPSizesMB = DefaultFig16Params().BPSizesMB
-	}
 	var out []Fig16Result
 	for _, mb := range prm.BPSizesMB {
 		res := Fig16Result{BPBytes: mb << 20}
@@ -346,6 +394,27 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 	return out, nil
 }
 
+// reportFig16 prints Figure 16.
+func reportFig16(seed int64, quick bool, rep *Report) error {
+	res, err := RunFig16Priming(seed, Fig16Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 16: buffer-pool priming")
+	rep.Printf("  %8s %12s %12s %12s %12s %12s\n", "BP MB", "warm-up", "prime", "transfer", "cold p95", "primed p95")
+	for _, r := range res {
+		rep.Printf("  %8d %12v %12v %12v %12v %12v\n", r.BPBytes>>20,
+			r.WarmupTime.Round(time.Millisecond), r.PrimeTime.Round(time.Millisecond),
+			r.TransferTime.Round(time.Millisecond),
+			r.ColdP95.Round(time.Millisecond), r.PrimedP95.Round(time.Millisecond))
+	}
+	last := res[len(res)-1]
+	key := fmt.Sprintf("bp%dmb", last.BPBytes>>20)
+	rep.Metric(key+"/warmup_over_prime", float64(last.WarmupTime)/float64(last.PrimeTime))
+	rep.Metric(key+"/tail_improvement", float64(last.ColdP95)/float64(last.PrimedP95))
+	return nil
+}
+
 // Fig24Point is one x-position of Figure 24 (local-memory sweep).
 type Fig24Point struct {
 	LocalMemBytes int64
@@ -360,7 +429,12 @@ type Fig24Params struct {
 	Measure time.Duration
 }
 
-func DefaultFig24Params() Fig24Params {
+// Fig24Geometry returns the sweep, or with quick only the 16 MB and
+// 128 MB endpoints.
+func Fig24Geometry(quick bool) Fig24Params {
+	if quick {
+		return Fig24Params{MemsMB: []int64{16, 128}, Measure: 400 * time.Millisecond}
+	}
 	return Fig24Params{MemsMB: []int64{16, 32, 64, 96, 128}, Measure: 700 * time.Millisecond}
 }
 
@@ -388,6 +462,26 @@ func RunFig24LocalMemorySweep(seed int64, fprm Fig24Params) ([]Fig24Point, error
 	return out, nil
 }
 
+// reportFig24 prints Figure 24.
+func reportFig24(seed int64, quick bool, rep *Report) error {
+	pts, err := RunFig24LocalMemorySweep(seed, Fig24Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 24: local memory sweep (RangeScan)")
+	rep.Printf("  %10s %-22s %14s %12s\n", "local MB", "design", "queries/s", "mean lat")
+	var base float64 // HDD+SSD precedes Custom at each size
+	for _, pt := range pts {
+		rep.Printf("  %10d %-22s %14.0f %12v\n", pt.LocalMemBytes>>20, pt.Design, pt.Throughput, pt.MeanLat.Round(time.Microsecond))
+		if pt.Design == DesignHDDSSD {
+			base = pt.Throughput
+		} else {
+			rep.Metric(fmt.Sprintf("local%dmb/speedup", pt.LocalMemBytes>>20), pt.Throughput/base)
+		}
+	}
+	return nil
+}
+
 // Fig25Point is one x-position of Figure 25.
 type Fig25Point struct {
 	DBServers  int
@@ -404,14 +498,13 @@ type Fig25Params struct {
 	Measure  time.Duration
 }
 
-func DefaultFig25Params() Fig25Params {
-	return Fig25Params{
-		DBCounts: []int{1, 2, 4, 8},
-		Rows:     125000,
-		Clients:  40,
-		Warmup:   300 * time.Millisecond,
-		Measure:  time.Second,
+// Fig25Geometry returns the 1..8 server sweep, with quick on a smaller
+// table, fewer clients and shorter windows.
+func Fig25Geometry(quick bool) Fig25Params {
+	if quick {
+		return Fig25Params{DBCounts: []int{1, 2, 4, 8}, Rows: 80000, Clients: 20, Warmup: 150 * time.Millisecond, Measure: 500 * time.Millisecond}
 	}
+	return Fig25Params{DBCounts: []int{1, 2, 4, 8}, Rows: 125000, Clients: 40, Warmup: 300 * time.Millisecond, Measure: time.Second}
 }
 
 // RunFig25MultiDBRangeScan reproduces Figure 25: 1..8 database servers
@@ -485,4 +578,20 @@ func RunFig25MultiDBRangeScan(seed int64, prm Fig25Params) ([]Fig25Point, error)
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// reportFig25 prints Figure 25.
+func reportFig25(seed int64, quick bool, rep *Report) error {
+	pts, err := RunFig25MultiDBRangeScan(seed, Fig25Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 25: N database servers sharing one memory server")
+	rep.Printf("  %8s %14s %12s\n", "servers", "agg q/s", "mean lat")
+	for _, pt := range pts {
+		rep.Printf("  %8d %14.0f %12v\n", pt.DBServers, pt.Throughput, pt.MeanLat.Round(time.Microsecond))
+	}
+	last := pts[len(pts)-1]
+	rep.Metric(fmt.Sprintf("dbs%d/scaling", last.DBServers), last.Throughput/pts[0].Throughput)
+	return nil
 }

@@ -1,23 +1,6 @@
 package exp
 
-import (
-	"testing"
-	"time"
-)
-
-// scrubParams returns the experiment parameters, scaled down under
-// -short so the whole exp package stays CI-viable.
-func scrubParams(t *testing.T) ScrubParams {
-	prm := DefaultScrubParams()
-	if testing.Short() {
-		// Rows must still exceed the 8 MiB buffer pool (~245 B/row) or
-		// the BPExt sees no traffic and the storms have nothing to hit.
-		prm.Rows = 40000
-		prm.Clients = 8
-		prm.Window = 120 * time.Millisecond
-	}
-	return prm
-}
+import "testing"
 
 // TestScrubCorruptionStorm is the tentpole acceptance test: a storm of
 // bit flips, torn writes, and stale-replica resurrections poked into
@@ -25,7 +8,7 @@ func scrubParams(t *testing.T) ScrubParams {
 // bytes ever reach the engine — and repaired from a healthy replica,
 // with zero engine-visible errors and no block left unreadable.
 func TestScrubCorruptionStorm(t *testing.T) {
-	prm := scrubParams(t)
+	prm := ScrubGeometry(testing.Short())
 	res, err := RunScrub(1, prm)
 	if err != nil {
 		t.Fatal(err)

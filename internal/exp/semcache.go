@@ -236,14 +236,14 @@ func mvCases(db *tpch.DB) []mvCase {
 func RunFig15aSemanticCacheMV(seed int64, sf float64) ([]MVResult, float64, error) {
 	var out []MVResult
 	var remoteOverSSD float64
-	prm := DefaultTPCHParams()
+	prm := TPCHGeometry(false)
 	if sf > 0 {
 		prm.SF = sf
 	}
 	// The cache experiment runs on the Custom bed: MVs can be pinned
 	// remotely; the SSD placement uses the same bed's SSD.
 	err := RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
-		bed, db, err := newTPCHBed(p, DesignCustom, prm)
+		bed, db, err := newTPCHBed(p, DesignCustom, prm, tpch.Load)
 		if err != nil {
 			return err
 		}
@@ -312,6 +312,37 @@ func RunFig15aSemanticCacheMV(seed int64, sf float64) ([]MVResult, float64, erro
 		return nil
 	})
 	return out, remoteOverSSD, err
+}
+
+// Fig15Geometry returns the TPC-H scale factor of Figures 15a and 15b.
+// The quick 0.02 is as low as it goes: at 0.01 the MVs get small enough
+// that the SSD-placement improvement dips under 1.5x.
+func Fig15Geometry(quick bool) float64 {
+	if quick {
+		return 0.02
+	}
+	return 0.05
+}
+
+// reportFig15a prints Figure 15a.
+func reportFig15a(seed int64, quick bool, rep *Report) error {
+	res, factor, err := RunFig15aSemanticCacheMV(seed, Fig15Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 15a: semantic cache (materialized views)")
+	rep.Printf("  %6s %12s %12s %12s %10s %10s\n", "query", "base", "MV on SSD", "MV remote", "ssd x", "remote x")
+	worst := res[0].ImprovementRemote()
+	for _, r := range res {
+		rep.Printf("  Q%-5d %12v %12v %12v %9.0fx %9.0fx\n", r.QueryID,
+			r.BaseLatency.Round(time.Microsecond), r.SSDLatency.Round(time.Microsecond),
+			r.RemoteLat.Round(time.Microsecond), r.ImprovementSSD(), r.ImprovementRemote())
+		worst = min(worst, r.ImprovementRemote())
+	}
+	rep.Printf("  aggregate remote-over-SSD factor: %.1fx\n", factor)
+	rep.Metric("min_mv_speedup", worst)
+	rep.Metric("remote_over_ssd", factor)
+	return nil
 }
 
 // Fig15bPoint is one selectivity position of Figure 15b.
@@ -387,12 +418,12 @@ func (ix *pinnedIndex) probe(p *sim.Proc, key int64) error {
 // optimizer costing.
 func RunFig15bSeekVsScan(seed int64, sf float64) (remote, ssd []Fig15bPoint, err error) {
 	sels := []float64{0.0002, 0.001, 0.005, 0.02, 0.10}
-	prm := DefaultTPCHParams()
+	prm := TPCHGeometry(false)
 	if sf > 0 {
 		prm.SF = sf
 	}
 	err = RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
-		bed, db, err := newTPCHBed(p, DesignCustom, prm)
+		bed, db, err := newTPCHBed(p, DesignCustom, prm, tpch.Load)
 		if err != nil {
 			return err
 		}
@@ -495,6 +526,35 @@ func RunFig15bSeekVsScan(seed int64, sf float64) (remote, ssd []Fig15bPoint, err
 	return remote, ssd, err
 }
 
+// crossover returns the highest selectivity at which INLJ still wins.
+func crossover(pts []Fig15bPoint) float64 {
+	last := 0.0
+	for _, pt := range pts {
+		if pt.INLJ < pt.HJ {
+			last = pt.Selectivity
+		}
+	}
+	return last
+}
+
+// reportFig15b prints Figure 15b.
+func reportFig15b(seed int64, quick bool, rep *Report) error {
+	remote, ssd, err := RunFig15bSeekVsScan(seed, Fig15Geometry(quick))
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 15b: INLJ vs HJ by selectivity")
+	rep.Printf("  %12s | %12s %12s | %12s %12s\n", "selectivity", "INLJ(remote)", "HJ(remote)", "INLJ(ssd)", "HJ(ssd)")
+	for i := range remote {
+		rep.Printf("  %12.4f | %12v %12v | %12v %12v\n", remote[i].Selectivity,
+			remote[i].INLJ.Round(time.Microsecond), remote[i].HJ.Round(time.Microsecond),
+			ssd[i].INLJ.Round(time.Microsecond), ssd[i].HJ.Round(time.Microsecond))
+	}
+	rep.Metric("crossover_remote", crossover(remote))
+	rep.Metric("crossover_ssd", crossover(ssd))
+	return nil
+}
+
 // Fig26Point is one x-position of Figure 26.
 type Fig26Point struct {
 	DirtyBytes   int64
@@ -565,6 +625,22 @@ func RunFig26CacheRecovery(seed int64) ([]Fig26Point, error) {
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// reportFig26 prints Figure 26.
+func reportFig26(seed int64, _ bool, rep *Report) error {
+	pts, err := RunFig26CacheRecovery(seed)
+	if err != nil {
+		return err
+	}
+	rep.Println("Figure 26: semantic-cache recovery from the WAL")
+	rep.Printf("  %10s %14s %10s\n", "dirty MB", "recovery", "records")
+	for _, pt := range pts {
+		rep.Printf("  %10d %14v %10d\n", pt.DirtyBytes>>20, pt.RecoveryTime.Round(time.Millisecond), pt.Replayed)
+	}
+	last := pts[len(pts)-1]
+	rep.MetricDur(fmt.Sprintf("dirty%dmb/recovery_ms", last.DirtyBytes>>20), last.RecoveryTime)
+	return nil
 }
 
 // hash32 is the deterministic selector shared by the selectivity sweeps.

@@ -6,9 +6,9 @@ import (
 )
 
 func TestFig15aSmoke(t *testing.T) {
-	// sf 0.02 in both modes: at 0.01 the MVs get small enough that the
-	// SSD-placement improvement dips under the asserted 1.5x.
-	res, remoteOverSSD, err := RunFig15aSemanticCacheMV(1, 0.02)
+	// The quick scale factor in both modes: at 0.01 the MVs get small
+	// enough that the SSD-placement improvement dips under the asserted 1.5x.
+	res, remoteOverSSD, err := RunFig15aSemanticCacheMV(1, Fig15Geometry(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFig15aSmoke(t *testing.T) {
 }
 
 func TestFig15bSmoke(t *testing.T) {
-	remote, ssd, err := RunFig15bSeekVsScan(1, 0.02)
+	remote, ssd, err := RunFig15bSeekVsScan(1, Fig15Geometry(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,14 +116,7 @@ func TestFig11DrilldownShapes(t *testing.T) {
 // the BPExt grows, and spreading the same memory over several servers
 // changes little.
 func TestFig12MoreRemoteMemoryHelps(t *testing.T) {
-	fprm := DefaultFig12Params()
-	if testing.Short() {
-		// Endpoints plus one midpoint: the growth and the single-vs-multi
-		// comparison survive, the sweep doesn't.
-		fprm.SizesMB = []int64{32, 96, 144}
-		fprm.Rows = 300000
-		fprm.Measure = 400 * time.Millisecond
-	}
+	fprm := Fig12Geometry(testing.Short())
 	single, err := RunFig12BPExtSize(1, false, fprm)
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +144,7 @@ func TestFig12MoreRemoteMemoryHelps(t *testing.T) {
 // TestFig13TCPHurtsRDMADoesNot checks Figure 13: serving BPExt traffic
 // over RDMA leaves the donor's workload intact; TCP costs ~10%.
 func TestFig13TCPHurtsRDMADoesNot(t *testing.T) {
-	prm := DefaultFig13Params()
-	if testing.Short() {
-		// Fewer clients, shorter windows: SB stays CPU-saturated (40
-		// clients x 2ms query CPU), so the dent ratios survive.
-		prm.SBClients = 40
-		prm.Warmup = 200 * time.Millisecond
-		prm.Measure = 800 * time.Millisecond
-	}
+	prm := Fig13Geometry(testing.Short())
 	res, err := RunFig13RemoteImpact(1, prm)
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +170,8 @@ func TestFig13TCPHurtsRDMADoesNot(t *testing.T) {
 // magnitude faster than workload warm-up, and a primed pool's tails are
 // no worse than cold.
 func TestFig16PrimingShapes(t *testing.T) {
-	prm := DefaultFig16Params()
+	prm := Fig16Geometry(testing.Short())
 	prm.BPSizesMB = []int64{10, 20}
-	if testing.Short() {
-		prm.Rows = 125000 // ~30 MB database; the 25% hotspot still overflows the pool
-	}
 	res, err := RunFig16Priming(1, prm)
 	if err != nil {
 		t.Fatal(err)
@@ -213,12 +196,7 @@ func TestFig16PrimingShapes(t *testing.T) {
 // TestFig24MemorySweepConverges checks Figure 24: Custom's advantage
 // shrinks as local memory grows and vanishes when the database fits.
 func TestFig24MemorySweepConverges(t *testing.T) {
-	fprm := DefaultFig24Params()
-	if testing.Short() {
-		// The assertions only read the 16 MB and 128 MB endpoints.
-		fprm.MemsMB = []int64{16, 128}
-		fprm.Measure = 400 * time.Millisecond
-	}
+	fprm := Fig24Geometry(testing.Short()) // the assertions only read the 16 MB and 128 MB endpoints
 	pts, err := RunFig24LocalMemorySweep(1, fprm)
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +228,7 @@ func TestFig24MemorySweepConverges(t *testing.T) {
 // TestFig25AggregateScales checks Figure 25: aggregate throughput grows
 // with DB-server count until the shared memory server's NIC saturates.
 func TestFig25AggregateScales(t *testing.T) {
-	prm := DefaultFig25Params()
-	if testing.Short() {
-		prm.Rows = 80000
-		prm.Clients = 20
-		prm.Warmup = 150 * time.Millisecond
-		prm.Measure = 500 * time.Millisecond
-	}
+	prm := Fig25Geometry(testing.Short())
 	pts, err := RunFig25MultiDBRangeScan(1, prm)
 	if err != nil {
 		t.Fatal(err)

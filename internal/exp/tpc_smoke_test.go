@@ -8,7 +8,7 @@ import (
 // TestTPCHSmoke runs a query subset on the two headline designs and
 // checks the paper's ordering.
 func TestTPCHSmoke(t *testing.T) {
-	prm := DefaultTPCHParams()
+	prm := TPCHGeometry(false)
 	prm.SF = 0.02
 	prm.LocalMemBytes = 3 << 20
 	prm.BPExtBytes = 32 << 20
@@ -37,7 +37,7 @@ func TestTPCHSmoke(t *testing.T) {
 }
 
 func TestTPCCSmoke(t *testing.T) {
-	prm := DefaultTPCCParams()
+	prm := TPCCGeometry(false)
 	prm.Cfg.Warehouses = 2
 	prm.Cfg.Clients = 40
 	prm.Measure = 500 * time.Millisecond
