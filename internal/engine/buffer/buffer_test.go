@@ -274,6 +274,45 @@ func TestLazyWriterCleansDirtyPages(t *testing.T) {
 	k.Run(2 * time.Second)
 }
 
+// One lazy-writer round issues its whole batch at once: 128 dirty pages,
+// none adjacent to another, on the default 20-spindle array are written
+// back in tens of milliseconds, where 128 random writes one after
+// another take about half a second.
+func TestLazyWriterRoundRunsConcurrently(t *testing.T) {
+	k := newKernel(t, 1)
+	s, data := rig(k)
+	k.Go("t", func(p *sim.Proc) {
+		bp := newPool(p, s, data, 512, true) // a round takes min(WriterBatch, frames/4) = 128
+		for i := 0; i < 256; i++ {
+			h, _, _ := bp.Allocate(p, page.TypeHeap)
+			h.Release()
+		}
+		p.Sleep(5 * time.Second) // the writer cleans the freshly allocated pages
+		for no := uint64(2); no <= 256; no += 2 {
+			h, err := bp.Get(p, no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.MarkDirty(1)
+			h.Release()
+		}
+		start, target := p.Now(), bp.Stats.WriterIO+128
+		for bp.Stats.WriterIO < target && p.Now()-start < 2*time.Second {
+			p.Sleep(time.Millisecond)
+		}
+		bp.StopWriter()
+		if took := p.Now() - start; bp.Stats.WriterIO < target || took >= 100*time.Millisecond {
+			t.Errorf("writer cleaned %d of 128 pages in %v, want all within 100ms", 128-(target-bp.Stats.WriterIO), took)
+		}
+		for i := range bp.frames {
+			if f := &bp.frames[i]; f.valid && f.dirty {
+				t.Errorf("page %d still dirty", f.pageNo)
+			}
+		}
+	})
+	k.Run(time.Minute)
+}
+
 func TestFlushAll(t *testing.T) {
 	k := newKernel(t, 1)
 	s, data := rig(k)

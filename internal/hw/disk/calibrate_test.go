@@ -8,6 +8,14 @@ import (
 	"remotedb/internal/sim"
 )
 
+// newKernel returns a kernel that is closed when the test ends, so the
+// procs it parked end with it.
+func newKernel(tb testing.TB, seed int64) *sim.Kernel {
+	k := sim.New(seed)
+	tb.Cleanup(k.Close)
+	return k
+}
+
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if got < want*(1-tol) || got > want*(1+tol) {
@@ -31,7 +39,7 @@ func TestHDDRandomCalibration(t *testing.T) {
 		{20, 0.040e9, 8000e-6, 0.45},
 	}
 	for _, c := range cases {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		a := NewHDDArray(k, "hdd", DefaultHDDArrayConfig(c.spindles))
 		bps, lat := driveRandomOn(k, a, 20, 8192, 1<<37, 20*time.Second)
 		within(t, "hdd random bps", bps, c.wantBPS, c.tol)
@@ -92,7 +100,7 @@ func TestHDDSequentialCalibration(t *testing.T) {
 		{20, 1.76e9},
 	}
 	for _, c := range cases {
-		k := sim.New(1)
+		k := newKernel(t, 1)
 		a := NewHDDArray(k, "hdd", DefaultHDDArrayConfig(c.spindles))
 		bps, _ := driveSequentialOn(k, a, 5, 512<<10, 10*time.Second)
 		within(t, "hdd seq bps", bps, c.wantBPS, 0.35)
@@ -101,14 +109,14 @@ func TestHDDSequentialCalibration(t *testing.T) {
 
 func TestSSDCalibration(t *testing.T) {
 	// Random: 0.24 GB/s @ 624 µs (20 threads, 8K).
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	ssd := NewSSD(k, "ssd", DefaultSSDConfig())
 	bps, lat := driveRandomOn(k, ssd, 20, 8192, 1<<36, 10*time.Second)
 	within(t, "ssd random bps", bps, 0.24e9, 0.30)
 	within(t, "ssd random lat", lat.Seconds(), 624e-6, 0.35)
 
 	// Sequential: 0.39 GB/s @ 6288 µs (5 threads, 512K).
-	k2 := sim.New(1)
+	k2 := newKernel(t, 1)
 	ssd2 := NewSSD(k2, "ssd", DefaultSSDConfig())
 	bps2, lat2 := driveSequentialOn(k2, ssd2, 5, 512<<10, 10*time.Second)
 	within(t, "ssd seq bps", bps2, 0.39e9, 0.25)
@@ -116,7 +124,7 @@ func TestSSDCalibration(t *testing.T) {
 }
 
 func TestRAIDSplitCoversRange(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	a := NewHDDArray(k, "hdd", DefaultHDDArrayConfig(4))
 	chunks := a.split(100, 300000)
 	var total int64
@@ -135,7 +143,7 @@ func TestRAIDSplitCoversRange(t *testing.T) {
 }
 
 func TestRAIDSingleChunkStaysInline(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	a := NewHDDArray(k, "hdd", DefaultHDDArrayConfig(4))
 	if got := len(a.split(0, 4096)); got != 1 {
 		t.Fatalf("small IO split into %d chunks, want 1", got)
@@ -143,7 +151,7 @@ func TestRAIDSingleChunkStaysInline(t *testing.T) {
 }
 
 func TestSpindleSequentialDetection(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewSpindle(k, "sp", DefaultSpindleConfig())
 	k.Go("p", func(p *sim.Proc) {
 		s.Read(p, 0, 8192)     // miss
@@ -158,7 +166,7 @@ func TestSpindleSequentialDetection(t *testing.T) {
 }
 
 func TestNullDeviceChargesNothing(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	var end time.Duration
 	k.Go("p", func(p *sim.Proc) {
 		NullDevice{DeviceName: "ram"}.Read(p, 0, 1<<30)
@@ -171,7 +179,7 @@ func TestNullDeviceChargesNothing(t *testing.T) {
 }
 
 func TestArrayStats(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	a := NewHDDArray(k, "hdd", DefaultHDDArrayConfig(4))
 	k.Go("p", func(p *sim.Proc) {
 		a.Read(p, 0, 8192)

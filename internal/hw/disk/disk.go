@@ -206,26 +206,29 @@ func (a *HDDArray) split(off, size int64) []chunk {
 
 func (a *HDDArray) access(p *sim.Proc, off, size int64, write bool) {
 	chunks := a.split(off, size)
-	if len(chunks) == 1 {
-		c := chunks[0]
+	FanOut(p, "raid-chunk", len(chunks), func(cp *sim.Proc, i int) {
+		c := chunks[i]
 		if write {
-			a.spindles[c.spindle].Write(p, c.off, c.size)
+			a.spindles[c.spindle].Write(cp, c.off, c.size)
 		} else {
-			a.spindles[c.spindle].Read(p, c.off, c.size)
+			a.spindles[c.spindle].Read(cp, c.off, c.size)
 		}
+	})
+}
+
+// FanOut runs fn(i) for every i in [0, n) on its own proc, so the parts
+// of one I/O queue at their devices together, and waits for all of them;
+// a single part runs inline on p.
+func FanOut(p *sim.Proc, name string, n int, fn func(cp *sim.Proc, i int)) {
+	if n == 1 {
+		fn(p, 0)
 		return
 	}
-	// Fan out chunks to their spindles in parallel and wait for all.
 	wg := sim.NewWaitGroup(p.Kernel())
-	wg.Add(len(chunks))
-	for _, c := range chunks {
-		c := c
-		p.Kernel().Go("raid-chunk", func(cp *sim.Proc) {
-			if write {
-				a.spindles[c.spindle].Write(cp, c.off, c.size)
-			} else {
-				a.spindles[c.spindle].Read(cp, c.off, c.size)
-			}
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.Kernel().Go(name, func(cp *sim.Proc) {
+			fn(cp, i)
 			wg.Done()
 		})
 	}

@@ -1,0 +1,11 @@
+// TestMain lives in the external test package because testkit imports
+// vfs; the package's own tests share its binary and its leak check.
+package vfs_test
+
+import (
+	"testing"
+
+	"remotedb/internal/testkit"
+)
+
+func TestMain(m *testing.M) { testkit.Main(m) }

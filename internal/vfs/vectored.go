@@ -8,6 +8,7 @@ package vfs
 import (
 	"fmt"
 
+	"remotedb/internal/hw/disk"
 	"remotedb/internal/sim"
 )
 
@@ -79,52 +80,60 @@ func (f *MemFile) WriteAtV(p *sim.Proc, vecs []Vec) error {
 }
 
 // ReadAtV charges the device once per contiguous run of elements — the
-// elevator merge a real block layer performs on a sorted batch — and
-// copies each element out.
+// elevator merge a real block layer performs on a sorted batch — with
+// every run in flight at once, and copies each element out.
 func (f *DeviceFile) ReadAtV(p *sim.Proc, vecs []Vec) error {
 	return f.deviceVec(p, vecs, false)
 }
 
-// WriteAtV charges the device once per contiguous run and copies each
-// element in.
+// WriteAtV charges the device once per contiguous run, every run in
+// flight at once, and copies each element in.
 func (f *DeviceFile) WriteAtV(p *sim.Proc, vecs []Vec) error {
 	return f.deviceVec(p, vecs, true)
 }
 
+// deviceVec is the one device path: it merges adjacent elements into
+// runs and issues the runs together, so they queue at the spindles or
+// flash channels they map to (disk.FanOut) rather than one after
+// another. A scalar ReadAt/WriteAt is a vector of one run, charged
+// inline. Every element is checked before any time is charged.
 func (f *DeviceFile) deviceVec(p *sim.Proc, vecs []Vec, write bool) error {
 	if f.closed {
 		return ErrClosed
 	}
-	for _, v := range vecs {
+	starts := make([]int, 0, 2)
+	for i, v := range vecs {
 		if v.Off < 0 {
 			return fmt.Errorf("vfs: negative offset %d", v.Off)
 		}
+		if i == 0 || v.Off != vecs[i-1].Off+int64(len(vecs[i-1].Buf)) {
+			starts = append(starts, i)
+		}
 	}
-	for i := 0; i < len(vecs); {
-		run := int64(len(vecs[i].Buf))
-		j := i + 1
-		for j < len(vecs) && vecs[j].Off == vecs[i].Off+run {
-			run += int64(len(vecs[j].Buf))
-			j++
+	starts = append(starts, len(vecs))
+	disk.FanOut(p, "device-run", len(starts)-1, func(cp *sim.Proc, r int) {
+		run := vecs[starts[r]:starts[r+1]]
+		var size int64
+		for _, v := range run {
+			size += int64(len(v.Buf))
 		}
 		if write {
-			f.dev.Write(p, vecs[i].Off, run)
+			f.dev.Write(cp, run[0].Off, size)
 		} else {
-			f.dev.Read(p, vecs[i].Off, run)
+			f.dev.Read(cp, run[0].Off, size)
 		}
-		for k := i; k < j; k++ {
+		for _, v := range run {
 			if write {
-				f.data.writeAt(vecs[k].Buf, vecs[k].Off)
+				f.data.writeAt(v.Buf, v.Off)
 				f.Writes++
-				f.Written += int64(len(vecs[k].Buf))
+				f.Written += int64(len(v.Buf))
 			} else {
-				f.data.readAt(vecs[k].Buf, vecs[k].Off)
+				f.data.readAt(v.Buf, v.Off)
 				f.Reads++
-				f.BytesRead += int64(len(vecs[k].Buf))
+				f.BytesRead += int64(len(v.Buf))
 			}
 		}
-		i = j
-	}
+	})
 	return nil
 }
 

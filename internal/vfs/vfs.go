@@ -170,34 +170,14 @@ func NewDeviceFile(name string, dev disk.Device) *DeviceFile {
 // Name returns the file name.
 func (f *DeviceFile) Name() string { return f.name }
 
-// ReadAt charges the device and copies bytes out.
+// ReadAt charges the device and copies bytes out: ReadAtV of one element.
 func (f *DeviceFile) ReadAt(p *sim.Proc, b []byte, off int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return fmt.Errorf("vfs: negative offset %d", off)
-	}
-	f.dev.Read(p, off, int64(len(b)))
-	f.data.readAt(b, off)
-	f.Reads++
-	f.BytesRead += int64(len(b))
-	return nil
+	return f.deviceVec(p, []Vec{{Off: off, Buf: b}}, false)
 }
 
-// WriteAt charges the device and copies bytes in.
+// WriteAt charges the device and copies bytes in: WriteAtV of one element.
 func (f *DeviceFile) WriteAt(p *sim.Proc, b []byte, off int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return fmt.Errorf("vfs: negative offset %d", off)
-	}
-	f.dev.Write(p, off, int64(len(b)))
-	f.data.writeAt(b, off)
-	f.Writes++
-	f.Written += int64(len(b))
-	return nil
+	return f.deviceVec(p, []Vec{{Off: off, Buf: b}}, true)
 }
 
 // Size returns the high-water mark.

@@ -10,8 +10,16 @@ import (
 	"remotedb/internal/sim"
 )
 
+// newKernel returns a kernel that is closed when the test ends, so the
+// procs it parked end with it.
+func newKernel(tb testing.TB, seed int64) *sim.Kernel {
+	k := sim.New(seed)
+	tb.Cleanup(k.Close)
+	return k
+}
+
 func TestMemFileRoundTrip(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("m")
 		data := bytes.Repeat([]byte{7}, 100000)
@@ -36,7 +44,7 @@ func TestMemFileRoundTrip(t *testing.T) {
 }
 
 func TestMemFileReadsZerosFromHoles(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("m")
 		f.WriteAt(p, []byte{1}, 1<<20) // sparse write far out
@@ -53,7 +61,7 @@ func TestMemFileReadsZerosFromHoles(t *testing.T) {
 }
 
 func TestClosedFileRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("m")
 		f.Close(p)
@@ -68,7 +76,7 @@ func TestClosedFileRejected(t *testing.T) {
 }
 
 func TestNegativeOffsetRejected(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("m")
 		if err := f.ReadAt(p, make([]byte, 1), -1); err == nil {
@@ -82,7 +90,7 @@ func TestNegativeOffsetRejected(t *testing.T) {
 }
 
 func TestDeviceFileChargesTime(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	ssd := disk.NewSSD(k, "ssd", disk.DefaultSSDConfig())
 	var elapsed time.Duration
 	k.Go("t", func(p *sim.Proc) {
@@ -102,7 +110,7 @@ func TestDeviceFileChargesTime(t *testing.T) {
 }
 
 func TestDeviceFilePreservesData(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	hdd := disk.NewHDDArray(k, "hdd", disk.DefaultHDDArrayConfig(4))
 	k.Go("t", func(p *sim.Proc) {
 		f := NewDeviceFile("d", hdd)
@@ -160,7 +168,7 @@ func TestSparseCrossChunkBoundary(t *testing.T) {
 // by one byte must round-trip, and the holes they leave on either side
 // must read as zeros.
 func TestChunkBoundaryReadsAndWrites(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("edges")
 		cases := []struct {
@@ -208,7 +216,7 @@ func TestChunkBoundaryReadsAndWrites(t *testing.T) {
 // A read spanning written chunk / hole chunk / written chunk must stitch
 // data and zero-fill together correctly.
 func TestReadAcrossHoleBetweenChunks(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("holes")
 		left := bytes.Repeat([]byte{0xAA}, chunkSize)
@@ -240,7 +248,7 @@ func TestReadAcrossHoleBetweenChunks(t *testing.T) {
 // per missing chunk, data per present chunk, regardless of read offset
 // alignment.
 func TestUnalignedReadOverPartialChunks(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		f := NewMemFile("partial")
 		// Write only the middle third of chunk 1.
