@@ -62,7 +62,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rmbench %s: %v\n", name, err)
 		os.Exit(1)
 	}
-	fmt.Printf("\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	// The wall-clock stamp goes to stderr, so stdout is the same bytes
+	// on every run of the same seed.
+	fmt.Fprintf(os.Stderr, "\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 }
 
 // run executes one experiment (or "all", or "list"), writing

@@ -10,7 +10,7 @@ import (
 // run executes fn inside a simulation process and drives it to completion.
 func run(t *testing.T, fn func(p *sim.Proc, s *Store)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := New(k, 10*time.Microsecond)
 	k.Go("test", func(p *sim.Proc) { fn(p, s) })
 	k.Run(0)
@@ -144,7 +144,7 @@ func TestWatchFires(t *testing.T) {
 }
 
 func TestRPCCostCharged(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := New(k, 10*time.Microsecond)
 	var end time.Duration
 	k.Go("t", func(p *sim.Proc) {

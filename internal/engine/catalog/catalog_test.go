@@ -25,7 +25,7 @@ func custSchema() *row.Schema {
 
 func rig(t *testing.T, fn func(p *sim.Proc, c *Catalog)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)

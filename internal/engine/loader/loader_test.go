@@ -31,7 +31,7 @@ func mkSplits(n int, each int64) []Split {
 // servers and returns the wall clock.
 func run(t *testing.T, n int) Stats {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	servers := mkServers(k, n)
 	var st Stats
 	k.Go("t", func(p *sim.Proc) {

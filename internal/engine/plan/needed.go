@@ -43,10 +43,6 @@ func outCols(n *Node) []string {
 	switch n.Kind {
 	case KindScan:
 		return n.Table.Schema.Names()
-	case KindIndexRange:
-		return n.Index.Table.Schema.Names()
-	case KindValues:
-		return n.Sch.Names()
 	case KindProject:
 		return n.Cols
 	case KindAgg:

@@ -27,7 +27,6 @@ type Kind int
 // Logical node kinds.
 const (
 	KindScan Kind = iota
-	KindIndexRange
 	KindFilter
 	KindProject
 	KindLimit
@@ -35,7 +34,6 @@ const (
 	KindAgg
 	KindSort
 	KindTop
-	KindValues
 )
 
 // Pred is a named filter predicate. The name (with the columns it
@@ -106,9 +104,8 @@ type Node struct {
 	Children []*Node
 
 	Table *catalog.Table // Scan
-	Index *catalog.Index // IndexRange
-	From  []byte         // Scan/IndexRange lower bound (parameter)
-	To    []byte         // Scan/IndexRange upper bound (parameter)
+	From  []byte         // Scan lower bound (parameter)
+	To    []byte         // Scan upper bound (parameter)
 
 	Preds []Pred // Filter
 
@@ -122,10 +119,7 @@ type Node struct {
 
 	Specs []exec.SortSpec // Sort/Top
 
-	N int64 // Limit/Top/IndexRange row bound
-
-	Rows []row.Tuple // Values
-	Sch  *row.Schema // Values
+	N int64 // Limit/Top row bound
 }
 
 // Builder is the fluent query-builder. Each method returns a new
@@ -144,18 +138,6 @@ func Scan(t *catalog.Table) *Builder {
 // parameters: plans differing only in bounds share a cache entry.
 func ScanRange(t *catalog.Table, from, to []byte) *Builder {
 	return &Builder{n: &Node{Kind: KindScan, Table: t, From: from, To: to}}
-}
-
-// IndexRange seeks a secondary-index range and fetches the base rows
-// (bookmark lookup). limit <= 0 means unlimited.
-func IndexRange(ix *catalog.Index, from, to []byte, limit int) *Builder {
-	return &Builder{n: &Node{Kind: KindIndexRange, Index: ix, From: from, To: to, N: int64(limit)}}
-}
-
-// Values replays a materialized row set (not cacheable: the rows are
-// the plan).
-func Values(sch *row.Schema, rows []row.Tuple) *Builder {
-	return &Builder{n: &Node{Kind: KindValues, Sch: sch, Rows: rows}}
 }
 
 // Where filters rows by a named predicate over the listed columns: fn
@@ -194,10 +176,6 @@ func outSchema(n *Node) *row.Schema {
 	switch n.Kind {
 	case KindScan:
 		return n.Table.Schema
-	case KindIndexRange:
-		return n.Index.Table.Schema
-	case KindValues:
-		return n.Sch
 	case KindProject:
 		return outSchema(n.Children[0]).Project(n.Cols...)
 	case KindFilter, KindLimit, KindSort, KindTop:

@@ -68,8 +68,7 @@ type Planner struct {
 	// (0 = 1.0, i.e. donor cores priced like local ones).
 	DonorPrice float64
 
-	// Hits and Misses count cache outcomes (uncacheable plans are
-	// misses).
+	// Hits and Misses count cache outcomes.
 	Hits, Misses int64
 
 	maxEntries int
@@ -125,7 +124,7 @@ func (pl *Planner) Run(c *exec.Ctx, b *Builder) (int64, error) {
 func (pl *Planner) Lower(c *exec.Ctx, b *Builder) (exec.Op, error) {
 	n := normalize(b.Node())
 	var d *decisions
-	if cacheable(n) && pl.maxEntries > 0 {
+	if pl.maxEntries > 0 {
 		sig := Signature(n, c.DOP)
 		if hit, ok := pl.cache[sig]; ok {
 			pl.Hits++
@@ -153,21 +152,6 @@ func (pl *Planner) Lower(c *exec.Ctx, b *Builder) (exec.Op, error) {
 	return op, nil
 }
 
-// cacheable reports whether the plan may share cached decisions:
-// Values nodes carry their row set inline, so their plans are
-// one-shot.
-func cacheable(n *Node) bool {
-	if n.Kind == KindValues {
-		return false
-	}
-	for _, ch := range n.Children {
-		if !cacheable(ch) {
-			return false
-		}
-	}
-	return true
-}
-
 // Signature renders the normalized tree as a canonical s-expression.
 // Range bounds (From/To) are deliberately absent — they are the plan's
 // parameters — while predicate names, projection lists, join columns,
@@ -184,8 +168,6 @@ func sig(n *Node, sb *strings.Builder) {
 	switch n.Kind {
 	case KindScan:
 		fmt.Fprintf(sb, "(scan %s)", n.Table.Name)
-	case KindIndexRange:
-		fmt.Fprintf(sb, "(ixrange %s.%s lim=%d)", n.Index.Table.Name, n.Index.Name, n.N)
 	case KindFilter:
 		sb.WriteString("(filter")
 		for _, p := range n.Preds {
@@ -224,8 +206,6 @@ func sig(n *Node, sb *strings.Builder) {
 		fmt.Fprintf(sb, "(top %d %s ", n.N, specsSig(n.Specs))
 		sig(n.Children[0], sb)
 		sb.WriteByte(')')
-	case KindValues:
-		fmt.Fprintf(sb, "(values n=%d)", len(n.Rows))
 	}
 }
 
@@ -267,8 +247,6 @@ func (pl *Planner) optNode(c *exec.Ctx, n *Node, d *decisions, preds []Pred, nee
 	case KindScan:
 		dop := pl.chooseDOP(c, n)
 		d.leaves = append(d.leaves, leafPlan{dop: dop, placement: pl.choosePlacement(n, preds, dop), cols: leafCols(n.Table.Schema, need)})
-	case KindIndexRange:
-		d.leaves = append(d.leaves, leafPlan{dop: 1, placement: opt.PlaceLocal, cols: leafCols(n.Index.Table.Schema, need)})
 	}
 	var down []Pred
 	if n.Kind == KindFilter {
@@ -489,11 +467,6 @@ func estRows(n *Node) int64 {
 		if n.From != nil || n.To != nil {
 			est /= 4
 		}
-	case KindIndexRange:
-		est = n.Index.Table.Clustered.Entries / 100
-		if n.N > 0 && n.N < est {
-			est = n.N
-		}
 	case KindFilter:
 		est = estRows(n.Children[0])
 		for range n.Preds {
@@ -512,8 +485,6 @@ func estRows(n *Node) int64 {
 		if n.N < est {
 			est = n.N
 		}
-	case KindValues:
-		est = int64(len(n.Rows))
 	default:
 		est = estRows(n.Children[0])
 	}
@@ -558,10 +529,6 @@ func (in *instantiator) lower(c *exec.Ctx, n *Node) (exec.Op, error) {
 	switch n.Kind {
 	case KindScan:
 		return scanOp(n, in.nextLeaf()), nil
-	case KindIndexRange:
-		return &exec.IndexScan{Index: n.Index, From: n.From, To: n.To, Limit: int(n.N), Cols: in.nextLeaf().cols}, nil
-	case KindValues:
-		return &exec.Values{Rows: n.Rows, Sch: n.Sch}, nil
 	case KindJoin:
 		return in.lowerJoin(c, n)
 	case KindAgg:

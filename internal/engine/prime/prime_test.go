@@ -29,7 +29,7 @@ func pool(p *sim.Proc, s *cluster.Server, frames int) *buffer.Pool {
 }
 
 func TestPrimeTransfersResidentPages(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s1, s2 := servers(k)
 	k.Go("t", func(p *sim.Proc) {
 		src := pool(p, s1, 64)
@@ -78,7 +78,7 @@ func TestPrimeTransfersResidentPages(t *testing.T) {
 
 func TestPrimingFasterThanWireOnly(t *testing.T) {
 	// Stage sanity: transfer time should reflect the RDMA wire rate.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s1, s2 := servers(k)
 	k.Go("t", func(p *sim.Proc) {
 		src := pool(p, s1, 1024)
@@ -104,7 +104,7 @@ func TestPrimingFasterThanWireOnly(t *testing.T) {
 }
 
 func TestInstallRejectsCorruptImage(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s1, s2 := servers(k)
 	_ = s1
 	k.Go("t", func(p *sim.Proc) {
@@ -117,7 +117,7 @@ func TestInstallRejectsCorruptImage(t *testing.T) {
 }
 
 func TestInstallSkipsResidentPages(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s1, s2 := servers(k)
 	k.Go("t", func(p *sim.Proc) {
 		src := pool(p, s1, 16)

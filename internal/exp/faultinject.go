@@ -381,5 +381,6 @@ func reportFaults(seed int64, quick bool, rep *Report) error {
 	rep.Metric("salvages", float64(res.Salvages))
 	rep.Metric("metastore_timeouts", float64(res.Timeouts))
 	rep.Metric("errors", float64(res.Errors))
+	rep.MetricBool("bpext_healthy", res.ExtHealthy)
 	return nil
 }

@@ -18,9 +18,6 @@ import (
 // to the no-extension regime (the paper's best-effort contract, §4.1.5).
 func TestRemoteFailureMidWorkload(t *testing.T) {
 	rows, clients, window := 200000, 40, 300*time.Millisecond
-	if testing.Short() {
-		rows, clients, window = 100000, 20, 150*time.Millisecond
-	}
 	err := remotedb.RunInSim(1, 2*time.Hour, func(p *remotedb.Proc) error {
 		bed, err := remotedb.NewTestBed(p, remotedb.DesignCustom,
 			remotedb.WithBufferFrames(2048), // 16 MiB local pool
@@ -78,9 +75,6 @@ func TestRemoteFailureMidWorkload(t *testing.T) {
 // and the workload keeps running.
 func TestMemoryPressureReclaimsMidWorkload(t *testing.T) {
 	rows, clients, window := 100000, 20, 300*time.Millisecond
-	if testing.Short() {
-		rows, clients, window = 60000, 10, 150*time.Millisecond
-	}
 	err := remotedb.RunInSim(1, 2*time.Hour, func(p *remotedb.Proc) error {
 		bed, err := remotedb.NewTestBed(p, remotedb.DesignCustom,
 			remotedb.WithBufferFrames(2048), // 16 MiB local pool
@@ -130,10 +124,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		prm.Rows = 100000
 		prm.Clients = 20
 		prm.Measure = 300 * time.Millisecond
-		if testing.Short() {
-			prm.Rows = 60000
-			prm.Measure = 150 * time.Millisecond
-		}
 		r, err := exp.RunRangeScan(7, exp.DesignCustom, prm)
 		if err != nil {
 			t.Fatal(err)
@@ -159,10 +149,6 @@ func TestSeedChangesResults(t *testing.T) {
 		prm.Rows = 300000
 		prm.Clients = 20
 		prm.Measure = 300 * time.Millisecond
-		if testing.Short() {
-			prm.Rows = 200000
-			prm.Measure = 150 * time.Millisecond
-		}
 		r, err := exp.RunRangeScan(seed, exp.DesignCustom, prm)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"remotedb/internal/broker"
@@ -266,6 +267,9 @@ func reportFig34(seed int64, _ bool, rep *Report) error {
 	rep.Printf("  %-22s %-16s %12s %12s\n", "config", "pattern", "GB/s", "latency")
 	for _, r := range res.Rows {
 		rep.Printf("  %-22s %-16s %12.3f %12v\n", r.Config, r.Pattern, r.BytesPerSec/1e9, r.Latency.Round(time.Microsecond))
+		key := r.Config + "/" + strings.ToLower(strings.Fields(r.Pattern)[1]) // e.g. "SSD/random"
+		rep.Metric(key+"/gb_per_sec", r.BytesPerSec/1e9)
+		rep.MetricDur(key+"/lat_ms", r.Latency)
 		switch {
 		case r.Config == "Custom" && r.Pattern == "8K Random":
 			rep.Metric("custom_rnd_gb_per_sec", r.BytesPerSec/1e9)
@@ -274,6 +278,7 @@ func reportFig34(seed int64, _ bool, rep *Report) error {
 			rep.Metric("hdd20_seq_gb_per_sec", r.BytesPerSec/1e9)
 		}
 	}
+	rep.Metric("rows", float64(len(res.Rows)))
 	return nil
 }
 
@@ -289,9 +294,9 @@ func reportFig5(seed int64, _ bool, rep *Report) error {
 		rep.Printf("  %8d %14.3f %12v %14.3f %12v\n", pt.Servers,
 			pt.RandomBPS/1e9, pt.RandomLat.Round(time.Microsecond),
 			pt.SeqBPS/1e9, pt.SeqLat.Round(time.Microsecond))
+		rep.Metric(fmt.Sprintf("servers%d/rnd_gb_per_sec", pt.Servers), pt.RandomBPS/1e9)
+		rep.Metric(fmt.Sprintf("servers%d/seq_gb_per_sec", pt.Servers), pt.SeqBPS/1e9)
 	}
-	last := pts[len(pts)-1]
-	rep.Metric(fmt.Sprintf("servers%d/rnd_gb_per_sec", last.Servers), last.RandomBPS/1e9)
 	return nil
 }
 
@@ -305,9 +310,8 @@ func reportFig6(seed int64, _ bool, rep *Report) error {
 	rep.Printf("  %8s %14s %12s\n", "servers", "agg GB/s", "latency")
 	for _, pt := range pts {
 		rep.Printf("  %8d %14.3f %12v\n", pt.Servers, pt.RandomBPS/1e9, pt.RandomLat.Round(time.Microsecond))
+		rep.Metric(fmt.Sprintf("servers%d/agg_gb_per_sec", pt.Servers), pt.RandomBPS/1e9)
+		rep.MetricDur(fmt.Sprintf("servers%d/lat_ms", pt.Servers), pt.RandomLat)
 	}
-	last := pts[len(pts)-1]
-	rep.Metric(fmt.Sprintf("servers%d/agg_gb_per_sec", last.Servers), last.RandomBPS/1e9)
-	rep.MetricDur(fmt.Sprintf("servers%d/lat_ms", last.Servers), last.RandomLat)
 	return nil
 }

@@ -83,8 +83,22 @@ func RunRangeScan(seed int64, d Design, prm RangeScanParams) (*RangeScanResult, 
 	return out, err
 }
 
+// rangeScanSweep returns the spindle counts and designs of Figures 7-10:
+// every design at 4, 8 and 20 spindles, or with quick what their claims
+// read — Figure 7's two designs at 4 and 20 spindles (updates > 0),
+// Figure 9's six at 20.
+func rangeScanSweep(quick bool, updates float64) ([]int, []Design) {
+	switch {
+	case !quick:
+		return []int{4, 8, 20}, AllDesigns
+	case updates > 0:
+		return []int{4, 20}, designsFor(quick, AllDesigns)
+	}
+	return []int{20}, AllDesigns
+}
+
 // reportRangeScan prints Figures 7/8 (updates > 0) or 9/10: every
-// design at every spindle count.
+// design of the sweep at every spindle count.
 func reportRangeScan(seed int64, quick bool, updates float64, rep *Report) error {
 	if updates > 0 {
 		rep.Println("Figures 7/8: RangeScan, 20% updates")
@@ -92,8 +106,9 @@ func reportRangeScan(seed int64, quick bool, updates float64, rep *Report) error
 		rep.Println("Figures 9/10: RangeScan, read-only")
 	}
 	rep.Printf("  %-22s %10s %14s %12s %12s\n", "design", "spindles", "queries/s", "mean lat", "p95 lat")
-	for _, sp := range spindlesFor(quick) {
-		for _, d := range designsFor(quick, AllDesigns) {
+	spindles, designs := rangeScanSweep(quick, updates)
+	for _, sp := range spindles {
+		for _, d := range designs {
 			prm := DefaultRangeScanParams()
 			prm.Spindles, prm.UpdateFraction = sp, updates
 			r, err := RunRangeScan(seed, d, prm)
@@ -259,10 +274,8 @@ func reportFig11(seed int64, quick bool, rep *Report) error {
 	rep.Printf("  %-22s %14s %10s\n", "design", "I/O MB/s", "CPU %")
 	for _, dd := range dds {
 		rep.Printf("  %-22s %14.0f %10.1f\n", dd.Design, dd.IOBps.Mean()/1e6, dd.CPU.Mean())
-		if dd.Design == DesignCustom {
-			rep.Metric("Custom/cpu_pct", dd.CPU.Mean())
-			rep.Metric("Custom/io_mb_per_sec", dd.IOBps.Mean()/1e6)
-		}
+		rep.Metric(dd.Design.String()+"/cpu_pct", dd.CPU.Mean())
+		rep.Metric(dd.Design.String()+"/io_mb_per_sec", dd.IOBps.Mean()/1e6)
 	}
 	lats, err := RunFig11Latency(seed, time.Second)
 	if err != nil {
@@ -271,6 +284,7 @@ func reportFig11(seed int64, quick bool, rep *Report) error {
 	rep.Println("  page-fetch latency under load (Figure 11c):")
 	for _, l := range lats {
 		rep.Printf("  %-22s %12v\n", l.Design, l.Mean.Round(time.Microsecond))
+		rep.MetricDur(l.Design.String()+"/fetch_lat_ms", l.Mean)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"remotedb/internal/broker"
@@ -78,8 +79,11 @@ func RunFig12BPExtSize(seed int64, multi bool, fprm Fig12Params) ([]Fig12Point, 
 	return out, nil
 }
 
-// reportFig12 prints Figure 12.
+// reportFig12 prints Figure 12. It records the single-server endpoints
+// and the largest deviation of a multi-server point from the
+// single-server one at the same size.
 func reportFig12(seed int64, quick bool, rep *Report) error {
+	var single []Fig12Point
 	for _, multi := range []bool{false, true} {
 		pts, err := RunFig12BPExtSize(seed, multi, Fig12Geometry(quick))
 		if err != nil {
@@ -95,10 +99,17 @@ func reportFig12(seed int64, quick bool, rep *Report) error {
 			rep.Printf("  %10d %8d %14.0f %12v\n", pt.BPExtBytes>>20, pt.Servers, pt.Throughput, pt.MeanLat.Round(time.Microsecond))
 		}
 		if !multi {
+			single = pts
 			for _, pt := range []Fig12Point{pts[0], pts[len(pts)-1]} {
 				rep.Metric(fmt.Sprintf("ext%dmb/queries_per_sec", pt.BPExtBytes>>20), pt.Throughput)
 			}
+			continue
 		}
+		var dev float64
+		for i, pt := range pts {
+			dev = max(dev, math.Abs(pt.Throughput/single[i].Throughput-1))
+		}
+		rep.Metric("multi_vs_single_max_dev", dev)
 	}
 	return nil
 }
@@ -240,6 +251,8 @@ func reportFig13(seed int64, quick bool, rep *Report) error {
 		rep.Printf("  %-10s %14.0f %12v %12v\n", r.Mode, r.Throughput,
 			r.MeanLat.Round(time.Millisecond), r.P99Lat.Round(time.Millisecond))
 		thr[r.Mode] = r.Throughput
+		rep.Metric(r.Mode+"/queries_per_sec", r.Throughput)
+		rep.MetricDur(r.Mode+"/p99_lat_ms", r.P99Lat)
 	}
 	rep.Metric("tcp_overhead_pct", 100*(1-thr["TCP"]/thr["Default"]))
 	return nil
@@ -407,11 +420,10 @@ func reportFig16(seed int64, quick bool, rep *Report) error {
 			r.WarmupTime.Round(time.Millisecond), r.PrimeTime.Round(time.Millisecond),
 			r.TransferTime.Round(time.Millisecond),
 			r.ColdP95.Round(time.Millisecond), r.PrimedP95.Round(time.Millisecond))
+		key := fmt.Sprintf("bp%dmb", r.BPBytes>>20)
+		rep.Metric(key+"/warmup_over_prime", float64(r.WarmupTime)/float64(r.PrimeTime))
+		rep.Metric(key+"/tail_improvement", float64(r.ColdP95)/float64(r.PrimedP95))
 	}
-	last := res[len(res)-1]
-	key := fmt.Sprintf("bp%dmb", last.BPBytes>>20)
-	rep.Metric(key+"/warmup_over_prime", float64(last.WarmupTime)/float64(last.PrimeTime))
-	rep.Metric(key+"/tail_improvement", float64(last.ColdP95)/float64(last.PrimedP95))
 	return nil
 }
 
@@ -591,7 +603,8 @@ func reportFig25(seed int64, quick bool, rep *Report) error {
 	for _, pt := range pts {
 		rep.Printf("  %8d %14.0f %12v\n", pt.DBServers, pt.Throughput, pt.MeanLat.Round(time.Microsecond))
 	}
-	last := pts[len(pts)-1]
-	rep.Metric(fmt.Sprintf("dbs%d/scaling", last.DBServers), last.Throughput/pts[0].Throughput)
+	for _, pt := range pts[1:] {
+		rep.Metric(fmt.Sprintf("dbs%d/scaling", pt.DBServers), pt.Throughput/pts[0].Throughput)
+	}
 	return nil
 }

@@ -274,5 +274,6 @@ func reportScrub(seed int64, quick bool, rep *Report) error {
 	rep.Metric("storm_salvages", float64(res.Salvages))
 	rep.Metric("storm_lost_stripes", float64(res.LostStripes))
 	rep.Metric("storm_errors", float64(res.StormErrors))
+	rep.MetricBool("storm_healthy", res.StormHealthy)
 	return nil
 }

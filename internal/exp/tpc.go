@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -235,12 +236,16 @@ func reportStreams(seed int64, quick bool, rep *Report, tpcds bool) error {
 	h := Improvements(base.QueryLatencies, cust.QueryLatencies)
 	rep.Printf("Figure %d: latency improvement histogram (Custom vs HDD+SSD):\n", fig+1)
 	rep.Println(" " + histogramLine(h))
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var ids []int
+	for id, f := range h.Factors {
+		ids = append(ids, id)
+		lo, hi = min(lo, f), max(hi, f)
+	}
+	rep.Metric("min_improvement", lo)
+	rep.Metric("max_improvement", hi)
 	if tpcds {
 		return nil
-	}
-	var ids []int
-	for id := range h.Factors {
-		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
