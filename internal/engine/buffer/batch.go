@@ -17,64 +17,116 @@ import (
 )
 
 // writerFlushBatch is the lazy writer's vectored round: up to
-// WriterBatch dirty unpinned frames are written per round, in
-// scatter-gather sub-batches of at most a quarter of the pool — every
-// frame in a sub-batch stays pinned until its write lands, and pinning
-// more would starve foreground victims in small pools. Frames
-// re-dirtied while the I/O slept stay dirty.
+// WriterBatch dirty unpinned frames, each with its run of dirty
+// neighbours (gather), are written per round, in sub-batches that stop
+// picking at a quarter of the pool — every page stays pinned until its
+// write lands, and pinning more would starve foreground victims in small
+// pools. Frames re-dirtied while the I/O slept stay dirty.
 func (bp *Pool) writerFlushBatch(p *sim.Proc) {
 	lim := bp.cfg.WriterBatch
 	if q := len(bp.frames) / 4; q > 0 && lim > q {
 		lim = q
 	}
-	type cand struct {
-		idx int
-		v0  uint64
-		vec vfs.Vec
-	}
-	written := 0
-	next := 0
+	w := bp.takeRun()
+	defer bp.putRun(w)
+	written, next := 0, 0
 	for written < bp.cfg.WriterBatch && next < len(bp.frames) {
-		var cands []cand
-		for ; next < len(bp.frames) && len(cands) < lim; next++ {
+		for ; next < len(bp.frames) && len(w.pages) < lim; next++ {
 			f := &bp.frames[next]
 			if !f.valid || !f.dirty || f.pins > 0 {
 				continue
 			}
-			f.pins++
-			f.pg.Seal()
-			cands = append(cands, cand{
-				idx: next,
-				v0:  f.ver,
-				vec: vfs.Vec{Off: int64(f.pageNo) * page.Size, Buf: f.buf},
-			})
+			bp.gather(w, next)
 		}
-		if len(cands) == 0 {
+		if len(w.pages) == 0 {
 			return
 		}
-		// Elevator order: a device file merges contiguous runs only when
-		// they are adjacent in the vector.
-		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.vec.Off, b.vec.Off) })
-		vecs := make([]vfs.Vec, len(cands))
-		for i, c := range cands {
-			vecs[i] = c.vec
-		}
-		err := vfs.WriteVec(p, bp.data, vecs)
-		for _, c := range cands {
-			f := &bp.frames[c.idx]
-			f.pins--
-			if f.pins == 0 {
-				bp.avail.Signal()
-			}
-			if err == nil && f.ver == c.v0 {
-				f.dirty = false
-				bp.Stats.WriterIO++
-				bp.Stats.WriterBytes += page.Size
-				written++
-			}
-		}
+		n, _ := bp.writeBack(p, w)
+		bp.Stats.WriterIO += int64(n)
+		bp.Stats.WriterBytes += int64(n) * page.Size
+		written += n
 	}
 }
+
+// maxRun caps a gathered write-back run: 32 pages, 256 KiB.
+const maxRun = 32
+
+// wbPage is a page of a write-back vector and the version it was sealed at.
+type wbPage struct {
+	idx int
+	v0  uint64
+	vec vfs.Vec
+}
+
+// wbRun is a write-back vector's scratch, kept by the pool for reuse.
+type wbRun struct {
+	pages []wbPage
+	vecs  []vfs.Vec
+}
+
+// gather pins, seals and appends to w the dirty frame idx and the pages
+// next to it that are resident, dirty and unpinned, at most maxRun in all:
+// a device file writes adjacent pages with one seek, not one each.
+func (bp *Pool) gather(w *wbRun, idx int) {
+	gatherable := func(no uint64) bool {
+		i, ok := bp.table[no]
+		return ok && bp.frames[i].dirty && bp.frames[i].pins == 0
+	}
+	lo := bp.frames[idx].pageNo
+	hi := lo
+	for hi-lo < maxRun-1 && gatherable(lo-1) {
+		lo--
+	}
+	for hi-lo < maxRun-1 && gatherable(hi+1) {
+		hi++
+	}
+	for no := lo; no <= hi; no++ {
+		i := bp.table[no]
+		f := &bp.frames[i]
+		f.pins++
+		f.pg.Seal()
+		w.pages = append(w.pages, wbPage{idx: i, v0: f.ver, vec: vfs.Vec{Off: int64(no) * page.Size, Buf: f.buf}})
+	}
+}
+
+// writeBack writes w's pages with one vectored write in elevator order (a
+// device file merges only runs adjacent in the vector), unpins them, cleans
+// each one whose version held (none on error), and empties w. It returns
+// how many it cleaned.
+func (bp *Pool) writeBack(p *sim.Proc, w *wbRun) (int, error) {
+	slices.SortFunc(w.pages, func(a, b wbPage) int { return cmp.Compare(a.vec.Off, b.vec.Off) })
+	w.vecs = w.vecs[:0]
+	for _, pg := range w.pages {
+		w.vecs = append(w.vecs, pg.vec)
+	}
+	err := vfs.WriteVec(p, bp.data, w.vecs)
+	cleaned := 0
+	for _, pg := range w.pages {
+		f := &bp.frames[pg.idx]
+		f.pins--
+		if f.pins == 0 {
+			bp.avail.Signal()
+		}
+		if err == nil && f.ver == pg.v0 {
+			f.dirty = false
+			cleaned++
+		}
+	}
+	w.pages = w.pages[:0]
+	return cleaned, err
+}
+
+// takeRun returns an empty write-back scratch; putRun gives it back.
+func (bp *Pool) takeRun() *wbRun {
+	if n := len(bp.runs); n > 0 {
+		w := bp.runs[n-1]
+		bp.runs = bp.runs[:n-1]
+		return w
+	}
+	return &wbRun{}
+}
+
+func (bp *Pool) putRun(w *wbRun) { bp.runs = append(bp.runs, w) }
 
 // extPut is one queued extension write: the page image captured at
 // eviction time and the putVer stamp that detects supersession.
@@ -110,10 +162,9 @@ func (bp *Pool) extFlushLoop(p *sim.Proc) {
 // with one scatter-gather call, preserving the scalar put's semantics:
 // superseded entries (a newer eviction of the same page re-stamped
 // putVer) are dropped, and a mapping is installed only if its slot still
-// belongs to the page and its stamp is still the latest — allocSlot may
-// reclaim an earlier batch entry's slot when the extension is full, in
-// which case the later element's bytes win (vector order) and only the
-// surviving owner installs.
+// belongs to the page and its stamp is still the latest. When the
+// extension is full allocSlot may reclaim an earlier batch entry's slot;
+// the later entry wins it and the earlier one is not written.
 func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 	// Whatever happens below, these queue entries are no longer pending:
 	// drop each page's read-through entry unless a newer eviction
@@ -157,7 +208,12 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 			e.slotPage[slot] = pu.pageNo
 		}
 		lives = append(lives, live{pu: pu, slot: slot})
-		vecs = append(vecs, vfs.Vec{Off: int64(slot) * page.Size, Buf: pu.img})
+	}
+	// Write only the elements that kept their slot: overlapping elements of
+	// one vector land in no set order on a file that issues them together.
+	lives = slices.DeleteFunc(lives, func(lv live) bool { return e.slotPage[lv.slot] != lv.pu.pageNo })
+	for _, lv := range lives {
+		vecs = append(vecs, vfs.Vec{Off: int64(lv.slot) * page.Size, Buf: lv.pu.img})
 	}
 	if len(vecs) == 0 {
 		return
@@ -174,7 +230,7 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 	}
 	for _, lv := range lives {
 		if e.slotPage[lv.slot] != lv.pu.pageNo {
-			continue // slot reclaimed by a later element of this batch
+			continue // salvage dropped the slot while the write slept
 		}
 		if e.putVer[lv.pu.pageNo] != lv.pu.ver {
 			e.slotPage[lv.slot] = 0 // superseded while the write slept

@@ -113,11 +113,11 @@ type Stats struct {
 	ExtHits    int64 // satisfied from the extension
 	DiskReads  int64 // read from the data file
 	EvictClean int64
-	EvictDirty int64 // dirty victim written back synchronously
+	EvictDirty int64 // dirty victims written back synchronously (not their neighbours)
 	WriterIO   int64 // pages written by the lazy writer
 	ExtWrites  int64
 
-	EvictWriteBytes int64 // bytes written back by synchronous evictions
+	EvictWriteBytes int64 // bytes written back by synchronous evictions, victims' neighbours too
 	WriterBytes     int64 // bytes written back by the lazy writer
 	ExtWriteBytes   int64 // bytes stashed into the extension
 	ReadAheadPages  int64 // pages prefetched by ReadAhead
@@ -161,6 +161,7 @@ type Pool struct {
 	imgFree [][]byte
 
 	handles []*Handle // released handles, reissued by Get and Allocate
+	runs    []*wbRun  // write-back scratch not in use, reused by evict and the writer
 
 	// GDSF state: a lazy min-heap of (frame, seq, priority) entries, the
 	// inflation value L, the free list of invalid frames, and the global
@@ -505,20 +506,22 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 	f := &bp.frames[idx]
 	f.pins++ // guard: concurrent sweeps and the writer skip pinned frames
 	if f.dirty {
-		v0 := f.ver
-		f.pg.Seal()
-		if err := bp.data.WriteAt(p, f.buf, int64(f.pageNo)*page.Size); err != nil {
+		// Its dirty neighbours go clean with it, in one device run.
+		w := bp.takeRun()
+		bp.gather(w, idx)
+		n, err := bp.writeBack(p, w)
+		bp.putRun(w)
+		bp.Stats.EvictWriteBytes += int64(n) * page.Size
+		if err != nil {
 			f.pins--
 			return false, fmt.Errorf("buffer: writeback: %w", err)
 		}
-		if f.ver != v0 {
+		if f.dirty {
 			// Modified during the write: still dirty, cannot evict now.
 			f.pins--
 			return false, nil
 		}
-		f.dirty = false
 		bp.Stats.EvictDirty++
-		bp.Stats.EvictWriteBytes += page.Size
 	} else {
 		bp.Stats.EvictClean++
 	}

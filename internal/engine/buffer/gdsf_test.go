@@ -137,9 +137,12 @@ func TestEvictCountsWriteBackBytes(t *testing.T) {
 		if bp.Stats.EvictDirty == 0 {
 			t.Fatal("no dirty evictions")
 		}
-		if want := bp.Stats.EvictDirty * page.Size; bp.Stats.EvictWriteBytes != want {
-			t.Errorf("EvictWriteBytes = %d, want %d (%d dirty evictions)",
-				bp.Stats.EvictWriteBytes, want, bp.Stats.EvictDirty)
+		// A victim's dirty neighbours go clean with it: the data file took
+		// what the evictions counted, and at least a page per victim.
+		written := data.(*vfs.DeviceFile).Written
+		if bp.Stats.EvictWriteBytes != written || written < bp.Stats.EvictDirty*page.Size {
+			t.Errorf("EvictWriteBytes = %d, data file took %d bytes (%d dirty evictions)",
+				bp.Stats.EvictWriteBytes, written, bp.Stats.EvictDirty)
 		}
 	})
 	k.Run(time.Minute)

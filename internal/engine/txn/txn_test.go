@@ -11,7 +11,7 @@ import (
 )
 
 func TestAppendCommitReplay(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		lm := New(k, vfs.NewMemFile("log"))
 		var lsns []uint64
@@ -42,7 +42,7 @@ func TestAppendCommitReplay(t *testing.T) {
 }
 
 func TestReplayAfterLSN(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		lm := New(k, vfs.NewMemFile("log"))
 		for i := 0; i < 10; i++ {
@@ -67,7 +67,7 @@ func TestReplayAfterLSN(t *testing.T) {
 func TestGroupCommit(t *testing.T) {
 	// Many committers on a slow log device: flush count must be far below
 	// the committer count.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.Spindles = 4
 	s := cluster.NewServer(k, "db", cfg)
@@ -95,7 +95,7 @@ func TestGroupCommit(t *testing.T) {
 }
 
 func TestCommitNoopWhenAlreadyFlushed(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		lm := New(k, vfs.NewMemFile("log"))
 		lsn := lm.Append(RecUpdate, nil)
@@ -110,7 +110,7 @@ func TestCommitNoopWhenAlreadyFlushed(t *testing.T) {
 }
 
 func TestReplayEmptyLog(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		lm := New(k, vfs.NewMemFile("log"))
 		called := false

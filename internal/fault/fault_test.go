@@ -9,6 +9,14 @@ import (
 	"remotedb/internal/sim"
 )
 
+// newKernel returns a kernel that is closed when the test ends, so the
+// procs it parked end with it.
+func newKernel(tb testing.TB, seed int64) *sim.Kernel {
+	k := sim.New(seed)
+	tb.Cleanup(k.Close)
+	return k
+}
+
 func TestBackoffSchedule(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Multiplier: 2}
 	want := []time.Duration{
@@ -27,7 +35,7 @@ func TestBackoffSchedule(t *testing.T) {
 
 func TestBackoffJitterBounds(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, Multiplier: 1, Jitter: 0.5}
-	k := sim.New(42)
+	k := newKernel(t, 42)
 	rng := k.Rand()
 	for i := 0; i < 100; i++ {
 		d := rp.Backoff(1, rng)
@@ -39,7 +47,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 
 func TestRetryStopsOnNonRetryable(t *testing.T) {
 	permanent := errors.New("permanent")
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		calls := 0
 		err := Retry(p, DefaultRetryPolicy(), func() error {
@@ -57,7 +65,7 @@ func TestRetryStopsOnNonRetryable(t *testing.T) {
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		calls := 0
 		start := p.Now()
@@ -83,7 +91,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		calls := 0
 		err := Retry(p, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}, func() error {
@@ -112,7 +120,7 @@ func TestTaxonomyDistinct(t *testing.T) {
 }
 
 func TestRetryWithinNoBudgetBeforeFirstAttempt(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		calls := 0
@@ -131,7 +139,7 @@ func TestRetryWithinNoBudgetBeforeFirstAttempt(t *testing.T) {
 }
 
 func TestRetryWithinBackoffWouldCrossDeadline(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		calls := 0
 		// 10 ms base backoff against a 5 ms deadline: the first failure
@@ -156,7 +164,7 @@ func TestRetryWithinBackoffWouldCrossDeadline(t *testing.T) {
 }
 
 func TestRetryWithinDeadlineGenerousEnough(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		calls := 0
 		rp := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}
@@ -175,7 +183,7 @@ func TestRetryWithinDeadlineGenerousEnough(t *testing.T) {
 }
 
 func TestRetryWithinNonRetryablePassesThrough(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("test", func(p *sim.Proc) {
 		want := fmt.Errorf("gone: %w", ErrRevoked)
 		err := RetryWithin(p, DefaultRetryPolicy(), p.Now()+time.Minute, func() error { return want })
