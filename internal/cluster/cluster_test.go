@@ -15,7 +15,7 @@ func smallConfig() Config {
 }
 
 func TestWorkChargesExactTime(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig())
 	var end time.Duration
 	k.Go("w", func(p *sim.Proc) {
@@ -31,7 +31,7 @@ func TestWorkChargesExactTime(t *testing.T) {
 func TestWorkQuantumSharing(t *testing.T) {
 	// 8 workers on 4 cores: total work 8ms => finish at ~2ms, and the
 	// quantum discipline means no worker finishes before ~1.8ms.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig())
 	var first, last time.Duration
 	done := 0
@@ -59,7 +59,7 @@ func TestShortWorkNotStarvedBehindLongBursts(t *testing.T) {
 	// still get in within roughly a quantum, not after a full burst.
 	cfg := smallConfig()
 	cfg.Cores = 1
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", cfg)
 	k.Go("long", func(p *sim.Proc) { s.Work(p, 10*time.Millisecond) })
 	var shortDone time.Duration
@@ -77,7 +77,7 @@ func TestShortWorkNotStarvedBehindLongBursts(t *testing.T) {
 func TestExecHoldsCore(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Cores = 1
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", cfg)
 	var otherStart time.Duration
 	k.Go("spinner", func(p *sim.Proc) {
@@ -95,7 +95,7 @@ func TestExecHoldsCore(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig()) // 1 MiB
 	if err := s.CommitLocal(512 << 10); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestMemoryPressureNotification(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig())
 	if err := s.PinBrokered(768 << 10); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestMemoryPressureNotification(t *testing.T) {
 }
 
 func TestCommitFailsWhenPressureUnanswered(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig())
 	if err := s.PinBrokered(1 << 20); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestCommitFailsWhenPressureUnanswered(t *testing.T) {
 }
 
 func TestClusterLookup(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	c := New(k)
 	s1 := c.AddServer("db1", smallConfig())
 	if c.Server("db1") != s1 {
@@ -159,7 +159,7 @@ func TestClusterLookup(t *testing.T) {
 }
 
 func TestRescheduleCost(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	s := NewServer(k, "s1", smallConfig())
 	var end time.Duration
 	k.Go("p", func(p *sim.Proc) {

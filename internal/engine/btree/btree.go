@@ -6,9 +6,12 @@
 // right. Structure modifications serialize on a per-tree mutex; plain
 // inserts and updates only pin the leaf they touch.
 //
-// In-page records are unsorted (appended) and searched linearly; pages
-// hold a few dozen records, so the linear scan is cheaper than
-// maintaining sorted slot directories, and range scans sort per page.
+// Every node keeps its entry slots in key order: an insert goes to the
+// upper bound of its key (page.InsertAt), so descents, point lookups and
+// inserts binary-search the slot directory, and splits and range scans
+// read entries in slot order without sorting. A deleted entry stays in
+// its place as a dead slot whose record the search still reads, until
+// compaction drops it.
 package btree
 
 import (
@@ -16,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
@@ -140,42 +142,47 @@ func decodeInner(rec []byte) (key []byte, child uint64) {
 	return rec[2 : 2+n], binary.LittleEndian.Uint64(rec[2+int(n):])
 }
 
-// findLeafSlot linearly scans a leaf for key; returns slot index or -1.
+// upperBound returns the first entry slot whose key is > key, or
+// NumSlots. Leaf and inner records both start [klen][key], and a dead
+// slot's record keeps its key, so every entry slot takes part.
+func upperBound(pg *page.Page, key []byte) int {
+	lo, hi := 1, pg.NumSlots()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		rec, _ := pg.Slot(mid)
+		if k, _ := decodeLeaf(rec); bytes.Compare(k, key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// findLeafSlot returns key's live slot in a leaf, or -1. A live entry is
+// the last slot with its key: it was inserted at the key's upper bound,
+// after any dead copies an Update that could not grow in place left.
 func findLeafSlot(pg *page.Page, key []byte) int {
-	for i := 1; i < pg.NumSlots(); i++ {
-		rec, err := pg.Get(i)
-		if err != nil {
-			continue // dead slot
-		}
-		k, _ := decodeLeaf(rec)
-		if bytes.Equal(k, key) {
-			return i
-		}
+	i := upperBound(pg, key) - 1
+	if i < 1 {
+		return -1
+	}
+	rec, live := pg.Slot(i)
+	if k, _ := decodeLeaf(rec); live && bytes.Equal(k, key) {
+		return i
 	}
 	return -1
 }
 
-// childFor picks the inner entry whose subtree covers key: the entry with
-// the largest separator <= key.
+// childFor picks the inner entry whose subtree covers key: the last one
+// with separator <= key. Inner entries are never deleted.
 func childFor(pg *page.Page, key []byte) uint64 {
-	var best []byte
-	var child uint64
-	found := false
-	for i := 1; i < pg.NumSlots(); i++ {
-		rec, err := pg.Get(i)
-		if err != nil {
-			continue
-		}
-		k, c := decodeInner(rec)
-		if bytes.Compare(k, key) <= 0 {
-			if !found || bytes.Compare(k, best) >= 0 {
-				best, child, found = k, c, true
-			}
-		}
-	}
-	if !found {
+	i := upperBound(pg, key) - 1
+	rec, err := pg.Get(i)
+	if i < 1 || err != nil {
 		panic("btree: inner node has no covering child")
 	}
+	_, child := decodeInner(rec)
 	return child
 }
 
@@ -284,7 +291,7 @@ func (t *Tree) put(p *sim.Proc, key, val []byte, upsert bool) error {
 			t.Entries--
 		}
 		if pg.FreeSpace() >= len(rec)+8 {
-			if _, err := pg.Insert(rec); err == nil {
+			if err := pg.InsertAt(upperBound(pg, key), rec); err == nil {
 				t.Entries++
 				h.MarkDirty(0)
 				h.Release()
@@ -296,7 +303,7 @@ func (t *Tree) put(p *sim.Proc, key, val []byte, upsert bool) error {
 			pg.Compact()
 			h.MarkDirty(0)
 			if pg.FreeSpace() >= len(rec)+8 {
-				if _, err := pg.Insert(rec); err == nil {
+				if err := pg.InsertAt(upperBound(pg, key), rec); err == nil {
 					t.Entries++
 					h.Release()
 					return nil
@@ -338,7 +345,6 @@ func (t *Tree) splitLeaf(p *sim.Proc, hintPage uint64, key []byte) error {
 		h.Release()
 		return nil // nothing to split; caller retries insert
 	}
-	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.k, b.k) })
 	mid := len(entries) / 2
 	sep := entries[mid].k
 	oldHigh := append([]byte(nil), highKey(pg)...)
@@ -432,7 +438,7 @@ func (t *Tree) postSeparator(p *sim.Proc, leftNo, rightNo uint64, sep []byte, le
 		}
 		rec := encodeInner(sep, rightNo)
 		if pg.FreeSpace() >= len(rec)+8 {
-			pg.Insert(rec)
+			pg.InsertAt(upperBound(pg, sep), rec)
 			h.MarkDirty(0)
 			h.Release()
 			return nil
@@ -463,7 +469,6 @@ func (t *Tree) splitInner(p *sim.Proc, h *buffer.Handle, level int) error {
 		k, c := decodeInner(r)
 		entries = append(entries, entry{append([]byte(nil), k...), c})
 	}
-	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.k, b.k) })
 	mid := len(entries) / 2
 	sep := entries[mid].k
 	oldHigh := append([]byte(nil), highKey(pg)...)

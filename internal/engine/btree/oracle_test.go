@@ -85,6 +85,7 @@ func TestRandomOpsAgainstMapOracle(t *testing.T) {
 		if tr.Entries != int64(len(oracle)) {
 			t.Fatalf("entry count %d, oracle %d", tr.Entries, len(oracle))
 		}
+		checkSortedNodes(t, p, tr)
 	})
 	k.Run(time.Hour)
 }
@@ -114,6 +115,7 @@ func TestOracleWithVariableSizedValues(t *testing.T) {
 				t.Fatalf("key %d: err %v, len %d want %d", key, err, len(got), len(want))
 			}
 		}
+		checkSortedNodes(t, p, tr)
 	})
 	k.Run(time.Hour)
 }

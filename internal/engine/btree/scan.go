@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"slices"
 
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
@@ -73,7 +72,6 @@ func (it *Iterator) loadPage(h *buffer.Handle, lower []byte) {
 	pg := it.pg
 	it.ents = it.ents[:0]
 	it.idx = 0
-	sorted := true
 	for i := 1; i < pg.NumSlots(); i++ {
 		rec, err := pg.Get(i)
 		if err != nil {
@@ -83,14 +81,7 @@ func (it *Iterator) loadPage(h *buffer.Handle, lower []byte) {
 		if lower != nil && bytes.Compare(k, lower) < 0 {
 			continue
 		}
-		if n := len(it.ents); n > 0 && bytes.Compare(it.ents[n-1].Key, k) > 0 {
-			sorted = false
-		}
 		it.ents = append(it.ents, Pair{Key: k, Val: v})
-	}
-	// Bulk-loaded and append-only leaves are already in key order.
-	if !sorted {
-		slices.SortFunc(it.ents, func(a, b Pair) int { return bytes.Compare(a.Key, b.Key) })
 	}
 	it.nextPg = pg.Next()
 }
@@ -297,7 +288,6 @@ func (t *Tree) SplitPoints(p *sim.Proc, n int) ([][]byte, error) {
 		seps = append(seps, append([]byte(nil), k...))
 	}
 	h.Release()
-	slices.SortFunc(seps, bytes.Compare)
 	if len(seps) <= n-1 {
 		return seps, nil
 	}

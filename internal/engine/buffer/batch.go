@@ -205,7 +205,7 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 		slot, ok := e.table[pu.pageNo]
 		if !ok {
 			slot = e.allocSlot()
-			e.slotPage[slot] = pu.pageNo
+			e.setSlot(slot, pu.pageNo)
 		}
 		lives = append(lives, live{pu: pu, slot: slot})
 	}
@@ -222,7 +222,7 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 		for _, lv := range lives {
 			delete(e.table, lv.pu.pageNo)
 			if e.slotPage[lv.slot] == lv.pu.pageNo {
-				e.slotPage[lv.slot] = 0
+				e.setSlot(lv.slot, 0)
 			}
 		}
 		bp.extFailed(err)
@@ -233,7 +233,7 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 			continue // salvage dropped the slot while the write slept
 		}
 		if e.putVer[lv.pu.pageNo] != lv.pu.ver {
-			e.slotPage[lv.slot] = 0 // superseded while the write slept
+			e.setSlot(lv.slot, 0) // superseded while the write slept
 			continue
 		}
 		e.table[lv.pu.pageNo] = lv.slot

@@ -752,7 +752,8 @@ type Extension struct {
 	file     vfs.File
 	slots    int
 	table    map[uint64]int    // pageNo -> slot
-	slotPage []uint64          // slot -> pageNo (0 = free)
+	slotPage []uint64          // slot -> pageNo (0 = free); written only by setSlot
+	free     int               // number of free slots in slotPage
 	putVer   map[uint64]uint64 // latest scheduled put per page
 	hand     int
 	disabled bool
@@ -766,6 +767,7 @@ func newExtension(file vfs.File, slots int) *Extension {
 		slots:    slots,
 		table:    make(map[uint64]int, slots),
 		slotPage: make([]uint64, slots),
+		free:     slots,
 		putVer:   make(map[uint64]uint64),
 	}
 }
@@ -801,11 +803,11 @@ func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) (boo
 	slot, ok := e.table[pageNo]
 	if !ok {
 		slot = e.allocSlot()
-		e.slotPage[slot] = pageNo
+		e.setSlot(slot, pageNo)
 	}
 	if err := e.file.WriteAt(p, src, int64(slot)*page.Size); err != nil {
 		delete(e.table, pageNo)
-		e.slotPage[slot] = 0
+		e.setSlot(slot, 0)
 		return false, err
 	}
 	if e.slotPage[slot] != pageNo {
@@ -813,7 +815,7 @@ func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) (boo
 	}
 	// Install (or refresh) the mapping only if still the latest image.
 	if e.putVer[pageNo] != ver {
-		e.slotPage[slot] = 0
+		e.setSlot(slot, 0)
 		return false, nil
 	}
 	e.table[pageNo] = slot
@@ -825,7 +827,7 @@ func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) (boo
 func (e *Extension) invalidate(pageNo uint64) {
 	if slot, ok := e.table[pageNo]; ok {
 		delete(e.table, pageNo)
-		e.slotPage[slot] = 0
+		e.setSlot(slot, 0)
 	}
 }
 
@@ -846,7 +848,7 @@ func (e *Extension) InvalidateRange(off, n int64) int {
 	for slot := lo; slot >= 0 && slot < hi; slot++ {
 		if pn := e.slotPage[slot]; pn != 0 {
 			delete(e.table, pn)
-			e.slotPage[slot] = 0
+			e.setSlot(int(slot), 0)
 			dropped++
 		}
 	}
@@ -858,19 +860,29 @@ func (e *Extension) InvalidateRange(off, n int64) int {
 // lost data first.
 func (e *Extension) Revive() { e.disabled = false }
 
-// allocSlot finds a free slot or reclaims the next occupied one (FIFO
-// sweep), evicting its mapping.
+// allocSlot finds the next free slot from the hand or, when none is
+// free, reclaims the one at the hand (FIFO sweep), evicting its mapping.
 func (e *Extension) allocSlot() int {
-	for i := 0; i < e.slots; i++ {
-		s := e.hand
-		e.hand = (e.hand + 1) % e.slots
-		if e.slotPage[s] == 0 {
-			return s
-		}
-	}
 	s := e.hand
-	e.hand = (e.hand + 1) % e.slots
-	delete(e.table, e.slotPage[s])
-	e.slotPage[s] = 0
+	if e.free > 0 {
+		for e.slotPage[s] != 0 {
+			s = (s + 1) % e.slots
+		}
+	} else {
+		delete(e.table, e.slotPage[s])
+		e.setSlot(s, 0)
+	}
+	e.hand = (s + 1) % e.slots
 	return s
+}
+
+// setSlot maps slot to pageNo (0 frees it) and keeps the free count.
+func (e *Extension) setSlot(slot int, pageNo uint64) {
+	if e.slotPage[slot] == 0 {
+		e.free--
+	}
+	if pageNo == 0 {
+		e.free++
+	}
+	e.slotPage[slot] = pageNo
 }

@@ -93,6 +93,15 @@ func checkResidency(t *testing.T, bp *Pool, mem *vfs.MemFile, version map[uint64
 			t.Errorf("page %d: frame claims the extension's copy but differs from the queued put", no)
 		}
 	}
+	free := 0
+	for _, no := range bp.ext.slotPage {
+		if no == 0 {
+			free++
+		}
+	}
+	if free != bp.ext.free {
+		t.Errorf("the extension counts %d free slots, slotPage has %d", bp.ext.free, free)
+	}
 }
 
 // A read-only loop over a set the extension holds, with a pool a quarter

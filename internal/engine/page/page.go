@@ -7,8 +7,14 @@
 //	[ header 32 B | record heap (grows up) ... free ... slot dir (grows down) ]
 //
 // The slot directory holds 4-byte entries (offset:2, length:2) addressed
-// from the end of the page. Deleted slots have length 0xFFFF and may be
-// reused. A 32-bit FNV checksum over the payload detects torn images.
+// from the end of the page. Insert appends a slot; InsertAt puts one at
+// a given index and shifts the slots at and above it up by one, so a
+// caller can keep the directory in its own order (the B-tree keeps it in
+// key order). Either way the record bytes are appended to the heap.
+// Delete sets a flag bit in the slot's offset: the slot keeps its place
+// and its record stays readable through Slot until Compact, which drops
+// dead slots and keeps the order of the rest. A 32-bit FNV checksum over
+// the payload detects torn images.
 package page
 
 import (
@@ -26,7 +32,8 @@ const HeaderSize = 32
 
 const slotSize = 4
 
-const deadLen = 0xFFFF
+// deadBit marks a deleted slot's offset; offsets stay below Size.
+const deadBit = 0x8000
 
 // Type tags what a page stores.
 type Type uint8
@@ -150,19 +157,28 @@ func (pg *Page) FreeSpace() int {
 
 // Insert appends a record and returns its slot index.
 func (pg *Page) Insert(rec []byte) (int, error) {
-	if len(rec) > pg.FreeSpace() {
-		return 0, ErrPageFull
+	i := pg.nSlots()
+	return i, pg.InsertAt(i, rec)
+}
+
+// InsertAt stores a record as slot i (0 <= i <= NumSlots), shifting the
+// slots at i and above up by one. The record bytes are appended exactly
+// as Insert appends them, so free space is the same either way.
+func (pg *Page) InsertAt(i int, rec []byte) error {
+	n := pg.nSlots()
+	if i < 0 || i > n {
+		return ErrBadSlot
 	}
-	if len(rec) >= deadLen {
-		return 0, fmt.Errorf("page: record of %d bytes exceeds slot limit", len(rec))
+	if len(rec) > pg.FreeSpace() {
+		return ErrPageFull
 	}
 	off := pg.freeOff()
 	copy(pg.b[off:], rec)
-	i := pg.nSlots()
-	pg.setNSlots(i + 1)
+	copy(pg.b[pg.slotPos(n):], pg.b[pg.slotPos(n-1):pg.slotPos(i-1)])
+	pg.setNSlots(n + 1)
 	pg.setSlot(i, off, len(rec))
 	pg.setFreeOff(off + len(rec))
-	return i, nil
+	return nil
 }
 
 // Get returns the record in slot i, aliasing page memory.
@@ -170,11 +186,19 @@ func (pg *Page) Get(i int) ([]byte, error) {
 	if i < 0 || i >= pg.nSlots() {
 		return nil, ErrBadSlot
 	}
-	off, length := pg.slot(i)
-	if length == deadLen {
-		return nil, ErrBadSlot
+	if rec, live := pg.Slot(i); live {
+		return rec, nil
 	}
-	return pg.b[off : off+length], nil
+	return nil, ErrBadSlot
+}
+
+// Slot returns the record in slot i (which must be in range), aliasing
+// page memory, and whether the slot is live. A dead slot's record is the
+// one it held when deleted.
+func (pg *Page) Slot(i int) (rec []byte, live bool) {
+	off, length := pg.slot(i)
+	start := off &^ deadBit
+	return pg.b[start : start+length], off&deadBit == 0
 }
 
 // Delete marks slot i dead. Space is not compacted; Compact reclaims it.
@@ -183,10 +207,10 @@ func (pg *Page) Delete(i int) error {
 		return ErrBadSlot
 	}
 	off, length := pg.slot(i)
-	if length == deadLen {
+	if off&deadBit != 0 {
 		return ErrBadSlot
 	}
-	pg.setSlot(i, off, deadLen)
+	pg.setSlot(i, off|deadBit, length)
 	return nil
 }
 
@@ -197,7 +221,7 @@ func (pg *Page) Update(i int, rec []byte) error {
 		return ErrBadSlot
 	}
 	off, length := pg.slot(i)
-	if length == deadLen {
+	if off&deadBit != 0 {
 		return ErrBadSlot
 	}
 	if len(rec) <= length {
@@ -220,27 +244,25 @@ func (pg *Page) Update(i int, rec []byte) error {
 func (pg *Page) Live() int {
 	n := 0
 	for i := 0; i < pg.nSlots(); i++ {
-		if _, length := pg.slot(i); length != deadLen {
+		if off, _ := pg.slot(i); off&deadBit == 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// Compact rewrites the record heap dropping dead slots. Slot indexes are
-// reassigned; callers that store slot references must not rely on them
-// across Compact (the engine's B-tree rebuilds references on compaction).
+// Compact rewrites the record heap dropping dead slots. The live slots
+// keep their order, but their indexes shift down past the dropped ones;
+// callers must not keep slot references across Compact.
 func (pg *Page) Compact() {
 	type rec struct {
 		data []byte
 	}
 	var live []rec
 	for i := 0; i < pg.nSlots(); i++ {
-		off, length := pg.slot(i)
-		if length == deadLen {
-			continue
+		if r, ok := pg.Slot(i); ok {
+			live = append(live, rec{data: append([]byte(nil), r...)})
 		}
-		live = append(live, rec{data: append([]byte(nil), pg.b[off:off+length]...)})
 	}
 	pageNo, lsn, t, next := pg.PageNo(), pg.LSN(), pg.PageType(), pg.Next()
 	pg.Init(pageNo, t)

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -184,4 +185,104 @@ func TestWrapRejectsWrongSize(t *testing.T) {
 		}
 	}()
 	Wrap(make([]byte, 100))
+}
+
+// slotRecs returns every slot's record in slot order, dead ones included.
+func slotRecs(pg *Page) []string {
+	var out []string
+	for i := 0; i < pg.NumSlots(); i++ {
+		rec, _ := pg.Slot(i)
+		out = append(out, string(rec))
+	}
+	return out
+}
+
+func TestInsertAtFrontMiddleEnd(t *testing.T) {
+	pg := freshPage(TypeBTreeLeaf)
+	for _, r := range []string{"b", "d"} {
+		if _, err := pg.Insert([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		at  int
+		rec string
+	}{{0, "a"}, {2, "c"}, {4, "e"}} {
+		if err := pg.InsertAt(c.at, []byte(c.rec)); err != nil {
+			t.Fatalf("InsertAt(%d): %v", c.at, err)
+		}
+	}
+	want := []string{"a", "b", "c", "d", "e"}
+	if got := slotRecs(pg); !slices.Equal(got, want) {
+		t.Fatalf("slots = %q, want %q", got, want)
+	}
+	for i, w := range want {
+		if got, err := pg.Get(i); err != nil || string(got) != w {
+			t.Fatalf("Get(%d) = %q, %v; want %q", i, got, err, w)
+		}
+	}
+}
+
+// InsertAt appends the record bytes exactly as Insert does: the same
+// records leave the same free space whatever slot each one takes.
+func TestInsertAtFreeSpaceMatchesInsert(t *testing.T) {
+	appended, placed := freshPage(TypeHeap), freshPage(TypeHeap)
+	for i := 0; i < 50; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, 1+i%17)
+		if _, err := appended.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := placed.InsertAt(i/2, rec); err != nil {
+			t.Fatal(err)
+		}
+		if appended.FreeSpace() != placed.FreeSpace() {
+			t.Fatalf("after %d records: free %d after Insert, %d after InsertAt", i+1, appended.FreeSpace(), placed.FreeSpace())
+		}
+	}
+	big := make([]byte, placed.FreeSpace()+1)
+	if err := placed.InsertAt(0, big); err != ErrPageFull {
+		t.Fatalf("InsertAt of a record that does not fit: %v", err)
+	}
+	if _, err := appended.Insert(big); err != ErrPageFull {
+		t.Fatalf("Insert of a record that does not fit: %v", err)
+	}
+}
+
+func TestInsertAtRejectsOutOfRange(t *testing.T) {
+	pg := freshPage(TypeHeap)
+	pg.Insert([]byte("a"))
+	for _, i := range []int{-1, 2, 99} {
+		if err := pg.InsertAt(i, []byte("x")); err != ErrBadSlot {
+			t.Fatalf("InsertAt(%d): %v, want ErrBadSlot", i, err)
+		}
+	}
+	if pg.NumSlots() != 1 {
+		t.Fatalf("a rejected InsertAt changed the page: %d slots", pg.NumSlots())
+	}
+}
+
+// A dead slot keeps its place and its record until Compact, which drops
+// it and keeps the order of the live slots.
+func TestCompactPreservesSlotOrder(t *testing.T) {
+	pg := freshPage(TypeBTreeLeaf)
+	for _, r := range []string{"e", "a", "c"} {
+		pg.Insert([]byte(r))
+	}
+	pg.InsertAt(2, []byte("b"))
+	pg.InsertAt(4, []byte("d"))
+	// Slots: e a b c d.
+	if err := pg.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if rec, live := pg.Slot(2); live || string(rec) != "b" {
+		t.Fatalf("dead slot 2 = %q live=%v, want its record \"b\" and dead", rec, live)
+	}
+	if err := pg.Update(3, []byte("cccc")); err != nil {
+		t.Fatal(err)
+	}
+	pg.Compact()
+	want := []string{"e", "a", "cccc", "d"}
+	if got := slotRecs(pg); !slices.Equal(got, want) || pg.Live() != len(want) {
+		t.Fatalf("after Compact slots = %q (live %d), want %q", got, pg.Live(), want)
+	}
 }

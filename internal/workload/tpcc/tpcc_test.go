@@ -24,7 +24,7 @@ func tiny() Config {
 
 func rig(t *testing.T, cfg Config, fn func(p *sim.Proc, db *DB)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	scfg := cluster.DefaultConfig()
 	scfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", scfg)

@@ -14,7 +14,7 @@ import (
 
 func rig(t *testing.T, sf float64, fn func(p *sim.Proc, eng *engine.Engine, db *DB)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30
 	s := cluster.NewServer(k, "db", cfg)

@@ -20,7 +20,7 @@ import (
 // rig loads a tiny TPC-H database on a null device.
 func rig(t *testing.T, sf float64, fn func(p *sim.Proc, eng *engine.Engine, db *DB)) {
 	t.Helper()
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	t.Cleanup(k.Close) // the engine's background procs end with the test
 	cfg := cluster.DefaultConfig()
 	cfg.MemoryBytes = 1 << 30

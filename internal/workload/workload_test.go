@@ -32,7 +32,7 @@ func fastEngine(p *sim.Proc, k *sim.Kernel) *engine.Engine {
 }
 
 func TestDriveCountsAndWindows(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		calls := 0
 		res := Drive(p, 4, 100*time.Millisecond, 200*time.Millisecond, func(wp *sim.Proc, _ int) error {
@@ -55,7 +55,7 @@ func TestDriveCountsAndWindows(t *testing.T) {
 }
 
 func TestDriveCountsErrors(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		i := 0
 		res := Drive(p, 1, 0, 100*time.Millisecond, func(wp *sim.Proc, _ int) error {
@@ -74,7 +74,7 @@ func TestDriveCountsErrors(t *testing.T) {
 }
 
 func TestHotspotDistribution(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		h := Hotspot{HotFrac: 0.20, HotAccess: 0.99}
 		const n = 100000
@@ -93,7 +93,7 @@ func TestHotspotDistribution(t *testing.T) {
 }
 
 func TestRangeScanQueryTouchesExpectedRows(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		eng := fastEngine(p, k)
 		cfg := DefaultRangeScan()
@@ -132,7 +132,7 @@ func TestRangeScanQueryTouchesExpectedRows(t *testing.T) {
 
 func TestRangeScanRowWidth(t *testing.T) {
 	// Table 4 says ~245 bytes/row; the generator should be close.
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		eng := fastEngine(p, k)
 		w, err := NewRangeScan(p, eng, RangeScanConfig{Rows: 1000, Range: 10, Clients: 1, QueryCPU: time.Microsecond})
@@ -151,7 +151,7 @@ func TestRangeScanRowWidth(t *testing.T) {
 }
 
 func TestHashSortLoadCardinality(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		eng := fastEngine(p, k)
 		cfg := HashSortConfig{Orders: 5000, Lineitem: 20000, TopN: 100}
@@ -180,7 +180,7 @@ func TestHashSortLoadCardinality(t *testing.T) {
 }
 
 func TestSQLIOPatterns(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	cfg := cluster.DefaultConfig()
 	s := cluster.NewServer(k, "io", cfg)
 	k.Go("t", func(p *sim.Proc) {
@@ -202,7 +202,7 @@ func TestSQLIOPatterns(t *testing.T) {
 }
 
 func TestSamplerCollectsSeries(t *testing.T) {
-	k := sim.New(1)
+	k := newKernel(t, 1)
 	k.Go("t", func(p *sim.Proc) {
 		n := 0.0
 		s := NewSampler(k, "test", 10*time.Millisecond, func(at time.Duration) float64 {
