@@ -2,9 +2,7 @@ package exec
 
 import (
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"remotedb/internal/engine/tempdb"
 	"remotedb/internal/fault"
@@ -53,8 +51,8 @@ func TestSpillPastTempDBIsClassifiedAndRecoverable(t *testing.T) {
 // input: nobody closes an operator that failed to open, and a parallel
 // scan left open keeps its producer procs parked on their full queues
 // until the kernel goes. The join fails while partitioning the probe
-// side, the sort while reading its input; either way the goroutine count
-// is back where it started with the kernel still running.
+// side, the sort while reading its input; either way the count of live
+// procs is back where it started with the kernel still running.
 func TestFailedOpenClosesItsInputs(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders, items := loadJoinTables(t, p, r, 10000)
@@ -78,17 +76,12 @@ func TestFailedOpenClosesItsInputs(t *testing.T) {
 			},
 		}
 		for _, name := range []string{"join", "sort"} {
-			before := runtime.NumGoroutine()
+			before := p.Kernel().LiveProcs()
 			if _, err := Run(r.ctx, ops[name]()); !errors.Is(err, tempdb.ErrFull) {
 				t.Errorf("%s: %v, want tempdb.ErrFull", name, err)
 			}
-			// A finished proc's goroutine retires a few instructions
-			// after it reports.
-			for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n != before {
-				t.Errorf("%s: %d goroutines after the failed open, %d before: producers left parked", name, n, before)
+			if n := p.Kernel().LiveProcs(); n != before {
+				t.Errorf("%s: %d live procs after the failed open, %d before: producers left parked", name, n, before)
 			}
 		}
 	})

@@ -88,9 +88,17 @@ func (lm *LogManager) Commit(p *sim.Proc, lsn uint64) error {
 		var err error
 		if len(batch) > 0 {
 			err = lm.file.WriteAt(p, batch, lm.fileOff)
-			lm.fileOff += int64(len(batch))
-			lm.BytesWrote += int64(len(batch))
 			lm.Flushes++
+			if err == nil {
+				lm.fileOff += int64(len(batch))
+				lm.BytesWrote += int64(len(batch))
+			} else {
+				// The batch is not on disk: it goes back ahead of what
+				// was appended during the write, and the next force
+				// writes it at the same offset, so the durable horizon
+				// never passes a lost record.
+				lm.buf = append(batch, lm.buf...)
+			}
 		}
 		lm.flushing = false
 		if err == nil {

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -117,6 +118,55 @@ func TestReplayEmptyLog(t *testing.T) {
 		lm.Replay(p, 0, func(Record) error { called = true; return nil })
 		if called {
 			t.Error("empty log replayed records")
+		}
+	})
+	k.Run(time.Minute)
+}
+
+// failFirstWrite is a log file whose first write fails.
+type failFirstWrite struct {
+	*vfs.MemFile
+	failed bool
+}
+
+func (f *failFirstWrite) WriteAt(p *sim.Proc, b []byte, off int64) error {
+	if !f.failed {
+		f.failed = true
+		return errors.New("log device: write failed")
+	}
+	return f.MemFile.WriteAt(p, b, off)
+}
+
+// A force that fails keeps its records: the next force writes them where
+// they belong, and the durable horizon never covers a hole in the log.
+func TestFailedForceLosesNoRecord(t *testing.T) {
+	k := newKernel(t, 1)
+	k.Go("t", func(p *sim.Proc) {
+		lm := New(k, &failFirstWrite{MemFile: vfs.NewMemFile("log")})
+		first := lm.Append(RecUpdate, []byte("one"))
+		if err := lm.Commit(p, first); err == nil {
+			t.Error("commit over a failed write reported success")
+		}
+		if got := lm.FlushedLSN(); got != 0 {
+			t.Errorf("flushed LSN %d after the failed force, want 0", got)
+		}
+		second := lm.Append(RecUpdate, []byte("two"))
+		if err := lm.Commit(p, second); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := lm.FlushedLSN(); got != second {
+			t.Errorf("flushed LSN %d, want %d", got, second)
+		}
+		var got []string
+		if err := lm.Replay(p, 0, func(r Record) error {
+			got = append(got, string(r.Payload))
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+		if fmt.Sprint(got) != "[one two]" {
+			t.Errorf("replay = %v, want [one two]", got)
 		}
 	})
 	k.Run(time.Minute)

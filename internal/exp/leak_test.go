@@ -26,8 +26,8 @@ func TestRunInSimReleasesBed(t *testing.T) {
 		if _, err := RunParScan(1, prm); err != nil {
 			t.Fatal(err)
 		}
-		// A proc's goroutine reports to Close a few instructions before
-		// the runtime retires it.
+		// The goroutine Close stops a proc on reports a few instructions
+		// before the runtime retires it.
 		for j := 0; j < 1000 && runtime.NumGoroutine() > base; j++ {
 			time.Sleep(time.Millisecond)
 		}

@@ -70,3 +70,31 @@ func BenchmarkHandoff80Procs(b *testing.B) {
 	}
 	k.Run(0)
 }
+
+// spawnExit is one request's child in the shape of disk.FanOut: a fresh
+// WaitGroup, one child that sleeps once, and a wait for it.
+func spawnExit(p *Proc) {
+	wg := NewWaitGroup(p.k)
+	wg.Add(1)
+	p.k.Go("child", func(c *Proc) {
+		c.Sleep(time.Microsecond)
+		wg.Done()
+	})
+	wg.Wait(p)
+}
+
+// BenchmarkSpawnExit is the per-request child of disk.FanOut,
+// core.raceFrame and ReadVWithin. One op is one spawnExit; each child
+// runs on the coroutine the previous one gave back.
+func BenchmarkSpawnExit(b *testing.B) {
+	b.ReportAllocs()
+	k := New(1)
+	defer k.Close()
+	k.Go("parent", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			spawnExit(p)
+		}
+	})
+	k.Run(0)
+}

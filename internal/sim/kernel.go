@@ -1,14 +1,18 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Processes are ordinary goroutines, but the kernel runs exactly one of
-// them at a time: a process executes until it blocks on a kernel primitive
-// (Sleep, Resource.Acquire, Cond.Wait, ...), at which point it pops the
-// next event off the virtual-time heap itself. If that event is its own
-// wake-up it simply keeps running; otherwise it hands the baton straight
-// to the woken process and parks. Events at equal times are ordered by a
-// monotonically increasing sequence number, so a simulation with a fixed
-// RNG seed is bit-for-bit reproducible. No wall-clock time is consulted
-// anywhere.
+// Each process runs as a coroutine (iter.Pull), and the kernel runs
+// exactly one of them at a time: a process executes until it blocks on a
+// kernel primitive (Sleep, Resource.Acquire, Cond.Wait, ...), at which
+// point it pops the next event off the virtual-time heap itself. If that
+// event is its own wake-up it simply keeps running; otherwise it names
+// the woken process and yields to Run, whose loop resumes that one: a
+// coroutine switch each way, on one OS thread. A process that returns
+// gives its coroutine back for the next spawn. Events at equal times are
+// ordered by a monotonically increasing sequence number, so a simulation
+// with a fixed RNG seed is bit-for-bit reproducible. No wall-clock time
+// is consulted anywhere.
 //
 // The kernel is the substrate for every hardware and software model in
 // this repository: disks, NICs, CPU schedulers, the memory broker, and
@@ -17,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 	"time"
@@ -27,10 +32,10 @@ type Kernel struct {
 	now    int64 // virtual time in nanoseconds
 	eq     eventHeap
 	seq    int64
-	limit  int64         // virtual-time limit of the current Run (0 = none)
-	idle   chan struct{} // the dispatcher tells Run the queue drained or the limit was hit
-	live   []*Proc       // every process that has not exited, for Close
-	exited chan struct{} // a poisoned process tells Close it has unwound
+	limit  int64     // virtual-time limit of the current Run (0 = none)
+	next   *Proc     // the proc Run resumes next; nil once the queue drained or the limit was hit
+	live   []*Proc   // every process that has not exited, for Close
+	free   []*worker // coroutines whose proc returned, for the next spawn
 	rng    *rand.Rand
 	halted bool
 	closed bool
@@ -96,11 +101,7 @@ func (h *eventHeap) pop() event {
 
 // New returns a kernel whose RNG is seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		idle:   make(chan struct{}, 1),
-		exited: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time as a duration since simulation start.
@@ -110,14 +111,29 @@ func (k *Kernel) Now() time.Duration { return time.Duration(k.now) }
 // used from within simulation processes (which run one at a time).
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
+// LiveProcs returns the number of processes that have not exited:
+// running, parked, or spawned and not yet started.
+func (k *Kernel) LiveProcs() int { return len(k.live) }
+
 // Proc is a simulation process. All blocking methods must be called from
-// the goroutine running the process.
+// the process's own function.
 type Proc struct {
 	k        *Kernel
 	name     string
-	resume   chan struct{} // capacity 1: a parked process has at most one baton in flight
+	w        *worker       // the coroutine running it; nil once it exited
 	liveIdx  int           // position in k.live
 	deadline time.Duration // absolute virtual time; 0 = no deadline
+}
+
+// worker is a coroutine that runs procs one after another: spawn hands it
+// a proc, and when that proc's function returns the worker goes back on
+// the kernel's free list and waits, suspended, for the next.
+type worker struct {
+	p      *Proc // assigned by spawn, taken by loop
+	fn     func(p *Proc)
+	resume func() (struct{}, bool) // iter.Pull's next; only Run's loop calls it
+	stop   func()
+	yield  func(struct{}) bool // back to Run; false once Close stopped the worker
 }
 
 // Name returns the name the process was spawned with.
@@ -130,7 +146,7 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() time.Duration { return p.k.Now() }
 
 // SetDeadline attaches an absolute virtual-time deadline to the process
-// (0 clears it). The kernel never enforces it; it is a goroutine-local
+// (0 clears it). The kernel never enforces it; it is a process-local
 // budget that deadline-aware layers (rmem transports, the file layer's
 // retry loops) consult so a per-query budget flows down a call chain
 // without threading a context parameter through every interface.
@@ -158,34 +174,57 @@ func (k *Kernel) GoAt(at time.Duration, name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(at int64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: name}
 	if k.closed {
 		return p // a deferred function of a poisoned process spawned it: never runs
 	}
+	var w *worker
+	if n := len(k.free); n > 0 {
+		w = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+	} else {
+		w = new(worker)
+		w.resume, w.stop = iter.Pull(w.loop)
+	}
+	w.p, w.fn = p, fn
+	p.w = w
 	p.liveIdx = len(k.live)
 	k.live = append(k.live, p)
 	k.schedule(at, p)
-	go p.run(fn)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	// Deferred, so the baton moves on even if fn bails out via
-	// runtime.Goexit (e.g. t.Fatal inside a simulation process).
-	defer p.exit()
-	<-p.resume // wait for a dispatcher (or Close) to start us
-	if !p.k.closed {
-		fn(p)
+// loop is the worker's coroutine body.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		p, fn := w.p, w.fn
+		w.p, w.fn = nil, nil // an idle worker pins no proc
+		w.run(p, fn)
+		if !yield(struct{}{}) {
+			return // Close stopped the idle worker
+		}
 	}
 }
 
-// exit unlinks the finished process and passes the baton on.
+// run runs one proc to its end. The exit is deferred, so the next proc is
+// picked even if fn bails out via runtime.Goexit (t.Fatal inside a
+// simulation process); that Goexit ends the coroutine, so only a worker
+// whose fn returned goes back on the free list.
+func (w *worker) run(p *Proc, fn func(p *Proc)) {
+	defer p.exit()
+	fn(p)
+	p.k.free = append(p.k.free, w)
+}
+
+// exit unlinks the finished process and picks the next one to run.
 func (p *Proc) exit() {
 	k := p.k
 	if k.closed {
-		k.exited <- struct{}{}
-		return
+		return // Close is unwinding it
 	}
+	p.w = nil // a stray wake-up for it crashes Run instead of resuming another proc
 	last := len(k.live) - 1
 	moved := k.live[last]
 	k.live[p.liveIdx] = moved
@@ -201,22 +240,22 @@ func (k *Kernel) schedule(t int64, p *Proc) {
 	k.eq.push(event{at: t, seq: k.seq, p: p})
 }
 
-// After schedules fn to run at now+d with no process context, on
-// whichever goroutine is dispatching when it comes due. fn must not block
-// on simulation primitives or exit its goroutine.
+// After schedules fn to run at now+d with no process context, inside
+// whichever process (or Run) is dispatching when it comes due. fn must
+// not block on simulation primitives or call runtime.Goexit.
 func (k *Kernel) After(d time.Duration, fn func()) {
 	k.seq++
 	k.eq.push(event{at: k.now + int64(d), seq: k.seq, fn: fn})
 }
 
-// dispatch is the event loop. Whoever holds the baton runs it — a process
-// that is about to block (self), one that just exited, or Run (both nil)
-// — popping events in (at, seq) order and running callbacks inline until
-// a process wake-up comes due. It returns true when that wake-up is
-// self's own: the caller advances the clock and keeps running without
-// touching a channel. Otherwise the baton has left the calling goroutine
-// — to the woken process, or back to Run when the queue is drained or
-// the next event lies past the limit — and the caller must park or exit.
+// dispatch is the event loop. Whoever gives up the CPU runs it — a
+// process that is about to block (self), one that just exited, or Run
+// (both nil) — popping events in (at, seq) order and running callbacks
+// inline until a process wake-up comes due. It returns true when that
+// wake-up is self's own: the caller advances the clock and keeps running
+// without a switch. Otherwise it records the woken process in k.next —
+// nil when the queue is drained or the next event lies past the limit —
+// and the caller, if a process, yields to Run, which resumes k.next.
 func (k *Kernel) dispatch(self *Proc) bool {
 	for len(k.eq) > 0 {
 		if k.limit > 0 && k.eq[0].at > k.limit {
@@ -236,10 +275,9 @@ func (k *Kernel) dispatch(self *Proc) bool {
 		if ev.p == self {
 			return true
 		}
-		ev.p.resume <- struct{}{}
+		k.next = ev.p
 		return false
 	}
-	k.idle <- struct{}{}
 	return false
 }
 
@@ -253,39 +291,68 @@ func (k *Kernel) Run(limit time.Duration) {
 	k.limit = int64(limit)
 	k.halted = false
 	k.dispatch(nil)
-	<-k.idle
+	// iter.Pull forwards a proc's runtime.Goexit to the goroutine that
+	// resumed it, so the resuming happens on a goroutine of its own, and
+	// a fresh one takes over when a Goexit ends it.
+	for k.next != nil {
+		done := make(chan struct{})
+		go k.drive(done)
+		<-done
+	}
+}
+
+// drive resumes procs, each until it blocks or exits, until none is due.
+func (k *Kernel) drive(done chan<- struct{}) {
+	defer close(done)
+	for k.next != nil {
+		p := k.next
+		k.next = nil
+		p.w.resume()
+	}
 }
 
 // Halted reports whether the last Run stopped due to the time limit.
 func (k *Kernel) Halted() bool { return k.halted }
 
 // Close tears the simulation down: every process that has not exited —
-// parked or never started — is resumed with the kernel marked closed and
-// unwinds via runtime.Goexit, running its deferred functions; Close
-// returns once all of them have. Without it those goroutines stay parked
-// forever and pin everything they reference. Call it after Run has
-// returned, from the goroutine that called Run. Processes unwind one at a
-// time, and a deferred function that blocks on a simulation primitive
-// exits at that point instead (the remaining deferred functions still
-// run), so deferred functions must not rely on blocking. A closed kernel
-// schedules nothing: Run returns at once and Go never starts its process.
+// parked or never started — is stopped with the kernel marked closed; a
+// started one unwinds via runtime.Goexit, running its deferred functions.
+// Close returns once all of them have, and once every idle coroutine has
+// ended. Without it the parked processes and idle coroutines stay alive
+// and pin everything they reference. Call it after Run has returned, from
+// the goroutine that called Run. Processes unwind one at a time, in the
+// order of k.live, and a deferred function that blocks on a simulation
+// primitive exits at that point instead (the remaining deferred
+// functions still run), so deferred functions must not rely on blocking.
+// A closed kernel schedules nothing: Run returns at once and Go never
+// starts its process.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
+	done := make(chan struct{})
 	for _, p := range k.live {
-		p.resume <- struct{}{}
-		<-k.exited
+		// A parked proc's yield reports false and blockHere calls
+		// runtime.Goexit, which iter.Pull forwards to stop's caller: a
+		// goroutine of its own.
+		go func() {
+			defer func() { done <- struct{}{} }()
+			p.w.stop()
+		}()
+		<-done
 	}
-	k.live = nil
+	for _, w := range k.free {
+		w.stop() // an idle worker's loop returns
+	}
+	k.live, k.free = nil, nil
 	k.eq = nil // pending events, plus wake-ups the unwinding processes queued
 }
 
-// blockHere parks the calling process; it returns when a dispatcher
-// resumes it. The caller must already have arranged for a wakeup
-// (scheduled event or registration with a waking primitive), otherwise
-// the process stays parked until Close.
+// blockHere parks the calling process; it returns when Run resumes it.
+// The caller must already have arranged for a wakeup (scheduled event or
+// registration with a waking primitive), otherwise the process stays
+// parked until Close.
 func (p *Proc) blockHere() {
 	k := p.k
 	if k.closed {
@@ -294,9 +361,8 @@ func (p *Proc) blockHere() {
 	if k.dispatch(p) {
 		return
 	}
-	<-p.resume
-	if k.closed {
-		runtime.Goexit()
+	if !p.w.yield(struct{}{}) {
+		runtime.Goexit() // Close stopped it
 	}
 }
 

@@ -256,9 +256,9 @@ func TestRunResumesPastLimit(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count drops to want: a
-// process's goroutine has told Close it unwound a few instructions
-// before the runtime retires it.
+// waitGoroutines polls until the goroutine count drops to want: the
+// goroutine Close stops a proc on, and Run's driving goroutine, report a
+// few instructions before the runtime retires them.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	for i := 0; i < 1000 && runtime.NumGoroutine() > want; i++ {
@@ -327,5 +327,80 @@ func TestSleepDoesNotAllocate(t *testing.T) {
 	k.Run(0)
 	if self != 0 || handoff != 0 {
 		t.Fatalf("Sleep allocates: %v allocs self-wake, %v allocs handoff, want 0", self, handoff)
+	}
+}
+
+// A spawned child runs on the coroutine a finished proc gave back, so a
+// spawn costs the Proc and what the caller allocates (here the
+// WaitGroup, its waiter slot and the closure), not a goroutine.
+func TestSpawnExitAllocations(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	var allocs float64
+	k.Go("parent", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { spawnExit(p) })
+	})
+	k.Run(0)
+	if allocs > 4 {
+		t.Fatalf("spawn+exit: %v allocs, want at most 4", allocs)
+	}
+}
+
+// Finished procs' coroutines are reused rather than piling up, and Close
+// ends the idle ones.
+func TestCloseEndsIdleWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const width = 4
+	k := New(1)
+	k.Go("parent", func(p *Proc) {
+		wg := NewWaitGroup(k)
+		for i := 0; i < 1000; i++ {
+			wg.Add(1)
+			k.Go("child", func(c *Proc) {
+				c.Sleep(time.Duration(i%width) * time.Microsecond)
+				wg.Done()
+			})
+			if i%width == width-1 {
+				wg.Wait(p)
+			}
+		}
+	})
+	k.Run(0)
+	if n := k.LiveProcs(); n != 0 {
+		t.Fatalf("%d procs live after Run drained the queue", n)
+	}
+	// The parent and width children ran at once; Run's driving goroutine
+	// may not have retired yet.
+	if n := runtime.NumGoroutine(); n > base+width+2 {
+		t.Fatalf("%d goroutines after 1000 spawns of at most %d procs at a time (%d before)", n, width+1, base)
+	}
+	k.Close()
+	waitGoroutines(t, base)
+}
+
+// A proc that bails out via runtime.Goexit ends only the goroutine that
+// was driving: Run carries on from a new one, and the bailed-out proc's
+// coroutine is not handed to a later spawn.
+func TestSpawnAfterGoexitRuns(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	var done time.Duration
+	k.Go("bail", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		runtime.Goexit()
+	})
+	k.Go("spawner", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		k.Go("late", func(c *Proc) {
+			c.Sleep(time.Microsecond)
+			done = c.Now()
+		})
+	})
+	k.Run(0)
+	if done != 3*time.Microsecond {
+		t.Fatalf("late proc finished at %v, want 3µs", done)
+	}
+	if n := k.LiveProcs(); n != 0 {
+		t.Fatalf("%d procs live after Run drained the queue", n)
 	}
 }

@@ -37,8 +37,8 @@ func (f *FixedFile) WriteAt(p *sim.Proc, b []byte, off int64) error {
 func Main(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
-	// A proc's goroutine reports to Close a few instructions before the
-	// runtime retires it.
+	// The goroutine Close stops a proc on reports a few instructions
+	// before the runtime retires it.
 	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
 		time.Sleep(time.Millisecond)
 	}
