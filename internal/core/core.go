@@ -76,6 +76,8 @@ type FS struct {
 	health    *healthTracker // nil unless Hedging or HealthChecks
 	frames    [][]byte       // free list of integrity frames (see integrity.go)
 	scratches []*scratch     // free list of request scratch (see io.go)
+	races     []*race        // free list of raced-read state (see health.go)
+	children  []*raceChild   // free list of race reads (see health.go)
 
 	// Fault-tolerance counters (virtual-time observability).
 	Restripes    int64 // stripes (all replicas) successfully re-leased

@@ -143,6 +143,60 @@ func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
 	k.Run(0)
 }
 
+// A vector's whole-block elements land in the caller's buffers, only
+// their trailers in frames, and are verified in place. One of them is
+// bit-flipped on its first replica: the read still returns verified
+// bytes, counts one corruption, and repairs that copy through the frame
+// route. A partial-block element in the same vector takes the frame
+// route from the start.
+func TestWholeBlocksLandInPlace(t *testing.T) {
+	inSim(t, func(p *sim.Proc) {
+		e := newEnv(p, 4, 8, integrityCfg(2))
+		bs := DefaultBlockSize
+		f, _ := e.fs.Create(p, "f", 1<<20)
+		f.OpenConn(p)
+		data := pattern(1<<20, 7)
+		if err := f.WriteAt(p, data, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		const flipped = 6 // the block of element 2
+		if !f.InjectBlockFlip(flipped, 0) {
+			t.Error("injection failed")
+			return
+		}
+		vecs := make([]vfs.Vec, 16)
+		for i := range 15 {
+			vecs[i] = vfs.Vec{Off: int64(3 * i * bs), Buf: bytes.Repeat([]byte{0xEE}, bs)}
+		}
+		const partial = 60*DefaultBlockSize + 300
+		vecs[15] = vfs.Vec{Off: partial, Buf: bytes.Repeat([]byte{0xEE}, 100)}
+		sc := e.fs.getScratch()
+		if err := f.framedReadV(p, sc, vecs, false); err != nil {
+			t.Error(err)
+			return
+		}
+		for i, blk := range sc.blocks {
+			if want := i < 15 && blk.g != flipped; blk.direct != want {
+				t.Errorf("element %d (block %d): landed in place = %v, want %v", i, blk.g, blk.direct, want)
+			}
+		}
+		e.fs.putScratch(sc)
+		for i, v := range vecs {
+			if !bytes.Equal(v.Buf, data[v.Off:v.Off+int64(len(v.Buf))]) {
+				t.Errorf("element %d: bytes differ from what was written", i)
+			}
+		}
+		if e.fs.Corruptions.N != 1 || e.fs.Repairs.N != 1 {
+			t.Errorf("%d corruptions and %d repairs, want 1 and 1", e.fs.Corruptions.N, e.fs.Repairs.N)
+		}
+		if err := verifyFrame(f.SnapshotBlockFrame(flipped, 0), bs, f.gens[flipped]); err != nil {
+			t.Errorf("the flipped copy was not repaired: %v", err)
+		}
+		e.fs.CloseAll(p)
+	})
+}
+
 // Recycled frames are not pre-zeroed: a partial write into a
 // never-written block must still read back zeros around it.
 func TestPartialWriteIntoFreshBlockReadsZerosAround(t *testing.T) {

@@ -42,6 +42,7 @@ import (
 
 	"remotedb/internal/fault"
 	"remotedb/internal/metrics"
+	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
 )
 
@@ -396,129 +397,199 @@ func (f *File) errSlowRead(g int64) error {
 	return fmt.Errorf("core: read of block %d of %q blew its deadline budget: %w", g, f.name, fault.ErrSlow)
 }
 
-// raceChild is one in-flight replica read inside a race.
+// raceChild is one replica read of a race, pooled per FS (fs.children).
+// The race owns it until raceFrame returns. A read still in flight then
+// (orphaned) owns itself: it hands its frame and this struct back when
+// it lands and touches nothing of the race, which may be running another
+// read by then.
 type raceChild struct {
+	run      func(p *sim.Proc) // c.read, bound once: a spawn allocates only its Proc
+	f        *File
+	rc       *race // the race it reports to while not orphaned
+	g        int64
+	mr       *rmem.MR
+	frameOff int
 	r        int    // replica index
-	buf      []byte // pooled frame; returned by whichever of race and child finishes last
+	buf      []byte // pooled frame
 	done     bool
 	orphaned bool // the race returned while this read was still in flight
 	err      error
 	verified bool
 }
 
+// race is the state one raceFrame shares with its reads and timers,
+// pooled per FS (fs.races) and back on the free list when raceFrame
+// returns. Its timers are stopped then: a firing still queued finds
+// itself stale and neither sets a flag nor wakes anyone (DESIGN §9).
+type race struct {
+	cond                      *sim.Cond
+	hedge, deadline           *sim.Timer
+	hedgeFired, deadlineFired bool
+	children                  [2]*raceChild // primary, then hedge
+	n                         int
+}
+
+// raceRead is what a race reports of one of its reads.
+type raceRead struct {
+	r              int
+	done, verified bool
+	err            error
+}
+
 // raceResult summarizes one raceFrame call.
 type raceResult struct {
-	winner   int // replica index of the verified winner, -1 if none
-	hedgeWon bool
-	slow     bool // deadline fired before any verified frame
-	children []*raceChild
+	winner int  // replica index of the verified winner, -1 if none
+	slow   bool // deadline fired before any verified frame
+	n      int  // reads launched
+	reads  [2]raceRead
+}
+
+func (fs *FS) getRace() *race {
+	if last := len(fs.races) - 1; last >= 0 {
+		rc := fs.races[last]
+		fs.races = fs.races[:last]
+		return rc
+	}
+	rc := &race{cond: sim.NewCond(fs.k)}
+	rc.hedge = sim.NewTimer(fs.k, func() {
+		rc.hedgeFired = true
+		rc.cond.Broadcast()
+	})
+	rc.deadline = sim.NewTimer(fs.k, func() {
+		rc.deadlineFired = true
+		rc.cond.Broadcast()
+	})
+	return rc
+}
+
+func (fs *FS) getChild() *raceChild {
+	if last := len(fs.children) - 1; last >= 0 {
+		c := fs.children[last]
+		fs.children = fs.children[:last]
+		return c
+	}
+	c := &raceChild{}
+	c.run = c.read
+	return c
+}
+
+// putChild returns c and its frame.
+func (fs *FS) putChild(c *raceChild) {
+	fs.putFrame(c.buf)
+	c.f, c.rc, c.mr, c.buf, c.err = nil, nil, nil, nil, nil
+	fs.children = append(fs.children, c)
+}
+
+// read is a race child's body: one replica read into its own frame,
+// verified and reported to the health tracker however late it lands.
+func (c *raceChild) read(cp *sim.Proc) {
+	f := c.f
+	start := cp.Now()
+	err := f.fs.Transport.Read(cp, f.fs.Client, c.mr, c.frameOff, c.buf)
+	lat := cp.Now() - start
+	verified := err == nil && verifyFrame(c.buf, f.fs.BlockSize, f.gens[c.g]) == nil
+	if h := f.fs.health; h != nil {
+		h.observe(c.mr.Owner.Name, lat, err != nil || !verified, cp.Now())
+	}
+	if c.orphaned {
+		f.fs.putChild(c)
+		return
+	}
+	c.err, c.verified, c.done = err, verified, true
+	c.rc.cond.Broadcast()
 }
 
 // raceFrame reads block g's frame from replica primary, optionally
 // hedging to replica hedge when the primary exceeds its adaptive
 // threshold, bounded by an absolute deadline (0 = none). The first
-// verified frame wins and is copied into frame; the loser is abandoned
-// mid-flight (bytes discarded, wire cost sunk). Every child reports its
-// true latency and outcome to the health tracker when it completes,
-// even if the race already returned — in which case it also returns its
-// own frame buffer to the pool, so the buffer is never re-issued while
-// the transfer can still land in it.
-func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame []byte, primary, hedge int, deadline time.Duration) raceResult {
-	k := p.Kernel()
-	cond := sim.NewCond(k)
-	bs := f.fs.BlockSize
-	res := raceResult{winner: -1}
+// verified frame wins and is swapped into *frame (a pooled frame, which
+// goes back to the pool in its place); the loser is abandoned mid-flight
+// (bytes discarded, wire cost sunk). Every read reports its true latency
+// and outcome to the health tracker when it completes, even if the race
+// already returned — in which case it also returns its own frame to the
+// pool, so the frame is never re-issued while the transfer can still
+// land in it.
+func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame *[]byte, primary, hedge int, deadline time.Duration) raceResult {
+	fs := f.fs
+	rc := fs.getRace()
 	launch := func(r int) {
-		c := &raceChild{r: r, buf: f.fs.getFrame()}
-		res.children = append(res.children, c)
-		mr := f.leases[s][r].MR
-		donor := mr.Owner.Name
-		k.Go("read-race", func(cp *sim.Proc) {
-			start := cp.Now()
-			err := f.fs.Transport.Read(cp, f.fs.Client, mr, frameOff, c.buf)
-			lat := cp.Now() - start
-			verified := err == nil && verifyFrame(c.buf, bs, f.gens[g]) == nil
-			if h := f.fs.health; h != nil {
-				h.observe(donor, lat, err != nil || !verified, cp.Now())
-			}
-			c.err = err
-			c.verified = verified
-			c.done = true
-			if c.orphaned {
-				f.fs.putFrame(c.buf)
-			}
-			cond.Broadcast()
-		})
+		c := fs.getChild()
+		c.f, c.rc, c.g, c.frameOff, c.r = f, rc, g, frameOff, r
+		c.mr = f.leases[s][r].MR
+		c.buf = fs.getFrame()
+		c.done, c.orphaned, c.verified = false, false, false
+		rc.children[rc.n] = c
+		rc.n++
+		p.Kernel().Go("read-race", c.run)
 	}
-	// On every return path: finished children's buffers go back now, the
-	// rest when their reads complete.
-	defer func() {
-		for _, c := range res.children {
-			if c.done {
-				f.fs.putFrame(c.buf)
-			} else {
-				c.orphaned = true
-			}
-		}
-	}()
 	launch(primary)
-	hedgeArmed := hedge >= 0 && f.fs.hedgeAllowed()
-	hedgeFired := false
+	hedgeArmed := hedge >= 0 && fs.hedgeAllowed()
 	if hedgeArmed {
 		thr := minHedgeThreshold
-		if h := f.fs.health; h != nil {
+		if h := fs.health; h != nil {
 			thr = h.hedgeThreshold(f.leases[s][primary].MR.Owner.Name)
-		} else if f.fs.HedgeAfter > 0 {
-			thr = f.fs.HedgeAfter
+		} else if fs.HedgeAfter > 0 {
+			thr = fs.HedgeAfter
 		}
-		k.After(thr, func() {
-			hedgeFired = true
-			cond.Broadcast()
-		})
+		rc.hedge.Reset(thr)
 	}
-	deadlineFired := false
 	if deadline > 0 {
 		if p.Now() >= deadline {
-			deadlineFired = true
+			rc.deadlineFired = true
 		} else {
-			k.After(deadline-p.Now(), func() {
-				deadlineFired = true
-				cond.Broadcast()
-			})
+			rc.deadline.Reset(deadline - p.Now())
 		}
 	}
+	res := raceResult{winner: -1}
+race:
 	for {
-		for i, c := range res.children {
-			if c.done && c.verified {
-				copy(frame, c.buf)
-				res.winner = c.r
-				res.hedgeWon = i > 0
-				if res.hedgeWon {
-					f.fs.HedgeWins++
-				}
-				return res
-			}
-		}
 		allDone := true
-		for _, c := range res.children {
-			if !c.done {
-				allDone = false
-				break
+		for i, c := range rc.children[:rc.n] {
+			if c.done && c.verified {
+				*frame, c.buf = c.buf, *frame
+				res.winner = c.r
+				if i > 0 {
+					fs.HedgeWins++
+				}
+				break race
 			}
+			allDone = allDone && c.done
 		}
 		if allDone {
-			return res // every launched read failed; caller moves on
+			break // every launched read failed; caller moves on
 		}
-		if deadlineFired {
+		if rc.deadlineFired {
 			res.slow = true
-			return res
+			break
 		}
-		if hedgeFired && hedgeArmed && len(res.children) == 1 {
-			f.fs.HedgedReads++
+		if rc.hedgeFired && hedgeArmed && rc.n == 1 {
+			fs.HedgedReads++
 			launch(hedge)
 		}
-		cond.Wait(p)
+		rc.cond.Wait(p)
 	}
+	fs.endRace(rc, &res)
+	return res
+}
+
+// endRace reports rc's reads into res and puts rc back on the free list:
+// finished reads go back now, with their frames; the rest are orphaned
+// and go back when they land.
+func (fs *FS) endRace(rc *race, res *raceResult) {
+	rc.hedge.Stop()
+	rc.deadline.Stop()
+	for i, c := range rc.children[:rc.n] {
+		res.reads[i] = raceRead{r: c.r, done: c.done, verified: c.verified, err: c.err}
+		if c.done {
+			fs.putChild(c)
+		} else {
+			c.orphaned = true
+		}
+		rc.children[i] = nil
+	}
+	res.n = rc.n
+	rc.n, rc.hedgeFired, rc.deadlineFired = 0, false, false
+	fs.races = append(fs.races, rc)
 }
 
 // orderByHealth sorts candidate replicas healthiest-first (stable, so

@@ -97,12 +97,18 @@ var (
 // verifyFrame checks the trailer against the data and the expected
 // generation.
 func verifyFrame(frame []byte, bs int, wantGen uint64) error {
-	crc := crc32.Checksum(frame[:bs], castagnoli)
-	crc = crc32.Update(crc, castagnoli, frame[bs+4:bs+trailerSize])
-	if crc != binary.LittleEndian.Uint32(frame[bs:bs+4]) {
+	return verifyParts(frame[:bs], frame[bs:], wantGen)
+}
+
+// verifyParts is verifyFrame of a frame held in two parts: the block's
+// data and its trailer.
+func verifyParts(data, trailer []byte, wantGen uint64) error {
+	crc := crc32.Checksum(data, castagnoli)
+	crc = crc32.Update(crc, castagnoli, trailer[4:trailerSize])
+	if crc != binary.LittleEndian.Uint32(trailer[:4]) {
 		return errChecksum
 	}
-	if got := binary.LittleEndian.Uint64(frame[bs+4 : bs+trailerSize]); got != wantGen {
+	if got := binary.LittleEndian.Uint64(trailer[4:trailerSize]); got != wantGen {
 		return errStale
 	}
 	return nil
@@ -261,6 +267,8 @@ func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 	fsz := int64(f.frameSize())
 	const maxRun, maxPasses = 32, 8
 	runBuf := make([]byte, maxRun*fsz)
+	fr := f.fs.getFrame() // fetchBlock's frame; each fetch is copied into runBuf
+	defer func() { f.fs.putFrame(fr) }()
 	copied := make([]uint64, hi-lo) // generation of the copy on dst, 0 = none
 	stale := func(g int64) bool {
 		return g < hi && f.gens[g] != copied[g-lo] && !f.poisoned[g]
@@ -281,8 +289,9 @@ func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 			}
 			buf := runBuf[:run*fsz]
 			for i := int64(0); i < run; i++ {
-				fr := buf[i*fsz : (i+1)*fsz]
-				if err := f.fetchBlock(p, g+i, fr, -1); err != nil {
+				err := f.fetchBlock(p, g+i, &fr, -1)
+				copy(buf[i*fsz:(i+1)*fsz], fr)
+				if err != nil {
 					if errors.Is(err, vfs.ErrCorrupt) {
 						// Just poisoned: whatever the slot holds is never
 						// read — reads are gated by the poison flag.
@@ -375,7 +384,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 				// good copy elsewhere and rewrite this one, or poison.
 				f.fs.Corruptions.Add(1, int64(bs))
 				good := f.fs.getFrame()
-				if ferr := f.fetchBlock(p, g+i, good, r); ferr == nil {
+				if ferr := f.fetchBlock(p, g+i, &good, r); ferr == nil {
 					f.repairBlockOn(p, g+i, r, good)
 				} else if !errors.Is(ferr, vfs.ErrCorrupt) {
 					// No other replica could serve the block: this was

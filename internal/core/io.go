@@ -7,8 +7,10 @@
 //	route   each fragment to its live replicas (liveReplicas), in health
 //	        order where the breaker has something to say (orderByHealth)
 //	issue   one doorbell-batched vector per request (rmem ReadVWithin /
-//	        WriteV), or one raced transfer per block (raceFrame)
-//	verify  every frame that came back (verifyFrame; a no-op unframed)
+//	        ReadV / WriteV), or one raced transfer per block (raceFrame);
+//	        a vector's whole blocks land in the caller's buffers
+//	verify  every frame that came back, where it landed (verifyFrame,
+//	        verifyParts; a no-op unframed)
 //	recover what did not verify: fetchBlock fails over replica by replica,
 //	        repairs the bad copies it passed, and poisons a block no
 //	        replica can serve
@@ -48,9 +50,11 @@ func (f *File) WriteAt(p *sim.Proc, b []byte, off int64) error {
 }
 
 // ReadAtV reads every element of vecs in one batched transfer, verifying
-// integrity frames when the FS has them enabled. Partial completion is
-// possible on error; callers needing to localize a failure retry per
-// element.
+// integrity frames when the FS has them enabled. On error every
+// element's buffer is undefined: some may hold their bytes, others what
+// they held before, and an element that covers a whole framed block may
+// hold a copy that failed verification (it lands in place before it is
+// checked). Callers needing to localize a failure retry per element.
 func (f *File) ReadAtV(p *sim.Proc, vecs []vfs.Vec) error {
 	return f.transfer(p, vecs, false, false)
 }
@@ -114,6 +118,7 @@ type blockIO struct {
 	more  []blockSeg
 
 	frame      []byte // from getFrame; putScratch returns it
+	direct     bool   // read: the data landed in first.data, only the trailer in frame
 	failedOver bool   // read: routed past a lost replica
 	gen        uint64 // write: the generation the frame was sealed with
 	wrote      int    // write: replicas the frame landed on
@@ -168,7 +173,8 @@ func (fs *FS) getScratch() *scratch {
 
 // putScratch returns sc and every frame it holds. Every transfer a
 // request issues is synchronous or works on private buffers
-// (raceFrame, ReadVWithin), so nothing can still land in them.
+// (raceFrame, ReadVWithin), so nothing can still land in them, nor in
+// the caller's buffers.
 func (fs *FS) putScratch(sc *scratch) {
 	for i := range sc.blocks {
 		if fr := sc.blocks[i].frame; fr != nil {
@@ -311,7 +317,9 @@ func (f *File) accessV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, write bool) err
 // framedReadV is the integrity-mode read: poisoned blocks fail,
 // never-written blocks serve zeros locally, and every remaining block's
 // frame is fetched, verified, and scattered into the segments that
-// touch it.
+// touch it. In a vector, a block one segment covers whole is the
+// exception: its data lands straight in that segment and only its
+// trailer in the frame, so its bytes are moved once (DESIGN §14).
 func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool) error {
 	f.splitBlocks(sc, vecs)
 	bs := f.fs.BlockSize
@@ -340,7 +348,7 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 		// while a vector goes out as one batch whose failed elements go to
 		// fetchBlock. Deleting this branch batches scalar reads too.
 		if scalar {
-			if err := f.fetchBlock(p, g, blk.frame, -1); err != nil {
+			if err := f.fetchBlock(p, g, &blk.frame, -1); err != nil {
 				return err
 			}
 			continue
@@ -355,7 +363,12 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 		}
 		r := live.first()
 		blk.failedOver = failedOver
-		sc.iov = append(sc.iov, rmem.IOVec{MR: f.leases[s][r].MR, Off: frameOff, Buf: blk.frame})
+		v := rmem.IOVec{MR: f.leases[s][r].MR, Off: frameOff, Buf: blk.frame}
+		if blk.n() == 1 && blk.first.within == 0 && len(blk.first.data) == bs {
+			v.Buf, v.Tail = blk.first.data, blk.frame[bs:]
+			blk.direct = true
+		}
+		sc.iov = append(sc.iov, v)
 		sc.refs = append(sc.refs, elemRef{block: i, replica: r})
 	}
 	var errs []error
@@ -370,7 +383,11 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 		}
 		switch {
 		case err == nil:
-			if verifyFrame(blk.frame, bs, f.gens[blk.g]) == nil {
+			data := blk.frame[:bs]
+			if blk.direct {
+				data = blk.first.data
+			}
+			if verifyParts(data, blk.frame[bs:], f.gens[blk.g]) == nil {
 				if blk.failedOver {
 					f.fs.Failovers.Add(1, int64(bs))
 				}
@@ -386,15 +403,16 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 			return err
 		}
 		// The batched copy did not verify: fetchBlock re-reads every
-		// replica, counting the corruption, repairing the bad copy or
-		// poisoning the block.
-		if err := f.fetchBlock(p, blk.g, blk.frame, -1); err != nil {
+		// replica into the frame, counting the corruption, repairing the
+		// bad copy or poisoning the block.
+		blk.direct = false
+		if err := f.fetchBlock(p, blk.g, &blk.frame, -1); err != nil {
 			return err
 		}
 	}
 	for i := range sc.blocks {
 		blk := &sc.blocks[i]
-		if blk.frame == nil {
+		if blk.frame == nil || blk.direct {
 			continue
 		}
 		for j := 0; j < blk.n(); j++ {
@@ -421,7 +439,7 @@ func (f *File) framedWriteV(p *sim.Proc, sc *scratch, vecs []vfs.Vec) error {
 		blk.frame = f.fs.getFrame()
 		if !blk.fullCover(bs) {
 			if f.gens[g] != 0 && !f.poisoned[g] {
-				if err := f.fetchBlock(p, g, blk.frame, -1); err != nil {
+				if err := f.fetchBlock(p, g, &blk.frame, -1); err != nil {
 					return err
 				}
 			} else {
@@ -487,9 +505,10 @@ func (f *File) framedWriteV(p *sim.Proc, sc *scratch, vecs []vfs.Vec) error {
 // each replica is read inline; with hedging, health checks or a deadline
 // in force each is raced (raceFrame) against its hedge and the
 // deadline. Corrupt copies passed on the way are repaired from the
-// winner; a block with no verifiable copy anywhere is poisoned. On nil
-// return, frame holds a verified frame.
-func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte, skip int) error {
+// winner; a block with no verifiable copy anywhere is poisoned. frame
+// points at a pooled frame (getFrame), which a race may swap for its
+// winner's; on nil return, *frame holds a verified frame.
+func (f *File) fetchBlock(p *sim.Proc, g int64, frame *[]byte, skip int) error {
 	s, frameOff := f.blockHome(g)
 	bs := f.fs.BlockSize
 	live, failedOver, err := f.liveReplicas(p, s, skip)
@@ -516,11 +535,11 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte, skip int) error {
 		if !tolerant {
 			r := cands[i]
 			i++
-			err := f.fs.Transport.Read(p, f.fs.Client, f.leases[s][r].MR, frameOff, frame)
+			err := f.fs.Transport.Read(p, f.fs.Client, f.leases[s][r].MR, frameOff, *frame)
 			if err != nil && !errors.Is(err, rmem.ErrRevoked) {
 				return err
 			}
-			if err == nil && verifyFrame(frame, bs, f.gens[g]) == nil {
+			if err == nil && verifyFrame(*frame, bs, f.gens[g]) == nil {
 				winner = r
 			} else if err := f.readFailed(s, r, err, &bad); err != nil {
 				return err
@@ -531,8 +550,8 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte, skip int) error {
 				hedge = cands[i+1]
 			}
 			res := f.raceFrame(p, g, s, frameOff, frame, cands[i], hedge, deadline)
-			i += len(res.children)
-			for _, c := range res.children {
+			i += res.n
+			for _, c := range res.reads[:res.n] {
 				if !c.done || c.r == res.winner {
 					continue
 				}
@@ -555,7 +574,7 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame []byte, skip int) error {
 			}
 			for r := range f.leases[s] {
 				if bad.has(r) {
-					f.repairBlockOn(p, g, r, frame)
+					f.repairBlockOn(p, g, r, *frame)
 				}
 			}
 			return nil

@@ -170,8 +170,10 @@ func allocsPerOp(runs int, op func()) (allocs, bytes uint64) {
 	return (m1.Mallocs - m0.Mallocs) / uint64(runs), (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
 }
 
-// On a warm FS — free lists of frames and request scratch populated —
-// the unhedged routes allocate nothing per request.
+// On a warm FS — free lists of frames, request scratch and race state
+// populated — the unhedged routes allocate nothing per request, and a
+// protected scalar read (hedging plus health checks) allocates only the
+// Proc of each replica read it races.
 func TestWarmRoutesAllocateNothing(t *testing.T) {
 	inSim(t, func(p *sim.Proc) {
 		framed := newEnv(p, 4, 8, integrityCfg(2))
@@ -189,19 +191,52 @@ func TestWarmRoutesAllocateNothing(t *testing.T) {
 		plain := newEnv(p, 2, 8, DefaultConfig())
 		pf, _ := plain.fs.Create(p, "f", 1<<20)
 		pf.OpenConn(p)
-		ops := map[string]func(){
-			"framed ReadAtV 16x8K":  func() { ff.ReadAtV(p, vecs) },
-			"framed K=2 WriteAt 8K": func() { ff.WriteAt(p, buf[:8192], 65536) },
-			"unframed ReadAt 8K":    func() { pf.ReadAt(p, buf[:8192], 65536) },
+		prot := newEnv(p, 4, 8, protectedCfg())
+		hf, _ := prot.fs.Create(p, "f", 1<<20)
+		hf.OpenConn(p)
+		if err := hf.WriteAt(p, pattern(1<<20, 5), 0); err != nil {
+			t.Error(err)
+			return
 		}
-		for name, op := range ops {
-			op() // warm the free lists
-			if allocs, bytes := allocsPerOp(100, op); allocs != 0 {
-				t.Errorf("%s: %d allocs / %d B per op on a warm FS, want 0", name, allocs, bytes)
+		// raced counts the replica reads the protected FS has spawned.
+		raced := func() uint64 { return uint64(prot.fs.TolerantReads + prot.fs.HedgedReads) }
+		hoff := int64(0)
+		routes := map[string]struct {
+			op     func()
+			spawns func() uint64 // procs the route spawns; nil for none
+		}{
+			"framed ReadAtV 16x8K":  {op: func() { ff.ReadAtV(p, vecs) }},
+			"framed K=2 WriteAt 8K": {op: func() { ff.WriteAt(p, buf[:8192], 65536) }},
+			"unframed ReadAt 8K":    {op: func() { pf.ReadAt(p, buf[:8192], 65536) }},
+			"protected ReadAt 8K": {op: func() {
+				if err := hf.ReadAt(p, buf[:8192], hoff); err != nil {
+					t.Error(err)
+				}
+				hoff = (hoff + 8192) % (1 << 20)
+			}, spawns: raced},
+		}
+		for name, r := range routes {
+			r.op() // warm the free lists
+			var before uint64
+			if r.spawns != nil {
+				before = r.spawns()
+			}
+			const runs = 100
+			allocs, bytes := allocsPerOp(runs, r.op)
+			want := uint64(0)
+			if r.spawns != nil {
+				want = (r.spawns() - before + runs - 1) / runs
+				if want == 0 {
+					t.Errorf("%s: spawned no race child", name)
+				}
+			}
+			if allocs > want {
+				t.Errorf("%s: %d allocs / %d B per op on a warm FS, want at most %d (one Proc per raced replica read)", name, allocs, bytes, want)
 			}
 		}
 		framed.fs.CloseAll(p)
 		plain.fs.CloseAll(p)
+		prot.fs.CloseAll(p)
 	})
 }
 

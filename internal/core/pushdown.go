@@ -146,8 +146,8 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 // would have spent.
 func (f *File) pushFallbackBlock(p *sim.Proc, g int64, q *rmem.PushQuery) ([]byte, error) {
 	frame := f.fs.getFrame()
-	defer f.fs.putFrame(frame) // EvalPush copies what it keeps
-	if err := f.fetchBlock(p, g, frame, -1); err != nil {
+	defer func() { f.fs.putFrame(frame) }() // a race may swap it; EvalPush copies what it keeps
+	if err := f.fetchBlock(p, g, &frame, -1); err != nil {
 		return nil, err
 	}
 	data := frame[:f.fs.BlockSize]

@@ -134,31 +134,6 @@ func Run(c *Ctx, op Op) (int64, error) {
 	return r.Count()
 }
 
-// Collect drains an operator tree into a slice.
-//
-// Deprecated: use Open and consume the streaming Rows iterator (or build
-// the query with internal/engine/plan and use Planner.Stream), so the
-// result set is never buffered between operators. Collect remains for
-// tests and for consumers that genuinely need the full materialized set.
-func Collect(c *Ctx, op Op) ([]row.Tuple, error) {
-	r, err := Open(c, op)
-	if err != nil {
-		return nil, err
-	}
-	var out []row.Tuple
-	for {
-		t, ok, err := r.Next()
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, r.Close()
-}
-
 // --- TableScan -----------------------------------------------------------
 
 // projected is the schema a leaf with column list cols produces: the

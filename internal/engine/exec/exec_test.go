@@ -104,7 +104,7 @@ func TestTableScanAndFilter(t *testing.T) {
 		f := &Filter{In: &TableScan{Table: orders}, Pred: func(tp row.Tuple) bool {
 			return tp[1].(int64) == 7
 		}}
-		rows, err := Collect(r.ctx, f)
+		rows, err := collect(r.ctx, f)
 		if err != nil || len(rows) != 1 {
 			t.Errorf("filter rows=%d err=%v", len(rows), err)
 		}
@@ -119,7 +119,7 @@ func TestScanBounds(t *testing.T) {
 			From:  row.EncodeKey(nil, int64(10)),
 			To:    row.EncodeKey(nil, int64(20)),
 		}
-		rows, err := Collect(r.ctx, scan)
+		rows, err := collect(r.ctx, scan)
 		if err != nil || len(rows) != 10 {
 			t.Errorf("bounded scan rows=%d err=%v", len(rows), err)
 		}
@@ -133,7 +133,7 @@ func TestProjectAndLimit(t *testing.T) {
 			In: &Project{In: &TableScan{Table: orders}, Cols: []string{"total", "orderkey"}},
 			N:  5,
 		}
-		rows, err := Collect(r.ctx, op)
+		rows, err := collect(r.ctx, op)
 		if err != nil || len(rows) != 5 {
 			t.Errorf("rows=%d err=%v", len(rows), err)
 			return
@@ -201,7 +201,7 @@ func TestHashJoinResultParity(t *testing.T) {
 				BuildCols: []string{"orderkey"},
 				ProbeCols: []string{"orderkey"},
 			}
-			rows, err := Collect(r.ctx, j)
+			rows, err := collect(r.ctx, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestSortInMemoryAndSpilled(t *testing.T) {
 		check := func(grant int64, wantSpill bool) {
 			r.ctx.Grant = grant
 			s := &Sort{In: &TableScan{Table: orders}, Specs: []SortSpec{{Col: "total", Desc: true}}}
-			rows, err := Collect(r.ctx, s)
+			rows, err := collect(r.ctx, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestSortStableAcrossSpill(t *testing.T) {
 		get := func(grant int64) []int64 {
 			r.ctx.Grant = grant
 			s := &Sort{In: &TableScan{Table: orders}, Specs: []SortSpec{{Col: "custkey"}, {Col: "orderkey"}}}
-			rows, err := Collect(r.ctx, s)
+			rows, err := collect(r.ctx, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestTopNHeapAndSpillPaths(t *testing.T) {
 		orders, _ := loadJoinTables(t, p, r, 1000)
 		// Heap path: small N.
 		top := &TopN{In: &TableScan{Table: orders}, Specs: []SortSpec{{Col: "total", Desc: true}}, N: 10}
-		rows, err := Collect(r.ctx, top)
+		rows, err := collect(r.ctx, top)
 		if err != nil || len(rows) != 10 {
 			t.Fatalf("topn rows=%d err=%v", len(rows), err)
 		}
@@ -313,7 +313,7 @@ func TestTopNHeapAndSpillPaths(t *testing.T) {
 		// Degraded path: N too big for the grant -> external sort.
 		r.ctx.Grant = 16 << 10
 		top2 := &TopN{In: &TableScan{Table: orders}, Specs: []SortSpec{{Col: "total"}}, N: 900}
-		rows2, err := Collect(r.ctx, top2)
+		rows2, err := collect(r.ctx, top2)
 		if err != nil || len(rows2) != 900 {
 			t.Fatalf("big topn rows=%d err=%v", len(rows2), err)
 		}
@@ -340,7 +340,7 @@ func TestHashAgg(t *testing.T) {
 				{Fn: AggAvg, Col: "total", As: "avg_total"},
 			},
 		}
-		rows, err := Collect(r.ctx, agg)
+		rows, err := collect(r.ctx, agg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,11 +421,11 @@ func TestColumnLists(t *testing.T) {
 		// column pick[k], row for row.
 		same := func(name string, narrow, full Op, pick []int) {
 			t.Helper()
-			got, err := Collect(r.ctx, narrow)
+			got, err := collect(r.ctx, narrow)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want, err := Collect(r.ctx, full)
+			want, err := collect(r.ctx, full)
 			if err != nil || len(got) != len(want) || len(got) == 0 {
 				t.Fatalf("%s: %d rows, full width %d, %v", name, len(got), len(want), err)
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"remotedb/internal/engine/row"
 	"remotedb/internal/sim"
 	"remotedb/internal/testkit"
 )
@@ -16,3 +17,22 @@ func newKernel(tb testing.TB, seed int64) *sim.Kernel {
 }
 
 func TestMain(m *testing.M) { testkit.Main(m) }
+
+// collect drains an operator tree into a slice.
+func collect(c *Ctx, op Op) ([]row.Tuple, error) {
+	r, err := Open(c, op)
+	if err != nil {
+		return nil, err
+	}
+	var out []row.Tuple
+	for {
+		t, ok, err := r.Next()
+		if err != nil || !ok {
+			if cerr := r.Close(); err == nil {
+				err = cerr
+			}
+			return out, err
+		}
+		out = append(out, t)
+	}
+}

@@ -46,11 +46,11 @@ func TestPartitionRangesCoverKeySpace(t *testing.T) {
 func TestParallelScanMatchesSerial(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders, _ := loadJoinTables(t, p, r, 2000)
-		serial, err := Collect(r.ctx, &TableScan{Table: orders})
+		serial, err := collect(r.ctx, &TableScan{Table: orders})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Collect(r.ctx, &ParallelScan{Table: orders, DOP: 4})
+		par, err := collect(r.ctx, &ParallelScan{Table: orders, DOP: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 			{Fn: AggMin, Col: "total", As: "min_total"},
 			{Fn: AggMax, Col: "total", As: "max_total"},
 		}
-		serial, err := Collect(r.ctx, &HashAgg{
+		serial, err := collect(r.ctx, &HashAgg{
 			In: &TableScan{Table: orders}, GroupBy: groupBy, Aggs: aggs,
 		})
 		if err != nil {
@@ -115,7 +115,7 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 		for i, rg := range ranges {
 			parts[i] = &TableScan{Table: orders, From: rg[0], To: rg[1]}
 		}
-		par, err := Collect(r.ctx, &ParallelAgg{Parts: parts, GroupBy: groupBy, Aggs: aggs})
+		par, err := collect(r.ctx, &ParallelAgg{Parts: parts, GroupBy: groupBy, Aggs: aggs})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,14 +93,14 @@ func TestPushScanMatchesFilteredTableScan(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		orders, _ := loadJoinTables(t, p, r, 1000)
 		attachSegment(t, orders, ordersRows(1000), 4096)
-		want, err := Collect(r.ctx, &Filter{
+		want, err := collect(r.ctx, &Filter{
 			In:   &TableScan{Table: orders},
 			Pred: func(tp row.Tuple) bool { return tp[1].(int64) < 10 },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(r.ctx, &PushScan{Table: orders, Query: custLT(10)})
+		got, err := collect(r.ctx, &PushScan{Table: orders, Query: custLT(10)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestPushScanProjection(t *testing.T) {
 		if got := s.Schema().Columns[1].Name; got != "total" {
 			t.Fatalf("projected schema col = %q, want total", got)
 		}
-		rows, err := Collect(r.ctx, s)
+		rows, err := collect(r.ctx, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestPushScanParallelPartitionsPreserveOrder(t *testing.T) {
 		orders, _ := loadJoinTables(t, p, r, 2000)
 		f := attachSegment(t, orders, ordersRows(2000), 512)
 		s := &PushScan{Table: orders, Query: custLT(100), DOP: 4}
-		rows, err := Collect(r.ctx, s)
+		rows, err := collect(r.ctx, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestPushScanFallsBackToFetchAll(t *testing.T) {
 		f := attachSegment(t, orders, ordersRows(500), 4096)
 		f.pushErr = rmem.ErrPushUnavailable
 		s := &PushScan{Table: orders, Query: custLT(10)}
-		rows, err := Collect(r.ctx, s)
+		rows, err := collect(r.ctx, s)
 		if err != nil {
 			t.Fatalf("fallback surfaced an error: %v", err)
 		}
@@ -187,7 +187,7 @@ func TestPushScanWithoutSegmentDegradesToTableScan(t *testing.T) {
 		orders, _ := loadJoinTables(t, p, r, 300)
 		q := custLT(7)
 		q.Proj = []int{1}
-		rows, err := Collect(r.ctx, &PushScan{Table: orders, Query: q})
+		rows, err := collect(r.ctx, &PushScan{Table: orders, Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestHashJoinRemoteProbeMatchesGrace(t *testing.T) {
 				BuildCols: []string{"orderkey"}, ProbeCols: []string{"orderkey"},
 				RemoteProbe: remote,
 			}
-			rows, err = Collect(r.ctx, j)
+			rows, err = collect(r.ctx, j)
 			if err != nil {
 				return
 			}

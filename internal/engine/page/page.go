@@ -13,15 +13,15 @@
 // key order). Either way the record bytes are appended to the heap.
 // Delete sets a flag bit in the slot's offset: the slot keeps its place
 // and its record stays readable through Slot until Compact, which drops
-// dead slots and keeps the order of the rest. A 32-bit FNV checksum over
-// the payload detects torn images.
+// dead slots and keeps the order of the rest. A CRC-32C (Castagnoli)
+// checksum over the payload detects torn images.
 package page
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 )
 
 // Size is the fixed page size.
@@ -275,12 +275,12 @@ func (pg *Page) Compact() {
 	}
 }
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // computeChecksum covers everything except the checksum field itself.
 func (pg *Page) computeChecksum() uint32 {
-	h := fnv.New32a()
-	h.Write(pg.b[:offCk])
-	h.Write(pg.b[offCk+4:])
-	return h.Sum32()
+	crc := crc32.Update(0, castagnoli, pg.b[:offCk])
+	return crc32.Update(crc, castagnoli, pg.b[offCk+4:])
 }
 
 // Seal stamps the checksum; call before writing the page out.

@@ -177,7 +177,7 @@ func TestStreamMatchesHandBuiltTree(t *testing.T) {
 			},
 			Specs: []exec.SortSpec{{Col: "custkey"}},
 		}
-		want, err := exec.Collect(r.ctx, hand)
+		want, err := collect(r.ctx, hand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,4 +298,23 @@ func TestAggLowersToParallelAgg(t *testing.T) {
 			t.Errorf("agg at DOP 1 lowered to %T, want HashAgg", op2)
 		}
 	})
+}
+
+// collect drains an operator tree into a slice.
+func collect(c *exec.Ctx, op exec.Op) ([]row.Tuple, error) {
+	r, err := exec.Open(c, op)
+	if err != nil {
+		return nil, err
+	}
+	var out []row.Tuple
+	for {
+		t, ok, err := r.Next()
+		if err != nil || !ok {
+			if cerr := r.Close(); err == nil {
+				err = cerr
+			}
+			return out, err
+		}
+		out = append(out, t)
+	}
 }

@@ -66,7 +66,7 @@ func TestBuildLookupScan(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		rows, err := exec.Collect(ctx, op)
+		rows, err := collect(ctx, op)
 		if err != nil || len(rows) != 100 {
 			t.Errorf("scan rows=%d err=%v", len(rows), err)
 			return
@@ -118,7 +118,7 @@ func TestSyncPolicyAppends(t *testing.T) {
 			t.Errorf("log appends = %d, want %d", lm.Appends, appends+5)
 		}
 		op, _ := e.Scan(ctx)
-		rows, _ := exec.Collect(ctx, op)
+		rows, _ := collect(ctx, op)
 		if len(rows) != 15 {
 			t.Errorf("scan rows = %d", len(rows))
 		}
@@ -135,7 +135,7 @@ func TestRecoveryReplaysTrailingUpdates(t *testing.T) {
 		c.Checkpoint(e)
 		var snapshot []row.Tuple
 		op, _ := e.Scan(ctx)
-		snapshot, _ = exec.Collect(ctx, op)
+		snapshot, _ = collect(ctx, op)
 
 		// Trailing updates past the checkpoint.
 		for i := 0; i < 7; i++ {
@@ -157,7 +157,7 @@ func TestRecoveryReplaysTrailingUpdates(t *testing.T) {
 			t.Error("recovered entry still stale")
 		}
 		op2, _ := e.Scan(ctx)
-		rows, _ := exec.Collect(ctx, op2)
+		rows, _ := collect(ctx, op2)
 		if len(rows) != 17 {
 			t.Errorf("rows after recovery = %d, want 17", len(rows))
 		}
@@ -176,7 +176,7 @@ func TestRecoveryIgnoresOtherEntries(t *testing.T) {
 		c.ApplyUpdate(p, e2, row.Tuple{int64(60), 1.0})
 		lm.Commit(p, lm.NextLSN()-1)
 		op, _ := e1.Scan(ctx)
-		snap, _ := exec.Collect(ctx, op)
+		snap, _ := collect(ctx, op)
 		// Roll e1 back to its checkpoint image for the test.
 		snap = snap[:5]
 		replayed, err := c.Recover(p, e1, snap)
@@ -224,3 +224,22 @@ func (f *failingFile) ReadAt(p *sim.Proc, b []byte, off int64) error  { return v
 func (f *failingFile) WriteAt(p *sim.Proc, b []byte, off int64) error { return vfs.ErrUnavailable }
 func (f *failingFile) Size() int64                                    { return 0 }
 func (f *failingFile) Close(p *sim.Proc) error                        { return nil }
+
+// collect drains an operator tree into a slice.
+func collect(c *exec.Ctx, op exec.Op) ([]row.Tuple, error) {
+	r, err := exec.Open(c, op)
+	if err != nil {
+		return nil, err
+	}
+	var out []row.Tuple
+	for {
+		t, ok, err := r.Next()
+		if err != nil || !ok {
+			if cerr := r.Close(); err == nil {
+				err = cerr
+			}
+			return out, err
+		}
+		out = append(out, t)
+	}
+}

@@ -77,7 +77,7 @@ func TestSemCacheSalvageRebuildsInPlace(t *testing.T) {
 		if replayed := mv.Rows() - before; replayed != after {
 			t.Errorf("RecoverInPlace replayed %d records, want %d", replayed, after)
 		}
-		want, err := exec.Collect(ctx, &exec.TableScan{Table: base})
+		want, err := collect(ctx, &exec.TableScan{Table: base})
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func TestSemCacheSalvageRebuildsInPlace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := exec.Collect(ctx, op)
+		got, err := collect(ctx, op)
 		if err != nil {
 			return err
 		}
@@ -96,5 +96,24 @@ func TestSemCacheSalvageRebuildsInPlace(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// collect drains an operator tree into a slice.
+func collect(c *exec.Ctx, op exec.Op) ([]row.Tuple, error) {
+	r, err := exec.Open(c, op)
+	if err != nil {
+		return nil, err
+	}
+	var out []row.Tuple
+	for {
+		t, ok, err := r.Next()
+		if err != nil || !ok {
+			if cerr := r.Close(); err == nil {
+				err = cerr
+			}
+			return out, err
+		}
+		out = append(out, t)
 	}
 }

@@ -509,36 +509,43 @@ func (t *rdmaTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte
 	if mr.revoked {
 		err = ErrRevoked // revoked while we were in flight
 	} else {
-		c.moveBytes(p, mr, off, buf, write)
+		c.moveBytes(p, mr, off, buf, nil, write)
 	}
 	c.staging.Release(1)
 	return err
 }
 
-// moveBytes performs the actual byte movement between the caller's
-// buffer and the MR, transparently encrypting so the donor only holds
-// ciphertext when the client has encryption enabled.
-func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf []byte, write bool) {
+// moveBytes performs the actual byte movement between one element —
+// buf, then tail, contiguous at off in the MR — and the MR, transparently
+// encrypting so the donor only holds ciphertext when the client has
+// encryption enabled. The element is counted, and its encryption
+// priced, as one transfer of the total length.
+func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf, tail []byte, write bool) {
+	n := len(buf) + len(tail)
 	if write {
 		if c.crypt != nil {
-			c.Server.Work(p, encryptCost(len(buf)))
-			enc := append([]byte(nil), buf...)
-			c.crypt.xcrypt(mr.ID, off, enc)
-			copy(mr.buf[off:off+len(enc)], enc)
-		} else {
-			copy(mr.buf[off:off+len(buf)], buf)
+			c.Server.Work(p, encryptCost(n))
+		}
+		dst := mr.buf[off : off+n]
+		copy(dst[copy(dst, buf):], tail)
+		if c.crypt != nil {
+			c.crypt.xcrypt(mr.ID, off, dst) // in place: nothing runs in between
 		}
 		c.Writes++
-		c.BytesWrt += int64(len(buf))
+		c.BytesWrt += int64(n)
 		return
 	}
-	copy(buf, mr.buf[off:off+len(buf)])
+	src := mr.buf[off : off+n]
+	copy(tail, src[copy(buf, src):])
 	if c.crypt != nil {
-		c.Server.Work(p, encryptCost(len(buf)))
+		c.Server.Work(p, encryptCost(n))
 		c.crypt.xcrypt(mr.ID, off, buf)
+		if len(tail) > 0 {
+			c.crypt.xcrypt(mr.ID, off+len(buf), tail)
+		}
 	}
 	c.Reads++
-	c.BytesRead += int64(len(buf))
+	c.BytesRead += int64(n)
 }
 
 func (t *rdmaTransport) Read(p *sim.Proc, c *Client, mr *MR, off int, dst []byte) error {
@@ -560,8 +567,11 @@ type smbTransport struct {
 
 func (t *smbTransport) Protocol() nic.Protocol { return t.proto }
 
-func (t *smbTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte, write bool) error {
-	if err := checkRange(mr, off, len(buf)); err != nil {
+// xfer moves one element, buf then tail (see IOVec); the scalar verbs
+// pass no tail.
+func (t *smbTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf, tail []byte, write bool) error {
+	n := len(buf) + len(tail)
+	if err := checkRange(mr, off, n); err != nil {
 		return err
 	}
 	if err := checkBudget(p, c); err != nil {
@@ -588,9 +598,9 @@ func (t *smbTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte,
 		src, dst = c.Server.NIC, mr.Owner.NIC
 	}
 	if prof.TCPPath {
-		nic.WireTCP(p, src, dst, len(buf))
+		nic.WireTCP(p, src, dst, n)
 	} else {
-		nic.Wire(p, src, dst, len(buf))
+		nic.Wire(p, src, dst, n)
 	}
 	c.RoundTrips++
 	// Asynchronous completion on the client.
@@ -600,16 +610,16 @@ func (t *smbTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte,
 	if mr.revoked {
 		return ErrRevoked
 	}
-	c.moveBytes(p, mr, off, buf, write)
+	c.moveBytes(p, mr, off, buf, tail, write)
 	return nil
 }
 
 func (t *smbTransport) Read(p *sim.Proc, c *Client, mr *MR, off int, dst []byte) error {
-	return t.xfer(p, c, mr, off, dst, false)
+	return t.xfer(p, c, mr, off, dst, nil, false)
 }
 
 func (t *smbTransport) Write(p *sim.Proc, c *Client, mr *MR, off int, src []byte) error {
-	return t.xfer(p, c, mr, off, src, true)
+	return t.xfer(p, c, mr, off, src, nil, true)
 }
 
 // SyncSpinThreshold is the point past which a production implementation

@@ -16,13 +16,21 @@ import (
 	"remotedb/internal/sim"
 )
 
-// IOVec is one element of a scatter-gather transfer: len(Buf) bytes at
-// Off within MR.
+// IOVec is one element of a scatter-gather transfer: len(Buf)+len(Tail)
+// bytes at Off within MR, the first len(Buf) of them in Buf and the rest
+// in Tail. Tail lets one element land in two places — a framed block's
+// data in the caller's page and its trailer in a scratch — while it is
+// still staged, checked, counted and priced as one element of the total
+// length.
 type IOVec struct {
-	MR  *MR
-	Off int
-	Buf []byte
+	MR   *MR
+	Off  int
+	Buf  []byte
+	Tail []byte
 }
+
+// n is the element's length.
+func (v *IOVec) n() int { return len(v.Buf) + len(v.Tail) }
 
 // ReadV reads every element of vecs through t, coalescing them into
 // doorbell-batched transfers when the transport supports it. It returns
@@ -51,7 +59,7 @@ func (c *Client) vectored(p *sim.Proc, t Transport, vecs []IOVec, write bool) []
 	// is nearly every vector, allocates nothing.
 	var errs []error
 	for i := range vecs {
-		if err := checkRange(vecs[i].MR, vecs[i].Off, len(vecs[i].Buf)); err != nil {
+		if err := checkRange(vecs[i].MR, vecs[i].Off, vecs[i].n()); err != nil {
 			errs = setErr(errs, len(vecs), i, err)
 		}
 	}
@@ -63,13 +71,8 @@ func (c *Client) vectored(p *sim.Proc, t Transport, vecs []IOVec, write bool) []
 		}
 		if !rdma {
 			// No doorbell on the SMB paths: one request per element.
-			var err error
-			if write {
-				err = t.Write(p, c, vecs[lo].MR, vecs[lo].Off, vecs[lo].Buf)
-			} else {
-				err = t.Read(p, c, vecs[lo].MR, vecs[lo].Off, vecs[lo].Buf)
-			}
-			if err != nil {
+			v := &vecs[lo]
+			if err := t.(*smbTransport).xfer(p, c, v.MR, v.Off, v.Buf, v.Tail, write); err != nil {
 				errs = setErr(errs, len(vecs), lo, err)
 			}
 			lo++
@@ -86,7 +89,7 @@ func (c *Client) vectored(p *sim.Proc, t Transport, vecs []IOVec, write bool) []
 			case vecs[i].MR.revoked:
 				errs = setErr(errs, len(vecs), i, ErrRevoked)
 			default:
-				c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, write)
+				c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, vecs[i].Tail, write)
 			}
 		}
 		c.staging.Release(pl.n)
@@ -123,7 +126,7 @@ func (c *Client) planBatch(dests []dest, vecs []IOVec, errs []error, lo int) (pl
 		if errs != nil && errs[hi] != nil {
 			continue
 		}
-		n := len(vecs[hi].Buf)
+		n := vecs[hi].n()
 		if c.Reg == RegStaging && pl.n > 0 && pl.total+n > c.stagingBytes {
 			break
 		}
@@ -165,16 +168,17 @@ func (c *Client) spareFor(vecs []IOVec) *spareRead {
 	}
 	total := 0
 	for i := range vecs {
-		total += len(vecs[i].Buf)
+		total += vecs[i].n()
 	}
 	if cap(sp.buf) < total {
 		sp.buf = make([]byte, total)
 	}
 	sp.iov = sp.iov[:0]
 	at := 0
-	for _, v := range vecs {
-		sp.iov = append(sp.iov, IOVec{MR: v.MR, Off: v.Off, Buf: sp.buf[at : at+len(v.Buf)]})
-		at += len(v.Buf)
+	for i := range vecs {
+		n := vecs[i].n()
+		sp.iov = append(sp.iov, IOVec{MR: vecs[i].MR, Off: vecs[i].Off, Buf: sp.buf[at : at+n]})
+		at += n
 	}
 	sp.errs, sp.done, sp.abandoned = nil, false, false
 	return sp
@@ -224,7 +228,8 @@ func (c *Client) ReadVWithin(p *sim.Proc, t Transport, vecs []IOVec, deadline ti
 	errs := sp.errs
 	for i := range vecs {
 		if errs == nil || errs[i] == nil {
-			copy(vecs[i].Buf, sp.iov[i].Buf)
+			n := copy(vecs[i].Buf, sp.iov[i].Buf)
+			copy(vecs[i].Tail, sp.iov[i].Buf[n:])
 		}
 	}
 	c.spare = append(c.spare, sp)

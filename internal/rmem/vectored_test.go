@@ -217,3 +217,60 @@ func TestStagingContentionRecorded(t *testing.T) {
 		t.Errorf("high water = %d, want 2 (slot capacity)", c.StagingContention.HighWater)
 	}
 }
+
+// An element split into Buf and Tail is one element of the total length:
+// the same bytes, virtual time, round trips and counters as the element
+// read whole, on the doorbell path and the SMB path, with encryption
+// priced once on the total (per part it would truncate differently).
+func TestTailElementIsOneElement(t *testing.T) {
+	const n, blocks = 4096 + 12, 8
+	for _, proto := range []nic.Protocol{nic.ProtoRDMA, nic.ProtoSMBDirect} {
+		for _, encrypt := range []bool{false, true} {
+			// read runs one ReadV of blocks elements, split or whole, on a
+			// fresh bed, and returns the bytes, the time and the counters.
+			read := func(split bool) (got []byte, took time.Duration, counters [3]int64) {
+				k := newKernel(t, 1)
+				m := testServer(k, "m1")
+				db := testServer(k, "db1")
+				k.Go("x", func(p *sim.Proc) {
+					pool, _ := NewPool(p, m, 1<<20, 1)
+					mr, _ := pool.Acquire()
+					cfg := DefaultClientConfig()
+					cfg.Encrypt, cfg.Key = encrypt, testKey
+					c := NewClient(p, db, cfg)
+					tr := NewTransport(proto)
+					if err := tr.Write(p, c, mr, 0, bytes.Repeat([]byte("tail-element!"), blocks*n/13+1)[:blocks*n]); err != nil {
+						t.Error(err)
+						return
+					}
+					got = make([]byte, blocks*n)
+					vecs := make([]IOVec, blocks)
+					for i := range vecs {
+						el := got[i*n : (i+1)*n]
+						vecs[i] = IOVec{MR: mr, Off: i * n, Buf: el}
+						if split {
+							vecs[i].Buf, vecs[i].Tail = el[:4096], el[4096:]
+						}
+					}
+					rt, reads, start := c.RoundTrips, c.Reads, p.Now()
+					if errs := c.ReadV(p, tr, vecs); errs != nil {
+						t.Error(errs)
+					}
+					took = p.Now() - start
+					counters = [3]int64{c.RoundTrips - rt, c.Reads - reads, c.BytesRead}
+				})
+				k.Run(time.Minute)
+				return got, took, counters
+			}
+			wholeBytes, wholeTook, wholeCounters := read(false)
+			splitBytes, splitTook, splitCounters := read(true)
+			if !bytes.Equal(wholeBytes, splitBytes) {
+				t.Errorf("%v, encrypt=%v: split elements read different bytes", proto, encrypt)
+			}
+			if wholeTook != splitTook || wholeCounters != splitCounters {
+				t.Errorf("%v, encrypt=%v: split elements took %v with round trips/reads/bytes %v, whole ones %v with %v",
+					proto, encrypt, splitTook, splitCounters, wholeTook, wholeCounters)
+			}
+		}
+	}
+}

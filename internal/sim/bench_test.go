@@ -98,3 +98,22 @@ func BenchmarkSpawnExit(b *testing.B) {
 	})
 	k.Run(0)
 }
+
+// BenchmarkTimerResetStop is a raced read's hedge timer: armed, stopped
+// before it is due, and its stale event popped later. One op is one
+// Reset, one Stop and one Sleep past the stale firing.
+func BenchmarkTimerResetStop(b *testing.B) {
+	b.ReportAllocs()
+	k := New(1)
+	defer k.Close()
+	tm := NewTimer(k, func() { b.Error("a stopped timer fired") })
+	k.Go("racer", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm.Reset(time.Microsecond)
+			tm.Stop()
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	k.Run(0)
+}

@@ -33,6 +33,7 @@ type Kernel struct {
 	eq     eventHeap
 	seq    int64
 	limit  int64     // virtual-time limit of the current Run (0 = none)
+	firing int64     // seq of the callback event dispatch is running (Timer's staleness check)
 	next   *Proc     // the proc Run resumes next; nil once the queue drained or the limit was hit
 	live   []*Proc   // every process that has not exited, for Close
 	free   []*worker // coroutines whose proc returned, for the next spawn
@@ -49,53 +50,65 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a binary min-heap of event values ordered by (at, seq).
+// eventHeap is a 4-ary min-heap of event values ordered by (at, seq).
 // seq is unique, so the order is total and the pop sequence does not
-// depend on the heap's shape.
+// depend on the heap's shape: a wider node only makes the heap shallower,
+// so a pop moves fewer events (stale timers keep it large; DESIGN §9).
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // drop the proc and closure references
 	s = s[:n]
 	*h = s
-	for i := 0; ; {
-		min := i
-		if l := 2*i + 1; l < n && s.less(l, min) {
-			min = l
-		}
-		if r := 2*i + 2; r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
+	if n == 0 {
+		return top
+	}
+	// Sift the hole at the root down, then drop last into it.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		min := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if s[j].before(&s[min]) {
+				min = j
+			}
+		}
+		if !s[min].before(&last) {
+			break
+		}
+		s[i] = s[min]
 		i = min
 	}
+	s[i] = last
 	return top
 }
 
@@ -248,6 +261,52 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	k.eq.push(event{at: k.now + int64(d), seq: k.seq, fn: fn})
 }
 
+// Timer is a k.After that can be stopped and re-armed without
+// allocating. Reset takes a sequence number exactly as After does, so a
+// timer armed where an After was called fires at the same point of the
+// event order. Stop and Reset leave the armed event in the queue: when it
+// comes due it finds its seq is no longer the timer's and does nothing,
+// so a stale firing costs a pop but runs no callback and schedules
+// nothing. What a pending event retains is the timer itself.
+type Timer struct {
+	k    *Kernel
+	fn   func()
+	fire func() // t.onFire, bound once
+	seq  int64  // seq of the armed event; 0 = not armed
+}
+
+// NewTimer returns a stopped timer that runs fn (under the rules of
+// After's fn) each time it fires.
+func NewTimer(k *Kernel, fn func()) *Timer {
+	t := &Timer{k: k, fn: fn}
+	t.fire = t.onFire
+	return t
+}
+
+// Reset arms the timer to fire at now+d, dropping any firing still
+// pending.
+func (t *Timer) Reset(d time.Duration) {
+	k := t.k
+	k.seq++
+	t.seq = k.seq
+	k.eq.push(event{at: k.now + int64(d), seq: k.seq, fn: t.fire})
+}
+
+// Stop disarms the timer; it reports whether a firing was pending.
+func (t *Timer) Stop() bool {
+	armed := t.seq != 0
+	t.seq = 0
+	return armed
+}
+
+func (t *Timer) onFire() {
+	if t.seq != t.k.firing {
+		return // stopped or re-armed since this event was queued
+	}
+	t.seq = 0
+	t.fn()
+}
+
 // dispatch is the event loop. Whoever gives up the CPU runs it — a
 // process that is about to block (self), one that just exited, or Run
 // (both nil) — popping events in (at, seq) order and running callbacks
@@ -269,6 +328,7 @@ func (k *Kernel) dispatch(self *Proc) bool {
 			k.now = ev.at
 		}
 		if ev.fn != nil {
+			k.firing = ev.seq
 			ev.fn()
 			continue
 		}

@@ -115,6 +115,71 @@ func TestAfterCallback(t *testing.T) {
 	}
 }
 
+// timerScenario runs two sleepers and four callbacks armed through arm,
+// two of them due at the same instant as a sleeper's wake-up, and logs
+// everything that ran in the order it ran.
+func timerScenario(arm func(k *Kernel, d time.Duration, fn func())) []string {
+	k := New(1)
+	defer k.Close()
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%v %s", k.Now(), what)) }
+	}
+	for i, d := range []time.Duration{2, 1, 2, 3} {
+		arm(k, d*time.Millisecond, note(fmt.Sprint("cb", i)))
+	}
+	for _, name := range []string{"a", "b"} {
+		k.Go(name, func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				p.Sleep(time.Millisecond)
+				note(name)()
+				if name == "a" && i == 0 {
+					arm(k, time.Millisecond, note("cb-from-a"))
+				}
+			}
+		})
+	}
+	k.Run(0)
+	return log
+}
+
+// A Timer is a stoppable After: armed where an After would be, it fires
+// at the same point of the event order; stopped, it never fires; re-armed,
+// it fires once, at the later time.
+func TestTimer(t *testing.T) {
+	after := timerScenario(func(k *Kernel, d time.Duration, fn func()) { k.After(d, fn) })
+	timer := timerScenario(func(k *Kernel, d time.Duration, fn func()) { NewTimer(k, fn).Reset(d) })
+	if fmt.Sprint(after) != fmt.Sprint(timer) {
+		t.Errorf("event order differs:\nAfter %v\nTimer %v", after, timer)
+	}
+
+	k := New(1)
+	defer k.Close()
+	var stopped, rearmed []time.Duration
+	st := NewTimer(k, func() { stopped = append(stopped, k.Now()) })
+	rt := NewTimer(k, func() { rearmed = append(rearmed, k.Now()) })
+	k.Go("arm", func(p *Proc) {
+		st.Reset(time.Millisecond)
+		rt.Reset(time.Millisecond)
+		p.Sleep(500 * time.Microsecond)
+		if !st.Stop() {
+			t.Error("Stop of an armed timer reported nothing pending")
+		}
+		rt.Reset(time.Millisecond) // the first firing at 1 ms goes stale
+		p.Sleep(5 * time.Millisecond)
+		if st.Stop() || rt.Stop() {
+			t.Error("Stop after the timers are done reported a pending firing")
+		}
+	})
+	k.Run(0)
+	if len(stopped) != 0 {
+		t.Errorf("a stopped timer fired at %v", stopped)
+	}
+	if len(rearmed) != 1 || rearmed[0] != 1500*time.Microsecond {
+		t.Errorf("a re-armed timer fired at %v, want once at 1.5ms", rearmed)
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	k := New(1)
 	var childRan bool
@@ -327,6 +392,37 @@ func TestSleepDoesNotAllocate(t *testing.T) {
 	k.Run(0)
 	if self != 0 || handoff != 0 {
 		t.Fatalf("Sleep allocates: %v allocs self-wake, %v allocs handoff, want 0", self, handoff)
+	}
+}
+
+// A cond that is waited on again and again keeps its waiter array, and
+// a timer re-armed and stopped every op allocates nothing either: the
+// shapes of a raced read's state reused from one read to the next.
+func TestCondAndTimerReuseDoNotAllocate(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	c := NewCond(k)
+	tm := NewTimer(k, func() {})
+	var cond, timer float64
+	k.Go("waiter", func(p *Proc) {
+		for {
+			c.Wait(p)
+		}
+	})
+	k.Go("broadcaster", func(p *Proc) {
+		cond = testing.AllocsPerRun(1000, func() {
+			c.Broadcast()
+			p.Sleep(time.Microsecond) // the waiter runs and waits again
+		})
+		timer = testing.AllocsPerRun(1000, func() {
+			tm.Reset(time.Microsecond)
+			tm.Stop()
+			p.Sleep(2 * time.Microsecond) // the stale firing pops
+		})
+	})
+	k.Run(time.Second)
+	if cond != 0 || timer != 0 {
+		t.Fatalf("%v allocs per Broadcast+Wait, %v per Reset+Stop, want 0", cond, timer)
 	}
 }
 

@@ -40,7 +40,8 @@ func (c *Cond) Broadcast() {
 	for _, p := range c.waiters {
 		c.k.wake(p)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0] // a cond waited on again parks without allocating
 }
 
 // WaitGroup counts outstanding work in virtual time.
