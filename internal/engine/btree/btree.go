@@ -44,6 +44,7 @@ type Tree struct {
 	height int
 	smo    *sim.Resource // serializes structure modifications
 	iters  []*Iterator   // ScanRange's idle iterators
+	rec    []byte        // leaf-record scratch, filled after the last yield before the page copies it
 
 	Entries int64 // live entry count (maintained by Insert/Delete)
 }
@@ -116,12 +117,12 @@ func covered(pg *page.Page, key []byte) bool {
 	return len(hk) == 0 || bytes.Compare(key, hk) < 0
 }
 
-func encodeLeaf(key, val []byte) []byte {
-	rec := make([]byte, 2+len(key)+len(val))
-	binary.LittleEndian.PutUint16(rec, uint16(len(key)))
-	copy(rec[2:], key)
-	copy(rec[2+len(key):], val)
-	return rec
+// leafRec encodes a leaf record into the tree's scratch. The record is
+// valid until the caller next yields: another proc may encode over it.
+func (t *Tree) leafRec(key, val []byte) []byte {
+	t.rec = binary.LittleEndian.AppendUint16(t.rec[:0], uint16(len(key)))
+	t.rec = append(append(t.rec, key...), val...)
+	return t.rec
 }
 
 func decodeLeaf(rec []byte) (key, val []byte) {
@@ -252,8 +253,7 @@ func (t *Tree) Update(p *sim.Proc, key, val []byte) error {
 		h.Release()
 		return ErrNotFound
 	}
-	rec := encodeLeaf(key, val)
-	if err := pg.Update(slot, rec); err == nil {
+	if err := pg.Update(slot, t.leafRec(key, val)); err == nil {
 		h.MarkDirty(0)
 		h.Release()
 		return nil
@@ -267,8 +267,7 @@ func (t *Tree) Update(p *sim.Proc, key, val []byte) error {
 }
 
 func (t *Tree) put(p *sim.Proc, key, val []byte, upsert bool) error {
-	rec := encodeLeaf(key, val)
-	if len(rec) > maxEntry {
+	if 2+len(key)+len(val) > maxEntry {
 		return ErrTooBig
 	}
 	for {
@@ -277,6 +276,7 @@ func (t *Tree) put(p *sim.Proc, key, val []byte, upsert bool) error {
 			return err
 		}
 		pg := h.Page()
+		rec := t.leafRec(key, val)
 		if slot := findLeafSlot(pg, key); slot >= 0 {
 			if !upsert {
 				h.Release()
@@ -331,22 +331,24 @@ func (t *Tree) splitLeaf(p *sim.Proc, hintPage uint64, key []byte) error {
 		return err
 	}
 	pg := h.Page()
-	type entry struct{ k, v []byte }
-	var entries []entry
+	// The live records, copied whole into one buffer: the page is
+	// rewritten below, and Allocate may yield.
+	var recs [][]byte
+	img := make([]byte, 0, page.Size)
 	for i := 1; i < pg.NumSlots(); i++ {
 		r, err := pg.Get(i)
 		if err != nil {
 			continue
 		}
-		k, v := decodeLeaf(r)
-		entries = append(entries, entry{append([]byte(nil), k...), append([]byte(nil), v...)})
+		img = append(img, r...)
+		recs = append(recs, img[len(img)-len(r):])
 	}
-	if len(entries) < 2 {
+	if len(recs) < 2 {
 		h.Release()
 		return nil // nothing to split; caller retries insert
 	}
-	mid := len(entries) / 2
-	sep := entries[mid].k
+	mid := len(recs) / 2
+	sep, _ := decodeLeaf(recs[mid])
 	oldHigh := append([]byte(nil), highKey(pg)...)
 	oldNext := pg.Next()
 	leafNo := h.PageNo()
@@ -359,8 +361,8 @@ func (t *Tree) splitLeaf(p *sim.Proc, hintPage uint64, key []byte) error {
 	}
 	initNode(rh.Page(), page.TypeBTreeLeaf, oldHigh)
 	rh.Page().SetNext(oldNext)
-	for _, e := range entries[mid:] {
-		if _, err := rh.Page().Insert(encodeLeaf(e.k, e.v)); err != nil {
+	for _, r := range recs[mid:] {
+		if _, err := rh.Page().Insert(r); err != nil {
 			panic("btree: right split page overflow: " + err.Error())
 		}
 	}
@@ -370,8 +372,8 @@ func (t *Tree) splitLeaf(p *sim.Proc, hintPage uint64, key []byte) error {
 	// Rewrite the left node with the lower half.
 	initNode(pg, page.TypeBTreeLeaf, sep)
 	pg.SetNext(rightNo)
-	for _, e := range entries[:mid] {
-		if _, err := pg.Insert(encodeLeaf(e.k, e.v)); err != nil {
+	for _, r := range recs[:mid] {
+		if _, err := pg.Insert(r); err != nil {
 			panic("btree: left split page overflow: " + err.Error())
 		}
 	}

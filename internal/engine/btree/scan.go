@@ -327,7 +327,7 @@ func (t *Tree) BulkLoad(p *sim.Proc, pairs []Pair, fillFactor float64) error {
 		first := pairs[i].Key
 		used := 0
 		for i < len(pairs) {
-			rec := encodeLeaf(pairs[i].Key, pairs[i].Val)
+			rec := t.leafRec(pairs[i].Key, pairs[i].Val)
 			if len(rec) > maxEntry {
 				h.Release()
 				return ErrTooBig

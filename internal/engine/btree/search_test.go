@@ -109,6 +109,7 @@ func TestSearchMatchesLinearReference(t *testing.T) {
 		{"dead-then-live", 150, 2, true},
 	}
 	rng := rand.New(rand.NewSource(11))
+	var enc Tree // encodes the hand-built leaf's records
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ids := rng.Perm(4 * (c.n + 1))[:c.n]
@@ -121,7 +122,7 @@ func TestSearchMatchesLinearReference(t *testing.T) {
 			}
 			for i, id := range ids {
 				k := key(id)
-				if err := leaf.InsertAt(upperBound(leaf, k), encodeLeaf(k, val(id))); err != nil {
+				if err := leaf.InsertAt(upperBound(leaf, k), enc.leafRec(k, val(id))); err != nil {
 					t.Fatal(err)
 				}
 				if err := inner.InsertAt(upperBound(inner, k), encodeInner(k, uint64(id+2))); err != nil {
@@ -134,7 +135,7 @@ func TestSearchMatchesLinearReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if c.reinsert {
-					if err := leaf.InsertAt(upperBound(leaf, k), encodeLeaf(k, []byte("again"))); err != nil {
+					if err := leaf.InsertAt(upperBound(leaf, k), enc.leafRec(k, []byte("again"))); err != nil {
 						t.Fatal(err)
 					}
 				}

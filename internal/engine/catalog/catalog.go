@@ -389,7 +389,7 @@ func (t *Table) LookupRow(p *sim.Proc, pkKey []byte, ords []int) (row.Tuple, err
 	if err != nil {
 		return nil, err
 	}
-	return row.DecodeCols(t.Schema, img, ords)
+	return row.DecodeCols(nil, t.Schema, img, ords)
 }
 
 func sortPairs(pairs []btree.Pair) {

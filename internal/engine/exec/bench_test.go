@@ -34,23 +34,33 @@ func benchRig(b *testing.B, fn func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx)
 	k.Run(1000 * time.Hour)
 }
 
+// benchItems loads the 50 000-row line-item table the scan benchmarks
+// read, resident in the pool; nil after a failure it reported.
+func benchItems(b *testing.B, p *sim.Proc, cat *catalog.Catalog) *catalog.Table {
+	tbl, err := cat.CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
+	if err != nil {
+		b.Error(err)
+		return nil
+	}
+	tuples := make([]row.Tuple, 50000)
+	for i := range tuples {
+		tuples[i] = row.Tuple{int64(i / 4), int64(i % 4), float64(i)}
+	}
+	if err := tbl.BulkLoad(p, tuples); err != nil {
+		b.Error(err)
+		return nil
+	}
+	return tbl
+}
+
 // BenchmarkTableScanFilter streams a resident 50 000-row table through a
 // filter that keeps one row in ten: iterator, row decode, per-row CPU
 // accounting. An op is one full scan.
 func BenchmarkTableScanFilter(b *testing.B) {
 	const rows = 50000
 	benchRig(b, func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx) {
-		tbl, err := cat.CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		tuples := make([]row.Tuple, rows)
-		for i := range tuples {
-			tuples[i] = row.Tuple{int64(i / 4), int64(i % 4), float64(i)}
-		}
-		if err := tbl.BulkLoad(p, tuples); err != nil {
-			b.Error(err)
+		tbl := benchItems(b, p, cat)
+		if tbl == nil {
 			return
 		}
 		b.ReportAllocs()
@@ -61,6 +71,29 @@ func BenchmarkTableScanFilter(b *testing.B) {
 			}})
 			if err != nil || n != rows/10 {
 				b.Errorf("scan: %d rows, %v", n, err)
+				return
+			}
+		}
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+}
+
+// BenchmarkParallelScan reads the same table with four range-partitioned
+// scan workers merged through an Exchange: the producers' decode, the
+// copy into each batch and the consumer's merge. An op is one full scan.
+func BenchmarkParallelScan(b *testing.B) {
+	const rows = 50000
+	benchRig(b, func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx) {
+		tbl := benchItems(b, p, cat)
+		if tbl == nil {
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n, err := Run(ctx, &ParallelScan{Table: tbl, DOP: 4})
+			if err != nil || n != rows {
+				b.Errorf("parallel scan: %d rows, %v", n, err)
 				return
 			}
 		}

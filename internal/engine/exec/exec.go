@@ -116,12 +116,28 @@ func (c *Ctx) Child(p *sim.Proc) *Ctx {
 	}
 }
 
-// Op is a Volcano operator.
+// Op is a Volcano operator. A row Next returns is lent: it is valid
+// until the next Next or Close on that operator, which may overwrite it.
+// An operator that keeps a row past that keeps a shallow copy; boxed
+// values are immutable, so the copy may share them.
 type Op interface {
 	Open(c *Ctx) error
 	Next(c *Ctx) (row.Tuple, bool, error)
 	Close(c *Ctx) error
 	Schema() *row.Schema
+}
+
+// keeper copies lent rows into chunks it allocates, so keeping a row
+// costs no allocation of its own. A kept row lives as long as its chunk.
+type keeper struct{ buf []interface{} }
+
+func (k *keeper) keep(t row.Tuple) row.Tuple {
+	if cap(k.buf)-len(k.buf) < len(t) {
+		k.buf = make([]interface{}, 0, max(1024, len(t)))
+	}
+	n := len(k.buf)
+	k.buf = append(k.buf, t...)
+	return row.Tuple(k.buf[n:len(k.buf):len(k.buf)])
 }
 
 // Run drains an operator tree, returning the row count (convenience for
@@ -172,6 +188,7 @@ type TableScan struct {
 	schema *row.Schema
 	ords   []int
 	it     *btree.Iterator
+	row    row.Tuple // the row Next lends
 }
 
 // Schema returns the schema of the materialised columns.
@@ -204,10 +221,11 @@ func (s *TableScan) Next(c *Ctx) (row.Tuple, bool, error) {
 	if s.To != nil && string(pair.Key) >= string(s.To) {
 		return nil, false, nil
 	}
-	t, err := row.DecodeCols(s.Table.Schema, pair.Val, s.ords)
+	t, err := row.DecodeCols(s.row, s.Table.Schema, pair.Val, s.ords)
 	if err != nil {
 		return nil, false, err
 	}
+	s.row = t
 	c.chargeCPU(c.CPU.PerRow)
 	return t, true, nil
 }
@@ -215,68 +233,6 @@ func (s *TableScan) Next(c *Ctx) (row.Tuple, bool, error) {
 // Close releases the scan.
 func (s *TableScan) Close(c *Ctx) error {
 	s.it = nil
-	return nil
-}
-
-// --- IndexScan -----------------------------------------------------------
-
-// IndexScan seeks a secondary index range and looks up the base rows
-// (a "bookmark lookup" plan shape, the random-I/O pattern of Figure 15b's
-// index nested-loop side).
-type IndexScan struct {
-	Index *catalog.Index
-	From  []byte
-	To    []byte
-	Limit int
-	Cols  []string // base-row columns to materialise, in schema order (nil = all)
-
-	schema *row.Schema
-	ords   []int
-	pks    []([]byte)
-	pos    int
-}
-
-// Schema returns the schema of the materialised base-table columns.
-func (s *IndexScan) Schema() *row.Schema {
-	if s.schema == nil {
-		s.schema = projected(s.Index.Table.Schema, s.Cols)
-	}
-	return s.schema
-}
-
-// Open runs the index seek.
-func (s *IndexScan) Open(c *Ctx) error {
-	var err error
-	if s.ords, err = colOrds(s.Index.Table.Schema, s.Cols); err != nil {
-		return err
-	}
-	pks, err := s.Index.SeekRange(c.P, s.From, s.To, s.Limit)
-	if err != nil {
-		return err
-	}
-	s.pks = pks
-	s.pos = 0
-	return nil
-}
-
-// Next looks up the next matching row.
-func (s *IndexScan) Next(c *Ctx) (row.Tuple, bool, error) {
-	if s.pos >= len(s.pks) {
-		return nil, false, nil
-	}
-	pk := s.pks[s.pos]
-	s.pos++
-	t, err := s.Index.Table.LookupRow(c.P, pk, s.ords)
-	if err != nil {
-		return nil, false, err
-	}
-	c.chargeCPU(c.CPU.PerRow)
-	return t, true, nil
-}
-
-// Close releases the scan.
-func (s *IndexScan) Close(c *Ctx) error {
-	s.pks = nil
 	return nil
 }
 
@@ -319,6 +275,7 @@ type Project struct {
 
 	schema *row.Schema
 	ords   []int
+	row    row.Tuple // the row Next lends
 }
 
 // Schema returns the projected schema.
@@ -348,11 +305,11 @@ func (pr *Project) Next(c *Ctx) (row.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(row.Tuple, len(pr.ords))
-	for i, o := range pr.ords {
-		out[i] = t[o]
+	pr.row = pr.row[:0]
+	for _, o := range pr.ords {
+		pr.row = append(pr.row, t[o])
 	}
-	return out, true, nil
+	return pr.row, true, nil
 }
 
 // Close closes the input.

@@ -443,7 +443,6 @@ func TestColumnLists(t *testing.T) {
 		cols := []string{"orderkey", "price"}
 		same("table scan", &TableScan{Table: items, Cols: cols}, &TableScan{Table: items}, []int{0, 2})
 		same("parallel scan", &ParallelScan{Table: items, DOP: 4, Cols: cols}, &ParallelScan{Table: items, DOP: 4}, []int{0, 2})
-		same("index scan", &IndexScan{Index: idx, Cols: cols}, &IndexScan{Index: idx}, []int{0, 2})
 		inlj := func(inner []string) Op {
 			return &IndexNestedLoopJoin{Outer: &Project{In: &TableScan{Table: orders}, Cols: []string{"orderkey"}}, OuterCols: []string{"orderkey"}, Inner: idx, Fetch: true, InnerCols: inner}
 		}

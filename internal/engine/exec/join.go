@@ -31,9 +31,13 @@ type HashJoin struct {
 	Out []JoinCol
 
 	schema  *row.Schema
-	outBuf  []row.Tuple
+	outBuf  []row.Tuple   // rows emit built, lent one at a time
+	slab    []interface{} // outBuf's values
 	outPos  int
 	ht      map[string][]row.Tuple
+	kept    keeper    // ht's rows
+	prow    row.Tuple // probe row decoded from a partition file
+	brow    row.Tuple // build row decoded from a bucket or partition file
 	rtab    *tempdb.HashTable
 	probing bool
 
@@ -241,7 +245,7 @@ func (j *HashJoin) readBuild(c *Ctx) error {
 			if c.Grant <= 0 || used <= c.Grant {
 				j.key = appendKey(j.key[:0], t, j.buildOrds)
 				k := string(j.key)
-				j.ht[k] = append(j.ht[k], t)
+				j.ht[k] = append(j.ht[k], j.kept.keep(t))
 				continue
 			}
 			// Cut over to the grace path (or, with RemoteProbe, to the
@@ -265,7 +269,7 @@ func (j *HashJoin) readBuild(c *Ctx) error {
 					}
 				}
 			}
-			j.ht = nil
+			clear(j.ht) // its buckets serve the partitions
 		}
 		if err := j.spillBuild(c, t); err != nil {
 			return err
@@ -309,7 +313,7 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 			j.outPos++
 			return t, true, nil
 		}
-		j.outBuf = j.outBuf[:0]
+		j.outBuf, j.slab = j.outBuf[:0], j.slab[:0]
 		j.outPos = 0
 
 		if !j.spilled {
@@ -342,10 +346,11 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 			j.key = appendKey(j.key[:0], t, j.probeOrds)
 			c.chargeCPU(c.CPU.PerHash)
 			err = j.rtab.Probe(c.P, partOf(j.key, j.rtab.Buckets()), func(img []byte) error {
-				bt, err := row.Decode(j.buildSchema, img)
+				bt, err := row.DecodeCols(j.brow, j.buildSchema, img, nil)
 				if err != nil {
 					return err
 				}
+				j.brow = bt
 				c.chargeCPU(c.CPU.PerRow)
 				j.key2 = appendKey(j.key2[:0], bt, j.buildOrds)
 				if bytes.Equal(j.key2, j.key) {
@@ -366,10 +371,11 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				return nil, false, err
 			}
 			if ok {
-				t, err := row.Decode(j.probeSchema, img)
+				t, err := row.DecodeCols(j.prow, j.probeSchema, img, nil)
 				if err != nil {
 					return nil, false, err
 				}
+				j.prow = t
 				c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
 				j.key = appendKey(j.key[:0], t, j.probeOrds)
 				for _, b := range j.ht[string(j.key)] {
@@ -384,7 +390,7 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 		if j.curPart >= j.Partitions {
 			return nil, false, nil
 		}
-		j.ht = make(map[string][]row.Tuple)
+		clear(j.ht)
 		br := j.buildFiles[j.curPart].NewReader()
 		for {
 			img, ok, err := br.Next(c.P)
@@ -394,35 +400,37 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 			if !ok {
 				break
 			}
-			t, err := row.Decode(j.buildSchema, img)
+			t, err := row.DecodeCols(j.brow, j.buildSchema, img, nil)
 			if err != nil {
 				return nil, false, err
 			}
+			j.brow = t
 			c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
 			j.key = appendKey(j.key[:0], t, j.buildOrds)
 			k := string(j.key)
-			j.ht[k] = append(j.ht[k], t)
+			j.ht[k] = append(j.ht[k], j.kept.keep(t))
 		}
 		j.partReader = j.probeFiles[j.curPart].NewReader()
 	}
 }
 
-// emit builds one output row from a matching build/probe pair.
+// emit builds one output row from a matching build/probe pair in the
+// slab, which Next reuses once every row built in it has been lent.
 func (j *HashJoin) emit(b, p row.Tuple) row.Tuple {
-	out := make(row.Tuple, 0, len(j.outBuild)+len(j.outProbe))
+	n := len(j.slab)
 	for _, o := range j.outBuild {
-		out = append(out, b[o])
+		j.slab = append(j.slab, b[o])
 	}
 	for _, o := range j.outProbe {
-		out = append(out, p[o])
+		j.slab = append(j.slab, p[o])
 	}
-	return out
+	return j.slab[n:len(j.slab):len(j.slab)]
 }
 
 // Close releases join state (recycling any spill extents).
 func (j *HashJoin) Close(c *Ctx) error {
 	j.ht = nil
-	j.outBuf = nil
+	j.outBuf, j.slab = nil, nil
 	remote := j.rtab != nil
 	j.releaseSpill()
 	if remote || !j.spilled {

@@ -34,8 +34,19 @@ func PartitionRanges(p *sim.Proc, t *catalog.Table, from, to []byte, dop int) ([
 	return ranges, nil
 }
 
-// xchgBatch is one unit handed from a producer to the consumer.
-type xchgBatch []row.Tuple
+// xchgBatch is one unit handed from a producer to the consumer: copies
+// of the rows its producer was lent, laid out in vals. The consumer
+// lends them in turn and hands the batch back through spare.
+type xchgBatch struct {
+	rows []row.Tuple
+	vals []interface{}
+}
+
+func (b *xchgBatch) add(t row.Tuple) {
+	n := len(b.vals)
+	b.vals = append(b.vals, t...)
+	b.rows = append(b.rows, b.vals[n:len(b.vals):len(b.vals)])
+}
 
 // xchgPart is the per-producer stream state shared (in simulated time,
 // one runnable process at a time) between a worker and the consumer.
@@ -92,7 +103,7 @@ func (x *Exchange) Open(c *Ctx) error {
 	k := c.Server.K
 	x.ready = sim.NewCond(k)
 	x.wg = sim.NewWaitGroup(k)
-	x.cur, x.batch, x.pos = 0, nil, 0
+	x.cur, x.batch, x.pos = 0, xchgBatch{}, 0
 	x.closed = false
 	x.open = true
 	x.parts = make([]*xchgPart, len(x.Parts))
@@ -119,7 +130,11 @@ func (x *Exchange) produce(st *xchgPart) {
 		st.done = true
 		return
 	}
-	batch := make(xchgBatch, 0, x.BatchRows)
+	width := st.op.Schema().Len()
+	newBatch := func() xchgBatch {
+		return xchgBatch{make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)}
+	}
+	batch := newBatch()
 	flush := func() bool {
 		for len(st.queue) >= x.QueueBatches && !x.closed {
 			st.space.Wait(c.P)
@@ -132,7 +147,7 @@ func (x *Exchange) produce(st *xchgPart) {
 		if n := len(st.spare); n > 0 {
 			batch, st.spare = st.spare[n-1], st.spare[:n-1]
 		} else {
-			batch = make(xchgBatch, 0, x.BatchRows)
+			batch = newBatch()
 		}
 		return true
 	}
@@ -145,12 +160,12 @@ func (x *Exchange) produce(st *xchgPart) {
 		if !ok {
 			break
 		}
-		batch = append(batch, t)
-		if len(batch) >= x.BatchRows && !flush() {
+		batch.add(t)
+		if len(batch.rows) >= x.BatchRows && !flush() {
 			break
 		}
 	}
-	if len(batch) > 0 && st.err == nil {
+	if len(batch.rows) > 0 && st.err == nil {
 		flush()
 	}
 	if err := st.op.Close(c); err != nil && st.err == nil {
@@ -166,8 +181,8 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 		return nil, false, errors.New("exec: exchange not open")
 	}
 	for {
-		if x.pos < len(x.batch) {
-			t := x.batch[x.pos]
+		if x.pos < len(x.batch.rows) {
+			t := x.batch.rows[x.pos]
 			x.pos++
 			c.chargeCPU(c.CPU.PerXchg)
 			return t, true, nil
@@ -177,9 +192,8 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 		}
 		st := x.parts[x.cur]
 		if len(st.queue) > 0 {
-			if cap(x.batch) > 0 {
-				clear(x.batch) // its rows are the consumer's now
-				st.spare = append(st.spare, x.batch[:0])
+			if cap(x.batch.rows) > 0 {
+				st.spare = append(st.spare, xchgBatch{x.batch.rows[:0], x.batch.vals[:0]})
 			}
 			x.batch = st.queue[0]
 			st.queue = st.queue[:copy(st.queue, st.queue[1:])]
@@ -222,7 +236,7 @@ func (x *Exchange) Close(c *Ctx) error {
 		}
 		st.queue = nil
 	}
-	x.batch = nil
+	x.batch = xchgBatch{}
 	return err
 }
 

@@ -51,6 +51,7 @@ type PushScan struct {
 	rest   []byte
 	inner  Op // degraded whole-table path (no segment)
 	open   bool
+	row    row.Tuple // the row Next lends
 }
 
 // Schema returns the projected schema (the table's schema when the
@@ -202,10 +203,11 @@ func (s *PushScan) Next(c *Ctx) (row.Tuple, bool, error) {
 			n := int(binary.LittleEndian.Uint32(s.rest))
 			rec := s.rest[pushRecLen : pushRecLen+n]
 			s.rest = s.rest[pushRecLen+n:]
-			t, err := row.Decode(s.Schema(), rec)
+			t, err := row.DecodeCols(s.row, s.Schema(), rec, nil)
 			if err != nil {
 				return nil, false, err
 			}
+			s.row = t
 			c.chargeCPU(c.CPU.PerRow)
 			return t, true, nil
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"time"
 
 	"remotedb/internal/engine/row"
@@ -44,7 +45,14 @@ func Open(c *Ctx, op Op) (*Rows, error) {
 func (r *Rows) Schema() *row.Schema { return r.op.Schema() }
 
 // Next returns the next result row; ok=false at the end of the stream.
+// The row is the caller's: Next copies the row the operator tree lends.
 func (r *Rows) Next() (row.Tuple, bool, error) {
+	t, ok, err := r.next()
+	return slices.Clone(t), ok, err
+}
+
+// next returns the row the tree lends, valid until the next call.
+func (r *Rows) next() (row.Tuple, bool, error) {
 	if r.closed {
 		return nil, false, r.err
 	}
@@ -84,7 +92,7 @@ func (r *Rows) Close() error {
 // (rows already consumed via Next included), and closes the iterator.
 func (r *Rows) Count() (int64, error) {
 	for {
-		_, ok, err := r.Next()
+		_, ok, err := r.next()
 		if err != nil {
 			return r.n, err
 		}

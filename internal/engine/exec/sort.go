@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,20 +18,19 @@ type SortSpec struct {
 	Desc bool
 }
 
-// sortKey builds a memcmp-comparable key for the specs (descending
-// columns are bit-flipped).
-func sortKey(s *row.Schema, specs []SortSpec, t row.Tuple) []byte {
-	var key []byte
+// appendSortKey appends a memcmp-comparable key for the specs to dst
+// (descending columns are bit-flipped).
+func appendSortKey(dst []byte, s *row.Schema, specs []SortSpec, t row.Tuple) []byte {
 	for _, sp := range specs {
-		seg := row.EncodeKey(nil, t[s.MustOrdinal(sp.Col)])
+		n := len(dst)
+		dst = row.EncodeKey(dst, t[s.MustOrdinal(sp.Col)])
 		if sp.Desc {
-			for i := range seg {
-				seg[i] = ^seg[i]
+			for i := n; i < len(dst); i++ {
+				dst[i] = ^dst[i]
 			}
 		}
-		key = append(key, seg...)
 	}
-	return key
+	return dst
 }
 
 // Sort is an external merge sort: rows accumulate until the memory grant
@@ -41,13 +41,15 @@ type Sort struct {
 	Specs []SortSpec
 
 	rows    []row.Tuple
+	kept    keeper // rows' storage
 	keys    [][]byte
 	pos     int
 	runs    []*tempdb.SpillFile
 	merge   *mergeState
 	schema  *row.Schema
 	spilled bool
-	rec     []byte // spill-record scratch
+	rec     []byte    // spill-record scratch
+	row     row.Tuple // the merge's decoded row
 }
 
 // Schema passes through.
@@ -108,8 +110,8 @@ func (s *Sort) readInput(c *Ctx) error {
 			return err
 		}
 		c.chargeCPU(c.CPU.PerSort)
-		s.rows = append(s.rows, t)
-		s.keys = append(s.keys, sortKey(s.schema, s.Specs, t))
+		s.rows = append(s.rows, s.kept.keep(t))
+		s.keys = append(s.keys, appendSortKey(nil, s.schema, s.Specs, t))
 		used += int64(row.EncodedSize(s.schema, t)) + 64
 		if c.Grant > 0 && used > c.Grant {
 			if err := s.spillRun(c); err != nil {
@@ -220,12 +222,12 @@ func (h *mergeHeap) Pop() interface{} {
 func (s *Sort) openMerge(c *Ctx) error {
 	s.merge = &mergeState{}
 	for i, run := range s.runs {
-		r := run.NewReader()
-		head, err := nextHead(c, r, i)
+		head := &mergeHead{r: run.NewReader(), idx: i}
+		ok, err := head.next(c)
 		if err != nil {
 			return err
 		}
-		if head != nil {
+		if ok {
 			s.merge.heads = append(s.merge.heads, head)
 		}
 	}
@@ -233,18 +235,17 @@ func (s *Sort) openMerge(c *Ctx) error {
 	return nil
 }
 
-func nextHead(c *Ctx, r *tempdb.Reader, idx int) (*mergeHead, error) {
-	rec, ok, err := r.Next(c.P)
+// next reads the run's next record into the head's key and image,
+// reusing their storage; ok=false at the end of the run.
+func (h *mergeHead) next(c *Ctx) (bool, error) {
+	rec, ok, err := h.r.Next(c.P)
 	if err != nil || !ok {
-		return nil, err
+		return false, err
 	}
 	klen := getU32(rec)
-	return &mergeHead{
-		key: append([]byte(nil), rec[4:4+klen]...),
-		img: append([]byte(nil), rec[4+klen:]...),
-		r:   r,
-		idx: idx,
-	}, nil
+	h.key = append(h.key[:0], rec[4:4+klen]...)
+	h.img = append(h.img[:0], rec[4+klen:]...)
+	return true, nil
 }
 
 // Next returns rows in sort order.
@@ -260,18 +261,21 @@ func (s *Sort) Next(c *Ctx) (row.Tuple, bool, error) {
 	if s.merge.heads.Len() == 0 {
 		return nil, false, nil
 	}
-	head := heap.Pop(&s.merge.heads).(*mergeHead)
-	t, err := row.Decode(s.schema, head.img)
+	head := s.merge.heads[0]
+	t, err := row.DecodeCols(s.row, s.schema, head.img, nil)
 	if err != nil {
 		return nil, false, err
 	}
+	s.row = t
 	c.chargeCPU(c.CPU.PerSort)
-	replacement, err := nextHead(c, head.r, head.idx)
+	ok, err := head.next(c)
 	if err != nil {
 		return nil, false, err
 	}
-	if replacement != nil {
-		heap.Push(&s.merge.heads, replacement)
+	if ok {
+		heap.Fix(&s.merge.heads, 0)
+	} else {
+		heap.Pop(&s.merge.heads)
 	}
 	return t, true, nil
 }
@@ -346,21 +350,25 @@ func (t *TopN) Open(c *Ctx) error {
 // sortedTop drains a full sort of the input, keeping its first N rows.
 func (t *TopN) sortedTop(c *Ctx, s Op) ([]row.Tuple, error) {
 	kept := make([]row.Tuple, 0, t.N)
+	var k keeper
 	for {
 		tuple, ok, err := s.Next(c)
 		if err != nil || !ok {
 			return kept, err
 		}
 		if len(kept) < t.N {
-			kept = append(kept, tuple)
+			kept = append(kept, k.keep(tuple))
 		}
 	}
 }
 
-// heapTop keeps the N smallest rows of the input in a bounded heap.
+// heapTop keeps the N smallest rows of the input in a bounded heap. A
+// row is copied only when admitted, into the storage of the row it
+// evicts once the heap is full.
 func (t *TopN) heapTop(c *Ctx) ([]row.Tuple, error) {
 	s := t.In.Schema()
 	var top topHeap
+	var key []byte // the current row's, rebuilt in place
 	for {
 		tuple, ok, err := t.In.Next(c)
 		if err != nil {
@@ -370,11 +378,12 @@ func (t *TopN) heapTop(c *Ctx) ([]row.Tuple, error) {
 			break
 		}
 		c.chargeCPU(c.CPU.PerSort)
-		key := sortKey(s, t.Specs, tuple)
+		key = appendSortKey(key[:0], s, t.Specs, tuple)
 		if top.Len() < t.N {
-			heap.Push(&top, topEntry{key: key, t: tuple})
+			heap.Push(&top, topEntry{key: bytes.Clone(key), t: slices.Clone(tuple)})
 		} else if bytes.Compare(key, top[0].key) < 0 {
-			top[0] = topEntry{key: key, t: tuple}
+			top[0].key = append(top[0].key[:0], key...)
+			top[0].t = append(top[0].t[:0], tuple...)
 			heap.Fix(&top, 0)
 		}
 	}

@@ -73,7 +73,7 @@ func BenchmarkDecodeCols4of16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := DecodeCols(s, enc, ords)
+		t, err := DecodeCols(nil, s, enc, ords)
 		if err != nil {
 			b.Fatal(err)
 		}

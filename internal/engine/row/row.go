@@ -158,23 +158,29 @@ func typeErr(c Column, v interface{}) error {
 	return fmt.Errorf("row: column %s expects %v, got %T", c.Name, c.Type, v)
 }
 
-// Decode parses one tuple image.
-func Decode(s *Schema, b []byte) (Tuple, error) { return DecodeCols(s, b, nil) }
+// Decode parses one tuple image into a tuple the caller owns.
+func Decode(s *Schema, b []byte) (Tuple, error) { return DecodeCols(nil, s, b, nil) }
 
-// DecodeCols parses one tuple image, materialising only the columns at
-// the listed ordinals (ascending; nil = every column) and stepping over
-// the rest by length. The tuple is parallel to ords. The whole image is
-// still validated: what Decode rejects, DecodeCols rejects.
-func DecodeCols(s *Schema, b []byte, ords []int) (Tuple, error) {
+// DecodeCols parses one tuple image into dst, reusing its storage when
+// it is large enough, materialising only the columns at the listed
+// ordinals (ascending; nil = every column) and stepping over the rest by
+// length. The tuple is parallel to ords. The whole image is still
+// validated: what Decode rejects, DecodeCols rejects. A slot of dst that
+// already holds an equal Int64, Float64 (bit-equal) or String value keeps
+// that boxed value; Bytes values are always fresh copies.
+func DecodeCols(dst Tuple, s *Schema, b []byte, ords []int) (Tuple, error) {
 	n := len(ords)
 	if ords == nil {
 		n = s.Len()
 	}
-	t := make(Tuple, n)
-	if err := decodeInto(t, s, b, ords, false); err != nil {
+	if cap(dst) < n {
+		dst = make(Tuple, n)
+	}
+	dst = dst[:n]
+	if err := decodeInto(dst, s, b, ords, false); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return dst, nil
 }
 
 // DecodeColumn extracts a single column from a tuple image without
@@ -216,13 +222,22 @@ func decodeInto(dst Tuple, s *Schema, b []byte, ords []int, early bool) error {
 			return ErrCorrupt
 		}
 		if i == next {
+			// An equal value already in the slot stays: boxing a fresh
+			// one would allocate.
 			switch typ {
 			case Int64:
-				dst[k] = int64(binary.BigEndian.Uint64(b[off:]))
+				if v := int64(binary.BigEndian.Uint64(b[off:])); dst[k] != v {
+					dst[k] = v
+				}
 			case Float64:
-				dst[k] = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
+				v := binary.BigEndian.Uint64(b[off:])
+				if f, ok := dst[k].(float64); !ok || math.Float64bits(f) != v {
+					dst[k] = math.Float64frombits(v)
+				}
 			case String:
-				dst[k] = string(b[off+2 : end])
+				if x, ok := dst[k].(string); !ok || x != string(b[off+2:end]) {
+					dst[k] = string(b[off+2 : end])
+				}
 			case Bytes:
 				dst[k] = append([]byte(nil), b[off+2:end]...)
 			}

@@ -231,10 +231,12 @@ func TestDecodeColumnMatchesDecode(t *testing.T) {
 
 // TestDecodeColsProperty: for random tuples and every subset of the
 // columns, the set decoder returns Decode's values at those ordinals,
-// and it rejects every truncation and every overlong image that Decode
-// rejects — skipped columns are still walked.
+// also into a tuple that held the last subset's values, and it rejects
+// every truncation and every overlong image that Decode rejects —
+// skipped columns are still walked.
 func TestDecodeColsProperty(t *testing.T) {
 	s := testSchema()
+	var dst Tuple
 	f := func(id int64, bal float64, name string, blob []byte) bool {
 		if len(name) > 1000 || len(blob) > 1000 {
 			return true
@@ -259,21 +261,22 @@ func TestDecodeColsProperty(t *testing.T) {
 					want = append(want, full[o])
 				}
 			}
-			got, err := DecodeCols(s, b, ords)
+			got, err := DecodeCols(dst, s, b, ords)
 			if err != nil || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Logf("subset %v: got %v (%v), want %v", ords, got, err, want)
 				return false
 			}
+			dst = got
 			for cut := 0; cut < len(b); cut++ {
 				if _, derr := Decode(s, b[:cut]); derr == nil {
 					continue // a shorter image that is itself valid
 				}
-				if _, err := DecodeCols(s, b[:cut], ords); err == nil {
+				if _, err := DecodeCols(nil, s, b[:cut], ords); err == nil {
 					t.Logf("subset %v accepted the image cut to %d of %d bytes", ords, cut, len(b))
 					return false
 				}
 			}
-			if _, err := DecodeCols(s, append(b[:len(b):len(b)], 0), ords); err == nil {
+			if _, err := DecodeCols(nil, s, append(b[:len(b):len(b)], 0), ords); err == nil {
 				t.Logf("subset %v accepted a trailing byte", ords)
 				return false
 			}
@@ -287,8 +290,46 @@ func TestDecodeColsProperty(t *testing.T) {
 	// not half-filled.
 	b, _ := Encode(nil, s, Tuple{int64(1), 2.0, "x", []byte{3}})
 	for _, ords := range [][]int{{1, 0}, {0, 0}, {4}, {-1}} {
-		if _, err := DecodeCols(s, b, ords); err == nil {
+		if _, err := DecodeCols(nil, s, b, ords); err == nil {
 			t.Errorf("ordinals %v accepted", ords)
 		}
+	}
+}
+
+// TestDecodeColsReusesDst: decoding into a tuple that already holds the
+// image's values reuses its storage and keeps its boxed values, so only
+// the Bytes copy allocates; a value that differs only in its float bits
+// or in its type is replaced.
+func TestDecodeColsReusesDst(t *testing.T) {
+	s := testSchema()
+	b, _ := Encode(nil, s, Tuple{int64(1 << 40), math.Copysign(0, -1), "name", []byte{7}})
+	dst, err := DecodeCols(nil, s, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := []int{0, 1, 2}
+	narrow, _ := DecodeCols(nil, s, b, fixed)
+	allocs := testing.AllocsPerRun(100, func() {
+		again, err := DecodeCols(narrow, s, b, fixed)
+		if err != nil || &again[0] != &narrow[0] {
+			t.Fatalf("decode into a large enough tuple moved it (%v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-decoding equal Int64, Float64 and String values allocates %.0f times, want 0", allocs)
+	}
+	// +0 equals -0 but has other bits; a string "1099511627776" is not
+	// the int64; a fresh Bytes copy never aliases the old one.
+	old := dst[3].([]byte)
+	dst[0], dst[1], dst[2] = "1099511627776", 0.0, int64(0)
+	got, err := DecodeCols(dst, s, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != any(int64(1<<40)) || !math.Signbit(got[1].(float64)) || got[2] != any("name") {
+		t.Errorf("reused tuple decoded as %v", got)
+	}
+	if nb := got[3].([]byte); &nb[0] == &old[0] {
+		t.Error("Bytes value reused, want a fresh copy")
 	}
 }

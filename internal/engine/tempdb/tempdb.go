@@ -43,12 +43,12 @@ type TempDB struct {
 	BytesRead    int64
 }
 
-// maxIdleBytes bounds the capacity TempDB.bufs may hold. Two blocks, not
-// more: on the benchmark's tpch_streams (five streams, sixteen partition
-// files a join) peak RSS stays below the unpooled build's at two blocks,
-// equals it at four and is 26 MB above it at eight, and eight would save
-// only another 6 % of the bytes allocated.
-const maxIdleBytes = 2 * BlockSize
+// maxIdleBytes bounds the capacity TempDB.bufs may hold: one side of a
+// grace hash join's default fan-out of eight partition files, each buffer
+// a block plus the record that crossed its end. The probe side's files
+// then write through the buffers the build side's gave back instead of
+// growing their own from 16 KiB, and so does the next spilling join.
+const maxIdleBytes = 8 * (BlockSize + BlockSize/16)
 
 // ErrFull is returned by the spilling write that does not fit the TempDB
 // file: the file has a fixed size (a remote-memory file) and every extent

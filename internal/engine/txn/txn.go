@@ -43,6 +43,7 @@ type LogManager struct {
 	nextLSN    uint64
 	flushedLSN uint64
 	buf        []byte // records appended since last flush
+	spare      []byte // the last batch written, emptied: the next force's buf
 	fileOff    int64
 
 	flushing   bool
@@ -82,8 +83,11 @@ func (lm *LogManager) Commit(p *sim.Proc, lsn uint64) error {
 			continue
 		}
 		lm.flushing = true
+		// Records appended during the write go into the spare, not the
+		// batch being written. WriteAt keeps no reference to the batch,
+		// so once written it becomes the spare.
 		batch := lm.buf
-		lm.buf = nil
+		lm.buf, lm.spare = lm.spare[:0], nil
 		upto := lm.nextLSN - 1
 		var err error
 		if len(batch) > 0 {
@@ -103,6 +107,7 @@ func (lm *LogManager) Commit(p *sim.Proc, lsn uint64) error {
 		lm.flushing = false
 		if err == nil {
 			lm.flushedLSN = upto
+			lm.spare = batch[:0]
 		}
 		lm.flushDone.Broadcast()
 		if err != nil {

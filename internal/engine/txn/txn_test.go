@@ -171,3 +171,59 @@ func TestFailedForceLosesNoRecord(t *testing.T) {
 	})
 	k.Run(time.Minute)
 }
+
+// Records appended while a force is writing land after its batch, in
+// order, over rounds that swap the append buffer and the written batch;
+// and once both buffers have grown, an append and its force allocate
+// nothing.
+func TestForcesReuseTheWrittenBatch(t *testing.T) {
+	k := newKernel(t, 1)
+	s := cluster.NewServer(k, "db", cluster.DefaultConfig())
+	lm := New(k, vfs.NewDeviceFile("log", s.HDD))
+	const rounds, per = 5, 20
+	var want []string
+	k.Go("rounds", func(p *sim.Proc) {
+		wg := sim.NewWaitGroup(k)
+		for r := 0; r < rounds; r++ {
+			wg.Add(per)
+			for i := 0; i < per; i++ {
+				payload := fmt.Sprintf("round %d record %d", r, i)
+				want = append(want, payload)
+				k.Go("c", func(cp *sim.Proc) {
+					defer wg.Done()
+					if err := lm.Commit(cp, lm.Append(RecUpdate, []byte(payload))); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			wg.Wait(p)
+		}
+		var got []string
+		if err := lm.Replay(p, 0, func(r Record) error {
+			got = append(got, string(r.Payload))
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("replay = %q, want %q", got, want)
+		}
+		if lm.Flushes < 2*rounds {
+			t.Errorf("%d forces: no record was appended during a write", lm.Flushes)
+		}
+
+		mem := New(k, vfs.NewMemFile("log"))
+		rec := make([]byte, 100)
+		force := func() {
+			if err := mem.Commit(p, mem.Append(RecUpdate, rec)); err != nil {
+				t.Error(err)
+			}
+		}
+		force()
+		force()
+		if a := testing.AllocsPerRun(50, force); a != 0 {
+			t.Errorf("an append and its force allocate %.1f times, want 0", a)
+		}
+	})
+	k.Run(time.Minute)
+}
