@@ -114,6 +114,35 @@ func BenchmarkScanRange100(b *testing.B) {
 	})
 }
 
+// BenchmarkVisitRange100 is the RangeScan aggregate's inner loop behind
+// fig9–13 and fig16: VisitRange over 100 clustered rows from resident
+// pages, each handed to fn in place.
+func BenchmarkVisitRange100(b *testing.B) {
+	benchTree(b, 100000, func(p *sim.Proc, tr *Tree) {
+		bounds := make([][]byte, 991) // every 100th key, encoded up front
+		for j := range bounds {
+			bounds[j] = row.EncodeKey(nil, int64(j*100))
+		}
+		rows, bytes := 0, 0
+		sum := func(pr Pair) error {
+			rows++
+			bytes += len(pr.Val)
+			return nil
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % 990
+			rows = 0
+			if err := tr.VisitRange(p, bounds[j], bounds[j+1], sum); err != nil || rows != 100 {
+				b.Errorf("visit at %d: %d rows, %v", j*100, rows, err)
+				return
+			}
+		}
+		_ = bytes
+	})
+}
+
 // BenchmarkScanExtensionResident walks 64 leaves that only the extension
 // holds, each read costing 13 µs of virtual time; an op is one such scan.
 // Readahead windows are in flight ahead of the cursor, so allocs/op must

@@ -144,14 +144,20 @@ func decodeInner(rec []byte) (key []byte, child uint64) {
 }
 
 // upperBound returns the first entry slot whose key is > key, or
-// NumSlots. Leaf and inner records both start [klen][key], and a dead
-// slot's record keeps its key, so every entry slot takes part.
-func upperBound(pg *page.Page, key []byte) int {
+// NumSlots; lowerBound the first whose key is >= key. Leaf and inner
+// records both start [klen][key], and a dead slot's record keeps its key,
+// so every entry slot takes part.
+func upperBound(pg *page.Page, key []byte) int { return firstAbove(pg, key, 0) }
+func lowerBound(pg *page.Page, key []byte) int { return firstAbove(pg, key, -1) }
+
+// firstAbove returns the first entry slot whose key compares above c
+// against key (bytes.Compare), or NumSlots.
+func firstAbove(pg *page.Page, key []byte, c int) int {
 	lo, hi := 1, pg.NumSlots()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		rec, _ := pg.Slot(mid)
-		if k, _ := decodeLeaf(rec); bytes.Compare(k, key) <= 0 {
+		if k, _ := decodeLeaf(rec); bytes.Compare(k, key) <= c {
 			lo = mid + 1
 		} else {
 			hi = mid

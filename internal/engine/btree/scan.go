@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 
 	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
@@ -13,20 +14,23 @@ type Pair struct {
 	Key, Val []byte
 }
 
-// Iterator walks leaf pages in key order. It copies each leaf once into
-// an image it owns — the frame is unpinned as soon as the copy is made —
-// and hands out Pairs that alias that image: a Pair returned by Next is
-// valid only until the next call to Next, and a caller that keeps one
-// must copy it. Concurrent splits are tolerated (entries may be revisited
-// across page boundaries only if they were moved right, which the
-// monotone key filter suppresses).
+// Iterator walks leaf pages in key order for a caller that may block
+// between entries (Scan/Next; exec's TableScan is one). A pin must not
+// outlive a yield, so the iterator copies each leaf once into an image it
+// owns — the frame is unpinned as soon as the copy is made — and hands
+// out Pairs that alias that image: a Pair returned by Next is valid only
+// until the next call to Next, and a caller that keeps one must copy it.
+// That is the one reason the image exists: ScanRange and VisitRange,
+// whose callers do not yield per entry, read each leaf in place (walk).
+// Concurrent splits are tolerated (entries may be revisited across page
+// boundaries only if they were moved right, which the monotone key filter
+// suppresses).
 type Iterator struct {
 	t      *Tree
-	pg     *page.Page // the iterator's own copy of the current leaf
+	pg     *page.Page // Scan's own copy of the current leaf; nil for walk
 	ents   []Pair     // its live entries >= the lower bound, in key order, aliasing pg
 	idx    int
 	nextPg uint64
-	done   bool
 	leaves int    // leaf pages visited so far
 	raNext uint64 // next page at which to issue a readahead window
 
@@ -39,29 +43,15 @@ type Iterator struct {
 	acc []Pair // ScanRange's result under construction
 }
 
-func newIterator(t *Tree) *Iterator {
-	return &Iterator{t: t, pg: page.Wrap(make([]byte, page.Size))}
-}
-
 // Scan returns an iterator positioned at the first key >= from (nil = min).
 func (t *Tree) Scan(p *sim.Proc, from []byte) (*Iterator, error) {
-	it := newIterator(t)
-	if err := it.seek(p, from); err != nil {
+	h, err := t.descendToLeaf(p, from)
+	if err != nil {
 		return nil, err
 	}
-	return it, nil
-}
-
-// seek positions a fresh or recycled iterator at the first key >= from.
-func (it *Iterator) seek(p *sim.Proc, from []byte) error {
-	h, err := it.t.descendToLeaf(p, from)
-	if err != nil {
-		return err
-	}
-	it.done, it.leaves, it.raNext = false, 0, 0
-	it.last, it.hasLast = nil, false
+	it := &Iterator{t: t, pg: page.Wrap(make([]byte, page.Size))}
 	it.loadPage(h, from)
-	return nil
+	return it, nil
 }
 
 // loadPage copies the pinned leaf into the iterator's image, releases the
@@ -70,18 +60,16 @@ func (it *Iterator) loadPage(h *buffer.Handle, lower []byte) {
 	copy(it.pg.Bytes(), h.Page().Bytes())
 	h.Release()
 	pg := it.pg
-	it.ents = it.ents[:0]
-	it.idx = 0
-	for i := 1; i < pg.NumSlots(); i++ {
-		rec, err := pg.Get(i)
-		if err != nil {
-			continue
+	it.ents, it.idx = it.ents[:0], 0
+	i := 1
+	if lower != nil {
+		i = lowerBound(pg, lower)
+	}
+	for ; i < pg.NumSlots(); i++ {
+		if rec, live := pg.Slot(i); live {
+			k, v := decodeLeaf(rec)
+			it.ents = append(it.ents, Pair{Key: k, Val: v})
 		}
-		k, v := decodeLeaf(rec)
-		if lower != nil && bytes.Compare(k, lower) < 0 {
-			continue
-		}
-		it.ents = append(it.ents, Pair{Key: k, Val: v})
 	}
 	it.nextPg = pg.Next()
 }
@@ -101,37 +89,10 @@ func (it *Iterator) Next(p *sim.Proc) (Pair, bool, error) {
 			it.last, it.hasLast = pair.Key, true
 			return pair, true, nil
 		}
-		if it.done || it.nextPg == 0 {
-			it.done = true
+		if it.nextPg == 0 {
 			return Pair{}, false, nil
 		}
-		// Bulk-loaded leaves are consecutively numbered, so prefetching
-		// the window after the cursor turns the page-at-a-time walk into
-		// batched faults; pages outside the chain cost one wasted frame
-		// at worst. The window stays in flight ahead of the cursor: once
-		// at most half of it is left ahead, the rest is topped up, so the
-		// next pages are read while the scan works through these.
-		// Readahead engages only once the iterator has crossed a couple
-		// of leaves — a short PK-range probe reading one or two pages
-		// must not pay for a speculative window it will never use — and
-		// then slow-starts: the window is capped at the number of leaves
-		// already visited, so a scan earns its prefetch depth by proving
-		// it keeps going (a 4-leaf range query's first window is 2 pages,
-		// a long scan ramps to the full window within a few leaves). The
-		// offered window itself is adaptive: the pool ramps and shrinks
-		// ReadaheadPages from the observed prefetch hit/waste ratio, so
-		// workloads whose scans keep stopping short get a shallower
-		// ceiling than this iterator's own slow-start would pick.
-		if ra := it.t.bp.ReadaheadPages(); ra > 0 && it.leaves >= 2 {
-			win := uint64(min(it.leaves, ra))
-			if it.raNext <= it.nextPg+win/2 {
-				start := max(it.nextPg, it.raNext)
-				it.t.bp.ReadAheadWindow(p, start, int(it.nextPg+win-start))
-				it.raNext = it.nextPg + win
-			}
-		}
-		it.leaves++
-		h, err := it.t.bp.Get(p, it.nextPg)
+		h, err := it.nextLeaf(p)
 		if err != nil {
 			return Pair{}, false, err
 		}
@@ -142,87 +103,121 @@ func (it *Iterator) Next(p *sim.Proc) (Pair, bool, error) {
 	}
 }
 
-// ScanRange collects up to limit entries with from <= key < to
-// (nil bounds are open; limit <= 0 means unlimited). The returned pairs
-// are the caller's: their bytes live in one exactly-sized arena per leaf
-// visited, not in the tree's pages or the iterator.
-func (t *Tree) ScanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, error) {
-	it := t.getIterator()
-	out, err := it.scanRange(p, from, to, limit)
-	t.iters = append(t.iters, it)
-	return out, err
-}
-
-// VisitRange calls fn on every entry with from <= key < to (nil bounds
-// are open), in key order, and stops at fn's first error. It does the
-// same page reads as ScanRange over the range but copies nothing: the
-// Pair handed to fn aliases the iterator's image and is valid only for
-// that call. fn must not touch the tree.
-func (t *Tree) VisitRange(p *sim.Proc, from, to []byte, fn func(Pair) error) error {
-	it := t.getIterator()
-	err := it.visitRange(p, from, to, fn)
-	t.iters = append(t.iters, it)
-	return err
-}
-
-// getIterator takes a recycled iterator, or makes one. One iterator per
-// scan in flight: the free list never outgrows the number of procs that
-// were inside ScanRange or VisitRange at once.
-func (t *Tree) getIterator() *Iterator {
-	if n := len(t.iters); n > 0 {
-		var it *Iterator
-		it, t.iters = t.iters[n-1], t.iters[:n-1]
-		return it
+// nextLeaf pins leaf it.nextPg, first topping up the readahead window.
+func (it *Iterator) nextLeaf(p *sim.Proc) (*buffer.Handle, error) {
+	// Bulk-loaded leaves are consecutively numbered, so prefetching
+	// the window after the cursor turns the page-at-a-time walk into
+	// batched faults; pages outside the chain cost one wasted frame
+	// at worst. The window stays in flight ahead of the cursor: once
+	// at most half of it is left ahead, the rest is topped up, so the
+	// next pages are read while the scan works through these.
+	// Readahead engages only once the iterator has crossed a couple
+	// of leaves — a short PK-range probe reading one or two pages
+	// must not pay for a speculative window it will never use — and
+	// then slow-starts: the window is capped at the number of leaves
+	// already visited, so a scan earns its prefetch depth by proving
+	// it keeps going (a 4-leaf range query's first window is 2 pages,
+	// a long scan ramps to the full window within a few leaves). The
+	// offered window itself is adaptive: the pool ramps and shrinks
+	// ReadaheadPages from the observed prefetch hit/waste ratio, so
+	// workloads whose scans keep stopping short get a shallower
+	// ceiling than this iterator's own slow-start would pick.
+	if ra := it.t.bp.ReadaheadPages(); ra > 0 && it.leaves >= 2 {
+		win := uint64(min(it.leaves, ra))
+		if it.raNext <= it.nextPg+win/2 {
+			start := max(it.nextPg, it.raNext)
+			it.t.bp.ReadAheadWindow(p, start, int(it.nextPg+win-start))
+			it.raNext = it.nextPg + win
+		}
 	}
-	return newIterator(t)
+	it.leaves++
+	return it.t.bp.Get(p, it.nextPg)
 }
 
-func (it *Iterator) visitRange(p *sim.Proc, from, to []byte, fn func(Pair) error) error {
-	if err := it.seek(p, from); err != nil {
+// walk calls fn on every live entry with from <= key < to (nil bounds are
+// open), in key order, reading each leaf in place: fn's Pair aliases the
+// pinned frame, and leafDone, if not nil, runs after a leaf's entries
+// under the same pin. Neither may yield. walk reads the leaves Next would,
+// in the same order, with the same readahead, releasing each before
+// pinning the next; it stops at fn's first error, after a leaf holding a
+// live key >= to, or at the end of the chain. Each leaf's entries are
+// found by binary search: >= from on the first leaf, > the last key
+// visited on later ones (the split-revisit filter Next applies per entry).
+func (it *Iterator) walk(p *sim.Proc, from, to []byte, fn func(Pair) error, leafDone func()) error {
+	h, err := it.t.descendToLeaf(p, from)
+	if err != nil {
 		return err
 	}
+	it.leaves, it.raNext = 0, 0
+	lower, after := from, false
 	for {
-		pair, ok, err := it.Next(p)
-		if err != nil {
+		pg := h.Page()
+		i, n, last := 1, pg.NumSlots(), 0
+		if after {
+			i = upperBound(pg, lower)
+		} else if lower != nil {
+			i = lowerBound(pg, lower)
+		}
+		end := n
+		if to != nil {
+			end = max(i, lowerBound(pg, to))
+		}
+		for ; i < end && err == nil; i++ {
+			if rec, live := pg.Slot(i); live {
+				k, v := decodeLeaf(rec)
+				err, last = fn(Pair{Key: k, Val: v}), i
+			}
+		}
+		// A live key >= to ends the scan; dead ones there do not.
+		stop := err != nil
+		for ; !stop && i < n; i++ {
+			_, stop = pg.Slot(i)
+		}
+		if leafDone != nil {
+			leafDone()
+		}
+		if last > 0 {
+			rec, _ := pg.Slot(last)
+			k, _ := decodeLeaf(rec)
+			it.lastBuf = append(it.lastBuf[:0], k...)
+			lower, after = it.lastBuf, true
+		} else if !after {
+			lower = nil // Next filters a later leaf only by a returned key
+		}
+		it.nextPg = pg.Next()
+		h.Release()
+		if stop || it.nextPg == 0 {
 			return err
 		}
-		if !ok || (to != nil && bytes.Compare(pair.Key, to) >= 0) {
-			return nil
-		}
-		if err := fn(pair); err != nil {
+		if h, err = it.nextLeaf(p); err != nil {
 			return err
 		}
 	}
 }
 
-func (it *Iterator) scanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, error) {
-	if err := it.seek(p, from); err != nil {
-		return nil, err
+// errLimit ends ScanRange's walk once it holds limit entries.
+var errLimit = errors.New("btree: scan limit reached")
+
+// ScanRange collects up to limit entries with from <= key < to
+// (nil bounds are open; limit <= 0 means unlimited), reading each leaf in
+// place. The returned pairs are the caller's: before a leaf's frame is
+// released their bytes are copied into one exactly-sized arena per leaf,
+// not kept in the tree's pages or the iterator.
+func (t *Tree) ScanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, error) {
+	it := t.getIterator()
+	acc, owned := it.acc[:0], 0 // acc[owned:] alias the pinned leaf
+	err := it.walk(p, from, to, func(pr Pair) error {
+		if acc = append(acc, pr); limit > 0 && len(acc) >= limit {
+			return errLimit
+		}
+		return nil
+	}, func() {
+		ownPairs(acc[owned:])
+		owned = len(acc)
+	})
+	if err == errLimit {
+		err = nil
 	}
-	acc, owned := it.acc[:0], 0 // acc[owned:] still alias the iterator's image
-	var err error
-	for {
-		if it.idx == len(it.ents) {
-			// Next is about to leave this leaf and overwrite the image.
-			// (It never does so with entries left: those after a returned
-			// one sort above it, so none of them is a suppressed duplicate.)
-			ownPairs(acc[owned:])
-			owned = len(acc)
-		}
-		pair, ok, e := it.Next(p)
-		if e != nil {
-			err = e
-			break
-		}
-		if !ok || (to != nil && bytes.Compare(pair.Key, to) >= 0) {
-			break
-		}
-		acc = append(acc, pair)
-		if limit > 0 && len(acc) >= limit {
-			break
-		}
-	}
-	ownPairs(acc[owned:])
 	var out []Pair
 	if len(acc) > 0 {
 		out = make([]Pair, len(acc))
@@ -234,7 +229,33 @@ func (it *Iterator) scanRange(p *sim.Proc, from, to []byte, limit int) ([]Pair, 
 	if it.acc = acc; cap(acc) > maxKeptPairs {
 		it.acc = nil
 	}
+	t.iters = append(t.iters, it)
 	return out, err
+}
+
+// VisitRange calls fn on every entry with from <= key < to (nil bounds
+// are open), in key order, and stops at fn's first error. It does the
+// same page reads as ScanRange over the range but copies nothing: fn
+// runs while the leaf is pinned, and the Pair handed to it aliases the
+// buffer frame and is valid only for that call. fn must not block or
+// yield (the pin would outlive it) and must not touch the tree.
+func (t *Tree) VisitRange(p *sim.Proc, from, to []byte, fn func(Pair) error) error {
+	it := t.getIterator()
+	err := it.walk(p, from, to, fn, nil)
+	t.iters = append(t.iters, it)
+	return err
+}
+
+// getIterator takes a recycled walk iterator, or makes one. One iterator
+// per scan in flight: the free list never outgrows the number of procs
+// that were inside ScanRange or VisitRange at once.
+func (t *Tree) getIterator() *Iterator {
+	if n := len(t.iters); n > 0 {
+		var it *Iterator
+		it, t.iters = t.iters[n-1], t.iters[:n-1]
+		return it
+	}
+	return &Iterator{t: t}
 }
 
 // maxKeptPairs bounds the result scratch a recycled iterator keeps.

@@ -58,13 +58,18 @@ func aggSchema(in *row.Schema, groupBy []string, aggs []Agg) *row.Schema {
 	return row.NewSchema(cols...)
 }
 
+// aggState is one group: its group-column values and one cell per
+// aggregate.
 type aggState struct {
 	groupVals []interface{}
-	sums      []float64
-	counts    []int64
-	mins      []float64
-	maxs      []float64
-	seen      []bool
+	cells     []aggCell
+}
+
+// aggCell is one aggregate's running state within a group.
+type aggCell struct {
+	sum, min, max float64
+	count         int64
+	seen          bool
 }
 
 // aggCore is the group table shared by the serial HashAgg and the
@@ -119,32 +124,26 @@ func (a *aggCore) add(c *Ctx, t row.Tuple) {
 		for i, o := range a.groupOrds {
 			vals[i] = t[o]
 		}
-		st = &aggState{
-			groupVals: vals,
-			sums:      make([]float64, len(a.aggs)),
-			counts:    make([]int64, len(a.aggs)),
-			mins:      make([]float64, len(a.aggs)),
-			maxs:      make([]float64, len(a.aggs)),
-			seen:      make([]bool, len(a.aggs)),
-		}
+		st = &aggState{groupVals: vals, cells: make([]aggCell, len(a.aggs))}
 		a.groups[key] = st
 		a.order = append(a.order, key)
 		a.bytes += int64(len(key)) + int64(len(a.aggs))*40
 	}
 	for i, ag := range a.aggs {
-		st.counts[i]++
+		cell := &st.cells[i]
+		cell.count++
 		if ag.Fn == AggCount {
 			continue
 		}
 		v := numeric(t[a.aggOrds[i]])
-		st.sums[i] += v
-		if !st.seen[i] || v < st.mins[i] {
-			st.mins[i] = v
+		cell.sum += v
+		if !cell.seen || v < cell.min {
+			cell.min = v
 		}
-		if !st.seen[i] || v > st.maxs[i] {
-			st.maxs[i] = v
+		if !cell.seen || v > cell.max {
+			cell.max = v
 		}
-		st.seen[i] = true
+		cell.seen = true
 	}
 }
 
@@ -179,16 +178,17 @@ func (a *aggCore) mergeFrom(other *aggCore) {
 			continue
 		}
 		for i := range a.aggs {
-			st.counts[i] += os.counts[i]
-			st.sums[i] += os.sums[i]
-			if os.seen[i] {
-				if !st.seen[i] || os.mins[i] < st.mins[i] {
-					st.mins[i] = os.mins[i]
+			cell, oc := &st.cells[i], os.cells[i]
+			cell.count += oc.count
+			cell.sum += oc.sum
+			if oc.seen {
+				if !cell.seen || oc.min < cell.min {
+					cell.min = oc.min
 				}
-				if !st.seen[i] || os.maxs[i] > st.maxs[i] {
-					st.maxs[i] = os.maxs[i]
+				if !cell.seen || oc.max > cell.max {
+					cell.max = oc.max
 				}
-				st.seen[i] = true
+				cell.seen = true
 			}
 		}
 	}
@@ -202,20 +202,21 @@ func (a *aggCore) emit(aggs []Agg) []row.Tuple {
 		t := make(row.Tuple, 0, len(st.groupVals)+len(aggs))
 		t = append(t, st.groupVals...)
 		for i, ag := range aggs {
+			cell := st.cells[i]
 			switch ag.Fn {
 			case AggSum:
-				t = append(t, st.sums[i])
+				t = append(t, cell.sum)
 			case AggCount:
-				t = append(t, st.counts[i])
+				t = append(t, cell.count)
 			case AggMin:
-				t = append(t, st.mins[i])
+				t = append(t, cell.min)
 			case AggMax:
-				t = append(t, st.maxs[i])
+				t = append(t, cell.max)
 			case AggAvg:
-				if st.counts[i] == 0 {
+				if cell.count == 0 {
 					t = append(t, 0.0)
 				} else {
-					t = append(t, st.sums[i]/float64(st.counts[i]))
+					t = append(t, cell.sum/float64(cell.count))
 				}
 			}
 		}

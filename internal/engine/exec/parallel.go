@@ -131,10 +131,7 @@ func (x *Exchange) produce(st *xchgPart) {
 		return
 	}
 	width := st.op.Schema().Len()
-	newBatch := func() xchgBatch {
-		return xchgBatch{make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)}
-	}
-	batch := newBatch()
+	var batch xchgBatch // storage is taken only once a row arrives for it
 	flush := func() bool {
 		for len(st.queue) >= x.QueueBatches && !x.closed {
 			st.space.Wait(c.P)
@@ -144,11 +141,7 @@ func (x *Exchange) produce(st *xchgPart) {
 		}
 		st.queue = append(st.queue, batch)
 		x.ready.Broadcast()
-		if n := len(st.spare); n > 0 {
-			batch, st.spare = st.spare[n-1], st.spare[:n-1]
-		} else {
-			batch = newBatch()
-		}
+		batch = xchgBatch{}
 		return true
 	}
 	for !x.closed {
@@ -159,6 +152,13 @@ func (x *Exchange) produce(st *xchgPart) {
 		}
 		if !ok {
 			break
+		}
+		if batch.rows == nil {
+			if n := len(st.spare); n > 0 {
+				batch, st.spare = st.spare[n-1], st.spare[:n-1]
+			} else {
+				batch = xchgBatch{make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)}
+			}
 		}
 		batch.add(t)
 		if len(batch.rows) >= x.BatchRows && !flush() {

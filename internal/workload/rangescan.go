@@ -159,7 +159,7 @@ func (w *RangeScan) QueryOnce(p *sim.Proc, start int64, update bool) error {
 const rowScanCPU = 300 * time.Nanosecond
 
 // aggregate is a read-only query: it sums acctbal over [from, to)
-// through the single-column fast path, straight off the leaf images.
+// through the single-column fast path, straight off the pinned leaves.
 func (w *RangeScan) aggregate(p *sim.Proc, from, to []byte) error {
 	var sum float64
 	rows := 0
