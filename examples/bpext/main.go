@@ -45,17 +45,15 @@ func main() {
 	fmt.Println("\nThe remote extension turns disk-bound random reads into ~13µs RDMA")
 	fmt.Println("fetches; throughput approaches the all-in-local-memory ceiling (Figure 9).")
 
-	// The pool's defaults — cost-aware GDSF eviction and the vectored
-	// (batched) I/O path — are options, so the legacy behaviour is one
-	// line away for A/B runs.
+	// The pool's default eviction policy is cost-aware GDSF; the legacy
+	// clock sweep is one option away for A/B runs.
 	fmt.Println("\nSame workload on the remote design, pool configuration A/B:")
 	configs := []struct {
 		name string
 		opts []remotedb.Option
 	}{
-		{"GDSF + batched I/O (default)", nil},
+		{"GDSF (default)", nil},
 		{"clock sweep", []remotedb.Option{remotedb.WithEviction(remotedb.EvictClock)}},
-		{"scalar per-page I/O", []remotedb.Option{remotedb.WithBatchedIO(false)}},
 	}
 	for _, c := range configs {
 		c := c

@@ -248,8 +248,6 @@ func optionCases() []optionCase {
 				_, heap := e.BP.DebugGDSF()
 				return want("GDSF heap entries", heap, 0)
 			}},
-		{name: "BatchedIO", opt: remotedb.WithBatchedIO(false),
-			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 0) }},
 		{name: "Readahead", opt: remotedb.WithReadahead(1),
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 1) }},
 		{name: "Pushdown", opt: remotedb.WithPushdown(true),

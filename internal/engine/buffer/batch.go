@@ -159,12 +159,12 @@ func (bp *Pool) extFlushLoop(p *sim.Proc) {
 }
 
 // flushExtBatch writes a batch of evicted images into extension slots
-// with one scatter-gather call, preserving the scalar put's semantics:
-// superseded entries (a newer eviction of the same page re-stamped
-// putVer) are dropped, and a mapping is installed only if its slot still
-// belongs to the page and its stamp is still the latest. When the
-// extension is full allocSlot may reclaim an earlier batch entry's slot;
-// the later entry wins it and the earlier one is not written.
+// with one scatter-gather call: superseded entries (a newer eviction of
+// the same page re-stamped putVer) are dropped, and a mapping is
+// installed only if its slot still belongs to the page and its stamp is
+// still the latest. When the extension is full allocSlot may reclaim an
+// earlier batch entry's slot; the later entry wins it and the earlier one
+// is not written.
 func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 	// Whatever happens below, these queue entries are no longer pending:
 	// drop each page's read-through entry unless a newer eviction
@@ -244,11 +244,11 @@ func (bp *Pool) flushExtBatch(p *sim.Proc, batch []extPut) {
 }
 
 // ReadaheadPages returns the scan readahead window in pages, or 0 when
-// readahead is disabled (no batched I/O or a zero window). With
+// readahead is disabled (a zero Readahead). With
 // AdaptiveReadahead this is the current feedback-adapted window, so
 // scans that clamp to it automatically ramp and shrink with it.
 func (bp *Pool) ReadaheadPages() int {
-	if !bp.cfg.BatchedIO || bp.cfg.Readahead <= 0 {
+	if bp.cfg.Readahead <= 0 {
 		return 0
 	}
 	if bp.cfg.AdaptiveReadahead {
@@ -513,11 +513,10 @@ func (bp *Pool) awaited(f *frame) bool {
 }
 
 // extPutThrottled reports whether a clean eviction would block on the
-// extension-put queue right now (batched mode acquires a slot
-// synchronously on the eviction path when TryAcquire fails).
+// extension-put queue right now (evict acquires a slot synchronously
+// when TryAcquire fails).
 func (bp *Pool) extPutThrottled() bool {
-	return bp.cfg.BatchedIO && bp.ext != nil && !bp.ext.disabled &&
-		bp.extPutSlots.Available() == 0
+	return bp.ext != nil && !bp.ext.disabled && bp.extPutSlots.Available() == 0
 }
 
 // extDegraded reports whether the live extension file is in a degraded

@@ -46,10 +46,6 @@ type Config struct {
 	CostDisk time.Duration
 	CostExt  time.Duration
 
-	// BatchedIO enables the vectored hot paths: the lazy writer flushes
-	// dirty batches with one scatter-gather write, evictions stash
-	// extension puts in groups, and ReadAhead batch-faults scan windows.
-	BatchedIO bool
 	// Readahead is the sequential readahead window in pages that range
 	// scans prefetch ahead of the cursor (0 disables readahead).
 	Readahead int
@@ -62,14 +58,13 @@ type Config struct {
 }
 
 // DefaultConfig returns a small pool with a 10 ms lazy writer, GDSF
-// eviction, and batched I/O with an 8-page readahead window.
+// eviction, and an adaptive readahead window of up to 8 pages.
 func DefaultConfig(frames int) Config {
 	return Config{
 		Frames:            frames,
 		PageAccessCPU:     time.Microsecond,
 		WriterPeriod:      10 * time.Millisecond,
 		WriterBatch:       128,
-		BatchedIO:         true,
 		Readahead:         8,
 		AdaptiveReadahead: true,
 	}
@@ -143,11 +138,11 @@ type Pool struct {
 	ext         *Extension
 	extPutSlots *sim.Resource // bounds in-flight async extension writes
 
-	// Batched extension puts (cfg.BatchedIO): evictions append to the
-	// queue and one background flusher drains it with a vectored write.
-	// extPending is the read-through index over the queue: the latest
-	// not-yet-flushed image per page, served straight from RAM so a
-	// re-fault never falls to disk just because the put is still queued.
+	// Extension puts: evictions append to the queue and one background
+	// flusher drains it with a vectored write. extPending is the
+	// read-through index over the queue: the latest not-yet-flushed image
+	// per page, served straight from RAM so a re-fault never falls to disk
+	// just because the put is still queued.
 	extQueue   []extPut
 	extSpare   []extPut // the retired batch's backing array, the next queue
 	extPending map[uint64]extPut
@@ -155,9 +150,8 @@ type Pool struct {
 	extFlusher bool // flusher process started
 
 	// imgFree holds the eviction images no put is using: evict takes one
-	// for the page it queues and the put's completion (the flusher
-	// retiring the batch, or the scalar put returning) gives it back.
-	// Capped at the put-slot count, the most a queue can hold.
+	// for the page it queues and the flusher gives it back when it retires
+	// the batch. Capped at the put-slot count, the most a queue can hold.
 	imgFree [][]byte
 
 	handles []*Handle // released handles, reissued by Get and Allocate
@@ -206,15 +200,11 @@ func New(p *sim.Proc, server *cluster.Server, data vfs.File, cfg Config) (*Pool,
 		nextPageNo: 1, // page 0 reserved
 	}
 	bp.avail = sim.NewCond(bp.k)
-	// In batched mode the queue is drained by one flusher whose vectored
-	// write can sleep a while; bound the in-flight puts by the pool size
-	// so a burst of evictions during one flush does not overflow the
-	// queue and silently drop pages from the extension.
-	extSlots := 64
-	if bp.cfg.BatchedIO && cfg.Frames > extSlots {
-		extSlots = cfg.Frames
-	}
-	bp.extPutSlots = sim.NewResource(bp.k, "extput", extSlots)
+	// The queue is drained by one flusher whose vectored write can sleep a
+	// while; bound the in-flight puts by the pool size so a burst of
+	// evictions during one flush does not overflow the queue and silently
+	// drop pages from the extension.
+	bp.extPutSlots = sim.NewResource(bp.k, "extput", max(64, cfg.Frames))
 	bp.extCond = sim.NewCond(bp.k)
 	bp.extPending = make(map[uint64]extPut)
 	if bp.cfg.CostDisk <= 0 {
@@ -247,7 +237,7 @@ func New(p *sim.Proc, server *cluster.Server, data vfs.File, cfg Config) (*Pool,
 // AttachExtension enables the BPExt on file (SSD or remote memory).
 func (bp *Pool) AttachExtension(file vfs.File, slots int) {
 	bp.ext = newExtension(file, slots)
-	if bp.cfg.BatchedIO && !bp.extFlusher {
+	if !bp.extFlusher {
 		bp.extFlusher = true
 		bp.k.Go("ext-flush", bp.extFlushLoop)
 	}
@@ -534,14 +524,12 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 		bp.ext.putVer[f.pageNo]++
 		ver := bp.ext.putVer[f.pageNo]
 		// Stash the clean image in the extension asynchronously (SQL
-		// Server's BPExt writes happen off the eviction critical path).
-		// Bounded in-flight puts; when saturated the page simply is not
-		// cached — insertion is best-effort. With BatchedIO the image
-		// joins the flusher's queue and ships in a vectored group write;
-		// otherwise a per-page goroutine writes it.
+		// Server's BPExt writes happen off the eviction critical path): it
+		// joins the flusher's queue and ships in a vectored group write.
+		// In-flight puts are bounded; insertion is best-effort.
 		canPut := !bp.ext.disabled
 		gotSlot := canPut && bp.extPutSlots.TryAcquire(1)
-		if !gotSlot && canPut && bp.cfg.BatchedIO && !bp.extDegraded() {
+		if !gotSlot && canPut && !bp.extDegraded() {
 			// Queue full: wait for the flusher to swap it out rather than
 			// dropping the page — a dropped page costs a spindle seek on
 			// its next fault, far worse than a short write-throttle stall.
@@ -555,27 +543,10 @@ func (bp *Pool) evict(p *sim.Proc, idx int) (bool, error) {
 		if gotSlot {
 			img := bp.takeImage()
 			copy(img, f.buf)
-			pageNo := f.pageNo
-			if bp.cfg.BatchedIO {
-				pu := extPut{pageNo: pageNo, img: img, ver: ver}
-				bp.extQueue = append(bp.extQueue, pu)
-				bp.extPending[pageNo] = pu
-				bp.extCond.Signal()
-			} else {
-				bp.k.Go("ext-put", func(ep *sim.Proc) {
-					defer bp.extPutSlots.Release(1)
-					defer bp.retireImage(img)
-					if !bp.ExtensionHealthy() {
-						return
-					}
-					if installed, err := bp.ext.put(ep, pageNo, img, ver); err != nil {
-						bp.extFailed(err)
-					} else if installed {
-						bp.Stats.ExtWrites++
-						bp.Stats.ExtWriteBytes += page.Size
-					}
-				})
-			}
+			pu := extPut{pageNo: f.pageNo, img: img, ver: ver}
+			bp.extQueue = append(bp.extQueue, pu)
+			bp.extPending[f.pageNo] = pu
+			bp.extCond.Signal()
 		}
 	}
 	f.pins--
@@ -653,34 +624,7 @@ func (bp *Pool) extFailed(err error) {
 func (bp *Pool) writerLoop(p *sim.Proc) {
 	for !bp.writerStop {
 		p.Sleep(bp.cfg.WriterPeriod)
-		if bp.cfg.BatchedIO {
-			bp.writerFlushBatch(p)
-			continue
-		}
-		written := 0
-		for i := range bp.frames {
-			if written >= bp.cfg.WriterBatch {
-				break
-			}
-			f := &bp.frames[i]
-			if !f.valid || !f.dirty || f.pins > 0 {
-				continue
-			}
-			f.pins++
-			v0 := f.ver
-			f.pg.Seal()
-			err := bp.data.WriteAt(p, f.buf, int64(f.pageNo)*page.Size)
-			f.pins--
-			if f.pins == 0 {
-				bp.avail.Signal()
-			}
-			if err == nil && f.ver == v0 {
-				f.dirty = false
-				bp.Stats.WriterIO++
-				bp.Stats.WriterBytes += page.Size
-				written++
-			}
-		}
+		bp.writerFlushBatch(p)
 	}
 }
 
@@ -793,34 +737,6 @@ func (e *Extension) tryGet(p *sim.Proc, pageNo uint64, dst []byte) (bool, error)
 // fetched something else: a put reclaimed the slot, or salvage dropped it.
 func (e *Extension) stale(slot int, pageNo uint64) bool {
 	return e.disabled || e.slotPage[slot] != pageNo
-}
-
-// put reports whether it installed the mapping, as the flusher counts them.
-func (e *Extension) put(p *sim.Proc, pageNo uint64, src []byte, ver uint64) (bool, error) {
-	if e.putVer[pageNo] != ver {
-		return false, nil // superseded by a newer eviction's image
-	}
-	slot, ok := e.table[pageNo]
-	if !ok {
-		slot = e.allocSlot()
-		e.setSlot(slot, pageNo)
-	}
-	if err := e.file.WriteAt(p, src, int64(slot)*page.Size); err != nil {
-		delete(e.table, pageNo)
-		e.setSlot(slot, 0)
-		return false, err
-	}
-	if e.slotPage[slot] != pageNo {
-		return false, nil // a later put reclaimed the slot while the write slept: its bytes won
-	}
-	// Install (or refresh) the mapping only if still the latest image.
-	if e.putVer[pageNo] != ver {
-		e.setSlot(slot, 0)
-		return false, nil
-	}
-	e.table[pageNo] = slot
-	e.Puts++
-	return true, nil
 }
 
 // invalidate drops the mapping for pageNo (the slot becomes free).

@@ -152,7 +152,7 @@ func TestBatchedWriterCountsBytes(t *testing.T) {
 	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
-		bp := newPool(p, s, data, 16, true) // writer on, BatchedIO default
+		bp := newPool(p, s, data, 16, true) // writer on
 		for i := 0; i < 8; i++ {
 			h, _, err := bp.Allocate(p, page.TypeHeap)
 			if err != nil {
@@ -260,20 +260,20 @@ func TestReadAheadSkipsUnallocatedAndResident(t *testing.T) {
 	k.Run(time.Minute)
 }
 
-func TestReadAheadDisabledWithoutBatchedIO(t *testing.T) {
+func TestReadAheadDisabledAtZeroWindow(t *testing.T) {
 	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
 		cfg := DefaultConfig(16)
 		cfg.WriterPeriod = 0
-		cfg.BatchedIO = false
+		cfg.Readahead = 0
 		bp, err := New(p, s, data, cfg)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		if bp.ReadaheadPages() != 0 {
-			t.Errorf("ReadaheadPages = %d, want 0 with BatchedIO off", bp.ReadaheadPages())
+			t.Errorf("ReadaheadPages = %d, want 0 with Readahead 0", bp.ReadaheadPages())
 		}
 		seedPages(t, p, bp, 32)
 		if n := bp.ReadAheadWindow(p, 1, 0); n != 0 {

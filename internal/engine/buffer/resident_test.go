@@ -12,19 +12,16 @@ import (
 	"remotedb/internal/vfs"
 )
 
-// poolKinds are the four pools the residency rule must hold on: it sits
-// above the batched/unbatched and GDSF/clock forks.
+// poolKinds are the pools the residency rule must hold on: it sits above
+// the GDSF/clock fork.
 type poolKind struct {
-	name    string
-	batched bool
-	policy  Policy
+	name   string
+	policy Policy
 }
 
 var poolKinds = []poolKind{
-	{"batched-gdsf", true, PolicyGDSF},
-	{"batched-clock", true, PolicyClock},
-	{"scalar-gdsf", false, PolicyGDSF},
-	{"scalar-clock", false, PolicyClock},
+	{"batched-gdsf", PolicyGDSF},
+	{"batched-clock", PolicyClock},
 }
 
 // onEachKind runs fn as a proc of a fresh kernel, once per pool kind.
@@ -40,12 +37,11 @@ func onEachKind(t *testing.T, fn func(t *testing.T, p *sim.Proc, kind poolKind))
 
 // stampedPool builds a pool of the given kind over n pages stamped at
 // version 1, written back, with ext attached at slots.
-func stampedPool(t *testing.T, p *sim.Proc, frames, n int, batched bool, policy Policy, ext vfs.File, slots int) (*Pool, []uint64) {
+func stampedPool(t *testing.T, p *sim.Proc, frames, n int, policy Policy, ext vfs.File, slots int) (*Pool, []uint64) {
 	t.Helper()
 	s, data := nullRig(p.Kernel())
 	cfg := DefaultConfig(frames)
 	cfg.WriterPeriod = 0
-	cfg.BatchedIO = batched
 	cfg.Policy = policy
 	bp, err := New(p, s, data, cfg)
 	if err != nil {
@@ -110,7 +106,7 @@ func checkResidency(t *testing.T, bp *Pool, mem *vfs.MemFile, version map[uint64
 func TestCleanEvictionOfExtensionResidentPageWritesNothing(t *testing.T) {
 	onEachKind(t, func(t *testing.T, p *sim.Proc, kind poolKind) {
 		ext := &slowFile{mem: vfs.NewMemFile("ext"), delay: time.Microsecond}
-		bp, pages := stampedPool(t, p, 16, 64, kind.batched, kind.policy, ext, 128)
+		bp, pages := stampedPool(t, p, 16, 64, kind.policy, ext, 128)
 		pass := func() {
 			for _, no := range pages {
 				h, err := bp.Get(p, no)
@@ -163,7 +159,7 @@ func TestCleanEvictionOfExtensionResidentPageWritesNothing(t *testing.T) {
 func TestDirtiedExtensionPageIsPutAgain(t *testing.T) {
 	onEachKind(t, func(t *testing.T, p *sim.Proc, kind poolKind) {
 		mem := vfs.NewMemFile("ext")
-		bp, pages := stampedPool(t, p, 4, 16, kind.batched, kind.policy, mem, 32)
+		bp, pages := stampedPool(t, p, 4, 16, kind.policy, mem, 32)
 		churn := func(skip uint64) {
 			for _, no := range pages {
 				if no == skip {
@@ -242,19 +238,19 @@ func TestResidencyModel(t *testing.T) {
 	for _, kind := range poolKinds {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", kind.name, seed), func(t *testing.T) {
-				residencyModel(t, kind.batched, kind.policy, seed)
+				residencyModel(t, kind.policy, seed)
 			})
 		}
 	}
 }
 
-func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
+func residencyModel(t *testing.T, policy Policy, seed int64) {
 	const slots = 6
 	k := newKernel(t, seed)
 	k.Go("t", func(p *sim.Proc) {
 		mem := vfs.NewMemFile("ext")
 		ext := &slowFile{mem: mem, delay: 30 * time.Microsecond, rdelay: 20 * time.Microsecond}
-		bp, pages := stampedPool(t, p, 8, 24, batched, policy, ext, slots)
+		bp, pages := stampedPool(t, p, 8, 24, policy, ext, slots)
 		version := map[uint64]int{}
 		for _, no := range pages {
 			version[no] = 1
@@ -331,13 +327,13 @@ func residencyModel(t *testing.T, batched bool, policy Policy, seed int64) {
 			check(t, h.Page(), no, version[no])
 			h.Release()
 		}
-		if batched && (bp.Stats.ReadAheadPages == 0 || underFetch == 0) {
+		if bp.Stats.ReadAheadPages == 0 || underFetch == 0 {
 			t.Errorf("%d pages prefetched, %d knock-outs under a fetch in flight", bp.Stats.ReadAheadPages, underFetch)
 		}
 		if bp.Stats.ExtHits == 0 || bp.Stats.EvictDirty == 0 || bp.Stats.ExtWrites == 0 {
 			t.Errorf("the run never exercised the extension: %+v", bp.Stats)
 		}
-		// Batched or not, a write is a put that installed its mapping.
+		// A write is a put that installed its mapping.
 		if bp.Stats.ExtWrites != bp.ext.Puts {
 			t.Errorf("ExtWrites = %d, the extension installed %d mappings", bp.Stats.ExtWrites, bp.ext.Puts)
 		}
@@ -457,7 +453,7 @@ func TestExtFaultDetectsReclaimedSlot(t *testing.T) {
 			k := newKernel(t, 1)
 			k.Go("t", func(p *sim.Proc) {
 				ext := &slowFile{mem: vfs.NewMemFile("ext"), rdelay: time.Millisecond}
-				bp, pages := stampedPool(t, p, 2, 8, true, PolicyGDSF, ext, 2)
+				bp, pages := stampedPool(t, p, 2, 8, PolicyGDSF, ext, 2)
 				p.Sleep(time.Millisecond) // the puts land
 				var a uint64
 				var cold []uint64 // neither in RAM nor in the extension: each fault puts its victim

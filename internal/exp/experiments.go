@@ -338,7 +338,7 @@ var Experiments = []Experiment{
 			return m("dop4/speedup") > 1 && m("dop8/speedup") > 1
 		}},
 	}},
-	{[]string{"iobatch"}, "vectored I/O: batched vs per-page transfers, burst priming, eviction storm with batched I/O off vs on", reportIOBatch, nil},
+	{[]string{"iobatch"}, "vectored I/O: batched vs per-page transfers, burst priming, and an eviction storm through the vectored pool", reportIOBatch, nil},
 	{[]string{"evict"}, "eviction policy A/B: clock sweep vs cost-aware GDSF", reportEvict, nil},
 	{[]string{"pushdown"}, "donor-side operator pushdown vs fetch-all across selectivities, the optimizer's placement choice, and a pushed scan through a corruption + revocation storm", reportPushdown, nil},
 	{[]string{"cluster"}, "cluster-scale broker: 200+ DB servers and donors on a sharded broker with batched heartbeats, through a diurnal reclamation wave", reportCluster, nil},

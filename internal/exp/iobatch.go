@@ -3,8 +3,8 @@
 // the doorbell coalescing turns one charged round trip per page into
 // one per destination server; (B) buffer-pool priming with per-page vs
 // burst-amortized staging copies; (C) an eviction storm driving the
-// buffer pool's write-back and extension-put paths with batched I/O off
-// vs on, which also surfaces the staging-slot contention counters.
+// buffer pool's vectored write-back and extension-put paths, which also
+// surfaces the staging-slot contention counters.
 package exp
 
 import (
@@ -51,13 +51,12 @@ type IOBatchResult struct {
 	PrimeScalar, PrimeBurst time.Duration
 	PrimeSpeedup            float64
 
-	// Phase C: eviction storm, batched I/O off vs on.
-	StormScalar, StormBatched     time.Duration
-	StormScalarRT, StormBatchedRT int64
-	StormSpeedup                  float64
-	StagingWaits                  int64
-	StagingWaitMS                 float64
-	StagingHighWater              int
+	// Phase C: eviction storm.
+	StormBatched     time.Duration
+	StormBatchedRT   int64
+	StagingWaits     int64
+	StagingWaitMS    float64
+	StagingHighWater int
 }
 
 // RunIOBatch runs the three phases and reports timings, charged round
@@ -71,10 +70,8 @@ func RunIOBatch(seed int64, prm IOBatchParams) (IOBatchResult, error) {
 		if err := ioBatchPrime(p, prm, &res); err != nil {
 			return err
 		}
-		for _, batched := range []bool{false, true} {
-			if err := ioBatchStorm(p, prm, batched, &res); err != nil {
-				return err
-			}
+		if err := ioBatchStorm(p, prm, &res); err != nil {
+			return err
 		}
 		if res.BatchedRT > 0 {
 			res.RTReduction = float64(res.ScalarRT) / float64(res.BatchedRT)
@@ -87,9 +84,6 @@ func RunIOBatch(seed int64, prm IOBatchParams) (IOBatchResult, error) {
 		}
 		if res.PrimeBurst > 0 {
 			res.PrimeSpeedup = float64(res.PrimeScalar) / float64(res.PrimeBurst)
-		}
-		if res.StormBatched > 0 {
-			res.StormSpeedup = float64(res.StormScalar) / float64(res.StormBatched)
 		}
 		return nil
 	})
@@ -224,15 +218,14 @@ func ioBatchPrime(p *sim.Proc, prm IOBatchParams, res *IOBatchResult) error {
 
 // ioBatchStorm is phase C: churn StormPages dirty pages through a small
 // pool whose extension lives in remote memory, so every eviction pays a
-// write-back and queues an extension put. With batched I/O the lazy
-// writer flushes vectors and the extension puts ship in grouped
-// transfers; the staging counters record slot contention either way.
-func ioBatchStorm(p *sim.Proc, prm IOBatchParams, batched bool, res *IOBatchResult) error {
+// write-back and queues an extension put. The lazy writer flushes
+// vectors and the extension puts ship in grouped transfers; the staging
+// counters record slot contention.
+func ioBatchStorm(p *sim.Proc, prm IOBatchParams, res *IOBatchResult) error {
 	cfg := DefaultBedConfig(DesignCustom)
 	cfg.LocalMemBytes = int64(prm.Frames) * page.Size
 	cfg.BPExtBytes = int64(prm.StormPages*2) * page.Size
 	cfg.TempBytes = 4 << 20
-	cfg.Engine.Buffer.BatchedIO = batched
 	bed, err := NewBed(p, cfg)
 	if err != nil {
 		return err
@@ -261,19 +254,12 @@ func ioBatchStorm(p *sim.Proc, prm IOBatchParams, batched bool, res *IOBatchResu
 		h.Release()
 	}
 	p.Sleep(20 * time.Millisecond)
-	elapsed := p.Now() - t0
-	rts := bed.FS.Client.RoundTrips - rt0
-	if batched {
-		res.StormBatched = elapsed
-		res.StormBatchedRT = rts
-		c := &bed.FS.Client.StagingContention
-		res.StagingWaits = c.Waits
-		res.StagingWaitMS = float64(c.WaitTime) / float64(time.Millisecond)
-		res.StagingHighWater = c.HighWater
-	} else {
-		res.StormScalar = elapsed
-		res.StormScalarRT = rts
-	}
+	res.StormBatched = p.Now() - t0
+	res.StormBatchedRT = bed.FS.Client.RoundTrips - rt0
+	c := &bed.FS.Client.StagingContention
+	res.StagingWaits = c.Waits
+	res.StagingWaitMS = float64(c.WaitTime) / float64(time.Millisecond)
+	res.StagingHighWater = c.HighWater
 	return nil
 }
 
@@ -283,21 +269,20 @@ func (r IOBatchResult) String() string {
 		"transfers: scalar rt=%d batched rt=%d (%.1fx fewer)\n"+
 			"  write %v -> %v (%.2fx)  read %v -> %v (%.2fx)\n"+
 			"prime: %v -> %v (%.2fx)\n"+
-			"storm: %v rt=%d -> %v rt=%d (%.2fx)\n"+
+			"storm: %v rt=%d\n"+
 			"staging: waits=%d wait=%.3fms highwater=%d",
 		r.ScalarRT, r.BatchedRT, r.RTReduction,
 		r.ScalarWrite.Round(time.Microsecond), r.BatchedWrite.Round(time.Microsecond), r.WriteSpeedup,
 		r.ScalarRead.Round(time.Microsecond), r.BatchedRead.Round(time.Microsecond), r.ReadSpeedup,
 		r.PrimeScalar.Round(time.Microsecond), r.PrimeBurst.Round(time.Microsecond), r.PrimeSpeedup,
-		r.StormScalar.Round(time.Microsecond), r.StormScalarRT,
-		r.StormBatched.Round(time.Microsecond), r.StormBatchedRT, r.StormSpeedup,
+		r.StormBatched.Round(time.Microsecond), r.StormBatchedRT,
 		r.StagingWaits, r.StagingWaitMS, r.StagingHighWater)
 }
 
 // reportIOBatch prints all three phases.
 func reportIOBatch(seed int64, quick bool, rep *Report) error {
 	rep.Println("Vectored I/O: per-page vs doorbell-batched transfers, burst")
-	rep.Println("priming, and an eviction storm with batched I/O off vs on")
+	rep.Println("priming, and an eviction storm through the vectored pool")
 	res, err := RunIOBatch(seed, IOBatchGeometry(quick))
 	if err != nil {
 		return err
@@ -311,11 +296,8 @@ func reportIOBatch(seed int64, quick bool, rep *Report) error {
 	rep.MetricDur("prime_scalar_ms", res.PrimeScalar)
 	rep.MetricDur("prime_burst_ms", res.PrimeBurst)
 	rep.Metric("prime_speedup", res.PrimeSpeedup)
-	rep.MetricDur("storm_scalar_ms", res.StormScalar)
 	rep.MetricDur("storm_batched_ms", res.StormBatched)
-	rep.Metric("storm_scalar_round_trips", float64(res.StormScalarRT))
 	rep.Metric("storm_batched_round_trips", float64(res.StormBatchedRT))
-	rep.Metric("storm_speedup", res.StormSpeedup)
 	rep.Metric("staging_waits", float64(res.StagingWaits))
 	rep.Metric("staging_wait_ms", res.StagingWaitMS)
 	rep.Metric("staging_highwater", float64(res.StagingHighWater))

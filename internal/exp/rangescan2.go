@@ -14,6 +14,7 @@ import (
 	"remotedb/internal/engine/page"
 	"remotedb/internal/engine/prime"
 	"remotedb/internal/hw/nic"
+	"remotedb/internal/metrics"
 	"remotedb/internal/rmem"
 	"remotedb/internal/sim"
 	"remotedb/internal/vfs"
@@ -265,8 +266,8 @@ type Fig16Result struct {
 	SerializeTime time.Duration
 	TransferTime  time.Duration
 	PrimeTime     time.Duration // serialize + transfer + install
-	ColdP95       time.Duration // scan p95 starting cold
-	PrimedP95     time.Duration // scan p95 after priming
+	ColdP95       time.Duration // p95 of the cold instance's first queries
+	PrimedP95     time.Duration // p95 of the primed instance's first queries
 	PagesPrimed   int
 }
 
@@ -291,7 +292,8 @@ func Fig16Geometry(quick bool) Fig16Params {
 // and the tail-latency effect, for several buffer-pool sizes. Warm-up
 // time is measured as the time for a cold instance's throughput to
 // plateau (two consecutive windows within 5%), the operational notion
-// behind Figure 16a.
+// behind Figure 16a. The tail is the p95 of a fixed number of queries
+// per client (firstQueriesP95).
 func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 	var out []Fig16Result
 	for _, mb := range prm.BPSizesMB {
@@ -308,8 +310,8 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 				// until primed; scan readahead would mask exactly that
 				// penalty, and GDSF holds the hotspot so tightly that the
 				// "cold" run barely looks cold — so these engines run the
-				// paper's configuration: scalar read path, clock sweep.
-				cfg.Buffer.BatchedIO = false
+				// paper's configuration: no readahead, clock sweep.
+				cfg.Buffer.Readahead = 0
 				cfg.Buffer.Policy = buffer.PolicyClock
 				eng, err := engine.New(p, s, engine.Files{
 					Data: vfs.NewDeviceFile("data", s.HDD),
@@ -371,8 +373,9 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 			}
 			// Tail latency during the warm-up phase (the paper measures
 			// the cold scan latencies while the pool warms, Figure 16b).
-			cold := w2.Run(p, 0, 150*time.Millisecond)
-			res.ColdP95 = cold.Latency.P95()
+			if res.ColdP95, err = firstQueriesP95(p, w2, fig16Queries); err != nil {
+				return err
+			}
 
 			// S3: a cold instance primed from S1 over RDMA.
 			s3, eng3, err := mkEngine("S3")
@@ -391,8 +394,9 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 			res.TransferTime = st.TransferTime
 			res.PrimeTime = st.Total()
 			res.PagesPrimed = st.Pages
-			primed := w3.Run(p, 0, 150*time.Millisecond)
-			res.PrimedP95 = primed.Latency.P95()
+			if res.PrimedP95, err = firstQueriesP95(p, w3, fig16Queries); err != nil {
+				return err
+			}
 			eng1.Shutdown()
 			eng2.Shutdown()
 			eng3.Shutdown()
@@ -405,6 +409,36 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// fig16Queries is how many queries each client runs for the tail figures.
+const fig16Queries = 10
+
+// firstQueriesP95 runs n queries on each of w's clients, from the pool as
+// it stands, and returns the p95 latency over all of them. The work is
+// fixed, so every query counts: a window would leave out the slowest
+// queries, those still running when it closes.
+func firstQueriesP95(p *sim.Proc, w *workload.RangeScan, n int) (time.Duration, error) {
+	k := p.Kernel()
+	lat := metrics.NewHistogram()
+	keys := int64(w.Cfg.Rows - w.Cfg.Range)
+	var firstErr error
+	wg := sim.NewWaitGroup(k)
+	wg.Add(w.Cfg.Clients)
+	for i := 0; i < w.Cfg.Clients; i++ {
+		k.Go("client", func(wp *sim.Proc) {
+			defer wg.Done()
+			for q := 0; q < n; q++ {
+				t0 := wp.Now()
+				if err := w.QueryOnce(wp, w.Cfg.Hotspot.Pick(wp, keys), false); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				lat.Observe(wp.Now() - t0)
+			}
+		})
+	}
+	wg.Wait(p)
+	return lat.P95(), firstErr
 }
 
 // reportFig16 prints Figure 16.

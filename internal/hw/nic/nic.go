@@ -41,7 +41,6 @@ func DefaultConfig() Config {
 // the kernel copy path that SMB-over-TCP traffic must additionally cross.
 type NIC struct {
 	k        *sim.Kernel
-	name     string
 	tx, rx   *sim.Regulator
 	tcpStack *sim.Regulator
 	cfg      Config
@@ -55,16 +54,12 @@ type NIC struct {
 func New(k *sim.Kernel, name string, cfg Config) *NIC {
 	return &NIC{
 		k:        k,
-		name:     name,
 		tx:       sim.NewRegulator(k, name+"/tx", cfg.PayloadBytesPerSec),
 		rx:       sim.NewRegulator(k, name+"/rx", cfg.PayloadBytesPerSec),
 		tcpStack: sim.NewRegulator(k, name+"/tcp", cfg.TCPBytesPerSec),
 		cfg:      cfg,
 	}
 }
-
-// Name returns the NIC name.
-func (n *NIC) Name() string { return n.name }
 
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }

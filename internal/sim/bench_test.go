@@ -117,3 +117,31 @@ func BenchmarkTimerResetStop(b *testing.B) {
 	})
 	k.Run(0)
 }
+
+// BenchmarkResourceAcquire is a contended device: four procs take turns on
+// a one-unit Resource, so nearly every Acquire queues behind the others.
+// One op is one Use: an Acquire, a Sleep holding the unit and a Release.
+func BenchmarkResourceAcquire(b *testing.B) {
+	b.ReportAllocs()
+	const procs = 4
+	k := New(1)
+	defer k.Close()
+	r := NewResource(k, "dev", 1)
+	users := func(ops int) {
+		for c := 0; c < procs; c++ {
+			n := ops / procs
+			if c < ops%procs {
+				n++
+			}
+			k.Go("user", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					r.Use(p, 1, time.Microsecond)
+				}
+			})
+		}
+		k.Run(0)
+	}
+	users(2 * procs) // warm: the queue and its spare waiters are grown
+	b.ResetTimer()
+	users(b.N)
+}

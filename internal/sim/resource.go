@@ -10,7 +10,12 @@ type Resource struct {
 	name     string
 	capacity int
 	avail    int
-	waiters  []*resWaiter
+
+	// waiters[head:] is the FIFO queue, oldest first; granted waiters go
+	// on spare for the next Acquire that queues.
+	waiters []*resWaiter
+	head    int
+	spare   []*resWaiter
 
 	// Utilization accounting.
 	busyNanos int64
@@ -31,9 +36,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	}
 	return &Resource{k: k, name: name, capacity: capacity, avail: capacity}
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Capacity returns the total units.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -81,12 +83,26 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		r.avail -= n
 		return
 	}
-	w := &resWaiter{p: p, n: n}
+	var w *resWaiter
+	if last := len(r.spare) - 1; last >= 0 {
+		w, r.spare = r.spare[last], r.spare[:last]
+	} else {
+		w = &resWaiter{}
+	}
+	w.p, w.n = p, n
+	if len(r.waiters) == cap(r.waiters) && r.head > 0 {
+		// Slide the queue down over the popped prefix instead of growing.
+		live := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[live:])
+		r.waiters, r.head = r.waiters[:live], 0
+	}
 	r.waiters = append(r.waiters, w)
 	p.blockHere()
 	if !w.granted {
 		panic("sim: resource waiter resumed without grant: " + r.name)
 	}
+	w.p, w.granted = nil, false
+	r.spare = append(r.spare, w)
 }
 
 // TryAcquire takes n units if immediately available, without blocking.
@@ -112,15 +128,21 @@ func (r *Resource) Release(n int) {
 	if r.avail > r.capacity {
 		panic("sim: release exceeds resource capacity: " + r.name)
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.head < len(r.waiters) {
+		w := r.waiters[r.head]
 		if r.avail < w.n {
 			break // strict FIFO: do not let later small requests jump the queue
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters[r.head] = nil
+		r.head++
 		r.avail -= w.n
 		w.granted = true
 		r.k.wake(w.p)
+	}
+	if r.head == len(r.waiters) {
+		// An empty queue is waiters[:0] at head 0: Acquire and TryAcquire
+		// test it by len(r.waiters).
+		r.waiters, r.head = r.waiters[:0], 0
 	}
 }
 

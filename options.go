@@ -235,13 +235,8 @@ func WithEviction(pol EvictionPolicy) Option {
 	return func(s *settings) { s.Engine.Buffer.Policy = pol }
 }
 
-// WithBatchedIO enables or disables the buffer pool's vectored I/O
-// paths: batched lazy-writer flushes, grouped extension puts, and scan
-// readahead (on by default).
-func WithBatchedIO(on bool) Option { return func(s *settings) { s.Engine.Buffer.BatchedIO = on } }
-
 // WithReadahead sets the buffer pool's scan readahead window in pages
-// (0 keeps the default of 8; requires batched I/O).
+// (0 keeps the default of 8).
 func WithReadahead(pages int) Option {
 	return func(s *settings) { positive(&s.Engine.Buffer.Readahead, pages) }
 }
