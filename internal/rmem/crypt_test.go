@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,5 +156,66 @@ func TestDifferentMRsDifferentKeystreams(t *testing.T) {
 	c.xcrypt(MRID{Server: "m1", Index: 2}, 0, data2)
 	if bytes.Equal(data1, data2) {
 		t.Fatal("different MRs share a keystream")
+	}
+}
+
+// An encrypted write yields to encrypt before its bytes land; a donor
+// that fails in that window fails the write with ErrRevoked, on every
+// write path, instead of writing into memory that is gone.
+func TestEncryptedWriteRevokedWhileEncrypting(t *testing.T) {
+	const n = 256 << 10
+	paths := map[string]func(p *sim.Proc, c *Client, mr *MR, src []byte) error{
+		"rdma": func(p *sim.Proc, c *Client, mr *MR, src []byte) error {
+			return NewTransport(nic.ProtoRDMA).Write(p, c, mr, 0, src)
+		},
+		"rdma-vector": func(p *sim.Proc, c *Client, mr *MR, src []byte) error {
+			errs := c.WriteV(p, NewTransport(nic.ProtoRDMA), []IOVec{{MR: mr, Off: 0, Buf: src}})
+			if errs == nil {
+				return nil
+			}
+			return errs[0]
+		},
+		"smb": func(p *sim.Proc, c *Client, mr *MR, src []byte) error {
+			return NewTransport(nic.ProtoSMBDirect).Write(p, c, mr, 0, src)
+		},
+	}
+	for name, write := range paths {
+		t.Run(name, func(t *testing.T) {
+			// run writes once, with the donor failing revokeAt into the
+			// write (never, if revokeAt is 0), and returns the write's
+			// error and duration.
+			run := func(revokeAt time.Duration) (err error, took time.Duration) {
+				k := newKernel(t, 1)
+				m := testServer(k, "m1")
+				db := testServer(k, "db1")
+				k.Go("t", func(p *sim.Proc) {
+					pool, _ := NewPool(p, m, 1<<20, 1)
+					mr, _ := pool.Acquire()
+					cfg := DefaultClientConfig()
+					cfg.Encrypt = true
+					cfg.Key = testKey
+					c := NewClient(p, db, cfg)
+					if revokeAt > 0 {
+						k.Go("fail", func(fp *sim.Proc) {
+							fp.Sleep(revokeAt)
+							pool.RevokeAll()
+						})
+					}
+					t0 := p.Now()
+					err = write(p, c, mr, make([]byte, n))
+					took = p.Now() - t0
+				})
+				k.Run(time.Minute)
+				return err, took
+			}
+			err, took := run(0)
+			if err != nil || took <= encryptCost(n) {
+				t.Fatalf("unrevoked write: err %v, took %v (encryption alone %v)", err, took, encryptCost(n))
+			}
+			// The encryption is the write's last stage.
+			if err, _ := run(took - encryptCost(n)/2); !errors.Is(err, ErrRevoked) {
+				t.Fatalf("write revoked while encrypting: err %v, want ErrRevoked", err)
+			}
+		})
 	}
 }

@@ -240,6 +240,12 @@ func (c *Client) pushBatch(p *sim.Proc, elems []PushElem, batch []int, q *PushQu
 	evalErr := make([]error, len(elems))
 	for _, i := range batch {
 		e := &elems[i]
+		if e.MR.revoked {
+			// Revoked while an earlier sub-batch was in flight or this
+			// one waited for staging: its memory is gone, and the
+			// post-flight check below fails the element.
+			continue
+		}
 		raw := e.MR.buf[e.Off : e.Off+e.N]
 		gi := -1
 		for g := range groups {

@@ -257,3 +257,33 @@ func TestScanPushRevokedAndCorruptFailOnlyTheirElements(t *testing.T) {
 	})
 	k.Run(time.Minute)
 }
+
+// A donor that fails while one sub-batch is in flight fails the elements
+// of the sub-batches after it too, without evaluating memory that is
+// gone.
+func TestScanPushRevokedBetweenSubBatches(t *testing.T) {
+	k := newKernel(t, 1)
+	m := testServer(k, "m1")
+	db := testServer(k, "db1")
+	k.Go("x", func(p *sim.Proc) {
+		pool, _ := NewPool(p, m, 1<<20, 1)
+		mr, _ := pool.Acquire()
+		tr := NewTransport(nic.ProtoRDMA)
+		c := NewClient(p, db, ClientConfig{Schedulers: 1, SlotsPerSch: 1})
+
+		seg := PadPushChunk(AppendPushRecord(nil, pushRec(1, nil), 4096), 4096)
+		tr.Write(p, c, mr, 0, seg)
+		k.Go("fail", func(p *sim.Proc) {
+			p.Sleep(time.Microsecond)
+			pool.RevokeAll()
+		})
+		elems := []PushElem{{MR: mr, Off: 0, N: 4096}, {MR: mr, Off: 0, N: 4096}}
+		outs, _, errs := c.ScanPush(p, tr, elems, &PushQuery{Cols: pushSchema()})
+		for i := range elems {
+			if errs == nil || !errors.Is(errs[i], ErrRevoked) || outs[i] != nil {
+				t.Fatalf("element %d: out %v, errs %v; want ErrRevoked", i, outs[i], errs)
+			}
+		}
+	})
+	k.Run(time.Minute)
+}

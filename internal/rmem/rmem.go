@@ -4,14 +4,23 @@
 // database server, and the three transfer protocols of Table 5 — NDSPI
 // RDMA verbs ("Custom"), SMB Direct, and SMB over TCP.
 //
-// MRs hold real bytes (ordinary Go slices); transports copy those bytes
-// while charging calibrated virtual time to the simulation, including the
+// MRs hold real bytes in anonymous private mappings outside the Go heap:
+// the OS backs a page only when it is first written, as a donor's pinned
+// memory is resident only where a tenant wrote it, and the collector
+// neither counts nor scans them. Transports copy those bytes while
+// charging calibrated virtual time to the simulation, including the
 // remote server's CPU for the TCP path — the quantity behind Figure 13.
+// No slice of region memory outlives the rmem call that took it
+// (DESIGN §2): unpinning a region unmaps it at once, and a pool dropped
+// whole gives its mappings back to the OS at the next GC.
 package rmem
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"remotedb/internal/cluster"
@@ -29,11 +38,47 @@ type MRID struct {
 
 func (id MRID) String() string { return fmt.Sprintf("%s/mr%d", id.Server, id.Index) }
 
+// region owns one MR's mapping. Unpinning the MR unmaps it; the
+// mapping of an MR collected still pinned (its bed was dropped whole) is
+// unmapped by the region's finalizer. The region holds no pointer into
+// the Go heap, so it can never sit in a reference cycle. (A finalizer on
+// *MR would never run: MR → Owner → the server's pressure subscriptions
+// → Pool → MR is a cycle.)
+type region struct{ b []byte }
+
+// mappedBytes counts the bytes of live region mappings: mapRegion adds,
+// unmap subtracts.
+var mappedBytes atomic.Int64
+
+// mapRegion maps n bytes of zeroed, not-yet-backed memory.
+func mapRegion(n int) (*region, error) {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, fmt.Errorf("rmem: mapping a %d-byte region: %w", n, err)
+	}
+	mappedBytes.Add(int64(n))
+	r := &region{b: b}
+	runtime.SetFinalizer(r, (*region).unmap)
+	return r, nil
+}
+
+// unmap gives the region's pages back to the OS; nothing may still hold
+// a slice of them.
+func (r *region) unmap() {
+	runtime.SetFinalizer(r, nil)
+	if err := syscall.Munmap(r.b); err != nil {
+		panic("rmem: unmapping a region: " + err.Error())
+	}
+	mappedBytes.Add(-int64(len(r.b)))
+	r.b = nil
+}
+
 // MR is one pinned memory region on a memory server.
 type MR struct {
 	ID    MRID
 	Owner *cluster.Server
-	buf   []byte
+	buf   []byte  // mem's bytes; nil once the region is unpinned
+	mem   *region // owns buf's mapping; nil once unpinned
 
 	registered bool
 	leased     bool
@@ -111,8 +156,9 @@ func (mr *MR) InjectCopyIn(off int, b []byte) bool {
 
 // Pool is the memory-server side of the brokering proxy: it pins free
 // memory into fixed-size MRs, preregisters them with the NIC, and hands
-// them out. Deregistration under memory pressure unpins regions back to
-// the OS.
+// them out. Each MR is its own mapping, backed only where it has been
+// written; deregistration under memory pressure unpins regions, which
+// gives their pages back to the OS.
 type Pool struct {
 	server *cluster.Server
 	mrSize int
@@ -141,10 +187,16 @@ func (pool *Pool) Grow(p *sim.Proc, count int) error {
 		if err := pool.server.PinBrokered(int64(pool.mrSize)); err != nil {
 			return err
 		}
+		mem, err := mapRegion(pool.mrSize)
+		if err != nil {
+			pool.server.UnpinBrokered(int64(pool.mrSize))
+			return err
+		}
 		mr := &MR{
 			ID:         MRID{Server: pool.server.Name, Index: pool.nextID},
 			Owner:      pool.server,
-			buf:        make([]byte, pool.mrSize),
+			buf:        mem.b,
+			mem:        mem,
 			registered: true,
 		}
 		pool.nextID++
@@ -187,8 +239,9 @@ func (pool *Pool) ReleaseMR(mr *MR) {
 	pool.free = append(pool.free, mr)
 }
 
-// Shrink unpins up to n bytes of free MRs (memory-pressure response) and
-// returns the number of bytes actually released.
+// Shrink unpins up to n bytes of free MRs (memory-pressure response),
+// newest-freed first, and returns the number of bytes actually released.
+// The regions' pages go back to the OS.
 func (pool *Pool) Shrink(n int64) int64 {
 	var released int64
 	for released < n && len(pool.free) > 0 {
@@ -201,12 +254,12 @@ func (pool *Pool) Shrink(n int64) int64 {
 }
 
 // RevokeAll simulates failure of the memory server: every MR (leased or
-// not) becomes unavailable and the memory is unpinned.
+// not) becomes unavailable and the memory is unpinned; the pages go back
+// to the OS.
 func (pool *Pool) RevokeAll() {
 	for _, mr := range pool.mrs {
 		if !mr.revoked {
-			mr.revoked = true
-			mr.buf = nil
+			mr.unpin()
 			pool.server.UnpinBrokered(int64(pool.mrSize))
 		}
 	}
@@ -214,9 +267,15 @@ func (pool *Pool) RevokeAll() {
 	pool.free = nil
 }
 
+// unpin revokes mr and unmaps its memory.
+func (mr *MR) unpin() {
+	mr.revoked = true
+	mr.mem.unmap()
+	mr.buf, mr.mem = nil, nil
+}
+
 func (pool *Pool) removeMR(target *MR) {
-	target.revoked = true
-	target.buf = nil
+	target.unpin()
 	pool.server.UnpinBrokered(int64(pool.mrSize))
 	for i, mr := range pool.mrs {
 		if mr == target {
@@ -505,11 +564,9 @@ func (t *rdmaTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte
 	one := [1]dest{{owner: mr.Owner, bytes: len(buf)}}
 	pl := plan{n: 1, total: len(buf), prep: c.prepCost(len(buf)), dests: one[:]}
 	c.issue(p, &pl, write)
-	var err error
-	if mr.revoked {
-		err = ErrRevoked // revoked while we were in flight
-	} else {
-		c.moveBytes(p, mr, off, buf, nil, write)
+	err := ErrRevoked // revoked while we were in flight
+	if !mr.revoked {
+		err = c.moveBytes(p, mr, off, buf, nil, write)
 	}
 	c.staging.Release(1)
 	return err
@@ -519,12 +576,17 @@ func (t *rdmaTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf []byte
 // buf, then tail, contiguous at off in the MR — and the MR, transparently
 // encrypting so the donor only holds ciphertext when the client has
 // encryption enabled. The element is counted, and its encryption
-// priced, as one transfer of the total length.
-func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf, tail []byte, write bool) {
+// priced, as one transfer of the total length. Encrypting a write yields
+// before the bytes land, so a region revoked meanwhile fails it with
+// ErrRevoked; a read copies first and decrypts the caller's copy.
+func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf, tail []byte, write bool) error {
 	n := len(buf) + len(tail)
 	if write {
 		if c.crypt != nil {
 			c.Server.Work(p, encryptCost(n))
+			if mr.revoked {
+				return ErrRevoked
+			}
 		}
 		dst := mr.buf[off : off+n]
 		copy(dst[copy(dst, buf):], tail)
@@ -533,7 +595,7 @@ func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf, tail []byte, write
 		}
 		c.Writes++
 		c.BytesWrt += int64(n)
-		return
+		return nil
 	}
 	src := mr.buf[off : off+n]
 	copy(tail, src[copy(buf, src):])
@@ -546,6 +608,7 @@ func (c *Client) moveBytes(p *sim.Proc, mr *MR, off int, buf, tail []byte, write
 	}
 	c.Reads++
 	c.BytesRead += int64(n)
+	return nil
 }
 
 func (t *rdmaTransport) Read(p *sim.Proc, c *Client, mr *MR, off int, dst []byte) error {
@@ -610,8 +673,7 @@ func (t *smbTransport) xfer(p *sim.Proc, c *Client, mr *MR, off int, buf, tail [
 	if mr.revoked {
 		return ErrRevoked
 	}
-	c.moveBytes(p, mr, off, buf, tail, write)
-	return nil
+	return c.moveBytes(p, mr, off, buf, tail, write)
 }
 
 func (t *smbTransport) Read(p *sim.Proc, c *Client, mr *MR, off int, dst []byte) error {

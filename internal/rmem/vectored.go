@@ -89,7 +89,9 @@ func (c *Client) vectored(p *sim.Proc, t Transport, vecs []IOVec, write bool) []
 			case vecs[i].MR.revoked:
 				errs = setErr(errs, len(vecs), i, ErrRevoked)
 			default:
-				c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, vecs[i].Tail, write)
+				if err := c.moveBytes(p, vecs[i].MR, vecs[i].Off, vecs[i].Buf, vecs[i].Tail, write); err != nil {
+					errs = setErr(errs, len(vecs), i, err)
+				}
 			}
 		}
 		c.staging.Release(pl.n)
