@@ -6,18 +6,19 @@
 //
 // Usage:
 //
-//	rmbench <experiment> [-seed N] [-quick] [-json]
+//	rmbench <experiment> [-seed N] [-quick]
 //
 // Flags may also come before the experiment. 'rmbench list' prints the
 // experiments ('all' runs every one).
 //
-// With -json each experiment also writes BENCH_<experiment>.json:
-// experiment name, seed, wall-clock, and a flat metric map (throughput,
-// latency percentiles, fault counters).
+// After its rows each experiment prints its metrics, one per line in
+// name order, and whether each of its claims held (exp.Experiment's
+// Summary). rmbench exits 1 if a claim failed. At -quick and seed 1 an
+// experiment's stdout is its golden file,
+// internal/exp/testdata/quick/<experiment>.txt.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,19 +28,9 @@ import (
 	"remotedb/internal/exp"
 )
 
-// benchFile is the document -json writes.
-type benchFile struct {
-	Experiment string             `json:"experiment"`
-	Seed       int64              `json:"seed"`
-	Quick      bool               `json:"quick"`
-	WallMS     int64              `json:"wall_ms"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	quick := flag.Bool("quick", false, "reduced sizes for a fast pass")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<experiment>.json with machine-readable results")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rmbench <experiment> [flags]\nrun 'rmbench list' for the experiments\n")
 		flag.PrintDefaults()
@@ -58,52 +49,52 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	if err := run(name, *seed, *quick, *jsonOut); err != nil {
+	held, err := run(name, *seed, *quick)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "rmbench %s: %v\n", name, err)
 		os.Exit(1)
 	}
 	// The wall-clock stamp goes to stderr, so stdout is the same bytes
 	// on every run of the same seed.
 	fmt.Fprintf(os.Stderr, "\n[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	if !held {
+		fmt.Fprintf(os.Stderr, "rmbench %s: a claim failed\n", name)
+		os.Exit(1)
+	}
 }
 
-// run executes one experiment (or "all", or "list"), writing
-// BENCH_<name>.json after each experiment when jsonOut is set.
-func run(name string, seed int64, quick, jsonOut bool) error {
+// run executes one experiment (or "all", or "list") and says whether
+// every claim it checked held.
+func run(name string, seed int64, quick bool) (bool, error) {
 	switch name {
 	case "all":
+		held := true
 		for _, e := range exp.Experiments {
 			fmt.Printf("\n===== %s =====\n", e.Names[0])
-			if err := run(e.Names[0], seed, quick, jsonOut); err != nil {
-				return fmt.Errorf("%s: %w", e.Names[0], err)
+			ok, err := run(e.Names[0], seed, quick)
+			if err != nil {
+				return false, fmt.Errorf("%s: %w", e.Names[0], err)
 			}
+			held = held && ok
 		}
-		return nil
+		return held, nil
 	case "list":
 		for _, e := range exp.Experiments {
 			fmt.Printf("  %-12s %s\n", strings.Join(e.Names, " "), e.About)
 		}
-		return nil
+		return true, nil
 	}
 	e, ok := lookup(name)
 	if !ok {
-		return fmt.Errorf("unknown experiment %q", name)
+		return false, fmt.Errorf("unknown experiment %q", name)
 	}
-	start := time.Now()
 	rep := exp.NewReport(os.Stdout)
-	if err := e.Run(seed, quick, rep); err != nil || !jsonOut {
-		return err
+	if err := e.Run(seed, quick, rep); err != nil {
+		return false, err
 	}
-	buf, err := json.MarshalIndent(benchFile{name, seed, quick, time.Since(start).Milliseconds(), rep.Metrics}, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := fmt.Sprintf("BENCH_%s.json", name)
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[wrote %s]\n", path)
-	return nil
+	summary, held := e.Summary(rep.Metrics)
+	fmt.Print(summary)
+	return held, nil
 }
 
 // lookup finds the experiment one of whose names is name.

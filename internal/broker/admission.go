@@ -19,7 +19,8 @@ var ErrTenantQuota = fmt.Errorf("broker: tenant over quota (%w)", ErrQuota)
 var ErrScarce = fmt.Errorf("broker: donors scarce, over fair share (%w)", fault.ErrRetryable)
 
 // TenantStats is the per-tenant accounting the admission controller and
-// the shedding policy maintain, exported so rmbench can emit it.
+// the shedding policy maintain, exported so the cluster experiment can
+// report it.
 type TenantStats struct {
 	Grants    int64 // MRs granted
 	Denies    int64 // requests rejected (quota or fairness)

@@ -128,7 +128,7 @@ type Broker struct {
 
 	// GaugeActive / GaugeFree track live leases and unleased MRs with
 	// peaks; HeartbeatBatch records how many leases each batched renewal
-	// covered. rmbench reads these for its -json output.
+	// covered. The cluster experiment reports them among its metrics.
 	GaugeActive    metrics.Gauge
 	GaugeFree      metrics.Gauge
 	HeartbeatBatch metrics.Distribution

@@ -16,21 +16,24 @@ import (
 	"remotedb/internal/vfs"
 )
 
+// writerBatch is the most dirty pages one lazy-writer round writes.
+const writerBatch = 128
+
 // writerFlushBatch is the lazy writer's vectored round: up to
-// WriterBatch dirty unpinned frames, each with its run of dirty
+// writerBatch dirty unpinned frames, each with its run of dirty
 // neighbours (gather), are written per round, in sub-batches that stop
 // picking at a quarter of the pool — every page stays pinned until its
 // write lands, and pinning more would starve foreground victims in small
 // pools. Frames re-dirtied while the I/O slept stay dirty.
 func (bp *Pool) writerFlushBatch(p *sim.Proc) {
-	lim := bp.cfg.WriterBatch
+	lim := writerBatch
 	if q := len(bp.frames) / 4; q > 0 && lim > q {
 		lim = q
 	}
 	w := bp.takeRun()
 	defer bp.putRun(w)
 	written, next := 0, 0
-	for written < bp.cfg.WriterBatch && next < len(bp.frames) {
+	for written < writerBatch && next < len(bp.frames) {
 		for ; next < len(bp.frames) && len(w.pages) < lim; next++ {
 			f := &bp.frames[next]
 			if !f.valid || !f.dirty || f.pins > 0 {

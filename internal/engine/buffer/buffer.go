@@ -34,17 +34,10 @@ type Config struct {
 	Frames        int           // local frames (local memory / 8 KiB)
 	PageAccessCPU time.Duration // latch + lookup cost per logical access
 	WriterPeriod  time.Duration // lazy-writer cadence (0 disables)
-	WriterBatch   int           // max dirty pages written per round
 
 	// Policy selects the eviction policy: the cost-aware GDSF heap (the
 	// default) or the legacy clock sweep, kept for A/B runs.
 	Policy Policy
-	// CostDisk and CostExt are the GDSF miss costs: the calibrated
-	// latency of re-fetching a page from the data file vs from the
-	// extension tier. Zero means "derive from the opt tier table"
-	// (HDD random for the data file, remote memory for the extension).
-	CostDisk time.Duration
-	CostExt  time.Duration
 
 	// Readahead is the sequential readahead window in pages that range
 	// scans prefetch ahead of the cursor (0 disables readahead).
@@ -64,7 +57,6 @@ func DefaultConfig(frames int) Config {
 		Frames:            frames,
 		PageAccessCPU:     time.Microsecond,
 		WriterPeriod:      10 * time.Millisecond,
-		WriterBatch:       128,
 		Readahead:         8,
 		AdaptiveReadahead: true,
 	}
@@ -157,9 +149,14 @@ type Pool struct {
 	handles []*Handle // released handles, reissued by Get and Allocate
 	runs    []*wbRun  // write-back scratch not in use, reused by evict and the writer
 
-	// GDSF state: a lazy min-heap of (frame, seq, priority) entries, the
-	// inflation value L, the free list of invalid frames, and the global
-	// eviction epoch (the correlated-reference clock for noteHit).
+	// GDSF state: the miss costs of a page that falls to the data file
+	// and to the extension tier (the opt tier table's HDD and remote
+	// random-page latencies), a lazy min-heap of (frame, seq, priority)
+	// entries, the inflation value L, the free list of invalid frames, and
+	// the global eviction epoch (the correlated-reference clock for
+	// noteHit).
+	costDisk   time.Duration
+	costExt    time.Duration
 	gheap      []gdsfEntry
 	gL         float64
 	free       []int
@@ -207,12 +204,8 @@ func New(p *sim.Proc, server *cluster.Server, data vfs.File, cfg Config) (*Pool,
 	bp.extPutSlots = sim.NewResource(bp.k, "extput", max(64, cfg.Frames))
 	bp.extCond = sim.NewCond(bp.k)
 	bp.extPending = make(map[uint64]extPut)
-	if bp.cfg.CostDisk <= 0 {
-		bp.cfg.CostDisk = opt.DefaultCosts()[opt.TierHDD].RandomPage
-	}
-	if bp.cfg.CostExt <= 0 {
-		bp.cfg.CostExt = opt.DefaultCosts()[opt.TierRemote].RandomPage
-	}
+	bp.costDisk = opt.DefaultCosts()[opt.TierHDD].RandomPage
+	bp.costExt = opt.DefaultCosts()[opt.TierRemote].RandomPage
 	bp.raWin = bp.cfg.Readahead
 	if bp.cfg.AdaptiveReadahead && bp.raWin > 2 {
 		bp.raWin = 2 // earn the full window by proving prefetches get used

@@ -282,7 +282,7 @@ func TestLazyWriterRoundRunsConcurrently(t *testing.T) {
 	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
-		bp := newPool(p, s, data, 512, true) // a round takes min(WriterBatch, frames/4) = 128
+		bp := newPool(p, s, data, 512, true) // a round takes min(writerBatch, frames/4) = 128
 		for i := 0; i < 256; i++ {
 			h, _, _ := bp.Allocate(p, page.TypeHeap)
 			h.Release()

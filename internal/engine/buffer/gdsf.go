@@ -89,12 +89,12 @@ func (bp *Pool) heapPop() (gdsfEntry, bool) {
 func (bp *Pool) missCost(f *frame) float64 {
 	var c time.Duration
 	if bp.ExtensionHealthy() {
-		c = bp.cfg.CostExt
+		c = bp.costExt
 	} else {
-		c = bp.cfg.CostDisk
+		c = bp.costDisk
 	}
 	if f.dirty {
-		c += bp.cfg.CostDisk
+		c += bp.costDisk
 	}
 	return float64(c)
 }

@@ -71,8 +71,7 @@ type ChaosParams struct {
 // ChaosGeometry: the cluster bed's geometry (160 holders + 48 donors =
 // 208 participants on a 4-shard broker) with 2-way replicated stripes so
 // hedges and failover have somewhere to go. quick shrinks the bed and
-// the measurement windows; the committed BENCH_chaos.json baseline is
-// the quick run.
+// the measurement windows; testdata/quick/chaos.txt pins the quick run.
 func ChaosGeometry(quick bool) ChaosParams {
 	prm := ChaosParams{
 		Shards:         4,

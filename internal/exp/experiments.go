@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
 
 // Report is what one experiment prints and measures: its rows go to W,
-// its headline numbers to Metrics under the names rmbench -json writes
-// to BENCH_<experiment>.json.
+// its headline numbers to Metrics under the names its Summary prints.
 type Report struct {
 	W       io.Writer
 	Metrics map[string]float64
@@ -47,7 +48,7 @@ func (r *Report) MetricBool(name string, v bool) {
 // Experiment is one entry of the evaluation: a table or figure of the
 // paper, or one of the extension experiments.
 type Experiment struct {
-	Names []string // the first names the entry in "all", -json and the benchmarks
+	Names []string // the first names the entry in "all", its golden file and the benchmarks
 	About string
 	// Run prints the experiment's rows to r and records its metrics;
 	// quick selects the experiment's reduced geometry.
@@ -63,6 +64,34 @@ type Claim struct {
 	Name  string
 	Paper string // the paper's value as text, e.g. "3–10×"
 	Holds func(m Metric) bool
+}
+
+// Summary renders what follows an entry's report text on rmbench's
+// stdout and in the entry's golden file: a "-- metrics --" line, the
+// metrics one per line in name order, then one line per claim, "claim
+// <name> ok" or "claim <name> FAIL: <why>". held says whether every claim
+// held.
+func (e Experiment) Summary(metrics map[string]float64) (text string, held bool) {
+	names := make([]string, 0, len(metrics))
+	for n := range metrics {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	sb.WriteString("-- metrics --\n")
+	for _, n := range names {
+		fmt.Fprintf(&sb, "%s\t%s\n", n, strconv.FormatFloat(metrics[n], 'g', -1, 64))
+	}
+	held = true
+	for _, c := range e.Claims {
+		if err := c.Check(metrics); err != nil {
+			fmt.Fprintf(&sb, "claim %s FAIL: %v\n", c.Name, err)
+			held = false
+		} else {
+			fmt.Fprintf(&sb, "claim %s ok\n", c.Name)
+		}
+	}
+	return sb.String(), held
 }
 
 // Metric reads one recorded metric by name.

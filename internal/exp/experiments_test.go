@@ -3,12 +3,8 @@ package exp_test
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -17,24 +13,15 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick/*.txt from this code")
 
-// goldenQuick are the table entries fast enough in their quick geometry
-// to pin whole: every printed byte and every metric.
-var goldenQuick = []string{"tables", "fig27", "ablation", "evict", "iobatch", "plancache", "pushdown", "fig26", "parscan", "faults", "scrub"}
-
 // TestExperiments runs every entry of the experiment table once, at
 // seed 1 in its quick geometry, as parallel subtests. Each subtest
-// checks its entry's claims, one nested subtest per claim. For the
-// entries of goldenQuick a nested "golden" subtest also compares the
-// report — its text, then its metrics one per line in name order — with
-// testdata/quick/<name>.txt, which holds what rmbench -quick printed.
+// checks its entry's claims, one nested subtest per claim, and a nested
+// "golden" subtest compares everything rmbench -quick prints for the
+// entry — its report text, then its Summary (metrics and claim lines) —
+// with testdata/quick/<name>.txt.
 func TestExperiments(t *testing.T) {
-	golden := 0
 	for _, e := range exp.Experiments {
 		name := e.Names[0]
-		pinned := slices.Contains(goldenQuick, name)
-		if pinned {
-			golden++
-		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
@@ -52,31 +39,35 @@ func TestExperiments(t *testing.T) {
 			if t.Failed() {
 				t.Logf("report:\n%s", buf.String())
 			}
-			if pinned {
-				t.Run("golden", func(t *testing.T) {
-					compareGolden(t, name, buf.String()+metricLines(rep.Metrics))
-				})
-			}
+			t.Run("golden", func(t *testing.T) {
+				summary, _ := e.Summary(rep.Metrics)
+				compareGolden(t, name, buf.String()+summary)
+			})
 		})
-	}
-	if golden != len(goldenQuick) {
-		t.Errorf("%d of the %d golden entries are in the table", golden, len(goldenQuick))
 	}
 }
 
-// metricLines renders a report's metrics one per line in name order.
-func metricLines(metrics map[string]float64) string {
-	var names []string
-	for n := range metrics {
-		names = append(names, n)
+// TestGoldenFilesMatchTable: testdata/quick holds one golden file per
+// entry of the experiment table and nothing else, so a renamed or
+// deleted entry cannot leave a stale file behind.
+func TestGoldenFilesMatchTable(t *testing.T) {
+	files, err := os.ReadDir(filepath.Join("testdata", "quick"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString("-- metrics --\n")
-	for _, n := range names {
-		fmt.Fprintf(&sb, "%s\t%s\n", n, strconv.FormatFloat(metrics[n], 'g', -1, 64))
+	want := make(map[string]bool)
+	for _, e := range exp.Experiments {
+		want[e.Names[0]+".txt"] = true
 	}
-	return sb.String()
+	for _, f := range files {
+		if !want[f.Name()] {
+			t.Errorf("testdata/quick/%s names no entry of the experiment table", f.Name())
+		}
+		delete(want, f.Name())
+	}
+	for f := range want {
+		t.Errorf("testdata/quick/%s is missing (run TestExperiments with -update-golden)", f)
+	}
 }
 
 // compareGolden compares got with testdata/quick/<name>.txt line by
