@@ -7,6 +7,10 @@ package remotedb_test
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,10 +204,6 @@ func optionCases() []optionCase {
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("grant", e.Grant, int64(1<<20)) }},
 		{name: "Protocol", opt: remotedb.WithProtocol(remotedb.ProtoSMB), notBed: true,
 			fs: func(fs *remotedb.RemoteFS) error { return want("protocol", fs.Protocol, remotedb.ProtoSMB) }},
-		{name: "Placement", opt: remotedb.WithPlacement(remotedb.PlacePack),
-			fs: func(fs *remotedb.RemoteFS) error { return want("placement", fs.Placement, remotedb.PlacePack) }},
-		{name: "AutoRenew", opt: remotedb.WithAutoRenew(false),
-			fs: func(fs *remotedb.RemoteFS) error { return want("auto-renew", fs.AutoRenew, false) }},
 		{name: "Recovery", opt: remotedb.WithRecovery(false),
 			fs: func(fs *remotedb.RemoteFS) error { return want("recover", fs.Recover, false) }},
 		{name: "RemoteServers", opt: remotedb.WithRemoteServers(3),
@@ -227,17 +227,6 @@ func optionCases() []optionCase {
 				}
 				return want("semantic-cache files", semFiles, 1)
 			}},
-		{name: "PlanCache", opt: remotedb.WithPlanCache(-1),
-			eng: func(p *remotedb.Proc, e *remotedb.Engine) error {
-				tbl, err := oneTable(p, e)
-				if err != nil {
-					return err
-				}
-				if _, err := e.Planner.Run(e.NewCtx(p), remotedb.Scan(tbl)); err != nil {
-					return err
-				}
-				return want("cached plans", e.Planner.CacheLen(), 0)
-			}},
 		{name: "DOP", opt: remotedb.WithDOP(2),
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("DOP", e.DOP, 2) }},
 		{name: "Eviction", opt: remotedb.WithEviction(remotedb.EvictClock),
@@ -252,10 +241,6 @@ func optionCases() []optionCase {
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 1) }},
 		{name: "Pushdown", opt: remotedb.WithPushdown(true),
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("pushdown", e.Planner.Pushdown, true) }},
-		{name: "DonorCPU", opt: remotedb.WithDonorCPU(2),
-			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error {
-				return want("donor price", e.Planner.DonorPrice, 2.0)
-			}},
 		{name: "BrokerShards", opt: remotedb.WithBrokerShards(2),
 			brk: func(_ *remotedb.Proc, b *remotedb.BrokerCluster) error { return want("shards", b.ShardCount(), 2) }},
 		{name: "HeartbeatEvery", opt: remotedb.WithHeartbeatEvery(50 * time.Millisecond),
@@ -357,6 +342,34 @@ func TestOptionsConstructors(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// Every exported With... function in options.go has a row in
+// optionCases named after it (WithLeaseTTL -> "LeaseTTL"), and every row
+// names an option that exists, so an option cannot land untested.
+func TestEveryOptionHasACase(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := make(map[string]bool)
+	for _, d := range file.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
+			options[fn.Name.Name] = true
+		}
+	}
+	cases := make(map[string]bool)
+	for _, c := range optionCases() {
+		cases["With"+c.name] = true
+		if !options["With"+c.name] {
+			t.Errorf("optionCases row %q names no With%s in options.go", c.name, c.name)
+		}
+	}
+	for name := range options {
+		if !cases[name] {
+			t.Errorf("%s has no optionCases row", name)
+		}
 	}
 }
 

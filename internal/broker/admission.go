@@ -32,21 +32,21 @@ type TenantStats struct {
 // admitter is the Cluster router's quota + fairness policy and its
 // per-tenant accounting.
 type admitter struct {
-	quotas     map[string]int64   // hard byte cap per tenant (absent = unlimited)
-	weights    map[string]float64 // max-min weight per tenant (absent = 1)
-	scarceFrac float64            // headroom fraction that triggers fairness
-	tenants    map[string]*TenantStats
+	quotas  map[string]int64   // hard byte cap per tenant (absent = unlimited)
+	weights map[string]float64 // max-min weight per tenant (absent = 1)
+	tenants map[string]*TenantStats
 }
 
-func newAdmitter(quotas map[string]int64, weights map[string]float64, scarceFrac float64) *admitter {
-	if scarceFrac <= 0 {
-		scarceFrac = 0.25
-	}
+// scarceFrac is the headroom fraction of the pool whose use triggers
+// weighted fairness: donors count as scarce once a grant would eat into
+// the last quarter of the pool.
+const scarceFrac = 0.25
+
+func newAdmitter(quotas map[string]int64, weights map[string]float64) *admitter {
 	return &admitter{
-		quotas:     quotas,
-		weights:    weights,
-		scarceFrac: scarceFrac,
-		tenants:    make(map[string]*TenantStats),
+		quotas:  quotas,
+		weights: weights,
+		tenants: make(map[string]*TenantStats),
 	}
 }
 
@@ -102,7 +102,7 @@ func (a *admitter) admit(tenant string, n, priority int, mrSize int64, total int
 		for _, t := range a.tenants {
 			heldTotal += t.HeldMRs
 		}
-		headroom := a.scarceFrac * float64(total)
+		headroom := scarceFrac * float64(total)
 		if float64(heldTotal+int64(n)) > float64(total)-headroom {
 			capacity := float64(total) - headroom
 			demands := make(map[string]float64, len(a.tenants))

@@ -269,20 +269,26 @@ func TestBrokerFailover(t *testing.T) {
 	})
 }
 
-func TestFairShareCap(t *testing.T) {
+// A request with no Tenant is charged to its holder, so a quota keyed
+// by the holder's name caps that server's share of the pool.
+func TestHolderQuotaCapsDefaultTenant(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxFractionPerHolder = 0.5
+	cfg.Quotas = map[string]int64{"db1": 4 << 20, "db2": 4 << 20}
 	clusterHarness(t, 1, 1, 8, cfg, func(p *sim.Proc, c *Cluster, _ *metastore.Store) {
-		// db1 may take at most 4 of the 8 MRs.
+		// db1 may take at most 4 of the 8 1-MiB MRs.
 		if _, err := c.Request(p, RequestSpec{Holder: "db1", N: 4, Place: PlacePack}); err != nil {
 			t.Errorf("within quota: %v", err)
 		}
-		if _, err := c.Request(p, RequestSpec{Holder: "db1", N: 1, Place: PlacePack}); err != ErrQuota {
+		if _, err := c.Request(p, RequestSpec{Holder: "db1", N: 1, Place: PlacePack}); !errors.Is(err, ErrQuota) {
 			t.Errorf("over quota: %v, want ErrQuota", err)
 		}
 		// Another holder still gets its share.
 		if _, err := c.Request(p, RequestSpec{Holder: "db2", N: 4, Place: PlacePack}); err != nil {
 			t.Errorf("second holder within quota: %v", err)
+		}
+		st := c.TenantStats()
+		if st["db1"].HeldMRs != 4 || st["db1"].Denies != 1 || st["db2"].HeldMRs != 4 {
+			t.Errorf("tenant stats = %+v, want db1 and db2 holding 4 MRs each, db1 denied once", st)
 		}
 	})
 }

@@ -23,26 +23,22 @@ var ErrShardDown = fmt.Errorf("broker: shard replica down (%w)", fault.ErrRetrya
 type Config struct {
 	LeaseTTL time.Duration
 
-	// MaxFractionPerHolder caps one database server's share of the
-	// cluster's brokered MRs (0 disables). This is the "fairness across
-	// multiple workloads" brokering policy the paper lists as future
-	// work in Section 7.
-	MaxFractionPerHolder float64
-
-	// Namespace roots the metastore subtrees of the shards (default
-	// "/broker"; shard i owns <Namespace>/shard<i>).
-	Namespace string
-
-	// Quotas caps each tenant's leased bytes (hard limit). Weights give
-	// tenants max-min shares enforced while donors are scarce — when a
-	// grant would eat into the last ScarceFrac of the pool (default
-	// 0.25). Leave Weights nil to disable fairness.
-	Quotas     map[string]int64
-	Weights    map[string]float64
-	ScarceFrac float64
+	// Quotas caps each tenant's leased bytes (hard limit); a tenant
+	// defaults to the requesting holder, so a quota keyed by a holder's
+	// name caps that server's share. Weights give tenants max-min shares
+	// enforced while donors are scarce — when a grant would eat into the
+	// last quarter of the pool. This is the "fairness across multiple
+	// workloads" brokering policy the paper lists as future work in
+	// Section 7. Leave both nil to disable admission.
+	Quotas  map[string]int64
+	Weights map[string]float64
 }
 
-// DefaultConfig uses a 10 s lease TTL and no fairness cap.
+// namespace roots the metastore subtrees of the shards: shard i owns
+// <namespace>/shard<i>.
+const namespace = "/broker"
+
+// DefaultConfig uses a 10 s lease TTL and no admission.
 func DefaultConfig() Config { return Config{LeaseTTL: 10 * time.Second} }
 
 // RequestSpec describes one lease request: who, how many, where, and the
@@ -98,10 +94,10 @@ type RevokeWatch func(l *Lease)
 //   - Each shard persists under its own metastore namespace
 //     (<ns>/shard<i>), and shards mint disjoint lease IDs by striding,
 //     so a lease's shard is recoverable as id mod stride.
-//   - Admission (the per-holder cap, tenant quotas, weighted max-min
-//     under scarcity) and tenant accounting run once, here at the router
-//     — per-shard enforcement would multiply every tenant's allowance by
-//     the shard count.
+//   - Admission (tenant quotas, weighted max-min under scarcity) and
+//     tenant accounting run once, here at the router — per-shard
+//     enforcement would multiply every tenant's allowance by the shard
+//     count.
 //   - A failed replica is handed off with RecoverShard, which rebuilds
 //     the shard's broker from its namespace and the holder-side lease
 //     handles the router kept.
@@ -127,14 +123,10 @@ type shard struct {
 }
 
 // NewCluster creates the lease service: n broker replicas over store
-// (n < 1 means one). cfg.Namespace (default "/broker") roots the
-// per-shard subtrees.
+// (n < 1 means one), each under its own subtree of namespace.
 func NewCluster(p *sim.Proc, store *metastore.Store, n int, cfg Config) *Cluster {
 	if n < 1 {
 		n = 1
-	}
-	if cfg.Namespace == "" {
-		cfg.Namespace = "/broker"
 	}
 	c := &Cluster{
 		store:   store,
@@ -143,7 +135,7 @@ func NewCluster(p *sim.Proc, store *metastore.Store, n int, cfg Config) *Cluster
 		watches: make(map[string][]RevokeWatch),
 	}
 	if cfg.Quotas != nil || cfg.Weights != nil {
-		c.admit = newAdmitter(cfg.Quotas, cfg.Weights, cfg.ScarceFrac)
+		c.admit = newAdmitter(cfg.Quotas, cfg.Weights)
 	}
 	for i := range c.shards {
 		sh := &shard{id: i, handles: make(map[LeaseID]*Lease)}
@@ -156,7 +148,7 @@ func NewCluster(p *sim.Proc, store *metastore.Store, n int, cfg Config) *Cluster
 // openShard builds a fresh broker for sh under the shard's metastore
 // subtree, reporting its revocations to the router.
 func (c *Cluster) openShard(p *sim.Proc, sh *shard) *Broker {
-	ns := fmt.Sprintf("%s/shard%d", c.cfg.Namespace, sh.id)
+	ns := fmt.Sprintf("%s/shard%d", namespace, sh.id)
 	b := newBroker(p, c.store, ns, c.cfg.LeaseTTL, sh.id, len(c.shards))
 	b.onRevoke = func(l *Lease, why revokeCause) { c.revoked(sh, l, why) }
 	return b
@@ -264,19 +256,6 @@ func (c *Cluster) Request(p *sim.Proc, spec RequestSpec) ([]*Lease, error) {
 	}
 	if avail < spec.N {
 		return nil, ErrNoMemory
-	}
-	if c.cfg.MaxFractionPerHolder > 0 {
-		held := 0
-		for _, sh := range c.shards {
-			for _, l := range sh.handles {
-				if l.Holder == spec.Holder {
-					held++
-				}
-			}
-		}
-		if float64(held+spec.N) > c.cfg.MaxFractionPerHolder*float64(total) {
-			return nil, ErrQuota
-		}
 	}
 	if c.admit != nil {
 		if err := c.admit.admit(spec.Tenant, spec.N, spec.Priority, int64(c.mrSize()), total); err != nil {

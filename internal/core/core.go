@@ -62,7 +62,7 @@ type Salvage func(p *sim.Proc, f *File, off, n int64) error
 
 // FS creates and opens remote-memory files for one database server. Its
 // knobs are the Config it was built from, normalized by NewFS
-// (Replication >= 1 and, above 1, Integrity on; BlockSize defaulted).
+// (Replication >= 1 and, above 1, Integrity on).
 type FS struct {
 	Config
 	Broker    *broker.Cluster
@@ -115,21 +115,17 @@ type FS struct {
 
 // Config parameterizes an FS.
 type Config struct {
-	Protocol  nic.Protocol
-	Placement broker.Placement
+	Protocol nic.Protocol
 
 	// Tenant is the workload leases are charged to for broker admission
 	// (quotas, max-min fairness); empty defaults to the holder name.
 	Tenant string
 
-	// AutoRenew keeps leases alive with one batched heartbeat process
-	// per FS: every still-healthy lease of every open file renews in a
-	// single broker round trip (Cluster.RenewAll), so renewal load
-	// scales with holders, not leases.
-	AutoRenew bool
-
-	// HeartbeatEvery is the batched-renewal cadence (0 = half the lease
-	// TTL).
+	// HeartbeatEvery is the cadence of the FS's one batched heartbeat
+	// process (0 = half the lease TTL): every still-healthy lease of
+	// every open file renews in a single broker round trip
+	// (Cluster.RenewAll), so renewal load scales with holders, not
+	// leases.
 	HeartbeatEvery time.Duration
 
 	// Recover enables re-lease/restripe recovery: when a stripe's lease
@@ -141,10 +137,6 @@ type Config struct {
 	// Integrity frames every logical block with a CRC-32C checksum and a
 	// generation stamp, verified on every read (see integrity.go).
 	Integrity bool
-
-	// BlockSize is the integrity/scrub granularity in bytes (default
-	// 4096). Only meaningful with Integrity on.
-	BlockSize int
 
 	// Replication stripes each file over K <= 64 replicas on distinct
 	// donors; values above 1 force Integrity (reads must verify to fail
@@ -198,11 +190,9 @@ type Config struct {
 // integrity layer off (the paper's bare best-effort contract).
 func DefaultConfig() Config {
 	return Config{
-		Protocol:  nic.ProtoRDMA,
-		Placement: broker.PlaceSpread,
-		AutoRenew: true,
-		Recover:   true,
-		Retry:     fault.DefaultRetryPolicy(),
+		Protocol: nic.ProtoRDMA,
+		Recover:  true,
+		Retry:    fault.DefaultRetryPolicy(),
 	}
 }
 
@@ -220,9 +210,6 @@ func NewFS(p *sim.Proc, b *broker.Cluster, client *rmem.Client, cfg Config) *FS 
 	}
 	if cfg.Replication < 1 {
 		cfg.Replication = 1
-	}
-	if cfg.Integrity && cfg.BlockSize <= 0 {
-		cfg.BlockSize = DefaultBlockSize
 	}
 	if cfg.Replication > 64 {
 		panic("core: Replication above 64 replicas per stripe")
@@ -320,11 +307,11 @@ func (fs *FS) requestAvoiding(p *sim.Proc, n int, avoid map[string]bool) ([]*bro
 	spec := broker.RequestSpec{
 		Holder: fs.holder,
 		N:      n,
-		Place:  fs.Placement,
+		Place:  broker.PlaceSpread,
 		Avoid:  avoid,
 		Tenant: fs.Tenant,
 	}
-	if fs.HealthChecks && fs.health != nil {
+	if fs.HealthChecks {
 		// Deprioritize donors our own health scoring has browned out or
 		// quarantined; the broker may know about more via other holders'
 		// piggybacked reports.
@@ -371,10 +358,10 @@ func (fs *FS) Create(p *sim.Proc, name string, size int64) (*File, error) {
 	mrSize := int64(probe[0].MR.Size())
 	stripeCap := mrSize
 	if fs.Integrity {
-		stripeCap = StripeCapacity(int(mrSize), fs.BlockSize)
+		stripeCap = StripeCapacity(int(mrSize), BlockSize)
 		if stripeCap <= 0 {
 			fs.Broker.Release(p, probe[0])
-			return nil, fmt.Errorf("core: MR size %d cannot hold one %d-byte framed block", mrSize, fs.BlockSize)
+			return nil, fmt.Errorf("core: MR size %d cannot hold one %d-byte framed block", mrSize, BlockSize)
 		}
 	}
 	k := fs.Replication
@@ -423,10 +410,10 @@ func (fs *FS) Create(p *sim.Proc, name string, size int64) (*File, error) {
 		connected: make(map[string]bool),
 	}
 	if fs.Integrity {
-		f.gens = make([]uint64, (size+int64(fs.BlockSize)-1)/int64(fs.BlockSize))
+		f.gens = make([]uint64, (size+BlockSize-1)/BlockSize)
 	}
 	fs.files[name] = f
-	if fs.AutoRenew && !fs.hbActive {
+	if !fs.hbActive {
 		fs.hbActive = true
 		fs.k.Go("lease-heartbeat:"+fs.holder, fs.heartbeatLoop)
 	}
@@ -584,7 +571,7 @@ func (fs *FS) heartbeatLoop(p *sim.Proc) {
 			fs.RenewRetries += int64(attempts - 1)
 		}
 		fs.Heartbeats++
-		if err == nil && fs.HealthChecks && fs.health != nil {
+		if err == nil && fs.HealthChecks {
 			// Piggyback the current slow-donor set on the heartbeat that
 			// just went through (same RPC in a real system); the broker
 			// deprioritizes these donors for every holder's new leases.

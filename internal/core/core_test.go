@@ -310,7 +310,7 @@ func TestLeaseExpiryWithoutRenewal(t *testing.T) {
 		k.Go("expire", func(ep *sim.Proc) { b.ExpireLoop(ep, 20*time.Millisecond) })
 		client := rmem.NewClient(p, db, rmem.DefaultClientConfig())
 		cfg := DefaultConfig()
-		cfg.AutoRenew = false
+		cfg.HeartbeatEvery = time.Second // first renewal long after the 100 ms TTL
 		fs := NewFS(p, b, client, cfg)
 		f, _ := fs.Create(p, "f", 1<<20)
 		f.OpenConn(p)

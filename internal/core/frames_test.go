@@ -74,7 +74,7 @@ func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
 		cfg.HedgeAfter = 30 * time.Microsecond
 		cfg.HedgeRateCap = 1
 		e := newEnv(p, 4, 8, cfg)
-		bs := DefaultBlockSize
+		bs := BlockSize
 		f, err := e.fs.Create(p, "f", 64*int64(bs))
 		if err != nil {
 			t.Error(err)
@@ -123,7 +123,7 @@ func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
 		for g := 0; g < f.Blocks(); g++ {
 			for r := 0; r < f.Replicas(); r++ {
 				fr := f.SnapshotBlockFrame(g, r)
-				if err := verifyFrame(fr, bs, f.gens[g]); err != nil {
+				if err := verifyFrame(fr, f.gens[g]); err != nil {
 					t.Errorf("block %d replica %d: %v", g, r, err)
 				} else if !bytes.Equal(fr[:bs], oracle[g*bs:(g+1)*bs]) {
 					t.Errorf("block %d replica %d holds bytes that differ from the oracle", g, r)
@@ -152,7 +152,7 @@ func TestFrameReuseWithLateHedgeLosers(t *testing.T) {
 func TestWholeBlocksLandInPlace(t *testing.T) {
 	inSim(t, func(p *sim.Proc) {
 		e := newEnv(p, 4, 8, integrityCfg(2))
-		bs := DefaultBlockSize
+		bs := BlockSize
 		f, _ := e.fs.Create(p, "f", 1<<20)
 		f.OpenConn(p)
 		data := pattern(1<<20, 7)
@@ -169,7 +169,7 @@ func TestWholeBlocksLandInPlace(t *testing.T) {
 		for i := range 15 {
 			vecs[i] = vfs.Vec{Off: int64(3 * i * bs), Buf: bytes.Repeat([]byte{0xEE}, bs)}
 		}
-		const partial = 60*DefaultBlockSize + 300
+		const partial = 60*BlockSize + 300
 		vecs[15] = vfs.Vec{Off: partial, Buf: bytes.Repeat([]byte{0xEE}, 100)}
 		sc := e.fs.getScratch()
 		if err := f.framedReadV(p, sc, vecs, false); err != nil {
@@ -190,7 +190,7 @@ func TestWholeBlocksLandInPlace(t *testing.T) {
 		if e.fs.Corruptions.N != 1 || e.fs.Repairs.N != 1 {
 			t.Errorf("%d corruptions and %d repairs, want 1 and 1", e.fs.Corruptions.N, e.fs.Repairs.N)
 		}
-		if err := verifyFrame(f.SnapshotBlockFrame(flipped, 0), bs, f.gens[flipped]); err != nil {
+		if err := verifyFrame(f.SnapshotBlockFrame(flipped, 0), f.gens[flipped]); err != nil {
 			t.Errorf("the flipped copy was not repaired: %v", err)
 		}
 		e.fs.CloseAll(p)
@@ -220,25 +220,25 @@ func TestPartialWriteIntoFreshBlockReadsZerosAround(t *testing.T) {
 			return
 		}
 		const blk = 200 // never written
-		off := int64(blk)*int64(e.fs.BlockSize) + 100
+		off := int64(blk)*BlockSize + 100
 		if err := f.WriteAt(p, []byte("hello"), off); err != nil {
 			t.Error(err)
 			return
 		}
 		// And the same through the vectored partial-block path.
 		const vblk = 210
-		voff := int64(vblk)*int64(e.fs.BlockSize) + 100
+		voff := int64(vblk)*BlockSize + 100
 		if err := f.WriteAtV(p, []vfs.Vec{{Off: voff, Buf: []byte("hello")}}); err != nil {
 			t.Error(err)
 			return
 		}
 		for _, base := range []int64{blk, vblk} {
-			got := make([]byte, e.fs.BlockSize)
-			if err := f.ReadAt(p, got, base*int64(e.fs.BlockSize)); err != nil {
+			got := make([]byte, BlockSize)
+			if err := f.ReadAt(p, got, base*BlockSize); err != nil {
 				t.Error(err)
 				return
 			}
-			want := make([]byte, e.fs.BlockSize)
+			want := make([]byte, BlockSize)
 			copy(want[100:], "hello")
 			if !bytes.Equal(got, want) {
 				t.Errorf("block %d: bytes around a partial write are not zero", base)
@@ -253,8 +253,8 @@ func TestPartialWriteIntoFreshBlockReadsZerosAround(t *testing.T) {
 // segment of a block however the vector orders them: ascending blocks
 // take the no-search path, a lower or repeated block the scan.
 func TestSplitBlocksFirstTouchOrder(t *testing.T) {
-	const bs = DefaultBlockSize
-	f := &File{fs: &FS{Config: Config{BlockSize: bs}}}
+	const bs = BlockSize
+	f := &File{fs: &FS{}}
 	buf := make([]byte, 4*bs)
 	var sc scratch
 	f.splitBlocks(&sc, []vfs.Vec{

@@ -487,7 +487,7 @@ func (c *raceChild) read(cp *sim.Proc) {
 	start := cp.Now()
 	err := f.fs.Transport.Read(cp, f.fs.Client, c.mr, c.frameOff, c.buf)
 	lat := cp.Now() - start
-	verified := err == nil && verifyFrame(c.buf, f.fs.BlockSize, f.gens[c.g]) == nil
+	verified := err == nil && verifyFrame(c.buf, f.gens[c.g]) == nil
 	if h := f.fs.health; h != nil {
 		h.observe(c.mr.Owner.Name, lat, err != nil || !verified, cp.Now())
 	}
@@ -525,13 +525,8 @@ func (f *File) raceFrame(p *sim.Proc, g int64, s, frameOff int, frame *[]byte, p
 	launch(primary)
 	hedgeArmed := hedge >= 0 && fs.hedgeAllowed()
 	if hedgeArmed {
-		thr := minHedgeThreshold
-		if h := fs.health; h != nil {
-			thr = h.hedgeThreshold(f.leases[s][primary].MR.Owner.Name)
-		} else if fs.HedgeAfter > 0 {
-			thr = fs.HedgeAfter
-		}
-		rc.hedge.Reset(thr)
+		// A hedge is named only under Hedging, which builds the tracker.
+		rc.hedge.Reset(fs.health.hedgeThreshold(f.leases[s][primary].MR.Owner.Name))
 	}
 	if deadline > 0 {
 		if p.Now() >= deadline {

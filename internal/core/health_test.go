@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"remotedb/internal/broker"
 	"remotedb/internal/fault"
 	"remotedb/internal/sim"
 )
@@ -193,7 +192,6 @@ func healthEnv(t *testing.T, p *sim.Proc, cfg Config) (*env, *File, int, []byte)
 	t.Helper()
 	cfg.Replication = 2
 	cfg.HealthChecks = true
-	cfg.Placement = broker.PlaceSpread
 	cfg.HeartbeatEvery = 2 * time.Millisecond
 	e := newEnv(p, 4, 8, cfg)
 	f, err := e.fs.Create(p, "f", 2<<20)
@@ -221,7 +219,7 @@ func healthEnv(t *testing.T, p *sim.Proc, cfg Config) (*env, *File, int, []byte)
 		t.Fatalf("no stripe avoids donor %q; placement changed", slowName)
 	}
 	lo, _ := f.stripeBlockRange(warm)
-	warmOff := lo * int64(e.fs.BlockSize)
+	warmOff := lo * BlockSize
 	data := bytes.Repeat([]byte{5}, 8192)
 	f.WriteAt(p, data, 0) // stripe 0, primary on the slow donor
 	f.WriteAt(p, data, warmOff)

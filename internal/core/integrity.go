@@ -58,9 +58,9 @@ import (
 	"remotedb/internal/vfs"
 )
 
-// DefaultBlockSize is the integrity block granularity: half an 8 KiB
+// BlockSize is the integrity block granularity: half an 8 KiB
 // database page, so page I/O stays frame-aligned.
-const DefaultBlockSize = 4096
+const BlockSize = 4096
 
 // trailerSize is the per-block overhead: CRC-32C + generation.
 const trailerSize = 4 + 8
@@ -69,22 +69,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // StripeCapacity returns the logical bytes one MR of mrBytes holds once
 // each blockSize block is framed with its trailer (blockSize <= 0 means
-// DefaultBlockSize). Sizing helpers use it to translate file sizes into
+// BlockSize). Sizing helpers use it to translate file sizes into
 // MR counts.
 func StripeCapacity(mrBytes, blockSize int) int64 {
 	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+		blockSize = BlockSize
 	}
 	return int64(mrBytes/(blockSize+trailerSize)) * int64(blockSize)
 }
 
 // sealFrame stamps gen and the CRC-32C over data+generation into the
 // frame's trailer.
-func sealFrame(frame []byte, bs int, gen uint64) {
-	binary.LittleEndian.PutUint64(frame[bs+4:bs+trailerSize], gen)
-	crc := crc32.Checksum(frame[:bs], castagnoli)
-	crc = crc32.Update(crc, castagnoli, frame[bs+4:bs+trailerSize])
-	binary.LittleEndian.PutUint32(frame[bs:bs+4], crc)
+func sealFrame(frame []byte, gen uint64) {
+	binary.LittleEndian.PutUint64(frame[BlockSize+4:BlockSize+trailerSize], gen)
+	crc := crc32.Checksum(frame[:BlockSize], castagnoli)
+	crc = crc32.Update(crc, castagnoli, frame[BlockSize+4:BlockSize+trailerSize])
+	binary.LittleEndian.PutUint32(frame[BlockSize:BlockSize+4], crc)
 }
 
 // Integrity-verification failure flavors (both are "corrupt" to
@@ -96,8 +96,8 @@ var (
 
 // verifyFrame checks the trailer against the data and the expected
 // generation.
-func verifyFrame(frame []byte, bs int, wantGen uint64) error {
-	return verifyParts(frame[:bs], frame[bs:], wantGen)
+func verifyFrame(frame []byte, wantGen uint64) error {
+	return verifyParts(frame[:BlockSize], frame[BlockSize:], wantGen)
 }
 
 // verifyParts is verifyFrame of a frame held in two parts: the block's
@@ -114,7 +114,7 @@ func verifyParts(data, trailer []byte, wantGen uint64) error {
 	return nil
 }
 
-func (f *File) frameSize() int { return f.fs.BlockSize + trailerSize }
+func (f *File) frameSize() int { return BlockSize + trailerSize }
 
 // getFrame takes a frame buffer off the FS free list (contents
 // undefined), allocating only when the list is empty. A plain slice
@@ -125,14 +125,14 @@ func (fs *FS) getFrame() []byte {
 		fs.frames = fs.frames[:last]
 		return fr
 	}
-	return make([]byte, fs.BlockSize+trailerSize)
+	return make([]byte, BlockSize+trailerSize)
 }
 
 // putFrame returns a frame nothing references any more.
 func (fs *FS) putFrame(fr []byte) { fs.frames = append(fs.frames, fr) }
 
 // framesPerStripe returns how many framed blocks one stripe holds.
-func (f *File) framesPerStripe() int64 { return f.stripeCap / int64(f.fs.BlockSize) }
+func (f *File) framesPerStripe() int64 { return f.stripeCap / BlockSize }
 
 // blockHome locates logical block g: its stripe and the frame's byte
 // offset within each replica MR.
@@ -170,7 +170,7 @@ func (f *File) repairBlockOn(p *sim.Proc, g int64, r int, goodFrame []byte) {
 		return
 	}
 	if err == nil {
-		f.fs.Repairs.Add(1, int64(f.fs.BlockSize))
+		f.fs.Repairs.Add(1, BlockSize)
 	}
 }
 
@@ -189,8 +189,8 @@ func (f *File) poisonBlock(p *sim.Proc, g int64) {
 	if f.salvage == nil || !f.fs.Recover {
 		return
 	}
-	off := g * int64(f.fs.BlockSize)
-	n := int64(f.fs.BlockSize)
+	off := g * BlockSize
+	n := int64(BlockSize)
 	if off+n > f.size {
 		n = f.size - off
 	}
@@ -263,7 +263,7 @@ func (f *File) repairReplica(p *sim.Proc, s, r int) {
 // caught by verification and repaired from the peer.
 func (f *File) copyStripeTo(p *sim.Proc, s int, dst *broker.Lease) error {
 	lo, hi := f.stripeBlockRange(s)
-	bs := f.fs.BlockSize
+	bs := BlockSize
 	fsz := int64(f.frameSize())
 	const maxRun, maxPasses = 32, 8
 	runBuf := make([]byte, maxRun*fsz)
@@ -340,7 +340,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 		}
 	}
 	lo, hi := f.stripeBlockRange(s)
-	bs := f.fs.BlockSize
+	bs := BlockSize
 	fsz := int64(f.frameSize())
 	const maxRun = 32
 	scratch := make([]byte, maxRun*fsz)
@@ -376,7 +376,7 @@ func (f *File) scrubStripe(p *sim.Proc, s int) {
 			}
 			for i := int64(0); i < run; i++ {
 				fr := scratch[i*fsz : (i+1)*fsz]
-				if verifyFrame(fr, bs, f.gens[g+i]) == nil {
+				if verifyFrame(fr, f.gens[g+i]) == nil {
 					f.fs.ScrubChecked.Add(1, int64(bs))
 					continue
 				}
@@ -432,14 +432,14 @@ func (f *File) blockMR(g, r int) (*rmem.MR, int, bool) {
 // (a silent medium bit flip).
 func (f *File) InjectBlockFlip(g, r int) bool {
 	mr, off, ok := f.blockMR(g, r)
-	return ok && mr.InjectXOR(off+f.fs.BlockSize/2, 0x01)
+	return ok && mr.InjectXOR(off+BlockSize/2, 0x01)
 }
 
 // InjectBlockTear clobbers the second half of block g's stored data on
 // replica r without touching the trailer (a torn write).
 func (f *File) InjectBlockTear(g, r int) bool {
 	mr, off, ok := f.blockMR(g, r)
-	return ok && mr.InjectClobber(off+f.fs.BlockSize/2, f.fs.BlockSize/2)
+	return ok && mr.InjectClobber(off+BlockSize/2, BlockSize/2)
 }
 
 // SnapshotBlockFrame captures block g's stored frame on replica r for a

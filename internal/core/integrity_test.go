@@ -355,7 +355,7 @@ func TestVectoredSpansStripeBoundaries(t *testing.T) {
 			}
 		}
 		// The batch must charge fewer round trips than one per block.
-		blocks := int64(4 * 8192 / e.fs.BlockSize)
+		blocks := int64(4 * 8192 / BlockSize)
 		before := e.fs.Client.RoundTrips
 		if err := f.ReadAtV(p, rv); err != nil {
 			t.Error(err)

@@ -192,7 +192,7 @@ func (fs *FS) putScratch(sc *scratch) {
 // is new without a search (sequential and sorted vectors, the common
 // shapes); anything else scans the list for an earlier touch.
 func (f *File) splitBlocks(sc *scratch, vecs []vfs.Vec) {
-	bs := int64(f.fs.BlockSize)
+	bs := int64(BlockSize)
 	maxG := int64(-1)
 	for _, v := range vecs {
 		b, off := v.Buf, v.Off
@@ -322,7 +322,7 @@ func (f *File) accessV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, write bool) err
 // trailer in the frame, so its bytes are moved once (DESIGN §14).
 func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool) error {
 	f.splitBlocks(sc, vecs)
-	bs := f.fs.BlockSize
+	bs := BlockSize
 	for i := range sc.blocks {
 		blk := &sc.blocks[i]
 		g := blk.g
@@ -432,7 +432,7 @@ func (f *File) framedReadV(p *sim.Proc, sc *scratch, vecs []vfs.Vec, scalar bool
 // its generation alone.
 func (f *File) framedWriteV(p *sim.Proc, sc *scratch, vecs []vfs.Vec) error {
 	f.splitBlocks(sc, vecs)
-	bs := int64(f.fs.BlockSize)
+	bs := int64(BlockSize)
 	for i := range sc.blocks {
 		blk := &sc.blocks[i]
 		g := blk.g
@@ -451,7 +451,7 @@ func (f *File) framedWriteV(p *sim.Proc, sc *scratch, vecs []vfs.Vec) error {
 			copy(blk.frame[sg.within:], sg.data)
 		}
 		blk.gen = f.gens[g] + 1
-		sealFrame(blk.frame, int(bs), blk.gen)
+		sealFrame(blk.frame, blk.gen)
 		s, frameOff := f.blockHome(g)
 		live, _, err := f.liveReplicas(p, s, -1)
 		if err != nil {
@@ -510,7 +510,7 @@ func (f *File) framedWriteV(p *sim.Proc, sc *scratch, vecs []vfs.Vec) error {
 // winner's; on nil return, *frame holds a verified frame.
 func (f *File) fetchBlock(p *sim.Proc, g int64, frame *[]byte, skip int) error {
 	s, frameOff := f.blockHome(g)
-	bs := f.fs.BlockSize
+	bs := BlockSize
 	live, failedOver, err := f.liveReplicas(p, s, skip)
 	if err != nil {
 		return err
@@ -539,7 +539,7 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame *[]byte, skip int) error {
 			if err != nil && !errors.Is(err, rmem.ErrRevoked) {
 				return err
 			}
-			if err == nil && verifyFrame(*frame, bs, f.gens[g]) == nil {
+			if err == nil && verifyFrame(*frame, f.gens[g]) == nil {
 				winner = r
 			} else if err := f.readFailed(s, r, err, &bad); err != nil {
 				return err
@@ -606,7 +606,7 @@ func (f *File) fetchBlock(p *sim.Proc, g int64, frame *[]byte, skip int) error {
 func (f *File) readFailed(s, r int, err error, bad *replicaSet) error {
 	switch {
 	case err == nil:
-		f.fs.Corruptions.Add(1, int64(f.fs.BlockSize))
+		f.fs.Corruptions.Add(1, BlockSize)
 		bad.add(r)
 	case errors.Is(err, rmem.ErrRevoked):
 		f.replicaLost(s, r)

@@ -38,7 +38,7 @@ func TestScalarIsVectorOfOne(t *testing.T) {
 			}
 			sf.OpenConn(p)
 			vf.OpenConn(p)
-			bs := int64(DefaultBlockSize)
+			bs := int64(BlockSize)
 			ranges := []struct {
 				what string
 				off  int64
@@ -324,7 +324,7 @@ func TestFailedVectorReturnsFramesAndScratch(t *testing.T) {
 func TestReplicaRebuildKeepsConcurrentWrites(t *testing.T) {
 	inSim(t, func(p *sim.Proc) {
 		e := newEnv(p, 3, 8, integrityCfg(2))
-		bs := DefaultBlockSize
+		bs := BlockSize
 		const blocks = 128
 		f, _ := e.fs.Create(p, "f", blocks*int64(bs))
 		f.OpenConn(p)
@@ -350,7 +350,7 @@ func TestReplicaRebuildKeepsConcurrentWrites(t *testing.T) {
 		for g := 0; g < blocks; g++ {
 			for r := 0; r < f.Replicas(); r++ {
 				fr := f.SnapshotBlockFrame(g, r)
-				if err := verifyFrame(fr, bs, f.gens[g]); err != nil {
+				if err := verifyFrame(fr, f.gens[g]); err != nil {
 					t.Errorf("block %d replica %d after the swap: %v", g, r, err)
 				} else if !bytes.Equal(fr[:bs], oracle[g*bs:(g+1)*bs]) {
 					t.Errorf("block %d replica %d differs from the oracle", g, r)

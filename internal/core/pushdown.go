@@ -42,7 +42,7 @@ func (f *File) PushChunk() int {
 	if !f.fs.Integrity {
 		return 0
 	}
-	return f.fs.BlockSize
+	return BlockSize
 }
 
 // PushRead evaluates q against the pushable record log stored in
@@ -61,7 +61,7 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 	if !f.fs.Integrity {
 		return nil, stats, ErrNoPush
 	}
-	bs := int64(f.fs.BlockSize)
+	bs := int64(BlockSize)
 	if off%bs != 0 {
 		return nil, stats, fmt.Errorf("core: pushed read at %d not aligned to %d-byte blocks", off, bs)
 	}
@@ -90,16 +90,15 @@ func (f *File) PushRead(p *sim.Proc, off, n int64, q *rmem.PushQuery) ([]byte, r
 		}
 		r := live.first()
 		gen := f.gens[g]
-		blockSize := f.fs.BlockSize
 		elems = append(elems, rmem.PushElem{
 			MR:  f.leases[s][r].MR,
 			Off: frameOff,
 			N:   f.frameSize(),
 			Verify: func(raw []byte) ([]byte, error) {
-				if err := verifyFrame(raw, blockSize, gen); err != nil {
+				if err := verifyFrame(raw, gen); err != nil {
 					return nil, err
 				}
-				return raw[:blockSize], nil
+				return raw[:BlockSize], nil
 			},
 		})
 		refs = append(refs, ref{g: g, s: s, r: r})
@@ -150,7 +149,7 @@ func (f *File) pushFallbackBlock(p *sim.Proc, g int64, q *rmem.PushQuery) ([]byt
 	if err := f.fetchBlock(p, g, &frame, -1); err != nil {
 		return nil, err
 	}
-	data := frame[:f.fs.BlockSize]
+	data := frame[:BlockSize]
 	out, rows, _, err := rmem.EvalPush(data, q, nil)
 	if err != nil {
 		// The frame verified but its records do not parse: announce it
@@ -158,7 +157,7 @@ func (f *File) pushFallbackBlock(p *sim.Proc, g int64, q *rmem.PushQuery) ([]byt
 		f.poisonBlock(p, g)
 		return nil, f.corruptErr(g)
 	}
-	f.fs.Client.Server.Work(p, rmem.PushEvalCost(int64(len(data)), int64(rows), len(q.Preds), 1))
+	f.fs.Client.Server.Work(p, rmem.PushEvalCost(int64(len(data)), int64(rows), len(q.Preds)))
 	f.BytesRead += int64(len(data))
 	return out, nil
 }

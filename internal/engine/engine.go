@@ -42,9 +42,6 @@ type Config struct {
 	Buffer     buffer.Config // the pool: frame count, eviction, batched I/O, readahead
 	CPU        exec.CPUProfile
 	SemCache   semcache.FileFactory // nil: semantic cache disabled
-	// PlanCacheEntries bounds the planner's plan cache
-	// (0 = default 128, negative = caching disabled).
-	PlanCacheEntries int
 	// DOP is the per-query degree of parallelism offered to the
 	// planner (0 = default 4, following SQL Server's parallel-by-default
 	// analytic plans).
@@ -53,9 +50,6 @@ type Config struct {
 	// holding a table's remote segment (see BuildPushSegment) and lets
 	// spilled hash joins probe remote hash tables.
 	Pushdown bool
-	// DonorPrice scales donor CPU in the placement cost model
-	// (0 = donor cores priced like local ones).
-	DonorPrice float64
 	// Budget is the per-query remote-I/O deadline budget stamped on
 	// each query's proc by exec.Open (0 = none; see exec.Ctx.Budget).
 	Budget time.Duration
@@ -110,9 +104,8 @@ func New(p *sim.Proc, server *cluster.Server, files Files, cfg Config) (*Engine,
 	if e.DOP == 0 {
 		e.DOP = 4 // SQL Server runs analytic plans parallel by default
 	}
-	e.Planner = plan.NewPlanner(e.Cost, cfg.PlanCacheEntries)
+	e.Planner = plan.NewPlanner(e.Cost, 0)
 	e.Planner.Pushdown = cfg.Pushdown
-	e.Planner.DonorPrice = cfg.DonorPrice
 	e.Cache = semcache.New(cfg.SemCache, e.Log)
 	return e, nil
 }

@@ -53,7 +53,6 @@ type PushScanInputs struct {
 	OutBytes    int64   // projected bytes per qualifying row
 	Selectivity float64 // estimated fraction of rows qualifying
 	Leaves      int     // pushable predicate leaf count
-	DonorPrice  float64 // donor CPU price (0 = 1.0)
 	LocalTier   Tier    // tier serving a local buffered scan of the base table
 	DOP         int     // partitions evaluated concurrently (0/1 = serial)
 }
@@ -89,10 +88,10 @@ func (in PushScanInputs) matched() int64 {
 }
 
 // CostPushScan estimates a donor-evaluated scan: the donors verify and
-// scan the whole segment (priced CPU), then only the qualifying
+// scan the whole segment (rmem.PushEvalCost), then only the qualifying
 // projected bytes cross the wire and get decoded client-side.
 func (m *Model) CostPushScan(in PushScanInputs) time.Duration {
-	donor := rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves, in.DonorPrice)
+	donor := rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves)
 	ret := in.matched() * in.OutBytes
 	cost := in.cpuDiv(donor) + m.wireCost(TierRemote, ret)
 	cost += in.cpuDiv(time.Duration(in.matched()) * m.RowCPU) // client-side decode

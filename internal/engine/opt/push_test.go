@@ -23,7 +23,7 @@ func TestCostPushScanArithmetic(t *testing.T) {
 	m := NewModel()
 	in := pushIn(0.01)
 	matched := int64(float64(in.Rows) * in.Selectivity)
-	donor := rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves, 1)
+	donor := rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves)
 	retPages := (matched*in.OutBytes + PageBytes - 1) / PageBytes
 	want := donor +
 		time.Duration(retPages)*m.Tiers[TierRemote].SeqPage +
@@ -60,20 +60,6 @@ func TestChoosePlacementSelectivityRegimes(t *testing.T) {
 	}
 }
 
-func TestDonorPriceMovesCrossover(t *testing.T) {
-	m := NewModel()
-	cheap := m.PushCrossoverSelectivity(pushIn(0))
-	pricey := pushIn(0)
-	pricey.DonorPrice = 50
-	expensive := m.PushCrossoverSelectivity(pricey)
-	if !(expensive < cheap) {
-		t.Errorf("pricier donor CPU should lower the crossover: %v vs %v", expensive, cheap)
-	}
-	if cheap <= 0 || cheap >= 1 {
-		t.Errorf("crossover = %v, want interior point", cheap)
-	}
-}
-
 func TestPushCrossoverMatchesHandMath(t *testing.T) {
 	m := NewModel()
 	in := pushIn(0)
@@ -82,7 +68,7 @@ func TestPushCrossoverMatchesHandMath(t *testing.T) {
 	//   donor + sel·R·OB·(SeqR/P) + sel·R·RowCPU + RandR
 	//     = B·(SeqR/P) + R·RowCPU
 	seqPerByte := float64(m.Tiers[TierRemote].SeqPage) / PageBytes
-	donor := float64(rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves, 1))
+	donor := float64(rmem.PushEvalCost(in.Bytes, in.Rows, in.Leaves))
 	fetch := float64(in.Bytes)*seqPerByte + float64(in.Rows)*float64(m.RowCPU)
 	perSel := float64(in.Rows)*float64(in.OutBytes)*seqPerByte +
 		float64(in.Rows)*float64(m.RowCPU)

@@ -64,9 +64,6 @@ type Planner struct {
 	// buffered B-tree scan. Off by default: a placement is only as good
 	// as the pushable segments backing it.
 	Pushdown bool
-	// DonorPrice scales donor CPU in the placement cost model
-	// (0 = 1.0, i.e. donor cores priced like local ones).
-	DonorPrice float64
 
 	// Hits and Misses count cache outcomes.
 	Hits, Misses int64
@@ -278,7 +275,6 @@ func (pl *Planner) choosePlacement(n *Node, preds []Pred, dop int) opt.Placement
 		OutBytes:    seg.Bytes / seg.Rows,
 		Selectivity: sel,
 		Leaves:      len(leaves),
-		DonorPrice:  pl.DonorPrice,
 		LocalTier:   pl.DataTier,
 		DOP:         dop,
 	})

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"remotedb/internal/exp"
 )
@@ -18,7 +19,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick/*.t
 // checks its entry's claims, one nested subtest per claim, and a nested
 // "golden" subtest compares everything rmbench -quick prints for the
 // entry — its report text, then its Summary (metrics and claim lines) —
-// with testdata/quick/<name>.txt.
+// with testdata/quick/<name>.txt. Each entry logs its wall time (-v);
+// the entries share the CPUs with whichever others run beside them, so
+// the time is an upper bound on the entry's own. Per-entry peak RSS is
+// not logged: the process's peak cannot be split between entries that
+// run at once.
 func TestExperiments(t *testing.T) {
 	for _, e := range exp.Experiments {
 		name := e.Names[0]
@@ -26,7 +31,10 @@ func TestExperiments(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
 			rep := exp.NewReport(&buf)
-			if err := e.Run(1, true, rep); err != nil {
+			start := time.Now()
+			err := e.Run(1, true, rep)
+			t.Logf("wall time %v", time.Since(start).Round(time.Millisecond))
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range e.Claims {

@@ -30,7 +30,6 @@ import (
 type PushdownParams struct {
 	Rows          int
 	Selectivities []float64
-	DonorPrice    float64
 }
 
 // pushdownPad is the payload carried by every row.
@@ -102,7 +101,6 @@ func RunPushdown(seed int64, prm PushdownParams) (*PushdownResult, error) {
 		cfg.FS.Integrity = true // pushed reads verify donor-side; framing defines the chunk
 		cfg.FS.Replication = 2  // corrupt/revoked stripes repair from the replica
 		cfg.Engine.Pushdown = true
-		cfg.Engine.DonorPrice = prm.DonorPrice
 		bed, err := NewBed(p, cfg)
 		if err != nil {
 			return err
@@ -145,13 +143,12 @@ func RunPushdown(seed int64, prm PushdownParams) (*PushdownResult, error) {
 		res.Rows = seg.Rows
 		res.SegmentBytes = seg.Bytes
 		res.Crossover = eng.Cost.PushCrossoverSelectivity(opt.PushScanInputs{
-			Rows:       seg.Rows,
-			Bytes:      seg.Bytes,
-			OutBytes:   seg.Bytes / seg.Rows,
-			Leaves:     1,
-			DonorPrice: prm.DonorPrice,
-			LocalTier:  opt.TierRemote,
-			DOP:        eng.DOP,
+			Rows:      seg.Rows,
+			Bytes:     seg.Bytes,
+			OutBytes:  seg.Bytes / seg.Rows,
+			Leaves:    1,
+			LocalTier: opt.TierRemote,
+			DOP:       eng.DOP,
 		})
 
 		timed := func(op exec.Op) (int64, time.Duration, error) {

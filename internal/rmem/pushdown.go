@@ -1,11 +1,11 @@
 // Donor-side operator pushdown: ScanPush evaluates simple predicates
 // (constant compares, AND-of-leaves) and column projections against
 // remote blocks *at the donor*, so only qualifying row bytes cross the
-// wire. The donor's CPU is charged in the simulation (scaled by the
-// configured DonorCPU price), the tiny predicate descriptor travels
-// client->donor, and the qualifying bytes return in one staged,
-// doorbell-batched transfer per destination server — the Farview-style
-// complement to the paper's fetch-everything design.
+// wire. The donor's CPU is charged in the simulation by PushEvalCost,
+// the formula the optimizer prices it with; the tiny predicate
+// descriptor travels client->donor, and the qualifying bytes return in
+// one staged, doorbell-batched transfer per destination server — the
+// Farview-style complement to the paper's fetch-everything design.
 //
 // Pushdown requires plaintext at the donor and a one-sided-capable
 // transport, so it is unavailable when payload encryption is on (donors
@@ -123,7 +123,7 @@ type PushStats struct {
 	BytesReturned int64 // qualifying bytes that crossed the wire
 	RowsScanned   int64
 	RowsMatched   int64
-	DonorCPU      time.Duration // donor CPU charged, post-price
+	DonorCPU      time.Duration // donor CPU charged
 }
 
 // Donor-side evaluation cost model: a streaming scan over pinned memory
@@ -135,24 +135,13 @@ const (
 	pushPerLeaf         = 10 * time.Nanosecond
 )
 
-// pushEvalCost returns the donor CPU time to verify and scan n bytes
-// holding records rows with the given leaf count, before pricing.
-func pushEvalCost(n int, rows, leaves int) time.Duration {
+// PushEvalCost returns the donor CPU time to verify and scan n bytes
+// holding rows records against leaves predicate leaves: what ScanPush
+// charges the donor and what the optimizer prices a pushed scan with.
+func PushEvalCost(n, rows int64, leaves int) time.Duration {
 	d := time.Duration(float64(n) / pushScanBytesPerSec * 1e9)
 	d += time.Duration(rows) * (pushPerRecord + time.Duration(leaves)*pushPerLeaf)
 	return d
-}
-
-// PushEvalCost is the cost model the optimizer prices donor CPU with:
-// the donor time to scan n bytes of rows records against leaves leaves,
-// scaled by price (the DonorCPU knob).
-func PushEvalCost(n int64, rows int64, leaves int, price float64) time.Duration {
-	if price <= 0 {
-		price = 1
-	}
-	d := time.Duration(float64(n) / pushScanBytesPerSec * 1e9)
-	d += time.Duration(rows) * (pushPerRecord + time.Duration(leaves)*pushPerLeaf)
-	return time.Duration(float64(d) * price)
 }
 
 // ScanPush evaluates q against every element at the element's donor and
@@ -229,14 +218,10 @@ func (c *Client) pushBatch(p *sim.Proc, elems []PushElem, batch []int, q *PushQu
 		owner    *cluster.Server
 		reqBytes int           // descriptor bytes client->donor
 		outBytes int           // qualifying bytes donor->client
-		cpu      time.Duration // donor eval time, post-price
+		cpu      time.Duration // donor eval time
 	}
 	var groups []group
 	desc := q.descriptorBytes()
-	price := c.DonorCPU
-	if price <= 0 {
-		price = 1
-	}
 	evalErr := make([]error, len(elems))
 	for _, i := range batch {
 		e := &elems[i]
@@ -271,7 +256,7 @@ func (c *Client) pushBatch(p *sim.Proc, elems []PushElem, batch []int, q *PushQu
 		}
 		// Verify + eval both burn donor CPU whether or not they succeed:
 		// a corrupt block is discovered *by* the checksum pass.
-		cost := time.Duration(float64(pushEvalCost(e.N, rows, len(q.Preds))) * price)
+		cost := PushEvalCost(int64(e.N), int64(rows), len(q.Preds))
 		groups[gi].cpu += cost
 		stats.DonorCPU += cost
 		stats.BytesScanned += int64(e.N)

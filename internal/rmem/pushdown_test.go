@@ -145,46 +145,6 @@ func TestScanPushReturnsOnlyMatchingBytes(t *testing.T) {
 	k.Run(time.Minute)
 }
 
-func TestScanPushDonorCPUPrice(t *testing.T) {
-	k := newKernel(t, 1)
-	m := testServer(k, "m1")
-	db := testServer(k, "db1")
-	k.Go("x", func(p *sim.Proc) {
-		pool, _ := NewPool(p, m, 1<<20, 1)
-		mr, _ := pool.Acquire()
-		tr := NewTransport(nic.ProtoRDMA)
-		cheap := NewClient(p, db, DefaultClientConfig())
-		pricey := func() *Client {
-			cfg := DefaultClientConfig()
-			cfg.DonorCPU = 4
-			return NewClient(p, db, cfg)
-		}()
-
-		var seg []byte
-		for i := 0; i < 100; i++ {
-			seg = AppendPushRecord(seg, pushRec(int64(i), nil), 4096)
-		}
-		seg = PadPushChunk(seg, 4096)
-		if err := tr.Write(p, cheap, mr, 0, seg); err != nil {
-			t.Fatal(err)
-		}
-		q := &PushQuery{Cols: pushSchema(), Preds: []PushLeaf{{Col: 0, Op: PushEQ, Int: 1}}}
-		elems := []PushElem{{MR: mr, Off: 0, N: len(seg)}}
-		_, s1, errs := cheap.ScanPush(p, tr, elems, q)
-		if errs != nil {
-			t.Fatal(errs)
-		}
-		_, s4, errs := pricey.ScanPush(p, tr, elems, q)
-		if errs != nil {
-			t.Fatal(errs)
-		}
-		if s4.DonorCPU != 4*s1.DonorCPU {
-			t.Fatalf("DonorCPU price not applied: %v vs %v", s4.DonorCPU, s1.DonorCPU)
-		}
-	})
-	k.Run(time.Minute)
-}
-
 func TestScanPushUnavailableWhenEncrypted(t *testing.T) {
 	k := newKernel(t, 1)
 	m := testServer(k, "m1")

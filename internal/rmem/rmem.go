@@ -350,11 +350,6 @@ type Client struct {
 	// refunds nothing — only the caller stops waiting.
 	DeadlineMisses int64
 
-	// DonorCPU prices donor-side eval: a multiplier on the donor CPU time
-	// ScanPush charges (1.0 = donor cycles cost the same as the model's
-	// calibrated scan rate; >1 models donors that are busy or throttled).
-	DonorCPU float64
-
 	// Pushdown counters: ScanPush calls, bytes evaluated at donors, the
 	// qualifying bytes that actually crossed the wire, and the donor CPU
 	// charged — the "bytes on the wire" win the pushdown bench measures.
@@ -379,9 +374,6 @@ type ClientConfig struct {
 	// ciphertext, so pushed scans fall back to fetching whole blocks.
 	Encrypt bool
 	Key     [16]byte
-
-	// DonorCPU prices donor-side eval (see Client.DonorCPU); 0 means 1.0.
-	DonorCPU float64
 }
 
 // DefaultClientConfig mirrors Section 4.2.
@@ -413,7 +405,6 @@ func NewClient(p *sim.Proc, server *cluster.Server, cfg ClientConfig) *Client {
 		staging:      sim.NewResource(server.K, server.Name+"/staging", cfg.Schedulers*cfg.SlotsPerSch),
 		slotsPerSch:  cfg.SlotsPerSch,
 		stagingBytes: cfg.StagingBytes,
-		DonorCPU:     cfg.DonorCPU,
 	}
 	if cfg.Encrypt {
 		c.crypt = newCryptor(cfg.Key)

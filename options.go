@@ -17,8 +17,7 @@
 // decides: the protocol, the extension slots, the semantic-cache
 // factory, and, with recovery on, the salvage. An option for a layer a
 // constructor does not build is ignored, so a common option set can be
-// reused across calls. A zero or negative number keeps the default
-// unless the option says otherwise.
+// reused across calls. A zero or negative number keeps the default.
 package remotedb
 
 import (
@@ -156,14 +155,6 @@ func WithGrant(bytes int64) Option { return func(s *settings) { positive(&s.Engi
 // ProtoSMBDirect, ProtoSMB).
 func WithProtocol(proto Protocol) Option { return func(s *settings) { s.FS.Protocol = proto } }
 
-// WithPlacement selects how the file system's leased MRs spread over
-// servers.
-func WithPlacement(pl Placement) Option { return func(s *settings) { s.FS.Placement = pl } }
-
-// WithAutoRenew enables or disables the file system's background lease
-// renewal.
-func WithAutoRenew(on bool) Option { return func(s *settings) { s.FS.AutoRenew = on } }
-
 // WithRecovery enables or disables re-lease/restripe recovery of lost
 // stripes (on by default; off restores the original fail-to-disk
 // behavior).
@@ -208,13 +199,6 @@ func WithSemCache(factory SemCacheFactory) Option {
 // entry; it is how the cache is pointed at remote memory, SSD, or HDD.
 type SemCacheFactory = engine.SemCacheFactory
 
-// WithPlanCache bounds the planner's plan cache to entries cached plan
-// shapes (0 keeps the default of 128; negative disables plan caching,
-// forcing re-optimization on every query).
-func WithPlanCache(entries int) Option {
-	return func(s *settings) { s.Engine.PlanCacheEntries = entries }
-}
-
 // WithDOP sets the degree of intra-query parallelism offered to the
 // planner (0 keeps the default of 4; 1 forces serial plans).
 func WithDOP(n int) Option { return func(s *settings) { positive(&s.Engine.DOP, n) } }
@@ -247,14 +231,6 @@ func WithReadahead(pages int) Option {
 // scan, and the executor degrades per partition to fetch-all whenever a
 // donor cannot evaluate (off by default).
 func WithPushdown(on bool) Option { return func(s *settings) { s.Engine.Pushdown = on } }
-
-// WithDonorCPU scales donor CPU in the planner's placement cost model: a
-// price above 1 makes donor cycles pricier than the client's, lowering
-// the selectivity at which the optimizer stops pushing work to the
-// donors (0 keeps the default of 1).
-func WithDonorCPU(price float64) Option {
-	return func(s *settings) { positive(&s.Engine.DonorPrice, price) }
-}
 
 // WithBrokerShards shards the broker's lease space across n replicas:
 // lease IDs are strided so any lease routes back to its shard, donors
