@@ -43,7 +43,7 @@ type Tree struct {
 	root   uint64
 	height int
 	smo    *sim.Resource // serializes structure modifications
-	iters  []*Iterator   // ScanRange's idle iterators
+	iters  []*Iterator   // idle iterators: closed Scans', finished range walks'
 	rec    []byte        // leaf-record scratch, filled after the last yield before the page copies it
 
 	Entries int64 // live entry count (maintained by Insert/Delete)

@@ -239,6 +239,26 @@ func TestScanAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(5, walk); got > 16 {
 			t.Errorf("Next over %d leaves and 4000 entries: %.0f allocations", leaves, got)
 		}
+
+		// A closed iterator goes back to the tree, image and all, for the
+		// next Scan to take.
+		closed := func() {
+			it, err := tr.Scan(p, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				if _, ok, err := it.Next(p); err != nil || !ok {
+					break
+				}
+			}
+			it.Close()
+		}
+		closed()
+		if got := testing.AllocsPerRun(5, closed); got > 0 {
+			t.Errorf("Scan, Next over %d leaves and Close, warm: %.0f allocations", leaves, got)
+		}
 	})
 	k.Run(time.Minute)
 }

@@ -44,14 +44,27 @@ type Iterator struct {
 }
 
 // Scan returns an iterator positioned at the first key >= from (nil = min).
+// It comes from the tree's idle iterators when one is free; Close gives it
+// back.
 func (t *Tree) Scan(p *sim.Proc, from []byte) (*Iterator, error) {
 	h, err := t.descendToLeaf(p, from)
 	if err != nil {
 		return nil, err
 	}
-	it := &Iterator{t: t, pg: page.Wrap(make([]byte, page.Size))}
+	it := t.getIterator()
+	if it.pg == nil {
+		it.pg = page.Wrap(make([]byte, page.Size))
+	}
+	it.leaves, it.raNext, it.last, it.hasLast = 0, 0, nil, false
 	it.loadPage(h, from)
 	return it, nil
+}
+
+// Close hands a Scan iterator back to its tree, page image and all, for
+// the next scan to reuse. Neither the iterator nor a Pair it returned may
+// be used after Close.
+func (it *Iterator) Close() {
+	it.t.iters = append(it.t.iters, it)
 }
 
 // loadPage copies the pinned leaf into the iterator's image, releases the
@@ -246,9 +259,9 @@ func (t *Tree) VisitRange(p *sim.Proc, from, to []byte, fn func(Pair) error) err
 	return err
 }
 
-// getIterator takes a recycled walk iterator, or makes one. One iterator
-// per scan in flight: the free list never outgrows the number of procs
-// that were inside ScanRange or VisitRange at once.
+// getIterator takes an idle iterator, or makes one. One iterator per scan
+// in flight: the free list never outgrows the number of scans that were
+// open at once (a Scan iterator never closed is simply not reused).
 func (t *Tree) getIterator() *Iterator {
 	if n := len(t.iters); n > 0 {
 		var it *Iterator

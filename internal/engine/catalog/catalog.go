@@ -179,6 +179,7 @@ func (c *Catalog) CreateIndex(p *sim.Proc, idxName, tableName string, cols ...st
 	if err != nil {
 		return nil, err
 	}
+	defer it.Close()
 	var pairs []btree.Pair
 	for {
 		pair, ok, err := it.Next(p)

@@ -128,6 +128,7 @@ func (e *Engine) BuildPushSegment(p *sim.Proc, t *catalog.Table, f PushStore) er
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	var seg []byte
 	var rows int64
 	for {

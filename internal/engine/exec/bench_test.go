@@ -53,8 +53,9 @@ func benchItems(b *testing.B, p *sim.Proc, cat *catalog.Catalog) *catalog.Table 
 	return tbl
 }
 
-// BenchmarkTableScanFilter streams a resident 50 000-row table through a
-// filter that keeps one row in ten: iterator, row decode, per-row CPU
+// BenchmarkTableScanFilter scans a resident 50 000-row table with a
+// predicate the scan evaluates on each row image, keeping one row in
+// ten: iterator, predicate-column decode, survivor decode, per-row CPU
 // accounting. An op is one full scan.
 func BenchmarkTableScanFilter(b *testing.B) {
 	const rows = 50000
@@ -66,9 +67,9 @@ func BenchmarkTableScanFilter(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n, err := Run(ctx, &Filter{In: &TableScan{Table: tbl}, Pred: func(t row.Tuple) bool {
+			n, err := Run(ctx, &TableScan{Table: tbl, Preds: []ScanPred{{Ords: []int{0}, Fn: func(t row.Tuple) bool {
 				return t[0].(int64)%10 == 0
-			}})
+			}}}})
 			if err != nil || n != rows/10 {
 				b.Errorf("scan: %d rows, %v", n, err)
 				return

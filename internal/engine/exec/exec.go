@@ -9,6 +9,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"remotedb/internal/cluster"
@@ -178,15 +179,62 @@ func colOrds(tbl *row.Schema, cols []string) ([]int, error) {
 	return ords, nil
 }
 
-// TableScan reads every row of a table in primary-key order.
+// ScanPred is a predicate a TableScan evaluates on each row's image
+// before it decodes the row: Fn is handed the table columns at Ords, in
+// that order. A row it rejects is never materialised.
+type ScanPred struct {
+	Ords []int
+	Fn   func(row.Tuple) bool
+}
+
+// boundPred is a ScanPred bound to one open scan. Its columns decode in
+// schema order into vals; Fn reads them in its own order from args.
+type boundPred struct {
+	fn    func(row.Tuple) bool
+	ords  []int     // Ords ascending, each once: the decode order
+	vals  row.Tuple // parallel to ords
+	args  row.Tuple // Fn's argument: args[k] = vals[perm[k]]
+	perm  []int
+	slots [][2]int // {vals index, row slot} of each value the row materialises too
+}
+
+// bind resolves p against a scan that materialises the columns at
+// ords (nil = all ncols).
+func (p ScanPred) bind(ords []int, ncols int) (boundPred, error) {
+	b := boundPred{fn: p.Fn, ords: slices.Clone(p.Ords), args: make(row.Tuple, len(p.Ords)), perm: make([]int, len(p.Ords))}
+	slices.Sort(b.ords)
+	b.ords = slices.Compact(b.ords)
+	if len(b.ords) > 0 && (b.ords[0] < 0 || b.ords[len(b.ords)-1] >= ncols) {
+		return boundPred{}, fmt.Errorf("exec: scan predicate reads column ordinals %v of a %d-column table", p.Ords, ncols)
+	}
+	b.vals = make(row.Tuple, len(b.ords))
+	for k, o := range p.Ords {
+		b.perm[k], _ = slices.BinarySearch(b.ords, o)
+	}
+	for i, o := range b.ords {
+		slot, found := o, true
+		if ords != nil {
+			slot, found = slices.BinarySearch(ords, o)
+		}
+		if found {
+			b.slots = append(b.slots, [2]int{i, slot})
+		}
+	}
+	return b, nil
+}
+
+// TableScan reads every row of a table in primary-key order, keeping
+// those every predicate in Preds accepts.
 type TableScan struct {
 	Table *catalog.Table
-	From  []byte   // optional PK lower bound
-	To    []byte   // optional PK upper bound (exclusive)
-	Cols  []string // columns to materialise, in schema order (nil = all)
+	From  []byte     // optional PK lower bound
+	To    []byte     // optional PK upper bound (exclusive)
+	Cols  []string   // columns to materialise, in schema order (nil = all)
+	Preds []ScanPred // evaluated on the image, before a row is decoded
 
 	schema *row.Schema
 	ords   []int
+	preds  []boundPred
 	it     *btree.Iterator
 	row    row.Tuple // the row Next lends
 }
@@ -205,34 +253,81 @@ func (s *TableScan) Open(c *Ctx) error {
 	if s.ords, err = colOrds(s.Table.Schema, s.Cols); err != nil {
 		return err
 	}
+	s.preds = s.preds[:0]
+	for _, p := range s.Preds {
+		b, err := p.bind(s.ords, s.Table.Schema.Len())
+		if err != nil {
+			return err
+		}
+		s.preds = append(s.preds, b)
+	}
+	if n := s.Schema().Len(); s.row == nil || len(s.row) != n {
+		s.row = make(row.Tuple, n)
+	}
 	s.it, err = s.Table.Clustered.Scan(c.P, s.From)
 	return err
 }
 
-// Next returns the next row.
+// Next returns the next row the predicates accept. Every row scanned
+// costs CPUProfile.PerRow, accepted or not.
 func (s *TableScan) Next(c *Ctx) (row.Tuple, bool, error) {
 	if s.it == nil {
 		return nil, false, errors.New("exec: scan not open")
 	}
-	pair, ok, err := s.it.Next(c.P)
-	if err != nil || !ok {
-		return nil, false, err
+	for {
+		pair, ok, err := s.it.Next(c.P)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if s.To != nil && string(pair.Key) >= string(s.To) {
+			return nil, false, nil
+		}
+		c.chargeCPU(c.CPU.PerRow)
+		pass, err := s.accept(pair.Val)
+		if err != nil {
+			return nil, false, err
+		}
+		if !pass {
+			continue
+		}
+		// The predicates' values go into the row first, so the decode
+		// keeps their boxes instead of boxing the same values again.
+		for _, b := range s.preds {
+			for _, sl := range b.slots {
+				s.row[sl[1]] = b.vals[sl[0]]
+			}
+		}
+		if _, err := row.DecodeCols(s.row, s.Table.Schema, pair.Val, s.ords); err != nil {
+			return nil, false, err
+		}
+		return s.row, true, nil
 	}
-	if s.To != nil && string(pair.Key) >= string(s.To) {
-		return nil, false, nil
-	}
-	t, err := row.DecodeCols(s.row, s.Table.Schema, pair.Val, s.ords)
-	if err != nil {
-		return nil, false, err
-	}
-	s.row = t
-	c.chargeCPU(c.CPU.PerRow)
-	return t, true, nil
 }
 
-// Close releases the scan.
+// accept decodes each predicate's columns from a row image and evaluates
+// it, stopping at the first that rejects the row.
+func (s *TableScan) accept(img []byte) (bool, error) {
+	for i := range s.preds {
+		b := &s.preds[i]
+		if _, err := row.DecodeCols(b.vals, s.Table.Schema, img, b.ords); err != nil {
+			return false, err
+		}
+		for k, j := range b.perm {
+			b.args[k] = b.vals[j]
+		}
+		if !b.fn(b.args) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// Close hands the scan's iterator back to its tree.
 func (s *TableScan) Close(c *Ctx) error {
-	s.it = nil
+	if s.it != nil {
+		s.it.Close()
+		s.it = nil
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -107,6 +108,43 @@ func TestTableScanAndFilter(t *testing.T) {
 		rows, err := collect(r.ctx, f)
 		if err != nil || len(rows) != 1 {
 			t.Errorf("filter rows=%d err=%v", len(rows), err)
+		}
+	})
+}
+
+// TestScanPredicates checks a scan that evaluates predicates itself
+// against a Filter over a plain scan: same rows, same virtual time (every
+// scanned row costs PerRow, kept or not). A predicate may declare its
+// columns in any order, and twice.
+func TestScanPredicates(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		_, items := loadJoinTables(t, p, r, 300)
+		run := func(op Op) ([]row.Tuple, time.Duration) {
+			t.Helper()
+			t0 := p.Now()
+			rows, err := collect(r.ctx, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows, p.Now() - t0
+		}
+		preds := []ScanPred{
+			{Ords: []int{2, 0}, Fn: func(tp row.Tuple) bool { return tp[0].(float64) > 1000 && tp[1].(int64)%2 == 0 }},
+			{Ords: []int{1, 1}, Fn: func(tp row.Tuple) bool { return tp[0] == tp[1] && tp[0].(int64) != 1 }},
+		}
+		got, inScan := run(&TableScan{Table: items, Cols: []string{"linenum", "price"}, Preds: preds})
+		want, filtered := run(&Project{Cols: []string{"linenum", "price"}, In: &Filter{In: &TableScan{Table: items}, Pred: func(tp row.Tuple) bool {
+			return tp[2].(float64) > 1000 && tp[0].(int64)%2 == 0 && tp[1].(int64) != 1
+		}}})
+		if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("scan predicates kept %d rows, a filter %d", len(got), len(want))
+		}
+		if inScan == 0 || inScan != filtered {
+			t.Errorf("scan predicates took %v of virtual time, a filter %v", inScan, filtered)
+		}
+		bad := &TableScan{Table: items, Preds: []ScanPred{{Ords: []int{3}, Fn: func(row.Tuple) bool { return true }}}}
+		if _, err := Run(r.ctx, bad); err == nil {
+			t.Error("a predicate on a column the table lacks opened")
 		}
 	})
 }

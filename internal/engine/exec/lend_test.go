@@ -2,8 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"remotedb/internal/engine/row"
@@ -135,4 +139,172 @@ func TestKeepersCopyLentRows(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestExchangeRecyclesBatches closes a 4-way parallel scan early under a
+// limit, while its producers are parked on full queues, opens it again,
+// and then runs a second query on the batches the first two handed
+// back. Each must return what a fresh serial plan returns, and no row
+// may hold the sentinel poison writes over a loan that ended.
+func TestExchangeRecyclesBatches(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		_, items := loadJoinTables(t, p, r, 3000)
+		rows := func(name string, op Op) []string {
+			t.Helper()
+			got, err := collect(r.ctx, op)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out := make([]string, len(got))
+			for i, tp := range got {
+				if out[i] = fmt.Sprint(tp); strings.Contains(out[i], "{}") {
+					t.Fatalf("%s: row %d holds a row whose loan ended: %s", name, i, out[i])
+				}
+			}
+			return out
+		}
+		same := func(name string, got, want []string) {
+			t.Helper()
+			if len(want) == 0 || len(got) != len(want) {
+				t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: row %d is %s, want %s", name, i, got[i], want[i])
+				}
+			}
+		}
+		first := rows("serial limit", &Limit{In: &TableScan{Table: items}, N: 100})
+		limited := &Limit{In: &poison{Op: &ParallelScan{Table: items, DOP: 4}}, N: 100}
+		same("parallel limit", rows("parallel limit", limited), first)
+		same("parallel limit reopened", rows("parallel limit reopened", limited), first)
+
+		sorted := func(in Op) Op { return &Sort{In: in, Specs: []SortSpec{{Col: "price", Desc: true}}} }
+		same("sort over a recycled exchange", rows("sort over a recycled exchange", sorted(&poison{Op: &ParallelScan{Table: items, DOP: 4}})),
+			rows("serial sort", sorted(&TableScan{Table: items})))
+	})
+}
+
+// TestExchangeBatchPoolAcrossKernels runs parallel scans on two kernels
+// at once, each in its own goroutine over its own table. The batch pool
+// is the one thing they share; the race detector watches it.
+func TestExchangeBatchPoolAcrossKernels(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			withRig(t, func(p *sim.Proc, r *rigT) {
+				items, err := r.c.CreateTable(p, "lineitem", itemsSchema(), "orderkey", "linenum")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tuples := make([]row.Tuple, 3000+1500*g)
+				for i := range tuples {
+					tuples[i] = row.Tuple{int64(i / 3), int64(i % 3), float64(i)}
+				}
+				if err := items.BulkLoad(p, tuples); err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := collect(r.ctx, &TableScan{Table: items})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for run := 0; run < 4; run++ {
+					got, err := collect(r.ctx, &ParallelScan{Table: items, DOP: 4})
+					if err != nil || len(got) != len(want) {
+						t.Errorf("kernel %d run %d: %d rows, want %d, %v", g, run, len(got), len(want), err)
+						return
+					}
+					for i := range want {
+						if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+							t.Errorf("kernel %d run %d: row %d is %v, want %v", g, run, i, got[i], want[i])
+							return
+						}
+					}
+				}
+			})
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRejectedRowsAreNotDecoded scans with a predicate that rejects
+// every row: what a row costs in allocations is its predicate's decode,
+// however many columns the scan would materialise for a row it kept. A
+// row the predicate keeps costs what it costs with no predicate: the
+// decode keeps the boxes the predicate made.
+func TestRejectedRowsAreNotDecoded(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		_, items := loadJoinTables(t, p, r, 600)
+		const rows = 1800
+		price := func(keep bool) []ScanPred {
+			return []ScanPred{{Ords: []int{2}, Fn: func(tp row.Tuple) bool { return (tp[0].(float64) >= 0) == keep }}}
+		}
+		perRow := func(cols []string, preds []ScanPred, want int64) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if n, err := Run(r.ctx, &TableScan{Table: items, Cols: cols, Preds: preds}); err != nil || n != want {
+					t.Errorf("scan with cols %v: %d rows, %v", cols, n, err)
+				}
+			}) / rows
+		}
+		one, three := perRow([]string{"linenum"}, price(false), 0), perRow(nil, price(false), 0)
+		if three > one+0.01 {
+			t.Errorf("a rejected row allocates %.3f times materialising 3 columns, %.3f materialising 1", three, one)
+		}
+		kept, plain := perRow(nil, price(true), rows), perRow(nil, nil, rows)
+		if kept > plain+0.01 {
+			t.Errorf("a kept row allocates %.3f times, %.3f with no predicate", kept, plain)
+		}
+	})
+}
+
+// TestWarmParallelScanAllocatesNoBatch drains a 4-way parallel scan
+// over a warm table again and again: every batch its exchange fills must
+// come from the pool the previous scan handed its batches to.
+func TestWarmParallelScanAllocatesNoBatch(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("under the race detector a sync.Pool drops a random share of what it is given")
+	}
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		_, items := loadJoinTables(t, p, r, 3000)
+		scan := func() {
+			if n, err := Run(r.ctx, &ParallelScan{Table: items, DOP: 4}); err != nil || n != 9000 {
+				t.Errorf("parallel scan: %d rows, %v", n, err)
+			}
+		}
+		// One P and no collection: a pool's batch left in another P's
+		// private slot, or dropped by a collection, would be made again.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		scan() // warms the table and the pool
+		newBatch, made := xchgBatches.New, 0
+		xchgBatches.New = func() any { made++; return newBatch() }
+		defer func() { xchgBatches.New = newBatch }()
+		allocs := testing.AllocsPerRun(3, scan)
+		if made > 0 {
+			t.Errorf("4 warm parallel scans allocated %d batches (%.0f allocations a scan)", made, allocs)
+		}
+		b := xchgBatches.Get().(*xchgBatch)
+		defer xchgBatches.Put(b)
+		if cap(b.rows) == 0 || slices.ContainsFunc(b.rows[:cap(b.rows)], func(t row.Tuple) bool { return t != nil }) ||
+			slices.ContainsFunc(b.vals[:cap(b.vals)], func(v interface{}) bool { return v != nil }) {
+			t.Error("a pooled batch keeps rows or values alive")
+		}
+	})
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

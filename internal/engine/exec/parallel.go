@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"remotedb/internal/engine/catalog"
 	"remotedb/internal/engine/row"
@@ -36,10 +37,24 @@ func PartitionRanges(p *sim.Proc, t *catalog.Table, from, to []byte, dop int) ([
 
 // xchgBatch is one unit handed from a producer to the consumer: copies
 // of the rows its producer was lent, laid out in vals. The consumer
-// lends them in turn and hands the batch back through spare.
+// lends them in turn and hands the batch back through spare; Close hands
+// every batch to xchgBatches.
 type xchgBatch struct {
 	rows []row.Tuple
 	vals []interface{}
+}
+
+// xchgBatches recycles batches across exchanges, and so across queries
+// and kernels (a sync.Pool is safe for concurrent use).
+var xchgBatches = sync.Pool{New: func() any { return new(xchgBatch) }}
+
+// recycle clears b to its full capacity, so a pooled batch keeps no
+// row's values alive, and pools it.
+func (b *xchgBatch) recycle() {
+	clear(b.rows[:cap(b.rows)])
+	clear(b.vals[:cap(b.vals)])
+	b.rows, b.vals = b.rows[:0], b.vals[:0]
+	xchgBatches.Put(b)
 }
 
 func (b *xchgBatch) add(t row.Tuple) {
@@ -53,8 +68,8 @@ func (b *xchgBatch) add(t row.Tuple) {
 type xchgPart struct {
 	op    Op
 	child *Ctx
-	queue []xchgBatch
-	spare []xchgBatch // batches the consumer has drained, for produce to refill
+	queue []*xchgBatch
+	spare []*xchgBatch // batches the consumer has drained, for produce to refill
 	done  bool
 	err   error
 	space *sim.Cond // producer waits here when the queue is full
@@ -78,7 +93,7 @@ type Exchange struct {
 
 	parts  []*xchgPart
 	cur    int
-	batch  xchgBatch
+	batch  *xchgBatch // the batch Next lends from
 	pos    int
 	ready  *sim.Cond // consumer waits here for data
 	wg     *sim.WaitGroup
@@ -103,7 +118,7 @@ func (x *Exchange) Open(c *Ctx) error {
 	k := c.Server.K
 	x.ready = sim.NewCond(k)
 	x.wg = sim.NewWaitGroup(k)
-	x.cur, x.batch, x.pos = 0, xchgBatch{}, 0
+	x.cur, x.batch, x.pos = 0, nil, 0
 	x.closed = false
 	x.open = true
 	x.parts = make([]*xchgPart, len(x.Parts))
@@ -131,7 +146,7 @@ func (x *Exchange) produce(st *xchgPart) {
 		return
 	}
 	width := st.op.Schema().Len()
-	var batch xchgBatch // storage is taken only once a row arrives for it
+	var batch *xchgBatch // taken only once a row arrives for it
 	flush := func() bool {
 		for len(st.queue) >= x.QueueBatches && !x.closed {
 			st.space.Wait(c.P)
@@ -141,7 +156,7 @@ func (x *Exchange) produce(st *xchgPart) {
 		}
 		st.queue = append(st.queue, batch)
 		x.ready.Broadcast()
-		batch = xchgBatch{}
+		batch = nil
 		return true
 	}
 	for !x.closed {
@@ -153,11 +168,11 @@ func (x *Exchange) produce(st *xchgPart) {
 		if !ok {
 			break
 		}
-		if batch.rows == nil {
+		if batch == nil {
 			if n := len(st.spare); n > 0 {
 				batch, st.spare = st.spare[n-1], st.spare[:n-1]
-			} else {
-				batch = xchgBatch{make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)}
+			} else if batch = xchgBatches.Get().(*xchgBatch); cap(batch.rows) == 0 {
+				batch.rows, batch.vals = make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)
 			}
 		}
 		batch.add(t)
@@ -165,8 +180,8 @@ func (x *Exchange) produce(st *xchgPart) {
 			break
 		}
 	}
-	if len(batch.rows) > 0 && st.err == nil {
-		flush()
+	if batch != nil && (st.err != nil || !flush()) {
+		st.spare = append(st.spare, batch) // for Close to recycle
 	}
 	if err := st.op.Close(c); err != nil && st.err == nil {
 		st.err = err
@@ -181,7 +196,7 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 		return nil, false, errors.New("exec: exchange not open")
 	}
 	for {
-		if x.pos < len(x.batch.rows) {
+		if x.batch != nil && x.pos < len(x.batch.rows) {
 			t := x.batch.rows[x.pos]
 			x.pos++
 			c.chargeCPU(c.CPU.PerXchg)
@@ -192,8 +207,9 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 		}
 		st := x.parts[x.cur]
 		if len(st.queue) > 0 {
-			if cap(x.batch.rows) > 0 {
-				st.spare = append(st.spare, xchgBatch{x.batch.rows[:0], x.batch.vals[:0]})
+			if x.batch != nil {
+				x.batch.rows, x.batch.vals = x.batch.rows[:0], x.batch.vals[:0]
+				st.spare = append(st.spare, x.batch)
 			}
 			x.batch = st.queue[0]
 			st.queue = st.queue[:copy(st.queue, st.queue[1:])]
@@ -213,8 +229,8 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 }
 
 // Close shuts the producers down (waking any parked on a full queue),
-// waits for them to exit, and folds their spill counters into the
-// consumer's context.
+// waits for them to exit, folds their spill counters into the
+// consumer's context, and recycles every batch.
 func (x *Exchange) Close(c *Ctx) error {
 	if !x.open {
 		return nil
@@ -234,9 +250,18 @@ func (x *Exchange) Close(c *Ctx) error {
 		if err == nil && st.err != nil {
 			err = st.err
 		}
-		st.queue = nil
+		for _, b := range st.queue {
+			b.recycle()
+		}
+		for _, b := range st.spare {
+			b.recycle()
+		}
+		st.queue, st.spare = nil, nil
 	}
-	x.batch = xchgBatch{}
+	if x.batch != nil {
+		x.batch.recycle()
+		x.batch = nil
+	}
 	return err
 }
 

@@ -45,7 +45,8 @@ func tpchTables(t *testing.T, p *sim.Proc, r *rigT) map[string]*catalog.Table {
 }
 
 // render draws a lowered tree with what each leaf materialises and each
-// join emits ("*" = everything).
+// join emits ("*" = everything). A predicate a scan evaluates itself
+// follows the scan as "where" and the columns it declares.
 func render(op exec.Op) string {
 	cols := func(c []string) string {
 		if c == nil {
@@ -55,7 +56,15 @@ func render(op exec.Op) string {
 	}
 	switch o := op.(type) {
 	case *exec.TableScan:
-		return o.Table.Name + cols(o.Cols)
+		out := o.Table.Name + cols(o.Cols)
+		for _, p := range o.Preds {
+			names := []string{}
+			for _, ord := range p.Ords {
+				names = append(names, o.Table.Schema.Columns[ord].Name)
+			}
+			out += fmt.Sprint(" where ", names)
+		}
+		return out
 	case *exec.ParallelScan:
 		return o.Table.Name + cols(o.Cols)
 	case *exec.Filter:
@@ -93,19 +102,19 @@ func TestNeededColumns(t *testing.T) {
 			return op
 		}
 
-		// Q3. A column only a filter reads (mktsegment, orderdate,
-		// shipdate) is carried through the filter — a Filter passes its
-		// input rows on as they are — and dropped by the first operator
-		// above that rebuilds rows: the join, which emits only what the
-		// aggregate reads.
+		// Q3. Each filter runs inside its scan, on the row image. A
+		// column only a filter reads (mktsegment, orderdate, shipdate) is
+		// still materialised by that scan and dropped by the first
+		// operator above that rebuilds rows: the join, which emits only
+		// what the aggregate reads.
 		q3 := Scan(tb["customer"]).Where("building", []string{"mktsegment"}, anyRow).
 			Join(Scan(tb["orders"]).Where("early", []string{"orderdate"}, anyRow), "custkey").
 			Join(Scan(tb["lineitem"]).Where("late", []string{"shipdate"}, anyRow), "orderkey").
 			GroupBy([]string{"orderkey"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"}).
 			Top(10, exec.SortSpec{Col: "revenue", Desc: true})
 		if got, want := render(lower(q3)), "top(agg(join[orderkey extendedprice]("+
-			"join[orderkey](filter(customer[custkey mktsegment]), filter(orders[orderkey custkey orderdate])), "+
-			"filter(lineitem[orderkey extendedprice shipdate]))))"; got != want {
+			"join[orderkey](customer[custkey mktsegment] where [mktsegment], orders[orderkey custkey orderdate] where [orderdate]), "+
+			"lineitem[orderkey extendedprice shipdate] where [shipdate])))"; got != want {
 			t.Errorf("Q3 lowered to\n  %s\nwant\n  %s", got, want)
 		}
 
@@ -119,7 +128,7 @@ func TestNeededColumns(t *testing.T) {
 			GroupBy([]string{"name"}, exec.Agg{Fn: exec.AggSum, Col: "extendedprice", As: "revenue"})
 		if got, want := render(lower(q5)), "agg(join[name extendedprice](nation[nationkey name], "+
 			"join[nationkey extendedprice](join[nationkey orderkey](customer[custkey nationkey], "+
-			"filter(orders[orderkey custkey orderdate])), lineitem[orderkey extendedprice])))"; got != want {
+			"orders[orderkey custkey orderdate] where [orderdate]), lineitem[orderkey extendedprice])))"; got != want {
 			t.Errorf("Q5 lowered to\n  %s\nwant\n  %s", got, want)
 		}
 
@@ -152,7 +161,7 @@ func TestNeededColumns(t *testing.T) {
 			GroupBy([]string{"suppkey_1"}, exec.Agg{Fn: exec.AggCount, As: "parts"})
 		op20 := lower(q20)
 		if got, want := render(op20), "agg(filter(join[half_qty suppkey_1 availqty]("+
-			"agg(filter(lineitem[partkey suppkey quantity shipdate])), partsupp[partkey suppkey availqty])))"; got != want {
+			"agg(lineitem[partkey suppkey quantity shipdate] where [shipdate]), partsupp[partkey suppkey availqty])))"; got != want {
 			t.Errorf("Q20 lowered to\n  %s\nwant\n  %s", got, want)
 		}
 		if got := fmt.Sprint(op20.Schema().Names()); got != "[suppkey_1 parts]" {

@@ -582,16 +582,24 @@ func (in *instantiator) lowerJoin(c *exec.Ctx, n *Node) (exec.Op, error) {
 }
 
 // lowerFilteredScan lowers filter-over-scan honoring the cached
-// placement: PlaceLocal gives the ordinary (possibly parallel) B-tree
-// scan under a Filter, while the remote placements absorb the pushable
-// leaves into a PushScan — donor-evaluated or fetch-all per the
-// decision — leaving opaque predicates behind as a residual Filter.
+// placement: PlaceLocal gives the ordinary B-tree scan, evaluating the
+// predicates itself when it is serial and under a Filter when it is
+// parallel, while the remote placements absorb the pushable leaves into
+// a PushScan — donor-evaluated or fetch-all per the decision — leaving
+// opaque predicates behind as a residual Filter.
 func (in *instantiator) lowerFilteredScan(f, scan *Node) (exec.Op, error) {
 	leaf := in.nextLeaf()
-	if leaf.placement == opt.PlaceLocal || scan.Table.Push == nil {
+	if leaf.placement != opt.PlaceLocal && scan.Table.Push != nil {
+		return pushScanOp(f, scan, leaf)
+	}
+	if leaf.dop > 1 {
 		return filterOp(f.Preds, scanOp(scan, leaf))
 	}
-	return pushScanOp(f, scan, leaf)
+	preds, err := bindPreds(f.Preds, scan.Table.Schema)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols, Preds: preds}, nil
 }
 
 // pushScanOp builds the PushScan (plus residual Filter) for a
@@ -658,6 +666,15 @@ func (in *instantiator) lowerAgg(c *exec.Ctx, n *Node) (exec.Op, error) {
 		}
 		return &exec.HashAgg{In: op, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
 	}
+	// A filter directly on the scan runs inside it, in every partition.
+	var preds []exec.ScanPred
+	if k := len(chain) - 1; k >= 0 && chain[k].Kind == KindFilter {
+		var err error
+		if preds, err = bindPreds(chain[k].Preds, scan.Table.Schema); err != nil {
+			return nil, err
+		}
+		chain = chain[:k]
+	}
 	if leaf.dop > 1 {
 		ranges, err := exec.PartitionRanges(c.P, scan.Table, scan.From, scan.To, leaf.dop)
 		if err != nil {
@@ -666,7 +683,7 @@ func (in *instantiator) lowerAgg(c *exec.Ctx, n *Node) (exec.Op, error) {
 		if len(ranges) > 1 {
 			parts := make([]exec.Op, len(ranges))
 			for i, rg := range ranges {
-				parts[i], err = pipeline(&exec.TableScan{Table: scan.Table, From: rg[0], To: rg[1], Cols: leaf.cols}, chain)
+				parts[i], err = pipeline(&exec.TableScan{Table: scan.Table, From: rg[0], To: rg[1], Cols: leaf.cols, Preds: preds}, chain)
 				if err != nil {
 					return nil, err
 				}
@@ -674,7 +691,7 @@ func (in *instantiator) lowerAgg(c *exec.Ctx, n *Node) (exec.Op, error) {
 			return &exec.ParallelAgg{Parts: parts, GroupBy: n.GroupBy, Aggs: n.Aggs}, nil
 		}
 	}
-	op, err := pipeline(&exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols}, chain)
+	op, err := pipeline(&exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols, Preds: preds}, chain)
 	if err != nil {
 		return nil, err
 	}
@@ -698,34 +715,42 @@ func pipelineToScan(n *Node) ([]*Node, *Node) {
 	}
 }
 
-// filterOp binds the predicates to the schema their input actually
-// produces: per row it gathers each predicate's declared columns into
-// that predicate's argument tuple, so fn sees exactly what it declared
-// wherever pruning left those columns. A declared column the input
-// lacks is an error here, naming it.
-func filterOp(preds []Pred, in exec.Op) (exec.Op, error) {
-	type bound struct {
-		fn   func(row.Tuple) bool
-		ords []int
-		args row.Tuple
-	}
-	sch := in.Schema()
-	bs := make([]bound, len(preds))
+// bindPreds resolves each predicate's declared columns, in its order,
+// in sch: the schema of the input a Filter reads, or the table a scan
+// evaluates the predicates on. A declared column sch lacks is an error
+// naming the predicate and the column.
+func bindPreds(preds []Pred, sch *row.Schema) ([]exec.ScanPred, error) {
+	out := make([]exec.ScanPred, len(preds))
 	for i, p := range preds {
-		bs[i] = bound{fn: p.Fn, ords: make([]int, len(p.Cols)), args: make(row.Tuple, len(p.Cols))}
+		out[i] = exec.ScanPred{Ords: make([]int, len(p.Cols)), Fn: p.Fn}
 		for k, col := range p.Cols {
-			if bs[i].ords[k] = sch.Ordinal(col); bs[i].ords[k] < 0 {
+			if out[i].Ords[k] = sch.Ordinal(col); out[i].Ords[k] < 0 {
 				return nil, fmt.Errorf("plan: predicate %q reads column %q, which its input does not have", p.Name, col)
 			}
 		}
 	}
+	return out, nil
+}
+
+// filterOp binds the predicates to the schema their input actually
+// produces: per row it gathers each predicate's declared columns into
+// that predicate's argument tuple, so fn sees exactly what it declared
+// wherever pruning left those columns.
+func filterOp(preds []Pred, in exec.Op) (exec.Op, error) {
+	bs, err := bindPreds(preds, in.Schema())
+	if err != nil {
+		return nil, err
+	}
+	args := make([]row.Tuple, len(bs))
+	for i, b := range bs {
+		args[i] = make(row.Tuple, len(b.Ords))
+	}
 	return &exec.Filter{In: in, Pred: func(t row.Tuple) bool {
-		for i := range bs {
-			b := &bs[i]
-			for k, o := range b.ords {
-				b.args[k] = t[o]
+		for i, b := range bs {
+			for k, o := range b.Ords {
+				args[i][k] = t[o]
 			}
-			if !b.fn(b.args) {
+			if !b.Fn(args[i]) {
 				return false
 			}
 		}
