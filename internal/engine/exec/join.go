@@ -53,7 +53,7 @@ type HashJoin struct {
 	buildOrds   []int
 	outBuild    []int  // build-side ordinals emitted
 	outProbe    []int  // probe-side ordinals emitted
-	key, key2   []byte // appendKey scratch
+	key, key2   []byte // equality-key scratch
 	img         []byte // spill-image scratch: Append and Put copy it
 }
 
@@ -371,15 +371,8 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 				return nil, false, err
 			}
 			if ok {
-				t, err := row.DecodeCols(j.prow, j.probeSchema, img, nil)
-				if err != nil {
+				if err := j.probeImage(c, img); err != nil {
 					return nil, false, err
-				}
-				j.prow = t
-				c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
-				j.key = appendKey(j.key[:0], t, j.probeOrds)
-				for _, b := range j.ht[string(j.key)] {
-					j.outBuf = append(j.outBuf, j.emit(b, t))
 				}
 				continue
 			}
@@ -412,6 +405,31 @@ func (j *HashJoin) Next(c *Ctx) (row.Tuple, bool, error) {
 		}
 		j.partReader = j.probeFiles[j.curPart].NewReader()
 	}
+}
+
+// probeImage joins one spilled probe row against the partition loaded
+// in ht. Its key is read from the image, and the row is decoded only when
+// the partition holds build rows under that key.
+func (j *HashJoin) probeImage(c *Ctx, img []byte) error {
+	key, err := row.AppendKeyOf(j.key[:0], j.probeSchema, img, j.probeOrds)
+	if err != nil {
+		return err
+	}
+	j.key = key
+	c.chargeCPU(c.CPU.PerHash + c.CPU.PerRow)
+	build := j.ht[string(j.key)]
+	if len(build) == 0 {
+		return nil
+	}
+	t, err := row.DecodeCols(j.prow, j.probeSchema, img, nil)
+	if err != nil {
+		return err
+	}
+	j.prow = t
+	for _, b := range build {
+		j.outBuf = append(j.outBuf, j.emit(b, t))
+	}
+	return nil
 }
 
 // emit builds one output row from a matching build/probe pair in the

@@ -294,13 +294,7 @@ func EncodeKey(dst []byte, vals ...interface{}) []byte {
 			binary.BigEndian.PutUint64(scratch[:], uint64(int64(x))^(1<<63))
 			dst = append(dst, scratch[:]...)
 		case float64:
-			bits := math.Float64bits(x)
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			binary.BigEndian.PutUint64(scratch[:], bits)
+			binary.BigEndian.PutUint64(scratch[:], floatKey(math.Float64bits(x)))
 			dst = append(dst, scratch[:]...)
 		case string:
 			dst = appendEscaped(dst, []byte(x))
@@ -311,6 +305,57 @@ func EncodeKey(dst []byte, vals ...interface{}) []byte {
 		}
 	}
 	return dst
+}
+
+// floatKey maps a Float64's bits onto the IEEE total order as unsigned
+// integers: negatives flipped whole, positives above them.
+func floatKey(bits uint64) uint64 {
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
+// AppendKeyOf appends to dst the key EncodeKey gives for the columns at
+// ords of the tuple image b, read from the image in place: it boxes
+// nothing. The whole image is validated first, so what Decode rejects,
+// AppendKeyOf rejects.
+func AppendKeyOf(dst []byte, s *Schema, b []byte, ords []int) ([]byte, error) {
+	if end, err := colOffset(s, b, s.Len()); err != nil || end != len(b) {
+		return dst, ErrCorrupt
+	}
+	for _, o := range ords {
+		off, _ := colOffset(s, b, o)
+		switch s.Columns[o].Type {
+		case Int64:
+			dst = binary.BigEndian.AppendUint64(dst, binary.BigEndian.Uint64(b[off:])^(1<<63))
+		case Float64:
+			dst = binary.BigEndian.AppendUint64(dst, floatKey(binary.BigEndian.Uint64(b[off:])))
+		default: // String and Bytes: a 2-byte length, then the bytes
+			dst = appendEscaped(dst, b[off+2:off+2+(int(b[off])<<8|int(b[off+1]))])
+		}
+	}
+	return dst, nil
+}
+
+// colOffset returns the offset in image b at which column n starts (for
+// n == s.Len(), where the image ends), checking every length before it.
+func colOffset(s *Schema, b []byte, n int) (int, error) {
+	off := 0
+	for _, c := range s.Columns[:n] {
+		end := off + 8
+		if c.Type >= String {
+			if len(b) < off+2 {
+				return 0, ErrCorrupt
+			}
+			end = off + 2 + (int(b[off])<<8 | int(b[off+1]))
+		}
+		if len(b) < end {
+			return 0, ErrCorrupt
+		}
+		off = end
+	}
+	return off, nil
 }
 
 // appendEscaped writes b with 0x00 -> 0x00 0xFF escaping and a 0x00 0x00

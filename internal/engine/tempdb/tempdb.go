@@ -31,24 +31,62 @@ type TempDB struct {
 	free    []int64
 	fixed   int64 // size of a file that refused to grow; 0 until a write falls off its end
 
-	// bufs holds the block buffers no stream is using. A SpillFile takes
-	// one to write through and gives it back at Flush; a Reader takes one
-	// to read through and gives it back at end of stream. The list keeps
-	// at most maxIdleBytes, so idle buffers cost a fixed amount of memory
-	// however many streams a query opens at once.
-	bufs      [][]byte
-	idleBytes int
+	// chunks holds the write chunks no SpillFile is buffering records
+	// in, and blocks the block buffers no write or Reader is using.
+	chunks, blocks bufList
 
 	BytesSpilled int64
 	BytesRead    int64
 }
 
-// maxIdleBytes bounds the capacity TempDB.bufs may hold: one side of a
-// grace hash join's default fan-out of eight partition files, each buffer
-// a block plus the record that crossed its end. The probe side's files
-// then write through the buffers the build side's gave back instead of
-// growing their own from 16 KiB, and so does the next spilling join.
-const maxIdleBytes = 8 * (BlockSize + BlockSize/16)
+// chunkSize is the unit a SpillFile buffers records in: a stream holds
+// only the chunks its unwritten records fill, not a block's worth.
+const chunkSize = BlockSize / 8
+
+// blockBufSize is a block buffer's size: a block plus room for the
+// record a Reader moves down in front of the next block it reads.
+const blockBufSize = BlockSize + BlockSize/16
+
+// bufList recycles buffers of one size. It has no cap: a buffer is made
+// only when none is idle, so the idle ones never outnumber the most that
+// were in use at once, and every buffer made is used again.
+type bufList struct {
+	size    int
+	idle    [][]byte
+	made    int // buffers made
+	maxHeld int // the most in use at once
+}
+
+// take returns an empty buffer of the list's size.
+func (l *bufList) take() []byte {
+	n := len(l.idle)
+	if n == 0 {
+		l.made++
+		l.maxHeld = max(l.maxHeld, l.made)
+		return make([]byte, 0, l.size)
+	}
+	b := l.idle[n-1]
+	l.idle[n-1] = nil
+	l.idle = l.idle[:n-1]
+	l.maxHeld = max(l.maxHeld, l.made-len(l.idle))
+	return b[:0]
+}
+
+// give takes back a buffer nothing references any more.
+func (l *bufList) give(b []byte) {
+	if b != nil {
+		l.idle = append(l.idle, b)
+	}
+}
+
+// give takes back a chunk or a block buffer, by its size.
+func (t *TempDB) give(b []byte) {
+	if cap(b) == chunkSize {
+		t.chunks.give(b)
+	} else {
+		t.blocks.give(b)
+	}
+}
 
 // ErrFull is returned by the spilling write that does not fit the TempDB
 // file: the file has a fixed size (a remote-memory file) and every extent
@@ -58,7 +96,9 @@ const maxIdleBytes = 8 * (BlockSize + BlockSize/16)
 var ErrFull = fmt.Errorf("tempdb: spill does not fit the TempDB file (%w)", fault.ErrUnavailable)
 
 // New creates a TempDB over file.
-func New(file vfs.File) *TempDB { return &TempDB{file: file} }
+func New(file vfs.File) *TempDB {
+	return &TempDB{file: file, chunks: bufList{size: chunkSize}, blocks: bufList{size: blockBufSize}}
+}
 
 // allocExtent reserves a contiguous extent and returns its base offset,
 // preferring recycled extents.
@@ -87,27 +127,6 @@ func (t *TempDB) freeExtents(exts []int64) {
 	}
 }
 
-// takeBuf returns an empty buffer, a recycled one when there is one.
-func (t *TempDB) takeBuf() []byte {
-	n := len(t.bufs)
-	if n == 0 {
-		return nil
-	}
-	b := t.bufs[n-1]
-	t.bufs = t.bufs[:n-1]
-	t.idleBytes -= cap(b)
-	return b[:0]
-}
-
-// giveBuf takes back a buffer nothing references any more.
-func (t *TempDB) giveBuf(b []byte) {
-	if cap(b) == 0 || t.idleBytes+cap(b) > maxIdleBytes {
-		return
-	}
-	t.bufs = append(t.bufs, b)
-	t.idleBytes += cap(b)
-}
-
 // write is the spilling write. A write the file refuses that reaches past
 // the file's size is a full TempDB: a file that grows would have taken it.
 func (t *TempDB) write(p *sim.Proc, name string, b []byte, off int64) error {
@@ -124,15 +143,16 @@ func (t *TempDB) write(p *sim.Proc, name string, b []byte, off int64) error {
 }
 
 // SpillFile is one append-only spill stream holding length-prefixed
-// records, written in BlockSize chunks across chained extents.
+// records, written in BlockSize blocks across chained extents. Records
+// wait for their block in chunks taken from the TempDB; a record may
+// span chunks.
 type SpillFile struct {
 	t       *TempDB
 	name    string
 	extents []int64
-	size    int64 // logical bytes written
-	wbuf    []byte
-
-	Records int64
+	size    int64    // logical bytes written
+	chunks  [][]byte // unwritten records; every chunk full but the last
+	r       Reader   // the stream's one reader
 }
 
 // NewFile opens a fresh spill stream.
@@ -142,50 +162,76 @@ func (t *TempDB) NewFile(name string) *SpillFile {
 
 // Append adds one record (length-prefixed internally).
 func (s *SpillFile) Append(p *sim.Proc, rec []byte) error {
-	if s.wbuf == nil {
-		s.wbuf = s.t.takeBuf()
+	if last := len(s.chunks) - 1; last >= 0 && len(s.chunks[last])+4+len(rec) <= chunkSize {
+		// The record fits the last chunk, as most do.
+		c := binary.LittleEndian.AppendUint32(s.chunks[last], uint32(len(rec)))
+		s.chunks[last] = append(c, rec...)
+	} else {
+		var n [4]byte
+		binary.LittleEndian.PutUint32(n[:], uint32(len(rec)))
+		s.buffer(n[:])
+		s.buffer(rec)
 	}
-	if need := len(s.wbuf) + 4 + len(rec); need > cap(s.wbuf) {
-		// Double from 16 KiB up to the most a block's tail plus this record
-		// can need: append's 1.25× steps copy a buffer on its way to a block
-		// several times over, and most partition files never get there.
-		c := max(2*cap(s.wbuf), 16<<10)
-		for c < need {
-			c *= 2
-		}
-		s.wbuf = append(make([]byte, 0, min(c, BlockSize+4+len(rec))), s.wbuf...)
-	}
-	s.wbuf = binary.LittleEndian.AppendUint32(s.wbuf, uint32(len(rec)))
-	s.wbuf = append(s.wbuf, rec...)
-	s.Records++
-	if len(s.wbuf) < BlockSize {
-		return nil
-	}
-	n := len(s.wbuf) / BlockSize * BlockSize
-	for off := 0; off < n; off += BlockSize {
-		if err := s.flushBlock(p, s.wbuf[off:off+BlockSize]); err != nil {
+	for s.buffered() >= BlockSize {
+		// A block is exactly the first BlockSize/chunkSize chunks.
+		if err := s.writeOut(p, BlockSize); err != nil {
 			return err
 		}
 	}
-	// Move the tail down: re-slicing would give the capacity away.
-	s.wbuf = s.wbuf[:copy(s.wbuf, s.wbuf[n:])]
 	return nil
+}
+
+// buffer copies b into the stream's chunks, taking more as they fill.
+func (s *SpillFile) buffer(b []byte) {
+	for len(b) > 0 {
+		last := len(s.chunks) - 1
+		if last < 0 || len(s.chunks[last]) == chunkSize {
+			s.chunks = append(s.chunks, s.t.chunks.take())
+			last++
+		}
+		c := s.chunks[last]
+		n := min(len(b), chunkSize-len(c))
+		s.chunks[last] = append(c, b[:n]...)
+		b = b[n:]
+	}
+}
+
+// buffered returns the bytes waiting in the stream's chunks.
+func (s *SpillFile) buffered() int {
+	n := len(s.chunks)
+	if n == 0 {
+		return 0
+	}
+	return (n-1)*chunkSize + len(s.chunks[n-1])
+}
+
+// writeOut writes the first n buffered bytes, whole chunks, in one
+// write. A tail that fits one chunk is written from it; more is copied
+// into a block buffer first, and its chunks go back at once.
+func (s *SpillFile) writeOut(p *sim.Proc, n int) error {
+	blk, k := s.chunks[0], 1
+	if n > chunkSize {
+		blk, k = s.t.blocks.take(), 0
+		for len(blk) < n {
+			blk = append(blk, s.chunks[k]...)
+			s.t.chunks.give(s.chunks[k])
+			k++
+		}
+	}
+	rest := copy(s.chunks, s.chunks[k:])
+	clear(s.chunks[rest:])
+	s.chunks = s.chunks[:rest]
+	err := s.flushBlock(p, blk)
+	s.t.give(blk)
+	return err
 }
 
 // Flush writes any buffered tail; call once after the last Append.
 func (s *SpillFile) Flush(p *sim.Proc) error {
-	if len(s.wbuf) == 0 {
-		return nil
+	if n := s.buffered(); n > 0 {
+		return s.writeOut(p, n)
 	}
-	err := s.flushBlock(p, s.wbuf)
-	s.dropBuf()
-	return err
-}
-
-// dropBuf hands the write buffer back to the TempDB.
-func (s *SpillFile) dropBuf() {
-	s.t.giveBuf(s.wbuf)
-	s.wbuf = nil
+	return nil
 }
 
 // flushBlock maps the next logical range onto extents and writes it. A
@@ -214,18 +260,26 @@ func (s *SpillFile) flushBlock(p *sim.Proc, b []byte) error {
 	return nil
 }
 
-// Release returns the stream's extents to the TempDB free list. The
-// stream must not be read afterwards.
+// Release returns the stream's extents to the TempDB free list, and its
+// chunks and its reader's block buffer to the TempDB's buffer lists. The
+// stream must not be read afterwards; it may be written again, as a new
+// stream.
 func (s *SpillFile) Release() {
 	s.t.freeExtents(s.extents)
-	s.extents = nil
+	s.extents = s.extents[:0]
 	s.size = 0
-	s.dropBuf()
+	for _, c := range s.chunks {
+		s.t.chunks.give(c)
+	}
+	clear(s.chunks)
+	s.chunks = s.chunks[:0]
+	s.r.drop()
 }
 
 // Reader iterates the spill stream's records sequentially, reading
-// BlockSize chunks into a buffer it borrows from the TempDB until the end
-// of the stream. A record returned by Next aliases that buffer and is
+// BlockSize blocks into a block buffer (a chunk, for a stream that fits
+// one) it borrows from the TempDB until the end of the stream or the
+// stream's Release. A record returned by Next aliases that buffer and is
 // valid only until the next call to Next.
 type Reader struct {
 	s    *SpillFile
@@ -237,13 +291,25 @@ type Reader struct {
 // ErrTruncated indicates a record crosses the end of the stream.
 var ErrTruncated = errors.New("tempdb: truncated spill stream")
 
-// NewReader opens the stream for sequential reads. The stream must be
-// Flushed first.
+// NewReader opens the stream for sequential reads from its start. The
+// stream must be Flushed first. A stream has one reader: NewReader
+// rewinds the one it returned before.
 func (s *SpillFile) NewReader() *Reader {
-	if len(s.wbuf) != 0 {
+	if len(s.chunks) != 0 {
 		panic(fmt.Sprintf("tempdb: %s read before Flush", s.name))
 	}
-	return &Reader{s: s}
+	s.r.drop()
+	s.r = Reader{s: s}
+	return &s.r
+}
+
+// drop gives the buffer back: nothing returned earlier is valid any
+// more.
+func (r *Reader) drop() {
+	if r.s != nil {
+		r.s.t.give(r.buf)
+	}
+	r.buf, r.bpos = nil, 0
 }
 
 // fill ensures at least n bytes are buffered (or the stream is exhausted).
@@ -256,14 +322,20 @@ func (r *Reader) fill(p *sim.Proc, n int) error {
 		if r.off+take > r.s.size {
 			take = r.s.size - r.off
 		}
-		// Move the unread tail down and read the chunk in behind it.
+		// Move the unread tail down and read the block in behind it.
 		if r.buf == nil {
-			r.buf = r.s.t.takeBuf()
+			// A stream that fits one chunk is read through one: a merge
+			// of many short runs holds a reader on each at once.
+			if r.s.size <= chunkSize {
+				r.buf = r.s.t.chunks.take()
+			} else {
+				r.buf = r.s.t.blocks.take()
+			}
 		}
 		tail := copy(r.buf, r.buf[r.bpos:])
 		r.bpos = 0
 		r.buf = slices.Grow(r.buf[:tail], int(take))
-		chunk := r.buf[tail : tail+int(take)]
+		blk := r.buf[tail : tail+int(take)]
 		// Map logical offset onto extents (reads may straddle them).
 		read := int64(0)
 		for read < take {
@@ -273,7 +345,7 @@ func (r *Reader) fill(p *sim.Proc, n int) error {
 			if m > take-read {
 				m = take - read
 			}
-			if err := r.s.t.file.ReadAt(p, chunk[read:read+m], r.s.extents[extIdx]+within); err != nil {
+			if err := r.s.t.file.ReadAt(p, blk[read:read+m], r.s.extents[extIdx]+within); err != nil {
 				return err
 			}
 			read += m
@@ -288,9 +360,7 @@ func (r *Reader) fill(p *sim.Proc, n int) error {
 // Next returns the next record, or ok=false at end of stream.
 func (r *Reader) Next(p *sim.Proc) ([]byte, bool, error) {
 	if len(r.buf)-r.bpos == 0 && r.off >= r.s.size {
-		// End of stream: nothing returned earlier is valid any more.
-		r.s.t.giveBuf(r.buf)
-		r.buf, r.bpos = nil, 0
+		r.drop()
 		return nil, false, nil
 	}
 	if err := r.fill(p, 4); err != nil {
@@ -308,5 +378,3 @@ func (r *Reader) Next(p *sim.Proc) ([]byte, bool, error) {
 	r.bpos += n
 	return rec, true, nil
 }
-
-var _ = vfs.ErrClosed // keep the vfs dependency explicit for godoc linking

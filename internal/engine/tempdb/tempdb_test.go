@@ -217,6 +217,21 @@ func drain(t *testing.T, p *sim.Proc, f *SpillFile, n, size int) {
 	}
 }
 
+// recycled checks the invariant of both buffer lists once every stream
+// is released: each buffer made is idle again, and no more were made than
+// were in use at once.
+func recycled(t *testing.T, td *TempDB) {
+	t.Helper()
+	for _, l := range []struct {
+		name string
+		*bufList
+	}{{"chunks", &td.chunks}, {"blocks", &td.blocks}} {
+		if l.made != l.maxHeld || len(l.idle) != l.made {
+			t.Errorf("%s: %d made, at most %d in use at once, %d idle", l.name, l.made, l.maxHeld, len(l.idle))
+		}
+	}
+}
+
 // Records of a size that divides neither a block nor an extent straddle
 // both kinds of boundary, in two streams whose extents interleave, and
 // every record comes back. A stream written and read after that runs
@@ -273,8 +288,11 @@ func TestSpillBuffersRecycledAcrossBoundaries(t *testing.T) {
 		if td.HighWater() != high {
 			t.Errorf("later streams grew the TempDB from %d to %d bytes", high, td.HighWater())
 		}
-		if td.idleBytes > maxIdleBytes {
-			t.Errorf("%d idle buffer bytes, bound %d", td.idleBytes, maxIdleBytes)
+		recycled(t, td)
+		// Each stream holds at most a block's chunks and the chunk the
+		// record that crossed the block's end spilled into.
+		if most := 2 * (BlockSize/chunkSize + 1); td.chunks.made > most {
+			t.Errorf("%d chunks made for two streams, at most %d needed", td.chunks.made, most)
 		}
 	})
 	k.Run(time.Minute)
@@ -300,6 +318,121 @@ func TestSpillPastFixedFileIsErrFull(t *testing.T) {
 			drain(t, p, small, 5<<10, 1<<10)
 			small.Release()
 		}
+	})
+	k.Run(time.Minute)
+}
+
+// Three procs run grace-join-shaped spill cycles at once, yielding to
+// each other: eight build files, flushed, eight probe files, flushed,
+// each pair read back, all sixteen released. Once a round has run, a
+// second one finds every buffer it needs idle on the TempDB.
+func TestConcurrentSpillStreamsRecycle(t *testing.T) {
+	k := newKernel(t, 1)
+	k.Go("t", func(p *sim.Proc) {
+		td := New(vfs.NewMemFile("tempdb"))
+		const parts, n, size = 8, 800, 700 // 563 KB a file: a block and a tail
+		cycle := func(p *sim.Proc, name string) {
+			write := func(side string) []*SpillFile {
+				files := make([]*SpillFile, parts)
+				for i := range files {
+					files[i] = td.NewFile(fmt.Sprintf("%s-%s-%d", name, side, i))
+				}
+				rec := make([]byte, size)
+				for i := 0; i < n; i++ {
+					for j := range rec {
+						rec[j] = byte(i + j)
+					}
+					for _, f := range files {
+						if err := f.Append(p, rec); err != nil {
+							t.Error(err)
+						}
+					}
+					if i%100 == 0 {
+						p.Yield()
+					}
+				}
+				for _, f := range files {
+					if err := f.Flush(p); err != nil {
+						t.Error(err)
+					}
+				}
+				return files
+			}
+			build := write("build")
+			probe := write("probe")
+			for i := range build {
+				drain(t, p, build[i], n, size)
+				p.Yield()
+				drain(t, p, probe[i], n, size)
+			}
+			for i := range build {
+				build[i].Release()
+				probe[i].Release()
+			}
+		}
+		round := func() {
+			wg := sim.NewWaitGroup(p.Kernel())
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				p.Kernel().Go(fmt.Sprintf("join-%d", g), func(p *sim.Proc) {
+					defer wg.Done()
+					cycle(p, fmt.Sprintf("join-%d", g))
+				})
+			}
+			wg.Wait(p)
+		}
+		round()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		round()
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= BlockSize/4 {
+			t.Errorf("second round allocated %d bytes: spill buffers are not recycled", got)
+		}
+		recycled(t, td)
+	})
+	k.Run(time.Minute)
+}
+
+// Twenty short runs, as a sort under a small grant spills them, are
+// written from their one chunk each and merged with a reader open on
+// every run at once: each reader reads through a chunk too, and no block
+// buffer is made.
+func TestShortStreamsUseChunksOnly(t *testing.T) {
+	k := newKernel(t, 1)
+	k.Go("t", func(p *sim.Proc) {
+		td := New(vfs.NewMemFile("tempdb"))
+		const runs, n, size = 20, 100, 36
+		files := make([]*SpillFile, runs)
+		readers := make([]*Reader, runs)
+		for i := range files {
+			files[i] = td.NewFile(fmt.Sprintf("run-%d", i))
+			if err := fill(p, files[i], n, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, f := range files {
+			readers[i] = f.NewReader()
+			if rec, ok, err := readers[i].Next(p); !ok || err != nil || len(rec) != size || rec[1] != 1 {
+				t.Fatalf("run %d: first record %v, %v, %v", i, rec, ok, err)
+			}
+		}
+		for _, f := range files {
+			f.Release()
+		}
+		if td.blocks.made != 0 || td.chunks.made != runs {
+			t.Errorf("%d block buffers and %d chunks made, want 0 and %d", td.blocks.made, td.chunks.made, runs)
+		}
+		recycled(t, td)
+		// A released stream may be written again, and read to its end.
+		for _, f := range files {
+			if err := fill(p, f, n, size); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, p, f, n, size)
+			f.Release()
+		}
+		recycled(t, td)
 	})
 	k.Run(time.Minute)
 }
