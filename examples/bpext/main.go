@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"remotedb"
-	"remotedb/internal/exp"
 	"remotedb/internal/workload"
 )
 
@@ -44,40 +43,4 @@ func main() {
 	}
 	fmt.Println("\nThe remote extension turns disk-bound random reads into ~13µs RDMA")
 	fmt.Println("fetches; throughput approaches the all-in-local-memory ceiling (Figure 9).")
-
-	// The pool's default eviction policy is cost-aware GDSF; the legacy
-	// clock sweep is one option away for A/B runs.
-	fmt.Println("\nSame workload on the remote design, pool configuration A/B:")
-	configs := []struct {
-		name string
-		opts []remotedb.Option
-	}{
-		{"GDSF (default)", nil},
-		{"clock sweep", []remotedb.Option{remotedb.WithEviction(remotedb.EvictClock)}},
-	}
-	for _, c := range configs {
-		c := c
-		err := remotedb.RunInSim(1, 2*time.Hour, func(p *remotedb.Proc) error {
-			bed, err := remotedb.NewTestBed(p, remotedb.DesignCustom, c.opts...)
-			if err != nil {
-				return err
-			}
-			w, err := workload.NewRangeScan(p, bed.Eng, workload.DefaultRangeScan())
-			if err != nil {
-				return err
-			}
-			res := w.Run(p, 500*time.Millisecond, time.Second)
-			st := bed.Eng.BP.Stats
-			misses := st.ExtHits + st.DiskReads
-			hitRate := float64(st.Hits) / float64(st.Hits+misses) * 100
-			fmt.Printf("  %-29s %8.0f queries/s  hit rate %5.1f%%  dirty evicts %d\n",
-				c.name, res.Throughput(), hitRate, st.EvictDirty)
-			bed.Close(p)
-			return nil
-		})
-		if err != nil {
-			log.Fatalf("%s: %v", c.name, err)
-		}
-	}
-	_ = exp.DesignHDD // keep the experiment package linked for godoc discovery
 }

@@ -229,14 +229,6 @@ func optionCases() []optionCase {
 			}},
 		{name: "DOP", opt: remotedb.WithDOP(2),
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("DOP", e.DOP, 2) }},
-		{name: "Eviction", opt: remotedb.WithEviction(remotedb.EvictClock),
-			eng: func(p *remotedb.Proc, e *remotedb.Engine) error {
-				if _, err := oneTable(p, e); err != nil {
-					return err
-				}
-				_, heap := e.BP.DebugGDSF()
-				return want("GDSF heap entries", heap, 0)
-			}},
 		{name: "Readahead", opt: remotedb.WithReadahead(1),
 			eng: func(_ *remotedb.Proc, e *remotedb.Engine) error { return want("readahead", e.BP.ReadaheadPages(), 1) }},
 		{name: "Pushdown", opt: remotedb.WithPushdown(true),

@@ -471,7 +471,6 @@ func (bp *Pool) fetch(p *sim.Proc, fe *fetcher) {
 // as a prefetched page.
 func (bp *Pool) installPrefetched(idx int, extCopy bool) {
 	f := &bp.frames[idx]
-	f.ref = true
 	f.prefetched = true
 	f.lastEpoch = bp.evictEpoch
 	f.extCopy = extCopy
@@ -498,42 +497,8 @@ func (bp *Pool) InUse() (pinned, faulting int) {
 // on a pin release, write back a dirty page, or stall on extension-put
 // throttling — a speculative read must never steal capacity or block in
 // the way of the demand faults it is supposed to be helping. Nor does it
-// take an awaited frame. (The blocking variants live in
-// victimClock/victimGDSF.)
+// take an awaited frame. (The blocking variant is victim.)
 func (bp *Pool) victimPrefetch(p *sim.Proc) (int, error) {
-	if bp.cfg.Policy == PolicyClock {
-		return bp.victimPrefetchClock(p)
-	}
-	return bp.victimPrefetchGDSF(p)
-}
-
-// awaited reports whether f holds a page prefetched so recently, fewer
-// evictions ago than the quarter pool one window may take, that its scan
-// may not have reached it yet. GDSF ranks it below the pages the scan has
-// read, so a window topped up ahead of the cursor would evict it first.
-func (bp *Pool) awaited(f *frame) bool {
-	return f.prefetched && bp.evictEpoch-f.lastEpoch < uint64(len(bp.frames)/4)
-}
-
-// extPutThrottled reports whether a clean eviction would block on the
-// extension-put queue right now (evict acquires a slot synchronously
-// when TryAcquire fails).
-func (bp *Pool) extPutThrottled() bool {
-	return bp.ext != nil && !bp.ext.disabled && bp.extPutSlots.Available() == 0
-}
-
-// extDegraded reports whether the live extension file is in a degraded
-// window (a replica lost or under repair) — reads still work but may
-// stall in retry or failover, which speculative prefetch must not risk.
-func (bp *Pool) extDegraded() bool {
-	if bp.ext == nil || bp.ext.disabled {
-		return false
-	}
-	d, ok := bp.ext.file.(interface{ Degraded() bool })
-	return ok && d.Degraded()
-}
-
-func (bp *Pool) victimPrefetchGDSF(p *sim.Proc) (int, error) {
 	for len(bp.free) > 0 {
 		idx := bp.free[len(bp.free)-1]
 		bp.free = bp.free[:len(bp.free)-1]
@@ -592,31 +557,28 @@ func (bp *Pool) victimPrefetchGDSF(p *sim.Proc) (int, error) {
 	return 0, ErrNoFrames
 }
 
-func (bp *Pool) victimPrefetchClock(p *sim.Proc) (int, error) {
-	if bp.extPutThrottled() {
-		return 0, ErrNoFrames
+// awaited reports whether f holds a page prefetched so recently, fewer
+// evictions ago than the quarter pool one window may take, that its scan
+// may not have reached it yet. GDSF ranks it below the pages the scan has
+// read, so a window topped up ahead of the cursor would evict it first.
+func (bp *Pool) awaited(f *frame) bool {
+	return f.prefetched && bp.evictEpoch-f.lastEpoch < uint64(len(bp.frames)/4)
+}
+
+// extPutThrottled reports whether a clean eviction would block on the
+// extension-put queue right now (evict acquires a slot synchronously
+// when TryAcquire fails).
+func (bp *Pool) extPutThrottled() bool {
+	return bp.ext != nil && !bp.ext.disabled && bp.extPutSlots.Available() == 0
+}
+
+// extDegraded reports whether the live extension file is in a degraded
+// window (a replica lost or under repair) — reads still work but may
+// stall in retry or failover, which speculative prefetch must not risk.
+func (bp *Pool) extDegraded() bool {
+	if bp.ext == nil || bp.ext.disabled {
+		return false
 	}
-	for sweep := 0; sweep < 2*len(bp.frames); sweep++ {
-		f := &bp.frames[bp.hand]
-		idx := bp.hand
-		bp.hand = (bp.hand + 1) % len(bp.frames)
-		if !f.valid {
-			return idx, nil
-		}
-		if f.pins > 0 || f.dirty || bp.awaited(f) {
-			continue
-		}
-		if f.ref {
-			f.ref = false
-			continue
-		}
-		evicted, err := bp.evict(p, idx)
-		if err != nil {
-			return 0, err
-		}
-		if evicted {
-			return idx, nil
-		}
-	}
-	return 0, ErrNoFrames
+	d, ok := bp.ext.file.(interface{ Degraded() bool })
+	return ok && d.Degraded()
 }

@@ -1,5 +1,5 @@
 // Package buffer implements the engine's buffer pool: a fixed set of
-// 8 KiB frames over the database file with clock-sweep eviction, a
+// 8 KiB frames over the database file with cost-aware GDSF eviction, a
 // background lazy writer for dirty pages, and — the paper's scenario
 // (i) — an optional buffer-pool extension (BPExt) holding clean evicted
 // pages in a second-tier file that may live on SSD or in remote memory.
@@ -35,10 +35,6 @@ type Config struct {
 	PageAccessCPU time.Duration // latch + lookup cost per logical access
 	WriterPeriod  time.Duration // lazy-writer cadence (0 disables)
 
-	// Policy selects the eviction policy: the cost-aware GDSF heap (the
-	// default) or the legacy clock sweep, kept for A/B runs.
-	Policy Policy
-
 	// Readahead is the sequential readahead window in pages that range
 	// scans prefetch ahead of the cursor (0 disables readahead).
 	Readahead int
@@ -72,7 +68,6 @@ type frame struct {
 	valid  bool
 	dirty  bool
 	pins   int
-	ref    bool   // clock reference bit
 	ver    uint64 // bumped on MarkDirty; detects writes racing with I/O
 
 	// prefetched marks a frame installed by ReadAhead and not yet
@@ -121,8 +116,7 @@ type Pool struct {
 	cfg    Config
 
 	frames   []frame
-	table    map[uint64]int // pageNo -> frame index
-	hand     int
+	table    map[uint64]int            // pageNo -> frame index
 	avail    *sim.Cond                 // signalled when a pin is released
 	faulting map[uint64]*sim.WaitGroup // in-flight page faults
 	faultWGs []*sim.WaitGroup          // those of faults that are over, for reuse
@@ -162,7 +156,7 @@ type Pool struct {
 	free       []int
 	evictEpoch uint64
 
-	prefetchSkipped []gdsfEntry // victimPrefetchGDSF's scratch
+	prefetchSkipped []gdsfEntry // victimPrefetch's scratch
 
 	// Adaptive-readahead state: the current window and the hit/waste
 	// counter baselines of the last adjustment.
@@ -214,12 +208,10 @@ func New(p *sim.Proc, server *cluster.Server, data vfs.File, cfg Config) (*Pool,
 		bp.frames[i].buf = make([]byte, page.Size)
 		bp.frames[i].pg = page.Wrap(bp.frames[i].buf)
 	}
-	if bp.cfg.Policy == PolicyGDSF {
-		// All frames start free; installs push them onto the heap.
-		bp.free = make([]int, 0, cfg.Frames)
-		for i := cfg.Frames - 1; i >= 0; i-- {
-			bp.free = append(bp.free, i)
-		}
+	// All frames start free; installs push them onto the heap.
+	bp.free = make([]int, 0, cfg.Frames)
+	for i := cfg.Frames - 1; i >= 0; i-- {
+		bp.free = append(bp.free, i)
 	}
 	if cfg.WriterPeriod > 0 {
 		bp.k.Go("lazywriter", bp.writerLoop)
@@ -320,7 +312,6 @@ func (bp *Pool) Allocate(p *sim.Proc, t page.Type) (*Handle, uint64, error) {
 	f.valid = true
 	f.dirty = true
 	f.pins = 1
-	f.ref = true
 	f.prefetched = false
 	f.extCopy = false
 	bp.table[no] = idx
@@ -339,7 +330,6 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 		if idx, ok := bp.table[pageNo]; ok {
 			f := &bp.frames[idx]
 			f.pins++
-			f.ref = true
 			if f.prefetched {
 				f.prefetched = false
 				bp.Stats.ReadAheadHits++
@@ -404,7 +394,6 @@ func (bp *Pool) Get(p *sim.Proc, pageNo uint64) (*Handle, error) {
 		}
 		bp.Stats.DiskReads++
 	}
-	f.ref = true
 	f.extCopy = fromExt
 	bp.table[pageNo] = idx
 	bp.noteInstall(idx)
@@ -433,51 +422,6 @@ func (bp *Pool) endFault(pageNo uint64) {
 	delete(bp.faulting, pageNo)
 	wg.Done()
 	bp.faultWGs = append(bp.faultWGs, wg)
-}
-
-// victim finds a free frame under the configured eviction policy; it
-// blocks if every frame is pinned and fails only if that persists.
-func (bp *Pool) victim(p *sim.Proc) (int, error) {
-	if bp.cfg.Policy == PolicyClock {
-		return bp.victimClock(p)
-	}
-	return bp.victimGDSF(p)
-}
-
-// victimClock is the legacy clock sweep, kept behind PolicyClock for
-// A/B runs against GDSF.
-func (bp *Pool) victimClock(p *sim.Proc) (int, error) {
-	for attempt := 0; ; attempt++ {
-		for sweep := 0; sweep < 2*len(bp.frames); sweep++ {
-			f := &bp.frames[bp.hand]
-			idx := bp.hand
-			bp.hand = (bp.hand + 1) % len(bp.frames)
-			if !f.valid {
-				return idx, nil
-			}
-			if f.pins > 0 {
-				continue
-			}
-			if f.ref {
-				f.ref = false
-				continue
-			}
-			ok, err := bp.evict(p, idx)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				return idx, nil
-			}
-			// Someone re-pinned or re-dirtied the frame mid-eviction;
-			// keep sweeping.
-		}
-		if attempt >= 3 {
-			return 0, ErrNoFrames
-		}
-		// Every frame pinned: wait for a release.
-		bp.avail.Wait(p)
-	}
 }
 
 // evict writes back a dirty victim, stashes the (now clean) image in the
@@ -674,7 +618,6 @@ func (bp *Pool) PrimeInstall(p *sim.Proc, pageNo uint64, img []byte) error {
 	f.valid = true
 	f.dirty = false
 	f.pins = 0
-	f.ref = true
 	f.prefetched = false
 	f.extCopy = false
 	bp.table[pageNo] = idx

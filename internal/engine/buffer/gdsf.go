@@ -5,9 +5,9 @@
 // otherwise, plus the write-back a dirty victim must pay first. L is the
 // classic Greedy-Dual inflation value: it rises to the priority of each
 // evicted frame, so long-resident pages age out unless hits keep lifting
-// them. The upshot over the clock sweep: when the extension tier is
-// healthy, pages it can re-serve cheaply are sacrificed first, and
-// frequently-hit pages whose only refuge is the disk hang on longest.
+// them. So when the extension tier is healthy, pages it can re-serve
+// cheaply are sacrificed first, and frequently-hit pages whose only
+// refuge is the disk hang on longest.
 //
 // The implementation is a lazy min-heap. The hit path is one counter
 // increment (no heap movement — the concern that motivates epoch-based
@@ -22,17 +22,6 @@ import (
 	"time"
 
 	"remotedb/internal/sim"
-)
-
-// Policy selects the pool's eviction policy.
-type Policy int
-
-const (
-	// PolicyGDSF is the cost-aware Greedy-Dual-Size-Frequency heap (the
-	// default).
-	PolicyGDSF Policy = iota
-	// PolicyClock is the legacy clock sweep, kept for A/B comparisons.
-	PolicyClock
 )
 
 // gdsfEntry is one heap element: a frame index, the frame's seq at push
@@ -108,9 +97,6 @@ func (bp *Pool) pri(f *frame) float64 {
 // its frequency, base it at the current inflation value, and push a heap
 // entry under a new seq (orphaning any stale entry from a prior life).
 func (bp *Pool) noteInstall(idx int) {
-	if bp.cfg.Policy != PolicyGDSF {
-		return
-	}
 	f := &bp.frames[idx]
 	f.freq = 1
 	f.baseL = bp.gL
@@ -137,9 +123,6 @@ const gdsfFreqCap = 32
 // O(1)); the pop path re-queues entries whose current priority outgrew
 // the value they were pushed at.
 func (bp *Pool) noteHit(idx int) {
-	if bp.cfg.Policy != PolicyGDSF {
-		return
-	}
 	f := &bp.frames[idx]
 	if f.lastEpoch != bp.evictEpoch && f.freq < gdsfFreqCap {
 		f.freq++
@@ -150,18 +133,15 @@ func (bp *Pool) noteHit(idx int) {
 
 // releaseFrame returns a frame that was handed out by victim but never
 // installed (a failed fault, a prefetch that lost a race) to the free
-// list. Clock mode needs nothing: its sweep finds invalid frames.
+// list.
 func (bp *Pool) releaseFrame(idx int) {
-	if bp.cfg.Policy != PolicyGDSF {
-		return
-	}
 	bp.free = append(bp.free, idx)
 }
 
-// victimGDSF finds a free frame: the free list first, then one bounded
+// victim finds a free frame: the free list first, then one bounded
 // sweep over the heap per attempt. Sweeps that come up empty wait for a
-// pin release and retry, exactly like the clock sweep.
-func (bp *Pool) victimGDSF(p *sim.Proc) (int, error) {
+// pin release and retry; it fails only if every frame stays pinned.
+func (bp *Pool) victim(p *sim.Proc) (int, error) {
 	for attempt := 0; ; attempt++ {
 		for len(bp.free) > 0 {
 			idx := bp.free[len(bp.free)-1]
@@ -239,10 +219,4 @@ func (bp *Pool) gdsfSweep(p *sim.Proc) (idx int, ok bool, err error) {
 		skipped = append(skipped, gdsfEntry{idx: e.idx, seq: e.seq, pri: bp.pri(f)})
 	}
 	return 0, false, nil
-}
-
-// DebugGDSF reports the GDSF inflation value and live heap size
-// (diagnostics; not part of the stable API).
-func (bp *Pool) DebugGDSF() (gL float64, heapLen int) {
-	return bp.gL, len(bp.gheap)
 }

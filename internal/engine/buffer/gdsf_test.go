@@ -33,87 +33,54 @@ func seedPages(t *testing.T, p *sim.Proc, bp *Pool, n int) []uint64 {
 
 // skewedRun drives a hot-set-plus-scan workload: each round touches the
 // hot pages twice, then scans a fresh slice of cold pages once — the
-// scan-pollution pattern a recency-only clock is blind to.
-func skewedRun(t *testing.T, p *sim.Proc, bp *Pool, pages []uint64, rounds, hot, scan int) {
+// scan-pollution pattern a recency-only policy is blind to. It returns
+// how many of the hot pages' first touches in rounds 1.. hit.
+func skewedRun(t *testing.T, p *sim.Proc, bp *Pool, pages []uint64, rounds, hot, scan int) (firstHits int) {
 	t.Helper()
+	get := func(no uint64) (hit bool) {
+		hits := bp.Stats.Hits
+		h, err := bp.Get(p, no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		return bp.Stats.Hits > hits
+	}
 	cold := pages[hot:]
 	for r := 0; r < rounds; r++ {
 		for rep := 0; rep < 2; rep++ {
 			for _, no := range pages[:hot] {
-				h, err := bp.Get(p, no)
-				if err != nil {
-					t.Fatal(err)
+				if get(no) && rep == 0 && r > 0 {
+					firstHits++
 				}
-				h.Release()
 			}
 		}
 		for i := 0; i < scan; i++ {
-			no := cold[(r*scan+i)%len(cold)]
-			h, err := bp.Get(p, no)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Release()
+			get(cold[(r*scan+i)%len(cold)])
 		}
 	}
+	return firstHits
 }
 
-func TestGDSFBeatsClockOnSkewedWorkload(t *testing.T) {
-	run := func(pol Policy) (hits, misses int64) {
-		k := newKernel(t, 1)
-		s, data := rig(k)
-		k.Go("t", func(p *sim.Proc) {
-			cfg := DefaultConfig(8)
-			cfg.WriterPeriod = 0
-			cfg.Policy = pol
-			bp, err := New(p, s, data, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			pages := seedPages(t, p, bp, 64)
-			bp.Stats = Stats{}
-			skewedRun(t, p, bp, pages, 20, 4, 8)
-			hits = bp.Stats.Hits
-			misses = bp.Stats.DiskReads
-		})
-		k.Run(time.Minute)
-		return hits, misses
-	}
-	gHits, gMiss := run(PolicyGDSF)
-	cHits, cMiss := run(PolicyClock)
-	if gHits <= cHits {
-		t.Errorf("GDSF hits = %d, clock hits = %d: GDSF should keep the hot set", gHits, cHits)
-	}
-	if gMiss >= cMiss {
-		t.Errorf("GDSF disk reads = %d, clock = %d: GDSF should fault less", gMiss, cMiss)
-	}
-}
-
-func TestClockPolicyStillCorrect(t *testing.T) {
+// Each round's scan alone would refill the pool, so a recency-only policy
+// misses every first touch of the hot set. GDSF must keep the hot pages,
+// whose frequency the second touches raise, through the scans.
+func TestGDSFKeepsHotSetThroughScans(t *testing.T) {
+	const rounds, hot = 20, 4
 	k := newKernel(t, 1)
 	s, data := rig(k)
 	k.Go("t", func(p *sim.Proc) {
-		cfg := DefaultConfig(4)
+		cfg := DefaultConfig(8)
 		cfg.WriterPeriod = 0
-		cfg.Policy = PolicyClock
 		bp, err := New(p, s, data, cfg)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		pages := seedPages(t, p, bp, 12)
-		for i, no := range pages {
-			h, err := bp.Get(p, no)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rec, _ := h.Page().Get(0)
-			if string(rec) != fmt.Sprintf("page-%d", i) {
-				t.Errorf("page %d = %q", no, rec)
-			}
-			h.Release()
+		pages := seedPages(t, p, bp, 64)
+		touches := (rounds - 1) * hot
+		if got := skewedRun(t, p, bp, pages, rounds, hot, 8); 2*got <= touches {
+			t.Errorf("%d of the hot set's %d first touches hit, want more than half", got, touches)
 		}
 	})
 	k.Run(time.Minute)

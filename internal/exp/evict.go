@@ -1,11 +1,9 @@
-// The evict experiment A/Bs the buffer pool's eviction policies under a
-// skewed working set: the legacy clock sweep vs the cost-aware GDSF
-// heap. A Zipf-distributed access stream over a data set ~8x the pool,
-// with a fraction of accesses dirtying pages, measures hit rate, disk
-// faults, synchronous write-back volume, and elapsed (stall) time per
-// policy. GDSF keeps the frequently-hit pages and prefers sacrificing
-// cheap-to-refetch clean pages, so it should win on both hit rate and
-// stall time.
+// The evict experiment measures the buffer pool's cost-aware GDSF
+// eviction under a skewed working set: a Zipf-distributed access stream
+// over a data set ~8x the pool, with a fraction of accesses dirtying
+// pages, measures hit rate, disk faults, synchronous write-back volume,
+// and elapsed (stall) time. A second lane runs a stream of short
+// sequential bursts through a fixed and an adaptive readahead window.
 package exp
 
 import (
@@ -20,11 +18,11 @@ import (
 	"remotedb/internal/vfs"
 )
 
-// EvictParams sizes the policy A/B.
+// EvictParams sizes the experiment.
 type EvictParams struct {
 	Frames   int     // pool size
 	Pages    int     // data set size (pages)
-	Accesses int     // Zipf-distributed Get()s per policy
+	Accesses int     // Zipf-distributed Get()s
 	Zipf     float64 // skew exponent (> 1)
 	DirtyPct int     // percent of accesses that dirty the page
 }
@@ -39,9 +37,8 @@ func EvictGeometry(quick bool) EvictParams {
 	return EvictParams{Frames: 256, Pages: 2048, Accesses: 20000, Zipf: 1.2, DirtyPct: 10}
 }
 
-// EvictPoint is one policy's run.
+// EvictPoint is the Zipf run.
 type EvictPoint struct {
-	Policy         string
 	Elapsed        time.Duration
 	HitRate        float64
 	Hits           int64
@@ -61,11 +58,9 @@ type RAPoint struct {
 	Elapsed    time.Duration
 }
 
-// EvictResult is the A/B comparison.
+// EvictResult is the Zipf run and the readahead comparison.
 type EvictResult struct {
-	Clock, GDSF EvictPoint
-	HitDelta    float64 // GDSF - clock hit rate, in points
-	Speedup     float64 // clock elapsed / GDSF elapsed
+	GDSF EvictPoint
 
 	// Readahead adaptation lane: the same stream of mostly-short
 	// sequential bursts through a fixed prefetch window and through the
@@ -77,24 +72,14 @@ type EvictResult struct {
 	WasteDrop  float64 // fixed - adaptive waste ratio, in points
 }
 
-// RunEvict drives the same deterministic access stream through a
-// clock-swept pool and a GDSF pool and compares them.
+// RunEvict drives the deterministic Zipf stream through a pool, then the
+// burst stream through a fixed and an adaptive readahead window.
 func RunEvict(seed int64, prm EvictParams) (EvictResult, error) {
 	var res EvictResult
 	err := RunInSim(seed, 2*time.Hour, func(p *sim.Proc) error {
-		clock, err := evictRun(p, seed, prm, buffer.PolicyClock)
-		if err != nil {
+		var err error
+		if res.GDSF, err = evictRun(p, seed, prm); err != nil {
 			return err
-		}
-		gdsf, err := evictRun(p, seed, prm, buffer.PolicyGDSF)
-		if err != nil {
-			return err
-		}
-		res.Clock = clock
-		res.GDSF = gdsf
-		res.HitDelta = (gdsf.HitRate - clock.HitRate) * 100
-		if gdsf.Elapsed > 0 {
-			res.Speedup = float64(clock.Elapsed) / float64(gdsf.Elapsed)
 		}
 		if res.FixedRA, err = readaheadRun(p, seed, prm, false); err != nil {
 			return err
@@ -108,18 +93,14 @@ func RunEvict(seed int64, prm EvictParams) (EvictResult, error) {
 	return res, err
 }
 
-func evictRun(p *sim.Proc, seed int64, prm EvictParams, pol buffer.Policy) (EvictPoint, error) {
-	pt := EvictPoint{Policy: "clock"}
-	if pol == buffer.PolicyGDSF {
-		pt.Policy = "gdsf"
-	}
+func evictRun(p *sim.Proc, seed int64, prm EvictParams) (EvictPoint, error) {
+	var pt EvictPoint
 	scfg := cluster.DefaultConfig()
 	scfg.MemoryBytes = 256 << 20
-	s := cluster.NewServer(p.Kernel(), "evict-"+pt.Policy, scfg)
+	s := cluster.NewServer(p.Kernel(), "evict-gdsf", scfg)
 	cfg := buffer.DefaultConfig(prm.Frames)
-	cfg.Policy = pol
 	// No lazy writer: dirty pages must be written back synchronously at
-	// eviction, so the policies' dirty-victim choices show up as stall
+	// eviction, so the policy's dirty-victim choices show up as stall
 	// time and write-back volume.
 	cfg.WriterPeriod = 0
 	bp, err := buffer.New(p, s, vfs.NewDeviceFile("data", s.HDD), cfg)
@@ -140,7 +121,7 @@ func evictRun(p *sim.Proc, seed int64, prm EvictParams, pol buffer.Policy) (Evic
 	}
 	bp.Stats = buffer.Stats{}
 
-	// The same deterministic Zipf stream for both policies.
+	// A deterministic Zipf stream.
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, prm.Zipf, 1, uint64(prm.Pages-1))
 	t0 := p.Now()
@@ -249,37 +230,29 @@ func (pt RAPoint) String() string {
 		pt.WasteRatio*100, pt.Elapsed.Round(time.Microsecond))
 }
 
-// String renders one policy row.
+// String renders the Zipf run's row.
 func (pt EvictPoint) String() string {
-	return fmt.Sprintf("%-6s hit=%.1f%%  faults=%d  dirty-evicts=%d  writeback=%dKiB  elapsed=%v",
-		pt.Policy, pt.HitRate*100, pt.DiskReads, pt.EvictDirty,
+	return fmt.Sprintf("gdsf   hit=%.1f%%  faults=%d  dirty-evicts=%d  writeback=%dKiB  elapsed=%v",
+		pt.HitRate*100, pt.DiskReads, pt.EvictDirty,
 		pt.WriteBackBytes>>10, pt.Elapsed.Round(time.Microsecond))
 }
 
-// reportEvict prints the policy A/B and the readahead comparison, and
+// reportEvict prints the Zipf run and the readahead comparison, and
 // fails unless the adaptive readahead window wastes less than the fixed
 // one and still hits.
 func reportEvict(seed int64, quick bool, rep *Report) error {
-	rep.Println("Eviction policy A/B: clock sweep vs cost-aware GDSF under a")
-	rep.Println("Zipf working set with 10% writes")
+	rep.Println("Cost-aware GDSF eviction under a Zipf working set with 10% writes")
 	res, err := RunEvict(seed, EvictGeometry(quick))
 	if err != nil {
 		return err
 	}
-	rep.Printf("  %s\n  %s\n", res.Clock, res.GDSF)
-	rep.Printf("  GDSF: %+.1f hit points, %.2fx stall speedup\n", res.HitDelta, res.Speedup)
+	rep.Printf("  %s\n", res.GDSF)
 	rep.Printf("  readahead under short bursts:\n    %s\n    %s\n", res.FixedRA, res.AdaptiveRA)
 	rep.Printf("  adaptive window: %+.1f waste points\n", -res.WasteDrop)
-	rep.Metric("clock_hit_rate", res.Clock.HitRate)
 	rep.Metric("gdsf_hit_rate", res.GDSF.HitRate)
-	rep.Metric("clock_disk_reads", float64(res.Clock.DiskReads))
 	rep.Metric("gdsf_disk_reads", float64(res.GDSF.DiskReads))
-	rep.MetricDur("clock_elapsed_ms", res.Clock.Elapsed)
 	rep.MetricDur("gdsf_elapsed_ms", res.GDSF.Elapsed)
-	rep.Metric("clock_writeback_bytes", float64(res.Clock.WriteBackBytes))
 	rep.Metric("gdsf_writeback_bytes", float64(res.GDSF.WriteBackBytes))
-	rep.Metric("hit_delta_points", res.HitDelta)
-	rep.Metric("speedup", res.Speedup)
 	rep.Metric("fixed_ra_waste_ratio", res.FixedRA.WasteRatio)
 	rep.Metric("adaptive_ra_waste_ratio", res.AdaptiveRA.WasteRatio)
 	rep.Metric("ra_waste_drop_points", res.WasteDrop)

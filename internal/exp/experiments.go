@@ -368,7 +368,7 @@ var Experiments = []Experiment{
 		}},
 	}},
 	{[]string{"iobatch"}, "vectored I/O: batched vs per-page transfers, burst priming, and an eviction storm through the vectored pool", reportIOBatch, nil},
-	{[]string{"evict"}, "eviction policy A/B: clock sweep vs cost-aware GDSF", reportEvict, nil},
+	{[]string{"evict"}, "cost-aware GDSF eviction under a skewed working set, and adaptive readahead under short bursts", reportEvict, nil},
 	{[]string{"pushdown"}, "donor-side operator pushdown vs fetch-all across selectivities, the optimizer's placement choice, and a pushed scan through a corruption + revocation storm", reportPushdown, nil},
 	{[]string{"cluster"}, "cluster-scale broker: 200+ DB servers and donors on a sharded broker with batched heartbeats, through a diurnal reclamation wave", reportCluster, nil},
 	{[]string{"chaos"}, "tail-tolerance chaos harness on the cluster bed: slow-donor injection (hedging A/B), a reclamation storm under deadline budgets + health scoring, and a flapping donor through the breaker's recovery arc", reportChaos, nil},

@@ -10,7 +10,6 @@ import (
 	"remotedb/internal/cluster"
 	"remotedb/internal/core"
 	"remotedb/internal/engine"
-	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
 	"remotedb/internal/engine/prime"
 	"remotedb/internal/hw/nic"
@@ -291,7 +290,8 @@ func Fig16Geometry(quick bool) Fig16Params {
 // a new primary's buffer pool versus warming it through the workload,
 // and the tail-latency effect, for several buffer-pool sizes. Warm-up
 // time is measured as the time for a cold instance's throughput to
-// plateau (two consecutive windows within 5%), the operational notion
+// plateau (two consecutive 250 ms windows, each within ±8% of the one
+// before), the operational notion
 // behind Figure 16a. The tail is the p95 of a fixed number of queries
 // per client (firstQueriesP95).
 func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
@@ -308,11 +308,8 @@ func RunFig16Priming(seed int64, prm Fig16Params) ([]Fig16Result, error) {
 				cfg := engine.DefaultConfig(frames)
 				// Figure 16 measures how a cold pool penalizes the workload
 				// until primed; scan readahead would mask exactly that
-				// penalty, and GDSF holds the hotspot so tightly that the
-				// "cold" run barely looks cold — so these engines run the
-				// paper's configuration: no readahead, clock sweep.
+				// penalty, so these engines run without it.
 				cfg.Buffer.Readahead = 0
-				cfg.Buffer.Policy = buffer.PolicyClock
 				eng, err := engine.New(p, s, engine.Files{
 					Data: vfs.NewDeviceFile("data", s.HDD),
 					Log:  vfs.NewDeviceFile("log", s.HDD),

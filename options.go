@@ -26,7 +26,6 @@ import (
 	"remotedb/internal/broker"
 	"remotedb/internal/core"
 	"remotedb/internal/engine"
-	"remotedb/internal/engine/buffer"
 	"remotedb/internal/engine/page"
 	"remotedb/internal/exp"
 	"remotedb/internal/fault"
@@ -202,22 +201,6 @@ type SemCacheFactory = engine.SemCacheFactory
 // WithDOP sets the degree of intra-query parallelism offered to the
 // planner (0 keeps the default of 4; 1 forces serial plans).
 func WithDOP(n int) Option { return func(s *settings) { positive(&s.Engine.DOP, n) } }
-
-// EvictionPolicy selects the buffer pool's page replacement policy.
-type EvictionPolicy = buffer.Policy
-
-// The two eviction policies: the cost-aware GDSF heap, whose miss cost
-// is the calibrated latency of the tier a page would actually fall to
-// (the default), and the legacy clock sweep kept for A/B comparisons.
-const (
-	EvictGDSF  = buffer.PolicyGDSF
-	EvictClock = buffer.PolicyClock
-)
-
-// WithEviction selects the buffer pool's eviction policy.
-func WithEviction(pol EvictionPolicy) Option {
-	return func(s *settings) { s.Engine.Buffer.Policy = pol }
-}
 
 // WithReadahead sets the buffer pool's scan readahead window in pages
 // (0 keeps the default of 8).
