@@ -102,6 +102,31 @@ func BenchmarkParallelScan(b *testing.B) {
 	})
 }
 
+// BenchmarkParallelScanFilter reads the same table at DOP 4 with a
+// predicate each partition's scan evaluates on the row image, keeping
+// one row in ten: only the kept rows are decoded, copied into a batch
+// and merged. An op is one full scan.
+func BenchmarkParallelScanFilter(b *testing.B) {
+	const rows = 50000
+	benchRig(b, func(p *sim.Proc, cat *catalog.Catalog, ctx *Ctx) {
+		tbl := benchItems(b, p, cat)
+		if tbl == nil {
+			return
+		}
+		preds := []ScanPred{{Ords: []int{0}, Fn: func(t row.Tuple) bool { return t[0].(int64)%10 == 0 }}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n, err := Run(ctx, &ParallelScan{Table: tbl, DOP: 4, Preds: preds})
+			if err != nil || n != rows/10 {
+				b.Errorf("parallel scan: %d rows, %v", n, err)
+				return
+			}
+		}
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+}
+
 // BenchmarkHashJoinSpill joins 5 000 orders to their 15 000 line items
 // under a grant the build side overflows at once, so every row of both
 // sides goes through the grace path: encoded, appended to one of 16

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"remotedb/internal/engine/row"
 	"remotedb/internal/sim"
@@ -233,10 +234,12 @@ func TestExchangeBatchPoolAcrossKernels(t *testing.T) {
 }
 
 // TestRejectedRowsAreNotDecoded scans with a predicate that rejects
-// every row: what a row costs in allocations is its predicate's decode,
-// however many columns the scan would materialise for a row it kept. A
-// row the predicate keeps costs what it costs with no predicate: the
-// decode keeps the boxes the predicate made.
+// every row, serially and at DOP 4: what a row costs in allocations is
+// its predicate's decode, however many columns the scan would
+// materialise for a row it kept. A row the predicate keeps costs what it
+// costs with no predicate: the decode keeps the boxes the predicate
+// made. At DOP 4 a row a partition rejects never crosses the exchange,
+// so the consumer pays PerXchg once per kept row, not per scanned row.
 func TestRejectedRowsAreNotDecoded(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		_, items := loadJoinTables(t, p, r, 600)
@@ -244,20 +247,45 @@ func TestRejectedRowsAreNotDecoded(t *testing.T) {
 		price := func(keep bool) []ScanPred {
 			return []ScanPred{{Ords: []int{2}, Fn: func(tp row.Tuple) bool { return (tp[0].(float64) >= 0) == keep }}}
 		}
-		perRow := func(cols []string, preds []ScanPred, want int64) float64 {
+		perRow := func(dop int, cols []string, preds []ScanPred, want int64) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if n, err := Run(r.ctx, &TableScan{Table: items, Cols: cols, Preds: preds}); err != nil || n != want {
-					t.Errorf("scan with cols %v: %d rows, %v", cols, n, err)
+				var op Op = &TableScan{Table: items, Cols: cols, Preds: preds}
+				if dop > 1 {
+					op = &ParallelScan{Table: items, DOP: dop, Cols: cols, Preds: preds}
+				}
+				if n, err := Run(r.ctx, op); err != nil || n != want {
+					t.Errorf("DOP %d scan with cols %v: %d rows, %v", dop, cols, n, err)
 				}
 			}) / rows
 		}
-		one, three := perRow([]string{"linenum"}, price(false), 0), perRow(nil, price(false), 0)
-		if three > one+0.01 {
-			t.Errorf("a rejected row allocates %.3f times materialising 3 columns, %.3f materialising 1", three, one)
+		for _, dop := range []int{1, 4} {
+			one, three := perRow(dop, []string{"linenum"}, price(false), 0), perRow(dop, nil, price(false), 0)
+			if three > one+0.01 {
+				t.Errorf("DOP %d: a rejected row allocates %.3f times materialising 3 columns, %.3f materialising 1", dop, three, one)
+			}
 		}
-		kept, plain := perRow(nil, price(true), rows), perRow(nil, nil, rows)
+		// Each partition binds the predicates once a scan, a fixed cost
+		// four partitions make larger than the per-row slack, so a kept
+		// row is compared on the serial scan.
+		kept, plain := perRow(1, nil, price(true), rows), perRow(1, nil, nil, rows)
 		if kept > plain+0.01 {
 			t.Errorf("a kept row allocates %.3f times, %.3f with no predicate", kept, plain)
+		}
+
+		// Only PerXchg costs virtual time, and only the consumer charges
+		// it; the time a run with no CPU costs at all takes is subtracted.
+		firstLine := []ScanPred{{Ords: []int{1}, Fn: func(tp row.Tuple) bool { return tp[0].(int64) == 0 }}}
+		defer func(cpu CPUProfile) { r.ctx.CPU = cpu }(r.ctx.CPU)
+		elapsed := func(cpu CPUProfile) time.Duration {
+			r.ctx.CPU = cpu
+			t0 := p.Now()
+			if n, err := Run(r.ctx, &ParallelScan{Table: items, DOP: 4, Preds: firstLine}); err != nil || n != rows/3 {
+				t.Errorf("DOP 4 scan of first lines: %d rows, %v", n, err)
+			}
+			return p.Now() - t0
+		}
+		if got, want := elapsed(CPUProfile{PerXchg: time.Microsecond})-elapsed(CPUProfile{}), rows/3*time.Microsecond; got != want {
+			t.Errorf("the consumer of a DOP 4 scan keeping %d of %d rows charged %v of PerXchg, want %v", rows/3, rows, got, want)
 		}
 	})
 }

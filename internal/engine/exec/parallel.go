@@ -82,8 +82,8 @@ type xchgPart struct {
 // producer that runs ahead of the consumer parks until space frees.
 //
 // Each row moved through the merge charges CPUProfile.PerXchg on the
-// consumer's context; producers charge their own scan/filter CPU on
-// their own worker processes (cores).
+// consumer's context; producers charge their own scan CPU, predicates
+// included, on their own worker processes (cores).
 type Exchange struct {
 	Parts []Op
 	// QueueBatches bounds each partition's queue (default 4 batches).
@@ -266,14 +266,16 @@ func (x *Exchange) Close(c *Ctx) error {
 }
 
 // ParallelScan reads a table in PK order with DOP range-partitioned
-// workers merged through an Exchange. With DOP <= 1, or when the tree is
-// too small to split, it degrades to a plain TableScan.
+// workers merged through an Exchange, each partition's TableScan
+// evaluating Preds. With DOP <= 1, or when the tree is too small to
+// split, it degrades to a plain TableScan with the same Preds.
 type ParallelScan struct {
 	Table *catalog.Table
 	From  []byte
 	To    []byte
 	DOP   int
-	Cols  []string // columns to materialise, in schema order (nil = all)
+	Cols  []string   // columns to materialise, in schema order (nil = all)
+	Preds []ScanPred // evaluated in each partition, before a row is decoded
 
 	schema *row.Schema
 	inner  Op
@@ -301,13 +303,13 @@ func (s *ParallelScan) Open(c *Ctx) error {
 		if len(ranges) > 1 {
 			parts := make([]Op, len(ranges))
 			for i, r := range ranges {
-				parts[i] = &TableScan{Table: s.Table, From: r[0], To: r[1], Cols: s.Cols}
+				parts[i] = &TableScan{Table: s.Table, From: r[0], To: r[1], Cols: s.Cols, Preds: s.Preds}
 			}
 			s.inner = &Exchange{Parts: parts}
 			return s.inner.Open(c)
 		}
 	}
-	s.inner = &TableScan{Table: s.Table, From: s.From, To: s.To, Cols: s.Cols}
+	s.inner = &TableScan{Table: s.Table, From: s.From, To: s.To, Cols: s.Cols, Preds: s.Preds}
 	return s.inner.Open(c)
 }
 

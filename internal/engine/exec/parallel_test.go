@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"remotedb/internal/engine/catalog"
 	"remotedb/internal/engine/row"
 	"remotedb/internal/sim"
 )
@@ -134,6 +135,60 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("group %d differs:\n serial: %s\n parallel: %s", i, a[i], b[i])
+			}
+		}
+	})
+}
+
+// TestParallelScanPredicates checks a parallel scan that evaluates a
+// predicate in its partitions against a Filter over the same scan: the
+// same rows, in PK order, over a range that splits at DOP 4 and over a
+// tree too small to split, where the scan falls back to one TableScan
+// that must evaluate the predicate too.
+func TestParallelScanPredicates(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		orders, _ := loadJoinTables(t, p, r, 2000)
+		small, err := r.c.CreateTable(p, "small", ordersSchema(), "orderkey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []row.Tuple
+		for i := 0; i < 10; i++ {
+			rows = append(rows, row.Tuple{int64(i), int64(i % 4), float64(i)})
+		}
+		if err := small.BulkLoad(p, rows); err != nil {
+			t.Fatal(err)
+		}
+		keep := func(custkey interface{}) bool { return custkey.(int64)%4 == 3 }
+		preds := []ScanPred{{Ords: []int{1}, Fn: func(tp row.Tuple) bool { return keep(tp[0]) }}}
+		for _, tc := range []struct {
+			name     string
+			tbl      *catalog.Table
+			from, to []byte
+			split    bool
+		}{
+			{"split range", orders, row.EncodeKey(nil, int64(100)), row.EncodeKey(nil, int64(1500)), true},
+			{"small tree", small, nil, nil, false},
+		} {
+			ranges, err := PartitionRanges(p, tc.tbl, tc.from, tc.to, 4)
+			if err != nil || (len(ranges) > 1) != tc.split {
+				t.Fatalf("%s: %d ranges at DOP 4, %v", tc.name, len(ranges), err)
+			}
+			scan := func(preds []ScanPred) *ParallelScan {
+				return &ParallelScan{Table: tc.tbl, From: tc.from, To: tc.to, DOP: 4, Preds: preds}
+			}
+			want, err := collect(r.ctx, &Filter{In: scan(nil), Pred: func(tp row.Tuple) bool { return keep(tp[1]) }})
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%s: filter kept %d rows, %v", tc.name, len(want), err)
+			}
+			got, err := collect(r.ctx, scan(preds))
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("%s: scan predicate kept %d rows, filter %d, %v", tc.name, len(got), len(want), err)
+			}
+			for i := range want {
+				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+					t.Fatalf("%s: row %d is %v, filter's is %v", tc.name, i, got[i], want[i])
+				}
 			}
 		}
 	})

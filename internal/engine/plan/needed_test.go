@@ -46,7 +46,8 @@ func tpchTables(t *testing.T, p *sim.Proc, r *rigT) map[string]*catalog.Table {
 
 // render draws a lowered tree with what each leaf materialises and each
 // join emits ("*" = everything). A predicate a scan evaluates itself
-// follows the scan as "where" and the columns it declares.
+// follows the scan as "where" and the columns it declares; a parallel
+// scan is marked "parallel".
 func render(op exec.Op) string {
 	cols := func(c []string) string {
 		if c == nil {
@@ -54,19 +55,22 @@ func render(op exec.Op) string {
 		}
 		return fmt.Sprint(c)
 	}
-	switch o := op.(type) {
-	case *exec.TableScan:
-		out := o.Table.Name + cols(o.Cols)
-		for _, p := range o.Preds {
+	scan := func(tbl *catalog.Table, c []string, preds []exec.ScanPred) string {
+		out := tbl.Name + cols(c)
+		for _, p := range preds {
 			names := []string{}
 			for _, ord := range p.Ords {
-				names = append(names, o.Table.Schema.Columns[ord].Name)
+				names = append(names, tbl.Schema.Columns[ord].Name)
 			}
 			out += fmt.Sprint(" where ", names)
 		}
 		return out
+	}
+	switch o := op.(type) {
+	case *exec.TableScan:
+		return scan(o.Table, o.Cols, o.Preds)
 	case *exec.ParallelScan:
-		return o.Table.Name + cols(o.Cols)
+		return "parallel " + scan(o.Table, o.Cols, o.Preds)
 	case *exec.Filter:
 		return "filter(" + render(o.In) + ")"
 	case *exec.HashAgg:

@@ -300,6 +300,35 @@ func TestAggLowersToParallelAgg(t *testing.T) {
 	})
 }
 
+// TestFilterLowersIntoParallelScan lowers filter-over-scan at DOP 4:
+// the predicate runs in the scan's partitions, with no Filter above the
+// exchange, and keeps the rows it keeps serially. A predicate naming a
+// column the table lacks fails Lower with the same error at DOP 1 and 4.
+func TestFilterLowersIntoParallelScan(t *testing.T) {
+	withRig(t, func(p *sim.Proc, r *rigT) {
+		orders := loadOrders(t, p, r, 5000)
+		b := Scan(orders).Where("late", []string{"total"}, func(tp row.Tuple) bool { return tp[0].(float64) >= 4500 })
+		op, err := r.pl.Lower(r.ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps, ok := op.(*exec.ParallelScan); !ok || len(ps.Preds) != 1 {
+			t.Fatalf("filter over a scan at DOP 4 lowered to %s, want a parallel scan evaluating the predicate", render(op))
+		}
+		if n, err := exec.Run(r.ctx, op); err != nil || n != 500 {
+			t.Errorf("parallel scan kept %d rows, %v; want 500", n, err)
+		}
+		serialCtx := *r.ctx
+		serialCtx.DOP = 1
+		typo := Scan(orders).Where("typo", []string{"totl"}, anyRow)
+		_, err4 := r.pl.Lower(r.ctx, typo)
+		_, err1 := r.pl.Lower(&serialCtx, typo)
+		if err4 == nil || err1 == nil || err4.Error() != err1.Error() {
+			t.Errorf("undeclared column: Lower at DOP 4 = %v, at DOP 1 = %v; want the same error", err4, err1)
+		}
+	})
+}
+
 // collect drains an operator tree into a slice.
 func collect(c *exec.Ctx, op exec.Op) ([]row.Tuple, error) {
 	r, err := exec.Open(c, op)

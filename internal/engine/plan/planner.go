@@ -513,18 +513,19 @@ func (in *instantiator) nextLeaf() leafPlan {
 	return l
 }
 
-// scanOp is the ordinary (possibly parallel) B-tree scan of a leaf.
-func scanOp(scan *Node, leaf leafPlan) exec.Op {
+// scanOp is the ordinary (possibly parallel) B-tree scan of a leaf,
+// evaluating preds itself: in every partition when it is parallel.
+func scanOp(scan *Node, leaf leafPlan, preds []exec.ScanPred) exec.Op {
 	if leaf.dop > 1 {
-		return &exec.ParallelScan{Table: scan.Table, From: scan.From, To: scan.To, DOP: leaf.dop, Cols: leaf.cols}
+		return &exec.ParallelScan{Table: scan.Table, From: scan.From, To: scan.To, DOP: leaf.dop, Cols: leaf.cols, Preds: preds}
 	}
-	return &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols}
+	return &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols, Preds: preds}
 }
 
 func (in *instantiator) lower(c *exec.Ctx, n *Node) (exec.Op, error) {
 	switch n.Kind {
 	case KindScan:
-		return scanOp(n, in.nextLeaf()), nil
+		return scanOp(n, in.nextLeaf(), nil), nil
 	case KindJoin:
 		return in.lowerJoin(c, n)
 	case KindAgg:
@@ -582,24 +583,21 @@ func (in *instantiator) lowerJoin(c *exec.Ctx, n *Node) (exec.Op, error) {
 }
 
 // lowerFilteredScan lowers filter-over-scan honoring the cached
-// placement: PlaceLocal gives the ordinary B-tree scan, evaluating the
-// predicates itself when it is serial and under a Filter when it is
-// parallel, while the remote placements absorb the pushable leaves into
-// a PushScan — donor-evaluated or fetch-all per the decision — leaving
-// opaque predicates behind as a residual Filter.
+// placement: PlaceLocal gives the ordinary B-tree scan evaluating the
+// predicates itself, in every partition when it is parallel, while the
+// remote placements absorb the pushable leaves into a PushScan —
+// donor-evaluated or fetch-all per the decision — leaving opaque
+// predicates behind as a residual Filter.
 func (in *instantiator) lowerFilteredScan(f, scan *Node) (exec.Op, error) {
 	leaf := in.nextLeaf()
 	if leaf.placement != opt.PlaceLocal && scan.Table.Push != nil {
 		return pushScanOp(f, scan, leaf)
 	}
-	if leaf.dop > 1 {
-		return filterOp(f.Preds, scanOp(scan, leaf))
-	}
 	preds, err := bindPreds(f.Preds, scan.Table.Schema)
 	if err != nil {
 		return nil, err
 	}
-	return &exec.TableScan{Table: scan.Table, From: scan.From, To: scan.To, Cols: leaf.cols, Preds: preds}, nil
+	return scanOp(scan, leaf, preds), nil
 }
 
 // pushScanOp builds the PushScan (plus residual Filter) for a
