@@ -21,6 +21,10 @@ func TestWorkChargesExactTime(t *testing.T) {
 	k.Go("w", func(p *sim.Proc) {
 		s.Work(p, time.Millisecond)
 		end = p.Now()
+		// The core-time is read back in full as soon as the work ends.
+		if busy := time.Duration(s.CPUBusyNanos()); busy != time.Millisecond {
+			t.Errorf("1ms of work reads %v of core-time after it", busy)
+		}
 	})
 	k.Run(0)
 	if end != time.Millisecond {

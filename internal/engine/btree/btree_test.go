@@ -423,3 +423,53 @@ func TestStringKeys(t *testing.T) {
 	})
 	k.Run(time.Minute)
 }
+
+// TestSplitPointsBelowNarrowRoot splits trees whose root has too few
+// separators for the split asked for: a bulk-loaded height-3 tree whose
+// root has two children, and the same keys inserted one by one, whose
+// inner levels grew by splits. Every split must come back with n-1
+// ascending separators that cut the keys into ranges of comparable size.
+func TestSplitPointsBelowNarrowRoot(t *testing.T) {
+	const n, width = 2800, 1000 // about 7 entries a leaf: 400 leaves, 2 leaf parents
+	k := newKernel(t, 1)
+	mk := rig(k, 1024)
+	k.Go("t", func(p *sim.Proc) {
+		bulk, inserted := mk(p), mk(p)
+		loadTree(t, p, bulk, n, width)
+		for i := 0; i < n; i++ {
+			if err := inserted.Insert(p, key(i), wideVal(i, width)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := bulk.bp.Get(p, bulk.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		children := h.Page().NumSlots() - 1
+		h.Release()
+		if bulk.height != 3 || children != 2 {
+			t.Fatalf("bulk-loaded tree has height %d and %d root children, want 3 and 2", bulk.height, children)
+		}
+		for _, tr := range []*Tree{bulk, inserted} {
+			for _, parts := range []int{2, 4, 16, 64} {
+				seps, err := tr.SplitPoints(p, parts)
+				if err != nil || len(seps) != parts-1 {
+					t.Fatalf("height-%d tree: SplitPoints(%d) gave %d separators, %v", tr.height, parts, len(seps), err)
+				}
+				lo := -1
+				for i, s := range seps {
+					at := int(decodeI(t, s))
+					if at <= lo {
+						t.Fatalf("SplitPoints(%d): separator %d is key %d, after %d", parts, i, at, lo)
+					}
+					// Each range holds within 2x of its fair share.
+					if size, fair := at-max(lo, 0), n/parts; size < fair/2 || size > 2*fair {
+						t.Errorf("SplitPoints(%d): range %d holds %d keys, fair share %d", parts, i, size, fair)
+					}
+					lo = at
+				}
+			}
+		}
+	})
+	k.Run(0)
+}

@@ -296,40 +296,84 @@ func ownPairs(pairs []Pair) {
 	}
 }
 
-// SplitPoints returns up to n-1 separator keys that partition the key
-// space into roughly equal consecutive ranges, sampled from the root
-// node's separators (one page read). A small tree may yield fewer
-// separators than asked for; a single-level tree yields none.
+// SplitPoints returns up to n-1 ascending separator keys that cut the key
+// space into roughly equal ranges, from the highest level with at least
+// n-1 separators (the leaves' parents at the lowest). It copies only the
+// keys it returns, into one arena: the root is counted and sampled under
+// one pin, a lower level is read to count and again to copy. A small tree
+// yields fewer.
 func (t *Tree) SplitPoints(p *sim.Proc, n int) ([][]byte, error) {
 	if n < 2 || t.height < 2 {
 		return nil, nil
+	}
+	out, total, seen := make([][]byte, 0, n-1), 0, 0
+	var arena []byte // a key's slice stays valid as it grows: no byte is rewritten
+	count := func([]byte) { total++ }
+	pick := func(k []byte) { // separators i*total/m, i in 1..m-1: all of them when total < n
+		if m := min(n, total+1); len(out) < m-1 && seen == (len(out)+1)*total/m {
+			arena = append(arena, k...)
+			out = append(out, arena[len(arena)-len(k):len(arena):len(arena)])
+		}
+		seen++
 	}
 	h, err := t.bp.Get(p, t.root)
 	if err != nil {
 		return nil, err
 	}
-	pg := h.Page()
-	var seps [][]byte
-	for i := 1; i < pg.NumSlots(); i++ {
-		rec, err := pg.Get(i)
-		if err != nil {
-			continue
-		}
-		k, _ := decodeInner(rec)
-		if len(k) == 0 {
-			continue // -inf entry for the leftmost child
-		}
-		seps = append(seps, append([]byte(nil), k...))
+	first := nodeSeps(h.Page(), count)
+	done := total >= n-1 || t.height == 2
+	if done {
+		nodeSeps(h.Page(), pick)
 	}
 	h.Release()
-	if len(seps) <= n-1 {
-		return seps, nil
-	}
-	out := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, seps[i*len(seps)/n])
+	for level := t.height - 1; !done; level-- {
+		total = 0
+		below, err := t.levelSeps(p, first, count)
+		if done = total >= n-1 || level == 2; done && err == nil {
+			_, err = t.levelSeps(p, first, pick)
+		}
+		if err != nil {
+			return nil, err
+		}
+		first = below
 	}
 	return out, nil
+}
+
+// levelSeps calls nodeSeps on each node of the inner level whose leftmost
+// node is first, and returns the leftmost node of the level below.
+func (t *Tree) levelSeps(p *sim.Proc, first uint64, fn func([]byte)) (below uint64, err error) {
+	for no := first; no != 0; {
+		h, err := t.bp.Get(p, no)
+		if err != nil {
+			return 0, err
+		}
+		if child := nodeSeps(h.Page(), fn); below == 0 {
+			below = child
+		}
+		no = h.Page().Next()
+		h.Release()
+	}
+	return below, nil
+}
+
+// nodeSeps calls fn on a pinned inner node's separators in key order —
+// its keyed entries, then its high key (the boundary with its right
+// sibling) — and returns its -inf entry's child. fn's key aliases pg.
+func nodeSeps(pg *page.Page, fn func([]byte)) (leftmost uint64) {
+	for i := 1; i < pg.NumSlots(); i++ {
+		if rec, err := pg.Get(i); err == nil {
+			if k, child := decodeInner(rec); len(k) == 0 {
+				leftmost = child
+			} else {
+				fn(k)
+			}
+		}
+	}
+	if hk := highKey(pg); len(hk) > 0 {
+		fn(hk)
+	}
+	return leftmost
 }
 
 // BulkLoad builds a tree bottom-up from key-sorted pairs, filling leaves

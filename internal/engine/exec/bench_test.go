@@ -53,6 +53,14 @@ func benchItems(b *testing.B, p *sim.Proc, cat *catalog.Catalog) *catalog.Table 
 	return tbl
 }
 
+// reportScan reports a scan benchmark's host throughput and the virtual
+// time one scan took: a parallel scan whose workers overlap takes less
+// of it than the serial BenchmarkTableScanFilter.
+func reportScan(b *testing.B, rows int, virtual time.Duration) {
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(virtual)/float64(time.Microsecond)/float64(b.N), "sim-us/op")
+}
+
 // BenchmarkTableScanFilter scans a resident 50 000-row table with a
 // predicate the scan evaluates on each row image, keeping one row in
 // ten: iterator, predicate-column decode, survivor decode, per-row CPU
@@ -66,6 +74,7 @@ func BenchmarkTableScanFilter(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		t0 := p.Now()
 		for i := 0; i < b.N; i++ {
 			n, err := Run(ctx, &TableScan{Table: tbl, Preds: []ScanPred{{Ords: []int{0}, Fn: func(t row.Tuple) bool {
 				return t[0].(int64)%10 == 0
@@ -75,7 +84,7 @@ func BenchmarkTableScanFilter(b *testing.B) {
 				return
 			}
 		}
-		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		reportScan(b, rows, p.Now()-t0)
 	})
 }
 
@@ -91,6 +100,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		t0 := p.Now()
 		for i := 0; i < b.N; i++ {
 			n, err := Run(ctx, &ParallelScan{Table: tbl, DOP: 4})
 			if err != nil || n != rows {
@@ -98,7 +108,7 @@ func BenchmarkParallelScan(b *testing.B) {
 				return
 			}
 		}
-		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		reportScan(b, rows, p.Now()-t0)
 	})
 }
 
@@ -116,6 +126,7 @@ func BenchmarkParallelScanFilter(b *testing.B) {
 		preds := []ScanPred{{Ords: []int{0}, Fn: func(t row.Tuple) bool { return t[0].(int64)%10 == 0 }}}
 		b.ReportAllocs()
 		b.ResetTimer()
+		t0 := p.Now()
 		for i := 0; i < b.N; i++ {
 			n, err := Run(ctx, &ParallelScan{Table: tbl, DOP: 4, Preds: preds})
 			if err != nil || n != rows/10 {
@@ -123,7 +134,7 @@ func BenchmarkParallelScanFilter(b *testing.B) {
 				return
 			}
 		}
-		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		reportScan(b, rows, p.Now()-t0)
 	})
 }
 

@@ -247,8 +247,8 @@ func (s *TableScan) Schema() *row.Schema {
 	return s.schema
 }
 
-// Open positions the scan.
-func (s *TableScan) Open(c *Ctx) error {
+// bind resolves the column list and the predicates.
+func (s *TableScan) bind() error {
 	var err error
 	if s.ords, err = colOrds(s.Table.Schema, s.Cols); err != nil {
 		return err
@@ -261,6 +261,19 @@ func (s *TableScan) Open(c *Ctx) error {
 		}
 		s.preds = append(s.preds, b)
 	}
+	return nil
+}
+
+// Open binds the scan and positions it.
+func (s *TableScan) Open(c *Ctx) error {
+	if err := s.bind(); err != nil {
+		return err
+	}
+	return s.seek(c)
+}
+
+// seek positions a bound scan at From.
+func (s *TableScan) seek(c *Ctx) (err error) {
 	if n := s.Schema().Len(); s.row == nil || len(s.row) != n {
 		s.row = make(row.Tuple, n)
 	}

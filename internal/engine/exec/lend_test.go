@@ -89,7 +89,7 @@ func TestKeepersCopyLentRows(t *testing.T) {
 			{"spilled sort", 8 << 10, true, func(w wrap) Op { return &Sort{In: itemsScan(w), Specs: []SortSpec{{Col: "price"}}} }},
 			{"top-n heap", 1 << 30, false, func(w wrap) Op { return &TopN{In: itemsScan(w), Specs: []SortSpec{{Col: "price"}}, N: 50} }},
 			{"top-n sort", 16 << 10, true, func(w wrap) Op { return &TopN{In: itemsScan(w), Specs: []SortSpec{{Col: "price", Desc: true}}, N: 900} }},
-			{"exchange", 1 << 30, false, func(w wrap) Op { return &Exchange{Parts: itemParts(w), BatchRows: 16} }},
+			{"exchange", 1 << 30, false, func(w wrap) Op { return &Exchange{Parts: itemParts(w)} }},
 			{"sort over exchange", 1 << 30, false, func(w wrap) Op {
 				return &Sort{In: w(&ParallelScan{Table: items, DOP: 4}), Specs: []SortSpec{{Col: "price", Desc: true}}}
 			}},
@@ -237,9 +237,11 @@ func TestExchangeBatchPoolAcrossKernels(t *testing.T) {
 // every row, serially and at DOP 4: what a row costs in allocations is
 // its predicate's decode, however many columns the scan would
 // materialise for a row it kept. A row the predicate keeps costs what it
-// costs with no predicate: the decode keeps the boxes the predicate
-// made. At DOP 4 a row a partition rejects never crosses the exchange,
-// so the consumer pays PerXchg once per kept row, not per scanned row.
+// costs with no predicate, at either DOP: the decode keeps the boxes the
+// predicate made, and a parallel scan binds the predicate once for all
+// its workers. At DOP 4 a row a worker rejects never crosses the
+// exchange, so the consumer pays PerXchg once per kept row, not per
+// scanned row.
 func TestRejectedRowsAreNotDecoded(t *testing.T) {
 	withRig(t, func(p *sim.Proc, r *rigT) {
 		_, items := loadJoinTables(t, p, r, 600)
@@ -264,12 +266,12 @@ func TestRejectedRowsAreNotDecoded(t *testing.T) {
 				t.Errorf("DOP %d: a rejected row allocates %.3f times materialising 3 columns, %.3f materialising 1", dop, three, one)
 			}
 		}
-		// Each partition binds the predicates once a scan, a fixed cost
-		// four partitions make larger than the per-row slack, so a kept
-		// row is compared on the serial scan.
-		kept, plain := perRow(1, nil, price(true), rows), perRow(1, nil, nil, rows)
-		if kept > plain+0.01 {
-			t.Errorf("a kept row allocates %.3f times, %.3f with no predicate", kept, plain)
+		// A parallel scan binds its predicates once for all its workers.
+		for _, dop := range []int{1, 4} {
+			kept, plain := perRow(dop, nil, price(true), rows), perRow(dop, nil, nil, rows)
+			if kept > plain+0.01 {
+				t.Errorf("DOP %d: a kept row allocates %.3f times, %.3f with no predicate", dop, kept, plain)
+			}
 		}
 
 		// Only PerXchg costs virtual time, and only the consumer charges

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,18 +12,19 @@ import (
 )
 
 // PartitionRanges splits the PK range [from, to) of a table into up to
-// dop consecutive sub-ranges using the clustered B-tree's root-level
-// separators, so parallel workers scan disjoint key ranges. Fewer than
-// dop ranges come back when the tree is too small to split that finely.
-func PartitionRanges(p *sim.Proc, t *catalog.Table, from, to []byte, dop int) ([][2][]byte, error) {
-	seps, err := t.Clustered.SplitPoints(p, dop)
+// n consecutive sub-ranges at the clustered B-tree's separators
+// (btree.SplitPoints), so parallel workers scan disjoint key ranges.
+// Fewer than n ranges come back when the tree is too small to split that
+// finely, or when [from, to) covers only part of the key space.
+func PartitionRanges(p *sim.Proc, t *catalog.Table, from, to []byte, n int) ([][2][]byte, error) {
+	seps, err := t.Clustered.SplitPoints(p, n)
 	if err != nil {
 		return nil, err
 	}
-	ranges := [][2][]byte{}
+	ranges := make([][2][]byte, 0, len(seps)+1)
 	lo := from
 	for _, s := range seps {
-		if from != nil && string(s) <= string(from) {
+		if string(s) <= string(lo) {
 			continue
 		}
 		if to != nil && string(s) >= string(to) {
@@ -35,11 +37,16 @@ func PartitionRanges(p *sim.Proc, t *catalog.Table, from, to []byte, dop int) ([
 	return ranges, nil
 }
 
+// An Exchange worker's queue holds queueBatches batches of batchRows
+// rows; a ParallelScan sizes its morsels to fit in it.
+const queueBatches, batchRows = 4, 128
+
 // xchgBatch is one unit handed from a producer to the consumer: copies
-// of the rows its producer was lent, laid out in vals. The consumer
-// lends them in turn and hands the batch back through spare; Close hands
-// every batch to xchgBatches.
+// of the rows its producer was lent for part part, laid out in vals. The
+// consumer lends them in turn and hands the batch back to its worker's
+// spare list; Close hands every batch to xchgBatches.
 type xchgBatch struct {
+	part int
 	rows []row.Tuple
 	vals []interface{}
 }
@@ -63,42 +70,40 @@ func (b *xchgBatch) add(t row.Tuple) {
 	b.rows = append(b.rows, b.vals[n:len(b.vals):len(b.vals)])
 }
 
-// xchgPart is the per-producer stream state shared (in simulated time,
-// one runnable process at a time) between a worker and the consumer.
-type xchgPart struct {
-	op    Op
+// xchgWorker is one producer process's state, shared (in simulated time,
+// one runnable process at a time) with the consumer.
+type xchgWorker struct {
 	child *Ctx
-	queue []*xchgBatch
+	queue []*xchgBatch // filled batches, in part order
 	spare []*xchgBatch // batches the consumer has drained, for produce to refill
-	done  bool
+	next  int          // the part being produced: every earlier part of this worker is queued
 	err   error
-	space *sim.Cond // producer waits here when the queue is full
+	space *sim.Cond // the worker waits here when its queue is full
 }
 
-// Exchange runs one producer process per input and merges their streams,
-// emitting partitions in input order — so an exchange over consecutive
-// PK ranges preserves PK order while the producers' I/O and per-row CPU
-// overlap. Back-pressure is a bounded per-partition batch queue: a
-// producer that runs ahead of the consumer parks until space frees.
+// Exchange runs its parts on Workers producer processes, worker w taking
+// parts w, w+Workers, … in turn, and merges them in part order, so over
+// consecutive PK ranges it keeps PK order while the workers' I/O and CPU
+// overlap. Each worker's queue is bounded: a worker that runs ahead of
+// the consumer parks until space frees, so only a part that fits in its
+// queue is produced while the consumer drains an earlier one.
 //
 // Each row moved through the merge charges CPUProfile.PerXchg on the
 // consumer's context; producers charge their own scan CPU, predicates
 // included, on their own worker processes (cores).
 type Exchange struct {
 	Parts []Op
-	// QueueBatches bounds each partition's queue (default 4 batches).
-	QueueBatches int
-	// BatchRows sets the producer batch size (default 128 rows).
-	BatchRows int
+	// Workers is the number of producer processes (default: one per part).
+	Workers int
 
-	parts  []*xchgPart
-	cur    int
-	batch  *xchgBatch // the batch Next lends from
-	pos    int
-	ready  *sim.Cond // consumer waits here for data
-	wg     *sim.WaitGroup
-	closed bool
-	open   bool
+	workers []*xchgWorker
+	cur     int        // the part being merged
+	batch   *xchgBatch // the batch Next lends from
+	pos     int
+	ready   *sim.Cond // consumer waits here for data
+	wg      *sim.WaitGroup
+	closed  bool
+	open    bool
 }
 
 // Schema returns the (shared) schema of the partition streams.
@@ -109,24 +114,18 @@ func (x *Exchange) Open(c *Ctx) error {
 	if len(x.Parts) == 0 {
 		return errors.New("exec: exchange with no inputs")
 	}
-	if x.QueueBatches <= 0 {
-		x.QueueBatches = 4
-	}
-	if x.BatchRows <= 0 {
-		x.BatchRows = 128
-	}
 	k := c.Server.K
 	x.ready = sim.NewCond(k)
 	x.wg = sim.NewWaitGroup(k)
 	x.cur, x.batch, x.pos = 0, nil, 0
 	x.closed = false
 	x.open = true
-	x.parts = make([]*xchgPart, len(x.Parts))
-	for i, op := range x.Parts {
-		st := &xchgPart{op: op, space: sim.NewCond(k)}
-		x.parts[i] = st
+	x.workers = make([]*xchgWorker, cmp.Or(x.Workers, len(x.Parts)))
+	for w := range x.workers {
+		st := &xchgWorker{next: w, space: sim.NewCond(k)}
+		x.workers[w] = st
 		x.wg.Add(1)
-		k.Go(fmt.Sprintf("xchg-%d", i), func(wp *sim.Proc) {
+		k.Go(fmt.Sprintf("xchg-%d", w), func(wp *sim.Proc) {
 			defer x.wg.Done()
 			st.child = c.Child(wp)
 			x.produce(st)
@@ -136,61 +135,61 @@ func (x *Exchange) Open(c *Ctx) error {
 	return nil
 }
 
-// produce runs one partition to completion (or until the exchange is
-// closed under it).
-func (x *Exchange) produce(st *xchgPart) {
+// produce runs one worker's parts in turn, to completion or until the
+// exchange is closed under it or a part fails.
+func (x *Exchange) produce(st *xchgWorker) {
 	c := st.child
-	if err := st.op.Open(c); err != nil {
-		st.err = err
-		st.done = true
-		return
-	}
-	width := st.op.Schema().Len()
 	var batch *xchgBatch // taken only once a row arrives for it
-	flush := func() bool {
-		for len(st.queue) >= x.QueueBatches && !x.closed {
+	flush := func() {
+		for len(st.queue) >= queueBatches && !x.closed {
 			st.space.Wait(c.P)
 		}
-		if x.closed {
-			return false
+		if !x.closed {
+			st.queue = append(st.queue, batch)
+			x.ready.Broadcast()
+			batch = nil
 		}
-		st.queue = append(st.queue, batch)
-		x.ready.Broadcast()
-		batch = nil
-		return true
 	}
-	for !x.closed {
-		t, ok, err := st.op.Next(c)
-		if err != nil {
-			st.err = err
+	for ; st.next < len(x.Parts) && !x.closed; st.next += len(x.workers) {
+		op := x.Parts[st.next]
+		if st.err = op.Open(c); st.err != nil {
 			break
 		}
-		if !ok {
-			break
-		}
-		if batch == nil {
-			if n := len(st.spare); n > 0 {
-				batch, st.spare = st.spare[n-1], st.spare[:n-1]
-			} else if batch = xchgBatches.Get().(*xchgBatch); cap(batch.rows) == 0 {
-				batch.rows, batch.vals = make([]row.Tuple, 0, x.BatchRows), make([]interface{}, 0, x.BatchRows*width)
+		for !x.closed {
+			t, ok, err := op.Next(c)
+			if st.err = err; err != nil || !ok {
+				break
+			}
+			if batch == nil {
+				if n := len(st.spare); n > 0 {
+					batch, st.spare = st.spare[n-1], st.spare[:n-1]
+				} else if batch = xchgBatches.Get().(*xchgBatch); cap(batch.vals) < batchRows*len(t) {
+					batch.rows, batch.vals = make([]row.Tuple, 0, batchRows), make([]interface{}, 0, batchRows*len(t))
+				}
+				batch.part = st.next
+			}
+			if batch.add(t); len(batch.rows) >= batchRows {
+				flush()
 			}
 		}
-		batch.add(t)
-		if len(batch.rows) >= x.BatchRows && !flush() {
+		if batch != nil && st.err == nil {
+			flush()
+		}
+		if err := op.Close(c); st.err == nil {
+			st.err = err
+		}
+		if st.err != nil {
 			break
 		}
+		x.ready.Broadcast() // the part may have queued nothing
 	}
-	if batch != nil && (st.err != nil || !flush()) {
+	if batch != nil {
 		st.spare = append(st.spare, batch) // for Close to recycle
 	}
-	if err := st.op.Close(c); err != nil && st.err == nil {
-		st.err = err
-	}
 	c.FlushCPU()
-	st.done = true
 }
 
-// Next returns the next merged row, partitions in order.
+// Next returns the next merged row, parts in order.
 func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 	if !x.open {
 		return nil, false, errors.New("exec: exchange not open")
@@ -202,29 +201,28 @@ func (x *Exchange) Next(c *Ctx) (row.Tuple, bool, error) {
 			c.chargeCPU(c.CPU.PerXchg)
 			return t, true, nil
 		}
-		if x.cur >= len(x.parts) {
+		if x.cur >= len(x.Parts) {
 			return nil, false, nil
 		}
-		st := x.parts[x.cur]
-		if len(st.queue) > 0 {
-			if x.batch != nil {
-				x.batch.rows, x.batch.vals = x.batch.rows[:0], x.batch.vals[:0]
-				st.spare = append(st.spare, x.batch)
+		st := x.workers[x.cur%len(x.workers)]
+		switch {
+		case len(st.queue) > 0 && st.queue[0].part == x.cur:
+			if b := x.batch; b != nil {
+				b.rows, b.vals = b.rows[:0], b.vals[:0]
+				w := x.workers[b.part%len(x.workers)]
+				w.spare = append(w.spare, b)
 			}
 			x.batch = st.queue[0]
 			st.queue = st.queue[:copy(st.queue, st.queue[1:])]
 			x.pos = 0
 			st.space.Signal()
-			continue
-		}
-		if st.err != nil {
-			return nil, false, st.err
-		}
-		if st.done {
+		case st.next > x.cur:
 			x.cur++
-			continue
+		case st.err != nil:
+			return nil, false, st.err
+		default:
+			x.ready.Wait(c.P)
 		}
-		x.ready.Wait(c.P)
 	}
 }
 
@@ -237,12 +235,12 @@ func (x *Exchange) Close(c *Ctx) error {
 	}
 	x.open = false
 	x.closed = true
-	for _, st := range x.parts {
+	for _, st := range x.workers {
 		st.space.Broadcast()
 	}
 	x.wg.Wait(c.P)
 	var err error
-	for _, st := range x.parts {
+	for _, st := range x.workers {
 		if st.child != nil {
 			c.SpilledRuns += st.child.SpilledRuns
 			c.SpilledParts += st.child.SpilledParts
@@ -265,20 +263,34 @@ func (x *Exchange) Close(c *Ctx) error {
 	return err
 }
 
-// ParallelScan reads a table in PK order with DOP range-partitioned
-// workers merged through an Exchange, each partition's TableScan
-// evaluating Preds. With DOP <= 1, or when the tree is too small to
-// split, it degrades to a plain TableScan with the same Preds.
+// ParallelScan reads a table in PK order on DOP workers merged through
+// an Exchange: it cuts [From, To) into PK morsels that fit in a worker's
+// queue and deals them round-robin, and each worker reads its morsels
+// with one TableScan, bound once for all of them. With DOP <= 1, or when
+// the tree is too small to split, it is a plain TableScan.
 type ParallelScan struct {
 	Table *catalog.Table
 	From  []byte
 	To    []byte
 	DOP   int
 	Cols  []string   // columns to materialise, in schema order (nil = all)
-	Preds []ScanPred // evaluated in each partition, before a row is decoded
+	Preds []ScanPred // evaluated in each worker, before a row is decoded
 
 	schema *row.Schema
 	inner  Op
+}
+
+// morsel is one PK range of a ParallelScan, read by its worker's
+// TableScan, which every morsel of that worker shares.
+type morsel struct {
+	*TableScan
+	from, to []byte
+}
+
+// Open aims the worker's bound scan at the morsel.
+func (m *morsel) Open(c *Ctx) error {
+	m.From, m.To = m.from, m.to
+	return m.seek(c)
 }
 
 // Schema returns the schema of the materialised columns.
@@ -289,28 +301,40 @@ func (s *ParallelScan) Schema() *row.Schema {
 	return s.schema
 }
 
-// Open partitions the key range and spawns the scan workers.
+// Open cuts the key range into morsels and spawns the scan workers.
 func (s *ParallelScan) Open(c *Ctx) error {
 	dop := s.DOP
 	if dop <= 0 {
 		dop = c.DOP
 	}
+	scan := &TableScan{Table: s.Table, From: s.From, To: s.To, Cols: s.Cols, Preds: s.Preds, schema: s.Schema()}
+	if err := scan.bind(); err != nil {
+		return err
+	}
 	if dop > 1 {
-		ranges, err := PartitionRanges(c.P, s.Table, s.From, s.To, dop)
+		n := max(int64(dop), (s.Table.Clustered.Entries+queueBatches*batchRows-1)/(queueBatches*batchRows))
+		ranges, err := PartitionRanges(c.P, s.Table, s.From, s.To, int(n))
 		if err != nil {
 			return err
 		}
 		if len(ranges) > 1 {
-			parts := make([]Op, len(ranges))
-			for i, r := range ranges {
-				parts[i] = &TableScan{Table: s.Table, From: r[0], To: r[1], Cols: s.Cols, Preds: s.Preds}
+			// The workers share the bound predicates' scratch: a scan never
+			// yields between decoding their columns and copying them out.
+			workers := make([]TableScan, min(dop, len(ranges)))
+			for w := range workers {
+				workers[w] = *scan
 			}
-			s.inner = &Exchange{Parts: parts}
+			morsels, parts := make([]morsel, len(ranges)), make([]Op, len(ranges))
+			for i, r := range ranges {
+				morsels[i] = morsel{TableScan: &workers[i%len(workers)], from: r[0], to: r[1]}
+				parts[i] = &morsels[i]
+			}
+			s.inner = &Exchange{Parts: parts, Workers: len(workers)}
 			return s.inner.Open(c)
 		}
 	}
-	s.inner = &TableScan{Table: s.Table, From: s.From, To: s.To, Cols: s.Cols, Preds: s.Preds}
-	return s.inner.Open(c)
+	s.inner = scan
+	return scan.seek(c)
 }
 
 // Next returns the next row in PK order.
@@ -378,12 +402,16 @@ func (a *ParallelAgg) Open(c *Ctx) error {
 		})
 	}
 	wg.Wait(c.P)
-	for _, err := range errs {
+	groups := 0
+	for i, err := range errs {
 		if err != nil {
 			return err
 		}
+		groups += len(cores[i].order)
 	}
-	merged := cores[0]
+	// One table sized for every partial group: merging never regrows it.
+	merged := &aggCore{aggs: a.Aggs, groups: make(map[string]*aggState, groups), order: make([]string, 0, groups)}
+	merged.mergeFrom(cores[0])
 	for _, core := range cores[1:] {
 		merged.mergeFrom(core)
 		// Merging k groups costs one hash probe each on the consumer.

@@ -144,7 +144,10 @@ const WorkerStartup = 100 * time.Microsecond
 
 // CostScan estimates a scan at the given DOP: I/O and per-row CPU divide
 // across workers, startup is paid per worker, and the exchange merge
-// adds a small per-row toll on the consumer.
+// adds a small per-row toll on the consumer. The executor delivers the
+// division: exec.ParallelScan deals PK morsels that fit a worker's queue
+// round-robin to its DOP workers, so every worker scans while the
+// in-order merge drains an earlier morsel.
 func (m *Model) CostScan(in ScanInputs, dop int) time.Duration {
 	if dop < 1 {
 		dop = 1

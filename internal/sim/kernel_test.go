@@ -275,12 +275,22 @@ func TestResourceUtilization(t *testing.T) {
 	k := New(1)
 	r := NewResource(k, "u", 2)
 	k.Go("w", func(p *Proc) {
-		r.Use(p, 1, 10*time.Millisecond) // 1 of 2 units for 10 of 20ms => 0.25
-		p.Sleep(10 * time.Millisecond)
+		// Each interval is charged with the units held through it, so a
+		// use reads back in full right after its release.
+		r.Use(p, 1, 600*time.Microsecond)
+		if got := r.BusyNanos(); got != 600_000 {
+			t.Errorf("a 600µs use of 1 unit reads %d unit-ns after its release, want 600000", got)
+		}
+		r.Use(p, 2, 200*time.Microsecond)
+		if got := r.BusyNanos(); got != 1_000_000 {
+			t.Errorf("then a 200µs use of 2 units reads %d unit-ns in all, want 1000000", got)
+		}
+		p.Sleep(1200 * time.Microsecond)
 	})
 	k.Run(0)
-	if u := r.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization = %v, want ~0.25", u)
+	// 1 000 of the 2 × 2 000 unit-µs available.
+	if u := r.Utilization(); u != 0.25 {
+		t.Fatalf("utilization = %v, want 0.25", u)
 	}
 }
 

@@ -20,7 +20,6 @@ type Resource struct {
 	// Utilization accounting.
 	busyNanos int64
 	lastAt    int64
-	lastBusy  int
 }
 
 type resWaiter struct {
@@ -46,11 +45,13 @@ func (r *Resource) Available() int { return r.avail }
 // InUse returns the currently held units.
 func (r *Resource) InUse() int { return r.capacity - r.avail }
 
+// account charges the interval since the last change with the units held
+// through it. Every change to avail calls it first, so capacity - avail
+// is that interval's holder count.
 func (r *Resource) account() {
 	now := r.k.now
-	r.busyNanos += int64(r.lastBusy) * (now - r.lastAt)
+	r.busyNanos += int64(r.capacity-r.avail) * (now - r.lastAt)
 	r.lastAt = now
-	r.lastBusy = r.capacity - r.avail
 }
 
 // BusyNanos returns cumulative unit-nanoseconds of held capacity, for
